@@ -20,13 +20,12 @@ from .config import Tolerances
 from .curvature import CurvaturePack, identity_suite
 from .evaluate import DomainError
 from .expressions import ExprSyntaxError, parse
-from .genericity import PolicyError
+from .genericity import PolicyError, weyl_operators
 from .geometry import SingularMetricError
 from .mspecfile import MetricSpecError, dumps_mspec, entry_to_mspec, load_mspec
 from .obstructions import (
     THEOREM_IDS,
     conformal_einstein_tensor_verdict,
-    cotton_rl2_invariant,
     covariance_exponent,
     _JetBag,
     bach_residual,
@@ -238,9 +237,9 @@ def cmd_invariants(args):
         elif name == "E":
             r = e_tensor(samples, dual_candidate_jet(bag, policy, tol), bag)
         elif name == "F1":
-            r = f1(samples, bag)
+            r = f1(samples)
         elif name == "F2":
-            r = f2(samples, bag)
+            r = f2(samples)
         elif name == "G":
             r, cross = g_tensor(samples, bag)
             res["G_cross_check_rel"] = cross
@@ -273,7 +272,7 @@ def _covariance_section(pack, samples, bag, points, which, ups, tol):
     uvals = evaluate_components(ups, samples.bindings)
     sec = {}
     builders = {
-        "F1": lambda s, b: f1(s, b).values,
+        "F1": lambda s, b: f1(s).values,
         "G": lambda s, b: g_tensor(s, b, cross_check=False)[0].values,
         "Gbar": lambda s, b: gbar_tensor(s, b, cross_check=False)[0].values,
         "dim4": lambda s, b: dim4_invariant(s, b).values,
@@ -288,9 +287,7 @@ def _covariance_section(pack, samples, bag, points, which, ups, tol):
             sec[name] = {"fitted_exponent": w, "spread": spread}
         except (PolicyError, ValueError) as exc:
             sec[name] = {"error": str(exc)}
-    from .obstructions import _weyl_adjugate_raised
-    dets, _ = _weyl_adjugate_raised(bag)
-    detsh, _ = _weyl_adjugate_raised(hbag)
+    dets, detsh = weyl_operators(samples)[1], weyl_operators(hsamples)[1]
     w, spread = covariance_exponent(dets[:, None], detsh[:, None], uvals)
     n = samples.n
     sec["weyl_operator_det"] = {"fitted_exponent": w, "spread": spread,

@@ -44,7 +44,6 @@ __all__ = [
     "identity_residuals",
     "cotton_transform_check",
     "einstein_residual",
-    "residual_scale",
     "numeric_cov",
     "antisym_axes",
 ]
@@ -453,10 +452,6 @@ def identity_residuals(s: CurvatureSamples):
     covG = numeric_cov(g, s["dg"], (DOWN, DOWN), s["gamma"])
     res["metricity"] = _maxnorm(covG, P)
     return res
-
-
-def residual_scale(s: CurvatureSamples):
-    return s.scale()
 
 
 def identity_suite(g_or_pack, points, tolerances=None):

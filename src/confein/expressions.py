@@ -40,7 +40,6 @@ __all__ = [
     "simplify",
     "expand",
     "is_zero",
-    "free_symbols",
 ]
 
 RAT = 0
@@ -449,24 +448,6 @@ def div(a, b):
 
 def sqrt(e):
     return power(e, HALF)
-
-
-def free_symbols(e, out=None):
-    """Set of symbol names occurring in e."""
-    if out is None:
-        out = set()
-    stack = [e]
-    seen = set()
-    while stack:
-        t = stack.pop()
-        if id(t) in seen:
-            continue
-        seen.add(id(t))
-        if t.kind == SYM:
-            out.add(t.data)
-        else:
-            stack.extend(t.args)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,23 @@ tensor:
 * generic: the skew system C_abcd F^ab = 0, the trace-free symmetric system
   C_abcd H^bd = 0 and its volume-form dual all have only the zero solution.
 
+Ranked-pair convention: a 4-index array t antisymmetric in both pairs is
+packed over the pairs a < b (in `pair_basis` order) as the matrix
+M[(ab),(cd)] = 2 * t[a,b,c,d]; `_pair_matrix` and `_pair_tensor` convert
+between the two over any leading axes.
+
 The adjugate of the 2-form operator packages as the tensor Ct_ef^ab with
 Ct_ef^ab C_ab^cd = ||C|| delta^[c_[e delta^d]_f], and the operator
 L^a_b = C^acde C_bcde with its adjugate gives the canonical inverses of the
-Weyl tensor used by the obstruction invariants."""
+Weyl tensor used by the obstruction invariants.  Both operators are built
+once per sample batch (`weyl_operators`, `l_operators`); the left inverses
+themselves are `obstructions.dual_candidate`."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -31,22 +39,19 @@ from .geometry import permutation_sign
 __all__ = [
     "WeylOperator",
     "LOperator",
-    "DualCandidate",
     "PointGenericity",
     "GenericityReport",
     "PolicyError",
     "pair_basis",
+    "weyl_operators",
+    "l_operators",
     "weyl_operator",
     "l_operator",
     "weyl_operator_at",
     "l_operator_at",
-    "dual_candidate",
     "classify_genericity",
-    "epsilon_values",
     "dim4_scalars",
 ]
-
-POLICIES = ("from-L", "from-C", "dim4-C3")
 
 
 class PolicyError(ArithmeticError):
@@ -54,32 +59,28 @@ class PolicyError(ArithmeticError):
 
 
 def pair_basis(n):
-    return [(a, b) for a in range(n) for b in range(a + 1, n)]
+    """Index arrays (a, b) of the ranked pairs a < b, row-major."""
+    return np.triu_indices(n, 1)
 
 
-def _pair_matrix(t4):
-    """Ranked-pair matrix of a 4-index array antisymmetric in both pairs:
-    M[(ab),(cd)] = 2 * t4[a,b,c,d]."""
-    n = t4.shape[0]
-    pairs = pair_basis(n)
-    m = np.empty((len(pairs), len(pairs)))
-    for i, (a, b) in enumerate(pairs):
-        for j, (c, d) in enumerate(pairs):
-            m[i, j] = 2.0 * t4[a, b, c, d]
-    return m
+def _pair_matrix(t):
+    """Ranked-pair matrix 2 * t[..., a, b, c, d] of an array (..., n, n, n, n)
+    antisymmetric in both pairs: shape (..., N, N), N = n(n-1)/2."""
+    a, b = pair_basis(t.shape[-1])
+    return 2.0 * t[..., a[:, None], b[:, None], a, b]
 
 
-def _pair_tensor(m, n):
-    """Inverse of _pair_matrix: antisymmetric extension with the 1/2."""
-    pairs = pair_basis(n)
-    t = np.zeros((n, n, n, n))
-    for i, (a, b) in enumerate(pairs):
-        for j, (c, d) in enumerate(pairs):
-            v = 0.5 * m[i, j]
-            t[a, b, c, d] = v
-            t[b, a, c, d] = -v
-            t[a, b, d, c] = -v
-            t[b, a, d, c] = v
+def _pair_tensor(m):
+    """Inverse of _pair_matrix: the antisymmetric extension, with the 1/2."""
+    n = int(round((1 + math.sqrt(1 + 8 * m.shape[-1])) / 2))
+    a, b = pair_basis(n)
+    a, b, c, d = a[:, None], b[:, None], a, b
+    v = 0.5 * m
+    t = np.zeros(m.shape[:-2] + (n,) * 4)
+    t[..., a, b, c, d] = v
+    t[..., b, a, c, d] = -v
+    t[..., a, b, d, c] = -v
+    t[..., b, a, d, c] = v
     return t
 
 
@@ -107,23 +108,6 @@ class LOperator:
     adjugate: np.ndarray  # Lt^a_b
 
 
-@dataclass
-class DualCandidate:
-    """Per-point left inverses Dt of the Weyl tensor in the canonical
-    placement (up, up, down, up): Dt^ac_d^e C_bc^d_e = -delta^a_b."""
-
-    comps: np.ndarray  # (P, n, n, n, n), fully raised Dt^acde
-    provenance: str
-    dets: np.ndarray   # the determinant each policy divided by, per point
-
-    def defining_residual(self, samples):
-        """Max deviation of Dt^acde C_bcde from -identity, per point."""
-        C = samples["C"]
-        contr = np.einsum("pacde,pbcde->pab", self.comps, C)
-        eye = np.eye(C.shape[1])[None]
-        return np.max(np.abs(contr + eye).reshape(C.shape[0], -1), axis=1)
-
-
 def _samples_for(pack_or_samples, points):
     if isinstance(pack_or_samples, CurvatureSamples):
         return pack_or_samples
@@ -132,20 +116,36 @@ def _samples_for(pack_or_samples, points):
     return pack_or_samples.samples(points)
 
 
+def _operators(samples, key, matrices):
+    """(matrices, determinants, adjugates) per point, built once per batch."""
+    def build():
+        m = matrices()
+        return (m, np.array([linalg.det(x) for x in m]),
+                np.stack([linalg.adjugate(x) for x in m]))
+    return samples.derived(key, build)
+
+
+def weyl_operators(samples: CurvatureSamples):
+    """Ranked-pair matrix of C_ab^cd, ||C|| and the adjugate, per point."""
+    return _operators(samples, ("weyl-operator",), lambda: _pair_matrix(
+        samples.raised("C", (0, 0, 1, 1))))
+
+
+def l_operators(samples: CurvatureSamples):
+    """L^a_b = C^acde C_bcde, ||L|| and the adjugate Lt^a_b, per point."""
+    return _operators(samples, ("l-operator",), lambda: np.einsum(
+        "pacde,pbcde->pab", samples.raised("C", (1, 1, 1, 1)), samples["C"]))
+
+
 def weyl_operator_at(samples: CurvatureSamples, p: int) -> WeylOperator:
-    cuu = samples.raised("C", (0, 0, 1, 1))[p]
-    n = cuu.shape[0]
-    m = _pair_matrix(cuu)
-    d = linalg.det(m)
-    adj = linalg.adjugate(m)
-    return WeylOperator(m, d, adj, _pair_tensor(adj, n), n)
+    m, det, adj = weyl_operators(samples)
+    return WeylOperator(m[p], float(det[p]), adj[p], _pair_tensor(adj[p]),
+                        samples.n)
 
 
 def l_operator_at(samples: CurvatureSamples, p: int) -> LOperator:
-    call = samples.raised("C", (1, 1, 1, 1))[p]
-    clow = samples["C"][p]
-    m = np.einsum("acde,bcde->ab", call, clow)
-    return LOperator(m, linalg.det(m), linalg.adjugate(m))
+    m, det, adj = l_operators(samples)
+    return LOperator(m[p], float(det[p]), adj[p])
 
 
 def weyl_operator(pack: CurvaturePack, point) -> WeylOperator:
@@ -157,158 +157,41 @@ def l_operator(pack: CurvaturePack, point) -> LOperator:
     return l_operator_at(pack.samples([point]), 0)
 
 
-def dual_candidate(pack_or_samples, policy="from-L", points=None,
-                   tolerances=None, user_comps=None):
-    """Left inverse of the Weyl tensor, per sample point.
-
-    policy 'from-L' divides by ||L||, 'from-C' by ||C||, 'dim4-C3' (n = 4)
-    by the cubic scalar contraction; 'user' takes components as given.
-    Raises PolicyError naming the first point where the required determinant
-    vanishes."""
-    tol = tolerances or DEFAULT_TOLERANCES
-    s = _samples_for(pack_or_samples, points)
-    npts = len(s.points)
-    n = s.n
-    if policy == "user":
-        if user_comps is None:
-            raise ValueError("user policy needs user_comps")
-        return DualCandidate(np.asarray(user_comps, dtype=float), "user-supplied",
-                             np.ones(npts))
-
-    C = s["C"]
-    cmax = np.max(np.abs(C.reshape(npts, -1)), axis=1)
-    scale = s.scale()
-    out = np.empty((npts, n, n, n, n))
-    dets = np.empty(npts)
-
-    def check(det, mat, policy_name, label, p):
-        # a numerically vanishing Weyl tensor makes every policy divide by
-        # noise; otherwise the matrix must be numerically invertible
-        if cmax[p] <= tol.rank_tol * scale[p] or \
-                linalg.rank(mat, tol.rank_tol) < mat.shape[1]:
-            raise PolicyError(
-                f"policy {policy_name}: {label} = {det:.3e} vanishes at "
-                f"point {s.points[p]}")
-
-    if policy == "from-L":
-        call = s.raised("C", (1, 1, 1, 1))
-        for p in range(npts):
-            L = np.einsum("acde,bcde->ab", call[p], C[p])
-            dL = linalg.det(L)
-            dets[p] = dL
-            check(dL, L, "from-L", "||L||", p)
-            out[p] = -np.einsum("ab,bcde->acde", linalg.adjugate(L), call[p]) / dL
-        return DualCandidate(out, "from-L", dets)
-    if policy == "from-C":
-        gi = s["ginv"]
-        cuu = s.raised("C", (0, 0, 1, 1))
-        for p in range(npts):
-            m = _pair_matrix(cuu[p])
-            dC = linalg.det(m)
-            dets[p] = dC
-            check(dC, m, "from-C", "||C||", p)
-            ct = _pair_tensor(linalg.adjugate(m), n)  # Ct_xy^de
-            ctup = np.einsum("xa,yc,xyde->acde", gi[p], gi[p], ct)
-            out[p] = (2.0 / (1.0 - n)) * ctup / dC
-        return DualCandidate(out, "from-C", dets)
-    if policy == "dim4-C3":
-        if n != 4:
-            raise PolicyError("policy dim4-C3 needs dimension 4")
-        cmix = s.raised("C", (0, 0, 1, 1))   # C_ab^cd
-        cup2 = s.raised("C", (1, 1, 0, 0))   # C^ab_cd
-        call = s.raised("C", (1, 1, 1, 1))
-        for p in range(npts):
-            c3 = np.einsum("abcd,cdef,efab->", cmix[p], cmix[p], cmix[p])
-            dets[p] = c3
-            cscale = max(float(np.max(np.abs(cmix[p]))), 1e-300)
-            if cmax[p] <= tol.rank_tol * scale[p] or \
-                    abs(c3) <= tol.rank_tol * cscale ** 3:
-                raise PolicyError(
-                    f"policy dim4-C3: C^3 = {c3:.3e} vanishes at point "
-                    f"{s.points[p]}")
-            # 4 C^de_fg C^fgca / C3; the factor 4 normalizes the defining
-            # contraction to exactly -identity
-            cc = np.einsum("defg,fgca->deca", cup2[p], call[p])
-            out[p] = 4.0 * np.transpose(cc, (3, 2, 0, 1)) / c3
-        return DualCandidate(out, "dim4-C3", dets)
-    raise ValueError(f"unknown policy {policy!r}; expected one of "
-                     f"{POLICIES + ('user',)}")
-
-
 # ---------------------------------------------------------------------------
 # genericity systems
 
 
-def epsilon_values(samples, orientation=1):
-    """Numeric volume form at the sample points."""
-    g = samples["g"]
-    npts, n = g.shape[0], g.shape[1]
-    root = np.sqrt(np.abs(np.linalg.det(g)))
-    eps = np.zeros((npts,) + (n,) * n)
+@lru_cache(maxsize=None)
+def _levi_civita(n):
+    """The permutation symbol: sign(perm) at each permutation, else 0."""
+    eps = np.zeros((n,) * n)
     for perm in permutations(range(n)):
-        eps[(slice(None),) + perm] = orientation * permutation_sign(perm) * root
+        eps[perm] = permutation_sign(perm)
+    eps.flags.writeable = False
     return eps
 
 
-def _skew_system(C):
-    """(c3)-type matrix at a point: rows (cd) ranked, columns (ab) ranked."""
-    n = C.shape[0]
-    pairs = pair_basis(n)
-    m = np.empty((len(pairs), len(pairs)))
-    for i, (c, d) in enumerate(pairs):
-        for j, (a, b) in enumerate(pairs):
-            m[i, j] = 2.0 * C[a, b, c, d]
-    return m
-
-
-def _sym_pairs(n):
-    return [(b, d) for b in range(n) for d in range(b, n)]
-
-
-def _symmetric_system(C, g):
-    """Rows (a,c) plus one trace row; columns over symmetric pairs (b<=d)."""
-    n = C.shape[0]
-    cols = _sym_pairs(n)
-    rows = []
-    for a in range(n):
-        for c in range(n):
-            row = np.empty(len(cols))
-            for k, (b, d) in enumerate(cols):
-                row[k] = C[a, b, c, d] + (C[a, d, c, b] if b != d else 0.0)
-            rows.append(row)
-    trace = np.array([(2.0 if b != d else 1.0) * g[b, d] for b, d in cols])
-    rows.append(trace)
-    return np.asarray(rows)
-
-
-def _dual_symmetric_system(Cstar, g):
-    """Same unknowns as the symmetric system, for the volume-form dualized
-    Weyl tensor Cstar_{b1..b_{n-2} c d}, contracted on (b1, d)."""
+def _symmetric_system(t, g):
+    """Trace-free symmetric system at a point, unknowns H^bd over the pairs
+    b <= d.  One row per index r of the middle axes of t[b, ..., d]
+    (row-major), with entries t[b, r, d] + t[d, r, b] (the single term
+    t[b, r, b] on the diagonal), then the trace row g_bd (doubled off the
+    diagonal)."""
     n = g.shape[0]
-    cols = _sym_pairs(n)
-    shape = Cstar.shape  # (n,)*(n-2) + (n, n)
-    free_axes = shape[1:-2]
-    rows = []
-    for rest in np.ndindex(*free_axes):
-        for c in range(n):
-            row = np.empty(len(cols))
-            for k, (b1, d) in enumerate(cols):
-                v = Cstar[(b1,) + rest + (c, d)]
-                if b1 != d:
-                    v += Cstar[(d,) + rest + (c, b1)]
-                row[k] = v
-            rows.append(row)
-    trace = np.array([(2.0 if b != d else 1.0) * g[b, d] for b, d in cols])
-    rows.append(trace)
-    return np.asarray(rows)
+    b, d = np.triu_indices(n)
+    off = b != d
+    tt = np.moveaxis(t, -1, 1).reshape(n, n, -1)   # tt[b, d, r]
+    cols = tt[b, d]
+    cols[off] += tt[d[off], b[off]]
+    return np.vstack([cols.T, np.where(off, 2.0, 1.0) * g[b, d]])
 
 
-def dim4_scalars(samples, p):
-    """(C^3, *C^3) at point p of a 4-dimensional sample batch."""
+def dim4_scalars(samples, p, eps):
+    """(C^3, *C^3) at point p of a 4-dimensional sample batch, with eps the
+    volume form at p."""
     cmix = samples.raised("C", (0, 0, 1, 1))[p]
     cup2 = samples.raised("C", (1, 1, 0, 0))[p]
     c3 = float(np.einsum("abcd,cdef,efab->", cmix, cmix, cmix))
-    eps = epsilon_values(samples)[p]
     cstar = np.einsum("abef,efcd->abcd", eps, cup2)
     gi = samples["ginv"][p]
     cstar_mix = np.einsum("abcd,ce,df->abef", cstar, gi, gi)
@@ -375,46 +258,38 @@ def classify_genericity(pack_or_samples, points=None, tolerances=None,
     tol = tolerances or DEFAULT_TOLERANCES
     s = _samples_for(pack_or_samples, points)
     n = s.n
-    C = s["C"]
-    g, gi = s["g"], s["ginv"]
-    npts = len(s.points)
+    C, g, gi = s["C"], s["g"], s["ginv"]
     scale = s.scale()
-    eps = epsilon_values(s, orientation)
-    cup2 = s.raised("C", (1, 1, 0, 0))
+    skew = np.swapaxes(_pair_matrix(C), -1, -2)  # rows (cd), columns (ab)
+    dets = weyl_operators(s)[1]
+    levi = _levi_civita(n)
+    root = orientation * np.sqrt(np.abs(np.linalg.det(g)))
+
+    def kernel_dim(mat, p):
+        return mat.shape[1] - _rank_null_floored(mat, tol.rank_tol,
+                                                 scale[p])[0]
+
     per = []
-    for p in range(npts):
-        floor = scale[p]
+    for p in range(len(s.points)):
         # weak system: C_abcd V^d = 0
-        weak_mat = C[p].reshape(n ** 3, n)
-        wrank, wkernel = _rank_null_floored(weak_mat, tol.rank_tol, floor)
-        weak = wkernel.shape[1] == 0
-
-        skew = _skew_system(C[p])
-        skew_rank, _ = _rank_null_floored(skew, tol.rank_tol, floor)
-        skew_dim = skew.shape[1] - skew_rank
-        wop = _pair_matrix(s.raised("C", (0, 0, 1, 1))[p])
-        det = linalg.det(wop)
+        _, wkernel = _rank_null_floored(C[p].reshape(n ** 3, n),
+                                        tol.rank_tol, scale[p])
+        skew_dim = kernel_dim(skew[p], p)
         lam2 = skew_dim == 0
-
         # the appended trace row absorbs the pure-trace direction, so the
-        # reported dimensions count genuine trace-free solutions
-        sym = _symmetric_system(C[p], g[p])
-        sym_dim = sym.shape[1] - _rank_null_floored(sym, tol.rank_tol,
-                                                    floor)[0]
-
-        cstar = _cstar(C[p], eps[p], gi[p], n)
-        dual = _dual_symmetric_system(cstar, g[p])
-        dual_dim = dual.shape[1] - _rank_null_floored(dual, tol.rank_tol,
-                                                      floor)[0]
-
+        # reported dimensions count genuine trace-free solutions; the
+        # systems are built per point, as the dual one is large
+        sym_dim = kernel_dim(_symmetric_system(np.swapaxes(C[p], 0, 1),
+                                               g[p]), p)
+        eps = levi * root[p]  # the volume form at p
+        dual_dim = kernel_dim(_symmetric_system(_cstar(C[p], eps, gi[p], n),
+                                                g[p]), p)
         generic = lam2 and sym_dim == 0 and dual_dim == 0
-        weak = weak or lam2  # enforce the implication chain
-        c3 = c3s = None
-        if n == 4:
-            c3, c3s = dim4_scalars(s, p)
+        weak = wkernel.shape[1] == 0 or lam2  # enforce the implication chain
+        c3, c3s = dim4_scalars(s, p, eps) if n == 4 else (None, None)
         per.append(PointGenericity(
             point=s.points[p], weakly_generic=weak, weak_kernel=wkernel,
-            lambda2_generic=lam2, weyl_det=float(det),
+            lambda2_generic=lam2, weyl_det=float(dets[p]),
             skew_kernel_dim=int(skew_dim), sym_kernel_dim=int(sym_dim),
             dual_kernel_dim=int(dual_dim), generic=generic,
             c3=c3, c3_star=c3s))

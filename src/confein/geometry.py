@@ -21,7 +21,6 @@ from .expressions import (
     ONE,
     add,
     diff,
-    div,
     func,
     is_zero,
     mul,
@@ -43,7 +42,6 @@ __all__ = [
     "sym_einsum",
     "tensor_from",
     "zeros",
-    "metric_inverse",
     "raise_index",
     "lower_index",
     "christoffel",
@@ -119,13 +117,6 @@ class TensorField:
             out[idx] = fn(self.comps[idx])
         return TensorField(self.chart, self.variance, out, self.weight)
 
-    def simplified(self):
-        return self.map(simplify)
-
-    def permuted(self, order):
-        return TensorField(self.chart, tuple(self.variance[i] for i in order),
-                           np.transpose(self.comps, order), self.weight)
-
     def __add__(self, other):
         self._check_compatible(other)
         return TensorField(self.chart, self.variance,
@@ -150,10 +141,6 @@ class TensorField:
             raise ValueError(f"variance mismatch {self.variance} vs {other.variance}")
         if self.weight != other.weight:
             raise ValueError(f"weight mismatch {self.weight} vs {other.weight}")
-
-    def max_abs_at(self, points):
-        vals = evaluate_components(self.comps, points)
-        return float(np.max(np.abs(vals))) if vals.size else 0.0
 
 
 def _elementwise(fn, a, b):
@@ -308,33 +295,45 @@ class MetricField:
         return vals
 
     def signature(self, point=None):
-        """(p, q) from the eigenvalues at the reference point."""
-        if self._signature is not None:
+        """(p, q) from the eigenvalues at `point`, by default at the
+        reference point.  Only the reference point's result is cached; a
+        point given while no reference point is set becomes it."""
+        if point is None:
+            if self._signature is None:
+                if self.reference_point is None:
+                    raise ValueError(
+                        "no reference point available for the signature")
+                self._signature = self._signature_at(self.reference_point)
             return self._signature
-        pt = point or self.reference_point
-        if pt is None:
-            raise ValueError("no reference point available for the signature")
+        sig = self._signature_at(point)
+        if self.reference_point is None:
+            self.reference_point = dict(point)
+            self._signature = sig
+        return sig
+
+    def _signature_at(self, pt):
         m = self.matrix_at(pt)
         ev = np.linalg.eigvalsh(0.5 * (m + m.T))
         scale = np.max(np.abs(ev))
         if scale == 0 or np.min(np.abs(ev)) < 1e-10 * scale:
             raise SingularMetricError(f"metric is degenerate at {pt}")
         p = int(np.sum(ev > 0))
-        self._signature = (p, self.dim - p)
-        if point is not None and self.reference_point is None:
-            self.reference_point = dict(point)
-        return self._signature
+        return (p, self.dim - p)
 
     def det_sign(self, point=None):
         p, q = self.signature(point)
         return -1 if q % 2 else 1
 
     def assert_nondegenerate(self, points, tol=1e-10):
-        for pt in points:
-            m = self.matrix_at(pt)
-            ev = np.linalg.eigvalsh(0.5 * (m + m.T))
-            if np.min(np.abs(ev)) <= tol * max(1.0, np.max(np.abs(ev))):
-                raise SingularMetricError(f"metric is degenerate at {pt}")
+        points = list(points)
+        m = evaluate_components(self.comps,
+                                [self.point_bindings(pt) for pt in points])
+        ev = np.abs(np.linalg.eigvalsh(0.5 * (m + np.swapaxes(m, 1, 2))))
+        bad = np.nonzero(np.min(ev, axis=1)
+                         <= tol * np.maximum(1.0, np.max(ev, axis=1)))[0]
+        if bad.size:
+            raise SingularMetricError(
+                f"metric is degenerate at {points[bad[0]]}")
 
 
 def _complexity(e):
@@ -425,11 +424,6 @@ def _symbolic_det(comps):
         return add(*terms) if terms else ZERO
 
     return simplify(rec(tuple(range(n)), tuple(range(n))))
-
-
-def metric_inverse(g):
-    """Inverse metric as a (2,0) field; g^{ac} g_{cb} is the identity."""
-    return g.inverse_field()
 
 
 def raise_index(t, slot, g):

@@ -25,25 +25,30 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
-from .curvature import CurvaturePack, CurvatureSamples, antisym_axes
+from .curvature import CurvaturePack, CurvatureSamples
 from .genericity import (
     GenericityReport,
     PolicyError,
     classify_genericity,
-    pair_basis,
+    l_operators,
+    weyl_operators,
     _pair_matrix,
     _pair_tensor,
+    _samples_for,
 )
 from .geometry import DOWN, TensorField, evaluate_components, partial_derivative
 
 __all__ = [
     "Jet",
     "jet_einsum",
+    "DualCandidate",
     "KField",
     "Residual",
     "ObstructionReport",
     "Verdict",
     "THEOREM_IDS",
+    "dual_candidate",
+    "dual_candidate_jet",
     "k_field",
     "cspace_residual",
     "bach_residual",
@@ -143,20 +148,14 @@ def jet_inverse_matrix(m: Jet) -> Jet:
     return Jet(inv, d)
 
 
-def jet_det(m: Jet) -> Jet:
-    """Determinant with derivative d(det) = tr(adj . dM); defined for
-    singular matrices too (cofactor adjugate)."""
-    from . import linalg
-    det = np.linalg.det(m.val)
-    adj = np.stack([linalg.adjugate(m.val[p]) for p in range(m.val.shape[0])])
-    d = np.einsum("pab,pzba->pz", adj, m.d)
-    return Jet(det, d)
+def jet_det(m: Jet, adj) -> Jet:
+    """Determinant with derivative d(det) = tr(adj . dM), given the
+    adjugate of m.val (defined for singular matrices too)."""
+    return Jet(np.linalg.det(m.val), np.einsum("pab,pzba->pz", adj, m.d))
 
 
-def jet_adjugate(m: Jet) -> Jet:
-    det = jet_det(m)
-    inv = jet_inverse_matrix(m)
-    return jet_einsum("p,pab->pab", det, inv)
+def jet_adjugate(m: Jet, det: Jet) -> Jet:
+    return jet_einsum("p,pab->pab", det, jet_inverse_matrix(m))
 
 
 class _JetBag:
@@ -219,16 +218,26 @@ class _JetBag:
     @property
     def weyl_operator_matrix(self):
         """Ranked-pair matrix of C_ab^cd as a jet."""
+        return self._get("wop", lambda: Jet(
+            weyl_operators(self.s)[0],
+            _pair_matrix(self._raise_all_last2(self.C).d)))
+
+    def policy_operator(self, policy, tol):
+        """(M, ||M||, adj M) as jets for policy 'from-L' (M = L^a_b) or
+        'from-C' (the 2-form operator), once the policy's preconditions
+        hold: a numerically nonzero Weyl tensor and an invertible M."""
         def build():
-            cuu = self._raise_all_last2(self.C)
-            n = self.n
-            pairs = pair_basis(n)
-            idx_a = [a for a, b in pairs]
-            idx_b = [b for a, b in pairs]
-            val = 2.0 * cuu.val[:, idx_a, idx_b][:, :, idx_a, idx_b]
-            d = 2.0 * cuu.d[:, :, idx_a, idx_b][:, :, :, idx_a, idx_b]
-            return Jet(val, d)
-        return self._get("wop", build)
+            _require_nonzero_weyl(self.s, tol, policy)
+            if policy == "from-L":
+                m, ops, name = self.L, l_operators(self.s), "||L||"
+            else:
+                m, ops, name = (self.weyl_operator_matrix,
+                                weyl_operators(self.s), "||C||")
+            det = jet_det(m, ops[2])
+            _check_policy_matrix(m.val, det.val, tol, policy, name,
+                                 self.s.points)
+            return m, det, jet_adjugate(m, det)
+        return self._get(("op", policy, tol.rank_tol), build)
 
     def _raise_all_last2(self, t: Jet) -> Jet:
         gi = self.ginv
@@ -236,68 +245,92 @@ class _JetBag:
         return jet_einsum("pxd,pabcx->pabcd", gi, out)
 
 
-def dual_candidate_jet(bag: _JetBag, policy, tolerances=None) -> Jet:
-    """Fully raised Dt^acde with exact first derivatives.  Policies as in
-    genericity.dual_candidate; preconditions enforced the same way."""
-    tol = tolerances or DEFAULT_TOLERANCES
+@dataclass
+class DualCandidate:
+    """Per-point left inverses Dt of the Weyl tensor in the canonical
+    placement (up, up, down, up): Dt^ac_d^e C_bc^d_e = -delta^a_b."""
+
+    comps: np.ndarray  # (P, n, n, n, n), fully raised Dt^acde
+    provenance: str
+    dets: np.ndarray   # the determinant each policy divided by, per point
+
+    def defining_residual(self, samples):
+        """Max deviation of Dt^acde C_bcde from -identity, per point."""
+        C = samples["C"]
+        contr = np.einsum("pacde,pbcde->pab", self.comps, C)
+        eye = np.eye(C.shape[1])[None]
+        return np.max(np.abs(contr + eye).reshape(C.shape[0], -1), axis=1)
+
+
+POLICIES = ("from-L", "from-C", "dim4-C3")
+
+
+def _left_inverse(bag: _JetBag, policy, tol):
+    """(Dt jet, the determinant jet it divides by) for one policy: 'from-L'
+    divides by ||L||, 'from-C' by ||C||, 'dim4-C3' (n = 4) by the cubic
+    scalar contraction.  Raises PolicyError naming the first point where
+    the precondition fails."""
     n = bag.n
-    _require_nonzero_weyl(bag.s, tol, policy)
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}; expected one of "
+                         f"{POLICIES + ('user',)}")
     if policy == "from-L":
-        L = bag.L
-        detL = jet_det(L)
-        _check_policy_matrix(L.val, detL.val, tol, "from-L",
-                             "||L||", bag.s.points)
-        adjL = jet_adjugate(L)
-        inv_det = jet_reciprocal(detL)
-        d = jet_einsum("pab,pbcde->pacde", adjL, bag.C_allup)
-        return jet_einsum("p,pacde->pacde", inv_det, d).scaled(-1.0)
+        _, det, adj = bag.policy_operator(policy, tol)
+        d = jet_einsum("pab,pbcde->pacde", adj, bag.C_allup)
+        return jet_einsum("p,pacde->pacde", jet_reciprocal(det),
+                          d).scaled(-1.0), det
     if policy == "from-C":
-        M = bag.weyl_operator_matrix
-        detC = jet_det(M)
-        _check_policy_matrix(M.val, detC.val, tol, "from-C", "||C||",
-                             bag.s.points)
-        adj = jet_adjugate(M)
-        ct = _pair_tensor_jet(adj, n)           # Ct_xy^de
+        _, det, adj = bag.policy_operator(policy, tol)
+        ct = Jet(_pair_tensor(adj.val), _pair_tensor(adj.d))  # Ct_xy^de
         gi = bag.ginv
         ctup = jet_einsum("pxa,pyc,pxyde->pacde", gi, gi, ct)
-        inv_det = jet_reciprocal(detC)
-        return jet_einsum("p,pacde->pacde", inv_det, ctup).scaled(2.0 / (1.0 - n))
-    if policy == "dim4-C3":
-        if n != 4:
-            raise PolicyError("policy dim4-C3 needs dimension 4")
-        cmix = bag._raise_all_last2(bag.C)
-        c3 = jet_einsum("pabcd,pcdef,pefab->p", cmix, cmix, cmix)
-        _check_policy_scalar(c3.val, np.max(np.abs(cmix.val),
-                                            axis=(1, 2, 3, 4)),
-                             3, tol, "dim4-C3", "C^3", bag.s.points)
-        cup2 = _lower_last2(bag, bag.C_allup)
-        cc = jet_einsum("pdefg,pfgca->pdeca", cup2, bag.C_allup)
-        perm = Jet(np.transpose(cc.val, (0, 4, 3, 1, 2)),
-                   np.transpose(cc.d, (0, 1, 5, 4, 2, 3)))
-        return jet_einsum("p,pacde->pacde", jet_reciprocal(c3), perm).scaled(4.0)
-    raise ValueError(f"unknown policy {policy!r}")
+        return jet_einsum("p,pacde->pacde", jet_reciprocal(det),
+                          ctup).scaled(2.0 / (1.0 - n)), det
+    _require_nonzero_weyl(bag.s, tol, policy)
+    if n != 4:
+        raise PolicyError("policy dim4-C3 needs dimension 4")
+    cmix = bag._raise_all_last2(bag.C)
+    c3 = jet_einsum("pabcd,pcdef,pefab->p", cmix, cmix, cmix)
+    _check_policy_scalar(c3.val, np.max(np.abs(cmix.val), axis=(1, 2, 3, 4)),
+                         3, tol, "dim4-C3", "C^3", bag.s.points)
+    # 4 C^de_fg C^fgca / C3; the factor 4 normalizes the defining
+    # contraction to exactly -identity
+    cup2 = _lower_last2(bag, bag.C_allup)
+    cc = jet_einsum("pdefg,pfgca->pdeca", cup2, bag.C_allup)
+    perm = Jet(np.transpose(cc.val, (0, 4, 3, 1, 2)),
+               np.transpose(cc.d, (0, 1, 5, 4, 2, 3)))
+    return jet_einsum("p,pacde->pacde", jet_reciprocal(c3),
+                      perm).scaled(4.0), c3
+
+
+def dual_candidate_jet(bag: _JetBag, policy, tolerances=None) -> Jet:
+    """Fully raised Dt^acde with exact first derivatives (see
+    _left_inverse for the policies), built once per bag."""
+    tol = tolerances or DEFAULT_TOLERANCES
+    return bag._get(("dual", policy, tol.rank_tol),
+                    lambda: _left_inverse(bag, policy, tol))[0]
+
+
+def dual_candidate(pack_or_samples, policy="from-L", points=None,
+                   tolerances=None, user_comps=None) -> DualCandidate:
+    """Left inverse of the Weyl tensor per sample point: the value of
+    dual_candidate_jet and the determinant it divided by.  Policy 'user'
+    takes components as given."""
+    s = _samples_for(pack_or_samples, points)
+    if policy == "user":
+        if user_comps is None:
+            raise ValueError("user policy needs user_comps")
+        return DualCandidate(np.asarray(user_comps, dtype=float),
+                             "user-supplied", np.ones(len(s.points)))
+    dt, det = _left_inverse(_JetBag(s), policy,
+                            tolerances or DEFAULT_TOLERANCES)
+    return DualCandidate(dt.val, policy, det.val)
 
 
 def _lower_last2(bag, t: Jet) -> Jet:
     g = bag.g
     out = jet_einsum("pxc,pabxd->pabcd", g, t)
     return jet_einsum("pxd,pabcx->pabcd", g, out)
-
-
-def _pair_tensor_jet(m: Jet, n) -> Jet:
-    pairs = pair_basis(n)
-    npts = m.val.shape[0]
-    val = np.zeros((npts, n, n, n, n))
-    d = np.zeros((npts, n, n, n, n, n))
-    for i, (a, b) in enumerate(pairs):
-        for j, (c, dd) in enumerate(pairs):
-            v = 0.5 * m.val[:, i, j]
-            w = 0.5 * m.d[:, :, i, j]
-            for (x, y, sx) in ((a, b, 1.0), (b, a, -1.0)):
-                for (u, v2, sy) in ((c, dd, 1.0), (dd, c, -1.0)):
-                    val[:, x, y, u, v2] = sx * sy * v
-                    d[:, :, x, y, u, v2] = sx * sy * w
-    return Jet(val, d)
 
 
 def _require_nonzero_weyl(samples, tol, policy):
@@ -435,44 +468,36 @@ def bach_residual(samples: CurvatureSamples, k: KField) -> Residual:
                     _scale_of(samples["B"], term))
 
 
-def f1(samples: CurvatureSamples, bag=None) -> Residual:
+def f1(samples: CurvatureSamples) -> Residual:
     """(1-n)||C|| A_abc + 2 C_dabc Ct^defg A_efg  (n >= 4)."""
     _need_dim4plus(samples)
-    bag = bag or _JetBag(samples)
     n = samples.n
-    detC, ctup = _weyl_adjugate_raised(bag)
+    detC, ctup = _weyl_adjugate_raised(samples)
     v = np.einsum("pdefg,pefg->pd", ctup, samples["A"])
     t1 = (1 - n) * detC[:, None, None, None] * samples["A"]
     t2 = 2 * np.einsum("pd,pdabc->pabc", v, samples["C"])
     return Residual("F1", t1 + t2, _scale_of(t1, t2))
 
 
-def f2(samples: CurvatureSamples, bag=None) -> Residual:
+def f2(samples: CurvatureSamples) -> Residual:
     """(n-1)^2 ||C||^2 B_ab + 4(n-4) Ct^defg C_dabc Ct^chkl A_efg A_hkl."""
     _need_dim4plus(samples)
-    bag = bag or _JetBag(samples)
     n = samples.n
-    detC, ctup = _weyl_adjugate_raised(bag)
+    detC, ctup = _weyl_adjugate_raised(samples)
     v = np.einsum("pdefg,pefg->pd", ctup, samples["A"])
     t1 = (n - 1) ** 2 * (detC ** 2)[:, None, None] * samples["B"]
     t2 = 4 * (n - 4) * np.einsum("pd,pdabc,pc->pab", v, samples["C"], v)
     return Residual("F2", t1 + t2, _scale_of(t1, t2))
 
 
-def _weyl_adjugate_raised(bag):
+def _weyl_adjugate_raised(samples):
     """(||C||, Ct^acde) without derivatives; works for singular operators."""
-    from . import linalg
-    cuu = bag.s.raised("C", (0, 0, 1, 1))
-    gi = bag.s["ginv"]
-    npts, n = cuu.shape[0], bag.n
-    dets = np.empty(npts)
-    ctup = np.empty((npts, n, n, n, n))
-    for p in range(npts):
-        m = _pair_matrix(cuu[p])
-        dets[p] = linalg.det(m)
-        ct = _pair_tensor(linalg.adjugate(m), n)
-        ctup[p] = np.einsum("xa,yc,xyde->acde", gi[p], gi[p], ct)
-    return dets, ctup
+    def build():
+        _, dets, adj = weyl_operators(samples)
+        gi = samples["ginv"]
+        return dets, np.einsum("pxa,pyc,pxyde->pacde", gi, gi,
+                               _pair_tensor(adj))
+    return samples.derived(("weyl-adjugate-raised",), build)
 
 
 def _need_dim4plus(samples):
@@ -506,12 +531,7 @@ def g_tensor(samples: CurvatureSamples, bag=None, cross_check=True):
     (Residual, cross-check relative error vs ||L||^2 E)."""
     _need_dim4plus(samples)
     bag = bag or _JetBag(samples)
-    L = bag.L
-    detL = jet_det(L)
-    _require_nonzero_weyl(bag.s, DEFAULT_TOLERANCES, "from-L")
-    _check_policy_matrix(L.val, detL.val, DEFAULT_TOLERANCES, "from-L",
-                         "||L||", bag.s.points)
-    adjL = jet_adjugate(L)
+    _, detL, adjL = bag.policy_operator("from-L", DEFAULT_TOLERANCES)
     dmix = jet_einsum("pab,pbcde->pacde", adjL, bag.C_allup).scaled(-1.0)
     dmix = _lower_first(bag, dmix)           # D_b^cde (first slot lowered)
     q = jet_einsum("pbcde,pcde->pb", dmix, bag.A)
@@ -541,13 +561,8 @@ def gbar_tensor(samples: CurvatureSamples, bag=None, cross_check=True):
     _need_dim4plus(samples)
     bag = bag or _JetBag(samples)
     n = samples.n
-    M = bag.weyl_operator_matrix
-    detC = jet_det(M)
-    _require_nonzero_weyl(bag.s, DEFAULT_TOLERANCES, "from-C")
-    _check_policy_matrix(M.val, detC.val, DEFAULT_TOLERANCES, "from-C",
-                         "||C||", bag.s.points)
-    adj = jet_adjugate(M)
-    ct = _pair_tensor_jet(adj, n)            # Ct_bc^de (pairs (bc),(de))
+    _, detC, adj = bag.policy_operator("from-C", DEFAULT_TOLERANCES)
+    ct = Jet(_pair_tensor(adj.val), _pair_tensor(adj.d))  # Ct_bc^de
     ctlow = _lower_last2(bag, ct)            # Ct_bcde
     aup = bag._raise_all(bag.A, 3)
     q = jet_einsum("pbcde,pcde->pb", ctlow, aup)
@@ -585,16 +600,13 @@ def dim4_invariant(samples: CurvatureSamples, bag=None) -> Residual:
     return Residual("dim4", disp, _scale_of(t1, t2, t3, t4))
 
 
-def cotton_rl2_invariant(samples: CurvatureSamples, bag=None):
+def cotton_rl2_invariant(samples: CurvatureSamples):
     """The Riemannian-signature replacement for F1:
     ||L|| A_abc - C^efgh A_fgh Lt^d_e C_dabc, plus (in n = 4) the simpler
     |C|^2 A_abc - 4 C^defg A_efg C_dabc."""
-    bag = bag or _JetBag(samples)
-    L = bag.L.val
-    detL = np.linalg.det(L)
-    from . import linalg
-    adjL = np.stack([linalg.adjugate(L[p]) for p in range(L.shape[0])])
-    t = np.einsum("pefgh,pfgh->pe", bag.C_allup.val, samples["A"])
+    _, detL, adjL = l_operators(samples)
+    call = samples.raised("C", (1, 1, 1, 1))
+    t = np.einsum("pefgh,pfgh->pe", call, samples["A"])
     w = np.einsum("pde,pe->pd", adjL, t)
     r1 = detL[:, None, None, None] * samples["A"] \
         - np.einsum("pd,pdabc->pabc", w, samples["C"])
@@ -603,8 +615,8 @@ def cotton_rl2_invariant(samples: CurvatureSamples, bag=None):
         _scale_of(detL[:, None, None, None] * samples["A"],
                   np.einsum("pd,pdabc->pabc", w, samples["C"])))}
     if samples.n == 4:
-        c2 = np.einsum("pabcd,pabcd->p", bag.C_allup.val, samples["C"])
-        v = np.einsum("pdefg,pefg->pd", bag.C_allup.val, samples["A"])
+        c2 = np.einsum("pabcd,pabcd->p", call, samples["C"])
+        v = np.einsum("pdefg,pefg->pd", call, samples["A"])
         r2 = c2[:, None, None, None] * samples["A"] \
             - 4 * np.einsum("pd,pdabc->pabc", v, samples["C"])
         out["dim4-cotton"] = Residual(
@@ -661,6 +673,7 @@ def reconstruct_potential(pack: CurvaturePack, points, policy="from-L",
 class Verdict:
     theorem: str        # identifier from THEOREM_IDS
     outcome: str        # 'conformally-einstein' | 'not' | 'inconclusive'
+                        # | 'cotton-scale-exists' | 'conflict'
     precondition: str
     detail: str = ""
 
@@ -688,6 +701,8 @@ class ObstructionReport:
             return "conformally-einstein"
         if "not" in outs:
             return "not"
+        if "cotton-scale-exists" in outs:
+            return "cotton-scale-exists"
         return "inconclusive"
 
     def residual_table(self):
@@ -784,7 +799,7 @@ def conformal_einstein_tensor_verdict(pack_or_g, points, policy="auto",
                                    f"{e.max_scale:.3e}"))
 
     if gen.generic:
-        r1, r2 = f1(samples, bag), f2(samples, bag)
+        r1, r2 = f1(samples), f2(samples)
         report.residuals["F1"] = r1
         report.residuals["F2"] = r2
         if r1.passes(tol) and r2.passes(tol):
@@ -811,7 +826,9 @@ def conformal_einstein_tensor_verdict(pack_or_g, points, policy="auto",
                 f"K fails to close: max |d[a K b]| = {report.k_closedness:.3e}")
         try:
             report.potential = reconstruct_potential(pack, points, chosen, tol)
-        except Exception as exc:  # singular integration path
+        except (ArithmeticError, np.linalg.LinAlgError) as exc:
+            # a singular integration path (PolicyError, DomainError and
+            # SingularMetricError are ArithmeticErrors)
             report.notes.append(f"potential reconstruction failed: {exc}")
     return report
 
@@ -840,7 +857,7 @@ def cotton_scale_verdict(pack_or_g, points, policy="from-L",
     report.residuals["cspace"] = res
     closed = float(np.max(k.closedness()))
     report.k_closedness = closed
-    report.residuals.update(cotton_rl2_invariant(samples, bag))
+    report.residuals.update(cotton_rl2_invariant(samples))
     scale0 = np.max(samples.scale())
     is_closed = closed <= tol.tol_rel * scale0 + tol.tol_abs
     if res.passes(tol) and is_closed:

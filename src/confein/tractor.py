@@ -181,16 +181,6 @@ def _apply_tractor_matrix(t, slot, mat, want, new):
     return TractorTensor(t.g, tuple(slots), comps, t.weight)
 
 
-def contract_tractor(t: TractorTensor, s1, s2):
-    """Plain-sum contraction of an up/down tractor slot pair."""
-    kinds = {t.slots[s1], t.slots[s2]}
-    if kinds != {TUP, TDOWN}:
-        raise ValueError("need one up and one down tractor slot")
-    comps = _object_trace(t.comps, s1, s2)
-    slots = tuple(s for i, s in enumerate(t.slots) if i not in (s1, s2))
-    return TractorTensor(t.g, slots, comps, t.weight)
-
-
 def _object_trace(comps, s1, s2):
     moved = np.moveaxis(comps, (s1, s2), (-2, -1))
     shape = moved.shape[:-2]
@@ -616,19 +606,15 @@ def rank_obstruction(pack_or_g, points, tolerances=None, sigma=None,
     gen = genericity or classify_genericity(s, tolerances=tol)
     om = omega_values(s)
     cov = cov_omega_values(s)
-    pairs = pair_basis(n)
+    b, c = pair_basis(n)
     scale = s.scale()
     from .genericity import _rank_null_floored
     ranks = []
     kernels = []
     for p in range(len(points)):
-        rows = []
-        for (b, c) in pairs:
-            rows.append(om[p, b, c])                 # (n+2, n+2) rows over D
-        for a in range(n):
-            for (b, c) in pairs:
-                rows.append(cov[p, a, b, c])
-        mat = np.concatenate(rows, axis=0)           # (~, n+2)
+        # rows Omega_bc[D, .] over the pairs b < c, then nabla_a Omega_bc
+        mat = np.concatenate([om[p, b, c].reshape(-1, n + 2),
+                              cov[p][:, b, c].reshape(-1, n + 2)])
         rank, kernel = _rank_null_floored(mat, tol.rank_tol, scale[p])
         ranks.append(int(rank))
         kernels.append(kernel)

@@ -243,8 +243,8 @@ def test_criterion_10_covariance_battery():
         wGb, sGb = OB.covariance_exponent(
             OB.gbar_tensor(s5, bag, cross_check=False)[0].values,
             OB.gbar_tensor(sh, bagh, cross_check=False)[0].values, uvals)
-        dets, _ = OB._weyl_adjugate_raised(bag)
-        detsh, _ = OB._weyl_adjugate_raised(bagh)
+        dets, _ = OB._weyl_adjugate_raised(s5)
+        detsh, _ = OB._weyl_adjugate_raised(sh)
         wC, sC = OB.covariance_exponent(dets[:, None], detsh[:, None], uvals)
         ok = ok and sG < 1e-6 and sGb < 1e-6 and sC < 1e-6 \
             and abs(wC - (-n * (n - 1))) < 1e-6
@@ -255,10 +255,9 @@ def test_criterion_10_covariance_battery():
     sp = CurvaturePack(gp).samples(pts_p)
     upsp = parse("3*x1/10")
     shp = CurvaturePack(conformal_rescale(gp, upsp)).samples(pts_p)
-    bag_p, bagh_p = OB._JetBag(sp), OB._JetBag(shp)
     uvals = evaluate_components(upsp, sp.bindings)
-    wF, sF = OB.covariance_exponent(OB.f1(sp, bag_p).values,
-                                    OB.f1(shp, bagh_p).values, uvals)
+    wF, sF = OB.covariance_exponent(OB.f1(sp).values, OB.f1(shp).values,
+                                    uvals)
     ok = ok and sF < 1e-6 and abs(wF - (-12)) < 1e-6
     e4 = entry("rt4-quartic")
     pts4 = points("rt4-quartic", 4)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from confein import genericity as GN
+from confein import obstructions as OB
 from confein.config import Tolerances
 from confein.expressions import parse
 from conftest import entry, maxabs, pack, points, samples
@@ -70,17 +71,17 @@ class TestDualCandidates:
     @pytest.mark.parametrize("policy", ["from-L", "from-C"])
     def test_defining_property(self, policy):
         s = samples("rt5-quartic", 4)
-        d = GN.dual_candidate(s, policy)
+        d = OB.dual_candidate(s, policy)
         assert np.max(d.defining_residual(s)) < 1e-7
 
     def test_dim4_policy_defining_property(self):
         s = samples("rt4-quartic", 4)
-        d = GN.dual_candidate(s, "dim4-C3")
+        d = OB.dual_candidate(s, "dim4-C3")
         assert np.max(d.defining_residual(s)) < 1e-7
 
     def test_schwarzschild_from_l_succeeds(self):
         s = samples("schwarzschild4", 4)
-        d = GN.dual_candidate(s, "from-L")
+        d = OB.dual_candidate(s, "from-L")
         assert np.max(d.defining_residual(s)) < 1e-7
         assert np.all(np.abs(d.dets) > 0)
 
@@ -88,20 +89,20 @@ class TestDualCandidates:
         s = samples("pp-wave4", 4)
         for policy in ("from-L", "from-C", "dim4-C3"):
             with pytest.raises(GN.PolicyError):
-                GN.dual_candidate(s, policy)
+                OB.dual_candidate(s, policy)
 
     def test_policies_agree_on_k(self):
         s = samples("rt5-quartic", 4)
-        a = GN.dual_candidate(s, "from-L")
-        c = GN.dual_candidate(s, "from-C")
+        a = OB.dual_candidate(s, "from-L")
+        c = OB.dual_candidate(s, "from-C")
         ka = np.einsum("pfabc,pabc->pf", a.comps, s["A"])
         kc = np.einsum("pfabc,pabc->pf", c.comps, s["A"])
         assert maxabs(ka - kc) < 1e-7 * max(1, maxabs(ka))
 
     def test_user_policy_passthrough(self):
         s = samples("rt5-quartic", 2)
-        base = GN.dual_candidate(s, "from-L")
-        d = GN.dual_candidate(s, "user", user_comps=base.comps)
+        base = OB.dual_candidate(s, "from-L")
+        d = OB.dual_candidate(s, "user", user_comps=base.comps)
         assert d.provenance == "user-supplied"
         assert np.max(d.defining_residual(s)) < 1e-7
 
@@ -113,8 +114,8 @@ class TestDualCandidates:
         s = pack("rt5-quartic").samples(pts)
         sh = CurvaturePack(conformal_rescale(e.metric,
                                              parse("log(r)"))).samples(pts)
-        d = GN.dual_candidate(s, "from-L")
-        dh = GN.dual_candidate(sh, "from-L")
+        d = OB.dual_candidate(s, "from-L")
+        dh = OB.dual_candidate(sh, "from-L")
         can = np.einsum("pxd,pacxe->pacde", s["g"], d.comps)
         canh = np.einsum("pxd,pacxe->pacde", sh["g"], dh.comps)
         assert maxabs(can - canh) < 1e-7 * maxabs(can)
@@ -199,3 +200,54 @@ class TestClassification:
         l = GN.l_operator(p, pt)
         assert w.dim == 6
         assert l.matrix.shape == (4, 4)
+
+
+class TestPairLayer:
+    """The gathers against the entry-by-entry loops they replaced; the
+    arithmetic is unchanged, so the results must be equal."""
+
+    @staticmethod
+    def _two_pair_tensor(n, seed):
+        t = np.random.default_rng(seed).normal(size=(n,) * 4)
+        t = t - np.transpose(t, (1, 0, 2, 3))
+        return t - np.transpose(t, (0, 1, 3, 2))
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_pair_matrix_and_tensor_match_loops(self, n):
+        t = self._two_pair_tensor(n, n)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        want = np.array([[2.0 * t[a, b, c, d] for c, d in pairs]
+                         for a, b in pairs])
+        m = GN._pair_matrix(t)
+        assert np.array_equal(m, want)
+        assert np.array_equal(GN._pair_tensor(m), t)
+        batch = np.stack([t, 2 * t])
+        assert np.array_equal(GN._pair_matrix(batch)[1], 2 * want)
+        assert np.array_equal(GN._pair_tensor(GN._pair_matrix(batch)), batch)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_symmetric_systems_match_loops(self, n):
+        rng = np.random.default_rng(n)
+        t = rng.normal(size=(n,) * n)
+        g = rng.normal(size=(n, n))
+        cols = [(b, d) for b in range(n) for d in range(b, n)]
+        rows = [[t[(b,) + rest + (d,)]
+                 + (t[(d,) + rest + (b,)] if b != d else 0.0)
+                 for b, d in cols] for rest in np.ndindex(*t.shape[1:-1])]
+        rows.append([(2.0 if b != d else 1.0) * g[b, d] for b, d in cols])
+        assert np.array_equal(GN._symmetric_system(t, g), np.array(rows))
+
+    def test_weyl_operator_built_once_per_batch(self, monkeypatch):
+        from confein import linalg
+        from confein.curvature import CurvaturePack
+        calls = []
+        adjugate = linalg.adjugate
+        monkeypatch.setattr(linalg, "adjugate",
+                            lambda a: calls.append(1) or adjugate(a))
+        s = CurvaturePack(entry("rt5-quartic").metric).samples(
+            points("rt5-quartic", 3))
+        GN.classify_genericity(s)
+        OB.f1(s)
+        OB.f2(s)
+        GN.weyl_operator_at(s, 1)
+        assert len(calls) == 3

@@ -318,3 +318,27 @@ class TestSampling:
         for p in pts:
             for v in p.values():
                 assert 0.5 <= v <= 1.5
+
+
+class TestSignature:
+    def _metric(self):
+        # diag(x, 1, 1): Riemannian for x > 0, Lorentzian for x < 0
+        ch = G.Chart(("x", "y", "z"))
+        comps = np.full((3, 3), ZERO, dtype=object)
+        comps[0, 0], comps[1, 1], comps[2, 2] = parse("x"), ONE, ONE
+        return G.MetricField(ch, comps,
+                             reference_point={"x": 1.0, "y": 0.0, "z": 0.0})
+
+    def test_signature_is_taken_at_the_given_point(self):
+        g = self._metric()
+        assert g.signature({"x": 1.0, "y": 0.0, "z": 0.0}) == (3, 0)
+        assert g.signature({"x": -1.0, "y": 0.0, "z": 0.0}) == (2, 1)
+        assert g.signature() == (3, 0)
+        assert g.signature({"x": -1.0, "y": 0.0, "z": 0.0}) == (2, 1)
+
+    def test_assert_nondegenerate_names_the_first_degenerate_point(self):
+        g = self._metric()
+        pts = [{"x": v, "y": 0.0, "z": 0.0} for v in (1.0, -2.0, 0.0, 0.0)]
+        g.assert_nondegenerate(pts[:2])
+        with pytest.raises(G.SingularMetricError, match="'x': 0.0"):
+            g.assert_nondegenerate(pts)

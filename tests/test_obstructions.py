@@ -123,24 +123,22 @@ class TestFSystem:
 
     def test_f2_equals_cleared_bach_residual(self):
         s = samples("rt5-quartic", 5)
-        bag = OB._JetBag(s)
         n = s.n
         kc = OB.k_field(s, "from-C")
         br = OB.bach_residual(s, kc)
-        dets, _ = OB._weyl_adjugate_raised(bag)
+        dets, _ = OB._weyl_adjugate_raised(s)
         ref = (n - 1) ** 2 * (dets ** 2)[:, None, None] * br.values
-        r2 = OB.f2(s, bag)
+        r2 = OB.f2(s)
         assert maxabs(r2.values - ref) < 1e-9 * max(1, maxabs(ref))
 
     def test_f1_equals_cleared_cspace_residual(self):
         s = samples("rt4-quartic", 5)
-        bag = OB._JetBag(s)
         n = s.n
         kc = OB.k_field(s, "from-C")
         cr = OB.cspace_residual(s, kc)
-        dets, _ = OB._weyl_adjugate_raised(bag)
+        dets, _ = OB._weyl_adjugate_raised(s)
         ref = (1 - n) * dets[:, None, None, None] * cr.values
-        r1 = OB.f1(s, bag)
+        r1 = OB.f1(s)
         # both sides vanish here (conformal C-space); compare the roundoff
         # against the invariant's own term scale
         assert maxabs(r1.values - ref) < 1e-9 * r1.max_scale
@@ -280,11 +278,10 @@ class TestCovariance:
         ups = parse("3*x1/10")
         s = pk.samples(pts)
         sh = CurvaturePack(conformal_rescale(g, ups)).samples(pts)
-        bag, bagh = OB._JetBag(s), OB._JetBag(sh)
-        assert OB.f1(s, bag).max > 1e-3  # honestly nonzero
+        assert OB.f1(s).max > 1e-3  # honestly nonzero
         uvals = evaluate_components(ups, s.bindings)
-        w, spread = OB.covariance_exponent(OB.f1(s, bag).values,
-                                           OB.f1(sh, bagh).values, uvals)
+        w, spread = OB.covariance_exponent(OB.f1(s).values,
+                                           OB.f1(sh).values, uvals)
         assert spread < 1e-6
         assert w == pytest.approx(-4 * 3, abs=1e-6)  # -n(n-1), n = 4
 
@@ -346,6 +343,26 @@ class TestVerdicts:
         want = -(uvals - uvals[0])
         assert maxabs(rep.potential - want) < 1e-6
 
+    @pytest.mark.parametrize("exc, propagates", [
+        (TypeError("internal fault"), True),
+        (PolicyError("singular integration path"), False)])
+    def test_potential_failure_is_a_note_only_when_arithmetic(
+            self, monkeypatch, exc, propagates):
+        def fail(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(OB, "reconstruct_potential", fail)
+        verdict = lambda: OB.conformal_einstein_tensor_verdict(
+            pack("schwarzschild4"), points("schwarzschild4", 3))
+        if propagates:
+            with pytest.raises(TypeError):
+                verdict()
+            return
+        rep = verdict()
+        assert rep.outcome == "conformally-einstein"
+        assert rep.potential is None
+        assert any("potential reconstruction failed" in note
+                   for note in rep.notes)
+
 
 class TestCottonScale:
     def test_rt_is_conformal_c_space(self):
@@ -369,6 +386,11 @@ class TestCottonScale:
         k2 = OB.k_field(s, "from-C")
         r2 = OB.cspace_residual(s, k2)
         assert r2.max > 1e-3 * r2.max_scale
+
+    def test_report_outcome_is_cotton_scale_exists(self):
+        rep = OB.cotton_scale_verdict(pack("rt5-quartic"),
+                                      points("rt5-quartic", 4))
+        assert rep.outcome == "cotton-scale-exists"
 
     def test_rl2_invariant_vanishes_on_c_space(self):
         s = samples("rt5-quartic", 5)
