@@ -162,9 +162,9 @@ def _emit(report, args):
 def cmd_classify(args):
     tol = _tolerances(args)
     spec, g, points, digest = _load(args)
-    pack = CurvaturePack(g)
-    rep = conformal_einstein_tensor_verdict(pack, points, policy=args.policy,
-                                            tolerances=tol)
+    samples = CurvaturePack(g).samples(points)
+    rep = conformal_einstein_tensor_verdict(samples, points,
+                                            policy=args.policy, tolerances=tol)
     out = _report_skeleton(digest, tol)
     out["points"] = points
     out["genericity"] = _genericity_json(rep.genericity)
@@ -180,7 +180,7 @@ def cmd_classify(args):
     out["notes"] = rep.notes
 
     if g.dim >= 4:
-        rank = rank_obstruction(pack, points, tolerances=tol,
+        rank = rank_obstruction(samples, points, tolerances=tol,
                                 genericity=rep.genericity)
         out["rank_test"] = {
             "theorem": THEOREM_IDS["rank"],

@@ -10,10 +10,12 @@ closed-form example metrics:
 * Cotton:          A_abc = nabla_b P_ca - nabla_c P_ba
 * Bach:            B_ab  = nabla^c A_acb + P^dc C_dacb
 
-`CurvaturePack` materializes these lazily as symbolic TensorFields;
-`CurvatureSamples` compiles them (with their first coordinate partials)
-once per metric and evaluates at batches of sample points, after which all
-pointwise work downstream is plain numpy."""
+`CurvaturePack` materializes these lazily as symbolic TensorFields and
+compiles them (with their first coordinate partials) into one tape per
+stage, once per metric: `CurvaturePack.tape` caches it on the pack.
+`CurvatureSamples` runs that tape at a batch of sample points, after which
+all pointwise work downstream is plain numpy; `as_samples` turns a metric,
+a pack or samples into samples."""
 
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .evaluate import compile_batch
+from .evaluate import compile_batch, run_batch
 from .expressions import ZERO, add, diff, mul, neg, rational
 from .geometry import (
     DOWN,
@@ -31,6 +33,7 @@ from .geometry import (
     TensorField,
     conformal_rescale,
     covariant_derivative,
+    evaluate_components,
     partial_derivative,
     permutation_sign,
     sym_einsum,
@@ -39,6 +42,7 @@ from .geometry import (
 __all__ = [
     "CurvaturePack",
     "CurvatureSamples",
+    "as_samples",
     "curvature_pack",
     "identity_suite",
     "identity_residuals",
@@ -218,17 +222,58 @@ class CurvaturePack:
 
     # --- numeric sampling -------------------------------------------------
     def samples(self, points, stage="full"):
-        """Compile-and-evaluate the ladder (plus first partials) at the given
-        points.  stage: 'base' (metric and connection), 'ricci' (adds Riemann,
-        Ricci, scalar, Schouten), 'full' (adds Weyl, Cotton, Bach and the
-        partials the invariants need)."""
+        """Evaluate the ladder (plus first partials) at the given points.
+        stage: 'ricci' (metric, connection, Riemann, Ricci, scalar,
+        Schouten), 'full' (adds Weyl, Cotton, Bach and the partials the
+        invariants need)."""
         return CurvatureSamples(self, points, stage)
 
     def bindings(self, points):
         return [self.g.point_bindings(pt) for pt in points]
 
+    def tape(self, stage):
+        """(program, {name: (start, stop, shape)}): the ladder up to `stage`
+        compiled into one tape, once per pack and stage."""
+        if stage not in _STAGES:
+            raise ValueError(f"unknown stage {stage}")
+        return self._get(("tape", stage), lambda: self._compile(stage))
 
-_STAGES = ("base", "ricci", "full")
+    def _compile(self, stage):
+        flat = []
+        slices = {}
+        for name, comps in self._field_list(stage).items():
+            comps = np.asarray(comps, dtype=object)
+            start = len(flat)
+            flat.extend(comps.reshape(-1))
+            slices[name] = (start, len(flat), comps.shape)
+        return compile_batch(flat), slices
+
+    def _field_list(self, stage):
+        fields = {
+            "g": self.g.field.comps,
+            "dg": partial_derivative(self.g.field),
+            "ginv": self.g.inverse_comps(),
+            "gamma": self.gamma.comps,
+            "riem": self.riemann.comps,
+            "ricci": self.ricci.comps,
+            "scalar": np.asarray(self.scalar, dtype=object),
+            "P": self.schouten.comps,
+            "J": np.asarray(self.schouten_trace, dtype=object),
+        }
+        if stage == "full":
+            fields.update({
+                "dP": self.schouten_partials(),
+                "dJ": self.trace_partials(),
+                "C": self.weyl.comps,
+                "dC": partial_derivative(self.weyl),
+                "A": self.cotton.comps,
+                "dA": partial_derivative(self.cotton),
+                "B": self.bach.comps,
+            })
+        return fields
+
+
+_STAGES = ("ricci", "full")
 
 
 class CurvatureSamples:
@@ -241,68 +286,12 @@ class CurvatureSamples:
         self.n = pack.n
         self.points = [dict(p) for p in points]
         self.bindings = pack.bindings(points)
-        self.values = {}
         self._derived = {}
-        self._load(stage)
-
-    def _field_list(self, stage):
-        pack = self.pack
-        fields = {
-            "g": pack.g.field.comps,
-            "dg": partial_derivative(pack.g.field),
-            "ginv": pack.g.inverse_comps(),
-            "gamma": pack.gamma.comps,
-        }
-        if stage in ("ricci", "full"):
-            fields.update({
-                "riem": pack.riemann.comps,
-                "ricci": pack.ricci.comps,
-                "scalar": np.asarray(pack.scalar, dtype=object),
-                "P": pack.schouten.comps,
-                "J": np.asarray(pack.schouten_trace, dtype=object),
-            })
-        if stage == "full":
-            fields.update({
-                "dP": pack.schouten_partials(),
-                "dJ": pack.trace_partials(),
-                "C": pack.weyl.comps,
-                "dC": partial_derivative(pack.weyl),
-                "A": pack.cotton.comps,
-                "dA": partial_derivative(pack.cotton),
-                "B": pack.bach.comps,
-            })
-        return fields
-
-    def _load(self, stage):
-        if stage not in _STAGES:
-            raise ValueError(f"unknown stage {stage}")
-        fields = self._field_list(stage)
-        flat = []
-        slices = {}
-        for name, comps in fields.items():
-            comps = np.asarray(comps, dtype=object)
-            start = len(flat)
-            if comps.shape:
-                flat.extend(comps[idx] for idx in np.ndindex(*comps.shape))
-            else:
-                flat.append(comps.item())
-            slices[name] = (start, len(flat), comps.shape)
-        prog = compile_batch(flat)
-        names = list(prog.sym_slots)
-        batch = {}
-        for nm in names:
-            try:
-                batch[nm] = np.array([float(b[nm]) for b in self.bindings])
-            except KeyError:
-                raise KeyError(f"unbound symbol {nm!r}; bind it as a metric "
-                               "parameter or coordinate") from None
-        if names:
-            vals = np.asarray(prog.run(batch), dtype=float)
-        else:
-            v = np.asarray(prog.run({}), dtype=float).reshape(-1)
-            vals = np.repeat(v[:, None], len(self.bindings), axis=1)
-        for name, (a, b, shape) in slices.items():
-            self.values[name] = vals[a:b].T.reshape((len(self.bindings),) + shape)
+        prog, slices = pack.tape(stage)
+        vals = run_batch(prog, self.bindings)
+        n_pts = len(self.bindings)
+        self.values = {name: vals[:, a:b].reshape((n_pts,) + shape)
+                       for name, (a, b, shape) in slices.items()}
 
     def __getitem__(self, name):
         return self.values[name]
@@ -348,6 +337,18 @@ class CurvatureSamples:
                                         axis=1))
             return np.max(np.stack(parts), axis=0)
         return self.derived(("scale",), build)
+
+
+def as_samples(source, points=None):
+    """The full-stage CurvatureSamples of `source` at `points`.  `source` is
+    a CurvatureSamples (returned as is; `points` is ignored), a
+    CurvaturePack or a MetricField."""
+    if isinstance(source, CurvatureSamples):
+        return source
+    if points is None:
+        raise ValueError("points are required when passing a metric or pack")
+    pack = source if isinstance(source, CurvaturePack) else CurvaturePack(source)
+    return pack.samples(points)
 
 
 def _contract_slot(arr, gi, slot):
@@ -454,15 +455,14 @@ def identity_residuals(s: CurvatureSamples):
     return res
 
 
-def identity_suite(g_or_pack, points, tolerances=None):
-    """Evaluate the identity residuals of a metric at sample points.
+def identity_suite(source, points, tolerances=None):
+    """Evaluate the identity residuals of a metric (or pack, or samples; see
+    `as_samples`) at sample points.
 
     Returns {identity name: (max residual, max scale, passes)}."""
     from .config import DEFAULT_TOLERANCES
     tol = tolerances or DEFAULT_TOLERANCES
-    pack = g_or_pack if isinstance(g_or_pack, CurvaturePack) \
-        else curvature_pack(g_or_pack)
-    s = pack.samples(points)
+    s = as_samples(source, points)
     res = identity_residuals(s)
     scale = s.scale()
     report = {}
@@ -500,9 +500,12 @@ def cotton_transform_check(g, upsilon, points, pack=None, hat_pack=None):
     sh = hat_pack.samples(points)
     P = len(points)
 
-    du = np.asarray([[float(v) for v in _eval_grad(upsilon, g, b)]
-                     for b in s.bindings])
-    hess = _eval_hessian(upsilon, g, s.bindings)
+    coords = g.chart.coords
+    grad = [diff(upsilon, c) for c in coords]
+    du = evaluate_components(np.asarray(grad, dtype=object), s.bindings)
+    hess = evaluate_components(np.asarray(
+        [[diff(da, c) for c in coords] for da in grad], dtype=object),
+        s.bindings)
 
     gi = s["ginv"]
     uup = np.einsum("pab,pb->pa", gi, du)
@@ -525,31 +528,3 @@ def cotton_transform_check(g, upsilon, points, pack=None, hat_pack=None):
     scale = s.scale()
     out["scale"] = float(np.max(scale))
     return out
-
-
-def _eval_grad(upsilon, g, binding):
-    return [float(_eval(diff(upsilon, c), binding)) for c in g.chart.coords]
-
-
-def _eval(e, binding):
-    from .evaluate import evaluate
-    return evaluate(e, binding)
-
-
-def _eval_hessian(upsilon, g, bindings):
-    n = g.chart.dim
-    coords = g.chart.coords
-    exprs = []
-    for a in range(n):
-        da = diff(upsilon, coords[a])
-        for b in range(n):
-            exprs.append(diff(da, coords[b]))
-    prog = compile_batch(exprs)
-    batch = {nm: np.array([float(b[nm]) for b in bindings])
-             for nm in prog.sym_slots}
-    if batch:
-        vals = np.asarray(prog.run(batch), dtype=float)
-    else:
-        v = np.asarray(prog.run({}), dtype=float).reshape(-1)
-        vals = np.repeat(v[:, None], len(bindings), axis=1)
-    return vals.T.reshape(len(bindings), n, n)

@@ -4,7 +4,8 @@
 single-assignment instruction tape.  Expressions are hash-consed, so common
 subexpressions across the whole batch occupy one slot each and are computed
 once.  Tapes evaluate on scalar bindings or on numpy arrays of sample points
-(one array entry per point)."""
+(one array entry per point); `run_batch` runs a tape at a list of binding
+dicts."""
 
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ __all__ = [
     "EvalProgram",
     "compile_expr",
     "compile_batch",
+    "run_batch",
     "evaluate",
 ]
 
@@ -236,7 +238,27 @@ def compile_batch(exprs):
         return s
 
     outputs = [emit(e) for e in exprs]
+    # `emit` refers to itself through its closure cell; clearing the cell
+    # breaks that cycle, so the tape's bookkeeping is freed on return rather
+    # than at the next full garbage collection.
+    del emit
     return EvalProgram(instrs, n, outputs, sym_slots)
+
+
+def run_batch(prog, points):
+    """Run `prog` at each binding dict in `points`: an array of shape
+    (len(points), n_outputs).  A tape without symbols is broadcast across
+    the points; a symbol missing from a point raises UnboundSymbolError."""
+    batch = {}
+    for name in prog.sym_slots:
+        try:
+            batch[name] = np.array([float(pt[name]) for pt in points])
+        except KeyError:
+            raise UnboundSymbolError(name) from None
+    if not batch:
+        row = np.asarray(prog.run({}), dtype=float).reshape(1, -1)
+        return np.repeat(row, len(points), axis=0)
+    return np.asarray(prog.run(batch), dtype=float).T
 
 
 def compile_expr(e):

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import linalg
 from .config import DEFAULT_TOLERANCES
-from .curvature import CurvaturePack, CurvatureSamples
+from .curvature import CurvaturePack, CurvatureSamples, as_samples
 from .geometry import permutation_sign
 
 __all__ = [
@@ -106,14 +106,6 @@ class LOperator:
     matrix: np.ndarray    # (n, n)
     det: float            # ||L||
     adjugate: np.ndarray  # Lt^a_b
-
-
-def _samples_for(pack_or_samples, points):
-    if isinstance(pack_or_samples, CurvatureSamples):
-        return pack_or_samples
-    if points is None:
-        raise ValueError("points are required when passing a pack")
-    return pack_or_samples.samples(points)
 
 
 def _operators(samples, key, matrices):
@@ -256,7 +248,7 @@ def classify_genericity(pack_or_samples, points=None, tolerances=None,
     The chained flags are enforced logically: generic implies
     Lambda2-generic implies weakly generic."""
     tol = tolerances or DEFAULT_TOLERANCES
-    s = _samples_for(pack_or_samples, points)
+    s = as_samples(pack_or_samples, points)
     n = s.n
     C, g, gi = s["C"], s["g"], s["ginv"]
     scale = s.scale()

@@ -14,9 +14,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .evaluate import compile_batch
+from .evaluate import compile_batch, run_batch
 from .expressions import (
-    Expr,
     ZERO,
     ONE,
     add,
@@ -677,17 +676,6 @@ def sample_points(chart, params=None, n=10, seed=0, box=None, locus_tol=1e-9):
 def evaluate_components(comps, points):
     """Evaluate an object array of Expr (or a single Expr) at a list of
     binding dicts; returns an ndarray of shape (len(points),) + comps.shape."""
-    if isinstance(comps, Expr):
-        comps = np.asarray(comps, dtype=object)
-    shape = comps.shape
-    flat = [comps[idx] for idx in np.ndindex(*shape)] if shape else [comps.item()]
-    prog = compile_batch(flat)
-    names = list(prog.sym_slots)
-    n_pts = len(points)
-    if names:
-        batch = {nm: np.array([float(pt[nm]) for pt in points]) for nm in names}
-        vals = np.asarray(prog.run(batch), dtype=float)  # (n_out, n_pts)
-    else:
-        v = np.asarray(prog.run({}), dtype=float).reshape(-1)
-        vals = np.repeat(v[:, None], n_pts, axis=1)
-    return vals.T.reshape((n_pts,) + shape)
+    comps = np.asarray(comps, dtype=object)
+    vals = run_batch(compile_batch(list(comps.reshape(-1))), points)
+    return vals.reshape((len(points),) + comps.shape)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
-from .curvature import CurvaturePack, CurvatureSamples
+from .curvature import CurvaturePack, CurvatureSamples, as_samples
 from .genericity import (
     GenericityReport,
     PolicyError,
@@ -34,7 +34,6 @@ from .genericity import (
     weyl_operators,
     _pair_matrix,
     _pair_tensor,
-    _samples_for,
 )
 from .geometry import DOWN, TensorField, evaluate_components, partial_derivative
 
@@ -316,7 +315,7 @@ def dual_candidate(pack_or_samples, policy="from-L", points=None,
     """Left inverse of the Weyl tensor per sample point: the value of
     dual_candidate_jet and the determinant it divided by.  Policy 'user'
     takes components as given."""
-    s = _samples_for(pack_or_samples, points)
+    s = as_samples(pack_or_samples, points)
     if policy == "user":
         if user_comps is None:
             raise ValueError("user policy needs user_comps")
@@ -710,7 +709,7 @@ class ObstructionReport:
                 for name, r in self.residuals.items()}
 
 
-def conformal_einstein_tensor_verdict(pack_or_g, points, policy="auto",
+def conformal_einstein_tensor_verdict(source, points, policy="auto",
                                       tolerances=None) -> ObstructionReport:
     """Tensor-level decision pipeline.
 
@@ -719,13 +718,13 @@ def conformal_einstein_tensor_verdict(pack_or_g, points, policy="auto",
     the from-L inverse where ||L|| is invertible, the Lambda2 route where
     ||C|| is, with the determinant-cleared F system as a cross-check on
     generic metrics.  A negative verdict needs a decisively large residual;
-    small-but-not-tiny residuals are reported as inconclusive."""
+    small-but-not-tiny residuals are reported as inconclusive.  `source` is
+    a metric, a CurvaturePack or CurvatureSamples (see `as_samples`)."""
     tol = (tolerances or DEFAULT_TOLERANCES).validate()
-    pack = pack_or_g if isinstance(pack_or_g, CurvaturePack) \
-        else CurvaturePack(pack_or_g)
-    n = pack.n
-    samples = pack.samples(points)
-    report = ObstructionReport(n=n, points=list(points), genericity=None)
+    samples = as_samples(source, points)
+    n = samples.n
+    report = ObstructionReport(n=n, points=list(samples.points),
+                               genericity=None)
 
     if n == 3:
         a = samples["A"]
@@ -825,7 +824,8 @@ def conformal_einstein_tensor_verdict(pack_or_g, points, policy="auto",
             report.notes.append(
                 f"K fails to close: max |d[a K b]| = {report.k_closedness:.3e}")
         try:
-            report.potential = reconstruct_potential(pack, points, chosen, tol)
+            report.potential = reconstruct_potential(
+                samples.pack, samples.points, chosen, tol)
         except (ArithmeticError, np.linalg.LinAlgError) as exc:
             # a singular integration path (PolicyError, DomainError and
             # SingularMetricError are ArithmeticErrors)
@@ -833,15 +833,14 @@ def conformal_einstein_tensor_verdict(pack_or_g, points, policy="auto",
     return report
 
 
-def cotton_scale_verdict(pack_or_g, points, policy="from-L",
+def cotton_scale_verdict(source, points, policy="from-L",
                          tolerances=None) -> ObstructionReport:
     """Decides whether the metric is conformal to one with vanishing Cotton
-    tensor: the C-space residual must vanish and K must be closed."""
+    tensor: the C-space residual must vanish and K must be closed.
+    `source` is a metric, a CurvaturePack or CurvatureSamples."""
     tol = (tolerances or DEFAULT_TOLERANCES).validate()
-    pack = pack_or_g if isinstance(pack_or_g, CurvaturePack) \
-        else CurvaturePack(pack_or_g)
-    samples = pack.samples(points)
-    report = ObstructionReport(n=pack.n, points=list(points),
+    samples = as_samples(source, points)
+    report = ObstructionReport(n=samples.n, points=list(samples.points),
                                genericity=classify_genericity(samples,
                                                               tolerances=tol))
     bag = _JetBag(samples)

@@ -23,8 +23,7 @@ import numpy as np
 
 from . import linalg
 from .config import DEFAULT_TOLERANCES
-from .curvature import CurvaturePack, CurvatureSamples
-from .evaluate import compile_batch
+from .curvature import CurvaturePack, CurvatureSamples, as_samples
 from .expressions import ZERO, ONE, Expr, add, diff, func, mul, neg, rational
 from .genericity import classify_genericity, pair_basis
 from .geometry import (
@@ -424,14 +423,18 @@ def theta_values(s: CurvatureSamples):
 
 
 def omega_values(s: CurvatureSamples):
-    """Stored blocks: middle-middle C_abij, X-row/column the Cotton tensor."""
-    npts, n = len(s.points), s.n
-    om = np.zeros((npts, n, n, n + 2, n + 2))
-    om[:, :, :, 1:n + 1, 1:n + 1] = s["C"]
-    A = s["A"]
-    om[:, :, :, 0, 1:n + 1] = -np.transpose(A, (0, 2, 3, 1))
-    om[:, :, :, 1:n + 1, 0] = np.transpose(A, (0, 2, 3, 1))
-    return om
+    """Stored blocks: middle-middle C_abij, X-row/column the Cotton tensor.
+    Built once per batch; the array is read-only."""
+    def build():
+        npts, n = len(s.points), s.n
+        om = np.zeros((npts, n, n, n + 2, n + 2))
+        om[:, :, :, 1:n + 1, 1:n + 1] = s["C"]
+        A = s["A"]
+        om[:, :, :, 0, 1:n + 1] = -np.transpose(A, (0, 2, 3, 1))
+        om[:, :, :, 1:n + 1, 0] = np.transpose(A, (0, 2, 3, 1))
+        om.flags.writeable = False
+        return om
+    return s.derived(("omega",), build)
 
 
 def d_omega_values(s: CurvatureSamples):
@@ -550,8 +553,7 @@ def annihilation_check(pack_or_samples, tractor, points=None):
     """Residuals of Omega.I, (nabla Omega).I, (div Omega).I and W.I for a
     candidate tractor, plus the X.I values and the Z-coefficient expansion
     (the C-space combination sigma A + mu.C)."""
-    s = pack_or_samples if isinstance(pack_or_samples, CurvatureSamples) \
-        else pack_or_samples.samples(points)
+    s = as_samples(pack_or_samples, points)
     n = s.n
     if isinstance(tractor, (TractorField, TractorTensor)):
         tt = tractor.to_tensor() if isinstance(tractor, TractorField) else tractor
@@ -591,18 +593,18 @@ class RankReport:
     notes: list = field(default_factory=list)
 
 
-def rank_obstruction(pack_or_g, points, tolerances=None, sigma=None,
+def rank_obstruction(source, points, tolerances=None, sigma=None,
                      genericity=None):
     """Theorem-level rank test: stack the rows Omega_bc[D, .] and
     nabla_a Omega_bc[D, .] as functionals on tractors; the metric is
     conformally Einstein iff the rank is at most n+1 at every point
     (given weak genericity).  When a kernel exists and sigma is supplied,
-    reports the cosine alignment of the kernel with (1/n) D sigma."""
+    reports the cosine alignment of the kernel with (1/n) D sigma.
+    `source` is a metric, a CurvaturePack or CurvatureSamples (see
+    `as_samples`)."""
     tol = (tolerances or DEFAULT_TOLERANCES).validate()
-    pack = pack_or_g if isinstance(pack_or_g, CurvaturePack) \
-        else CurvaturePack(pack_or_g)
-    n = pack.n
-    s = pack.samples(points)
+    s = as_samples(source, points)
+    n = s.n
     gen = genericity or classify_genericity(s, tolerances=tol)
     om = omega_values(s)
     cov = cov_omega_values(s)
@@ -611,7 +613,7 @@ def rank_obstruction(pack_or_g, points, tolerances=None, sigma=None,
     from .genericity import _rank_null_floored
     ranks = []
     kernels = []
-    for p in range(len(points)):
+    for p in range(len(s.points)):
         # rows Omega_bc[D, .] over the pairs b < c, then nabla_a Omega_bc
         mat = np.concatenate([om[p, b, c].reshape(-1, n + 2),
                               cov[p][:, b, c].reshape(-1, n + 2)])
@@ -629,8 +631,8 @@ def rank_obstruction(pack_or_g, points, tolerances=None, sigma=None,
         verdict = "not"
     alignment = None
     if sigma is not None and verdict == "conformally-einstein":
-        cand = einstein_candidate(pack.g, sigma, pack)
-        ivals = cand.values_at(points)
+        cand = einstein_candidate(s.pack.g, sigma, s.pack)
+        ivals = cand.values_at(s.points)
         cs = []
         for p, kernel in enumerate(kernels):
             if kernel.shape[1] == 0:
@@ -647,17 +649,10 @@ def change_scale_matrix_values(s: CurvatureSamples, upsilon):
     """Numeric (M_up, M_down) at the sample points for a symbolic factor."""
     n = s.n
     coords = s.pack.chart.coords
-    exprs = [upsilon] + [diff(upsilon, c) for c in coords]
-    prog = compile_batch(exprs)
-    batch = {nm: np.array([float(b[nm]) for b in s.bindings])
-             for nm in prog.sym_slots}
-    if batch:
-        vals = np.asarray(prog.run(batch), dtype=float)
-    else:
-        vv = np.asarray(prog.run({}), dtype=float).reshape(-1)
-        vals = np.repeat(vv[:, None], len(s.bindings), axis=1)
-    u = vals[0]
-    du = vals[1:].T                        # (P, n)
+    vals = evaluate_components(np.asarray(
+        [upsilon] + [diff(upsilon, c) for c in coords], dtype=object),
+        s.bindings)
+    u, du = vals[:, 0], vals[:, 1:]        # (P,), (P, n)
     g, gi = s["g"], s["ginv"]
     duu = np.einsum("pab,pb->pa", gi, du)
     usq = np.einsum("pa,pa->p", du, duu)

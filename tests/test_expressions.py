@@ -1,3 +1,4 @@
+import gc
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from confein.evaluate import (
     compile_batch,
     compile_expr,
     evaluate,
+    run_batch,
 )
 from confein.expressions import (
     ExprSyntaxError,
@@ -170,6 +172,35 @@ class TestEval:
         # the shared subtree is compiled once: adding two more outputs costs
         # only the two extra multiplies
         assert len(prog) <= len(solo) + 2
+
+    def test_compile_leaves_no_reference_cycle(self):
+        exprs = [parse("exp(x/4) + sin(y)*cos(x)"), parse("(x + y)^2 * x")]
+        gc.collect()
+        gc.disable()
+        try:
+            prog = compile_batch(exprs)
+            del prog
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_run_batch_rows_are_points(self):
+        prog = compile_batch([parse("x*y"), parse("x + 1")])
+        got = run_batch(prog, [{"x": 1.0, "y": 2.0}, {"x": 3.0, "y": 4.0}])
+        assert got.shape == (2, 2)
+        assert got.tolist() == [[2.0, 2.0], [12.0, 4.0]]
+
+    def test_run_batch_broadcasts_constant_tape(self):
+        prog = compile_batch([parse("2"), parse("1/4")])
+        got = run_batch(prog, [{}, {"x": 1.0}, {}])
+        assert got.tolist() == [[2.0, 0.25]] * 3
+
+    def test_run_batch_unbound_symbol(self):
+        prog = compile_batch([parse("m/r")])
+        with pytest.raises(UnboundSymbolError) as exc:
+            run_batch(prog, [{"m": 1.0, "r": 2.0}, {"r": 1.0}])
+        assert isinstance(exc.value, KeyError)
+        assert exc.value.name == "m"
 
 
 SYMS = ("x", "y", "r")

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from confein import curvature
 from confein.catalog import get_entry
 from confein.cli import main
 from confein.mspecfile import (
@@ -116,6 +117,36 @@ class TestCli:
         assert data["rank_test"]["theorem"] == "tractor-rank"
         assert data["genericity"]["weakly_generic"] is True
         assert data["version"]
+
+    def test_classify_compiles_the_ladder_once(self, tmp_path, monkeypatch):
+        p = tmp_path / "schw.mspec"
+        assert main(["catalog", "export", "schwarzschild4", "--out",
+                     str(p)]) == 0
+        compiles, loads = [], []
+        compile_batch = curvature.compile_batch
+        init = curvature.CurvatureSamples.__init__
+
+        def counting_compile(exprs):
+            compiles.append(len(exprs))
+            return compile_batch(exprs)
+
+        def counting_init(self, pack, pts, stage="full"):
+            loads.append([dict(q) for q in pts])
+            init(self, pack, pts, stage)
+
+        monkeypatch.setattr(curvature, "compile_batch", counting_compile)
+        monkeypatch.setattr(curvature.CurvatureSamples, "__init__",
+                            counting_init)
+        code, data = run_cli(tmp_path, "classify", str(p))
+        assert code == 0
+        assert data["verdict"] == "conformally-einstein"
+        assert data["rank_test"]["outcome"] == "conformally-einstein"
+        # one tape for the verdict, every potential segment and the rank test
+        assert len(compiles) == 1
+        # the verdict's points are evaluated once; the other loads are the
+        # Simpson segments of the potential
+        assert sum(pts == data["points"] for pts in loads) == 1
+        assert len(loads) > 30
 
     def test_classify_rt_exit_one_with_e_residual(self, tmp_path, rt_file):
         code, data = run_cli(tmp_path, "classify", str(rt_file))

@@ -243,6 +243,12 @@ class TestChangeScale:
 
 
 class TestCurvature:
+    def test_omega_values_built_once_and_read_only(self):
+        s = pack("rt4-quartic").samples(points("rt4-quartic", 2))
+        om = TR.omega_values(s)
+        assert TR.omega_values(s) is om
+        assert not om.flags.writeable
+
     def test_flat_omega_and_w_vanish(self):
         s = samples("flat4", 3)
         assert maxabs(TR.omega_values(s)) == 0.0
