@@ -692,17 +692,28 @@ class _Parser:
                 return t
 
     def term(self):
-        f = self.unary()
+        # One mul() over all factors: folding left would distribute a partial
+        # product c*(a + b), so -(1 + x)*(1 + y) would not read back as the
+        # product to_text printed.
+        factors = []
+        self.factor(factors)
         while True:
             c = self.peek()
             if c == "*":
                 self.pos += 1
-                f = mul(f, self.unary())
+                self.factor(factors)
             elif c == "/":
                 self.pos += 1
-                f = div(f, self.unary())
+                factors.append(power(self.unary(), MINUS_ONE))
             else:
-                return f
+                return mul(*factors)
+
+    def factor(self, factors):
+        """Append one factor, a leading unary minus as the factor -1."""
+        while self.peek() == "-":
+            self.pos += 1
+            factors.append(MINUS_ONE)
+        factors.append(self.power())
 
     def unary(self):
         if self.peek() == "-":
@@ -868,8 +879,9 @@ def _render_product(e):
             b, ex = f.args
             if ex.kind == RAT and ex.data < 0:
                 inv = power(b, rational(-ex.data))
-                den.append(_paren(inv, _PREC_POW))
-                continue
+                if not _is_const(inv):  # 0^(-2) stays a power: 0^2 folds to 0
+                    den.append(_paren(inv, _PREC_POW))
+                    continue
         elif f.kind == RAT:
             v = f.data
             if v < 0:

@@ -77,6 +77,18 @@ class TestParse:
         e = parse("2/4")
         assert e is rational(1, 2)
 
+    @pytest.mark.parametrize("build", [
+        lambda: neg(mul(add(1, x), add(1, y))),
+        lambda: mul(rational(2), add(1, r), power(x, rational(-1))),
+        lambda: mul(rational(-2, 3), add(1, r), power(add(1, x), rational(-2))),
+        lambda: mul(rational(2), power(rational(0), rational(-2))),
+    ], ids=["neg-product-of-sums", "const-sum-quotient",
+            "rational-sum-quotient", "zero-to-negative-power"])
+    def test_product_text_reads_back_as_product(self, build):
+        # a partial product c*(a + b) distributes, and 0^2 folds to 0
+        e = build()
+        assert parse(to_text(e)) is e
+
 
 class TestDiff:
     def test_power_rule(self):
