@@ -10,26 +10,38 @@ closed-form example metrics:
 * Cotton:          A_abc = nabla_b P_ca - nabla_c P_ba
 * Bach:            B_ab  = nabla^c A_acb + P^dc C_dacb
 
-`CurvaturePack` materializes these lazily as symbolic TensorFields and
-compiles them (with their first coordinate partials) into one tape per
-stage, once per metric: `CurvaturePack.tape` caches it on the pack.
-`CurvatureSamples` runs that tape at a batch of sample points, after which
-all pointwise work downstream is plain numpy; `as_samples` turns a metric,
-a pack or samples into samples."""
+Numeric values come from the metric alone.  Every quantity the invariants
+use involves at most four derivatives of g (the Bach tensor, and the first
+partials of the Weyl and Cotton tensors), so `CurvaturePack` compiles one
+small tape per metric: the partials of g_ij up to order 4
+(`CurvaturePack.metric_jet_tape`).  `CurvatureSamples` runs it at a batch
+of points and builds every ladder entry from that 4-jet by truncated
+Taylor arithmetic (`taylor`), in chunks of points, keeping each quantity
+only to the order its consumers need: g to 4, the inverse metric to 3,
+the Christoffel symbols, Ricci, J and P to 2, Riemann, Weyl and Cotton to
+1 and Bach to 0 (stage 'ricci' needs the 2-jet of g only).  After that all
+pointwise work downstream is plain numpy; `as_samples` turns a metric, a
+pack or samples into samples.
+
+The pack's symbolic TensorFields remain for symbolic calculus (coframe
+components, tractors) and as the tests' oracle for the numeric ladder."""
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 
+from . import taylor
 from .evaluate import compile_batch, run_batch
 from .expressions import ZERO, add, diff, mul, neg, rational
 from .geometry import (
     DOWN,
     UP,
     MetricField,
+    SingularMetricError,
     TensorField,
     conformal_rescale,
     covariant_derivative,
@@ -231,49 +243,33 @@ class CurvaturePack:
     def bindings(self, points):
         return [self.g.point_bindings(pt) for pt in points]
 
-    def tape(self, stage):
-        """(program, {name: (start, stop, shape)}): the ladder up to `stage`
-        compiled into one tape, once per pack and stage."""
-        if stage not in _STAGES:
-            raise ValueError(f"unknown stage {stage}")
-        return self._get(("tape", stage), lambda: self._compile(stage))
-
-    def _compile(self, stage):
-        flat = []
-        slices = {}
-        for name, comps in self._field_list(stage).items():
-            comps = np.asarray(comps, dtype=object)
-            start = len(flat)
-            flat.extend(comps.reshape(-1))
-            slices[name] = (start, len(flat), comps.shape)
-        return compile_batch(flat), slices
-
-    def _field_list(self, stage):
-        fields = {
-            "g": self.g.field.comps,
-            "dg": partial_derivative(self.g.field),
-            "ginv": self.g.inverse_comps(),
-            "gamma": self.gamma.comps,
-            "riem": self.riemann.comps,
-            "ricci": self.ricci.comps,
-            "scalar": np.asarray(self.scalar, dtype=object),
-            "P": self.schouten.comps,
-            "J": np.asarray(self.schouten_trace, dtype=object),
-        }
-        if stage == "full":
-            fields.update({
-                "dP": self.schouten_partials(),
-                "dJ": self.trace_partials(),
-                "C": self.weyl.comps,
-                "dC": partial_derivative(self.weyl),
-                "A": self.cotton.comps,
-                "dA": partial_derivative(self.cotton),
-                "B": self.bach.comps,
-            })
-        return fields
+    def metric_jet_tape(self, order):
+        """Tape of the partials d^alpha g_ij, i <= j, |alpha| <= order
+        (component-major, monomials in `taylor.monomials` order), compiled
+        once per pack and order."""
+        return self._get(("metric-jet", order), lambda: compile_batch(
+            _metric_partials(self.g, order)))
 
 
-_STAGES = ("ricci", "full")
+# order of the metric jet each stage needs
+_JET_ORDER = {"ricci": 2, "full": 4}
+# points per ladder chunk: bounds the transient jets, not the results
+_CHUNK = 32
+
+
+def _metric_partials(g, order):
+    """d^alpha g_ij for i <= j and |alpha| <= order, each partial taken
+    from its parent monomial's."""
+    n = g.dim
+    coords = g.chart.coords
+    parent, var = taylor.parents(n, order)
+    exprs = []
+    for i, j in zip(*np.triu_indices(n)):
+        der = [g.comps[i, j]]
+        for m in range(1, len(parent)):
+            der.append(diff(der[parent[m]], coords[var[m]]))
+        exprs.extend(der)
+    return exprs
 
 
 class CurvatureSamples:
@@ -282,16 +278,30 @@ class CurvatureSamples:
     partial-derivative axis of d-prefixed entries comes right after P."""
 
     def __init__(self, pack, points, stage="full"):
+        if stage not in _JET_ORDER:
+            raise ValueError(f"unknown stage {stage}")
         self.pack = pack
-        self.n = pack.n
+        self.n = n = pack.n
         self.points = [dict(p) for p in points]
         self.bindings = pack.bindings(points)
         self._derived = {}
-        prog, slices = pack.tape(stage)
-        vals = run_batch(prog, self.bindings)
-        n_pts = len(self.bindings)
-        self.values = {name: vals[:, a:b].reshape((n_pts,) + shape)
-                       for name, (a, b, shape) in slices.items()}
+        order = _JET_ORDER[stage]
+        prog = pack.metric_jet_tape(order)
+        n_pts = len(self.points)
+        self.values = {}
+        for lo in range(0, max(n_pts, 1), _CHUNK):
+            jet = _metric_jet(run_batch(prog, self.bindings[lo:lo + _CHUNK]),
+                              n, order)
+            try:
+                chunk = _ladder(jet, n, stage == "full")
+            except np.linalg.LinAlgError:
+                p = lo + _first_singular(jet[:, 0])
+                raise SingularMetricError(
+                    f"metric is singular at point {self.points[p]}") from None
+            for name, v in chunk.items():
+                if name not in self.values:
+                    self.values[name] = np.empty((n_pts,) + v.shape[1:])
+                self.values[name][lo:lo + len(v)] = v
 
     def __getitem__(self, name):
         return self.values[name]
@@ -337,6 +347,149 @@ class CurvatureSamples:
                                         axis=1))
             return np.max(np.stack(parts), axis=0)
         return self.derived(("scale",), build)
+
+
+def _metric_jet(vals, n, order):
+    """Order-`order` jet (P, M, n, n) of g from the tape's partials."""
+    n_pts = vals.shape[0]
+    i, j = np.triu_indices(n)
+    m = taylor.size(n, order)
+    coef = (vals.reshape(n_pts, len(i), m)
+            / taylor.factorials(n, order)).transpose(0, 2, 1)
+    jet = np.empty((n_pts, m, n, n))
+    jet[:, :, i, j] = coef
+    jet[:, :, j, i] = coef
+    return jet
+
+
+@lru_cache(maxsize=None)
+def _pair_tables(n):
+    """Index tables of the packed index pairs.
+
+    Symmetric pairs b <= d (np.triu_indices(n)) pack a tensor symmetric in
+    two slots: `sym` (n, n) is the pair of (b, d) in either order and
+    `weight` is 2 off the diagonal, so a contraction over both slots is a
+    weighted sum over pairs.  Antisymmetric pairs a < b
+    (np.triu_indices(n, 1)) pack the Riemann and Weyl tensors as matrices
+    X[(ab), (cd)]: `anti` holds their (a, b) as column vectors, and
+    `unpack` (flat index, sign) rebuilds the n^4 tensor from the flattened
+    matrix, X[idx[ab], idx[cd]] times sign[ab] sign[cd]."""
+    i, j = np.triu_indices(n)
+    sym = np.empty((n, n), dtype=np.int64)
+    sym[i, j] = sym[j, i] = np.arange(len(i))
+    a, b = np.triu_indices(n, 1)
+    idx = np.zeros((n, n), dtype=np.int64)
+    idx[a, b] = idx[b, a] = np.arange(len(a))
+    sign = np.zeros((n, n))
+    sign[a, b], sign[b, a] = 1.0, -1.0
+    return {"sym": sym, "weight": np.where(i == j, 1.0, 2.0), "pairs": (i, j),
+            "anti": (a[:, None], b[:, None]),
+            "unpack": ((idx[:, :, None, None] * len(a) + idx).reshape(-1),
+                       np.multiply.outer(sign, sign).reshape(-1))}
+
+
+def _unpack(x, tables):
+    """The n^4 tensor of a packed antisymmetric pair matrix x (..., N, N)."""
+    flat, sign = tables["unpack"]
+    out = np.take(x.reshape(x.shape[:-2] + (-1,)), flat, axis=-1)
+    out *= sign
+    n = round(len(sign) ** 0.25)
+    return out.reshape(x.shape[:-2] + (n,) * 4)
+
+
+def _first_singular(mats):
+    for p, m in enumerate(mats):
+        try:
+            np.linalg.inv(m)
+        except np.linalg.LinAlgError:
+            return p
+    return 0
+
+
+def _ladder(gj, n, full):
+    """Ladder values at a chunk of points from the metric jet `gj`, of
+    order 4 ('full') or 2.  Each quantity is kept to the order its
+    consumers need: Ricci, J and P to order r, Riemann, Weyl and Cotton to
+    order q, the Christoffel symbols to order max(r, q + 1)."""
+    T = taylor
+    r, q = (2, 1) if full else (0, 0)
+    tab = _pair_tables(n)
+    i, j = tab["pairs"]
+    sym = tab["sym"]
+    dg = T.partials(gj, n, r + 1)                    # d_x g_ab
+    ginv = T.inverse(gj, n, r + 1)
+    # Christoffel symbols of the first kind Gamma_e,bd (to the order of the
+    # Riemann tensor's partials), then Gamma^c_bd, packed over b <= d
+    d1 = dg[:, :T.size(n, max(r, q + 1))]
+    dx = d1.swapaxes(-3, -2)                         # d_x g_ab at [a, x, b]
+    low = dx[..., i, j] + dx[..., j, i]
+    low -= d1[..., i, j]
+    low *= 0.5
+    gamp = T.product("ce,es->cs", ginv, low, n, r)
+    gam = gamp[..., sym]
+    # Ric_bd = d_c Gamma^c_bd - d_b t_d + t_e Gamma^e_bd
+    #          - Gamma^c_be Gamma^e_cd,  t_d = Gamma^c_cd = g^ce d_d g_ce / 2,
+    # where d_c Gamma^c_bd = v^e Gamma_e,bd + (u_bd + u_db - l_bd) / 2 with
+    # v^e = d_c g^ce, u_bd = g^ce d_b d_c g_ed = d_b (g^ce d_c g_ed)
+    # - (d_b g^ce) d_c g_ed and l_bd = g^ce d_c d_e g_bd (`lap`): no
+    # Christoffel symbol is needed beyond order r
+    dginv = T.partials(ginv, n, r)                   # d_b g^ce
+    gp = gj[..., i, j]
+    ginvw = ginv[..., i, j] * tab["weight"]
+    lap = T.product("s,st->t", ginvw, T.second_partials(gp, n, r), n, r)
+    # g^ce d_c g_ed = sum over pairs c <= e of w g^ce (d_c g_ed + d_e g_cd)/2
+    # and t_d, in one product
+    vt = 0.5 * T.product("s,skd->kd", ginvw, np.stack(
+        [dg[..., i, j, :] + dg[..., j, i, :], dg[..., i, j].swapaxes(-1, -2)],
+        axis=-2), n, r + 1)
+    u = T.partials(vt[..., 0, :], n, r) - T.product("bce,ced->bd", dginv,
+                                                     dg, n, r)
+    t = vt[..., 1, :]
+    ric = (T.product("e,es->s", np.einsum("...cce->...e", dginv), low, n, r)
+           - 0.5 * lap)[..., sym]
+    ric = (ric + 0.5 * (u + np.swapaxes(u, -1, -2)) - T.partials(t, n, r)
+           + T.product("e,ebd->bd", t, gam, n, r)
+           - T.product("cbe,ecd->bd", gam, gam, n, r))
+    ric = 0.5 * (ric + np.swapaxes(ric, -1, -2))
+    scalar = T.product("bd,bd->", ginv, ric, n, r)
+    J = scalar / (2 * (n - 1))
+    P = (ric - T.product(",bd->bd", J, gj, n, r)) / (n - 2)
+    # R_abcd = d_a Gamma_c,bd - d_b Gamma_c,ad - Gamma_e,ac Gamma^e_bd
+    # + Gamma_e,bc Gamma^e_ad over the pairs a < b, c < d
+    a, b = tab["anti"]
+    c, d = a.T, b.T
+    dlow = T.partials(low, n, q)
+    quad = T.product("es,et->st", low, gamp, n, q)
+    riem = (dlow[..., a, c, sym[b, d]] - dlow[..., b, c, sym[a, d]]
+            - quad[..., sym[a, c], sym[b, d]]
+            + quad[..., sym[b, c], sym[a, d]])
+    out = {"g": gj[:, 0], "dg": dg[:, 0], "ginv": ginv[:, 0],
+           "gamma": gam[:, 0], "riem": _unpack(riem[:, 0], tab),
+           "ricci": ric[:, 0], "scalar": scalar[:, 0], "P": P[:, 0],
+           "J": J[:, 0]}
+    if not full:
+        return out
+    # C_abcd = R_abcd - g_ca P_bd + g_cb P_ad - g_db P_ac + g_da P_bc
+    y = T.product("s,t->st", gp, P[..., i, j], n, q)   # g_s P_t
+    C = (riem - y[..., sym[c, a], sym[b, d]] + y[..., sym[c, b], sym[a, d]]
+         - y[..., sym[d, b], sym[a, c]] + y[..., sym[d, a], sym[b, c]])
+    # nabla_x P_bc = d_x P_bc - w_xbc - w_xcb, w_xbc = Gamma^e_xb P_ec, and
+    # A_abc = nabla_b P_ca - nabla_c P_ba
+    dP = T.partials(P, n, q)
+    w = T.product("exb,ec->xbc", gam, P, n, q)
+    nabla_p = np.moveaxis(dP - w - np.swapaxes(w, -2, -1), -1, -3)
+    A = nabla_p - np.swapaxes(nabla_p, -2, -1)
+    dA = T.partials(A, n, 0)[:, 0]
+    gi = ginv[:, 0]
+    cov_a = numeric_cov(A[:, 0], dA, (DOWN,) * 3, gam[:, 0])
+    C0 = _unpack(C[:, 0], tab)
+    B = (np.einsum("pcx,pxacb->pab", gi, cov_a)
+         + np.einsum("pdx,pcy,pxy,pdacb->pab", gi, gi, P[:, 0], C0,
+                     optimize=True))
+    out.update({"dP": dP[:, 0], "dJ": T.partials(J, n, 0)[:, 0], "C": C0,
+                "dC": _unpack(T.partials(C, n, 0)[:, 0], tab), "A": A[:, 0],
+                "dA": dA, "B": B})
+    return out
 
 
 def as_samples(source, points=None):

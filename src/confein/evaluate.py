@@ -137,14 +137,17 @@ class EvalProgram:
             else:
                 slots[dest] = np.cos(slots[a]) if vector else math.cos(slots[a])
 
-        out = [slots[s] for s in self.outputs]
         if not vector:
+            out = [slots[s] for s in self.outputs]
             return out[0] if len(out) == 1 else np.array(out, dtype=float)
         n_pts = next(len(v) for v in bindings.values() if isinstance(v, np.ndarray))
-        res = np.empty((len(out), n_pts))
-        for i, v in enumerate(out):
-            res[i] = v  # broadcasts constant outputs across points
-        return res
+        # outputs often share slots (zeros, repeated components): fill each
+        # distinct slot once
+        distinct, rows = np.unique(self.outputs, return_inverse=True)
+        res = np.empty((len(distinct), n_pts))
+        for i, s in enumerate(distinct):
+            res[i] = slots[s]  # broadcasts constant outputs across points
+        return res[rows.reshape(-1)]
 
 
 def _where_zero(x):

@@ -43,6 +43,7 @@ __all__ = [
     "GenericityReport",
     "PolicyError",
     "pair_basis",
+    "weyl_vanishes",
     "weyl_operators",
     "l_operators",
     "weyl_operator",
@@ -108,12 +109,25 @@ class LOperator:
     adjugate: np.ndarray  # Lt^a_b
 
 
+def weyl_vanishes(samples, tol=None):
+    """Per point: is the Weyl tensor numerically zero, max |C| <= rank_tol
+    times the curvature scale (the floor of the rank decisions)?"""
+    tol = tol or DEFAULT_TOLERANCES
+    c = samples["C"]
+    cmax = np.max(np.abs(c.reshape(c.shape[0], -1)), axis=1)
+    return cmax <= tol.rank_tol * samples.scale()
+
+
 def _operators(samples, key, matrices):
-    """(matrices, determinants, adjugates) per point, built once per batch."""
+    """(matrices, determinants, adjugates) per point, built once per batch.
+    Where the Weyl tensor vanishes numerically the operator is roundoff and
+    its determinant is 0."""
     def build():
         m = matrices()
-        return (m, np.array([linalg.det(x) for x in m]),
-                np.stack([linalg.adjugate(x) for x in m]))
+        dets = np.array([linalg.det(x) for x in m])
+        adj = np.stack([linalg.adjugate(x, d) for x, d in zip(m, dets)])
+        dets[weyl_vanishes(samples)] = 0.0
+        return m, dets, adj
     return samples.derived(key, build)
 
 

@@ -111,15 +111,17 @@ def _perm_sign(p):
     return sign
 
 
-def adjugate(a):
+def adjugate(a, d=None):
     """Classical adjoint: adj(a) @ a = det(a) * I, defined for singular a.
 
-    Uses det * inv when well conditioned, cofactors otherwise."""
+    Uses det * inv when well conditioned, cofactors otherwise; `d` is
+    det(a) when the caller has it already."""
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     if n == 1:
         return np.ones((1, 1))
-    d = det(a)
+    if d is None:
+        d = det(a)
     scale = np.max(np.abs(a)) or 1.0
     if d != 0.0 and abs(d) > 1e-10 * scale ** n:
         try:

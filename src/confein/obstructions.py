@@ -32,6 +32,7 @@ from .genericity import (
     classify_genericity,
     l_operators,
     weyl_operators,
+    weyl_vanishes,
     _pair_matrix,
     _pair_tensor,
 )
@@ -128,15 +129,19 @@ def jet_einsum(spec, *ops):
         args = list(vals)
         args[i] = o.d
         part = np.einsum(dspec, *args)
-        d = part if d is None else d + part
+        if d is None:
+            d = part
+        else:
+            d += part
     if d is None:
         raise ValueError("at least one operand must be a Jet")
     return Jet(val, d)
 
 
-def jet_reciprocal(s: Jet) -> Jet:
+def jet_reciprocal(s: Jet, c=1.0) -> Jet:
+    """c / s for a batch of scalar jets s."""
     inv = 1.0 / s.val
-    return Jet(inv, -s.d * (inv ** 2)[:, None])
+    return Jet(c * inv, (-c) * s.d * (inv ** 2)[:, None])
 
 
 def jet_inverse_matrix(m: Jet) -> Jet:
@@ -276,8 +281,8 @@ def _left_inverse(bag: _JetBag, policy, tol):
     if policy == "from-L":
         _, det, adj = bag.policy_operator(policy, tol)
         d = jet_einsum("pab,pbcde->pacde", adj, bag.C_allup)
-        return jet_einsum("p,pacde->pacde", jet_reciprocal(det),
-                          d).scaled(-1.0), det
+        return jet_einsum("p,pacde->pacde", jet_reciprocal(det, -1.0),
+                          d), det
     if policy == "from-C":
         _, det, adj = bag.policy_operator(policy, tol)
         ct = Jet(_pair_tensor(adj.val), _pair_tensor(adj.d))  # Ct_xy^de
@@ -298,8 +303,7 @@ def _left_inverse(bag: _JetBag, policy, tol):
     cc = jet_einsum("pdefg,pfgca->pdeca", cup2, bag.C_allup)
     perm = Jet(np.transpose(cc.val, (0, 4, 3, 1, 2)),
                np.transpose(cc.d, (0, 1, 5, 4, 2, 3)))
-    return jet_einsum("p,pacde->pacde", jet_reciprocal(c3),
-                      perm).scaled(4.0), c3
+    return jet_einsum("p,pacde->pacde", jet_reciprocal(c3, 4.0), perm), c3
 
 
 def dual_candidate_jet(bag: _JetBag, policy, tolerances=None) -> Jet:
@@ -335,15 +339,13 @@ def _lower_last2(bag, t: Jet) -> Jet:
 def _require_nonzero_weyl(samples, tol, policy):
     """Every policy divides by a Weyl-built determinant; if the Weyl tensor
     itself is numerically zero the division is meaningless."""
-    c = samples["C"]
-    npts = c.shape[0]
-    cmax = np.max(np.abs(c.reshape(npts, -1)), axis=1)
-    bad = np.nonzero(cmax <= tol.rank_tol * samples.scale())[0]
+    bad = np.nonzero(weyl_vanishes(samples, tol))[0]
     if bad.size:
         p = int(bad[0])
+        cmax = np.max(np.abs(samples["C"][p]))
         raise PolicyError(
             f"policy {policy}: the Weyl tensor vanishes numerically at "
-            f"point {samples.points[p]} (max |C| = {cmax[p]:.3e})")
+            f"point {samples.points[p]} (max |C| = {cmax:.3e})")
 
 
 def _check_policy_matrix(mats, dets, tol, policy, name, points):
@@ -640,26 +642,27 @@ def reconstruct_potential(pack: CurvaturePack, points, policy="from-L",
     base = points[0]
     values = [0.0]
     for target in points[1:]:
-        total = 0.0
+        # the Simpson nodes of every segment of this path, sampled at once
+        segments, nodes = [], []
         current = dict(base)
         for ci, c in enumerate(coords):
             a, b = current[c], target[c]
             if a == b:
                 continue
-            ts = np.linspace(a, b, steps + 1)
-            nodes = []
-            for t in ts:
+            for t in np.linspace(a, b, steps + 1):
                 q = dict(current)
                 q[c] = float(t)
                 nodes.append(q)
-            s = pack.samples(nodes)
-            k = k_field(s, policy, tolerances)
-            comp = k.lowered[:, ci]
-            h = (b - a) / steps
-            total += h / 3.0 * (comp[0] + comp[-1]
-                                + 4 * np.sum(comp[1:-1:2])
-                                + 2 * np.sum(comp[2:-1:2]))
+            segments.append((ci, (b - a) / steps))
             current[c] = b
+        total = 0.0
+        if nodes:
+            k = k_field(pack.samples(nodes), policy, tolerances)
+            for i, (ci, h) in enumerate(segments):
+                comp = k.lowered[i * (steps + 1):(i + 1) * (steps + 1), ci]
+                total += h / 3.0 * (comp[0] + comp[-1]
+                                    + 4 * np.sum(comp[1:-1:2])
+                                    + 2 * np.sum(comp[2:-1:2]))
         values.append(float(total))
     return np.asarray(values)
 

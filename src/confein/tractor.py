@@ -453,11 +453,11 @@ def cov_omega_values(s: CurvatureSamples):
     om = omega_values(s)
     out = d_omega_values(s).copy()
     gamma = s["gamma"]
-    out -= np.einsum("peza,pebIJ->pzabIJ", gamma, om)
-    out -= np.einsum("pezb,paeIJ->pzabIJ", gamma, om)
+    out -= np.einsum("peza,pebIJ->pzabIJ", gamma, om, optimize=True)
+    out -= np.einsum("pezb,paeIJ->pzabIJ", gamma, om, optimize=True)
     th = theta_values(s)
-    out -= np.einsum("pzKI,pabKJ->pzabIJ", th, om)
-    out -= np.einsum("pzKJ,pabIK->pzabIJ", th, om)
+    out -= np.einsum("pzKI,pabKJ->pzabIJ", th, om, optimize=True)
+    out -= np.einsum("pzKJ,pabIK->pzabIJ", th, om, optimize=True)
     return out
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from confein import catalog
 from confein import geometry as G
 from confein.config import Tolerances
 from confein.curvature import (
@@ -10,10 +11,77 @@ from confein.curvature import (
     identity_residuals,
     identity_suite,
 )
-from confein.expressions import ZERO, diff, is_zero, parse
+from confein.expressions import ONE, ZERO, diff, is_zero, parse
 from conftest import entry, maxabs, pack, points, samples
 
 TOL = Tolerances()
+
+
+def symbolic_ladder(p):
+    """Every ladder entry as symbolic components of the pack's fields."""
+    pd = G.partial_derivative
+    return {
+        "g": p.g.field.comps, "dg": pd(p.g.field),
+        "ginv": p.g.inverse_comps(), "gamma": p.gamma.comps,
+        "riem": p.riemann.comps, "ricci": p.ricci.comps,
+        "scalar": np.asarray(p.scalar, dtype=object), "P": p.schouten.comps,
+        "J": np.asarray(p.schouten_trace, dtype=object),
+        "dP": p.schouten_partials(), "dJ": p.trace_partials(),
+        "C": p.weyl.comps, "dC": pd(p.weyl), "A": p.cotton.comps,
+        "dA": pd(p.cotton), "B": p.bach.comps,
+    }
+
+
+def assert_ladder_matches_symbolic(p, pts):
+    s = p.samples(pts)
+    fields = symbolic_ladder(p)
+    assert set(s.values) == set(fields)
+    for name, comps in fields.items():
+        want = G.evaluate_components(comps, s.bindings)
+        scale = max(1.0, maxabs(want))
+        assert s[name].shape == want.shape, name
+        assert maxabs(s[name] - want) <= 1e-10 * scale, name
+
+
+class TestMetricJetLadder:
+    """The metric-jet ladder against the symbolic ladder as oracle."""
+
+    @pytest.mark.parametrize("name", catalog.entry_names())
+    def test_catalog_entry_matches_symbolic(self, name):
+        assert_ladder_matches_symbolic(pack(name), points(name, 10))
+
+    def test_rescaled_entry_matches_symbolic(self):
+        g = G.conformal_rescale(entry("rt4-quartic").metric, parse("3*u/10"))
+        assert_ladder_matches_symbolic(curvature_pack(g),
+                                       points("rt4-quartic", 10))
+
+    def test_ricci_stage_matches_full_stage(self):
+        full = samples("hyperkahler4", 10)
+        ricci = samples("hyperkahler4", 10, stage="ricci")
+        assert set(ricci.values) == {"g", "dg", "ginv", "gamma", "riem",
+                                     "ricci", "scalar", "P", "J"}
+        for name, v in ricci.values.items():
+            assert maxabs(v - full[name]) <= 1e-12 * max(1.0, maxabs(v))
+
+    def test_chunks_do_not_change_values(self):
+        from confein import curvature
+        p = pack("rt5-quartic")
+        pts = points("rt5-quartic", 2 * curvature._CHUNK + 3)
+        whole = p.samples(pts)
+        part = p.samples(pts[curvature._CHUNK + 1:])
+        for name, v in part.values.items():
+            assert maxabs(v - whole[name][curvature._CHUNK + 1:]) <= \
+                1e-13 * max(1.0, maxabs(v))
+
+    def test_singular_point_raises_naming_the_point(self):
+        ch = G.Chart(("x", "y", "z"))
+        comps = np.array([[parse("x"), ZERO, ZERO], [ZERO, ONE, ZERO],
+                          [ZERO, ZERO, ONE]], dtype=object)
+        p = curvature_pack(G.MetricField(ch, comps))
+        pts = [{"x": 1.0, "y": 0.5, "z": 0.5},
+               {"x": 0.0, "y": 0.25, "z": 0.5}]
+        with pytest.raises(G.SingularMetricError, match="'y': 0.25"):
+            p.samples(pts)
 
 
 class TestLadderOnClosedForms:

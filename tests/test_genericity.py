@@ -243,7 +243,8 @@ class TestPairLayer:
         calls = []
         adjugate = linalg.adjugate
         monkeypatch.setattr(linalg, "adjugate",
-                            lambda a: calls.append(1) or adjugate(a))
+                            lambda a, d=None: calls.append(1)
+                            or adjugate(a, d))
         s = CurvaturePack(entry("rt5-quartic").metric).samples(
             points("rt5-quartic", 3))
         GN.classify_genericity(s)

@@ -141,12 +141,13 @@ class TestCli:
         assert code == 0
         assert data["verdict"] == "conformally-einstein"
         assert data["rank_test"]["outcome"] == "conformally-einstein"
-        # one tape for the verdict, every potential segment and the rank test
+        # one metric-jet tape for the verdict, the potential and the rank
+        # test
         assert len(compiles) == 1
         # the verdict's points are evaluated once; the other loads are the
-        # Simpson segments of the potential
+        # potential's paths, one batch of Simpson nodes per target point
         assert sum(pts == data["points"] for pts in loads) == 1
-        assert len(loads) > 30
+        assert len(loads) == len(data["points"])
 
     def test_classify_rt_exit_one_with_e_residual(self, tmp_path, rt_file):
         code, data = run_cli(tmp_path, "classify", str(rt_file))
