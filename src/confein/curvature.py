@@ -391,7 +391,8 @@ def _pair_tables(n):
 def _unpack(x, tables):
     """The n^4 tensor of a packed antisymmetric pair matrix x (..., N, N)."""
     flat, sign = tables["unpack"]
-    out = np.take(x.reshape(x.shape[:-2] + (-1,)), flat, axis=-1)
+    out = np.take(x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],)),
+                  flat, axis=-1)
     out *= sign
     n = round(len(sign) ** 0.25)
     return out.reshape(x.shape[:-2] + (n,) * 4)

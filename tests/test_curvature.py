@@ -73,6 +73,11 @@ class TestMetricJetLadder:
             assert maxabs(v - whole[name][curvature._CHUNK + 1:]) <= \
                 1e-13 * max(1.0, maxabs(v))
 
+    def test_no_points_give_empty_entries(self):
+        s = pack("rt5-quartic").samples([])
+        assert s["C"].shape == (0,) + (5,) * 4
+        assert s["dC"].shape == (0,) + (5,) * 5
+
     def test_singular_point_raises_naming_the_point(self):
         ch = G.Chart(("x", "y", "z"))
         comps = np.array([[parse("x"), ZERO, ZERO], [ZERO, ONE, ZERO],
