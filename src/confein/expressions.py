@@ -149,10 +149,6 @@ def _is_const(e):
     return e.kind <= FLT
 
 
-def _const_val(e):
-    return e.data
-
-
 def _make_const(v):
     if isinstance(v, Fraction):
         return rational(v)

@@ -270,9 +270,6 @@ class MetricField:
             self._inverse = _symbolic_inverse(self.comps, symmetric=True)
         return self._inverse
 
-    def inverse_field(self):
-        return TensorField(self.chart, (UP, UP), self.inverse_comps(), weight=-2)
-
     def det_expr(self):
         if self._det is None:
             self._det = _symbolic_det(self.comps)

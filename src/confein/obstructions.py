@@ -631,39 +631,33 @@ def cotton_rl2_invariant(samples: CurvatureSamples):
 # potential reconstruction
 
 
+# Gauss-Legendre nodes per potential segment (exact for degree <= 15)
+_GL_NODES = 8
+
+
 def reconstruct_potential(pack: CurvaturePack, points, policy="from-L",
-                          tolerances=None, steps=64):
-    """Integrate K along axis-parallel segments from the first point to each
-    other point (composite Simpson, `steps` intervals per segment).
-    Correctness is gated by the closedness of K, not by this integral."""
-    if steps % 2:
-        raise ValueError("steps must be even for Simpson integration")
+                          tolerances=None):
+    """Integrate K along the straight segment from the first point to each
+    other point (8-node Gauss-Legendre, one batch of nodes per target).
+
+    One segment is enough: the potential is only asked for where the
+    verdict is conformally Einstein, and there K is the gradient of the log
+    of the Einstein scale, so K is closed and the integral does not depend
+    on the path.  The closedness of K, not this integral, gates the
+    verdict."""
+    # the rule mapped onto [0, 1]: node fractions along the segment, weights
+    x, w = np.polynomial.legendre.leggauss(_GL_NODES)
+    fractions, w = 0.5 * (1.0 + x), 0.5 * w
     coords = pack.chart.coords
     base = points[0]
+    a = np.array([base[c] for c in coords], dtype=float)
     values = [0.0]
     for target in points[1:]:
-        # the Simpson nodes of every segment of this path, sampled at once
-        segments, nodes = [], []
-        current = dict(base)
-        for ci, c in enumerate(coords):
-            a, b = current[c], target[c]
-            if a == b:
-                continue
-            for t in np.linspace(a, b, steps + 1):
-                q = dict(current)
-                q[c] = float(t)
-                nodes.append(q)
-            segments.append((ci, (b - a) / steps))
-            current[c] = b
-        total = 0.0
-        if nodes:
-            k = k_field(pack.samples(nodes), policy, tolerances)
-            for i, (ci, h) in enumerate(segments):
-                comp = k.lowered[i * (steps + 1):(i + 1) * (steps + 1), ci]
-                total += h / 3.0 * (comp[0] + comp[-1]
-                                    + 4 * np.sum(comp[1:-1:2])
-                                    + 2 * np.sum(comp[2:-1:2]))
-        values.append(float(total))
+        h = np.array([target[c] for c in coords], dtype=float) - a
+        nodes = [{**base, **dict(zip(coords, map(float, a + t * h)))}
+                 for t in fractions]
+        k = k_field(pack.samples(nodes), policy, tolerances)
+        values.append(float(w @ (k.lowered @ h)))
     return np.asarray(values)
 
 
@@ -881,7 +875,9 @@ def cotton_scale_verdict(source, points, policy="from-L",
 
 def covariance_exponent(values, hat_values, upsilon_at, tol_floor=1e-9):
     """Fitted exponent w with hat_values = e^{w upsilon} values, and its
-    spread across components and points.  Returns (w, spread)."""
+    spread across components and points.  Returns (w, spread), and
+    (nan, inf) when a compared component changes sign: no positive factor
+    relates the two fields."""
     v = values.reshape(values.shape[0], -1)
     vh = hat_values.reshape(hat_values.shape[0], -1)
     u = np.asarray(upsilon_at, dtype=float)
@@ -896,8 +892,7 @@ def covariance_exponent(values, hat_values, upsilon_at, tol_floor=1e-9):
             continue
         ratio = vh[p][mask] / v[p][mask]
         if np.any(ratio <= 0):
-            # componentwise proportionality with a positive factor
-            ratio = np.abs(ratio)
+            return float("nan"), float("inf")
         ws.append(np.log(ratio) / u[p])
     if not ws:
         return float("nan"), float("nan")

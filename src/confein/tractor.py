@@ -93,16 +93,6 @@ class TractorField:
         comps[n + 1] = self.tau
         return TractorTensor(self.g, (TUP,), comps)
 
-    @classmethod
-    def from_tensor(cls, t):
-        if t.slots != (TUP,):
-            raise ValueError("expected a single up tractor slot")
-        n = t.g.dim
-        mu = sym_einsum("ab,b->a", t.g.comps, t.comps[1:n + 1])
-        return cls(t.g, t.comps[0],
-                   TensorField(t.g.chart, (DOWN,), mu, weight=1),
-                   t.comps[n + 1])
-
 
 @dataclass(eq=False)
 class TractorTensor:

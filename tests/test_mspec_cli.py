@@ -145,7 +145,7 @@ class TestCli:
         # test
         assert len(compiles) == 1
         # the verdict's points are evaluated once; the other loads are the
-        # potential's paths, one batch of Simpson nodes per target point
+        # potential's segments, one batch of quadrature nodes per target
         assert sum(pts == data["points"] for pts in loads) == 1
         assert len(loads) == len(data["points"])
 

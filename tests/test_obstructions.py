@@ -285,6 +285,14 @@ class TestCovariance:
         assert spread < 1e-6
         assert w == pytest.approx(-4 * 3, abs=1e-6)  # -n(n-1), n = 4
 
+    def test_sign_flip_has_no_exponent(self):
+        v = np.random.default_rng(0).uniform(0.5, 2.0, size=(3, 4))
+        u = np.array([0.1, 0.2, 0.3])
+        w, spread = OB.covariance_exponent(v, v * np.exp(2 * u)[:, None], u)
+        assert w == pytest.approx(2.0) and spread < 1e-12
+        w, spread = OB.covariance_exponent(v, -v * np.exp(2 * u)[:, None], u)
+        assert np.isnan(w) and spread == np.inf
+
     def test_dim4_exponent(self):
         w, spread = self._exponent(
             "rt4-quartic", lambda s, b: OB.dim4_invariant(s, b).values,
@@ -342,6 +350,31 @@ class TestVerdicts:
         uvals = evaluate_components(ups, pk.samples(pts).bindings)
         want = -(uvals - uvals[0])
         assert maxabs(rep.potential - want) < 1e-6
+
+    def test_potential_is_exact_for_a_polynomial_factor(self):
+        # K = -d(upsilon) is a polynomial of degree <= 5 along each straight
+        # segment, which the 8-node Gauss-Legendre rule integrates exactly
+        e0 = entry("schwarzschild4")
+        ups = parse("(r/3)^6 + x1^3/5 - u*r/7")
+        pk = CurvaturePack(conformal_rescale(e0.metric, ups))
+        pts = points("schwarzschild4", 5)
+        rep = OB.conformal_einstein_tensor_verdict(pk, pts)
+        assert rep.outcome == "conformally-einstein"
+        uvals = evaluate_components(ups, pk.samples(pts).bindings)
+        assert maxabs(rep.potential + (uvals - uvals[0])) < 1e-12
+
+    def test_potential_samples_eight_nodes_per_target(self, monkeypatch):
+        pk, sizes = pack("schwarzschild4"), []
+        samples_of = pk.samples
+
+        def counting(pts, *args, **kwargs):
+            sizes.append(len(pts))
+            return samples_of(pts, *args, **kwargs)
+
+        monkeypatch.setattr(pk, "samples", counting)
+        pot = OB.reconstruct_potential(pk, points("schwarzschild4", 4))
+        assert sizes == [8, 8, 8]
+        assert pot.shape == (4,) and pot[0] == 0.0
 
     @pytest.mark.parametrize("exc, propagates", [
         (TypeError("internal fault"), True),
