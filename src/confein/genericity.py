@@ -124,8 +124,8 @@ def _operators(samples, key, matrices):
     its determinant is 0."""
     def build():
         m = matrices()
-        dets = np.array([linalg.det(x) for x in m])
-        adj = np.stack([linalg.adjugate(x, d) for x, d in zip(m, dets)])
+        dets = linalg.det(m)
+        adj = linalg.adjugate(m, dets)
         dets[weyl_vanishes(samples)] = 0.0
         return m, dets, adj
     return samples.derived(key, build)
@@ -243,18 +243,6 @@ class GenericityReport:
         return True
 
 
-def _rank_null_floored(mat, tol, floor):
-    """Rank and kernel with the pivot cutoff floored at tol * floor, so a
-    matrix that is pure roundoff relative to the ambient curvature scale
-    counts as zero."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    top = np.max(np.abs(mat)) if mat.size else 0.0
-    if top <= tol * floor:
-        n = mat.shape[1]
-        return 0, np.eye(n)
-    return linalg.rank_nullspace(mat, max(tol, tol * floor / top))
-
-
 def classify_genericity(pack_or_samples, points=None, tolerances=None,
                         orientation=1):
     """Classify each sample point and aggregate.
@@ -263,41 +251,42 @@ def classify_genericity(pack_or_samples, points=None, tolerances=None,
     Lambda2-generic implies weakly generic."""
     tol = tolerances or DEFAULT_TOLERANCES
     s = as_samples(pack_or_samples, points)
-    n = s.n
+    n, npts = s.n, len(s.points)
     C, g, gi = s["C"], s["g"], s["ginv"]
     scale = s.scale()
-    skew = np.swapaxes(_pair_matrix(C), -1, -2)  # rows (cd), columns (ab)
     dets = weyl_operators(s)[1]
     levi = _levi_civita(n)
     root = orientation * np.sqrt(np.abs(np.linalg.det(g)))
 
-    def kernel_dim(mat, p):
-        return mat.shape[1] - _rank_null_floored(mat, tol.rank_tol,
-                                                 scale[p])[0]
+    # weak system: C_abcd V^d = 0
+    _, wkernels = linalg.rank_nullspace(C.reshape(npts, n ** 3, n),
+                                        tol.rank_tol, scale)
+    skew = np.swapaxes(_pair_matrix(C), -1, -2)  # rows (cd), columns (ab)
+    skew_dims = (skew.shape[-1]
+                 - linalg.rank(skew, tol.rank_tol, scale)).tolist()
+    # the appended trace row absorbs the pure-trace direction, so the
+    # reported dimensions count genuine trace-free solutions
+    sym_dims = _kernel_dims(
+        lambda p: _symmetric_system(np.swapaxes(C[p], 0, 1), g[p]),
+        n * n + 1, n, tol.rank_tol, scale)
+    dual_dims = _kernel_dims(
+        lambda p: _symmetric_system(_cstar(C[p], levi * root[p], gi[p], n),
+                                    g[p]),
+        n ** (n - 2) + 1, n, tol.rank_tol, scale)
 
     per = []
-    for p in range(len(s.points)):
-        # weak system: C_abcd V^d = 0
-        _, wkernel = _rank_null_floored(C[p].reshape(n ** 3, n),
-                                        tol.rank_tol, scale[p])
-        skew_dim = kernel_dim(skew[p], p)
-        lam2 = skew_dim == 0
-        # the appended trace row absorbs the pure-trace direction, so the
-        # reported dimensions count genuine trace-free solutions; the
-        # systems are built per point, as the dual one is large
-        sym_dim = kernel_dim(_symmetric_system(np.swapaxes(C[p], 0, 1),
-                                               g[p]), p)
-        eps = levi * root[p]  # the volume form at p
-        dual_dim = kernel_dim(_symmetric_system(_cstar(C[p], eps, gi[p], n),
-                                                g[p]), p)
-        generic = lam2 and sym_dim == 0 and dual_dim == 0
-        weak = wkernel.shape[1] == 0 or lam2  # enforce the implication chain
-        c3, c3s = dim4_scalars(s, p, eps) if n == 4 else (None, None)
+    for p in range(npts):
+        lam2 = skew_dims[p] == 0
+        generic = lam2 and sym_dims[p] == 0 and dual_dims[p] == 0
+        # enforce the implication chain
+        weak = wkernels[p].shape[1] == 0 or lam2
+        c3, c3s = (dim4_scalars(s, p, levi * root[p]) if n == 4
+                   else (None, None))
         per.append(PointGenericity(
-            point=s.points[p], weakly_generic=weak, weak_kernel=wkernel,
+            point=s.points[p], weakly_generic=weak, weak_kernel=wkernels[p],
             lambda2_generic=lam2, weyl_det=float(dets[p]),
-            skew_kernel_dim=int(skew_dim), sym_kernel_dim=int(sym_dim),
-            dual_kernel_dim=int(dual_dim), generic=generic,
+            skew_kernel_dim=skew_dims[p], sym_kernel_dim=sym_dims[p],
+            dual_kernel_dim=dual_dims[p], generic=generic,
             c3=c3, c3_star=c3s))
     flags = [(pg.weakly_generic, pg.lambda2_generic, pg.generic) for pg in per]
     agree = len(set(flags)) == 1
@@ -307,6 +296,18 @@ def classify_genericity(pack_or_samples, points=None, tolerances=None,
         lambda2_generic=all(f[1] for f in flags),
         generic=all(f[2] for f in flags),
         all_agree=agree)
+
+
+def _kernel_dims(build, rows, n, tol, scale):
+    """Kernel dimensions of the (rows, n(n+1)/2) systems build(p), one per
+    point, built and ranked a chunk of points at a time: a dual system has
+    n^(n-2) + 1 rows, so a whole batch of them is not held at once."""
+    cols = n * (n + 1) // 2
+    ranks = np.zeros(len(scale), dtype=int)
+    for sl in linalg.chunks(len(scale), rows, cols):
+        stack = np.stack([build(p) for p in range(sl.start, sl.stop)])
+        ranks[sl] = linalg.rank(stack, tol, scale[sl])
+    return (cols - ranks).tolist()
 
 
 def _cstar(C, eps, gi, n):

@@ -1,138 +1,204 @@
-"""Dense linear algebra on small matrices (sizes up to ~500 rows here).
+"""Dense linear algebra on stacks of small matrices (up to ~1300 rows here).
+
+The module is stack-first: every public function takes a stack (P, m, k)
+of matrices and returns one result per matrix; a 2-D argument is a stack
+of one.  A stack is eliminated by one pass of numpy operations, in which
+each matrix sees the same IEEE operations in the same order as it would
+alone, so a rank or determinant does not depend on what it was stacked
+with.
 
 Rank and null spaces come from Gaussian elimination with full pivoting so
 the pivot sequence itself is the diagnostic: a column is dependent exactly
-when no remaining entry exceeds `tol * max|entry|`.  Adjugates are defined
-for singular matrices too (cofactor fallback), since `adj(M) @ M = det(M) I`
-is used as an identity, not as an inverse."""
+when no remaining entry exceeds the matrix's cut, `tol * max|entry|`,
+raised to `tol * floor` by an optional per-matrix floor.  Adjugates are
+defined for singular matrices too (cofactor fallback), since
+`adj(M) @ M = det(M) I` is used as an identity, not as an inverse.
+
+Stacks are worked on in chunks of at most CHUNK_BYTES per copy (`chunks`):
+the elimination holds a few copies of what it works on, and the budget
+keeps peak memory flat however many points a batch has."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["rank_nullspace", "rank", "nullspace", "adjugate", "det"]
+__all__ = ["rank_nullspace", "rank", "nullspace", "adjugate", "det",
+           "chunks", "CHUNK_BYTES"]
+
+CHUNK_BYTES = 512 * 1024
 
 
-def _eliminate(a, tol):
-    """Full-pivot forward elimination.
+def chunks(count, m, k):
+    """Slices cutting a stack of `count` (m, k) float matrices into chunks
+    of at most CHUNK_BYTES each (at least one matrix per chunk)."""
+    step = max(1, CHUNK_BYTES // (8 * max(1, m * k)))
+    return [slice(s, min(s + step, count)) for s in range(0, count, step)]
 
-    Returns (u, row_perm, col_perm, r): u is the eliminated matrix under the
-    permutations, r the numerical rank.  tol is relative to the largest
-    absolute entry of the input."""
-    u = np.array(a, dtype=float, copy=True)
-    m, n = u.shape
-    scale = np.max(np.abs(u)) if u.size else 0.0
-    cut = tol * scale
-    rows = list(range(m))
-    cols = list(range(n))
-    r = 0
+
+def _stack(a):
+    a = np.asarray(a, dtype=float)
+    return a[None] if a.ndim == 2 else a
+
+
+def _eliminate(a, cut):
+    """Full-pivot forward elimination of every matrix of the stack `a`.
+
+    Matrix p stops at the first step whose largest remaining |entry| is
+    <= cut[p] or 0.  Returns (u, cols, r, sign): u holds the eliminated
+    matrices under their permutations, cols the column permutations, r the
+    numerical ranks and sign the parities of the row and column swaps."""
+    u = np.array(a, dtype=float)
+    count, m, n = u.shape
+    cols = np.tile(np.arange(n), (count, 1))
+    r = np.full(count, min(m, n))
+    sign = np.ones(count)
+    live = np.arange(count)  # the matrices still being eliminated, and
+    w = u                    # their working stack (u itself until one stops)
     for k in range(min(m, n)):
-        sub = np.abs(u[k:, k:])
-        if sub.size == 0:
-            break
-        i, j = np.unravel_index(np.argmax(sub), sub.shape)
-        if sub[i, j] <= cut or sub[i, j] == 0.0:
-            break
+        sub = np.abs(w[:, k:, k:]).reshape(len(live), (m - k) * (n - k))
+        flat = sub.argmax(axis=1)  # ties go to the first in row-major order
+        best = sub[np.arange(len(live)), flat]
+        stop = (best <= cut[live]) | (best == 0.0)
+        if stop.any():
+            r[live[stop]] = k
+            u[live[stop]] = w[stop]
+            live, w, flat = live[~stop], w[~stop], flat[~stop]
+            if not live.size:
+                break
+        at = np.arange(len(live))
+        i, j = np.divmod(flat, n - k)
         i += k
         j += k
-        if i != k:
-            u[[k, i]] = u[[i, k]]
-            rows[k], rows[i] = rows[i], rows[k]
-        if j != k:
-            u[:, [k, j]] = u[:, [j, k]]
-            cols[k], cols[j] = cols[j], cols[k]
-        piv = u[k, k]
-        fac = u[k + 1:, k] / piv
-        u[k + 1:, k:] -= np.outer(fac, u[k, k:])
-        u[k + 1:, k] = 0.0
-        r += 1
-    return u, rows, cols, r
+        w[at, k], w[at, i] = w[at, i], w[at, k]
+        w[at, :, k], w[at, :, j] = w[at, :, j], w[at, :, k]
+        cols[live, k], cols[live, j] = cols[live, j], cols[live, k]
+        sign[live[i != k]] *= -1.0
+        sign[live[j != k]] *= -1.0
+        fac = w[:, k + 1:, k] / w[:, k, k, None]
+        w[:, k + 1:, k:] -= fac[:, :, None] * w[:, k, None, k:]
+        w[:, k + 1:, k] = 0.0
+    if w is not u:
+        u[live] = w
+    return u, cols, r, sign
 
 
-def rank_nullspace(a, tol=1e-8):
-    """(rank, kernel basis) of `a`; kernel columns are orthonormalized.
+def _cuts(a, tol, floor):
+    """Per-matrix cut max(tol, tol * floor / top) * top, top = max|entry|;
+    inf where top <= tol * floor, so that such a matrix, pure roundoff
+    relative to its floor, stops at once with rank 0."""
+    top = np.max(np.abs(a), axis=(1, 2), initial=0.0)
+    cut = np.full(len(top), np.inf)
+    live = ~(top <= tol * floor)
+    cut[live] = np.maximum(tol, tol * floor[live] / top[live]) * top[live]
+    return cut
 
-    Kernel vectors solve a x = 0 with back substitution on the eliminated
-    system, one per dependent column."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    m, n = a.shape
-    u, _rows, cols, r = _eliminate(a, tol)
+
+def _ranked(a, tol, floor):
+    """Per chunk of the stack `a`: (slice, u, cols, ranks, cuts)."""
+    count, m, n = a.shape
+    floor = np.broadcast_to(np.asarray(floor, dtype=float), (count,))
+    for sl in chunks(count, m, n):
+        cut = _cuts(a[sl], tol, floor[sl])
+        u, cols, r, _ = _eliminate(a[sl], cut)
+        yield sl, u, cols, r, cut
+
+
+def _kernel(u, cols, r):
+    """Orthonormal kernel basis of one eliminated matrix: one vector per
+    dependent column, by back substitution."""
+    n = u.shape[1]
     nullity = n - r
     if nullity == 0:
-        return r, np.zeros((n, 0))
+        return np.zeros((n, 0))
     basis = np.zeros((n, nullity))
     for f in range(nullity):
         x = np.zeros(n)  # in permuted column order
         x[r + f] = 1.0
         for i in range(r - 1, -1, -1):
             x[i] = -np.dot(u[i, i + 1:], x[i + 1:]) / u[i, i]
-        for j in range(n):
-            basis[cols[j], f] = x[j]
+        basis[cols, f] = x
     # orthonormalize for stable downstream comparisons
     q, _ = np.linalg.qr(basis)
-    return r, q[:, :nullity]
+    return q[:, :nullity]
 
 
-def rank(a, tol=1e-8):
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    return _eliminate(a, tol)[3]
+def rank_nullspace(a, tol=1e-8, floor=0.0):
+    """(ranks, kernels) of the stack `a`: an int array and one (k, nullity)
+    orthonormal kernel basis per matrix.
+
+    `floor` (per matrix, or one for all) raises the cut to tol * floor, so
+    a matrix that is pure roundoff relative to an ambient scale counts as
+    zero: rank 0, kernel the identity."""
+    a = _stack(a)
+    ranks = np.zeros(len(a), dtype=int)
+    kernels = []
+    for sl, u, cols, r, cut in _ranked(a, tol, floor):
+        ranks[sl] = r
+        kernels += [np.eye(u.shape[2]) if c == np.inf else _kernel(*args)
+                    for c, *args in zip(cut, u, cols, r)]
+    return ranks, kernels
 
 
-def nullspace(a, tol=1e-8):
-    return rank_nullspace(a, tol)[1]
+def rank(a, tol=1e-8, floor=0.0):
+    """Numerical ranks of the stack `a` (see rank_nullspace)."""
+    a = _stack(a)
+    ranks = np.zeros(len(a), dtype=int)
+    for sl, _u, _cols, r, _cut in _ranked(a, tol, floor):
+        ranks[sl] = r
+    return ranks
+
+
+def nullspace(a, tol=1e-8, floor=0.0):
+    return rank_nullspace(a, tol, floor)[1]
 
 
 def det(a):
-    """Determinant via the same elimination (sign tracked by permutations)."""
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    u, rows, cols, r = _eliminate(a, tol=0.0)
-    if r < n:
-        return 0.0
-    sign = _perm_sign(rows) * _perm_sign(cols)
-    return sign * float(np.prod(np.diag(u)))
-
-
-def _perm_sign(p):
-    p = list(p)
-    sign = 1
-    seen = [False] * len(p)
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j = i
-        clen = 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
+    """Determinants of the stack `a`, by the same elimination (the sign
+    tracked per swap); 0 for a matrix of deficient rank."""
+    a = _stack(a)
+    count, n, _ = a.shape
+    out = np.zeros(count)
+    for sl in chunks(count, n, n):
+        u, _cols, r, sign = _eliminate(a[sl], np.zeros(sl.stop - sl.start))
+        full = r == n
+        out[sl][full] = sign[full] * np.prod(
+            np.diagonal(u[full], axis1=1, axis2=2), axis=1)
+    return out
 
 
 def adjugate(a, d=None):
-    """Classical adjoint: adj(a) @ a = det(a) * I, defined for singular a.
+    """Classical adjoints of the stack `a`: adj(a) @ a = det(a) * I, defined
+    for singular a.
 
-    Uses det * inv when well conditioned, cofactors otherwise; `d` is
+    Uses det * inv where well conditioned, cofactors otherwise; `d` is
     det(a) when the caller has it already."""
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
+    a = _stack(a)
+    count, n, _ = a.shape
     if n == 1:
-        return np.ones((1, 1))
-    if d is None:
-        d = det(a)
-    scale = np.max(np.abs(a)) or 1.0
-    if d != 0.0 and abs(d) > 1e-10 * scale ** n:
+        return np.ones((count, 1, 1))
+    d = det(a) if d is None else np.reshape(np.asarray(d, dtype=float), count)
+    scale = np.max(np.abs(a), axis=(1, 2), initial=0.0)
+    scale[scale == 0.0] = 1.0
+    # scalar pow per matrix: numpy's vectorised power can round differently
+    big = np.array([s ** n for s in scale])
+    well = (d != 0.0) & (np.abs(d) > 1e-10 * big)
+    adj = np.empty((count, n, n))
+    if well.any():
         try:
-            return d * np.linalg.inv(a)
+            adj[well] = d[well, None, None] * np.linalg.inv(a[well])
         except np.linalg.LinAlgError:
-            pass
-    adj = np.empty((n, n))
-    idx = np.arange(n)
-    for i in range(n):
-        ri = idx[idx != i]
-        for j in range(n):
-            minor = a[np.ix_(ri, idx[idx != j])]
-            adj[j, i] = (-1.0) ** (i + j) * det(minor)
+            # some matrix is singular to LAPACK after all: one at a time
+            for p in np.flatnonzero(well):
+                try:
+                    adj[p] = d[p] * np.linalg.inv(a[p])
+                except np.linalg.LinAlgError:
+                    well[p] = False
+    rest = np.flatnonzero(~well)
+    # cofactors: the minor (i, j) drops row i and column j
+    drop = np.array([np.delete(np.arange(n), i) for i in range(n)])
+    parity = np.where(np.add.outer(np.arange(n), np.arange(n)) % 2, -1.0, 1.0)
+    for sl in chunks(len(rest), n * n * (n - 1), n - 1):  # n^2 minors each
+        minors = a[rest[sl]][:, drop[:, None, :, None], drop[None, :, None, :]]
+        cof = det(minors.reshape(-1, n - 1, n - 1)).reshape(-1, n, n)
+        adj[rest[sl]] = np.swapaxes(parity * cof, 1, 2)
     return adj

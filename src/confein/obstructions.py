@@ -352,12 +352,11 @@ def _check_policy_matrix(mats, dets, tol, policy, name, points):
     """The policy's matrix must be numerically invertible (full rank at the
     pivot tolerance, relative to its largest entry)."""
     from . import linalg
-    k = mats.shape[1]
-    for p in range(mats.shape[0]):
-        if linalg.rank(mats[p], tol.rank_tol) < k:
-            raise PolicyError(
-                f"policy {policy}: {name} = {dets[p]:.3e} vanishes "
-                f"at point {points[p]}")
+    bad = np.flatnonzero(linalg.rank(mats, tol.rank_tol) < mats.shape[1])
+    if bad.size:
+        p = int(bad[0])
+        raise PolicyError(f"policy {policy}: {name} = {dets[p]:.3e} vanishes "
+                          f"at point {points[p]}")
 
 
 def _check_policy_scalar(vals, entry_scale, power, tol, policy,

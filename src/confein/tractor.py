@@ -600,16 +600,18 @@ def rank_obstruction(source, points, tolerances=None, sigma=None,
     cov = cov_omega_values(s)
     b, c = pair_basis(n)
     scale = s.scale()
-    from .genericity import _rank_null_floored
     ranks = []
     kernels = []
-    for p in range(len(s.points)):
-        # rows Omega_bc[D, .] over the pairs b < c, then nabla_a Omega_bc
-        mat = np.concatenate([om[p, b, c].reshape(-1, n + 2),
-                              cov[p][:, b, c].reshape(-1, n + 2)])
-        rank, kernel = _rank_null_floored(mat, tol.rank_tol, scale[p])
-        ranks.append(int(rank))
-        kernels.append(kernel)
+    # rows Omega_bc[D, .] over the pairs b < c, then nabla_a Omega_bc,
+    # stacked a chunk of points at a time
+    for sl in linalg.chunks(len(s.points), (n + 1) * len(b) * (n + 2), n + 2):
+        k = sl.stop - sl.start
+        mat = np.concatenate([om[sl, b, c].reshape(k, -1, n + 2),
+                              cov[sl][:, :, b, c].reshape(k, -1, n + 2)],
+                             axis=1)
+        rank, kernel = linalg.rank_nullspace(mat, tol.rank_tol, scale[sl])
+        ranks += rank.tolist()
+        kernels += kernel
     max_rank = max(ranks)
     notes = []
     if not gen.weakly_generic:
