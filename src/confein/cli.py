@@ -2,15 +2,21 @@
 
 Exit codes for `classify`: 0 = conformally Einstein, 1 = not, 2 =
 inconclusive (or a verdict conflict, which is a bug signal), 3 = input
-error.  Reports are deterministic for a fixed --seed: two runs produce
-byte-identical JSON."""
+error, 4 = internal error.  An input error is a file, option or expression
+that cannot be read, or a metric or factor that cannot be evaluated at the
+sample points (unbound symbol, domain error, singular metric, failed
+left-inverse policy); any other exception is an internal error, printed as
+`internal error: ...`.  Reports are deterministic for a fixed --seed: two
+runs produce byte-identical JSON."""
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
+import traceback
 
 import numpy as np
 
@@ -18,7 +24,7 @@ from . import __version__
 from .catalog import entry_names, get_entry
 from .config import Tolerances
 from .curvature import CurvaturePack, identity_suite
-from .evaluate import DomainError
+from .evaluate import DomainError, UnboundSymbolError
 from .expressions import ExprSyntaxError, parse
 from .genericity import PolicyError, weyl_operators
 from .geometry import SingularMetricError
@@ -42,8 +48,35 @@ from .obstructions import (
 from .tractor import parallel_tractor_check, rank_obstruction
 
 EXIT_YES, EXIT_NO, EXIT_INCONCLUSIVE, EXIT_INPUT = 0, 1, 2, 3
+EXIT_INTERNAL = 4
 
 _INVARIANT_NAMES = ("F1", "F2", "E", "G", "Gbar", "dim4", "cspace", "bach")
+_DIM4PLUS_NAMES = ("F1", "F2", "G", "Gbar")
+
+
+class InputError(Exception):
+    """A ValueError or KeyError raised while reading the input."""
+
+
+# errors that name a fault of the input wherever they are raised
+_INPUT_ERRORS = (InputError, MetricSpecError, ExprSyntaxError,
+                 FileNotFoundError, SingularMetricError, DomainError,
+                 PolicyError, UnboundSymbolError)
+
+
+def _reads_input(fn):
+    """`fn` with its ValueError and KeyError reported as InputError."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except (ValueError, KeyError) as exc:
+            raise InputError(str(exc)) from exc
+    return wrapper
+
+
+_parse = _reads_input(parse)
+_get_entry = _reads_input(get_entry)
 
 
 def _common_flags(p):
@@ -97,12 +130,14 @@ def build_parser():
     return ap
 
 
+@_reads_input
 def _tolerances(args):
     return Tolerances(tol_rel=args.tol_rel, tol_abs=args.tol_abs,
                       rank_tol=args.rank_tol, n_points=args.points,
                       seed=args.seed).validate()
 
 
+@_reads_input
 def _load(args):
     spec = load_mspec(args.file)
     with open(args.file, "rb") as fh:
@@ -217,6 +252,12 @@ def cmd_invariants(args):
     if bad:
         raise MetricSpecError(f"unknown invariant name(s): {', '.join(bad)}; "
                               f"expected {', '.join(_INVARIANT_NAMES)}")
+    bad = [w for w in which if w in _DIM4PLUS_NAMES] if g.dim < 4 else []
+    bad += ["dim4"] if "dim4" in which and g.dim != 4 else []
+    if bad:
+        raise MetricSpecError(f"invariant(s) {', '.join(bad)} not defined in "
+                              f"dimension {g.dim} (F1, F2, G and Gbar need "
+                              "n >= 4, dim4 needs n = 4)")
     pack = CurvaturePack(g)
     samples = pack.samples(points)
     bag = _JetBag(samples)
@@ -253,7 +294,7 @@ def cmd_invariants(args):
 
     ups = None
     if args.upsilon:
-        ups = parse(args.upsilon)
+        ups = _parse(args.upsilon)
     elif spec.conformal is not None:
         ups = spec.conformal
     if ups is not None:
@@ -311,7 +352,7 @@ def cmd_identities(args):
 def cmd_tractor(args):
     tol = _tolerances(args)
     spec, g, points, digest = _load(args)
-    sigma = parse(args.sigma)
+    sigma = _parse(args.sigma)
     rep = parallel_tractor_check(g, sigma, points, tolerances=tol)
     out = _report_skeleton(digest, tol)
     out["points"] = points
@@ -333,7 +374,7 @@ def cmd_catalog(args):
     if not args.name:
         print("catalog export needs a name", file=sys.stderr)
         return EXIT_INPUT
-    entry = get_entry(args.name)
+    entry = _get_entry(args.name)
     text = dumps_mspec(entry_to_mspec(entry, n_points=args.points,
                                       seed=args.seed))
     if args.out:
@@ -351,11 +392,13 @@ def main(argv=None):
                 "catalog": cmd_catalog}
     try:
         return handlers[args.command](args)
-    except (MetricSpecError, ExprSyntaxError, FileNotFoundError,
-            SingularMetricError, DomainError, PolicyError, ValueError,
-            KeyError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -21,10 +21,15 @@ only to the order its consumers need: g to 4, the inverse metric to 3,
 the Christoffel symbols, Ricci, J and P to 2, Riemann, Weyl and Cotton to
 1 and Bach to 0 (stage 'ricci' needs the 2-jet of g only).  After that all
 pointwise work downstream is plain numpy; `as_samples` turns a metric, a
-pack or samples into samples.
+pack or samples into samples.  Other jets at the same points come from the
+same machinery: `scalar_jet` compiles one tape of a scalar expression's
+partials (a conformal factor, an Einstein scale), `christoffel_jet` runs
+the pack's metric-jet tape of a lower order for g^-1 and the Christoffel
+symbols beyond their values.
 
 The pack's symbolic TensorFields remain for symbolic calculus (coframe
-components, tractors) and as the tests' oracle for the numeric ladder."""
+components, the symbolic tractor calculus of `tractor`) and as the tests'
+oracle for the numeric ladder; no command reads them."""
 
 from __future__ import annotations
 
@@ -45,7 +50,6 @@ from .geometry import (
     TensorField,
     conformal_rescale,
     covariant_derivative,
-    evaluate_components,
     partial_derivative,
     permutation_sign,
     sym_einsum,
@@ -60,6 +64,9 @@ __all__ = [
     "identity_residuals",
     "cotton_transform_check",
     "einstein_residual",
+    "trace_free_residual",
+    "scalar_jet",
+    "christoffel_jet",
     "numeric_cov",
     "antisym_axes",
 ]
@@ -247,8 +254,9 @@ class CurvaturePack:
         """Tape of the partials d^alpha g_ij, i <= j, |alpha| <= order
         (component-major, monomials in `taylor.monomials` order), compiled
         once per pack and order."""
+        i, j = np.triu_indices(self.n)
         return self._get(("metric-jet", order), lambda: compile_batch(
-            _metric_partials(self.g, order)))
+            _partials(self.g.comps[i, j], self.chart.coords, order)))
 
 
 # order of the metric jet each stage needs
@@ -257,19 +265,38 @@ _JET_ORDER = {"ricci": 2, "full": 4}
 _CHUNK = 32
 
 
-def _metric_partials(g, order):
-    """d^alpha g_ij for i <= j and |alpha| <= order, each partial taken
-    from its parent monomial's."""
-    n = g.dim
-    coords = g.chart.coords
-    parent, var = taylor.parents(n, order)
-    exprs = []
-    for i, j in zip(*np.triu_indices(n)):
-        der = [g.comps[i, j]]
+def _partials(exprs, coords, order):
+    """d^alpha e for each expression e and |alpha| <= order
+    (expression-major, monomials in `taylor.monomials` order), each partial
+    taken from its parent monomial's."""
+    parent, var = taylor.parents(len(coords), order)
+    out = []
+    for e in exprs:
+        der = [e]
         for m in range(1, len(parent)):
             der.append(diff(der[parent[m]], coords[var[m]]))
-        exprs.extend(der)
-    return exprs
+        out.extend(der)
+    return out
+
+
+def scalar_jet(s, f, order):
+    """Taylor jet (P, M) of order `order` of the scalar expression f at the
+    points of the samples s (see `taylor`): f[:, 0] holds the values and
+    f[:, 1:n + 1] the first partials."""
+    prog = compile_batch(_partials([f], s.pack.chart.coords, order))
+    return run_batch(prog, s.bindings) / taylor.factorials(s.n, order)
+
+
+def christoffel_jet(s, order):
+    """The inverse metric (P, M, n, n) and the Christoffel symbols
+    Gamma^c_bd (P, M, n, n, n) to `order` at the points of s, from the
+    metric jet of order `order` + 1."""
+    n = s.n
+    gj = _metric_jet(run_batch(s.pack.metric_jet_tape(order + 1), s.bindings),
+                     n, order + 1)
+    ginv = taylor.inverse(gj, n, order)
+    _, gamp = _christoffel(taylor.partials(gj, n, order), ginv, n, order)
+    return ginv, gamp[..., _pair_tables(n)["sym"]]
 
 
 class CurvatureSamples:
@@ -407,6 +434,18 @@ def _first_singular(mats):
     return 0
 
 
+def _christoffel(dg, ginv, n, k):
+    """Christoffel symbols of the first kind Gamma_e,bd, to the order of
+    the partials dg (d_x g_ab at [x, a, b]), and Gamma^c_bd to order k,
+    both packed over b <= d."""
+    i, j = _pair_tables(n)["pairs"]
+    dx = dg.swapaxes(-3, -2)                         # d_x g_ab at [a, x, b]
+    low = dx[..., i, j] + dx[..., j, i]
+    low -= dg[..., i, j]
+    low *= 0.5
+    return low, taylor.product("ce,es->cs", ginv, low, n, k)
+
+
 def _ladder(gj, n, full):
     """Ladder values at a chunk of points from the metric jet `gj`, of
     order 4 ('full') or 2.  Each quantity is kept to the order its
@@ -419,14 +458,8 @@ def _ladder(gj, n, full):
     sym = tab["sym"]
     dg = T.partials(gj, n, r + 1)                    # d_x g_ab
     ginv = T.inverse(gj, n, r + 1)
-    # Christoffel symbols of the first kind Gamma_e,bd (to the order of the
-    # Riemann tensor's partials), then Gamma^c_bd, packed over b <= d
-    d1 = dg[:, :T.size(n, max(r, q + 1))]
-    dx = d1.swapaxes(-3, -2)                         # d_x g_ab at [a, x, b]
-    low = dx[..., i, j] + dx[..., j, i]
-    low -= d1[..., i, j]
-    low *= 0.5
-    gamp = T.product("ce,es->cs", ginv, low, n, r)
+    # Gamma_e,bd to the order of the Riemann tensor's partials
+    low, gamp = _christoffel(dg[:, :T.size(n, max(r, q + 1))], ginv, n, r)
     gam = gamp[..., sym]
     # Ric_bd = d_c Gamma^c_bd - d_b t_d + t_e Gamma^e_bd
     #          - Gamma^c_be Gamma^e_cd,  t_d = Gamma^c_cd = g^ce d_d g_ce / 2,
@@ -631,12 +664,16 @@ def einstein_residual(pack, points):
     """Max-norm of the trace-free Schouten tensor at the points (zero iff
     Einstein), along with the residual scale."""
     s = pack.samples(points, stage="ricci")
-    P = s["P"]
-    g, gi = s["g"], s["ginv"]
-    n = pack.n
+    return trace_free_residual(s["P"], s["g"], s["ginv"])
+
+
+def trace_free_residual(P, g, gi):
+    """Max-norm of the trace-free part of the symmetric tensors P (P, n, n)
+    with respect to the metrics g (inverses gi), along with the scale
+    max(1, |P|)."""
+    npts, n = P.shape[:2]
     tf = P - np.einsum("pab,p->pab", g,
                        np.einsum("pab,pab->p", gi, P) / n)
-    npts = len(points)
     scale = np.maximum(1.0, np.max(np.abs(P.reshape(npts, -1)), axis=1))
     return float(np.max(_maxnorm(tf, npts))), float(np.max(scale))
 
@@ -654,12 +691,9 @@ def cotton_transform_check(g, upsilon, points, pack=None, hat_pack=None):
     sh = hat_pack.samples(points)
     P = len(points)
 
-    coords = g.chart.coords
-    grad = [diff(upsilon, c) for c in coords]
-    du = evaluate_components(np.asarray(grad, dtype=object), s.bindings)
-    hess = evaluate_components(np.asarray(
-        [[diff(da, c) for c in coords] for da in grad], dtype=object),
-        s.bindings)
+    uj = scalar_jet(s, upsilon, 2)
+    du = uj[:, 1:g.dim + 1]
+    hess = taylor.partials(taylor.partials(uj, g.dim, 1), g.dim, 0)[:, 0]
 
     gi = s["ginv"]
     uup = np.einsum("pab,pb->pa", gi, du)

@@ -13,7 +13,12 @@ slot is an axis of size n+2 ordered [Y-part, Z-parts (n), X-part].
 
 With this storage the projector triple is X^A = e_{n+1}, Y^A = e_0 (up),
 X_A = e_0, Y_A = e_{n+1} (down), Z with metric blocks, reproducing the
-standard inner-product table."""
+standard inner-product table.
+
+The TractorField/TractorTensor operations (connection, change of scale, D,
+`einstein_candidate`, `omega`) are symbolic.  The checks and verdicts at
+the end run on numeric samples of the metric jet: the *_values functions,
+`parallel_tractor_check` and `rank_obstruction`."""
 
 from __future__ import annotations
 
@@ -21,9 +26,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
+from . import linalg, taylor
 from .config import DEFAULT_TOLERANCES
-from .curvature import CurvaturePack, CurvatureSamples, as_samples
+from .curvature import (
+    CurvaturePack,
+    CurvatureSamples,
+    as_samples,
+    christoffel_jet,
+    scalar_jet,
+    trace_free_residual,
+)
+from .evaluate import DomainError
 from .expressions import ZERO, ONE, Expr, add, diff, func, mul, neg, rational
 from .genericity import classify_genericity, pair_basis
 from .geometry import (
@@ -55,6 +68,7 @@ __all__ = [
     "div_omega_closed",
     "w_tensor_values",
     "theta_values",
+    "einstein_tractor_values",
     "parallel_tractor_check",
     "annihilation_check",
     "rank_obstruction",
@@ -487,35 +501,58 @@ def w_tensor_values(s: CurvatureSamples, cov=None):
 # checks and verdicts
 
 
+def einstein_tractor_values(s: CurvatureSamples, sigma):
+    """I = (1/n) D sigma = (sigma, nabla^a sigma, -(Delta sigma + J sigma)/n)
+    in stored up order at the points of s, with nabla I (P, n, n+2) and the
+    Hessian nabla_a nabla_b sigma (P, n, n).
+
+    Numeric throughout: the 3-jet of sigma meets g^-1 and the Christoffel
+    symbols to order 1 (`christoffel_jet`) and J to order 1 in `taylor`
+    arithmetic, which gives I to order 1; nabla I = d I + Theta I."""
+    T = taylor
+    n = s.n
+    sj = scalar_jet(s, sigma, 3)
+    ginv, gam = christoffel_jet(s, 1)
+    ds = T.partials(sj, n, 2)                        # d_a sigma
+    hess = T.partials(ds, n, 1) - T.product("cbd,c->bd", gam, ds, n, 1)
+    jj = np.concatenate([s["J"][:, None], s["dJ"]], axis=1)
+    ij = np.empty((len(s.points), T.size(n, 1), n + 2))
+    ij[..., 0] = sj[:, :n + 1]
+    ij[..., 1:n + 1] = T.product("ab,b->a", ginv, ds, n, 1)
+    ij[..., n + 1] = -(T.product("ab,ab->", ginv, hess, n, 1)
+                       + T.product(",->", jj, sj, n, 1)) / n
+    ivals = ij[:, 0]
+    grad = T.partials(ij, n, 0)[:, 0] + np.einsum(
+        "pzIJ,pJ->pzI", theta_values(s), ivals)
+    return ivals, grad, hess[:, 0]
+
+
 def parallel_tractor_check(g, sigma, points, pack=None, tolerances=None):
-    """Is sigma an Einstein scale?  Builds I = (1/n) D sigma, reports
-    max |nabla I| at the points, h(I, I), and the trace-free Schouten
-    residual of the rescaled metric sigma^{-2} g as the converse datum."""
+    """Is sigma an Einstein scale?  Builds I = (1/n) D sigma on the numeric
+    metric jet (`einstein_tractor_values`), reports max |nabla I| at the
+    points, h(I, I), and as the converse datum the trace-free part of the
+    Schouten tensor of the rescaled metric sigma^{-2} g,
+    P + sigma^{-1} nabla nabla sigma - (1/2) sigma^{-2} |d sigma|^2 g."""
     tol = tolerances or DEFAULT_TOLERANCES
     pack = pack or CurvaturePack(g)
     n = g.dim
-    sig_vals = evaluate_components(sigma, [g.point_bindings(p) for p in points])
-    if np.any(np.abs(sig_vals) < 1e-12):
-        bad = points[int(np.argmin(np.abs(sig_vals)))]
-        raise ArithmeticError(f"sigma vanishes at the sample point {bad} "
-                              "(conformal singularity)")
-    cand = einstein_candidate(g, sigma, pack)
     s = pack.samples(points)
-    ivals = cand.values_at(points)              # (P, n+2)
-    divals = evaluate_components(
-        _partials_of(cand), [g.point_bindings(p) for p in points])
-    th = theta_values(s)
-    grad = divals + np.einsum("pzIJ,pJ->pzI", th, ivals)
+    ivals, grad, hess = einstein_tractor_values(s, sigma)
+    sig = ivals[:, 0]
+    if np.any(np.abs(sig) < 1e-12):
+        bad = points[int(np.argmin(np.abs(sig)))]
+        raise DomainError("sigma vanishes (conformal singularity)", bad)
     resid = np.max(np.abs(grad.reshape(len(points), -1)), axis=1)
     scale = np.maximum(1.0, np.max(np.abs(ivals), axis=1))
 
-    hii = 2 * ivals[:, 0] * ivals[:, n + 1] + np.einsum(
-        "pab,pa,pb->p", s["g"], ivals[:, 1:n + 1], ivals[:, 1:n + 1])
-    expected = -(2.0 / n) * sig_vals ** 2 * s["J"]
+    mid = ivals[:, 1:n + 1]                     # nabla^a sigma
+    dsq = np.einsum("pab,pa,pb->p", s["g"], mid, mid)
+    hii = 2 * sig * ivals[:, n + 1] + dsq
+    expected = -(2.0 / n) * sig ** 2 * s["J"]
 
-    ghat = conformal_rescale(g, neg(func("log", sigma)))
-    from .curvature import einstein_residual
-    tfp, tfp_scale = einstein_residual(CurvaturePack(ghat), points)
+    phat = (s["P"] + hess / sig[:, None, None]
+            - (0.5 * dsq / sig ** 2)[:, None, None] * s["g"])
+    tfp, tfp_scale = trace_free_residual(phat, s["g"], s["ginv"])
 
     ok = bool(np.all(resid < tol.tol_rel * scale + tol.tol_abs))
     return {
@@ -527,16 +564,6 @@ def parallel_tractor_check(g, sigma, points, pack=None, tolerances=None):
         "rescaled_trace_free_schouten": tfp,
         "rescaled_scale": tfp_scale,
     }
-
-
-def _partials_of(t: TractorTensor):
-    n = t.g.dim
-    coords = t.g.chart.coords
-    out = np.empty((n,) + t.comps.shape, dtype=object)
-    for idx in np.ndindex(*t.comps.shape):
-        for a in range(n):
-            out[(a,) + idx] = diff(t.comps[idx], coords[a])
-    return out
 
 
 def annihilation_check(pack_or_samples, tractor, points=None):
@@ -623,8 +650,7 @@ def rank_obstruction(source, points, tolerances=None, sigma=None,
         verdict = "not"
     alignment = None
     if sigma is not None and verdict == "conformally-einstein":
-        cand = einstein_candidate(s.pack.g, sigma, s.pack)
-        ivals = cand.values_at(s.points)
+        ivals = einstein_tractor_values(s, sigma)[0]
         cs = []
         for p, kernel in enumerate(kernels):
             if kernel.shape[1] == 0:
@@ -640,11 +666,8 @@ def rank_obstruction(source, points, tolerances=None, sigma=None,
 def change_scale_matrix_values(s: CurvatureSamples, upsilon):
     """Numeric (M_up, M_down) at the sample points for a symbolic factor."""
     n = s.n
-    coords = s.pack.chart.coords
-    vals = evaluate_components(np.asarray(
-        [upsilon] + [diff(upsilon, c) for c in coords], dtype=object),
-        s.bindings)
-    u, du = vals[:, 0], vals[:, 1:]        # (P,), (P, n)
+    uj = scalar_jet(s, upsilon, 1)
+    u, du = uj[:, 0], uj[:, 1:]            # (P,), (P, n)
     g, gi = s["g"], s["ginv"]
     duu = np.einsum("pab,pb->pa", gi, du)
     usq = np.einsum("pa,pa->p", du, duu)

@@ -196,6 +196,35 @@ class TestCli:
     def test_invariants_unknown_name_rejected(self, tmp_path, rt_file):
         assert main(["invariants", str(rt_file), "--which", "bogus"]) == 3
 
+    def test_invariants_outside_their_dimension_rejected(self, tmp_path,
+                                                         rt_file, capsys):
+        p = tmp_path / "cc3.mspec"
+        assert main(["catalog", "export", "constant-curvature3",
+                     "--out", str(p)]) == 0
+        for name in ("F1", "F2", "G", "Gbar", "dim4"):
+            assert main(["invariants", str(p), "--which", name]) == 3, name
+        assert main(["invariants", str(rt_file), "--which", "E,dim4"]) == 3
+        assert "not defined in dimension 5" in capsys.readouterr().err
+
+    def test_internal_fault_exit_four(self, tmp_path, schw_file, monkeypatch,
+                                      capsys):
+        # a ValueError inside the pipeline is no input error
+        def fault(self, points, stage="full"):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(curvature.CurvaturePack, "samples", fault)
+        assert main(["classify", str(schw_file)]) == 4
+        assert capsys.readouterr().err.startswith("internal error: ValueError")
+
+    def test_input_errors_outside_the_readers_exit_three(self, tmp_path,
+                                                         schw_file):
+        # typed errors name the input wherever they are raised
+        assert main(["tractor", str(schw_file), "--sigma", "1 + y"]) == 3
+        assert main(["tractor", str(schw_file), "--sigma", "x1 - x1"]) == 3
+        assert main(["tractor", str(schw_file), "--sigma", "1 +"]) == 3
+        assert main(["invariants", str(schw_file), "--upsilon", "log("]) == 3
+        assert main(["catalog", "export", "no-such-entry"]) == 3
+
     def test_invariants_covariance_section(self, tmp_path, rt_file):
         code, data = run_cli(tmp_path, "invariants", str(rt_file),
                              "--which", "G", "--upsilon", "log(r)")

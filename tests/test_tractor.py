@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 
+from confein import cli
 from confein import obstructions as OB
 from confein import tractor as TR
 from confein.config import Tolerances
-from confein.curvature import CurvaturePack
+from confein.curvature import CurvaturePack, einstein_residual
 from confein.expressions import ONE, ZERO, func, neg, parse
 from confein.geometry import (
     DOWN,
+    MetricField,
     TensorField,
     conformal_rescale,
     evaluate_components,
+    partial_derivative,
 )
+from confein.mspecfile import dumps_mspec, entry_to_mspec
 from conftest import entry, maxabs, pack, points, samples
 
 TOL = Tolerances()
@@ -79,7 +83,7 @@ class TestConnection:
         s = pack("rt4-quartic").samples(pts)
         tt = evaluate_components(t.to_tensor().comps, b)
         th = TR.theta_values(s)
-        want = evaluate_components(TR._partials_of(t.to_tensor()), b) + \
+        want = evaluate_components(partial_derivative(t.to_tensor()), b) + \
             np.einsum("pzIJ,pJ->pzI", th, tt)
         assert maxabs(vals - want) < 1e-9
 
@@ -365,6 +369,87 @@ class TestDOperatorAndParallel:
         with pytest.raises(ArithmeticError):
             TR.parallel_tractor_check(g, parse("x1 - x1"),
                                       points("flat4", 2), pack("flat4"))
+
+
+# non-constant scales with nonzero third partials, positive on the samples
+_SIGMAS = {
+    "schwarzschild4": "r + x1^2/10 - u*x2/5",
+    "rt5-quartic": "r^2/4 + x1*x3^2/3 + u/5",
+    "constant-curvature3": "1 + x1*x2/5 + x3^3/10",
+    "flat4": "2 + x1^2*x2/5 - x3*x4/7",
+}
+
+# the polynomial factor of the potential tests in test_obstructions
+_UPSILON = "(r/3)^6 + x1^3/5 - u*r/7"
+
+
+class TestNumericEinsteinScale:
+    @pytest.mark.parametrize("name", sorted(_SIGMAS))
+    def test_matches_symbolic_oracle(self, name):
+        g = entry(name).metric
+        n = g.dim
+        sigma = parse(_SIGMAS[name])
+        pts = points(name, 4)
+        b = binds(name, pts)
+        s = pack(name).samples(pts)
+        ivals, grad, _ = TR.einstein_tractor_values(s, sigma)
+        rep = TR.parallel_tractor_check(g, sigma, pts, pack(name))
+
+        cand = TR.einstein_candidate(g, sigma, pack(name))
+        want_i = evaluate_components(cand.comps, b)
+        want_grad = evaluate_components(TR.tractor_connection(cand).comps, b)
+        want_h = np.einsum("pI,pI->p", want_i, evaluate_components(
+            TR.lower_tractor_slot(cand, 0).comps, b))
+        ghat = conformal_rescale(g, neg(func("log", sigma)))
+        want_tf, want_scale = einstein_residual(CurvaturePack(ghat), pts)
+
+        def close(x, y):
+            return maxabs(x - y) <= 1e-10 * max(1.0, maxabs(y))
+
+        assert close(ivals, want_i)
+        assert close(grad, want_grad)
+        assert close(rep["h_ii"], want_h)
+        assert close(np.asarray(rep["rescaled_trace_free_schouten"]), want_tf)
+        assert close(np.asarray(rep["rescaled_scale"]), want_scale)
+        assert rep["parallel_residual"] == maxabs(grad)
+        # a non-constant factor of an Einstein metric is no Einstein scale
+        assert not rep["is_einstein_scale"]
+        assert ivals.shape == (4, n + 2) and grad.shape == (4, n, n + 2)
+
+    def test_rescaled_schwarzschild_scale(self):
+        # sigma = e^upsilon takes e^{2 upsilon} g back to the Einstein g
+        ups = parse(_UPSILON)
+        ghat = conformal_rescale(entry("schwarzschild4").metric, ups)
+        hpack = CurvaturePack(ghat)
+        pts = points("schwarzschild4", 5)
+        sigma = func("exp", ups)
+        rep = TR.parallel_tractor_check(ghat, sigma, pts, hpack)
+        assert rep["is_einstein_scale"]
+        assert rep["rescaled_trace_free_schouten"] < 1e-9 * rep["rescaled_scale"]
+        rank = TR.rank_obstruction(hpack, pts, sigma=sigma)
+        assert rank.verdict == "conformally-einstein"
+        assert rank.kernel_alignment > 1 - 1e-6
+
+    def test_no_symbolic_curvature_reached(self, monkeypatch, tmp_path):
+        # the tractor command and the aligned rank test run on the numeric
+        # metric jet alone
+        def boom(*args):
+            raise AssertionError("symbolic curvature reached")
+
+        monkeypatch.setattr(MetricField, "inverse_comps", boom)
+        monkeypatch.setattr(MetricField, "christoffel", boom)
+        for name in ("gamma", "riemann_mixed", "riemann", "ricci", "scalar",
+                     "schouten_trace", "schouten", "weyl", "cov_schouten",
+                     "cotton", "cov_cotton", "bach"):
+            monkeypatch.setattr(CurvaturePack, name, property(boom))
+        path = tmp_path / "schwarzschild4.mspec"
+        path.write_text(dumps_mspec(entry_to_mspec(entry("schwarzschild4"))))
+        assert cli.main(["tractor", str(path), "--sigma", "1 + x1/10",
+                         "--json", str(tmp_path / "out.json")]) == 1
+        fresh = CurvaturePack(entry("schwarzschild4").metric)
+        rep = TR.rank_obstruction(fresh, points("schwarzschild4", 5),
+                                  sigma=ONE)
+        assert rep.kernel_alignment > 1 - 1e-6
 
 
 class TestAnnihilation:
