@@ -56,7 +56,8 @@ class CatalogEntry:
 
     def points(self, n=10, seed=0):
         return sample_points(self.metric.chart, params=self.metric.params,
-                             n=n, seed=seed, box=self.metric.sample_box)
+                             n=n, seed=seed, box=self.metric.sample_box,
+                             metric=self.metric.comps)
 
     def expect(self, key):
         return self.expected[key][0]

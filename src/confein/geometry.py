@@ -14,7 +14,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .evaluate import compile_batch, run_batch
+from .evaluate import DomainError, compile_batch, run_batch
 from .expressions import (
     ZERO,
     ONE,
@@ -324,9 +324,7 @@ class MetricField:
         points = list(points)
         m = evaluate_components(self.comps,
                                 [self.point_bindings(pt) for pt in points])
-        ev = np.abs(np.linalg.eigvalsh(0.5 * (m + np.swapaxes(m, 1, 2))))
-        bad = np.nonzero(np.min(ev, axis=1)
-                         <= tol * np.maximum(1.0, np.max(ev, axis=1)))[0]
+        bad = np.nonzero(_degenerate(m, tol))[0]
         if bad.size:
             raise SingularMetricError(
                 f"metric is degenerate at {points[bad[0]]}")
@@ -642,21 +640,29 @@ def _map_simplify(comps):
 # sampling and evaluation
 
 
-def sample_points(chart, params=None, n=10, seed=0, box=None, locus_tol=1e-9):
+def sample_points(chart, params=None, n=10, seed=0, box=None, locus_tol=1e-9,
+                  metric=None):
     """Draw sample points uniformly from the box (default [0.5, 1.5] per
     coordinate), rejecting any within locus_tol of a declared singular
-    locus."""
+    locus and, given the metric components `metric`, any where a component
+    is undefined or the metric is degenerate (the `assert_nondegenerate`
+    criterion).  A rejected point is redrawn; the points kept are the first
+    n good ones in the order drawn."""
     rng = np.random.default_rng(seed)
     params = dict(params or {})
     loci = list(chart.singular_loci)
     prog = compile_batch(loci) if loci else None
+    gprog = (compile_batch(list(np.asarray(metric, dtype=object).reshape(-1)))
+             if metric is not None else None)
     pts = []
+    checked = 0  # pts[:checked] passed the metric check
     attempts = 0
     while len(pts) < n:
         attempts += 1
         if attempts > 1000 * n:
-            raise RuntimeError("sampling keeps hitting singular loci; "
-                               "tighten the sample box")
+            raise RuntimeError("sampling keeps hitting singular loci or "
+                               "points where the metric is undefined or "
+                               "degenerate; tighten the sample box")
         pt = {}
         for c in chart.coords:
             lo, hi = (box or {}).get(c, (0.5, 1.5))
@@ -667,7 +673,39 @@ def sample_points(chart, params=None, n=10, seed=0, box=None, locus_tol=1e-9):
             if np.any(np.abs(vals) <= locus_tol):
                 continue
         pts.append(pt)
+        if len(pts) == n and gprog is not None:
+            fresh = pts[checked:]
+            ok = _regular(gprog, [{**params, **p} for p in fresh],
+                          len(chart.coords))
+            pts[checked:] = [p for p, keep in zip(fresh, ok) if keep]
+            checked = len(pts)
     return pts
+
+
+def _regular(prog, bindings, dim):
+    """Per binding: are the metric components of `prog` all defined and
+    finite there, and the metric nondegenerate?"""
+    try:
+        m = run_batch(prog, bindings)
+    except DomainError:
+        # undefined somewhere: find where, one point at a time
+        m = np.full((len(bindings), len(prog.outputs)), np.nan)
+        for i, b in enumerate(bindings):
+            try:
+                m[i] = run_batch(prog, [b])[0]
+            except DomainError:
+                pass
+    m = m.reshape(-1, dim, dim)
+    ok = np.all(np.isfinite(m), axis=(1, 2))
+    ok[ok] = ~_degenerate(m[ok])
+    return ok
+
+
+def _degenerate(m, tol=1e-10):
+    """Per matrix of the stack m: is its symmetric part degenerate, its
+    smallest |eigenvalue| <= tol * max(1, largest |eigenvalue|)?"""
+    ev = np.abs(np.linalg.eigvalsh(0.5 * (m + np.swapaxes(m, 1, 2))))
+    return np.min(ev, axis=1) <= tol * np.maximum(1.0, np.max(ev, axis=1))
 
 
 def evaluate_components(comps, points):

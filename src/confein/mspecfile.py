@@ -63,9 +63,10 @@ class MetricSpec:
         if self.points:
             return [dict(p) for p in self.points]
         from .geometry import sample_points
-        return sample_points(Chart(self.coords, self.singular),
-                             params=self.params, n=n, seed=seed,
-                             box=self.boxes or None, locus_tol=locus_tol)
+        g = self.metric()
+        return sample_points(g.chart, params=self.params, n=n, seed=seed,
+                             box=self.boxes or None, locus_tol=locus_tol,
+                             metric=g.comps)
 
 
 def loads_mspec(text) -> MetricSpec:

@@ -2,12 +2,123 @@ import numpy as np
 import pytest
 
 from confein import genericity as GN
+from confein import linalg
 from confein import obstructions as OB
 from confein.config import Tolerances
 from confein.expressions import parse
 from conftest import entry, maxabs, pack, points, samples
 
 TOL = Tolerances()
+
+
+# The per-point builds the stacked systems replaced, kept as oracles: the
+# entry-by-entry loop of the symmetric system, and the dual system on all
+# n^(n-2) rows of the volume-form dual Cstar.
+
+def _point_symmetric_system_loop(t, g):
+    n = g.shape[0]
+    cols = [(b, d) for b in range(n) for d in range(b, n)]
+    rows = [[t[(b,) + rest + (d,)]
+             + (t[(d,) + rest + (b,)] if b != d else 0.0)
+             for b, d in cols] for rest in np.ndindex(*t.shape[1:-1])]
+    rows.append([(2.0 if b != d else 1.0) * g[b, d] for b, d in cols])
+    return np.array(rows)
+
+
+def _point_symmetric_system(t, g):
+    n = g.shape[0]
+    b, d = np.triu_indices(n)
+    off = b != d
+    tt = np.moveaxis(t, -1, 1).reshape(n, n, -1)   # tt[b, d, r]
+    cols = tt[b, d]
+    cols[off] += tt[d[off], b[off]]
+    return np.vstack([cols.T, np.where(off, 2.0, 1.0) * g[b, d]])
+
+
+def _cstar(C, eps, gi, n):
+    """Cstar_{b1..b_{n-2} c d} = eps_{b1..b_{n-2}}^{a1 a2} C_{a1 a2 c d}."""
+    cup = np.einsum("abcd,ae,bf->efcd", C, gi, gi)
+    eps_flat = eps.reshape((n,) * (n - 2) + (n * n,))
+    cup_flat = cup.reshape((n * n, n, n))
+    return np.tensordot(eps_flat, cup_flat, axes=([-1], [0]))
+
+
+def _full_dual_systems(C, gi, g, root):
+    n = g.shape[-1]
+    levi = GN._levi_civita(n)
+    return np.stack([_point_symmetric_system(
+        _cstar(C[p], levi * root[p], gi[p], n), g[p]) for p in range(len(C))])
+
+
+def _oracle_dual_dims(C, gi, g, root, scale):
+    full = _full_dual_systems(C, gi, g, root)
+    return [full.shape[2] - int(linalg.rank(m, TOL.rank_tol, f)[0])
+            for m, f in zip(full, scale)]
+
+
+def _dual_dims(C, gi, g, root, scale):
+    n = g.shape[-1]
+    return GN._kernel_dims(
+        lambda sl: GN._dual_system(C[sl], gi[sl], g[sl], root[sl]),
+        len(GN._dual_epsilon(n)) + 1, n, TOL.rank_tol, scale)
+
+
+def _kept_rows(n):
+    """Indices of the rows (b2 < ... < b_{n-2}, c) and the trace row in the
+    full dual system."""
+    keep = [i for i, r in enumerate(np.ndindex(*(n,) * (n - 2)))
+            if all(x < y for x, y in zip(r[:-2], r[1:-1]))]
+    return keep + [n ** (n - 2)]
+
+
+def _assert_dropped_rows_repeat(full, keep):
+    """Every row of the full systems outside `keep` is exactly zero or
+    exactly plus or minus a kept row."""
+    for system in full:
+        kept = system[keep]
+        for i in sorted(set(range(len(system))) - set(keep)):
+            row = system[i]
+            assert not row.any() or any(
+                np.array_equal(row, k) or np.array_equal(row, -k)
+                for k in kept)
+
+
+def _batch(s):
+    g = s["g"]
+    return s["C"], s["ginv"], g, np.sqrt(np.abs(np.linalg.det(g)))
+
+
+def _kn(h, k):
+    """Kulkarni-Nomizu product of two stacks of symmetric matrices."""
+    e = np.einsum
+    return (e("pac,pbd->pabcd", h, k) + e("pbd,pac->pabcd", h, k)
+            - e("pad,pbc->pabcd", h, k) - e("pbc,pad->pabcd", h, k))
+
+
+def _weyl_stack(n, seed):
+    """Random Weyl tensors for random Riemannian metrics, at four points:
+    from a sum of Kulkarni-Nomizu squares (generic), from one and from two
+    decomposable terms (w x w for a simple 2-form w, low rank), and one
+    scaled to 1e-20 (below the floor).  Returns (C, gi, g, root, scale)."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(4, n, n))
+    g = np.einsum("pab,pcb->pac", a, a) + n * np.eye(n)
+    gi = np.linalg.inv(g)
+    sym = rng.normal(size=(4, 4, n, n))
+    sym = sym + np.swapaxes(sym, -1, -2)
+    R = sum(_kn(sym[:, i], sym[:, i]) for i in range(4))
+    u, v = rng.normal(size=(2, 2, n))
+    w = np.einsum("ia,ib->iab", u, v) - np.einsum("ia,ib->iab", v, u)
+    simple = np.einsum("iab,icd->iabcd", w, w)
+    R[1], R[2] = simple[0], simple[0] + simple[1]
+    ric = np.einsum("pac,pabcd->pbd", gi, R)
+    scal = np.einsum("pbd,pbd->p", gi, ric)
+    P = (ric - scal[:, None, None] * g / (2 * (n - 1))) / (n - 2)
+    C = R - _kn(P, g)
+    C[3] *= 1e-20 / np.max(np.abs(C[3]))
+    assert maxabs(np.einsum("pac,pabcd->pbd", gi, C)) < 1e-9 * maxabs(C)
+    scale = np.maximum(1.0, np.max(np.abs(C.reshape(4, -1)), axis=1))
+    return C, gi, g, np.sqrt(np.linalg.det(g)), scale
 
 
 class TestWeylOperator:
@@ -225,17 +336,15 @@ class TestPairLayer:
         assert np.array_equal(GN._pair_matrix(batch)[1], 2 * want)
         assert np.array_equal(GN._pair_tensor(GN._pair_matrix(batch)), batch)
 
-    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("n", [3, 4, 5])
     def test_symmetric_systems_match_loops(self, n):
         rng = np.random.default_rng(n)
-        t = rng.normal(size=(n,) * n)
-        g = rng.normal(size=(n, n))
-        cols = [(b, d) for b in range(n) for d in range(b, n)]
-        rows = [[t[(b,) + rest + (d,)]
-                 + (t[(d,) + rest + (b,)] if b != d else 0.0)
-                 for b, d in cols] for rest in np.ndindex(*t.shape[1:-1])]
-        rows.append([(2.0 if b != d else 1.0) * g[b, d] for b, d in cols])
-        assert np.array_equal(GN._symmetric_system(t, g), np.array(rows))
+        ts = rng.normal(size=(3,) + (n,) * n)
+        gs = rng.normal(size=(3, n, n))
+        systems = GN._symmetric_system(ts, gs)
+        assert systems.shape == (3, n ** (n - 2) + 1, n * (n + 1) // 2)
+        for t, g, system in zip(ts, gs, systems):
+            assert np.array_equal(system, _point_symmetric_system_loop(t, g))
 
     def test_weyl_operator_built_once_per_batch(self, monkeypatch):
         from confein import linalg
@@ -252,3 +361,52 @@ class TestPairLayer:
         OB.f2(s)
         GN.weyl_operator_at(s, 1)
         assert len(calls) == 1  # one stacked call for the whole batch
+
+
+class TestDualSystem:
+    """The dual system on its independent rows against the full per-point
+    build it replaced."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("name", ["rt5-quartic", "schwarzschild5",
+                                      "schwarzschild-de-sitter5",
+                                      "rt6-quartic"])
+    def test_catalog_dual_dims_match_full_system(self, name, seed):
+        s = samples(name, 10, seed)
+        rep = GN.classify_genericity(s)
+        want = _oracle_dual_dims(*_batch(s), s.scale())
+        assert [pg.dual_kernel_dim for pg in rep.per_point] == want
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_random_weyl_dual_dims_match_full_system(self, n):
+        stack = _weyl_stack(n, n)
+        want = _oracle_dual_dims(*stack)
+        assert _dual_dims(*stack) == want
+        # trivial, the catalog's kernel, a smaller one, and all but the
+        # trace row through the floor
+        assert want == {5: [0, 8, 2, 14], 6: [0, 12, 4, 20]}[n]
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_dropped_rows_are_zero_or_signed_copies(self, n):
+        # any C will do: the rows repeat because eps is antisymmetric
+        rng = np.random.default_rng(n)
+        C = rng.normal(size=(3,) + (n,) * 4)
+        a = rng.normal(size=(3, n, n))
+        g = np.einsum("pab,pcb->pac", a, a) + n * np.eye(n)
+        gi = np.linalg.inv(g)
+        root = np.sqrt(np.linalg.det(g))
+        full = _full_dual_systems(C, gi, g, root)
+        keep = _kept_rows(n)
+        assert len(keep) == len(GN._dual_epsilon(n)) + 1
+        if n <= 4:
+            assert keep == list(range(n ** (n - 2) + 1))
+        reduced = GN._dual_system(C, gi, g, root)
+        for sys_full, sys_red in zip(full, reduced):
+            kept = sys_full[keep]
+            assert maxabs(sys_red - kept) <= 1e-13 * maxabs(kept)
+        _assert_dropped_rows_repeat(full, keep)
+
+    def test_catalog_dropped_rows_are_zero_or_signed_copies(self):
+        C, gi, g, root = _batch(samples("rt6-quartic", 10))
+        full = _full_dual_systems(C, gi, g, root)
+        _assert_dropped_rows_repeat(full, _kept_rows(6))

@@ -319,6 +319,36 @@ class TestSampling:
             for v in p.values():
                 assert 0.5 <= v <= 1.5
 
+    @staticmethod
+    def _diag(g00):
+        comps = np.full((3, 3), ZERO, dtype=object)
+        comps[0, 0], comps[1, 1], comps[2, 2] = parse(g00), ONE, ONE
+        return comps
+
+    def test_redraws_points_where_the_metric_is_undefined(self):
+        # the good points, in the order drawn, from the same stream
+        ch = G.Chart(("x", "y", "z"))
+        box = {"x": (-1.0, 3.0)}
+        pts = G.sample_points(ch, n=8, seed=0, box=box,
+                              metric=self._diag("2 + log(x)"))
+        drawn = G.sample_points(ch, n=40, seed=0, box=box)
+        assert any(p["x"] <= 0 for p in drawn[:8])
+        assert pts == [p for p in drawn if p["x"] > 0][:8]
+
+    def test_redraws_degenerate_points(self):
+        ch = G.Chart(("x", "y", "z"))
+        box = {"x": (-1.0, 1.0)}
+        # diag(x, 1, 1) is nondegenerate at every draw here: nothing redrawn
+        assert (G.sample_points(ch, n=8, seed=1, box=box,
+                                metric=self._diag("x"))
+                == G.sample_points(ch, n=8, seed=1, box=box))
+        # degenerate everywhere: the attempt bound still ends the search
+        comps = self._diag("1")
+        comps[0, 1] = comps[1, 0] = parse("x")
+        comps[1, 1] = parse("x^2")
+        with pytest.raises(RuntimeError, match="degenerate"):
+            G.sample_points(ch, n=2, seed=0, metric=comps)
+
 
 class TestSignature:
     def _metric(self):

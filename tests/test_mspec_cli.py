@@ -31,6 +31,16 @@ box x1 = -0.5, 0.5
 box x2 = -0.5, 0.5
 """
 
+# g[0][0] is undefined for x <= 0, a quarter of the box
+LOG_X = """\
+dim = 3
+coords = x, y, z
+g[0][0] = 2 + log(x)
+g[1][1] = 1
+g[2][2] = 1
+box x = -1.0, 3.0
+"""
+
 
 class TestFormat:
     def test_round_trip(self):
@@ -76,6 +86,10 @@ class TestFormat:
         spec = loads_mspec(text)
         pts = spec.sample(n=10, seed=5)
         assert pts == [{"u": 0.3, "r": 2.0, "x1": 0.1, "x2": -0.2}]
+
+    def test_pinned_points_are_never_redrawn(self):
+        spec = loads_mspec(LOG_X + "point = -0.5, 0.0, 0.0\n")
+        assert spec.sample(n=10, seed=0) == [{"x": -0.5, "y": 0.0, "z": 0.0}]
 
     def test_catalog_export_round_trip(self):
         spec = entry_to_mspec(get_entry("schwarzschild4"), n_points=4, seed=2)
@@ -173,6 +187,15 @@ class TestCli:
         assert main(["classify", str(schw_file), "--seed", "7",
                      "--json", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_classify_redraws_points_where_the_metric_is_undefined(
+            self, tmp_path):
+        p = tmp_path / "logx.mspec"
+        p.write_text(LOG_X)
+        code, data = run_cli(tmp_path, "classify", str(p))
+        assert code in (0, 1, 2)
+        assert len(data["points"]) == 10
+        assert all(pt["x"] > 0 for pt in data["points"])
 
     def test_input_error_exit_three(self, tmp_path):
         p = tmp_path / "bad.mspec"
