@@ -38,7 +38,6 @@ from .obstructions import (
     cspace_residual,
     dim4_invariant,
     e_tensor,
-    dual_candidate_jet,
     f1,
     f2,
     g_tensor,
@@ -276,7 +275,7 @@ def cmd_invariants(args):
         elif name == "bach":
             r = bach_residual(samples, k)
         elif name == "E":
-            r = e_tensor(samples, dual_candidate_jet(bag, policy, tol), bag)
+            r = e_tensor(samples, k)
         elif name == "F1":
             r = f1(samples)
         elif name == "F2":

@@ -23,14 +23,19 @@ neither the rank cut nor the kernel dimension moves.
 Ranked-pair convention: a 4-index array t antisymmetric in both pairs is
 packed over the pairs a < b (in `pair_basis` order) as the matrix
 M[(ab),(cd)] = 2 * t[a,b,c,d]; `_pair_matrix` and `_pair_tensor` convert
-between the two over any leading axes.
+between the two over any leading axes, and `_pair_rows` extends the row
+pairs alone.
 
 The adjugate of the 2-form operator packages as the tensor Ct_ef^ab with
 Ct_ef^ab C_ab^cd = ||C|| delta^[c_[e delta^d]_f], and the operator
 L^a_b = C^acde C_bcde with its adjugate gives the canonical inverses of the
 Weyl tensor used by the obstruction invariants.  Both operators are built
-once per sample batch (`weyl_operators`, `l_operators`); the left inverses
-themselves are `obstructions.dual_candidate`."""
+once per sample batch (`weyl_operators`, `l_operators`).  The obstructions
+never form those left inverses on the verdict path: `obstructions.k_field`
+contracts the Weyl tensor with the Cotton tensor first, applies the
+operator's adjugate to the result and differentiates only the one-form K.
+The full left inverses (`obstructions.dual_candidate`) stay as the test
+oracle of K."""
 
 from __future__ import annotations
 
@@ -81,9 +86,25 @@ def _pair_matrix(t):
     return 2.0 * t[..., a[:, None], b[:, None], a, b]
 
 
+def _pair_dim(count):
+    """n with n(n-1)/2 = count ranked pairs."""
+    return int(round((1 + math.sqrt(1 + 8 * count)) / 2))
+
+
+def _pair_rows(m):
+    """The antisymmetric extension of the row pairs of (..., N, K): the
+    array (..., n, n, K) with [a, b] = m[(ab)] = -[b, a], zero for a = b."""
+    n = _pair_dim(m.shape[-2])
+    a, b = pair_basis(n)
+    t = np.zeros(m.shape[:-2] + (n, n) + m.shape[-1:])
+    t[..., a, b, :] = m
+    t[..., b, a, :] = -m
+    return t
+
+
 def _pair_tensor(m):
     """Inverse of _pair_matrix: the antisymmetric extension, with the 1/2."""
-    n = int(round((1 + math.sqrt(1 + 8 * m.shape[-1])) / 2))
+    n = _pair_dim(m.shape[-1])
     a, b = pair_basis(n)
     a, b, c, d = a[:, None], b[:, None], a, b
     v = 0.5 * m

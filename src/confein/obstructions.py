@@ -1,11 +1,21 @@
 """Sharp obstruction invariants and the conformally-Einstein decision
 pipeline at the tensor level.
 
-Everything here is pointwise numerics on sampled curvature.  Quantities
-built from adjugates and determinants of the Weyl operators carry exact
-first derivatives through a small forward-mode jet algebra (value plus
-coordinate partials), so covariant derivatives of e.g. K_b = Dt_bcde A^cde
-need no finite differencing and no symbolic adjugates.
+Everything here is pointwise numerics on sampled curvature.  First
+derivatives are exact: they are carried through a small forward-mode jet
+algebra (value plus coordinate partials), with no finite differencing and
+no symbolic adjugates.
+
+The verdict needs only the one-form K_a = Dt_a^bcd A_bcd and its first
+partials, never the left inverse Dt of the Weyl tensor itself, so K is
+contracted before it is differentiated (`k_field`).  For 'from-L',
+Dt^a_bcd A^bcd = -Lt^a_b w^b / ||L|| with w_b = C_bcde A^cde: the jets are
+A with its slots raised, w, and the n x n matrix L^a_b = C^acde C_bcde,
+whose partials come from dC contracted with copies of C raised in place.
+'from-C' contracts the adjugate of the 2-form operator with A^a_bc, and
+'dim4-C3' contracts A into C^de_fg before the second C; both work on the
+ranked-pair matrix of C_ab^cd.  The full Dt jet (`dual_candidate_jet`)
+stays as the test oracle of K, off the verdict path.
 
 Invariants:
 
@@ -31,9 +41,11 @@ from .genericity import (
     PolicyError,
     classify_genericity,
     l_operators,
+    pair_basis,
     weyl_operators,
     weyl_vanishes,
     _pair_matrix,
+    _pair_rows,
     _pair_tensor,
 )
 from .geometry import DOWN, TensorField, evaluate_components, partial_derivative
@@ -91,11 +103,6 @@ class Jet:
         self.val = np.asarray(val, dtype=float)
         self.d = np.asarray(d, dtype=float)
 
-    @classmethod
-    def constant(cls, val, n):
-        val = np.asarray(val, dtype=float)
-        return cls(val, np.zeros(val.shape[:1] + (n,) + val.shape[1:]))
-
     def __add__(self, other):
         return Jet(self.val + other.val, self.d + other.d)
 
@@ -107,6 +114,10 @@ class Jet:
 
     def scaled(self, c):
         return Jet(c * self.val, c * self.d)
+
+    def map(self, f):
+        """Apply a linear map of the value axes to value and partials."""
+        return Jet(f(self.val), f(self.d))
 
 
 def jet_einsum(spec, *ops):
@@ -148,14 +159,13 @@ def jet_inverse_matrix(m: Jet) -> Jet:
     """Inverse of a batch of matrices (P, k, k) with derivative; the
     matrices must be invertible (callers gate on the policy checks)."""
     inv = np.linalg.inv(m.val)
-    d = -np.einsum("pab,pzbc,pcd->pzad", inv, m.d, inv)
-    return Jet(inv, d)
+    return Jet(inv, -(inv[:, None] @ m.d @ inv[:, None]))
 
 
-def jet_det(m: Jet, adj) -> Jet:
-    """Determinant with derivative d(det) = tr(adj . dM), given the
-    adjugate of m.val (defined for singular matrices too)."""
-    return Jet(np.linalg.det(m.val), np.einsum("pab,pzba->pz", adj, m.d))
+def jet_det(m: Jet, dets, adj) -> Jet:
+    """Determinant jet from the determinants and adjugates of m.val
+    (defined for singular matrices too): d(det) = tr(adj . dM)."""
+    return Jet(dets, np.einsum("pab,pzba->pz", adj, m.d))
 
 
 def jet_adjugate(m: Jet, det: Jet) -> Jet:
@@ -182,9 +192,8 @@ class _JetBag:
     @property
     def ginv(self):
         def build():
-            gi = self.s["ginv"]
-            d = -np.einsum("pab,pzbc,pcd->pzad", gi, self.s["dg"], gi)
-            return Jet(gi, d)
+            gi = self.s["ginv"][:, None]
+            return Jet(self.s["ginv"], -(gi @ self.s["dg"] @ gi))
         return self._get("ginv", build)
 
     @property
@@ -195,58 +204,143 @@ class _JetBag:
     def A(self):
         return self._get("A", lambda: Jet(self.s["A"], self.s["dA"]))
 
-    @property
-    def P(self):
-        return self._get("P", lambda: Jet(self.s["P"], self.s["dP"]))
-
-    def _raise_all(self, t: Jet, k: int) -> Jet:
-        gi = self.ginv
-        out = t
-        for s in range(k):
-            letters = "abcdefgh"[:k]
-            src = letters[:s] + "x" + letters[s + 1:]
-            spec = f"px{letters[s]},p{src}->p{letters}"
-            out = jet_einsum(spec, gi, out)
-        return out
-
-    @property
-    def C_allup(self):
-        return self._get("C_allup", lambda: self._raise_all(self.C, 4))
+    def raised(self, t: Jet, slots) -> Jet:
+        """t with the given tensor slots raised by the inverse metric, one
+        stacked matrix product per slot."""
+        gi, npts, n = self.ginv, len(self.s.points), self.n
+        for s in slots:
+            v = np.moveaxis(t.val, s + 1, -1)
+            d = np.moveaxis(t.d, s + 2, -1)
+            val = v.reshape(npts, -1, n) @ gi.val
+            dd = (d.reshape(npts, n, -1, n) @ gi.val[:, None]
+                  + v.reshape(npts, 1, -1, n) @ gi.d)
+            t = Jet(np.moveaxis(val.reshape(v.shape), -1, s + 1),
+                    np.moveaxis(dd.reshape(d.shape), -1, s + 2))
+        return t
 
     @property
-    def L(self):
-        """L^a_b = C^acde C_bcde with derivative."""
-        return self._get("L", lambda: jet_einsum(
-            "pacde,pbcde->pab", self.C_allup, self.C))
+    def w(self):
+        """w_b = C_bcde A^cde."""
+        return self._get("w", lambda: jet_einsum(
+            "pbcde,pcde->pb", self.C, self.raised(self.A, (0, 1, 2))))
 
     @property
-    def weyl_operator_matrix(self):
-        """Ranked-pair matrix of C_ab^cd as a jet."""
-        return self._get("wop", lambda: Jet(
-            weyl_operators(self.s)[0],
-            _pair_matrix(self._raise_all_last2(self.C).d)))
-
-    def policy_operator(self, policy, tol):
-        """(M, ||M||, adj M) as jets for policy 'from-L' (M = L^a_b) or
-        'from-C' (the 2-form operator), once the policy's preconditions
-        hold: a numerically nonzero Weyl tensor and an invertible M."""
+    def l_operator(self):
+        """L^a_b = C^acde C_bcde as a jet: the value of `l_operators`, and
+        the partials of L_ab = C_acde C_bc'd'e' g^cc' g^dd' g^ee' from dC and
+        copies of C raised in place, then the first index raised."""
         def build():
-            _require_nonzero_weyl(self.s, tol, policy)
-            if policy == "from-L":
-                m, ops, name = self.L, l_operators(self.s), "||L||"
-            else:
-                m, ops, name = (self.weyl_operator_matrix,
-                                weyl_operators(self.s), "||C||")
-            det = jet_det(m, ops[2])
-            _check_policy_matrix(m.val, det.val, tol, policy, name,
-                                 self.s.points)
-            return m, det, jet_adjugate(m, det)
-        return self._get(("op", policy, tol.rank_tol), build)
+            s, n = self.s, self.n
+            npts = len(s.points)
+            C, gi, dgi = s["C"], self.ginv.val, self.ginv.d
+            cup3 = s.raised("C", (0, 1, 1, 1)).reshape(npts, n, -1)
+            low = C.reshape(npts, n, -1) @ np.swapaxes(cup3, 1, 2)
+            # T_zab = d_z C_acde C_b^cde, once per slot of L
+            t = (s["dC"].reshape(npts, n * n, -1)
+                 @ np.swapaxes(cup3, 1, 2)).reshape(npts, n, n, n)
+            # the dg^-1 terms X_(cf)(ab) dg^cf: slot c with C_ac^de C_bfde,
+            # slots d and e with C_a^c_d^e C_bcfe (equal by the pair
+            # antisymmetry)
+            def slot_terms(x, y):
+                """sum_de x_acde y_bfde as a matrix over (cf) x (ab)."""
+                xy = x.reshape(npts, n * n, -1) @ np.swapaxes(
+                    y.reshape(npts, n * n, -1), 1, 2)
+                return xy.reshape((npts,) + (n,) * 4).transpose(
+                    0, 2, 4, 1, 3).reshape(npts, n * n, n * n)
+            x = (slot_terms(s.raised("C", (0, 0, 1, 1)), C)
+                 + 2.0 * slot_terms(
+                     s.raised("C", (0, 1, 0, 1)).transpose(0, 1, 3, 2, 4),
+                     C.transpose(0, 1, 3, 2, 4)))
+            dlow = t + np.swapaxes(t, 2, 3) + (
+                dgi.reshape(npts, n, n * n) @ x).reshape(npts, n, n, n)
+            d = dgi @ low[:, None] + gi[:, None] @ dlow
+            return Jet(l_operators(s)[0], d)
+        return self._get("L-operator", build)
 
-    def _raise_all_last2(self, t: Jet) -> Jet:
-        gi = self.ginv
-        out = jet_einsum("pxc,pabxd->pabcd", gi, t)
-        return jet_einsum("pxd,pabcx->pabcd", gi, out)
+    @property
+    def weyl_operator(self):
+        """Ranked-pair matrix of C_ab^cd as a jet: the value of
+        `weyl_operators`, the partials raised from dC on the ranked first
+        pairs only."""
+        def build():
+            a, b = pair_basis(self.n)
+            cr = Jet(self.s["C"][:, a, b], self.s["dC"][:, :, a, b])
+            d = self.raised(cr, (1, 2)).d[..., a, b]
+            return Jet(weyl_operators(self.s)[0], 2.0 * d)
+        return self._get("weyl-operator", build)
+
+    def contracted(self, policy, tol):
+        """(determinant jet, vector jet) of 'from-L' or 'from-C', once the
+        policy's preconditions hold (`_gate`): 'from-L' gives ||L|| and
+        u^a = Lt^a_b w^b, so K^a = -u^a / ||L||; 'from-C' gives ||C|| and
+        v_b = Ct_bcde A^cde, so K_b = 2 v_b / ((1 - n) ||C||)."""
+        def build():
+            _gate(self.s, policy, tol)
+            if policy == "from-L":
+                lop = self.l_operator
+                det = jet_det(lop, *l_operators(self.s)[1:])
+                adj = jet_adjugate(lop, det)
+                # w^b takes its value as C^bcde A_cde from the raised C of
+                # `l_operators`: raising A instead rounds differently where
+                # g^-1 is large.  Its partials come from the w_b jet.
+                wup = Jet(np.einsum("pbcde,pcde->pb",
+                                    self.s.raised("C", (1, 1, 1, 1)),
+                                    self.s["A"]),
+                          self.raised(self.w, (0,)).d)
+                return det, jet_einsum("pab,pb->pa", adj, wup)
+            a, b = pair_basis(self.n)
+            wop = self.weyl_operator
+            det = jet_det(wop, *weyl_operators(self.s)[1:])
+            adj = jet_adjugate(wop, det)
+            a1 = self.raised(self.A, (0,)).map(lambda t: t[..., a, b])
+            return det, jet_einsum("pbck,pck->pb", adj.map(_pair_rows), a1)
+        return self._get(("contracted", policy, tol.rank_tol), build)
+
+
+def _gate(samples, policy, tol):
+    """The determinant the policy divides by, per point, once its
+    preconditions hold: a numerically nonzero Weyl tensor, then an
+    invertible L^a_b ('from-L', ||L||) or 2-form operator ('from-C',
+    ||C||), or dimension 4 and a nonzero cubic scalar ('dim4-C3', C^3).
+    Raises PolicyError naming the first point where one fails."""
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}; expected one of "
+                         f"{POLICIES + ('user',)}")
+    _require_nonzero_weyl(samples, tol, policy)
+    if policy != "dim4-C3":
+        ops, name = ((l_operators(samples), "||L||") if policy == "from-L"
+                     else (weyl_operators(samples), "||C||"))
+        _check_policy_matrix(ops[0], ops[1], tol, policy, name,
+                             samples.points)
+        return ops[1]
+    if samples.n != 4:
+        raise PolicyError("policy dim4-C3 needs dimension 4")
+    cmix = samples.raised("C", (0, 0, 1, 1))
+    c3 = np.einsum("pabcd,pcdef,pefab->p", cmix, cmix, cmix)
+    _check_policy_scalar(c3, np.max(np.abs(cmix), axis=(1, 2, 3, 4)), 3, tol,
+                         policy, "C^3", samples.points)
+    return c3
+
+
+def _k_jet(bag: _JetBag, policy, tol) -> Jet:
+    """K_a with its partials for one policy, contracted before it is
+    differentiated (see the module docstring)."""
+    if policy == "dim4-C3":
+        c3 = _gate(bag.s, policy, tol)
+        m = bag.weyl_operator
+        # C^3 = tr M^3 on the ranked pairs, so dC^3 = 3 tr(M^2 dM)
+        c3 = Jet(c3, 3.0 * np.einsum("pij,pjk,pzki->pz", m.val, m.val, m.d))
+        a, b = pair_basis(bag.n)
+        # u_xfg = A_xyz C^yz_fg, then K_a = (4 / C^3) u^x_fg C^fg_xa
+        u = jet_einsum("pxk,pjk->pxj", bag.A.map(lambda t: t[..., a, b]), m)
+        k = jet_einsum("pxaj,pxj->pa", m.map(_pair_rows),
+                       bag.raised(u, (0,)))
+        return jet_einsum("p,pa->pa", jet_reciprocal(c3, 4.0), k)
+    det, vec = bag.contracted(policy, tol)
+    if policy == "from-L":
+        kup = jet_einsum("p,pa->pa", jet_reciprocal(det, -1.0), vec)
+        return jet_einsum("pab,pb->pa", bag.g, kup)
+    return jet_einsum("p,pa->pa", jet_reciprocal(det, 2.0 / (1 - bag.n)), vec)
 
 
 @dataclass
@@ -273,34 +367,30 @@ def _left_inverse(bag: _JetBag, policy, tol):
     """(Dt jet, the determinant jet it divides by) for one policy: 'from-L'
     divides by ||L||, 'from-C' by ||C||, 'dim4-C3' (n = 4) by the cubic
     scalar contraction.  Raises PolicyError naming the first point where
-    the precondition fails."""
+    the precondition fails.  This builds the whole rank-4 Dt and its
+    partials from C with all slots raised: the oracle of `k_field`."""
     n = bag.n
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}; expected one of "
-                         f"{POLICIES + ('user',)}")
+    _gate(bag.s, policy, tol)
     if policy == "from-L":
-        _, det, adj = bag.policy_operator(policy, tol)
-        d = jet_einsum("pab,pbcde->pacde", adj, bag.C_allup)
+        cup = bag.raised(bag.C, (0, 1, 2, 3))
+        m = jet_einsum("pacde,pbcde->pab", cup, bag.C)
+        det = jet_det(m, *l_operators(bag.s)[1:])
+        d = jet_einsum("pab,pbcde->pacde", jet_adjugate(m, det), cup)
         return jet_einsum("p,pacde->pacde", jet_reciprocal(det, -1.0),
                           d), det
+    cmix = bag.raised(bag.C, (2, 3))
     if policy == "from-C":
-        _, det, adj = bag.policy_operator(policy, tol)
-        ct = Jet(_pair_tensor(adj.val), _pair_tensor(adj.d))  # Ct_xy^de
-        gi = bag.ginv
-        ctup = jet_einsum("pxa,pyc,pxyde->pacde", gi, gi, ct)
+        m = Jet(weyl_operators(bag.s)[0], _pair_matrix(cmix.d))
+        det = jet_det(m, *weyl_operators(bag.s)[1:])
+        ct = jet_adjugate(m, det).map(_pair_tensor)  # Ct_xy^de
+        ctup = bag.raised(ct, (0, 1))
         return jet_einsum("p,pacde->pacde", jet_reciprocal(det),
                           ctup).scaled(2.0 / (1.0 - n)), det
-    _require_nonzero_weyl(bag.s, tol, policy)
-    if n != 4:
-        raise PolicyError("policy dim4-C3 needs dimension 4")
-    cmix = bag._raise_all_last2(bag.C)
     c3 = jet_einsum("pabcd,pcdef,pefab->p", cmix, cmix, cmix)
-    _check_policy_scalar(c3.val, np.max(np.abs(cmix.val), axis=(1, 2, 3, 4)),
-                         3, tol, "dim4-C3", "C^3", bag.s.points)
     # 4 C^de_fg C^fgca / C3; the factor 4 normalizes the defining
     # contraction to exactly -identity
-    cup2 = _lower_last2(bag, bag.C_allup)
-    cc = jet_einsum("pdefg,pfgca->pdeca", cup2, bag.C_allup)
+    cc = jet_einsum("pdefg,pfgca->pdeca", bag.raised(bag.C, (0, 1)),
+                    bag.raised(bag.C, (0, 1, 2, 3)))
     perm = Jet(np.transpose(cc.val, (0, 4, 3, 1, 2)),
                np.transpose(cc.d, (0, 1, 5, 4, 2, 3)))
     return jet_einsum("p,pacde->pacde", jet_reciprocal(c3, 4.0), perm), c3
@@ -308,7 +398,8 @@ def _left_inverse(bag: _JetBag, policy, tol):
 
 def dual_candidate_jet(bag: _JetBag, policy, tolerances=None) -> Jet:
     """Fully raised Dt^acde with exact first derivatives (see
-    _left_inverse for the policies), built once per bag."""
+    _left_inverse for the policies), built once per bag.  Not on the
+    verdict path: `k_field` contracts A first."""
     tol = tolerances or DEFAULT_TOLERANCES
     return bag._get(("dual", policy, tol.rank_tol),
                     lambda: _left_inverse(bag, policy, tol))[0]
@@ -328,12 +419,6 @@ def dual_candidate(pack_or_samples, policy="from-L", points=None,
     dt, det = _left_inverse(_JetBag(s), policy,
                             tolerances or DEFAULT_TOLERANCES)
     return DualCandidate(dt.val, policy, det.val)
-
-
-def _lower_last2(bag, t: Jet) -> Jet:
-    g = bag.g
-    out = jet_einsum("pxc,pabxd->pabcd", g, t)
-    return jet_einsum("pxd,pabcx->pabcd", g, out)
 
 
 def _require_nonzero_weyl(samples, tol, policy):
@@ -393,12 +478,12 @@ class KField:
 
 def k_field(samples: CurvatureSamples, policy="from-L", tolerances=None,
             bag=None) -> KField:
-    """K_a = Dt_a^{bcd} A_bcd for the chosen left-inverse policy."""
+    """K_a = Dt_a^{bcd} A_bcd for the chosen left-inverse policy, A
+    contracted before anything is differentiated.  Raises PolicyError
+    naming the first point where the policy's precondition fails."""
     bag = bag or _JetBag(samples)
-    dt = dual_candidate_jet(bag, policy, tolerances)
-    kup = jet_einsum("pfabc,pabc->pf", dt, bag.A)
-    kl = jet_einsum("pab,pb->pa", bag.g, kup)
-    return KField(kl.val, kl.d, policy)
+    k = _k_jet(bag, policy, tolerances or DEFAULT_TOLERANCES)
+    return KField(k.val, k.d, policy)
 
 
 def k_field_from_tensor(k_tensor: TensorField, samples: CurvatureSamples,
@@ -512,18 +597,15 @@ def _trace_free(t, samples):
     return t - g * (tr / n)[:, None, None]
 
 
-def e_tensor(samples: CurvatureSamples, dt: Jet, bag=None) -> Residual:
+def e_tensor(samples: CurvatureSamples, k: KField) -> Residual:
     """Trace-free[ P_ab - nabla_a K_b + K_a K_b ] with K_b = Dt_bcde A^cde.
 
     Conformally invariant (weight 0) when Dt is canonical."""
-    bag = bag or _JetBag(samples)
-    kup = jet_einsum("pfabc,pabc->pf", dt, bag.A)
-    kl = jet_einsum("pab,pb->pa", bag.g, kup)
-    covk = kl.d - np.einsum("pcab,pc->pab", samples["gamma"], kl.val)
-    core = samples["P"] - covk + np.einsum("pa,pb->pab", kl.val, kl.val)
-    tf = _trace_free(core, samples)
-    return Residual("E", tf, _scale_of(samples["P"], covk,
-                                       np.einsum("pa,pb->pab", kl.val, kl.val)))
+    covk = k.d_lowered - np.einsum("pcab,pc->pab", samples["gamma"],
+                                   k.lowered)
+    kk = np.einsum("pa,pb->pab", k.lowered, k.lowered)
+    tf = _trace_free(samples["P"] - covk + kk, samples)
+    return Residual("E", tf, _scale_of(samples["P"], covk, kk))
 
 
 def g_tensor(samples: CurvatureSamples, bag=None, cross_check=True):
@@ -531,10 +613,9 @@ def g_tensor(samples: CurvatureSamples, bag=None, cross_check=True):
     (Residual, cross-check relative error vs ||L||^2 E)."""
     _need_dim4plus(samples)
     bag = bag or _JetBag(samples)
-    _, detL, adjL = bag.policy_operator("from-L", DEFAULT_TOLERANCES)
-    dmix = jet_einsum("pab,pbcde->pacde", adjL, bag.C_allup).scaled(-1.0)
-    dmix = _lower_first(bag, dmix)           # D_b^cde (first slot lowered)
-    q = jet_einsum("pbcde,pcde->pb", dmix, bag.A)
+    detL, u = bag.contracted("from-L", DEFAULT_TOLERANCES)
+    # D_b^cde A_cde = -g_ba Lt^a_x w^x, with D^acde = -Lt^a_b C^bcde
+    q = jet_einsum("pab,pb->pa", bag.g, u).scaled(-1.0)
     covq = q.d - np.einsum("pcab,pc->pab", samples["gamma"], q.val)
     t1 = (detL.val ** 2)[:, None, None] * samples["P"]
     t2 = -detL.val[:, None, None] * covq
@@ -544,15 +625,10 @@ def g_tensor(samples: CurvatureSamples, bag=None, cross_check=True):
     res = Residual("G", disp, _scale_of(t1, t2, t3, t4))
     if not cross_check:
         return res, None
-    dt = dual_candidate_jet(bag, "from-L")
-    e = e_tensor(samples, dt, bag)
+    e = e_tensor(samples, k_field(samples, "from-L", bag=bag))
     ref = (detL.val ** 2)[:, None, None] * e.values
     denom = max(np.max(np.abs(ref)), 1e-300)
     return res, float(np.max(np.abs(disp - ref)) / denom)
-
-
-def _lower_first(bag, t: Jet) -> Jet:
-    return jet_einsum("pxa,pxcde->pacde", bag.g, t)
 
 
 def gbar_tensor(samples: CurvatureSamples, bag=None, cross_check=True):
@@ -561,11 +637,7 @@ def gbar_tensor(samples: CurvatureSamples, bag=None, cross_check=True):
     _need_dim4plus(samples)
     bag = bag or _JetBag(samples)
     n = samples.n
-    _, detC, adj = bag.policy_operator("from-C", DEFAULT_TOLERANCES)
-    ct = Jet(_pair_tensor(adj.val), _pair_tensor(adj.d))  # Ct_bc^de
-    ctlow = _lower_last2(bag, ct)            # Ct_bcde
-    aup = bag._raise_all(bag.A, 3)
-    q = jet_einsum("pbcde,pcde->pb", ctlow, aup)
+    detC, q = bag.contracted("from-C", DEFAULT_TOLERANCES)  # Ct_bcde A^cde
     covq = q.d - np.einsum("pcab,pc->pab", samples["gamma"], q.val)
     t1 = (1 - n) ** 2 * (detC.val ** 2)[:, None, None] * samples["P"]
     t2 = -2 * (1 - n) * detC.val[:, None, None] * covq
@@ -575,8 +647,7 @@ def gbar_tensor(samples: CurvatureSamples, bag=None, cross_check=True):
     res = Residual("Gbar", disp, _scale_of(t1, t2, t3, t4))
     if not cross_check:
         return res, None
-    dt = dual_candidate_jet(bag, "from-C")
-    e = e_tensor(samples, dt, bag)
+    e = e_tensor(samples, k_field(samples, "from-C", bag=bag))
     ref = (1 - n) ** 2 * (detC.val ** 2)[:, None, None] * e.values
     denom = max(np.max(np.abs(ref)), 1e-300)
     return res, float(np.max(np.abs(disp - ref)) / denom)
@@ -588,9 +659,11 @@ def dim4_invariant(samples: CurvatureSamples, bag=None) -> Residual:
     if samples.n != 4:
         raise ValueError("dim4_invariant needs dimension 4")
     bag = bag or _JetBag(samples)
-    c2 = jet_einsum("pabcd,pabcd->p", bag.C_allup, bag.C)
-    aup = bag._raise_all(bag.A, 3)
-    q = jet_einsum("pbcde,pcde->pb", bag.C, aup)   # C_bcde A^cde
+    # |C|^2 = L^a_a and C_bcde A^cde = w_b, the pieces of the from-L K
+    lop = bag.l_operator
+    c2 = Jet(np.trace(lop.val, axis1=1, axis2=2),
+             np.trace(lop.d, axis1=2, axis2=3))
+    q = bag.w
     covq = q.d - np.einsum("pcab,pc->pab", samples["gamma"], q.val)
     t1 = (c2.val ** 2)[:, None, None] * samples["P"]
     t2 = 4 * c2.val[:, None, None] * covq
@@ -746,13 +819,13 @@ def conformal_einstein_tensor_verdict(source, points, policy="auto",
     if policy == "auto":
         for cand in ("from-L", "from-C") + (("dim4-C3",) if n == 4 else ()):
             try:
-                dt = dual_candidate_jet(bag, cand, tol)
+                k = k_field(samples, cand, tol, bag)
                 chosen = cand
                 break
             except PolicyError as exc:
                 report.notes.append(str(exc))
     else:
-        dt = dual_candidate_jet(bag, policy, tol)
+        k = k_field(samples, policy, tol, bag)
         chosen = policy
 
     if chosen is None:
@@ -770,11 +843,10 @@ def conformal_einstein_tensor_verdict(source, points, policy="auto",
             "; ".join(report.notes[-2:])))
         return report
 
-    k = k_field(samples, chosen, tol, bag)
     report.k_provenance = chosen
     report.residuals["cspace"] = cspace_residual(samples, k)
     report.residuals["bach"] = bach_residual(samples, k)
-    e = e_tensor(samples, dt, bag)
+    e = e_tensor(samples, k)
     report.residuals["E"] = e
     closed = k.closedness()
     report.k_closedness = float(np.max(closed))

@@ -38,7 +38,7 @@ from .curvature import (
 )
 from .evaluate import DomainError
 from .expressions import ZERO, ONE, Expr, add, diff, func, mul, neg, rational
-from .genericity import classify_genericity, pair_basis
+from .genericity import _pair_rows, classify_genericity, pair_basis
 from .geometry import (
     DOWN,
     UP,
@@ -441,34 +441,37 @@ def omega_values(s: CurvatureSamples):
     return s.derived(("omega",), build)
 
 
-def d_omega_values(s: CurvatureSamples):
-    """Coordinate partials of the stored Omega blocks: (P, z, a, b, I, J)."""
-    npts, n = len(s.points), s.n
-    dom = np.zeros((npts, n, n, n, n + 2, n + 2))
-    dom[:, :, :, :, 1:n + 1, 1:n + 1] = s["dC"]
-    dA = s["dA"]
-    dom[:, :, :, :, 0, 1:n + 1] = -np.transpose(dA, (0, 1, 3, 4, 2))
-    dom[:, :, :, :, 1:n + 1, 0] = np.transpose(dA, (0, 1, 3, 4, 2))
-    return dom
-
-
 def cov_omega_values(s: CurvatureSamples):
-    """nabla_z Omega_ab[I,J] by the coupled connection: (P, z, a, b, I, J)."""
+    """nabla_z Omega_bc[I,J] by the coupled connection on the ranked pairs
+    b < c (`pair_basis` order): (P, z, N, I, J).  Omega is antisymmetric in
+    b, c, so these rows are all of it."""
+    npts, n = len(s.points), s.n
+    b, c = pair_basis(n)
     om = omega_values(s)
-    out = d_omega_values(s).copy()
+    out = np.zeros((npts, n, len(b), n + 2, n + 2))
+    out[..., 1:n + 1, 1:n + 1] = s["dC"][:, :, b, c]
+    dA = np.moveaxis(s["dA"][:, :, :, b, c], 2, -1)     # d_z A_i[bc]
+    out[..., 0, 1:n + 1] = -dA
+    out[..., 1:n + 1, 0] = dA
     gamma = s["gamma"]
-    out -= np.einsum("peza,pebIJ->pzabIJ", gamma, om, optimize=True)
-    out -= np.einsum("pezb,paeIJ->pzabIJ", gamma, om, optimize=True)
+    out -= np.einsum("pezk,pekIJ->pzkIJ", gamma[..., b], om[:, :, c],
+                     optimize=True)
+    out -= np.einsum("pezk,pkeIJ->pzkIJ", gamma[..., c], om[:, b],
+                     optimize=True)
     th = theta_values(s)
-    out -= np.einsum("pzKI,pabKJ->pzabIJ", th, om, optimize=True)
-    out -= np.einsum("pzKJ,pabIK->pzabIJ", th, om, optimize=True)
+    omk = om[:, b, c]
+    out -= np.einsum("pzKI,pkKJ->pzkIJ", th, omk, optimize=True)
+    out -= np.einsum("pzKJ,pkIK->pzkIJ", th, omk, optimize=True)
     return out
 
 
 def div_omega_values(s: CurvatureSamples, cov=None):
-    """nabla^a Omega_ab[I,J] from the coupled-connection derivative."""
+    """nabla^a Omega_ab[I,J] from the coupled-connection derivative on the
+    ranked pairs, extended by Omega_ab = -Omega_ba."""
     cov = cov_omega_values(s) if cov is None else cov
-    return np.einsum("pza,pzabIJ->pbIJ", s["ginv"], cov)
+    full = _pair_rows(cov.reshape(cov.shape[:3] + (-1,)))
+    return np.einsum("pza,pzabIJ->pbIJ", s["ginv"],
+                     full.reshape(full.shape[:4] + cov.shape[-2:]))
 
 
 def div_omega_closed(s: CurvatureSamples):
@@ -584,7 +587,7 @@ def annihilation_check(pack_or_samples, tractor, points=None):
     scale_om = max(float(np.max(np.abs(om))), 1e-300) * \
         max(float(np.max(np.abs(ivals))), 1e-300)
     r_om = np.einsum("pabIJ,pJ->pabI", om, ivals)
-    r_cov = np.einsum("pzabIJ,pJ->pzabI", cov, ivals)
+    r_cov = np.einsum("pzkIJ,pJ->pzkI", cov, ivals)
     r_div = np.einsum("pbIJ,pJ->pbI", dv, ivals)
     r_w = np.einsum("pABIJ,pJ->pABI", w, ivals)
     # Z-coefficient of Omega.I: rows 1..n of the remaining slot
@@ -634,7 +637,7 @@ def rank_obstruction(source, points, tolerances=None, sigma=None,
     for sl in linalg.chunks(len(s.points), (n + 1) * len(b) * (n + 2), n + 2):
         k = sl.stop - sl.start
         mat = np.concatenate([om[sl, b, c].reshape(k, -1, n + 2),
-                              cov[sl][:, :, b, c].reshape(k, -1, n + 2)],
+                              cov[sl].reshape(k, -1, n + 2)],
                              axis=1)
         rank, kernel = linalg.rank_nullspace(mat, tol.rank_tol, scale[sl])
         ranks += rank.tolist()

@@ -230,8 +230,8 @@ def test_criterion_10_covariance_battery():
              for c in e5.metric.chart.coords], axis=1))
         d_cotton = maxabs(sh["A"] - s5["A"]
                           - np.einsum("pk,pkabc->pabc", uup, s5["C"]))
-        e_g = OB.e_tensor(s5, OB.dual_candidate_jet(bag, "from-L"), bag)
-        e_h = OB.e_tensor(sh, OB.dual_candidate_jet(bagh, "from-L"), bagh)
+        e_g = OB.e_tensor(s5, OB.k_field(s5, "from-L", bag=bag))
+        e_h = OB.e_tensor(sh, OB.k_field(sh, "from-L", bag=bagh))
         d_e = maxabs(e_g.values - e_h.values)
         ok = ok and d_weyl < 1e-7 * scale and d_cotton < 1e-7 * scale \
             and d_e < 1e-7 * max(1.0, e_g.max_scale)

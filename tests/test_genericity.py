@@ -336,6 +336,18 @@ class TestPairLayer:
         assert np.array_equal(GN._pair_matrix(batch)[1], 2 * want)
         assert np.array_equal(GN._pair_tensor(GN._pair_matrix(batch)), batch)
 
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_pair_rows_extend_the_row_pairs(self, n):
+        t = self._two_pair_tensor(n, n)
+        a, b = GN.pair_basis(n)
+        # t antisymmetric in its first pair, with the second pair ranked
+        want = 2.0 * t[..., a, b]
+        batch = np.stack([GN._pair_matrix(t), 3 * GN._pair_matrix(t)])
+        rows = GN._pair_rows(batch)
+        assert rows.shape == (2, n, n, len(a))
+        assert np.array_equal(rows[0], want)
+        assert np.array_equal(rows[1], 3 * want)
+
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_symmetric_systems_match_loops(self, n):
         rng = np.random.default_rng(n)

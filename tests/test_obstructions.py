@@ -153,15 +153,13 @@ class TestETensor:
         for name in ("schwarzschild4", "schwarzschild5",
                      "schwarzschild-de-sitter5", "hyperkahler4"):
             s = samples(name, 6)
-            bag = OB._JetBag(s)
-            e = OB.e_tensor(s, OB.dual_candidate_jet(bag, "from-L"), bag)
+            e = OB.e_tensor(s, OB.k_field(s, "from-L"))
             assert e.max < 1e-8 * e.max_scale, name
 
     def test_rt_quartic_nonzero_matches_oracle(self):
         # oracle: trace-free[P - nabla K + K x K] with the closed-form K
         s = samples("rt5-quartic", 8)
-        bag = OB._JetBag(s)
-        e = OB.e_tensor(s, OB.dual_candidate_jet(bag, "from-L"), bag)
+        e = OB.e_tensor(s, OB.k_field(s, "from-L"))
         assert e.max > 1e-3 * e.max_scale
         kr = rozw_k_field("rt5-quartic", s)
         covk = kr.d_lowered - np.einsum("pcab,pc->pab", s["gamma"],
@@ -174,8 +172,7 @@ class TestETensor:
 
     def test_trace_free(self):
         s = samples("rt5-quartic", 4)
-        bag = OB._JetBag(s)
-        e = OB.e_tensor(s, OB.dual_candidate_jet(bag, "from-L"), bag)
+        e = OB.e_tensor(s, OB.k_field(s, "from-L"))
         tr = np.einsum("pab,pab->p", s["ginv"], e.values)
         assert maxabs(tr) < 1e-10 * max(1, e.max_scale)
 
@@ -196,9 +193,8 @@ class TestETensor:
         s = pack("rt5-quartic").samples(pts)
         for ups in (parse("log(r)"), parse("3*x1/10")):
             sh = CurvaturePack(conformal_rescale(e0.metric, ups)).samples(pts)
-            bag, bagh = OB._JetBag(s), OB._JetBag(sh)
-            e = OB.e_tensor(s, OB.dual_candidate_jet(bag, "from-L"), bag)
-            eh = OB.e_tensor(sh, OB.dual_candidate_jet(bagh, "from-L"), bagh)
+            e = OB.e_tensor(s, OB.k_field(s, "from-L"))
+            eh = OB.e_tensor(sh, OB.k_field(sh, "from-L"))
             assert maxabs(e.values - eh.values) < 1e-7 * max(1, e.max_scale)
 
 
@@ -439,15 +435,63 @@ class TestCottonScale:
         assert r.max < 1e-7 * r.max_scale
 
 
+class TestKOracle:
+    """K contracted before it is differentiated, against the full left
+    inverse jet Dt^acde contracted with A afterwards."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name, policy", [
+        ("rt4-quartic", "from-L"), ("rt5-quartic", "from-L"),
+        ("rt6-quartic", "from-L"), ("rt5-quartic", "from-C"),
+        ("rt4-quartic", "dim4-C3")])
+    def test_k_field_matches_full_dual_jet(self, name, policy, seed):
+        s = samples(name, 8, seed)
+        bag = OB._JetBag(s)
+        kup = OB.jet_einsum("pfabc,pabc->pf",
+                            OB.dual_candidate_jet(bag, policy), bag.A)
+        oracle = OB.jet_einsum("pab,pb->pa", bag.g, kup)
+        k = OB.k_field(s, policy)
+        assert k.provenance == policy
+        assert maxabs(k.lowered - oracle.val) \
+            < 1e-10 * max(1, maxabs(oracle.val))
+        assert maxabs(k.d_lowered - oracle.d) \
+            < 1e-10 * max(1, maxabs(oracle.d))
+        closed = OB.KField(oracle.val, oracle.d, policy).closedness()
+        assert maxabs(k.closedness() - closed) \
+            < 1e-10 * max(1, maxabs(oracle.d))
+
+
 class TestPolicyErrors:
     def test_pp_wave_policies_fail_with_point(self):
         s = samples("pp-wave4", 3)
-        bag = OB._JetBag(s)
-        with pytest.raises(PolicyError) as exc:
-            OB.dual_candidate_jet(bag, "from-L")
-        assert "point" in str(exc.value)
+        for build in (lambda: OB.k_field(s, "from-L"),
+                      lambda: OB.dual_candidate_jet(OB._JetBag(s), "from-L")):
+            with pytest.raises(PolicyError) as exc:
+                build()
+            assert "point" in str(exc.value)
 
     def test_dim4_policy_needs_dimension4(self):
         s = samples("rt5-quartic", 2)
         with pytest.raises(PolicyError):
+            OB.k_field(s, "dim4-C3")
+        with pytest.raises(PolicyError):
             OB.dual_candidate_jet(OB._JetBag(s), "dim4-C3")
+
+    def test_unknown_policy(self):
+        with pytest.raises(ValueError):
+            OB.k_field(samples("rt5-quartic", 2), "from-X")
+
+    @pytest.mark.parametrize("name, wording", [
+        ("pp-wave4", ("||L|| = ", "||C|| = ", "C^3 = ")),
+        ("constant-curvature4", ("the Weyl tensor vanishes numerically",) * 3),
+        ("flat4", ("the Weyl tensor vanishes numerically",) * 3)])
+    def test_auto_notes_every_policy_in_order(self, name, wording):
+        pts = points(name, 5)
+        rep = OB.conformal_einstein_tensor_verdict(pack(name), pts)
+        assert rep.k_provenance is None
+        assert rep.outcome == "inconclusive"
+        for note, policy, words in zip(rep.notes, OB.POLICIES, wording):
+            assert note.startswith(f"policy {policy}: {words}"), note
+            assert f"at point {pts[0]}" in note, note
+        assert [n.split(":")[0] for n in rep.notes[:3]] == \
+            [f"policy {p}" for p in OB.POLICIES]

@@ -295,6 +295,30 @@ class TestCurvature:
         scale = max(1e-300, maxabs(dvc), maxabs(TR.omega_values(s)))
         assert maxabs(dv - dvc) < 1e-7 * scale
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", ["rt4-quartic", "rt6-quartic",
+                                      "schwarzschild5"])
+    def test_cov_omega_rows_match_full_build(self, name, seed):
+        # the full nabla_z Omega_ab over every (a, b), built as before the
+        # ranked-pair rows: the rows a < b must be equal bit for bit, and
+        # the divergence, which sums the expanded rows, equal to roundoff
+        s = samples(name, 8, seed)
+        n, om = s.n, TR.omega_values(s)
+        full = np.zeros((len(s.points), n, n, n, n + 2, n + 2))
+        full[..., 1:n + 1, 1:n + 1] = s["dC"]
+        full[..., 0, 1:n + 1] = -np.transpose(s["dA"], (0, 1, 3, 4, 2))
+        full[..., 1:n + 1, 0] = np.transpose(s["dA"], (0, 1, 3, 4, 2))
+        gamma, th = s["gamma"], TR.theta_values(s)
+        full -= np.einsum("peza,pebIJ->pzabIJ", gamma, om, optimize=True)
+        full -= np.einsum("pezb,paeIJ->pzabIJ", gamma, om, optimize=True)
+        full -= np.einsum("pzKI,pabKJ->pzabIJ", th, om, optimize=True)
+        full -= np.einsum("pzKJ,pabIK->pzabIJ", th, om, optimize=True)
+        a, b = np.triu_indices(n, 1)
+        assert np.array_equal(TR.cov_omega_values(s), full[:, :, a, b])
+        want = np.einsum("pza,pzabIJ->pbIJ", s["ginv"], full)
+        assert maxabs(TR.div_omega_values(s) - want) \
+            < 1e-12 * max(1.0, maxabs(want))
+
     def test_w_tensor_dimension4_reduces_to_divergence_block(self):
         s = samples("rt4-quartic", 3)
         w = TR.w_tensor_values(s)
