@@ -33,7 +33,6 @@ from .obstructions import (
     THEOREM_IDS,
     conformal_einstein_tensor_verdict,
     covariance_exponent,
-    _JetBag,
     bach_residual,
     cspace_residual,
     dim4_invariant,
@@ -225,7 +224,10 @@ def cmd_classify(args):
         }
         tens, tr = rep.outcome, rank.verdict
         decided = {"conformally-einstein", "not"}
-        if tens in decided and tr in decided and tens != tr:
+        if tens == "conflict":
+            # the E and F routes disagree (an internal-consistency verdict)
+            out["verdict"] = "conflict"
+        elif tens in decided and tr in decided and tens != tr:
             out["verdict"] = "conflict"
             out["notes"].append(
                 "internal-consistency error: the tensor and tractor-rank "
@@ -259,14 +261,13 @@ def cmd_invariants(args):
                               "n >= 4, dim4 needs n = 4)")
     pack = CurvaturePack(g)
     samples = pack.samples(points)
-    bag = _JetBag(samples)
     out = _report_skeleton(digest, tol)
     out["points"] = points
     res = {}
     policy = "from-L" if args.policy == "auto" else args.policy
     k = None
     if {"cspace", "bach", "E"} & set(which):
-        k = k_field(samples, policy, tol, bag)
+        k = k_field(samples, policy, tol)
         out["k_provenance"] = policy
         out["k_closedness"] = float(np.max(k.closedness()))
     for name in which:
@@ -281,13 +282,13 @@ def cmd_invariants(args):
         elif name == "F2":
             r = f2(samples)
         elif name == "G":
-            r, cross = g_tensor(samples, bag)
+            r, cross = g_tensor(samples, tol)
             res["G_cross_check_rel"] = cross
         elif name == "Gbar":
-            r, cross = gbar_tensor(samples, bag)
+            r, cross = gbar_tensor(samples, tol)
             res["Gbar_cross_check_rel"] = cross
         else:
-            r = dim4_invariant(samples, bag)
+            r = dim4_invariant(samples)
         res[name] = {"max": r.max, "scale": r.max_scale}
     out["invariants"] = res
 
@@ -297,33 +298,31 @@ def cmd_invariants(args):
     elif spec.conformal is not None:
         ups = spec.conformal
     if ups is not None:
-        out["covariance"] = _covariance_section(pack, samples, bag, points,
-                                                which, ups, tol)
+        out["covariance"] = _covariance_section(pack, samples, points, which,
+                                                ups, tol)
     _emit(out, args)
     return EXIT_YES
 
 
-def _covariance_section(pack, samples, bag, points, which, ups, tol):
+def _covariance_section(pack, samples, points, which, ups, tol):
     from .geometry import conformal_rescale, evaluate_components
     ghat = conformal_rescale(pack.g, ups)
     hpack = CurvaturePack(ghat)
     hsamples = hpack.samples(points)
-    hbag = _JetBag(hsamples)
     uvals = evaluate_components(ups, samples.bindings)
     sec = {}
     builders = {
-        "F1": lambda s, b: f1(s).values,
-        "G": lambda s, b: g_tensor(s, b, cross_check=False)[0].values,
-        "Gbar": lambda s, b: gbar_tensor(s, b, cross_check=False)[0].values,
-        "dim4": lambda s, b: dim4_invariant(s, b).values,
+        "F1": lambda s: f1(s).values,
+        "G": lambda s: g_tensor(s, tol, cross_check=False)[0].values,
+        "Gbar": lambda s: gbar_tensor(s, tol, cross_check=False)[0].values,
+        "dim4": lambda s: dim4_invariant(s).values,
     }
     for name in which:
         if name not in builders:
             continue
         try:
-            w, spread = covariance_exponent(builders[name](samples, bag),
-                                            builders[name](hsamples, hbag),
-                                            uvals)
+            w, spread = covariance_exponent(builders[name](samples),
+                                            builders[name](hsamples), uvals)
             sec[name] = {"fitted_exponent": w, "spread": spread}
         except (PolicyError, ValueError) as exc:
             sec[name] = {"error": str(exc)}

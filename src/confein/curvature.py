@@ -16,12 +16,15 @@ partials of the Weyl and Cotton tensors), so `CurvaturePack` compiles one
 small tape per metric: the partials of g_ij up to order 4
 (`CurvaturePack.metric_jet_tape`).  `CurvatureSamples` runs it at a batch
 of points and builds every ladder entry from that 4-jet by truncated
-Taylor arithmetic (`taylor`), in chunks of points, keeping each quantity
+Taylor arithmetic (`taylor`), in chunks of points, computing each quantity
 only to the order its consumers need: g to 4, the inverse metric to 3,
 the Christoffel symbols, Ricci, J and P to 2, Riemann, Weyl and Cotton to
-1 and Bach to 0 (stage 'ricci' needs the 2-jet of g only).  After that all
-pointwise work downstream is plain numpy; `as_samples` turns a metric, a
-pack or samples into samples.  Other jets at the same points come from the
+1 and Bach to 0 (stage 'ricci' needs the 2-jet of g only).  The samples
+keep the order-1 jets of g, g^-1 and (full stage) P, J, C and A
+(`CurvatureSamples.jet`), the operands of the K jets in `obstructions`;
+the values and d-prefixed partials of these are views of the jets, the
+other entries are values only.  `as_samples` turns a metric, a pack or
+samples into samples.  Other jets at the same points come from the
 same machinery: `scalar_jet` compiles one tape of a scalar expression's
 partials (a conformal factor, an Einstein scale), `christoffel_jet` runs
 the pack's metric-jet tape of a lower order for g^-1 and the Christoffel
@@ -315,7 +318,7 @@ class CurvatureSamples:
         order = _JET_ORDER[stage]
         prog = pack.metric_jet_tape(order)
         n_pts = len(self.points)
-        self.values = {}
+        self._jets, self.values = {}, {}
         for lo in range(0, max(n_pts, 1), _CHUNK):
             jet = _metric_jet(run_batch(prog, self.bindings[lo:lo + _CHUNK]),
                               n, order)
@@ -325,16 +328,27 @@ class CurvatureSamples:
                 p = lo + _first_singular(jet[:, 0])
                 raise SingularMetricError(
                     f"metric is singular at point {self.points[p]}") from None
-            for name, v in chunk.items():
-                if name not in self.values:
-                    self.values[name] = np.empty((n_pts,) + v.shape[1:])
-                self.values[name][lo:lo + len(v)] = v
+            for store, part in zip((self._jets, self.values), chunk):
+                for name, v in part.items():
+                    if name not in store:
+                        store[name] = np.empty((n_pts,) + v.shape[1:])
+                    store[name][lo:lo + len(v)] = v
+        for name, j in self._jets.items():
+            j.flags.writeable = False
+            self.values[name] = j[:, 0]
+            if name != "ginv":
+                self.values["d" + name] = j[:, 1:]
 
     def __getitem__(self, name):
         return self.values[name]
 
     def __contains__(self, name):
         return name in self.values
+
+    def jet(self, name):
+        """The read-only order-1 `taylor` jet (P, 1 + n) + component shape
+        of g, ginv, P, J, C or A: values at [:, 0], d_z at [:, 1 + z]."""
+        return self._jets[name]
 
     # --- derived numeric arrays (cached) ---------------------------------
     def derived(self, key, builder):
@@ -447,10 +461,12 @@ def _christoffel(dg, ginv, n, k):
 
 
 def _ladder(gj, n, full):
-    """Ladder values at a chunk of points from the metric jet `gj`, of
-    order 4 ('full') or 2.  Each quantity is kept to the order its
-    consumers need: Ricci, J and P to order r, Riemann, Weyl and Cotton to
-    order q, the Christoffel symbols to order max(r, q + 1)."""
+    """(order-1 jets, values) of the ladder at a chunk of points from the
+    metric jet `gj`, of order 4 ('full') or 2.  Each quantity is computed
+    to the order its consumers need: Ricci, J and P to order r, Riemann,
+    Weyl and Cotton to order q, the Christoffel symbols to order
+    max(r, q + 1); g, g^-1 and (full) P, J, C and A are returned as order-1
+    jets, the rest as values."""
     T = taylor
     r, q = (2, 1) if full else (0, 0)
     tab = _pair_tables(n)
@@ -497,12 +513,13 @@ def _ladder(gj, n, full):
     riem = (dlow[..., a, c, sym[b, d]] - dlow[..., b, c, sym[a, d]]
             - quad[..., sym[a, c], sym[b, d]]
             + quad[..., sym[b, c], sym[a, d]])
-    out = {"g": gj[:, 0], "dg": dg[:, 0], "ginv": ginv[:, 0],
-           "gamma": gam[:, 0], "riem": _unpack(riem[:, 0], tab),
+    m1 = T.size(n, 1)
+    jets = {"g": gj[:, :m1], "ginv": ginv[:, :m1]}
+    out = {"gamma": gam[:, 0], "riem": _unpack(riem[:, 0], tab),
            "ricci": ric[:, 0], "scalar": scalar[:, 0], "P": P[:, 0],
            "J": J[:, 0]}
     if not full:
-        return out
+        return jets, out
     # C_abcd = R_abcd - g_ca P_bd + g_cb P_ad - g_db P_ac + g_da P_bc
     y = T.product("s,t->st", gp, P[..., i, j], n, q)   # g_s P_t
     C = (riem - y[..., sym[c, a], sym[b, d]] + y[..., sym[c, b], sym[a, d]]
@@ -513,17 +530,15 @@ def _ladder(gj, n, full):
     w = T.product("exb,ec->xbc", gam, P, n, q)
     nabla_p = np.moveaxis(dP - w - np.swapaxes(w, -2, -1), -1, -3)
     A = nabla_p - np.swapaxes(nabla_p, -2, -1)
-    dA = T.partials(A, n, 0)[:, 0]
     gi = ginv[:, 0]
-    cov_a = numeric_cov(A[:, 0], dA, (DOWN,) * 3, gam[:, 0])
-    C0 = _unpack(C[:, 0], tab)
+    cov_a = numeric_cov(A[:, 0], A[:, 1:], (DOWN,) * 3, gam[:, 0])
+    C = _unpack(C, tab)
     B = (np.einsum("pcx,pxacb->pab", gi, cov_a)
-         + np.einsum("pdx,pcy,pxy,pdacb->pab", gi, gi, P[:, 0], C0,
+         + np.einsum("pdx,pcy,pxy,pdacb->pab", gi, gi, P[:, 0], C[:, 0],
                      optimize=True))
-    out.update({"dP": dP[:, 0], "dJ": T.partials(J, n, 0)[:, 0], "C": C0,
-                "dC": _unpack(T.partials(C, n, 0)[:, 0], tab), "A": A[:, 0],
-                "dA": dA, "B": B})
-    return out
+    jets.update({"P": P[:, :m1], "J": J[:, :m1], "C": C, "A": A})
+    out["B"] = B
+    return jets, out
 
 
 def as_samples(source, points=None):

@@ -2,9 +2,13 @@
 pipeline at the tensor level.
 
 Everything here is pointwise numerics on sampled curvature.  First
-derivatives are exact: they are carried through a small forward-mode jet
-algebra (value plus coordinate partials), with no finite differencing and
-no symbolic adjugates.
+derivatives are exact, with no finite differencing and no symbolic
+adjugates: every quantity with partials is an order-1 `taylor` jet, an
+array (P, 1 + n) + component shape with the values at [:, 0] and d_z at
+[:, 1 + z].  The ladder keeps those of g, g^-1, P, J, C and A
+(`CurvatureSamples.jet`); the jets built from them here go through
+`taylor.product` and `taylor.inverse`, plus the determinant (`_det_jet`)
+and the scalar reciprocal (`_reciprocal`), and are cached on the samples.
 
 The verdict needs only the one-form K_a = Dt_a^bcd A_bcd and its first
 partials, never the left inverse Dt of the Weyl tensor itself, so K is
@@ -34,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import taylor
 from .config import DEFAULT_TOLERANCES
 from .curvature import CurvaturePack, CurvatureSamples, as_samples
 from .genericity import (
@@ -51,8 +56,6 @@ from .genericity import (
 from .geometry import DOWN, TensorField, evaluate_components, partial_derivative
 
 __all__ = [
-    "Jet",
-    "jet_einsum",
     "DualCandidate",
     "KField",
     "Residual",
@@ -89,212 +92,111 @@ THEOREM_IDS = {
 
 
 # ---------------------------------------------------------------------------
-# forward-mode jets over sample batches
+# order-1 jets of K: `taylor` arrays (P, 1 + n) + component shape, the
+# values at [:, 0] and the partials d_z at [:, 1 + z]; slots are raised by
+# contracting them with the first index of the g^-1 jet
 
 
-class Jet:
-    """Batched value with exact first coordinate partials.
-
-    val: (P, ...);  d: (P, n, ...) with the derivative axis right after P."""
-
-    __slots__ = ("val", "d")
-
-    def __init__(self, val, d):
-        self.val = np.asarray(val, dtype=float)
-        self.d = np.asarray(d, dtype=float)
-
-    def __add__(self, other):
-        return Jet(self.val + other.val, self.d + other.d)
-
-    def __sub__(self, other):
-        return Jet(self.val - other.val, self.d - other.d)
-
-    def __neg__(self):
-        return Jet(-self.val, -self.d)
-
-    def scaled(self, c):
-        return Jet(c * self.val, c * self.d)
-
-    def map(self, f):
-        """Apply a linear map of the value axes to value and partials."""
-        return Jet(f(self.val), f(self.d))
+def _det_jet(m, dets, adj):
+    """Jet of det m from the determinants and adjugates of the values of
+    the matrix jet m (defined for singular values too):
+    d det = tr(adj dM)."""
+    return np.concatenate(
+        [dets[:, None], np.einsum("pab,pzba->pz", adj, m[:, 1:])], axis=1)
 
 
-def jet_einsum(spec, *ops):
-    """einsum over jets/arrays; every subscript starts with the batch axis
-    'p' and must not use the letter 'z' (reserved for the derivative)."""
-    lhs, out = spec.split("->")
-    terms = lhs.split(",")
-    if "z" in spec:
-        raise ValueError("subscript letter 'z' is reserved")
-    vals = [o.val if isinstance(o, Jet) else np.asarray(o, dtype=float)
-            for o in ops]
-    val = np.einsum(spec, *vals)
-    d = None
-    for i, o in enumerate(ops):
-        if not isinstance(o, Jet):
-            continue
-        subs = list(terms)
-        subs[i] = "pz" + terms[i][1:]
-        dspec = ",".join(subs) + "->pz" + out[1:]
-        args = list(vals)
-        args[i] = o.d
-        part = np.einsum(dspec, *args)
-        if d is None:
-            d = part
-        else:
-            d += part
-    if d is None:
-        raise ValueError("at least one operand must be a Jet")
-    return Jet(val, d)
+def _reciprocal(s, c=1.0):
+    """Jet of c / s for a scalar jet s."""
+    inv = 1.0 / s[:, 0]
+    return np.concatenate([(c * inv)[:, None],
+                           (-c) * s[:, 1:] * (inv ** 2)[:, None]], axis=1)
 
 
-def jet_reciprocal(s: Jet, c=1.0) -> Jet:
-    """c / s for a batch of scalar jets s."""
-    inv = 1.0 / s.val
-    return Jet(c * inv, (-c) * s.d * (inv ** 2)[:, None])
+def _w_jet(s):
+    """w_b = C_bcde A^cde."""
+    def build():
+        a, gi = s.jet("A"), s.jet("ginv")
+        for spec in ("xde,xc->cde", "cxe,xd->cde", "cdx,xe->cde"):
+            a = taylor.product(spec, a, gi, s.n, 1)
+        return taylor.product("bcde,cde->b", s.jet("C"), a, s.n, 1)
+    return s.derived(("w-jet",), build)
 
 
-def jet_inverse_matrix(m: Jet) -> Jet:
-    """Inverse of a batch of matrices (P, k, k) with derivative; the
-    matrices must be invertible (callers gate on the policy checks)."""
-    inv = np.linalg.inv(m.val)
-    return Jet(inv, -(inv[:, None] @ m.d @ inv[:, None]))
+def _l_jet(s):
+    """L^a_b = C^acde C_bcde as a jet: the value of `l_operators`, and the
+    partials of L_ab = C_acde C_bc'd'e' g^cc' g^dd' g^ee' from dC and copies
+    of C raised in place, then the first index raised."""
+    def build():
+        n, npts = s.n, len(s.points)
+        C, gi, dgi = s["C"], s["ginv"], s.jet("ginv")[:, 1:]
+        cup3 = s.raised("C", (0, 1, 1, 1)).reshape(npts, n, -1)
+        low = C.reshape(npts, n, -1) @ np.swapaxes(cup3, 1, 2)
+        # T_zab = d_z C_acde C_b^cde, once per slot of L
+        t = (s["dC"].reshape(npts, n * n, -1)
+             @ np.swapaxes(cup3, 1, 2)).reshape(npts, n, n, n)
+        # the dg^-1 terms X_(cf)(ab) dg^cf: slot c with C_ac^de C_bfde,
+        # slots d and e with C_a^c_d^e C_bcfe (equal by the pair
+        # antisymmetry)
+        def slot_terms(x, y):
+            """sum_de x_acde y_bfde as a matrix over (cf) x (ab)."""
+            xy = x.reshape(npts, n * n, -1) @ np.swapaxes(
+                y.reshape(npts, n * n, -1), 1, 2)
+            return xy.reshape((npts,) + (n,) * 4).transpose(
+                0, 2, 4, 1, 3).reshape(npts, n * n, n * n)
+        x = (slot_terms(s.raised("C", (0, 0, 1, 1)), C)
+             + 2.0 * slot_terms(
+                 s.raised("C", (0, 1, 0, 1)).transpose(0, 1, 3, 2, 4),
+                 C.transpose(0, 1, 3, 2, 4)))
+        dlow = t + np.swapaxes(t, 2, 3) + (
+            dgi.reshape(npts, n, n * n) @ x).reshape(npts, n, n, n)
+        d = dgi @ low[:, None] + gi[:, None] @ dlow
+        return np.concatenate([l_operators(s)[0][:, None], d], axis=1)
+    return s.derived(("l-operator-jet",), build)
 
 
-def jet_det(m: Jet, dets, adj) -> Jet:
-    """Determinant jet from the determinants and adjugates of m.val
-    (defined for singular matrices too): d(det) = tr(adj . dM)."""
-    return Jet(dets, np.einsum("pab,pzba->pz", adj, m.d))
+def _weyl_jet(s):
+    """Ranked-pair matrix of C_ab^cd as a jet: the value of
+    `weyl_operators`, the partials raised from dC on the ranked first pairs
+    only."""
+    def build():
+        a, b = pair_basis(s.n)
+        cr, gi = s.jet("C")[:, :, a, b], s.jet("ginv")
+        for spec in ("kxd,xc->kcd", "kcx,xd->kcd"):
+            cr = taylor.product(spec, cr, gi, s.n, 1)
+        return np.concatenate([weyl_operators(s)[0][:, None],
+                               2.0 * cr[:, 1:, :, a, b]], axis=1)
+    return s.derived(("weyl-operator-jet",), build)
 
 
-def jet_adjugate(m: Jet, det: Jet) -> Jet:
-    return jet_einsum("p,pab->pab", det, jet_inverse_matrix(m))
-
-
-class _JetBag:
-    """Jets of the sampled curvature of one batch, built lazily."""
-
-    def __init__(self, samples: CurvatureSamples):
-        self.s = samples
-        self.n = samples.n
-        self._cache = {}
-
-    def _get(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
-    @property
-    def g(self):
-        return self._get("g", lambda: Jet(self.s["g"], self.s["dg"]))
-
-    @property
-    def ginv(self):
-        def build():
-            gi = self.s["ginv"][:, None]
-            return Jet(self.s["ginv"], -(gi @ self.s["dg"] @ gi))
-        return self._get("ginv", build)
-
-    @property
-    def C(self):
-        return self._get("C", lambda: Jet(self.s["C"], self.s["dC"]))
-
-    @property
-    def A(self):
-        return self._get("A", lambda: Jet(self.s["A"], self.s["dA"]))
-
-    def raised(self, t: Jet, slots) -> Jet:
-        """t with the given tensor slots raised by the inverse metric, one
-        stacked matrix product per slot."""
-        gi, npts, n = self.ginv, len(self.s.points), self.n
-        for s in slots:
-            v = np.moveaxis(t.val, s + 1, -1)
-            d = np.moveaxis(t.d, s + 2, -1)
-            val = v.reshape(npts, -1, n) @ gi.val
-            dd = (d.reshape(npts, n, -1, n) @ gi.val[:, None]
-                  + v.reshape(npts, 1, -1, n) @ gi.d)
-            t = Jet(np.moveaxis(val.reshape(v.shape), -1, s + 1),
-                    np.moveaxis(dd.reshape(d.shape), -1, s + 2))
-        return t
-
-    @property
-    def w(self):
-        """w_b = C_bcde A^cde."""
-        return self._get("w", lambda: jet_einsum(
-            "pbcde,pcde->pb", self.C, self.raised(self.A, (0, 1, 2))))
-
-    @property
-    def l_operator(self):
-        """L^a_b = C^acde C_bcde as a jet: the value of `l_operators`, and
-        the partials of L_ab = C_acde C_bc'd'e' g^cc' g^dd' g^ee' from dC and
-        copies of C raised in place, then the first index raised."""
-        def build():
-            s, n = self.s, self.n
-            npts = len(s.points)
-            C, gi, dgi = s["C"], self.ginv.val, self.ginv.d
-            cup3 = s.raised("C", (0, 1, 1, 1)).reshape(npts, n, -1)
-            low = C.reshape(npts, n, -1) @ np.swapaxes(cup3, 1, 2)
-            # T_zab = d_z C_acde C_b^cde, once per slot of L
-            t = (s["dC"].reshape(npts, n * n, -1)
-                 @ np.swapaxes(cup3, 1, 2)).reshape(npts, n, n, n)
-            # the dg^-1 terms X_(cf)(ab) dg^cf: slot c with C_ac^de C_bfde,
-            # slots d and e with C_a^c_d^e C_bcfe (equal by the pair
-            # antisymmetry)
-            def slot_terms(x, y):
-                """sum_de x_acde y_bfde as a matrix over (cf) x (ab)."""
-                xy = x.reshape(npts, n * n, -1) @ np.swapaxes(
-                    y.reshape(npts, n * n, -1), 1, 2)
-                return xy.reshape((npts,) + (n,) * 4).transpose(
-                    0, 2, 4, 1, 3).reshape(npts, n * n, n * n)
-            x = (slot_terms(s.raised("C", (0, 0, 1, 1)), C)
-                 + 2.0 * slot_terms(
-                     s.raised("C", (0, 1, 0, 1)).transpose(0, 1, 3, 2, 4),
-                     C.transpose(0, 1, 3, 2, 4)))
-            dlow = t + np.swapaxes(t, 2, 3) + (
-                dgi.reshape(npts, n, n * n) @ x).reshape(npts, n, n, n)
-            d = dgi @ low[:, None] + gi[:, None] @ dlow
-            return Jet(l_operators(s)[0], d)
-        return self._get("L-operator", build)
-
-    @property
-    def weyl_operator(self):
-        """Ranked-pair matrix of C_ab^cd as a jet: the value of
-        `weyl_operators`, the partials raised from dC on the ranked first
-        pairs only."""
-        def build():
-            a, b = pair_basis(self.n)
-            cr = Jet(self.s["C"][:, a, b], self.s["dC"][:, :, a, b])
-            d = self.raised(cr, (1, 2)).d[..., a, b]
-            return Jet(weyl_operators(self.s)[0], 2.0 * d)
-        return self._get("weyl-operator", build)
-
-    def contracted(self, policy, tol):
-        """(determinant jet, vector jet) of 'from-L' or 'from-C', once the
-        policy's preconditions hold (`_gate`): 'from-L' gives ||L|| and
-        u^a = Lt^a_b w^b, so K^a = -u^a / ||L||; 'from-C' gives ||C|| and
-        v_b = Ct_bcde A^cde, so K_b = 2 v_b / ((1 - n) ||C||)."""
-        def build():
-            _gate(self.s, policy, tol)
-            if policy == "from-L":
-                lop = self.l_operator
-                det = jet_det(lop, *l_operators(self.s)[1:])
-                adj = jet_adjugate(lop, det)
-                # w^b takes its value as C^bcde A_cde from the raised C of
-                # `l_operators`: raising A instead rounds differently where
-                # g^-1 is large.  Its partials come from the w_b jet.
-                wup = Jet(np.einsum("pbcde,pcde->pb",
-                                    self.s.raised("C", (1, 1, 1, 1)),
-                                    self.s["A"]),
-                          self.raised(self.w, (0,)).d)
-                return det, jet_einsum("pab,pb->pa", adj, wup)
-            a, b = pair_basis(self.n)
-            wop = self.weyl_operator
-            det = jet_det(wop, *weyl_operators(self.s)[1:])
-            adj = jet_adjugate(wop, det)
-            a1 = self.raised(self.A, (0,)).map(lambda t: t[..., a, b])
-            return det, jet_einsum("pbck,pck->pb", adj.map(_pair_rows), a1)
-        return self._get(("contracted", policy, tol.rank_tol), build)
+def _contracted(s, policy, tol):
+    """(determinant jet, vector jet) of 'from-L' or 'from-C', once the
+    policy's preconditions hold (`_gate`): 'from-L' gives ||L|| and
+    u^a = Lt^a_b w^b, so K^a = -u^a / ||L||; 'from-C' gives ||C|| and
+    v_b = Ct_bcde A^cde, so K_b = 2 v_b / ((1 - n) ||C||)."""
+    def build():
+        _gate(s, policy, tol)
+        n, gi = s.n, s.jet("ginv")
+        if policy == "from-L":
+            # w before L: the transients of raising A then do not stack on
+            # the raised copies of C that L keeps
+            wup = taylor.product("b,ba->a", _w_jet(s), gi, n, 1)
+            # w^b takes its value as C^bcde A_cde from the raised C of
+            # `l_operators`: raising A instead rounds differently where
+            # g^-1 is large.  Its partials come from the w_b jet.
+            wup[:, 0] = np.einsum("pbcde,pcde->pb",
+                                  s.raised("C", (1, 1, 1, 1)), s["A"])
+            lop = _l_jet(s)
+            det = _det_jet(lop, *l_operators(s)[1:])
+            adj = taylor.product(",ab->ab", det, taylor.inverse(lop, n, 1),
+                                 n, 1)
+            return det, taylor.product("ab,b->a", adj, wup, n, 1)
+        a, b = pair_basis(n)
+        wop = _weyl_jet(s)
+        det = _det_jet(wop, *weyl_operators(s)[1:])
+        adj = taylor.product(",ab->ab", det, taylor.inverse(wop, n, 1), n, 1)
+        a1 = taylor.product("xbc,xa->abc", s.jet("A"), gi, n, 1)[..., a, b]
+        return det, taylor.product("bck,ck->b", _pair_rows(adj), a1, n, 1)
+    return s.derived(("contracted", policy, tol.rank_tol), build)
 
 
 def _gate(samples, policy, tol):
@@ -322,25 +224,27 @@ def _gate(samples, policy, tol):
     return c3
 
 
-def _k_jet(bag: _JetBag, policy, tol) -> Jet:
-    """K_a with its partials for one policy, contracted before it is
+def _k_jet(s, policy, tol):
+    """The jet of K_a for one policy, contracted before it is
     differentiated (see the module docstring)."""
+    n = s.n
     if policy == "dim4-C3":
-        c3 = _gate(bag.s, policy, tol)
-        m = bag.weyl_operator
+        c3 = _gate(s, policy, tol)
+        m = _weyl_jet(s)
         # C^3 = tr M^3 on the ranked pairs, so dC^3 = 3 tr(M^2 dM)
-        c3 = Jet(c3, 3.0 * np.einsum("pij,pjk,pzki->pz", m.val, m.val, m.d))
-        a, b = pair_basis(bag.n)
+        c3 = np.concatenate([c3[:, None], 3.0 * np.einsum(
+            "pij,pjk,pzki->pz", m[:, 0], m[:, 0], m[:, 1:])], axis=1)
+        a, b = pair_basis(n)
         # u_xfg = A_xyz C^yz_fg, then K_a = (4 / C^3) u^x_fg C^fg_xa
-        u = jet_einsum("pxk,pjk->pxj", bag.A.map(lambda t: t[..., a, b]), m)
-        k = jet_einsum("pxaj,pxj->pa", m.map(_pair_rows),
-                       bag.raised(u, (0,)))
-        return jet_einsum("p,pa->pa", jet_reciprocal(c3, 4.0), k)
-    det, vec = bag.contracted(policy, tol)
+        u = taylor.product("xk,jk->xj", s.jet("A")[..., a, b], m, n, 1)
+        u = taylor.product("xj,xa->aj", u, s.jet("ginv"), n, 1)
+        k = taylor.product("xaj,xj->a", _pair_rows(m), u, n, 1)
+        return taylor.product(",a->a", _reciprocal(c3, 4.0), k, n, 1)
+    det, vec = _contracted(s, policy, tol)
     if policy == "from-L":
-        kup = jet_einsum("p,pa->pa", jet_reciprocal(det, -1.0), vec)
-        return jet_einsum("pab,pb->pa", bag.g, kup)
-    return jet_einsum("p,pa->pa", jet_reciprocal(det, 2.0 / (1 - bag.n)), vec)
+        kup = taylor.product(",a->a", _reciprocal(det, -1.0), vec, n, 1)
+        return taylor.product("ab,b->a", s.jet("g"), kup, n, 1)
+    return taylor.product(",a->a", _reciprocal(det, 2.0 / (1 - n)), vec, n, 1)
 
 
 @dataclass
@@ -363,46 +267,58 @@ class DualCandidate:
 POLICIES = ("from-L", "from-C", "dim4-C3")
 
 
-def _left_inverse(bag: _JetBag, policy, tol):
+def _left_inverse(s, policy, tol):
     """(Dt jet, the determinant jet it divides by) for one policy: 'from-L'
     divides by ||L||, 'from-C' by ||C||, 'dim4-C3' (n = 4) by the cubic
     scalar contraction.  Raises PolicyError naming the first point where
     the precondition fails.  This builds the whole rank-4 Dt and its
     partials from C with all slots raised: the oracle of `k_field`."""
-    n = bag.n
-    _gate(bag.s, policy, tol)
+    n, gi = s.n, s.jet("ginv")
+    _gate(s, policy, tol)
+    up01 = ("xbcd,xa->abcd", "axcd,xb->abcd")     # raise slots 0, 1
+    up23 = ("abxd,xc->abcd", "abcx,xd->abcd")     # raise slots 2, 3
+    cmix = c01 = s.jet("C")
+    for spec in up23:
+        cmix = taylor.product(spec, cmix, gi, n, 1)   # C_ab^cd
+    for spec in up01:
+        c01 = taylor.product(spec, c01, gi, n, 1)     # C^ab_cd
+    cup = c01
+    for spec in up23:
+        cup = taylor.product(spec, cup, gi, n, 1)     # C^abcd
     if policy == "from-L":
-        cup = bag.raised(bag.C, (0, 1, 2, 3))
-        m = jet_einsum("pacde,pbcde->pab", cup, bag.C)
-        det = jet_det(m, *l_operators(bag.s)[1:])
-        d = jet_einsum("pab,pbcde->pacde", jet_adjugate(m, det), cup)
-        return jet_einsum("p,pacde->pacde", jet_reciprocal(det, -1.0),
-                          d), det
-    cmix = bag.raised(bag.C, (2, 3))
+        m = taylor.product("acde,bcde->ab", cup, s.jet("C"), n, 1)
+        det = _det_jet(m, *l_operators(s)[1:])
+        adj = taylor.product(",ab->ab", det, taylor.inverse(m, n, 1), n, 1)
+        d = taylor.product("ab,bcde->acde", adj, cup, n, 1)
+        return taylor.product(",acde->acde", _reciprocal(det, -1.0), d,
+                              n, 1), det
     if policy == "from-C":
-        m = Jet(weyl_operators(bag.s)[0], _pair_matrix(cmix.d))
-        det = jet_det(m, *weyl_operators(bag.s)[1:])
-        ct = jet_adjugate(m, det).map(_pair_tensor)  # Ct_xy^de
-        ctup = bag.raised(ct, (0, 1))
-        return jet_einsum("p,pacde->pacde", jet_reciprocal(det),
-                          ctup).scaled(2.0 / (1.0 - n)), det
-    c3 = jet_einsum("pabcd,pcdef,pefab->p", cmix, cmix, cmix)
+        m = np.concatenate([weyl_operators(s)[0][:, None],
+                            _pair_matrix(cmix[:, 1:])], axis=1)
+        det = _det_jet(m, *weyl_operators(s)[1:])
+        ct = _pair_tensor(taylor.product(
+            ",ab->ab", det, taylor.inverse(m, n, 1), n, 1))   # Ct_xy^de
+        for spec in up01:
+            ct = taylor.product(spec, ct, gi, n, 1)
+        return (2.0 / (1.0 - n)) * taylor.product(
+            ",acde->acde", _reciprocal(det), ct, n, 1), det
+    c3 = taylor.product("abef,efab->", taylor.product(
+        "abcd,cdef->abef", cmix, cmix, n, 1), cmix, n, 1)
     # 4 C^de_fg C^fgca / C3; the factor 4 normalizes the defining
     # contraction to exactly -identity
-    cc = jet_einsum("pdefg,pfgca->pdeca", bag.raised(bag.C, (0, 1)),
-                    bag.raised(bag.C, (0, 1, 2, 3)))
-    perm = Jet(np.transpose(cc.val, (0, 4, 3, 1, 2)),
-               np.transpose(cc.d, (0, 1, 5, 4, 2, 3)))
-    return jet_einsum("p,pacde->pacde", jet_reciprocal(c3, 4.0), perm), c3
+    cc = taylor.product("defg,fgca->deca", c01, cup, n, 1)
+    perm = np.transpose(cc, (0, 1, 5, 4, 2, 3))
+    return taylor.product(",acde->acde", _reciprocal(c3, 4.0), perm,
+                          n, 1), c3
 
 
-def dual_candidate_jet(bag: _JetBag, policy, tolerances=None) -> Jet:
-    """Fully raised Dt^acde with exact first derivatives (see
-    _left_inverse for the policies), built once per bag.  Not on the
-    verdict path: `k_field` contracts A first."""
+def dual_candidate_jet(samples, policy, tolerances=None):
+    """Fully raised Dt^acde with exact first derivatives, a `taylor` jet
+    (see _left_inverse for the policies), built once per sample batch.
+    Not on the verdict path: `k_field` contracts A first."""
     tol = tolerances or DEFAULT_TOLERANCES
-    return bag._get(("dual", policy, tol.rank_tol),
-                    lambda: _left_inverse(bag, policy, tol))[0]
+    return samples.derived(("dual", policy, tol.rank_tol),
+                           lambda: _left_inverse(samples, policy, tol))[0]
 
 
 def dual_candidate(pack_or_samples, policy="from-L", points=None,
@@ -416,9 +332,8 @@ def dual_candidate(pack_or_samples, policy="from-L", points=None,
             raise ValueError("user policy needs user_comps")
         return DualCandidate(np.asarray(user_comps, dtype=float),
                              "user-supplied", np.ones(len(s.points)))
-    dt, det = _left_inverse(_JetBag(s), policy,
-                            tolerances or DEFAULT_TOLERANCES)
-    return DualCandidate(dt.val, policy, det.val)
+    dt, det = _left_inverse(s, policy, tolerances or DEFAULT_TOLERANCES)
+    return DualCandidate(dt[:, 0], policy, det[:, 0])
 
 
 def _require_nonzero_weyl(samples, tol, policy):
@@ -435,9 +350,12 @@ def _require_nonzero_weyl(samples, tol, policy):
 
 def _check_policy_matrix(mats, dets, tol, policy, name, points):
     """The policy's matrix must be numerically invertible (full rank at the
-    pivot tolerance, relative to its largest entry)."""
+    pivot tolerance, relative to its largest entry) with a nonzero
+    determinant: `genericity` zeroes the determinant where the Weyl tensor
+    vanishes at the default tolerance, which a finer rank_tol lets pass."""
     from . import linalg
-    bad = np.flatnonzero(linalg.rank(mats, tol.rank_tol) < mats.shape[1])
+    bad = np.flatnonzero((linalg.rank(mats, tol.rank_tol) < mats.shape[1])
+                         | (dets == 0))
     if bad.size:
         p = int(bad[0])
         raise PolicyError(f"policy {policy}: {name} = {dets[p]:.3e} vanishes "
@@ -476,14 +394,15 @@ class KField:
         return np.einsum("pab,pb->pa", samples["ginv"], self.lowered)
 
 
-def k_field(samples: CurvatureSamples, policy="from-L", tolerances=None,
-            bag=None) -> KField:
+def k_field(samples: CurvatureSamples, policy="from-L",
+            tolerances=None) -> KField:
     """K_a = Dt_a^{bcd} A_bcd for the chosen left-inverse policy, A
     contracted before anything is differentiated.  Raises PolicyError
     naming the first point where the policy's precondition fails."""
-    bag = bag or _JetBag(samples)
-    k = _k_jet(bag, policy, tolerances or DEFAULT_TOLERANCES)
-    return KField(k.val, k.d, policy)
+    tol = tolerances or DEFAULT_TOLERANCES
+    k = samples.derived(("k", policy, tol.rank_tol),
+                        lambda: _k_jet(samples, policy, tol))
+    return KField(k[:, 0], k[:, 1:], policy)
 
 
 def k_field_from_tensor(k_tensor: TensorField, samples: CurvatureSamples,
@@ -608,69 +527,61 @@ def e_tensor(samples: CurvatureSamples, k: KField) -> Residual:
     return Residual("E", tf, _scale_of(samples["P"], covk, kk))
 
 
-def g_tensor(samples: CurvatureSamples, bag=None, cross_check=True):
-    """The ||L||-cleared natural display of E (weight -8n); returns
-    (Residual, cross-check relative error vs ||L||^2 E)."""
+def _cleared_e(samples, name, det, q):
+    """Trace-free[D^2 P - D nabla Q + dD (x) Q + Q (x) Q] from the jets of
+    D and Q: D^2 E for K = Q / D, without dividing by D."""
+    covq = q[:, 1:] - np.einsum("pcab,pc->pab", samples["gamma"], q[:, 0])
+    t1 = (det[:, 0] ** 2)[:, None, None] * samples["P"]
+    t2 = -det[:, 0, None, None] * covq
+    t3 = np.einsum("pa,pb->pab", det[:, 1:], q[:, 0])
+    t4 = np.einsum("pa,pb->pab", q[:, 0], q[:, 0])
+    return Residual(name, _trace_free(t1 + t2 + t3 + t4, samples),
+                    _scale_of(t1, t2, t3, t4))
+
+
+def _cross_check(samples, res, det, policy, tol):
+    """Relative deviation of a cleared display from D^2 E."""
+    e = e_tensor(samples, k_field(samples, policy, tol))
+    ref = (det[:, 0] ** 2)[:, None, None] * e.values
+    denom = max(np.max(np.abs(ref)), 1e-300)
+    return float(np.max(np.abs(res.values - ref)) / denom)
+
+
+def g_tensor(samples: CurvatureSamples, tol=None, cross_check=True):
+    """The ||L||-cleared natural display of E (weight -8n), its from-L
+    policy gated at `tol`; returns (Residual, cross-check relative error vs
+    ||L||^2 E)."""
     _need_dim4plus(samples)
-    bag = bag or _JetBag(samples)
-    detL, u = bag.contracted("from-L", DEFAULT_TOLERANCES)
+    tol = tol or DEFAULT_TOLERANCES
+    det, u = _contracted(samples, "from-L", tol)
     # D_b^cde A_cde = -g_ba Lt^a_x w^x, with D^acde = -Lt^a_b C^bcde
-    q = jet_einsum("pab,pb->pa", bag.g, u).scaled(-1.0)
-    covq = q.d - np.einsum("pcab,pc->pab", samples["gamma"], q.val)
-    t1 = (detL.val ** 2)[:, None, None] * samples["P"]
-    t2 = -detL.val[:, None, None] * covq
-    t3 = np.einsum("pa,pb->pab", detL.d, q.val)
-    t4 = np.einsum("pa,pb->pab", q.val, q.val)
-    disp = _trace_free(t1 + t2 + t3 + t4, samples)
-    res = Residual("G", disp, _scale_of(t1, t2, t3, t4))
-    if not cross_check:
-        return res, None
-    e = e_tensor(samples, k_field(samples, "from-L", bag=bag))
-    ref = (detL.val ** 2)[:, None, None] * e.values
-    denom = max(np.max(np.abs(ref)), 1e-300)
-    return res, float(np.max(np.abs(disp - ref)) / denom)
+    res = _cleared_e(samples, "G", det, -taylor.product(
+        "ab,b->a", samples.jet("g"), u, samples.n, 1))
+    return res, (_cross_check(samples, res, det, "from-L", tol)
+                 if cross_check else None)
 
 
-def gbar_tensor(samples: CurvatureSamples, bag=None, cross_check=True):
-    """The ||C||-cleared display (weight 2n(1-n)); cross-checked against
-    (1-n)^2 ||C||^2 E with the Lambda2 left inverse."""
+def gbar_tensor(samples: CurvatureSamples, tol=None, cross_check=True):
+    """The ||C||-cleared display (weight 2n(1-n)), its from-C policy gated
+    at `tol`; cross-checked against (1-n)^2 ||C||^2 E with the Lambda2 left
+    inverse."""
     _need_dim4plus(samples)
-    bag = bag or _JetBag(samples)
-    n = samples.n
-    detC, q = bag.contracted("from-C", DEFAULT_TOLERANCES)  # Ct_bcde A^cde
-    covq = q.d - np.einsum("pcab,pc->pab", samples["gamma"], q.val)
-    t1 = (1 - n) ** 2 * (detC.val ** 2)[:, None, None] * samples["P"]
-    t2 = -2 * (1 - n) * detC.val[:, None, None] * covq
-    t3 = 2 * (1 - n) * np.einsum("pa,pb->pab", detC.d, q.val)
-    t4 = 4 * np.einsum("pa,pb->pab", q.val, q.val)
-    disp = _trace_free(t1 + t2 + t3 + t4, samples)
-    res = Residual("Gbar", disp, _scale_of(t1, t2, t3, t4))
-    if not cross_check:
-        return res, None
-    e = e_tensor(samples, k_field(samples, "from-C", bag=bag))
-    ref = (1 - n) ** 2 * (detC.val ** 2)[:, None, None] * e.values
-    denom = max(np.max(np.abs(ref)), 1e-300)
-    return res, float(np.max(np.abs(disp - ref)) / denom)
+    tol = tol or DEFAULT_TOLERANCES
+    det, v = _contracted(samples, "from-C", tol)   # ||C||, Ct_bcde A^cde
+    det = (1 - samples.n) * det
+    res = _cleared_e(samples, "Gbar", det, 2.0 * v)
+    return res, (_cross_check(samples, res, det, "from-C", tol)
+                 if cross_check else None)
 
 
-def dim4_invariant(samples: CurvatureSamples, bag=None) -> Residual:
+def dim4_invariant(samples: CurvatureSamples) -> Residual:
     """Trace-free[(|C|^2)^2 P + 4|C|^2 nabla(C.A) - 4(C.A) nabla|C|^2
     + 16 (C.A)(x)(C.A)], the weight -8 obstruction in dimension 4."""
     if samples.n != 4:
         raise ValueError("dim4_invariant needs dimension 4")
-    bag = bag or _JetBag(samples)
     # |C|^2 = L^a_a and C_bcde A^cde = w_b, the pieces of the from-L K
-    lop = bag.l_operator
-    c2 = Jet(np.trace(lop.val, axis1=1, axis2=2),
-             np.trace(lop.d, axis1=2, axis2=3))
-    q = bag.w
-    covq = q.d - np.einsum("pcab,pc->pab", samples["gamma"], q.val)
-    t1 = (c2.val ** 2)[:, None, None] * samples["P"]
-    t2 = 4 * c2.val[:, None, None] * covq
-    t3 = -4 * np.einsum("pb,pa->pab", q.val, c2.d)
-    t4 = 16 * np.einsum("pa,pb->pab", q.val, q.val)
-    disp = _trace_free(t1 + t2 + t3 + t4, samples)
-    return Residual("dim4", disp, _scale_of(t1, t2, t3, t4))
+    c2 = np.trace(_l_jet(samples), axis1=2, axis2=3)
+    return _cleared_e(samples, "dim4", c2, -4.0 * _w_jet(samples))
 
 
 def cotton_rl2_invariant(samples: CurvatureSamples):
@@ -813,19 +724,18 @@ def conformal_einstein_tensor_verdict(source, points, policy="auto",
 
     gen = classify_genericity(samples, tolerances=tol)
     report.genericity = gen
-    bag = _JetBag(samples)
 
     chosen = None
     if policy == "auto":
         for cand in ("from-L", "from-C") + (("dim4-C3",) if n == 4 else ()):
             try:
-                k = k_field(samples, cand, tol, bag)
+                k = k_field(samples, cand, tol)
                 chosen = cand
                 break
             except PolicyError as exc:
                 report.notes.append(str(exc))
     else:
-        k = k_field(samples, policy, tol, bag)
+        k = k_field(samples, policy, tol)
         chosen = policy
 
     if chosen is None:
@@ -884,7 +794,7 @@ def conformal_einstein_tensor_verdict(source, points, policy="auto",
                 "the E and F routes disagree beyond tolerance"))
 
     if n == 4:
-        report.residuals["dim4"] = dim4_invariant(samples, bag)
+        report.residuals["dim4"] = dim4_invariant(samples)
 
     if report.outcome == "conformally-einstein":
         scale0 = np.max(samples.scale())
@@ -911,9 +821,8 @@ def cotton_scale_verdict(source, points, policy="from-L",
     report = ObstructionReport(n=samples.n, points=list(samples.points),
                                genericity=classify_genericity(samples,
                                                               tolerances=tol))
-    bag = _JetBag(samples)
     try:
-        k = k_field(samples, policy, tol, bag)
+        k = k_field(samples, policy, tol)
     except PolicyError as exc:
         report.verdicts.append(Verdict(
             THEOREM_IDS["lam2"], "inconclusive", "left inverse unavailable",

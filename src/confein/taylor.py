@@ -13,7 +13,12 @@ product is the truncated Cauchy product, the partial d/dx_i shifts the
 coefficients with the factor alpha_i + 1, and a matrix inverse is solved
 degree by degree.  A tensor contraction is a few batched matrix products,
 one per degree of the first factor's monomials; the index tables are built
-with numpy and cached per (n, k)."""
+with numpy and cached per (n, k).
+
+This is the one forward-mode algebra of the package: the curvature ladder
+runs it to order 4, and at order 1 (values plus first partials,
+f[:, 1 + i] = d_i f) it carries the one-form K of `obstructions` and its
+partials, with the sampled g, g^-1, P, J, C and A as operands."""
 
 from __future__ import annotations
 

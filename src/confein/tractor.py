@@ -518,12 +518,11 @@ def einstein_tractor_values(s: CurvatureSamples, sigma):
     ginv, gam = christoffel_jet(s, 1)
     ds = T.partials(sj, n, 2)                        # d_a sigma
     hess = T.partials(ds, n, 1) - T.product("cbd,c->bd", gam, ds, n, 1)
-    jj = np.concatenate([s["J"][:, None], s["dJ"]], axis=1)
     ij = np.empty((len(s.points), T.size(n, 1), n + 2))
     ij[..., 0] = sj[:, :n + 1]
     ij[..., 1:n + 1] = T.product("ab,b->a", ginv, ds, n, 1)
     ij[..., n + 1] = -(T.product("ab,ab->", ginv, hess, n, 1)
-                       + T.product(",->", jj, sj, n, 1)) / n
+                       + T.product(",->", s.jet("J"), sj, n, 1)) / n
     ivals = ij[:, 0]
     grad = T.partials(ij, n, 0)[:, 0] + np.einsum(
         "pzIJ,pJ->pzI", theta_values(s), ivals)

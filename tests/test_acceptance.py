@@ -218,7 +218,6 @@ def test_criterion_10_covariance_battery():
     details = []
     for ups in ups_list:
         sh = CurvaturePack(conformal_rescale(e5.metric, ups)).samples(pts5)
-        bag, bagh = OB._JetBag(s5), OB._JetBag(sh)
         uvals = evaluate_components(ups, s5.bindings)
         scale = float(np.max(s5.scale()))
         # exact rules
@@ -230,19 +229,19 @@ def test_criterion_10_covariance_battery():
              for c in e5.metric.chart.coords], axis=1))
         d_cotton = maxabs(sh["A"] - s5["A"]
                           - np.einsum("pk,pkabc->pabc", uup, s5["C"]))
-        e_g = OB.e_tensor(s5, OB.k_field(s5, "from-L", bag=bag))
-        e_h = OB.e_tensor(sh, OB.k_field(sh, "from-L", bag=bagh))
+        e_g = OB.e_tensor(s5, OB.k_field(s5, "from-L"))
+        e_h = OB.e_tensor(sh, OB.k_field(sh, "from-L"))
         d_e = maxabs(e_g.values - e_h.values)
         ok = ok and d_weyl < 1e-7 * scale and d_cotton < 1e-7 * scale \
             and d_e < 1e-7 * max(1.0, e_g.max_scale)
         # proportional invariants: exponents with tiny spread
         n = 5
         wG, sG = OB.covariance_exponent(
-            OB.g_tensor(s5, bag, cross_check=False)[0].values,
-            OB.g_tensor(sh, bagh, cross_check=False)[0].values, uvals)
+            OB.g_tensor(s5, cross_check=False)[0].values,
+            OB.g_tensor(sh, cross_check=False)[0].values, uvals)
         wGb, sGb = OB.covariance_exponent(
-            OB.gbar_tensor(s5, bag, cross_check=False)[0].values,
-            OB.gbar_tensor(sh, bagh, cross_check=False)[0].values, uvals)
+            OB.gbar_tensor(s5, cross_check=False)[0].values,
+            OB.gbar_tensor(sh, cross_check=False)[0].values, uvals)
         dets, _ = OB._weyl_adjugate_raised(s5)
         detsh, _ = OB._weyl_adjugate_raised(sh)
         wC, sC = OB.covariance_exponent(dets[:, None], detsh[:, None], uvals)
@@ -266,8 +265,7 @@ def test_criterion_10_covariance_battery():
                                           parse("3*u/10"))).samples(pts4)
     u4 = evaluate_components(parse("3*u/10"), s4.bindings)
     w4, spread4 = OB.covariance_exponent(
-        OB.dim4_invariant(s4, OB._JetBag(s4)).values,
-        OB.dim4_invariant(sh4, OB._JetBag(sh4)).values, u4)
+        OB.dim4_invariant(s4).values, OB.dim4_invariant(sh4).values, u4)
     ok = ok and spread4 < 1e-6 and abs(w4 - (-8)) < 1e-6
     report(10, "conformal covariance battery: exact rules for the Weyl, "
                "Cotton and E tensors; fitted exponents "

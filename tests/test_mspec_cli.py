@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from confein import curvature
+from confein import cli, curvature
+from confein.obstructions import Verdict
 from confein.catalog import get_entry
 from confein.cli import main
 from confein.mspecfile import (
@@ -247,6 +248,50 @@ class TestCli:
         assert main(["tractor", str(schw_file), "--sigma", "1 +"]) == 3
         assert main(["invariants", str(schw_file), "--upsilon", "log("]) == 3
         assert main(["catalog", "export", "no-such-entry"]) == 3
+
+    @pytest.mark.parametrize("which", ["E", "G", "Gbar"])
+    def test_invariants_gate_at_the_callers_rank_tol(self, rt_file, which,
+                                                      capsys):
+        # at rank_tol 0.5 the Weyl tensor of rt5-quartic counts as zero, so
+        # every left-inverse policy fails, G's and Gbar's too
+        assert main(["invariants", str(rt_file), "--which", which,
+                     "--rank-tol", "0.5"]) == 3
+        assert "vanishes numerically" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_determinant_fails_the_policy(self, tmp_path):
+        # genericity zeroes ||L|| and ||C|| where the Weyl tensor vanishes
+        # at the default rank_tol; a finer rank_tol must not divide by them
+        p = tmp_path / "sphere.mspec"
+        main(["catalog", "export", "constant-curvature4", "--out", str(p)])
+        code, data = run_cli(tmp_path, "classify", str(p),
+                             "--rank-tol", "1e-20")
+        assert code != 4
+        assert not any(np.isnan(r["max"]) for r in data["residuals"].values())
+        assert data["notes"][0].startswith(
+            "policy from-L: ||L|| = 0.000e+00 vanishes at point")
+        assert data["notes"][1].startswith(
+            "policy from-C: ||C|| = 0.000e+00 vanishes at point")
+
+    def test_tensor_route_conflict_is_the_verdict(self, tmp_path, rt_file,
+                                                  monkeypatch):
+        # rt5-quartic is "not" by the E route and the tractor rank; an E/F
+        # disagreement inside the tensor pipeline must still surface
+        real = cli.conformal_einstein_tensor_verdict
+
+        def conflicting(*args, **kwargs):
+            rep = real(*args, **kwargs)
+            rep.verdicts.append(Verdict(
+                "internal-consistency", "conflict", "generic",
+                "the E and F routes disagree beyond tolerance"))
+            return rep
+
+        monkeypatch.setattr(cli, "conformal_einstein_tensor_verdict",
+                            conflicting)
+        code, data = run_cli(tmp_path, "classify", str(rt_file))
+        assert data["rank_test"]["outcome"] == "not"
+        assert data["verdict"] == "conflict"
+        assert code == 2
 
     def test_invariants_covariance_section(self, tmp_path, rt_file):
         code, data = run_cli(tmp_path, "invariants", str(rt_file),
