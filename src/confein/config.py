@@ -23,7 +23,6 @@ class Tolerances:
     decisive: float = 1e-3
     n_points: int = 10
     seed: int = 0
-    locus_tol: float = 1e-9
 
     def passes(self, residual, scale=1.0):
         return residual < self.tol_rel * scale + self.tol_abs

@@ -14,21 +14,21 @@ Numeric values come from the metric alone.  Every quantity the invariants
 use involves at most four derivatives of g (the Bach tensor, and the first
 partials of the Weyl and Cotton tensors), so `CurvaturePack` compiles one
 small tape per metric: the partials of g_ij up to order 4
-(`CurvaturePack.metric_jet_tape`).  `CurvatureSamples` runs it at a batch
-of points and builds every ladder entry from that 4-jet by truncated
+(`CurvaturePack.metric_jet_tape`).  `CurvaturePack.samples` runs it at a
+batch of points and builds every ladder entry from that 4-jet by truncated
 Taylor arithmetic (`taylor`), in chunks of points, computing each quantity
 only to the order its consumers need: g to 4, the inverse metric to 3,
 the Christoffel symbols, Ricci, J and P to 2, Riemann, Weyl and Cotton to
-1 and Bach to 0 (stage 'ricci' needs the 2-jet of g only).  The samples
-keep the order-1 jets of g, g^-1 and (full stage) P, J, C and A
-(`CurvatureSamples.jet`), the operands of the K jets in `obstructions`;
-the values and d-prefixed partials of these are views of the jets, the
-other entries are values only.  `as_samples` turns a metric, a pack or
-samples into samples.  Other jets at the same points come from the
-same machinery: `scalar_jet` compiles one tape of a scalar expression's
-partials (a conformal factor, an Einstein scale), `christoffel_jet` runs
-the pack's metric-jet tape of a lower order for g^-1 and the Christoffel
-symbols beyond their values.
+1 and Bach to 0.  The samples keep the order-1 jets of g, g^-1, P, J, C
+and A (`CurvatureSamples.jet`), the operands of the K jets in
+`obstructions`; the values and d-prefixed partials of these are views of
+the jets, the other entries (Christoffel symbols, Ricci, scalar, Bach)
+are values only.  `as_samples` turns a metric, a pack or samples into
+samples.  Other jets at the same points come from the same machinery:
+`scalar_jet` compiles one tape of a scalar expression's partials (a
+conformal factor, an Einstein scale), `christoffel_jet` runs the pack's
+metric-jet tape again and reads the order-2 prefix of the jet for g^-1
+and the Christoffel symbols beyond their values.
 
 The pack's symbolic TensorFields remain for symbolic calculus (coframe
 components, the symbolic tractor calculus of `tractor`) and as the tests'
@@ -62,7 +62,6 @@ __all__ = [
     "CurvaturePack",
     "CurvatureSamples",
     "as_samples",
-    "curvature_pack",
     "identity_suite",
     "identity_residuals",
     "cotton_transform_check",
@@ -73,11 +72,6 @@ __all__ = [
     "numeric_cov",
     "antisym_axes",
 ]
-
-
-def curvature_pack(g):
-    """Curvature ladder over one metric (n >= 3)."""
-    return CurvaturePack(g)
 
 
 class CurvaturePack:
@@ -235,35 +229,22 @@ class CurvaturePack:
             return TensorField(self.chart, (DOWN, DOWN), out, weight=0)
         return self._get("bach", build)
 
-    def schouten_partials(self):
-        return partial_derivative(self.schouten)
-
-    def trace_partials(self):
-        j = self.schouten_trace
-        return np.asarray([diff(j, c) for c in self.chart.coords], dtype=object)
-
     # --- numeric sampling -------------------------------------------------
-    def samples(self, points, stage="full"):
-        """Evaluate the ladder (plus first partials) at the given points.
-        stage: 'ricci' (metric, connection, Riemann, Ricci, scalar,
-        Schouten), 'full' (adds Weyl, Cotton, Bach and the partials the
-        invariants need)."""
-        return CurvatureSamples(self, points, stage)
+    def samples(self, points):
+        """The ladder's values, and the first partials the invariants
+        need, at the given points (`CurvatureSamples`)."""
+        return CurvatureSamples(self, points)
 
-    def bindings(self, points):
-        return [self.g.point_bindings(pt) for pt in points]
-
-    def metric_jet_tape(self, order):
-        """Tape of the partials d^alpha g_ij, i <= j, |alpha| <= order
+    def metric_jet_tape(self):
+        """Tape of the partials d^alpha g_ij, i <= j, |alpha| <= 4
         (component-major, monomials in `taylor.monomials` order), compiled
-        once per pack and order."""
+        once per pack: the one tape every numeric quantity of the ladder
+        comes from."""
         i, j = np.triu_indices(self.n)
-        return self._get(("metric-jet", order), lambda: compile_batch(
-            _partials(self.g.comps[i, j], self.chart.coords, order)))
+        return self._get("metric-jet", lambda: compile_batch(
+            _partials(self.g.comps[i, j], self.chart.coords, 4)))
 
 
-# order of the metric jet each stage needs
-_JET_ORDER = {"ricci": 2, "full": 4}
 # points per ladder chunk: bounds the transient jets, not the results
 _CHUNK = 32
 
@@ -290,15 +271,14 @@ def scalar_jet(s, f, order):
     return run_batch(prog, s.bindings) / taylor.factorials(s.n, order)
 
 
-def christoffel_jet(s, order):
+def christoffel_jet(s):
     """The inverse metric (P, M, n, n) and the Christoffel symbols
-    Gamma^c_bd (P, M, n, n, n) to `order` at the points of s, from the
-    metric jet of order `order` + 1."""
+    Gamma^c_bd (P, M, n, n, n) to order 1 at the points of s, from the
+    order-2 prefix of the pack's metric jet."""
     n = s.n
-    gj = _metric_jet(run_batch(s.pack.metric_jet_tape(order + 1), s.bindings),
-                     n, order + 1)
-    ginv = taylor.inverse(gj, n, order)
-    _, gamp = _christoffel(taylor.partials(gj, n, order), ginv, n, order)
+    gj = _metric_jet(run_batch(s.pack.metric_jet_tape(), s.bindings), n, 2)
+    ginv = taylor.inverse(gj, n, 1)
+    _, gamp = _christoffel(taylor.partials(gj, n, 1), ginv, n, 1)
     return ginv, gamp[..., _pair_tables(n)["sym"]]
 
 
@@ -307,23 +287,20 @@ class CurvatureSamples:
     batch of points.  values[name] has shape (P,) + component shape; the
     partial-derivative axis of d-prefixed entries comes right after P."""
 
-    def __init__(self, pack, points, stage="full"):
-        if stage not in _JET_ORDER:
-            raise ValueError(f"unknown stage {stage}")
+    def __init__(self, pack, points):
         self.pack = pack
         self.n = n = pack.n
         self.points = [dict(p) for p in points]
-        self.bindings = pack.bindings(points)
+        self.bindings = [pack.g.point_bindings(pt) for pt in points]
         self._derived = {}
-        order = _JET_ORDER[stage]
-        prog = pack.metric_jet_tape(order)
+        prog = pack.metric_jet_tape()
         n_pts = len(self.points)
         self._jets, self.values = {}, {}
         for lo in range(0, max(n_pts, 1), _CHUNK):
             jet = _metric_jet(run_batch(prog, self.bindings[lo:lo + _CHUNK]),
-                              n, order)
+                              n, 4)
             try:
-                chunk = _ladder(jet, n, stage == "full")
+                chunk = _ladder(jet, n)
             except np.linalg.LinAlgError:
                 p = lo + _first_singular(jet[:, 0])
                 raise SingularMetricError(
@@ -341,9 +318,6 @@ class CurvatureSamples:
 
     def __getitem__(self, name):
         return self.values[name]
-
-    def __contains__(self, name):
-        return name in self.values
 
     def jet(self, name):
         """The read-only order-1 `taylor` jet (P, 1 + n) + component shape
@@ -370,32 +344,23 @@ class CurvatureSamples:
             return arr
         return self.derived(key, build)
 
-    def cov(self, name, variance):
-        """Covariant derivative from stored partials: shape (P, n, ...)."""
-        key = ("cov", name, tuple(variance))
-        return self.derived(key, lambda: numeric_cov(
-            self.values[name], self.values["d" + name], variance,
-            self.values["gamma"]))
-
     def scale(self):
         """Residual scale max(1, |C|, |A|, |P|) per point."""
         def build():
             parts = [np.ones(len(self.points))]
             for nm in ("C", "A", "P"):
-                if nm in self.values:
-                    v = self.values[nm]
-                    parts.append(np.max(np.abs(v.reshape(len(self.points), -1)),
-                                        axis=1))
+                parts.append(_maxnorm(self.values[nm], len(self.points)))
             return np.max(np.stack(parts), axis=0)
         return self.derived(("scale",), build)
 
 
 def _metric_jet(vals, n, order):
-    """Order-`order` jet (P, M, n, n) of g from the tape's partials."""
+    """Jet (P, M, n, n) of g of order `order` <= 4 from the metric-jet
+    tape's partials: the prefix of the 4-jet, as monomials are graded."""
     n_pts = vals.shape[0]
     i, j = np.triu_indices(n)
     m = taylor.size(n, order)
-    coef = (vals.reshape(n_pts, len(i), m)
+    coef = (vals.reshape(n_pts, len(i), vals.shape[1] // len(i))[:, :, :m]
             / taylor.factorials(n, order)).transpose(0, 2, 1)
     jet = np.empty((n_pts, m, n, n))
     jet[:, :, i, j] = coef
@@ -460,22 +425,23 @@ def _christoffel(dg, ginv, n, k):
     return low, taylor.product("ce,es->cs", ginv, low, n, k)
 
 
-def _ladder(gj, n, full):
+def _ladder(gj, n):
     """(order-1 jets, values) of the ladder at a chunk of points from the
-    metric jet `gj`, of order 4 ('full') or 2.  Each quantity is computed
-    to the order its consumers need: Ricci, J and P to order r, Riemann,
-    Weyl and Cotton to order q, the Christoffel symbols to order
-    max(r, q + 1); g, g^-1 and (full) P, J, C and A are returned as order-1
-    jets, the rest as values."""
+    4-jet `gj` of the metric.  Each quantity is computed to the order its
+    consumers need: the Christoffel symbols, Ricci, J and P to order r = 2,
+    Riemann, Weyl and Cotton to order q = 1 (for their first partials) and
+    Bach to order 0.  g, g^-1, P, J, C and A are returned as order-1 jets;
+    the Christoffel symbols, Ricci, the scalar curvature and Bach as
+    values."""
     T = taylor
-    r, q = (2, 1) if full else (0, 0)
+    r, q = 2, 1
     tab = _pair_tables(n)
     i, j = tab["pairs"]
     sym = tab["sym"]
     dg = T.partials(gj, n, r + 1)                    # d_x g_ab
     ginv = T.inverse(gj, n, r + 1)
     # Gamma_e,bd to the order of the Riemann tensor's partials
-    low, gamp = _christoffel(dg[:, :T.size(n, max(r, q + 1))], ginv, n, r)
+    low, gamp = _christoffel(dg[:, :T.size(n, r)], ginv, n, r)
     gam = gamp[..., sym]
     # Ric_bd = d_c Gamma^c_bd - d_b t_d + t_e Gamma^e_bd
     #          - Gamma^c_be Gamma^e_cd,  t_d = Gamma^c_cd = g^ce d_d g_ce / 2,
@@ -513,13 +479,6 @@ def _ladder(gj, n, full):
     riem = (dlow[..., a, c, sym[b, d]] - dlow[..., b, c, sym[a, d]]
             - quad[..., sym[a, c], sym[b, d]]
             + quad[..., sym[b, c], sym[a, d]])
-    m1 = T.size(n, 1)
-    jets = {"g": gj[:, :m1], "ginv": ginv[:, :m1]}
-    out = {"gamma": gam[:, 0], "riem": _unpack(riem[:, 0], tab),
-           "ricci": ric[:, 0], "scalar": scalar[:, 0], "P": P[:, 0],
-           "J": J[:, 0]}
-    if not full:
-        return jets, out
     # C_abcd = R_abcd - g_ca P_bd + g_cb P_ad - g_db P_ac + g_da P_bc
     y = T.product("s,t->st", gp, P[..., i, j], n, q)   # g_s P_t
     C = (riem - y[..., sym[c, a], sym[b, d]] + y[..., sym[c, b], sym[a, d]]
@@ -536,13 +495,16 @@ def _ladder(gj, n, full):
     B = (np.einsum("pcx,pxacb->pab", gi, cov_a)
          + np.einsum("pdx,pcy,pxy,pdacb->pab", gi, gi, P[:, 0], C[:, 0],
                      optimize=True))
-    jets.update({"P": P[:, :m1], "J": J[:, :m1], "C": C, "A": A})
-    out["B"] = B
+    m1 = T.size(n, 1)
+    jets = {"g": gj[:, :m1], "ginv": ginv[:, :m1], "P": P[:, :m1],
+            "J": J[:, :m1], "C": C, "A": A}
+    out = {"gamma": gam[:, 0], "ricci": ric[:, 0], "scalar": scalar[:, 0],
+           "B": B}
     return jets, out
 
 
 def as_samples(source, points=None):
-    """The full-stage CurvatureSamples of `source` at `points`.  `source` is
+    """The CurvatureSamples of `source` at `points`.  `source` is
     a CurvatureSamples (returned as is; `points` is ignored), a
     CurvaturePack or a MetricField."""
     if isinstance(source, CurvatureSamples):
@@ -603,9 +565,10 @@ def identity_residuals(s: CurvatureSamples):
     P = len(s.points)
     g, gi = s["g"], s["ginv"]
     C, A, Ps, B = s["C"], s["A"], s["P"], s["B"]
-    covC = s.cov("C", (DOWN,) * 4)   # (P, x, a, b, c, d)
-    covA = s.cov("A", (DOWN,) * 3)
-    covP = s.cov("P", (DOWN,) * 2)
+    gam = s["gamma"]
+    covC = numeric_cov(C, s["dC"], (DOWN,) * 4, gam)  # (P, x, a, b, c, d)
+    covA = numeric_cov(A, s["dA"], (DOWN,) * 3, gam)
+    covP = numeric_cov(Ps, s["dP"], (DOWN,) * 2, gam)
     dJ = s["dJ"]                     # (P, x)
 
     res = {}
@@ -652,7 +615,7 @@ def identity_residuals(s: CurvatureSamples):
     res["bach-trace"] = _maxnorm(np.einsum("pab,pab->p", gi, B), P)
 
     # metricity
-    covG = numeric_cov(g, s["dg"], (DOWN, DOWN), s["gamma"])
+    covG = numeric_cov(g, s["dg"], (DOWN, DOWN), gam)
     res["metricity"] = _maxnorm(covG, P)
     return res
 
@@ -667,18 +630,15 @@ def identity_suite(source, points, tolerances=None):
     s = as_samples(source, points)
     res = identity_residuals(s)
     scale = s.scale()
-    report = {}
-    for name, r in res.items():
-        worst = float(np.max(r / (tol.tol_rel * scale + tol.tol_abs)))
-        report[name] = (float(np.max(r)), float(np.max(scale)),
-                        bool(worst < 1.0))
-    return report
+    return {name: (float(np.max(r)), float(np.max(scale)),
+                   bool(np.all(tol.passes(r, scale))))
+            for name, r in res.items()}
 
 
 def einstein_residual(pack, points):
     """Max-norm of the trace-free Schouten tensor at the points (zero iff
     Einstein), along with the residual scale."""
-    s = pack.samples(points, stage="ricci")
+    s = pack.samples(points)
     return trace_free_residual(s["P"], s["g"], s["ginv"])
 
 
@@ -699,9 +659,9 @@ def cotton_transform_check(g, upsilon, points, pack=None, hat_pack=None):
     Checks, at the sample points: the Cotton rule
     A-hat = A + (d upsilon)^k C_k..., the Schouten rule, and invariance of
     the Weyl tensor with placement C_ab^c_d."""
-    pack = pack or curvature_pack(g)
+    pack = pack or CurvaturePack(g)
     ghat = conformal_rescale(g, upsilon)
-    hat_pack = hat_pack or curvature_pack(ghat)
+    hat_pack = hat_pack or CurvaturePack(ghat)
     s = pack.samples(points)
     sh = hat_pack.samples(points)
     P = len(points)

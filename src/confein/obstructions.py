@@ -440,11 +440,10 @@ class Residual:
         return float(np.max(self.scale))
 
     def passes(self, tol):
-        return bool(np.all(self.per_point <
-                           tol.tol_rel * self.scale + tol.tol_abs))
+        return bool(np.all(tol.passes(self.per_point, self.scale)))
 
     def decisively_fails(self, tol):
-        return bool(np.any(self.per_point > tol.decisive * self.scale))
+        return bool(np.any(tol.decisively_fails(self.per_point, self.scale)))
 
 
 def _scale_of(*arrays, floor=1.0):
@@ -743,7 +742,7 @@ def conformal_einstein_tensor_verdict(source, points, policy="auto",
         note = "no left-inverse policy applies"
         if not gen.weakly_generic:
             note = "not weakly generic"
-        if weyl_norm < tol.tol_rel * np.max(samples.scale()):
+        if np.all(weyl_vanishes(samples, tol)):
             cotton_norm = float(np.max(np.abs(samples["A"])))
             report.notes.append(
                 f"Weyl tensor vanishes at the sample points (max |C| = "
@@ -797,8 +796,7 @@ def conformal_einstein_tensor_verdict(source, points, policy="auto",
         report.residuals["dim4"] = dim4_invariant(samples)
 
     if report.outcome == "conformally-einstein":
-        scale0 = np.max(samples.scale())
-        if report.k_closedness > tol.tol_rel * scale0 + tol.tol_abs:
+        if not tol.passes(report.k_closedness, np.max(samples.scale())):
             report.notes.append(
                 f"K fails to close: max |d[a K b]| = {report.k_closedness:.3e}")
         try:
@@ -834,9 +832,7 @@ def cotton_scale_verdict(source, points, policy="from-L",
     closed = float(np.max(k.closedness()))
     report.k_closedness = closed
     report.residuals.update(cotton_rl2_invariant(samples))
-    scale0 = np.max(samples.scale())
-    is_closed = closed <= tol.tol_rel * scale0 + tol.tol_abs
-    if res.passes(tol) and is_closed:
+    if res.passes(tol) and tol.passes(closed, np.max(samples.scale())):
         out = "cotton-scale-exists"
     elif res.decisively_fails(tol):
         out = "not"

@@ -515,7 +515,7 @@ def einstein_tractor_values(s: CurvatureSamples, sigma):
     T = taylor
     n = s.n
     sj = scalar_jet(s, sigma, 3)
-    ginv, gam = christoffel_jet(s, 1)
+    ginv, gam = christoffel_jet(s)
     ds = T.partials(sj, n, 2)                        # d_a sigma
     hess = T.partials(ds, n, 1) - T.product("cbd,c->bd", gam, ds, n, 1)
     ij = np.empty((len(s.points), T.size(n, 1), n + 2))
@@ -556,9 +556,8 @@ def parallel_tractor_check(g, sigma, points, pack=None, tolerances=None):
             - (0.5 * dsq / sig ** 2)[:, None, None] * s["g"])
     tfp, tfp_scale = trace_free_residual(phat, s["g"], s["ginv"])
 
-    ok = bool(np.all(resid < tol.tol_rel * scale + tol.tol_abs))
     return {
-        "is_einstein_scale": ok,
+        "is_einstein_scale": bool(np.all(tol.passes(resid, scale))),
         "parallel_residual": float(np.max(resid)),
         "scale": float(np.max(scale)),
         "h_ii": hii,

@@ -25,10 +25,10 @@ def points(name, n=10, seed=0):
     return entry(name).points(n=n, seed=seed)
 
 
-def samples(name, n=10, seed=0, stage="full"):
-    key = (name, n, seed, stage)
+def samples(name, n=10, seed=0):
+    key = (name, n, seed)
     if key not in _samples:
-        _samples[key] = pack(name).samples(points(name, n, seed), stage=stage)
+        _samples[key] = pack(name).samples(points(name, n, seed))
     return _samples[key]
 
 

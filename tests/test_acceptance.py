@@ -78,7 +78,7 @@ def test_criterion_02_rt_scalar_curvature():
     worst = 0.0
     for name in ("rt4-quartic", "rt5-quartic", "rt6-quartic"):
         e = entry(name)
-        s = pack(name).samples(points(name, 10), stage="ricci")
+        s = pack(name).samples(points(name, 10))
         want = evaluate_components(e.extras["scalar_curvature_closed_form"],
                                    s.bindings)
         worst = max(worst, float(np.max(

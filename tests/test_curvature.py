@@ -5,8 +5,8 @@ from confein import catalog
 from confein import geometry as G
 from confein.config import Tolerances
 from confein.curvature import (
+    CurvaturePack,
     cotton_transform_check,
-    curvature_pack,
     einstein_residual,
     identity_residuals,
     identity_suite,
@@ -23,10 +23,12 @@ def symbolic_ladder(p):
     return {
         "g": p.g.field.comps, "dg": pd(p.g.field),
         "ginv": p.g.inverse_comps(), "gamma": p.gamma.comps,
-        "riem": p.riemann.comps, "ricci": p.ricci.comps,
+        "ricci": p.ricci.comps,
         "scalar": np.asarray(p.scalar, dtype=object), "P": p.schouten.comps,
         "J": np.asarray(p.schouten_trace, dtype=object),
-        "dP": p.schouten_partials(), "dJ": p.trace_partials(),
+        "dP": pd(p.schouten),
+        "dJ": np.asarray([diff(p.schouten_trace, c) for c in p.chart.coords],
+                         dtype=object),
         "C": p.weyl.comps, "dC": pd(p.weyl), "A": p.cotton.comps,
         "dA": pd(p.cotton), "B": p.bach.comps,
     }
@@ -52,16 +54,8 @@ class TestMetricJetLadder:
 
     def test_rescaled_entry_matches_symbolic(self):
         g = G.conformal_rescale(entry("rt4-quartic").metric, parse("3*u/10"))
-        assert_ladder_matches_symbolic(curvature_pack(g),
+        assert_ladder_matches_symbolic(CurvaturePack(g),
                                        points("rt4-quartic", 10))
-
-    def test_ricci_stage_matches_full_stage(self):
-        full = samples("hyperkahler4", 10)
-        ricci = samples("hyperkahler4", 10, stage="ricci")
-        assert set(ricci.values) == {"g", "dg", "ginv", "gamma", "riem",
-                                     "ricci", "scalar", "P", "J"}
-        for name, v in ricci.values.items():
-            assert maxabs(v - full[name]) <= 1e-12 * max(1.0, maxabs(v))
 
     def test_chunks_do_not_change_values(self):
         from confein import curvature
@@ -82,7 +76,7 @@ class TestMetricJetLadder:
         ch = G.Chart(("x", "y", "z"))
         comps = np.array([[parse("x"), ZERO, ZERO], [ZERO, ONE, ZERO],
                           [ZERO, ZERO, ONE]], dtype=object)
-        p = curvature_pack(G.MetricField(ch, comps))
+        p = CurvaturePack(G.MetricField(ch, comps))
         pts = [{"x": 1.0, "y": 0.5, "z": 0.5},
                {"x": 0.0, "y": 0.25, "z": 0.5}]
         with pytest.raises(G.SingularMetricError, match="'y': 0.25"):
@@ -104,7 +98,7 @@ class TestLadderOnClosedForms:
         e = entry(name)
         p = pack(name)
         pts = points(name, 10)
-        s = p.samples(pts, stage="ricci")
+        s = p.samples(pts)
         want = G.evaluate_components(
             e.extras["scalar_curvature_closed_form"], s.bindings)
         assert np.allclose(s["scalar"], want, rtol=1e-9)

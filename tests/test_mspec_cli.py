@@ -145,9 +145,9 @@ class TestCli:
             compiles.append(len(exprs))
             return compile_batch(exprs)
 
-        def counting_init(self, pack, pts, stage="full"):
+        def counting_init(self, pack, pts):
             loads.append([dict(q) for q in pts])
-            init(self, pack, pts, stage)
+            init(self, pack, pts)
 
         monkeypatch.setattr(curvature, "compile_batch", counting_compile)
         monkeypatch.setattr(curvature.CurvatureSamples, "__init__",
@@ -163,6 +163,13 @@ class TestCli:
         # potential's segments, one batch of quadrature nodes per target
         assert sum(pts == data["points"] for pts in loads) == 1
         assert len(loads) == len(data["points"])
+        # the Einstein-scale test runs the same metric-jet tape for the
+        # Christoffel symbols' jet; its one other tape is sigma's jet
+        compiles.clear()
+        code, data = run_cli(tmp_path, "tractor", str(p), "--sigma", "1")
+        assert code == 0
+        assert data["einstein_scale"] is True
+        assert len(compiles) == 2
 
     def test_classify_rt_exit_one_with_e_residual(self, tmp_path, rt_file):
         code, data = run_cli(tmp_path, "classify", str(rt_file))
@@ -230,10 +237,24 @@ class TestCli:
         assert main(["invariants", str(rt_file), "--which", "E,dim4"]) == 3
         assert "not defined in dimension 5" in capsys.readouterr().err
 
+    def test_weyl_note_uses_the_policy_gates_criterion(self, tmp_path):
+        # at tol_rel 1e-20 the policy gates (rank_tol times the per-point
+        # scale) still find the Weyl tensor zero, and so does the note
+        p = tmp_path / "sphere.mspec"
+        assert main(["catalog", "export", "constant-curvature4",
+                     "--out", str(p)]) == 0
+        code, data = run_cli(tmp_path, "classify", str(p), "--tol-rel",
+                             "1e-20")
+        assert code == 2
+        assert all("the Weyl tensor vanishes numerically" in note
+                   for note in data["notes"][:3])
+        assert data["notes"][3].startswith(
+            "Weyl tensor vanishes at the sample points")
+
     def test_internal_fault_exit_four(self, tmp_path, schw_file, monkeypatch,
                                       capsys):
         # a ValueError inside the pipeline is no input error
-        def fault(self, points, stage="full"):
+        def fault(self, points):
             raise ValueError("operands could not be broadcast together")
 
         monkeypatch.setattr(curvature.CurvaturePack, "samples", fault)

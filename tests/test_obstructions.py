@@ -11,11 +11,14 @@ from confein.expressions import ZERO, diff, neg, parse
 from confein.genericity import PolicyError
 from confein.geometry import (
     DOWN,
+    Chart,
+    MetricField,
     TensorField,
     conformal_rescale,
     evaluate_components,
     sample_points,
 )
+from confein.tractor import rank_obstruction
 from conftest import entry, maxabs, pack, perturbed_flat_metric, points, samples
 
 TOL = Tolerances()
@@ -443,7 +446,8 @@ _N4PLUS = tuple(name for name in catalog.entry_names()
 @st.composite
 def rescaled_entries(draw):
     """(entry name, polynomial upsilon of degree <= 2 in its coordinates
-    with coefficients in [-0.3, 0.3], two distinct point seeds in 0-5)."""
+    with coefficients in [-0.3, 0.3], two distinct point seeds in 0-5, a
+    permutation of the coordinates)."""
     name = draw(st.sampled_from(_N4PLUS))
     coords = entry(name).metric.chart.coords
     monomials = [()] + list(combinations_with_replacement(coords, 1)) \
@@ -452,7 +456,17 @@ def rescaled_entries(draw):
         f"*{c}" for c in m) for m in monomials]
     seeds = draw(st.lists(st.integers(0, 5), min_size=2, max_size=2,
                           unique=True))
-    return name, " + ".join(terms), seeds
+    perm = draw(st.permutations(range(len(coords))))
+    return name, " + ".join(terms), seeds, perm
+
+
+def _permuted(g, perm):
+    """The metric g with its coordinates reordered: coordinate a of the new
+    chart is coordinate perm[a] of g's."""
+    ch = Chart(tuple(g.chart.coords[a] for a in perm), g.chart.singular_loci)
+    return MetricField(ch, g.comps[np.ix_(perm, perm)], params=g.params,
+                       reference_point=g.reference_point,
+                       sample_box=g.sample_box, name=g.name)
 
 
 def _flags(rep):
@@ -464,13 +478,14 @@ def _flags(rep):
 
 class TestVerdictInvariance:
     """The tensor verdict, its genericity flags and the weight-0 E tensor
-    do not change under a conformal rescaling g -> e^(2 upsilon) g, and the
+    do not change under a conformal rescaling g -> e^(2 upsilon) g, nor
+    with the tractor ranks under a permutation of the coordinates, and the
     verdict and flags not under the choice of sample seed."""
 
     @given(rescaled_entries())
     @settings(max_examples=25, deadline=None, derandomize=True)
     def test_rescaling_and_seed(self, case):
-        name, ups, (seed, other) = case
+        name, ups, (seed, other), _ = case
         g = entry(name).metric
         pts = points(name, 4, seed)
         rep = OB.conformal_einstein_tensor_verdict(pack(name), pts)
@@ -487,6 +502,25 @@ class TestVerdictInvariance:
                                                     points(name, 4, other))
         assert repo.outcome == rep.outcome
         assert _flags(repo)[0] == _flags(rep)[0]
+
+    @given(rescaled_entries())
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_coordinate_permutation(self, case):
+        name, _, (seed, _), perm = case
+        pts = points(name, 4, seed)
+        s = pack(name).samples(pts)
+        sp = CurvaturePack(_permuted(entry(name).metric, perm)).samples(pts)
+        rep = OB.conformal_einstein_tensor_verdict(s, pts)
+        repp = OB.conformal_einstein_tensor_verdict(sp, pts)
+        assert repp.outcome == rep.outcome
+        assert _flags(repp) == _flags(rep)
+        assert rank_obstruction(sp, pts, genericity=repp.genericity).ranks \
+            == rank_obstruction(s, pts, genericity=rep.genericity).ranks
+        assert ("E" in repp.residuals) == ("E" in rep.residuals)
+        if "E" in rep.residuals:
+            e, ep = rep.residuals["E"], repp.residuals["E"]
+            want = e.values[:, perm][:, :, perm]
+            assert maxabs(ep.values - want) < 1e-7 * max(1.0, e.max_scale)
 
 
 class TestKOracle:
