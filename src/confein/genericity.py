@@ -67,6 +67,7 @@ __all__ = [
     "l_operator_at",
     "classify_genericity",
     "dim4_scalars",
+    "weyl_c3",
 ]
 
 
@@ -248,17 +249,27 @@ def _dual_system(C, gi, g, root):
     return _symmetric_system(cstar.reshape(count, n, -1, n, n), g)
 
 
-def dim4_scalars(samples, p, eps):
-    """(C^3, *C^3) at point p of a 4-dimensional sample batch, with eps the
-    volume form at p."""
-    cmix = samples.raised("C", (0, 0, 1, 1))[p]
-    cup2 = samples.raised("C", (1, 1, 0, 0))[p]
-    c3 = float(np.einsum("abcd,cdef,efab->", cmix, cmix, cmix))
-    cstar = np.einsum("abef,efcd->abcd", eps, cup2)
-    gi = samples["ginv"][p]
-    cstar_mix = np.einsum("abcd,ce,df->abef", cstar, gi, gi)
-    c3s = float(np.einsum("abcd,cdef,efab->", cstar_mix, cstar_mix, cstar_mix))
-    return c3, c3s
+def _cubed(t):
+    """t_ab^cd t_cd^ef t_ef^ab per point."""
+    return np.einsum("pabcd,pcdef,pefab->p", t, t, t)
+
+
+def weyl_c3(samples: CurvatureSamples):
+    """C^3 = C_ab^cd C_cd^ef C_ef^ab per point, built once per batch."""
+    return samples.derived(("c3",), lambda: _cubed(
+        samples.raised("C", (0, 0, 1, 1))))
+
+
+def dim4_scalars(samples):
+    """(C^3, *C^3) per point of a 4-dimensional sample batch, *C the dual
+    of C on its first pair by the volume form sqrt|det g| eps."""
+    root = np.sqrt(np.abs(np.linalg.det(samples["g"])))
+    eps = _levi_civita(4) * root[:, None, None, None, None]
+    cstar = np.einsum("pabef,pefcd->pabcd", eps,
+                      samples.raised("C", (1, 1, 0, 0)))
+    gi = samples["ginv"]
+    return weyl_c3(samples), _cubed(
+        np.einsum("pabcd,pce,pdf->pabef", cstar, gi, gi))
 
 
 @dataclass
@@ -299,8 +310,7 @@ class GenericityReport:
         return True
 
 
-def classify_genericity(pack_or_samples, points=None, tolerances=None,
-                        orientation=1):
+def classify_genericity(pack_or_samples, points=None, tolerances=None):
     """Classify each sample point and aggregate.
 
     The chained flags are enforced logically: generic implies
@@ -311,8 +321,9 @@ def classify_genericity(pack_or_samples, points=None, tolerances=None,
     C, g, gi = s["C"], s["g"], s["ginv"]
     scale = s.scale()
     dets = weyl_operators(s)[1]
-    levi = _levi_civita(n)
-    root = orientation * np.sqrt(np.abs(np.linalg.det(g)))
+    root = np.sqrt(np.abs(np.linalg.det(g)))
+    c3, c3s = ([v.tolist() for v in dim4_scalars(s)] if n == 4
+               else [[None] * npts] * 2)
 
     # weak system: C_abcd V^d = 0
     _, wkernels = linalg.rank_nullspace(C.reshape(npts, n ** 3, n),
@@ -335,14 +346,12 @@ def classify_genericity(pack_or_samples, points=None, tolerances=None,
         generic = lam2 and sym_dims[p] == 0 and dual_dims[p] == 0
         # enforce the implication chain
         weak = wkernels[p].shape[1] == 0 or lam2
-        c3, c3s = (dim4_scalars(s, p, levi * root[p]) if n == 4
-                   else (None, None))
         per.append(PointGenericity(
             point=s.points[p], weakly_generic=weak, weak_kernel=wkernels[p],
             lambda2_generic=lam2, weyl_det=float(dets[p]),
             skew_kernel_dim=skew_dims[p], sym_kernel_dim=sym_dims[p],
             dual_kernel_dim=dual_dims[p], generic=generic,
-            c3=c3, c3_star=c3s))
+            c3=c3[p], c3_star=c3s[p]))
     flags = [(pg.weakly_generic, pg.lambda2_generic, pg.generic) for pg in per]
     agree = len(set(flags)) == 1
     return GenericityReport(

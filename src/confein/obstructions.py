@@ -7,29 +7,60 @@ adjugates: every quantity with partials is an order-1 `taylor` jet, an
 array (P, 1 + n) + component shape with the values at [:, 0] and d_z at
 [:, 1 + z].  The ladder keeps those of g, g^-1, P, J, C and A
 (`CurvatureSamples.jet`); the jets built from them here go through
-`taylor.product` and `taylor.inverse`, plus the determinant (`_det_jet`)
-and the scalar reciprocal (`_reciprocal`), and are cached on the samples.
+`taylor.product` and `taylor.inverse`, plus the determinant and adjugate
+(`_adjugate_jets`) and the scalar reciprocal (`_reciprocal`), and are
+cached on the samples.
 
-The verdict needs only the one-form K_a = Dt_a^bcd A_bcd and its first
-partials, never the left inverse Dt of the Weyl tensor itself, so K is
-contracted before it is differentiated (`k_field`).  For 'from-L',
-Dt^a_bcd A^bcd = -Lt^a_b w^b / ||L|| with w_b = C_bcde A^cde: the jets are
-A with its slots raised, w, and the n x n matrix L^a_b = C^acde C_bcde,
-whose partials come from dC contracted with copies of C raised in place.
-'from-C' contracts the adjugate of the 2-form operator with A^a_bc, and
-'dim4-C3' contracts A into C^de_fg before the second C; both work on the
-ranked-pair matrix of C_ab^cd.  The full Dt jet (`dual_candidate_jet`)
-stays as the test oracle of K, off the verdict path.
+The candidate gradient is K_a = Dt_a^bcd A_bcd, Dt a left inverse of the
+Weyl tensor.  Dt itself is never formed on the verdict path: each
+left-inverse policy contracts A with C once, into a pair (D, Q) of jets
+with K = Q / D (`_pair`).  With w_b = C_bcde A^cde, L^a_b = C^acde C_bcde
+and Lt its adjugate, ||C|| the determinant of the 2-form operator
+C_ab^cd and Ct its adjugate, v_b = Ct_bcde A^cde:
 
-Invariants:
+    policy     D              Q_a
+    from-L     ||L||          -g_ab Lt^b_c w^c
+    from-C     (1-n) ||C||    2 v_a
+    dim4-C3    C^3            4 C_xa^fg C_fg^yz A^x_yz      (n = 4)
+    trace      |C|^2          -4 w_a                        (n = 4)
+    identity   1              K                             (a given K)
 
-* cspace residual   A_abc + K^d C_dabc                      (condition [C])
-* bach residual     B_ab + (n-4) K^d K^c C_dabc             (condition [B])
-* F1, F2            the determinant-cleared forms of [C], [B]
-* E                 trace-free[P - nabla K + K (x) K], K = Dt.A
-* G, Gbar           ||L||^2 E and (1-n)^2 ||C||^2 E, also via their
-                    expanded natural displays (cross-checked)
-* dim-4 invariant   the |C|^2-cleared form of E in dimension 4
+C^3 = C_ab^cd C_cd^ef C_ef^ab, and in n = 4, L^a_b = |C|^2 delta^a_b / 4.
+The values of D and Q come from `l_operators` and `weyl_operators`, which
+are defined at singular operators too; the partials of the from-L and
+from-C pairs need the operator inverted, so they are built only once the
+policy's preconditions hold (`_gate`).  `_pair` carries Q^a, as [C] and
+[B] below read it: `k_field` is the gate and K_a = g_ab Q^b / D, and the
+cleared E lowers Q first.
+
+Every invariant clears D out of one of three conditions:
+
+* cleared C-space   D A_abc + Q^d C_dabc                       [C]
+  cspace (identity), F1 (from-C), rl2-cotton (from-L),
+  dim4-cotton (trace)
+* cleared Bach      D^2 B_ab + (n-4) Q^d Q^c C_dabc            [B]
+  bach (identity), F2 (from-C)
+* cleared E         trace-free[D^2 P - D nabla Q + dD (x) Q + Q (x) Q]
+  E (identity), G (from-L), Gbar (from-C), dim4 (trace)
+
+each D, D^2 or D^2 times the residual of K = Q / D.  F1 and F2 are the
+n-dimensional Kozameh-Newman-Tod system; G and Gbar are cross-checked
+against D^2 E.  The full left inverse Dt (`dual_candidate_jet`) stays as
+the test oracle of K, off the verdict path.
+
+Each `Verdict` names the criterion that decided it (`THEOREM_IDS`):
+
+* cotton3  'cotton-flat-3d': in dimension 3, conformally Einstein iff the
+  Cotton tensor vanishes;
+* E        'trace-free-e-obstruction': E with the from-L K, for weakly
+  generic metrics with ||L|| invertible;
+* lam2     'lambda2-obstruction': E with the from-C (Lambda2-generic) or
+  dim4-C3 K;
+* F        'bach-cotton-system': F1 and F2 on generic metrics;
+* rank     'tractor-rank': the rank of the tractor curvature test
+  (`tractor.rank_obstruction`);
+* scale    'einstein-scale': a given scale sigma makes the metric
+  Einstein (`tractor.parallel_tractor_check`).
 """
 
 from __future__ import annotations
@@ -38,7 +69,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import taylor
+from . import linalg, taylor
 from .config import DEFAULT_TOLERANCES
 from .curvature import CurvaturePack, CurvatureSamples, as_samples
 from .genericity import (
@@ -47,6 +78,7 @@ from .genericity import (
     classify_genericity,
     l_operators,
     pair_basis,
+    weyl_c3,
     weyl_operators,
     weyl_vanishes,
     _pair_matrix,
@@ -80,7 +112,7 @@ __all__ = [
     "covariance_exponent",
 ]
 
-# identifiers for the deciding criteria, documented in the README
+# the deciding criteria (see the module docstring)
 THEOREM_IDS = {
     "cotton3": "cotton-flat-3d",
     "E": "trace-free-e-obstruction",
@@ -92,17 +124,23 @@ THEOREM_IDS = {
 
 
 # ---------------------------------------------------------------------------
-# order-1 jets of K: `taylor` arrays (P, 1 + n) + component shape, the
-# values at [:, 0] and the partials d_z at [:, 1 + z]; slots are raised by
-# contracting them with the first index of the g^-1 jet
+# jets: `taylor` arrays (P, M) + component shape, the values at [:, 0] and,
+# at order 1 (M = 1 + n), the partials d_z at [:, 1 + z]; an order-0 jet is
+# the value row alone (M = 1).  Slots are raised by contracting them with
+# the first index of the g^-1 jet.
 
 
-def _det_jet(m, dets, adj):
-    """Jet of det m from the determinants and adjugates of the values of
-    the matrix jet m (defined for singular values too):
-    d det = tr(adj dM)."""
-    return np.concatenate(
+def _adjugate_jets(m, dets, adj, n):
+    """(det, adjugate) jets of the matrix jet m, of m's order.  The values
+    are `dets` and `adj` (from `linalg`, defined at singular matrices too);
+    d det = tr(adj dM), and d adj = d(det m^-1) needs m invertible."""
+    if m.shape[1] == 1:
+        return dets[:, None], adj[:, None]
+    det = np.concatenate(
         [dets[:, None], np.einsum("pab,pzba->pz", adj, m[:, 1:])], axis=1)
+    out = taylor.product(",ab->ab", det, taylor.inverse(m, n, 1), n, 1)
+    out[:, 0] = adj
+    return det, out
 
 
 def _reciprocal(s, c=1.0):
@@ -122,10 +160,13 @@ def _w_jet(s):
     return s.derived(("w-jet",), build)
 
 
-def _l_jet(s):
-    """L^a_b = C^acde C_bcde as a jet: the value of `l_operators`, and the
-    partials of L_ab = C_acde C_bc'd'e' g^cc' g^dd' g^ee' from dC and copies
-    of C raised in place, then the first index raised."""
+def _l_jet(s, order):
+    """L^a_b = C^acde C_bcde as a jet of `order`: the value of
+    `l_operators`, and the partials of L_ab = C_acde C_bc'd'e' g^cc' g^dd'
+    g^ee' from dC and copies of C raised in place, then the first index
+    raised."""
+    if not order:
+        return l_operators(s)[0][:, None]
     def build():
         n, npts = s.n, len(s.points)
         C, gi, dgi = s["C"], s["ginv"], s.jet("ginv")[:, 1:]
@@ -154,10 +195,12 @@ def _l_jet(s):
     return s.derived(("l-operator-jet",), build)
 
 
-def _weyl_jet(s):
-    """Ranked-pair matrix of C_ab^cd as a jet: the value of
+def _weyl_jet(s, order):
+    """Ranked-pair matrix of C_ab^cd as a jet of `order`: the value of
     `weyl_operators`, the partials raised from dC on the ranked first pairs
     only."""
+    if not order:
+        return weyl_operators(s)[0][:, None]
     def build():
         a, b = pair_basis(s.n)
         cr, gi = s.jet("C")[:, :, a, b], s.jet("ginv")
@@ -168,83 +211,89 @@ def _weyl_jet(s):
     return s.derived(("weyl-operator-jet",), build)
 
 
-def _contracted(s, policy, tol):
-    """(determinant jet, vector jet) of 'from-L' or 'from-C', once the
-    policy's preconditions hold (`_gate`): 'from-L' gives ||L|| and
-    u^a = Lt^a_b w^b, so K^a = -u^a / ||L||; 'from-C' gives ||C|| and
-    v_b = Ct_bcde A^cde, so K_b = 2 v_b / ((1 - n) ||C||)."""
+def _pair(s, policy, order):
+    """The jets (D, Q^a) of `order` with K^a = Q^a / D for one policy, Q
+    with its index raised: the one place each policy contracts A with C
+    (table in the module docstring).  Order 0 is the values alone and
+    holds at singular operators; order 1 of 'from-L' and 'from-C' inverts
+    the operator, so it needs `_gate` first."""
     def build():
-        _gate(s, policy, tol)
-        n, gi = s.n, s.jet("ginv")
-        if policy == "from-L":
-            # w before L: the transients of raising A then do not stack on
-            # the raised copies of C that L keeps
-            wup = taylor.product("b,ba->a", _w_jet(s), gi, n, 1)
+        n, k, gi = s.n, order, s.jet("ginv")
+        a, b = pair_basis(n)
+        if policy in ("from-L", "trace"):
             # w^b takes its value as C^bcde A_cde from the raised C of
             # `l_operators`: raising A instead rounds differently where
-            # g^-1 is large.  Its partials come from the w_b jet.
+            # g^-1 is large.  Its partials come from the w_b jet.  w comes
+            # before L: the transients of raising A then do not stack on
+            # the raised copies of C that L keeps.
+            wup = taylor.product("b,ba->a", _w_jet(s), gi, n, k)
             wup[:, 0] = np.einsum("pbcde,pcde->pb",
                                   s.raised("C", (1, 1, 1, 1)), s["A"])
-            lop = _l_jet(s)
-            det = _det_jet(lop, *l_operators(s)[1:])
-            adj = taylor.product(",ab->ab", det, taylor.inverse(lop, n, 1),
-                                 n, 1)
-            return det, taylor.product("ab,b->a", adj, wup, n, 1)
-        a, b = pair_basis(n)
-        wop = _weyl_jet(s)
-        det = _det_jet(wop, *weyl_operators(s)[1:])
-        adj = taylor.product(",ab->ab", det, taylor.inverse(wop, n, 1), n, 1)
-        a1 = taylor.product("xbc,xa->abc", s.jet("A"), gi, n, 1)[..., a, b]
-        return det, taylor.product("bck,ck->b", _pair_rows(adj), a1, n, 1)
-    return s.derived(("contracted", policy, tol.rank_tol), build)
+            lop = _l_jet(s, k)
+            if policy == "trace":
+                return np.trace(lop, axis1=2, axis2=3), -4.0 * wup
+            det, adj = _adjugate_jets(lop, *l_operators(s)[1:], n)
+            return det, -taylor.product("ab,b->a", adj, wup, n, k)
+        m = _weyl_jet(s, k)
+        if policy == "from-C":
+            det, adj = _adjugate_jets(m, *weyl_operators(s)[1:], n)
+            a1 = taylor.product("xbc,xa->abc", s.jet("A"), gi, n, k)[..., a, b]
+            v = taylor.product("bck,ck->b", _pair_rows(adj), a1, n, k)
+            return (1 - n) * det, 2.0 * taylor.product("b,ba->a", v, gi, n, k)
+        # dim4-C3: C^3 = tr M^3 on the ranked pairs, so dC^3 = 3 tr(M^2 dM)
+        c3 = np.concatenate([weyl_c3(s)[:, None], 3.0 * np.einsum(
+            "pij,pjk,pzki->pz", m[:, 0], m[:, 0], m[:, 1:])], axis=1)
+        # u_xfg = A_xyz C^yz_fg, then Q_a = 4 u^x_fg C^fg_xa
+        u = taylor.product("xk,jk->xj", s.jet("A")[..., a, b], m, n, k)
+        u = taylor.product("xj,xa->aj", u, gi, n, k)
+        q = taylor.product("xaj,xj->a", _pair_rows(m), u, n, k)
+        return c3, 4.0 * taylor.product("b,ba->a", q, gi, n, k)
+    return s.derived(("pair", policy, order), build)
+
+
+def _lowered(s, q):
+    """The order-1 jet g_ab q^b."""
+    return taylor.product("ab,b->a", s.jet("g"), q, s.n, 1)
 
 
 def _gate(samples, policy, tol):
-    """The determinant the policy divides by, per point, once its
-    preconditions hold: a numerically nonzero Weyl tensor, then an
-    invertible L^a_b ('from-L', ||L||) or 2-form operator ('from-C',
-    ||C||), or dimension 4 and a nonzero cubic scalar ('dim4-C3', C^3).
-    Raises PolicyError naming the first point where one fails."""
+    """A policy's preconditions: a numerically nonzero Weyl tensor (every
+    policy divides by a Weyl-built determinant), then an invertible L^a_b
+    ('from-L', ||L||) or 2-form operator ('from-C', ||C||), or dimension 4
+    and a nonzero cubic scalar ('dim4-C3', C^3).  Raises PolicyError
+    naming the first point where one fails."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of "
                          f"{POLICIES + ('user',)}")
-    _require_nonzero_weyl(samples, tol, policy)
-    if policy != "dim4-C3":
-        ops, name = ((l_operators(samples), "||L||") if policy == "from-L"
-                     else (weyl_operators(samples), "||C||"))
-        _check_policy_matrix(ops[0], ops[1], tol, policy, name,
-                             samples.points)
-        return ops[1]
-    if samples.n != 4:
-        raise PolicyError("policy dim4-C3 needs dimension 4")
-    cmix = samples.raised("C", (0, 0, 1, 1))
-    c3 = np.einsum("pabcd,pcdef,pefab->p", cmix, cmix, cmix)
-    _check_policy_scalar(c3, np.max(np.abs(cmix), axis=(1, 2, 3, 4)), 3, tol,
-                         policy, "C^3", samples.points)
-    return c3
-
-
-def _k_jet(s, policy, tol):
-    """The jet of K_a for one policy, contracted before it is
-    differentiated (see the module docstring)."""
-    n = s.n
+    pts = samples.points
+    bad = np.flatnonzero(weyl_vanishes(samples, tol))
+    if bad.size:
+        p = int(bad[0])
+        cmax = np.max(np.abs(samples["C"][p]))
+        raise PolicyError(
+            f"policy {policy}: the Weyl tensor vanishes numerically at "
+            f"point {pts[p]} (max |C| = {cmax:.3e})")
     if policy == "dim4-C3":
-        c3 = _gate(s, policy, tol)
-        m = _weyl_jet(s)
-        # C^3 = tr M^3 on the ranked pairs, so dC^3 = 3 tr(M^2 dM)
-        c3 = np.concatenate([c3[:, None], 3.0 * np.einsum(
-            "pij,pjk,pzki->pz", m[:, 0], m[:, 0], m[:, 1:])], axis=1)
-        a, b = pair_basis(n)
-        # u_xfg = A_xyz C^yz_fg, then K_a = (4 / C^3) u^x_fg C^fg_xa
-        u = taylor.product("xk,jk->xj", s.jet("A")[..., a, b], m, n, 1)
-        u = taylor.product("xj,xa->aj", u, s.jet("ginv"), n, 1)
-        k = taylor.product("xaj,xj->a", _pair_rows(m), u, n, 1)
-        return taylor.product(",a->a", _reciprocal(c3, 4.0), k, n, 1)
-    det, vec = _contracted(s, policy, tol)
-    if policy == "from-L":
-        kup = taylor.product(",a->a", _reciprocal(det, -1.0), vec, n, 1)
-        return taylor.product("ab,b->a", s.jet("g"), kup, n, 1)
-    return taylor.product(",a->a", _reciprocal(det, 2.0 / (1 - n)), vec, n, 1)
+        if samples.n != 4:
+            raise PolicyError("policy dim4-C3 needs dimension 4")
+        vals, name = weyl_c3(samples), "C^3"
+        cmax = np.max(np.abs(samples.raised("C", (0, 0, 1, 1))),
+                      axis=(1, 2, 3, 4))
+        bad = np.abs(vals) <= tol.rank_tol * np.maximum(cmax, 1e-300) ** 3
+    else:
+        # numerically invertible (full rank at the pivot tolerance, relative
+        # to the largest entry) with a nonzero determinant: `genericity`
+        # zeroes the determinant where the Weyl tensor vanishes at the
+        # default tolerance, which a finer rank_tol lets pass
+        mats, vals = (l_operators(samples) if policy == "from-L"
+                      else weyl_operators(samples))[:2]
+        name = "||L||" if policy == "from-L" else "||C||"
+        bad = (linalg.rank(mats, tol.rank_tol) < mats.shape[1]) | (vals == 0)
+    bad = np.flatnonzero(bad)
+    if bad.size:
+        p = int(bad[0])
+        raise PolicyError(f"policy {policy}: {name} = {vals[p]:.3e} vanishes "
+                          f"at point {pts[p]}")
 
 
 @dataclass
@@ -287,17 +336,15 @@ def _left_inverse(s, policy, tol):
         cup = taylor.product(spec, cup, gi, n, 1)     # C^abcd
     if policy == "from-L":
         m = taylor.product("acde,bcde->ab", cup, s.jet("C"), n, 1)
-        det = _det_jet(m, *l_operators(s)[1:])
-        adj = taylor.product(",ab->ab", det, taylor.inverse(m, n, 1), n, 1)
+        det, adj = _adjugate_jets(m, *l_operators(s)[1:], n)
         d = taylor.product("ab,bcde->acde", adj, cup, n, 1)
         return taylor.product(",acde->acde", _reciprocal(det, -1.0), d,
                               n, 1), det
     if policy == "from-C":
         m = np.concatenate([weyl_operators(s)[0][:, None],
                             _pair_matrix(cmix[:, 1:])], axis=1)
-        det = _det_jet(m, *weyl_operators(s)[1:])
-        ct = _pair_tensor(taylor.product(
-            ",ab->ab", det, taylor.inverse(m, n, 1), n, 1))   # Ct_xy^de
+        det, adj = _adjugate_jets(m, *weyl_operators(s)[1:], n)
+        ct = _pair_tensor(adj)   # Ct_xy^de
         for spec in up01:
             ct = taylor.product(spec, ct, gi, n, 1)
         return (2.0 / (1.0 - n)) * taylor.product(
@@ -336,43 +383,6 @@ def dual_candidate(pack_or_samples, policy="from-L", points=None,
     return DualCandidate(dt[:, 0], policy, det[:, 0])
 
 
-def _require_nonzero_weyl(samples, tol, policy):
-    """Every policy divides by a Weyl-built determinant; if the Weyl tensor
-    itself is numerically zero the division is meaningless."""
-    bad = np.nonzero(weyl_vanishes(samples, tol))[0]
-    if bad.size:
-        p = int(bad[0])
-        cmax = np.max(np.abs(samples["C"][p]))
-        raise PolicyError(
-            f"policy {policy}: the Weyl tensor vanishes numerically at "
-            f"point {samples.points[p]} (max |C| = {cmax:.3e})")
-
-
-def _check_policy_matrix(mats, dets, tol, policy, name, points):
-    """The policy's matrix must be numerically invertible (full rank at the
-    pivot tolerance, relative to its largest entry) with a nonzero
-    determinant: `genericity` zeroes the determinant where the Weyl tensor
-    vanishes at the default tolerance, which a finer rank_tol lets pass."""
-    from . import linalg
-    bad = np.flatnonzero((linalg.rank(mats, tol.rank_tol) < mats.shape[1])
-                         | (dets == 0))
-    if bad.size:
-        p = int(bad[0])
-        raise PolicyError(f"policy {policy}: {name} = {dets[p]:.3e} vanishes "
-                          f"at point {points[p]}")
-
-
-def _check_policy_scalar(vals, entry_scale, power, tol, policy,
-                         name, points):
-    rel = np.abs(vals) <= tol.rank_tol * np.maximum(entry_scale,
-                                                    1e-300) ** power
-    bad = np.nonzero(rel)[0]
-    if bad.size:
-        p = int(bad[0])
-        raise PolicyError(f"policy {policy}: {name} = {vals[p]:.3e} vanishes "
-                          f"at point {points[p]}")
-
-
 # ---------------------------------------------------------------------------
 # K and the invariants
 
@@ -396,12 +406,17 @@ class KField:
 
 def k_field(samples: CurvatureSamples, policy="from-L",
             tolerances=None) -> KField:
-    """K_a = Dt_a^{bcd} A_bcd for the chosen left-inverse policy, A
-    contracted before anything is differentiated.  Raises PolicyError
-    naming the first point where the policy's precondition fails."""
+    """K_a = Dt_a^{bcd} A_bcd = g_ab Q^b / D for the chosen left-inverse
+    policy (`_pair`), A contracted before anything is differentiated.
+    Raises PolicyError naming the first point where the policy's
+    precondition fails."""
     tol = tolerances or DEFAULT_TOLERANCES
-    k = samples.derived(("k", policy, tol.rank_tol),
-                        lambda: _k_jet(samples, policy, tol))
+    def build():
+        _gate(samples, policy, tol)
+        d, q = _pair(samples, policy, 1)
+        return _lowered(samples, taylor.product(",a->a", _reciprocal(d), q,
+                                                samples.n, 1))
+    k = samples.derived(("k", policy, tol.rank_tol), build)
     return KField(k[:, 0], k[:, 1:], policy)
 
 
@@ -454,55 +469,6 @@ def _scale_of(*arrays, floor=1.0):
     return s
 
 
-def cspace_residual(samples: CurvatureSamples, k: KField) -> Residual:
-    """A_abc + K^d C_dabc."""
-    kup = k.raised(samples)
-    term = np.einsum("pd,pdabc->pabc", kup, samples["C"])
-    return Residual("cspace", samples["A"] + term,
-                    _scale_of(samples["A"], term))
-
-
-def bach_residual(samples: CurvatureSamples, k: KField) -> Residual:
-    """B_ab + (n-4) K^d K^c C_dabc; equals the Bach tensor alone in n=4."""
-    n = samples.n
-    kup = k.raised(samples)
-    term = (n - 4) * np.einsum("pd,pc,pdabc->pab", kup, kup, samples["C"])
-    return Residual("bach", samples["B"] + term,
-                    _scale_of(samples["B"], term))
-
-
-def f1(samples: CurvatureSamples) -> Residual:
-    """(1-n)||C|| A_abc + 2 C_dabc Ct^defg A_efg  (n >= 4)."""
-    _need_dim4plus(samples)
-    n = samples.n
-    detC, ctup = _weyl_adjugate_raised(samples)
-    v = np.einsum("pdefg,pefg->pd", ctup, samples["A"])
-    t1 = (1 - n) * detC[:, None, None, None] * samples["A"]
-    t2 = 2 * np.einsum("pd,pdabc->pabc", v, samples["C"])
-    return Residual("F1", t1 + t2, _scale_of(t1, t2))
-
-
-def f2(samples: CurvatureSamples) -> Residual:
-    """(n-1)^2 ||C||^2 B_ab + 4(n-4) Ct^defg C_dabc Ct^chkl A_efg A_hkl."""
-    _need_dim4plus(samples)
-    n = samples.n
-    detC, ctup = _weyl_adjugate_raised(samples)
-    v = np.einsum("pdefg,pefg->pd", ctup, samples["A"])
-    t1 = (n - 1) ** 2 * (detC ** 2)[:, None, None] * samples["B"]
-    t2 = 4 * (n - 4) * np.einsum("pd,pdabc,pc->pab", v, samples["C"], v)
-    return Residual("F2", t1 + t2, _scale_of(t1, t2))
-
-
-def _weyl_adjugate_raised(samples):
-    """(||C||, Ct^acde) without derivatives; works for singular operators."""
-    def build():
-        _, dets, adj = weyl_operators(samples)
-        gi = samples["ginv"]
-        return dets, np.einsum("pxa,pyc,pxyde->pacde", gi, gi,
-                               _pair_tensor(adj))
-    return samples.derived(("weyl-adjugate-raised",), build)
-
-
 def _need_dim4plus(samples):
     if samples.n == 3:
         raise ValueError("this invariant needs dimension n >= 4")
@@ -515,20 +481,33 @@ def _trace_free(t, samples):
     return t - g * (tr / n)[:, None, None]
 
 
-def e_tensor(samples: CurvatureSamples, k: KField) -> Residual:
-    """Trace-free[ P_ab - nabla_a K_b + K_a K_b ] with K_b = Dt_bcde A^cde.
+def _one(k):
+    """The order-1 jet of the constant D = 1 at the points of K."""
+    d = np.zeros((len(k.lowered), 1 + k.lowered.shape[1]))
+    d[:, 0] = 1.0
+    return d
 
-    Conformally invariant (weight 0) when Dt is canonical."""
-    covk = k.d_lowered - np.einsum("pcab,pc->pab", samples["gamma"],
-                                   k.lowered)
-    kk = np.einsum("pa,pb->pab", k.lowered, k.lowered)
-    tf = _trace_free(samples["P"] - covk + kk, samples)
-    return Residual("E", tf, _scale_of(samples["P"], covk, kk))
+
+def _cleared_cspace(samples, name, det, qup):
+    """D A_abc + Q^d C_dabc from the values of the jets D and Q^a: D times
+    the C-space residual of K = Q / D."""
+    t1 = det[:, 0, None, None, None] * samples["A"]
+    t2 = np.einsum("pd,pdabc->pabc", qup[:, 0], samples["C"])
+    return Residual(name, t1 + t2, _scale_of(t1, t2))
+
+
+def _cleared_bach(samples, name, det, qup):
+    """D^2 B_ab + (n-4) Q^d Q^c C_dabc from the values of the jets D and
+    Q^a: D^2 times the Bach residual of K = Q / D."""
+    t1 = (det[:, 0] ** 2)[:, None, None] * samples["B"]
+    t2 = (samples.n - 4) * np.einsum("pd,pc,pdabc->pab", qup[:, 0],
+                                     qup[:, 0], samples["C"])
+    return Residual(name, t1 + t2, _scale_of(t1, t2))
 
 
 def _cleared_e(samples, name, det, q):
-    """Trace-free[D^2 P - D nabla Q + dD (x) Q + Q (x) Q] from the jets of
-    D and Q: D^2 E for K = Q / D, without dividing by D."""
+    """Trace-free[D^2 P - D nabla Q + dD (x) Q + Q (x) Q] from the order-1
+    jets of D and Q_a: D^2 E for K = Q / D, without dividing by D."""
     covq = q[:, 1:] - np.einsum("pcab,pc->pab", samples["gamma"], q[:, 0])
     t1 = (det[:, 0] ** 2)[:, None, None] * samples["P"]
     t2 = -det[:, 0, None, None] * covq
@@ -538,74 +517,90 @@ def _cleared_e(samples, name, det, q):
                     _scale_of(t1, t2, t3, t4))
 
 
-def _cross_check(samples, res, det, policy, tol):
-    """Relative deviation of a cleared display from D^2 E."""
+def cspace_residual(samples: CurvatureSamples, k: KField) -> Residual:
+    """A_abc + K^d C_dabc (condition [C])."""
+    return _cleared_cspace(samples, "cspace", _one(k),
+                           k.raised(samples)[:, None])
+
+
+def bach_residual(samples: CurvatureSamples, k: KField) -> Residual:
+    """B_ab + (n-4) K^d K^c C_dabc (condition [B]); equals the Bach tensor
+    alone in n = 4."""
+    return _cleared_bach(samples, "bach", _one(k), k.raised(samples)[:, None])
+
+
+def e_tensor(samples: CurvatureSamples, k: KField) -> Residual:
+    """Trace-free[ P_ab - nabla_a K_b + K_a K_b ] with K_b = Dt_bcde A^cde.
+
+    Conformally invariant (weight 0) when Dt is canonical."""
+    return _cleared_e(samples, "E", _one(k), np.concatenate(
+        [k.lowered[:, None], k.d_lowered], axis=1))
+
+
+def f1(samples: CurvatureSamples) -> Residual:
+    """(1-n)||C|| A_abc + 2 C_dabc Ct^defg A_efg  (n >= 4): [C] cleared by
+    the from-C pair."""
+    _need_dim4plus(samples)
+    return _cleared_cspace(samples, "F1", *_pair(samples, "from-C", 0))
+
+
+def f2(samples: CurvatureSamples) -> Residual:
+    """(n-1)^2 ||C||^2 B_ab + 4(n-4) Ct^defg C_dabc Ct^chkl A_efg A_hkl
+    (n >= 4): [B] cleared by the from-C pair."""
+    _need_dim4plus(samples)
+    return _cleared_bach(samples, "F2", *_pair(samples, "from-C", 0))
+
+
+def _policy_e(samples, name, policy, tol, cross_check):
+    """E cleared by a policy's pair, the policy gated at `tol`, and (when
+    cross_check) its relative deviation from D^2 E."""
+    _need_dim4plus(samples)
+    tol = tol or DEFAULT_TOLERANCES
+    _gate(samples, policy, tol)
+    det, q = _pair(samples, policy, 1)
+    res = _cleared_e(samples, name, det, _lowered(samples, q))
+    if not cross_check:
+        return res, None
     e = e_tensor(samples, k_field(samples, policy, tol))
     ref = (det[:, 0] ** 2)[:, None, None] * e.values
     denom = max(np.max(np.abs(ref)), 1e-300)
-    return float(np.max(np.abs(res.values - ref)) / denom)
+    return res, float(np.max(np.abs(res.values - ref)) / denom)
 
 
 def g_tensor(samples: CurvatureSamples, tol=None, cross_check=True):
     """The ||L||-cleared natural display of E (weight -8n), its from-L
     policy gated at `tol`; returns (Residual, cross-check relative error vs
     ||L||^2 E)."""
-    _need_dim4plus(samples)
-    tol = tol or DEFAULT_TOLERANCES
-    det, u = _contracted(samples, "from-L", tol)
-    # D_b^cde A_cde = -g_ba Lt^a_x w^x, with D^acde = -Lt^a_b C^bcde
-    res = _cleared_e(samples, "G", det, -taylor.product(
-        "ab,b->a", samples.jet("g"), u, samples.n, 1))
-    return res, (_cross_check(samples, res, det, "from-L", tol)
-                 if cross_check else None)
+    return _policy_e(samples, "G", "from-L", tol, cross_check)
 
 
 def gbar_tensor(samples: CurvatureSamples, tol=None, cross_check=True):
     """The ||C||-cleared display (weight 2n(1-n)), its from-C policy gated
     at `tol`; cross-checked against (1-n)^2 ||C||^2 E with the Lambda2 left
     inverse."""
-    _need_dim4plus(samples)
-    tol = tol or DEFAULT_TOLERANCES
-    det, v = _contracted(samples, "from-C", tol)   # ||C||, Ct_bcde A^cde
-    det = (1 - samples.n) * det
-    res = _cleared_e(samples, "Gbar", det, 2.0 * v)
-    return res, (_cross_check(samples, res, det, "from-C", tol)
-                 if cross_check else None)
+    return _policy_e(samples, "Gbar", "from-C", tol, cross_check)
 
 
 def dim4_invariant(samples: CurvatureSamples) -> Residual:
     """Trace-free[(|C|^2)^2 P + 4|C|^2 nabla(C.A) - 4(C.A) nabla|C|^2
-    + 16 (C.A)(x)(C.A)], the weight -8 obstruction in dimension 4."""
+    + 16 (C.A)(x)(C.A)], the weight -8 obstruction in dimension 4: E
+    cleared by the trace pair."""
     if samples.n != 4:
         raise ValueError("dim4_invariant needs dimension 4")
-    # |C|^2 = L^a_a and C_bcde A^cde = w_b, the pieces of the from-L K
-    c2 = np.trace(_l_jet(samples), axis1=2, axis2=3)
-    return _cleared_e(samples, "dim4", c2, -4.0 * _w_jet(samples))
+    det, q = _pair(samples, "trace", 1)
+    return _cleared_e(samples, "dim4", det, _lowered(samples, q))
 
 
 def cotton_rl2_invariant(samples: CurvatureSamples):
     """The Riemannian-signature replacement for F1:
-    ||L|| A_abc - C^efgh A_fgh Lt^d_e C_dabc, plus (in n = 4) the simpler
-    |C|^2 A_abc - 4 C^defg A_efg C_dabc."""
-    _, detL, adjL = l_operators(samples)
-    call = samples.raised("C", (1, 1, 1, 1))
-    t = np.einsum("pefgh,pfgh->pe", call, samples["A"])
-    w = np.einsum("pde,pe->pd", adjL, t)
-    r1 = detL[:, None, None, None] * samples["A"] \
-        - np.einsum("pd,pdabc->pabc", w, samples["C"])
-    out = {"rl2-cotton": Residual(
-        "rl2-cotton", r1,
-        _scale_of(detL[:, None, None, None] * samples["A"],
-                  np.einsum("pd,pdabc->pabc", w, samples["C"])))}
+    ||L|| A_abc - C^efgh A_fgh Lt^d_e C_dabc, [C] cleared by the from-L
+    pair, plus (in n = 4) the simpler |C|^2 A_abc - 4 C^defg A_efg C_dabc,
+    cleared by the trace pair."""
+    out = {"rl2-cotton": _cleared_cspace(samples, "rl2-cotton",
+                                         *_pair(samples, "from-L", 0))}
     if samples.n == 4:
-        c2 = np.einsum("pabcd,pabcd->p", call, samples["C"])
-        v = np.einsum("pdefg,pefg->pd", call, samples["A"])
-        r2 = c2[:, None, None, None] * samples["A"] \
-            - 4 * np.einsum("pd,pdabc->pabc", v, samples["C"])
-        out["dim4-cotton"] = Residual(
-            "dim4-cotton", r2,
-            _scale_of(c2[:, None, None, None] * samples["A"],
-                      4 * np.einsum("pd,pdabc->pabc", v, samples["C"])))
+        out["dim4-cotton"] = _cleared_cspace(samples, "dim4-cotton",
+                                             *_pair(samples, "trace", 0))
     return out
 
 

@@ -242,8 +242,8 @@ def test_criterion_10_covariance_battery():
         wGb, sGb = OB.covariance_exponent(
             OB.gbar_tensor(s5, cross_check=False)[0].values,
             OB.gbar_tensor(sh, cross_check=False)[0].values, uvals)
-        dets, _ = OB._weyl_adjugate_raised(s5)
-        detsh, _ = OB._weyl_adjugate_raised(sh)
+        dets = GN.weyl_operators(s5)[1]
+        detsh = GN.weyl_operators(sh)[1]
         wC, sC = OB.covariance_exponent(dets[:, None], detsh[:, None], uvals)
         ok = ok and sG < 1e-6 and sGb < 1e-6 and sC < 1e-6 \
             and abs(wC - (-n * (n - 1))) < 1e-6

@@ -304,6 +304,26 @@ class TestClassification:
         for pg in rep.per_point:
             assert max(abs(pg.c3), abs(pg.c3_star)) > 1e-6
 
+    @pytest.mark.parametrize("name", ["rt4-quartic", "hyperkahler4",
+                                      "schwarzschild4"])
+    def test_dim4_scalars_match_the_point_loop(self, name):
+        # the per-point build the batch replaced; the arithmetic is
+        # unchanged, so the scalars must be equal
+        s = samples(name, 5)
+        cmix = s.raised("C", (0, 0, 1, 1))
+        cup2 = s.raised("C", (1, 1, 0, 0))
+        root = np.sqrt(np.abs(np.linalg.det(s["g"])))
+        c3, c3s = GN.dim4_scalars(s)
+        for p in range(len(s.points)):
+            eps = GN._levi_civita(4) * root[p]
+            cstar = np.einsum("abef,efcd->abcd", eps, cup2[p])
+            cs = np.einsum("abcd,ce,df->abef", cstar, s["ginv"][p],
+                           s["ginv"][p])
+            assert c3[p] == np.einsum("abcd,cdef,efab->", cmix[p], cmix[p],
+                                      cmix[p])
+            assert c3s[p] == np.einsum("abcd,cdef,efab->", cs, cs, cs)
+        assert GN.weyl_c3(s) is c3
+
     def test_spec_level_point_wrappers(self):
         p = pack("rt4-quartic")
         pt = points("rt4-quartic", 1)[0]

@@ -8,7 +8,7 @@ from confein import catalog, obstructions as OB, taylor
 from confein.config import Tolerances
 from confein.curvature import CurvaturePack
 from confein.expressions import ZERO, diff, neg, parse
-from confein.genericity import PolicyError
+from confein.genericity import PolicyError, l_operators, weyl_operators
 from confein.geometry import (
     DOWN,
     Chart,
@@ -132,7 +132,7 @@ class TestFSystem:
         n = s.n
         kc = OB.k_field(s, "from-C")
         br = OB.bach_residual(s, kc)
-        dets, _ = OB._weyl_adjugate_raised(s)
+        dets = weyl_operators(s)[1]
         ref = (n - 1) ** 2 * (dets ** 2)[:, None, None] * br.values
         r2 = OB.f2(s)
         assert maxabs(r2.values - ref) < 1e-9 * max(1, maxabs(ref))
@@ -142,7 +142,7 @@ class TestFSystem:
         n = s.n
         kc = OB.k_field(s, "from-C")
         cr = OB.cspace_residual(s, kc)
-        dets, _ = OB._weyl_adjugate_raised(s)
+        dets = weyl_operators(s)[1]
         ref = (1 - n) * dets[:, None, None, None] * cr.values
         r1 = OB.f1(s)
         # both sides vanish here (conformal C-space); compare the roundoff
@@ -239,6 +239,57 @@ class TestGTensors:
         for r in (OB.g_tensor(s)[0], OB.gbar_tensor(s)[0]):
             tr = np.einsum("pab,pab->p", s["ginv"], r.values)
             assert maxabs(tr) < 1e-10 * max(1, r.max_scale)
+
+
+def _weyl_square(s):
+    """|C|^2 = L^a_a per point."""
+    return np.trace(l_operators(s)[0], axis1=1, axis2=2)
+
+
+# display name: (display, policy of K, the D it clears, the power of D,
+# the residual of K it clears)
+_CLEARED = {
+    "F1": (OB.f1, "from-C", lambda s: (1 - s.n) * weyl_operators(s)[1], 1,
+           OB.cspace_residual),
+    "F2": (OB.f2, "from-C", lambda s: (1 - s.n) * weyl_operators(s)[1], 2,
+           OB.bach_residual),
+    "rl2-cotton": (lambda s: OB.cotton_rl2_invariant(s)["rl2-cotton"],
+                   "from-L", lambda s: l_operators(s)[1], 1,
+                   OB.cspace_residual),
+    "G": (lambda s: OB.g_tensor(s, cross_check=False)[0], "from-L",
+          lambda s: l_operators(s)[1], 2, OB.e_tensor),
+    # in n = 4 the from-L K is -4 C_bcde A^cde / |C|^2
+    "dim4-cotton": (lambda s: OB.cotton_rl2_invariant(s)["dim4-cotton"],
+                    "from-L", _weyl_square, 1, OB.cspace_residual),
+    "dim4": (OB.dim4_invariant, "from-L", _weyl_square, 2, OB.e_tensor),
+}
+
+
+class TestClearedDisplays:
+    """Every display is D, or D^2, times the C-space, Bach or E residual of
+    the K = Q / D it clears."""
+
+    @pytest.mark.parametrize("display, name", [
+        ("F1", "rt4-quartic"), ("F1", "rt5-quartic"),
+        ("F2", "rt4-quartic"), ("F2", "rt5-quartic"),
+        ("rl2-cotton", "rt5-quartic"), ("rl2-cotton", "rt6-quartic"),
+        ("G", "rt5-quartic"), ("G", "rt6-quartic"),
+        ("dim4-cotton", "rt4-quartic"), ("dim4", "rt4-quartic")])
+    def test_display_is_a_cleared_residual(self, display, name):
+        build, policy, det, power, residual = _CLEARED[display]
+        s = samples(name, 5)
+        r = build(s)
+        ref = residual(s, OB.k_field(s, policy)).values
+        ref = (det(s) ** power).reshape((-1,) + (1,) * (ref.ndim - 1)) * ref
+        assert maxabs(r.values - ref) < 1e-9 * max(1, r.max_scale)
+
+    def test_exact_zeros_at_a_singular_weyl_operator(self):
+        s = samples("flat4", 4)
+        with pytest.raises(np.linalg.LinAlgError):
+            taylor.inverse(OB._weyl_jet(s, 1), s.n, 1)
+        for r in (OB.f1(s), OB.f2(s), OB.dim4_invariant(s),
+                  *OB.cotton_rl2_invariant(s).values()):
+            assert not np.any(r.values), r.name
 
 
 class TestCovariance:
