@@ -7,7 +7,14 @@ that cannot be read, or a metric or factor that cannot be evaluated at the
 sample points (unbound symbol, domain error, singular metric, failed
 left-inverse policy); any other exception is an internal error, printed as
 `internal error: ...`.  Reports are deterministic for a fixed --seed: two
-runs produce byte-identical JSON."""
+runs produce byte-identical JSON.
+
+`classify` walks its points in chunks (`_point_chunks`, 128 points at
+n = 6): each chunk is sampled, reduced to per-point figures (genericity
+classes, Weyl and Cotton maxima, policy-gate notes, residual maxima and
+scales, the closedness of K, tractor ranks) and freed before the next, and
+the verdicts are decided on the joined figures, so its peak memory stays
+flat in --points.  The other commands work on the whole batch."""
 
 from __future__ import annotations
 
@@ -23,7 +30,7 @@ import numpy as np
 from . import __version__
 from .catalog import entry_names, get_entry
 from .config import Tolerances
-from .curvature import CurvaturePack, identity_suite
+from .curvature import _CHUNK as _LADDER_CHUNK, CurvaturePack, identity_suite
 from .evaluate import DomainError, UnboundSymbolError
 from .expressions import ExprSyntaxError, parse
 from .genericity import PolicyError, weyl_operators
@@ -31,10 +38,10 @@ from .geometry import SingularMetricError
 from .mspecfile import MetricSpecError, dumps_mspec, entry_to_mspec, load_mspec
 from .obstructions import (
     THEOREM_IDS,
-    conformal_einstein_tensor_verdict,
     covariance_exponent,
     bach_residual,
     cspace_residual,
+    decide_tensor_verdict,
     dim4_invariant,
     e_tensor,
     f1,
@@ -42,11 +49,16 @@ from .obstructions import (
     g_tensor,
     gbar_tensor,
     k_field,
+    measure_tensor_verdict,
 )
-from .tractor import parallel_tractor_check, rank_obstruction
+from .tractor import parallel_tractor_check, rank_obstruction, rank_verdict
 
 EXIT_YES, EXIT_NO, EXIT_INCONCLUSIVE, EXIT_INPUT = 0, 1, 2, 3
 EXIT_INTERNAL = 4
+
+# the budget of one chunk of classify's points, counted in its largest
+# array, the order-1 jet of a 4-index tensor: (1 + n) n^4 floats per point
+CHUNK_BYTES = 10 * 2 ** 20
 
 _INVARIANT_NAMES = ("F1", "F2", "E", "G", "Gbar", "dim4", "cspace", "bach")
 _DIM4PLUS_NAMES = ("F1", "F2", "G", "Gbar")
@@ -192,12 +204,44 @@ def _emit(report, args):
         print(text)
 
 
+def _point_chunks(count, n):
+    """Slices cutting `count` points into chunks of a multiple of the
+    ladder's chunk, as many whole ladder chunks as fit CHUNK_BYTES at
+    dimension n (at least one)."""
+    per_point = 8 * (1 + n) * n ** 4
+    step = max(1, CHUNK_BYTES // (per_point * _LADDER_CHUNK)) * _LADDER_CHUNK
+    return [slice(s, min(s + step, count)) for s in range(0, count, step)]
+
+
 def cmd_classify(args):
+    """The full decision, one chunk of points at a time (`_point_chunks`).
+
+    Each chunk is sampled once, measured and freed before the next: the
+    tensor verdict keeps its genericity classes, the Weyl and Cotton
+    maxima, the policy gates' notes, the per-point maxima and scales of
+    the cspace, bach, E (F1, F2, dim4) residuals and the closedness of K
+    (`measure_tensor_verdict`); the rank test keeps the ranks
+    (`rank_obstruction` on the chunk).  The verdicts are decided on the
+    joined figures (`decide_tensor_verdict`, `rank_verdict`), so peak
+    memory does not grow with the number of points.  A policy that a
+    later chunk fails sends the earlier chunks back to be sampled and
+    measured with the next one."""
     tol = _tolerances(args)
     spec, g, points, digest = _load(args)
-    samples = CurvaturePack(g).samples(points)
-    rep = conformal_einstein_tensor_verdict(samples, points,
-                                            policy=args.policy, tolerances=tol)
+    pack = CurvaturePack(g)
+    chunks = _point_chunks(len(points), g.dim)
+    ranks = []
+
+    def measure_ranks(samples, measured):
+        if g.dim >= 4:
+            ranks.extend(rank_obstruction(
+                samples, samples.points, tolerances=tol,
+                genericity=measured.genericity).ranks)
+
+    measured = measure_tensor_verdict(
+        lambda i: pack.samples(points[chunks[i]]), len(chunks),
+        args.policy, tol, each=measure_ranks)
+    rep = decide_tensor_verdict(measured, pack, args.policy, tol)
     out = _report_skeleton(digest, tol)
     out["points"] = points
     out["genericity"] = _genericity_json(rep.genericity)
@@ -213,8 +257,7 @@ def cmd_classify(args):
     out["notes"] = rep.notes
 
     if g.dim >= 4:
-        rank = rank_obstruction(samples, points, tolerances=tol,
-                                genericity=rep.genericity)
+        rank = rank_verdict(ranks, g.dim, rep.genericity.weakly_generic)
         out["rank_test"] = {
             "theorem": THEOREM_IDS["rank"],
             "ranks": rank.ranks,
@@ -372,6 +415,8 @@ def cmd_catalog(args):
     if not args.name:
         print("catalog export needs a name", file=sys.stderr)
         return EXIT_INPUT
+    if args.points < 1:
+        raise InputError("need at least one sample point")
     entry = _get_entry(args.name)
     text = dumps_mspec(entry_to_mspec(entry, n_points=args.points,
                                       seed=args.seed))

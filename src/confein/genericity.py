@@ -289,11 +289,27 @@ class PointGenericity:
 
 @dataclass
 class GenericityReport:
+    """The per-point classes of a batch of points and their aggregates: a
+    flag holds when it holds at every point.  `classify` builds one report
+    per chunk of points and joins their `per_point` lists (`of`), so the
+    flags are those of the whole batch."""
+
     per_point: list
     weakly_generic: bool
     lambda2_generic: bool
     generic: bool
     all_agree: bool
+
+    @classmethod
+    def of(cls, per_point):
+        """The report of a list of PointGenericity."""
+        flags = [(pg.weakly_generic, pg.lambda2_generic, pg.generic)
+                 for pg in per_point]
+        return cls(per_point=per_point,
+                   weakly_generic=all(f[0] for f in flags),
+                   lambda2_generic=all(f[1] for f in flags),
+                   generic=all(f[2] for f in flags),
+                   all_agree=len(set(flags)) == 1)
 
     def kernel_contains(self, vector, tol=1e-10):
         """True when `vector` lies in the weak-genericity kernel at every
@@ -352,14 +368,7 @@ def classify_genericity(pack_or_samples, points=None, tolerances=None):
             skew_kernel_dim=skew_dims[p], sym_kernel_dim=sym_dims[p],
             dual_kernel_dim=dual_dims[p], generic=generic,
             c3=c3[p], c3_star=c3s[p]))
-    flags = [(pg.weakly_generic, pg.lambda2_generic, pg.generic) for pg in per]
-    agree = len(set(flags)) == 1
-    return GenericityReport(
-        per_point=per,
-        weakly_generic=all(f[0] for f in flags),
-        lambda2_generic=all(f[1] for f in flags),
-        generic=all(f[2] for f in flags),
-        all_agree=agree)
+    return GenericityReport.of(per)
 
 
 def _kernel_dims(build, rows, n, tol, scale):

@@ -61,6 +61,12 @@ Each `Verdict` names the criterion that decided it (`THEOREM_IDS`):
   (`tractor.rank_obstruction`);
 * scale    'einstein-scale': a given scale sigma makes the metric
   Einstein (`tractor.parallel_tractor_check`).
+
+Every decision reads per-point figures only, so the verdict is made in
+two halves: `measure_tensor_verdict` reduces each chunk of points to
+`TensorMeasurement`s, and `decide_tensor_verdict` decides on them, joined
+in point order.  `conformal_einstein_tensor_verdict` runs both on one
+chunk; the CLI's `classify` runs them over chunks of its points.
 """
 
 from __future__ import annotations
@@ -106,7 +112,10 @@ __all__ = [
     "gbar_tensor",
     "dim4_invariant",
     "cotton_rl2_invariant",
+    "TensorMeasurement",
     "conformal_einstein_tensor_verdict",
+    "measure_tensor_verdict",
+    "decide_tensor_verdict",
     "cotton_scale_verdict",
     "reconstruct_potential",
     "covariance_exponent",
@@ -256,23 +265,32 @@ def _lowered(s, q):
     return taylor.product("ab,b->a", s.jet("g"), q, s.n, 1)
 
 
+def _check_policy(policy):
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}; expected one of "
+                         f"{POLICIES + ('user',)}")
+
+
+def _weyl_note(policy, point, cmax):
+    """The failure of `policy` where the Weyl tensor vanishes, at the first
+    such point."""
+    return (f"policy {policy}: the Weyl tensor vanishes numerically at "
+            f"point {point} (max |C| = {cmax:.3e})")
+
+
 def _gate(samples, policy, tol):
     """A policy's preconditions: a numerically nonzero Weyl tensor (every
     policy divides by a Weyl-built determinant), then an invertible L^a_b
     ('from-L', ||L||) or 2-form operator ('from-C', ||C||), or dimension 4
     and a nonzero cubic scalar ('dim4-C3', C^3).  Raises PolicyError
     naming the first point where one fails."""
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}; expected one of "
-                         f"{POLICIES + ('user',)}")
+    _check_policy(policy)
     pts = samples.points
     bad = np.flatnonzero(weyl_vanishes(samples, tol))
     if bad.size:
         p = int(bad[0])
-        cmax = np.max(np.abs(samples["C"][p]))
-        raise PolicyError(
-            f"policy {policy}: the Weyl tensor vanishes numerically at "
-            f"point {pts[p]} (max |C| = {cmax:.3e})")
+        raise PolicyError(_weyl_note(policy, pts[p],
+                                     np.max(np.abs(samples["C"][p]))))
     if policy == "dim4-C3":
         if samples.n != 4:
             raise PolicyError("policy dim4-C3 needs dimension 4")
@@ -459,6 +477,21 @@ class Residual:
 
     def decisively_fails(self, tol):
         return bool(np.any(tol.decisively_fails(self.per_point, self.scale)))
+
+    def reduced(self):
+        """The same residual with its values cut to the per-point maxima:
+        every decision and figure above reads only those and the scale."""
+        return Residual(self.name, self.per_point, self.scale)
+
+    @staticmethod
+    def joined(parts):
+        """One residual over the points of `parts`, in order (one part is
+        returned as it is)."""
+        if len(parts) == 1:
+            return parts[0]
+        return Residual(parts[0].name,
+                        np.concatenate([r.per_point for r in parts]),
+                        np.concatenate([r.scale for r in parts]))
 
 
 def _scale_of(*arrays, floor=1.0):
@@ -683,26 +716,144 @@ class ObstructionReport:
                 for name, r in self.residuals.items()}
 
 
-def conformal_einstein_tensor_verdict(source, points, policy="auto",
-                                      tolerances=None) -> ObstructionReport:
-    """Tensor-level decision pipeline.
+@dataclass
+class TensorMeasurement:
+    """What the tensor verdict reads of one chunk of points: per-point
+    figures only (`measure_tensor_verdict`)."""
+
+    points: list
+    scale: np.ndarray          # the residual scale, per point
+    weyl_zero: np.ndarray      # the Weyl tensor vanishes numerically
+    c_max: np.ndarray          # max |C| per point
+    a_max: np.ndarray          # max |A| per point
+    genericity: GenericityReport | None = None    # n >= 4
+    failures: dict = field(default_factory=dict)  # policy -> its gate's note
+    residuals: dict = field(default_factory=dict)  # name -> Residual
+    closedness: np.ndarray | None = None           # max |d[a K b]| per point
+
+    def reduce(self):
+        self.residuals = {name: r.reduced()
+                          for name, r in self.residuals.items()}
+
+
+def _candidates(policy, n):
+    """The left-inverse policies to try, in order."""
+    if n == 3:
+        return ()
+    if policy != "auto":
+        _check_policy(policy)
+        return (policy,)
+    return ("from-L", "from-C") + (("dim4-C3",) if n == 4 else ())
+
+
+def _measure_points(s, tol):
+    """The policy-free half of a chunk's measurement."""
+    npts = len(s.points)
+    m = TensorMeasurement(
+        points=list(s.points), scale=s.scale(),
+        weyl_zero=weyl_vanishes(s, tol),
+        c_max=np.max(np.abs(s["C"].reshape(npts, -1)), axis=1),
+        a_max=np.max(np.abs(s["A"].reshape(npts, -1)), axis=1))
+    if s.n == 3:
+        m.residuals["cotton"] = Residual("cotton", s["A"], s.scale())
+    else:
+        m.genericity = classify_genericity(s, tolerances=tol)
+    return m
+
+
+def _measure_k(s, m, cands, cur, tol, first):
+    """The half of a chunk's measurement that reads K, built with the
+    policy cands[cur]: the cspace, bach and E residuals, the closedness of
+    K, F1 and F2 where every point of the chunk is generic, and dim4 in
+    dimension 4.  A policy whose gate fails is noted in m.failures; the
+    first chunk goes on to the next one, any other chunk stops.  Returns
+    the index of the policy K was built with (len(cands) if none)."""
+    while cur < len(cands):
+        try:
+            k = k_field(s, cands[cur], tol)
+        except PolicyError as exc:
+            m.failures.setdefault(cands[cur], str(exc))
+            cur += 1
+            if first:
+                continue
+            break
+        m.residuals["cspace"] = cspace_residual(s, k)
+        m.residuals["bach"] = bach_residual(s, k)
+        m.residuals["E"] = e_tensor(s, k)
+        m.closedness = k.closedness()
+        if m.genericity.generic:
+            m.residuals["F1"] = f1(s)
+            m.residuals["F2"] = f2(s)
+        if s.n == 4:
+            m.residuals["dim4"] = dim4_invariant(s)
+        break
+    return cur
+
+
+def measure_tensor_verdict(sample, count, policy="auto", tolerances=None,
+                           each=None):
+    """The measuring half of the tensor verdict, over `count` chunks of
+    points: `sample(i)` gives the CurvatureSamples of chunk i, and
+    `each(samples, measurement)` (optional) runs on each chunk the first
+    time it is sampled, once its genericity is measured.  Returns one
+    TensorMeasurement per chunk, its residuals cut to per-point maxima
+    when there is more than one chunk, so that no chunk's tensors outlive
+    it.
+
+    K is built with the first candidate policy that every chunk seen so
+    far has passed.  A chunk with a numerically vanishing Weyl tensor
+    fails every policy, so K is built no further.  When a later chunk
+    fails the policy in use, the earlier chunks are sampled again and
+    measured with the next one: so each policy that fails is gated on
+    every point up to its first failure, which its note names."""
+    tol = (tolerances or DEFAULT_TOLERANCES).validate()
+    out, cands, cur, i = [], (), 0, 0
+    while i < count:
+        s = sample(i)
+        if i == len(out):
+            out.append(_measure_points(s, tol))
+            if each is not None:
+                each(s, out[i])
+            cands = _candidates(policy, s.n)
+            if out[i].weyl_zero.any():
+                cur = len(cands)
+        start, cur = cur, _measure_k(s, out[i], cands, cur, tol, i == 0)
+        del s  # the chunk is freed before the next one is sampled
+        if i and start < cur < len(cands):
+            i = 0
+            continue
+        if count > 1:
+            out[i].reduce()
+        i += 1
+    return out
+
+
+def decide_tensor_verdict(measurements, pack, policy="auto",
+                          tolerances=None) -> ObstructionReport:
+    """The deciding half of the tensor verdict, over the measurements of
+    every chunk of a batch, in point order (`measure_tensor_verdict`).
 
     Dimension 3 is decided by the Cotton tensor alone.  Otherwise the
     strongest applicable obstruction is used: the trace-free E tensor with
     the from-L inverse where ||L|| is invertible, the Lambda2 route where
     ||C|| is, with the determinant-cleared F system as a cross-check on
     generic metrics.  A negative verdict needs a decisively large residual;
-    small-but-not-tiny residuals are reported as inconclusive.  `source` is
-    a metric, a CurvaturePack or CurvatureSamples (see `as_samples`)."""
+    small-but-not-tiny residuals are reported as inconclusive.  A policy
+    that fails is noted (or, when it was asked for, raised as PolicyError)
+    at the first point of the batch where the Weyl tensor vanishes, else
+    where its operator fails.  Where the verdict is conformally Einstein,
+    the potential is integrated with `pack`."""
     tol = (tolerances or DEFAULT_TOLERANCES).validate()
-    samples = as_samples(source, points)
-    n = samples.n
-    report = ObstructionReport(n=n, points=list(samples.points),
-                               genericity=None)
+    ms = measurements
+    n = pack.n
+    points = [p for m in ms for p in m.points]
+    report = ObstructionReport(n=n, points=points, genericity=None)
+
+    def joined(name):
+        return Residual.joined([m.residuals[name] for m in ms])
 
     if n == 3:
-        a = samples["A"]
-        res = Residual("cotton", a, samples.scale())
+        res = joined("cotton")
         report.residuals["cotton"] = res
         if res.passes(tol):
             out = "conformally-einstein"
@@ -716,29 +867,35 @@ def conformal_einstein_tensor_verdict(source, points, policy="auto",
             f"max |A| = {res.max:.3e}"))
         return report
 
-    gen = classify_genericity(samples, tolerances=tol)
+    gen = GenericityReport.of([pg for m in ms
+                               for pg in m.genericity.per_point])
     report.genericity = gen
+    zero = np.concatenate([m.weyl_zero for m in ms])
+    c_max = np.concatenate([m.c_max for m in ms])
 
     chosen = None
-    if policy == "auto":
-        for cand in ("from-L", "from-C") + (("dim4-C3",) if n == 4 else ()):
-            try:
-                k = k_field(samples, cand, tol)
-                chosen = cand
-                break
-            except PolicyError as exc:
-                report.notes.append(str(exc))
-    else:
-        k = k_field(samples, policy, tol)
-        chosen = policy
+    for cand in _candidates(policy, n):
+        bad = np.flatnonzero(zero)
+        if bad.size:
+            note = _weyl_note(cand, points[bad[0]], c_max[bad[0]])
+        else:
+            note = next((m.failures[cand] for m in ms
+                         if cand in m.failures), None)
+        if note is None:
+            chosen = cand
+            break
+        if policy != "auto":
+            raise PolicyError(note)
+        report.notes.append(note)
 
     if chosen is None:
-        weyl_norm = float(np.max(np.abs(samples["C"])))
+        weyl_norm = float(np.max(c_max))
         note = "no left-inverse policy applies"
         if not gen.weakly_generic:
             note = "not weakly generic"
-        if np.all(weyl_vanishes(samples, tol)):
-            cotton_norm = float(np.max(np.abs(samples["A"])))
+        if np.all(zero):
+            cotton_norm = float(np.max(np.concatenate(
+                [m.a_max for m in ms])))
             report.notes.append(
                 f"Weyl tensor vanishes at the sample points (max |C| = "
                 f"{weyl_norm:.3e}); max |A| = {cotton_norm:.3e}")
@@ -748,12 +905,12 @@ def conformal_einstein_tensor_verdict(source, points, policy="auto",
         return report
 
     report.k_provenance = chosen
-    report.residuals["cspace"] = cspace_residual(samples, k)
-    report.residuals["bach"] = bach_residual(samples, k)
-    e = e_tensor(samples, k)
-    report.residuals["E"] = e
-    closed = k.closedness()
-    report.k_closedness = float(np.max(closed))
+    for name in ms[0].residuals:
+        if all(name in m.residuals for m in ms):
+            report.residuals[name] = joined(name)
+    e = report.residuals["E"]
+    report.k_closedness = float(np.max(np.concatenate(
+        [m.closedness for m in ms])))
 
     theorem = THEOREM_IDS["E"] if chosen == "from-L" else THEOREM_IDS["lam2"]
     precond = {"from-L": "weakly generic with ||L|| invertible",
@@ -770,9 +927,7 @@ def conformal_einstein_tensor_verdict(source, points, policy="auto",
                                    f"{e.max_scale:.3e}"))
 
     if gen.generic:
-        r1, r2 = f1(samples), f2(samples)
-        report.residuals["F1"] = r1
-        report.residuals["F2"] = r2
+        r1, r2 = report.residuals["F1"], report.residuals["F2"]
         if r1.passes(tol) and r2.passes(tol):
             fout = "conformally-einstein"
         elif r1.decisively_fails(tol) or r2.decisively_fails(tol):
@@ -787,21 +942,33 @@ def conformal_einstein_tensor_verdict(source, points, policy="auto",
                 "internal-consistency", "conflict", "generic",
                 "the E and F routes disagree beyond tolerance"))
 
-    if n == 4:
-        report.residuals["dim4"] = dim4_invariant(samples)
-
     if report.outcome == "conformally-einstein":
-        if not tol.passes(report.k_closedness, np.max(samples.scale())):
+        scale = np.max(np.concatenate([m.scale for m in ms]))
+        if not tol.passes(report.k_closedness, scale):
             report.notes.append(
                 f"K fails to close: max |d[a K b]| = {report.k_closedness:.3e}")
         try:
-            report.potential = reconstruct_potential(
-                samples.pack, samples.points, chosen, tol)
+            report.potential = reconstruct_potential(pack, points, chosen,
+                                                     tol)
         except (ArithmeticError, np.linalg.LinAlgError) as exc:
             # a singular integration path (PolicyError, DomainError and
             # SingularMetricError are ArithmeticErrors)
             report.notes.append(f"potential reconstruction failed: {exc}")
     return report
+
+
+def conformal_einstein_tensor_verdict(source, points, policy="auto",
+                                      tolerances=None) -> ObstructionReport:
+    """Tensor-level decision pipeline on one batch of points: the two
+    halves `measure_tensor_verdict` and `decide_tensor_verdict` on a
+    single chunk, so the report keeps every residual tensor.  `classify`
+    runs the same halves over chunks of points and keeps per-point
+    figures only.  `source` is a metric, a CurvaturePack or
+    CurvatureSamples (see `as_samples`)."""
+    tol = (tolerances or DEFAULT_TOLERANCES).validate()
+    samples = as_samples(source, points)
+    ms = measure_tensor_verdict(lambda i: samples, 1, policy, tol)
+    return decide_tensor_verdict(ms, samples.pack, policy, tol)
 
 
 def cotton_scale_verdict(source, points, policy="from-L",

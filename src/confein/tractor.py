@@ -72,6 +72,8 @@ __all__ = [
     "parallel_tractor_check",
     "annihilation_check",
     "rank_obstruction",
+    "rank_rows",
+    "rank_verdict",
     "RankReport",
     "change_scale_matrix_values",
 ]
@@ -611,27 +613,21 @@ class RankReport:
     notes: list = field(default_factory=list)
 
 
-def rank_obstruction(source, points, tolerances=None, sigma=None,
-                     genericity=None):
-    """Theorem-level rank test: stack the rows Omega_bc[D, .] and
-    nabla_a Omega_bc[D, .] as functionals on tractors; the metric is
-    conformally Einstein iff the rank is at most n+1 at every point
-    (given weak genericity).  When a kernel exists and sigma is supplied,
-    reports the cosine alignment of the kernel with (1/n) D sigma.
-    `source` is a metric, a CurvaturePack or CurvatureSamples (see
-    `as_samples`)."""
+def rank_rows(source, points=None, tolerances=None):
+    """The measuring half of the rank test: per point, the rank and an
+    orthonormal kernel basis of the stacked rows Omega_bc[D, .] (pairs
+    b < c) and nabla_a Omega_bc[D, .], as functionals on tractors.  The
+    rows are built and ranked a chunk of points at a time.  Returns
+    (ranks, kernels), two lists in point order."""
     tol = (tolerances or DEFAULT_TOLERANCES).validate()
     s = as_samples(source, points)
     n = s.n
-    gen = genericity or classify_genericity(s, tolerances=tol)
     om = omega_values(s)
     cov = cov_omega_values(s)
     b, c = pair_basis(n)
     scale = s.scale()
     ranks = []
     kernels = []
-    # rows Omega_bc[D, .] over the pairs b < c, then nabla_a Omega_bc,
-    # stacked a chunk of points at a time
     for sl in linalg.chunks(len(s.points), (n + 1) * len(b) * (n + 2), n + 2):
         k = sl.stop - sl.start
         mat = np.concatenate([om[sl, b, c].reshape(k, -1, n + 2),
@@ -640,17 +636,40 @@ def rank_obstruction(source, points, tolerances=None, sigma=None,
         rank, kernel = linalg.rank_nullspace(mat, tol.rank_tol, scale[sl])
         ranks += rank.tolist()
         kernels += kernel
+    return ranks, kernels
+
+
+def rank_verdict(ranks, n, weakly_generic):
+    """The deciding half of the rank test, over the ranks of every point
+    of a batch (`rank_rows`, joined across chunks): conformally Einstein
+    iff the rank is at most n+1 at every point, given weak genericity."""
     max_rank = max(ranks)
     notes = []
-    if not gen.weakly_generic:
+    if not weakly_generic:
         verdict = "inconclusive"
         notes.append("not weakly generic; the rank test is silent")
     elif max_rank <= n + 1:
         verdict = "conformally-einstein"
     else:
         verdict = "not"
-    alignment = None
-    if sigma is not None and verdict == "conformally-einstein":
+    return RankReport(ranks, max_rank, verdict, None, weakly_generic, notes)
+
+
+def rank_obstruction(source, points, tolerances=None, sigma=None,
+                     genericity=None):
+    """Theorem-level rank test on one batch of points: `rank_rows`, then
+    `rank_verdict` on its ranks.  The metric is conformally Einstein iff
+    the rank is at most n+1 at every point (given weak genericity).  When
+    a kernel exists and sigma is supplied, reports the cosine alignment of
+    the kernel with (1/n) D sigma.  `source` is a metric, a CurvaturePack
+    or CurvatureSamples (see `as_samples`).  `classify` runs it once per
+    chunk of points and decides on the joined ranks (`rank_verdict`)."""
+    tol = (tolerances or DEFAULT_TOLERANCES).validate()
+    s = as_samples(source, points)
+    gen = genericity or classify_genericity(s, tolerances=tol)
+    ranks, kernels = rank_rows(s, tolerances=tol)
+    report = rank_verdict(ranks, s.n, gen.weakly_generic)
+    if sigma is not None and report.verdict == "conformally-einstein":
         ivals = einstein_tractor_values(s, sigma)[0]
         cs = []
         for p, kernel in enumerate(kernels):
@@ -659,9 +678,8 @@ def rank_obstruction(source, points, tolerances=None, sigma=None,
             v = ivals[p] / np.linalg.norm(ivals[p])
             proj = kernel @ (kernel.T @ v)
             cs.append(np.linalg.norm(proj))
-        alignment = float(min(cs)) if cs else None
-    return RankReport(ranks, max_rank, verdict, alignment,
-                      gen.weakly_generic, notes)
+        report.kernel_alignment = float(min(cs)) if cs else None
+    return report
 
 
 def change_scale_matrix_values(s: CurvatureSamples, upsilon):

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from confein import cli, curvature
+from confein import cli, curvature, obstructions
 from confein.obstructions import Verdict
 from confein.catalog import get_entry
 from confein.cli import main
@@ -163,6 +163,20 @@ class TestCli:
         # potential's segments, one batch of quadrature nodes per target
         assert sum(pts == data["points"] for pts in loads) == 1
         assert len(loads) == len(data["points"])
+        # in chunks of 32 points: still one tape, and each verdict point
+        # sampled once, in order, one load per chunk
+        p70 = tmp_path / "schw70.mspec"
+        assert main(["catalog", "export", "schwarzschild4", "--points",
+                     "70", "--out", str(p70)]) == 0
+        monkeypatch.setattr(cli, "CHUNK_BYTES", 1)
+        compiles.clear()
+        loads.clear()
+        code, data = run_cli(tmp_path, "classify", str(p70))
+        assert code == 0
+        assert len(compiles) == 1
+        assert [len(pts) for pts in loads[:3]] == [32, 32, 6]
+        assert loads[0] + loads[1] + loads[2] == data["points"]
+        assert [len(pts) for pts in loads[3:]] == [8] * 69
         # the Einstein-scale test runs the same metric-jet tape for the
         # Christoffel symbols' jet; its one other tape is sigma's jet
         compiles.clear()
@@ -298,7 +312,7 @@ class TestCli:
                                                   monkeypatch):
         # rt5-quartic is "not" by the E route and the tractor rank; an E/F
         # disagreement inside the tensor pipeline must still surface
-        real = cli.conformal_einstein_tensor_verdict
+        real = cli.decide_tensor_verdict
 
         def conflicting(*args, **kwargs):
             rep = real(*args, **kwargs)
@@ -307,8 +321,7 @@ class TestCli:
                 "the E and F routes disagree beyond tolerance"))
             return rep
 
-        monkeypatch.setattr(cli, "conformal_einstein_tensor_verdict",
-                            conflicting)
+        monkeypatch.setattr(cli, "decide_tensor_verdict", conflicting)
         code, data = run_cli(tmp_path, "classify", str(rt_file))
         assert data["rank_test"]["outcome"] == "not"
         assert data["verdict"] == "conflict"
@@ -336,6 +349,20 @@ class TestCli:
                              "--sigma", "1")
         assert code == 1 and data["einstein_scale"] is False
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_catalog_export_needs_a_point(self, tmp_path, points, capsys):
+        out = tmp_path / "none.mspec"
+        assert main(["catalog", "export", "schwarzschild4", "--points",
+                     points, "--out", str(out)]) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "need at least one sample point" in err
+        p = tmp_path / "schw.mspec"
+        assert main(["catalog", "export", "schwarzschild4", "--out",
+                     str(p)]) == 0
+        assert main(["classify", str(p), "--points", points]) == 3
+        assert capsys.readouterr().err == err
+
     def test_catalog_list(self, capsys):
         assert main(["catalog", "list"]) == 0
         out = capsys.readouterr().out
@@ -347,3 +374,127 @@ class TestCli:
                            capture_output=True, text=True)
         assert r.returncode == 0
         assert json.loads(r.stdout)["identities"]
+
+
+def _classify_bytes(tmp_path, mspec, chunk_bytes, monkeypatch):
+    """(exit code, report bytes) of classify with cli.CHUNK_BYTES set."""
+    monkeypatch.setattr(cli, "CHUNK_BYTES", chunk_bytes)
+    out = tmp_path / f"report-{chunk_bytes}.json"
+    code = main(["classify", str(mspec), "--json", str(out)])
+    return code, out.read_bytes()
+
+
+# one ladder chunk (32 points) per classify chunk, and one chunk for all
+SMALL, WHOLE = 1, 2 ** 50
+
+
+class TestChunkedClassify:
+    """classify walks its points in chunks; the report does not depend on
+    how many."""
+
+    @pytest.mark.parametrize("name, count, code", [
+        ("rt6-quartic", 200, 1),            # 7 chunks, the last one short
+        ("schwarzschild4", 70, 0),          # the potential
+        ("pp-wave4", 70, 2),                # no policy applies
+        ("constant-curvature4", 70, 2),     # the Weyl tensor vanishes
+    ])
+    def test_chunks_give_the_same_bytes(self, tmp_path, monkeypatch, name,
+                                        count, code):
+        p = tmp_path / f"{name}.mspec"
+        assert main(["catalog", "export", name, "--points", str(count),
+                     "--out", str(p)]) == 0
+        whole = _classify_bytes(tmp_path, p, WHOLE, monkeypatch)
+        assert len(cli._point_chunks(count, 6)) == 1
+        small = _classify_bytes(tmp_path, p, SMALL, monkeypatch)
+        assert len(cli._point_chunks(count, 4)) == -(-count // 32)
+        assert small == whole
+        assert whole[0] == code
+
+    def test_chunk_size_is_a_multiple_of_the_ladder_chunk(self):
+        # the default budget gives 96-160 points per chunk at n = 6
+        step = cli._point_chunks(10 ** 4, 6)[0].stop
+        assert 96 <= step <= 160 and step % curvature._CHUNK == 0
+        for n in (3, 4, 5, 6):
+            sl = cli._point_chunks(1000, n)
+            assert sl[0].start == 0 and sl[-1].stop == 1000
+            assert all(a.stop == b.start for a, b in zip(sl, sl[1:]))
+            assert all((s.stop - s.start) % curvature._CHUNK == 0
+                       for s in sl[:-1])
+
+    @staticmethod
+    def _zero_at(monkeypatch, name, points, where):
+        """Make obstructions.<name> report a zero determinant (or, for
+        weyl_vanishes, a vanishing Weyl tensor) at the given points."""
+        real = getattr(obstructions, name)
+        keys = {tuple(sorted(points[i].items())) for i in where}
+
+        def hits(s):
+            return np.array([tuple(sorted(q.items())) in keys
+                             for q in s.points])
+
+        def patched(s, *args):
+            out = real(s, *args)
+            if name == "weyl_vanishes":
+                return out | hits(s)
+            m, dets, adj = out
+            dets = dets.copy()
+            dets[hits(s)] = 0.0
+            return m, dets, adj
+        monkeypatch.setattr(obstructions, name, patched)
+
+    @pytest.mark.parametrize("case", ["late-from-L", "weyl-after-operator"])
+    def test_policy_fallback_across_chunks(self, tmp_path, monkeypatch,
+                                           case):
+        # rt4-quartic at 100 points: chunks of 32, 32, 32 and 4 points
+        p = tmp_path / "rt4.mspec"
+        assert main(["catalog", "export", "rt4-quartic", "--points", "100",
+                     "--out", str(p)]) == 0
+        pts = get_entry("rt4-quartic").points(n=100, seed=0)
+        if case == "late-from-L":
+            # from-L first fails in the third chunk, from-C in the first
+            # and the third: the earlier chunks are measured again, twice,
+            # and from-C's note names its first failure
+            self._zero_at(monkeypatch, "l_operators", pts, [70, 90])
+            self._zero_at(monkeypatch, "weyl_operators", pts, [10, 75])
+        else:
+            # an operator fails in chunk 0, the Weyl tensor vanishes in
+            # chunk 2: every note names the vanishing Weyl tensor
+            self._zero_at(monkeypatch, "l_operators", pts, [5])
+            self._zero_at(monkeypatch, "weyl_vanishes", pts, [80])
+        whole = _classify_bytes(tmp_path, p, WHOLE, monkeypatch)
+        small = _classify_bytes(tmp_path, p, SMALL, monkeypatch)
+        a, b = json.loads(whole[1]), json.loads(small[1])
+        for key in ("notes", "k_provenance", "verdict"):
+            assert b[key] == a[key], key
+        assert small == whole
+        if case == "late-from-L":
+            assert a["k_provenance"] == "dim4-C3"
+            assert [note.split(":")[0] for note in a["notes"]] == [
+                "policy from-L", "policy from-C"]
+            assert str(pts[70]) in a["notes"][0]
+            assert str(pts[10]) in a["notes"][1]
+        else:
+            assert a["k_provenance"] is None
+            assert len(a["notes"]) == 3
+            assert all("the Weyl tensor vanishes numerically at point "
+                       f"{pts[80]}" in note for note in a["notes"])
+
+    def test_memory_is_flat_in_the_points(self, tmp_path):
+        # the tracemalloc peak of classify grows by far less than the
+        # fourfold batch
+        import tracemalloc
+
+        peaks = []
+        for count in (200, 800):
+            p = tmp_path / f"rt6-{count}.mspec"
+            assert main(["catalog", "export", "rt6-quartic", "--points",
+                         str(count), "--out", str(p)]) == 0
+            tracemalloc.start()
+            try:
+                code = main(["classify", str(p), "--json",
+                             str(tmp_path / "out.json")])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 1
+        assert peaks[1] < 1.5 * peaks[0], peaks
