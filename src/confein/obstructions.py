@@ -57,16 +57,21 @@ Each `Verdict` names the criterion that decided it (`THEOREM_IDS`):
 * lam2     'lambda2-obstruction': E with the from-C (Lambda2-generic) or
   dim4-C3 K;
 * F        'bach-cotton-system': F1 and F2 on generic metrics;
+* cspace   'conformal-c-space': conformal to a C-space (a metric with
+  vanishing Cotton tensor) iff the C-space residual of K vanishes and K is
+  closed, for every policy (`decide_cotton_verdict`);
 * rank     'tractor-rank': the rank of the tractor curvature test
   (`tractor.rank_obstruction`);
 * scale    'einstein-scale': a given scale sigma makes the metric
   Einstein (`tractor.parallel_tractor_check`).
 
-Every decision reads per-point figures only, so the verdict is made in
-two halves: `measure_tensor_verdict` reduces each chunk of points to
-`TensorMeasurement`s, and `decide_tensor_verdict` decides on them, joined
-in point order.  `conformal_einstein_tensor_verdict` runs both on one
-chunk; the CLI's `classify` runs them over chunks of its points.
+Every decision reads per-point figures only, so each is made in two
+halves: `measure_tensor_verdict` reduces each chunk of points to
+`TensorMeasurement`s, and `decide_tensor_verdict` (conformally Einstein?)
+or `decide_cotton_verdict` (conformal to a C-space?) decides on them,
+joined in point order by one shared head.  `conformal_einstein_tensor_verdict`
+and `cotton_scale_verdict` run both halves on one chunk; the CLI's
+`classify` runs the first pair over chunks of its points.
 """
 
 from __future__ import annotations
@@ -116,6 +121,7 @@ __all__ = [
     "conformal_einstein_tensor_verdict",
     "measure_tensor_verdict",
     "decide_tensor_verdict",
+    "decide_cotton_verdict",
     "cotton_scale_verdict",
     "reconstruct_potential",
     "covariance_exponent",
@@ -127,9 +133,12 @@ THEOREM_IDS = {
     "E": "trace-free-e-obstruction",
     "lam2": "lambda2-obstruction",
     "F": "bach-cotton-system",
+    "cspace": "conformal-c-space",
     "rank": "tractor-rank",
     "scale": "einstein-scale",
 }
+
+POLICIES = ("from-L", "from-C", "dim4-C3")
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +274,10 @@ def _lowered(s, q):
     return taylor.product("ab,b->a", s.jet("g"), q, s.n, 1)
 
 
-def _check_policy(policy):
-    if policy not in POLICIES:
+def _check_policy(policy, accepted=POLICIES):
+    if policy not in accepted:
         raise ValueError(f"unknown policy {policy!r}; expected one of "
-                         f"{POLICIES + ('user',)}")
+                         f"{accepted}")
 
 
 def _weyl_note(policy, point, cmax):
@@ -331,9 +340,6 @@ class DualCandidate:
         return np.max(np.abs(contr + eye).reshape(C.shape[0], -1), axis=1)
 
 
-POLICIES = ("from-L", "from-C", "dim4-C3")
-
-
 def _left_inverse(s, policy, tol):
     """(Dt jet, the determinant jet it divides by) for one policy: 'from-L'
     divides by ||L||, 'from-C' by ||C||, 'dim4-C3' (n = 4) by the cubic
@@ -392,6 +398,7 @@ def dual_candidate(pack_or_samples, policy="from-L", points=None,
     dual_candidate_jet and the determinant it divided by.  Policy 'user'
     takes components as given."""
     s = as_samples(pack_or_samples, points)
+    _check_policy(policy, POLICIES + ("user",))
     if policy == "user":
         if user_comps is None:
             raise ValueError("user policy needs user_comps")
@@ -699,16 +706,11 @@ class ObstructionReport:
     @property
     def outcome(self):
         outs = {v.outcome for v in self.verdicts}
-        if "conflict" in outs:
+        if "conflict" in outs or {"not", "conformally-einstein"} <= outs:
             return "conflict"
-        if "not" in outs and "conformally-einstein" in outs:
-            return "conflict"
-        if "conformally-einstein" in outs:
-            return "conformally-einstein"
-        if "not" in outs:
-            return "not"
-        if "cotton-scale-exists" in outs:
-            return "cotton-scale-exists"
+        for out in ("conformally-einstein", "not", "cotton-scale-exists"):
+            if out in outs:
+                return out
         return "inconclusive"
 
     def residual_table(self):
@@ -738,10 +740,10 @@ class TensorMeasurement:
 
 def _candidates(policy, n):
     """The left-inverse policies to try, in order."""
+    _check_policy(policy, POLICIES + ("auto",))
     if n == 3:
         return ()
     if policy != "auto":
-        _check_policy(policy)
         return (policy,)
     return ("from-L", "from-C") + (("dim4-C3",) if n == 4 else ())
 
@@ -828,6 +830,57 @@ def measure_tensor_verdict(sample, count, policy="auto", tolerances=None,
     return out
 
 
+def _joined(ms, name):
+    """A per-point figure of the measurements, joined in point order."""
+    return np.concatenate([getattr(m, name) for m in ms])
+
+
+def _joined_report(ms, n, policy, tol):
+    """The deciders' head: the report over the joined measurements and the
+    first candidate policy every chunk passed, each failed one before it
+    noted at the batch's first point where C vanishes, else where its
+    operator fails.  Returns (report, that policy or None, K closes)."""
+    report = ObstructionReport(n=n, points=[p for m in ms for p in m.points],
+                               genericity=None)
+    chosen = None
+    if n > 3:
+        report.genericity = GenericityReport.of(
+            [pg for m in ms for pg in m.genericity.per_point])
+        bad = np.flatnonzero(_joined(ms, "weyl_zero"))
+        for cand in _candidates(policy, n):
+            if bad.size:
+                note = _weyl_note(cand, report.points[bad[0]],
+                                  _joined(ms, "c_max")[bad[0]])
+            else:
+                note = next((m.failures[cand] for m in ms
+                             if cand in m.failures), None)
+            if note is None:
+                chosen = cand
+                break
+            report.notes.append(note)
+        if chosen is None:
+            return report, None, False
+        report.k_provenance = chosen
+        report.k_closedness = float(np.max(_joined(ms, "closedness")))
+    for name in ms[0].residuals:
+        if all(name in m.residuals for m in ms):
+            report.residuals[name] = Residual.joined(
+                [m.residuals[name] for m in ms])
+    closes = chosen is not None and bool(tol.passes(
+        report.k_closedness, np.max(_joined(ms, "scale"))))
+    return report, chosen, closes
+
+
+def _three_way(tol, residuals, holds=True, yes="conformally-einstein"):
+    """`yes` where every residual passes and `holds`, 'not' where one fails
+    decisively, else 'inconclusive'."""
+    if holds and all(r.passes(tol) for r in residuals):
+        return yes
+    if any(r.decisively_fails(tol) for r in residuals):
+        return "not"
+    return "inconclusive"
+
+
 def decide_tensor_verdict(measurements, pack, policy="auto",
                           tolerances=None) -> ObstructionReport:
     """The deciding half of the tensor verdict, over the measurements of
@@ -839,101 +892,49 @@ def decide_tensor_verdict(measurements, pack, policy="auto",
     ||C|| is, with the determinant-cleared F system as a cross-check on
     generic metrics.  A negative verdict needs a decisively large residual;
     small-but-not-tiny residuals are reported as inconclusive.  A policy
-    that fails is noted (or, when it was asked for, raised as PolicyError)
-    at the first point of the batch where the Weyl tensor vanishes, else
-    where its operator fails.  Where the verdict is conformally Einstein,
-    the potential is integrated with `pack`."""
+    that fails is noted, or raised as PolicyError when it was asked for.
+    Where the verdict is conformally Einstein, the potential is integrated
+    with `pack`."""
     tol = (tolerances or DEFAULT_TOLERANCES).validate()
-    ms = measurements
-    n = pack.n
-    points = [p for m in ms for p in m.points]
-    report = ObstructionReport(n=n, points=points, genericity=None)
-
-    def joined(name):
-        return Residual.joined([m.residuals[name] for m in ms])
+    ms, n = measurements, pack.n
+    report, chosen, closes = _joined_report(ms, n, policy, tol)
 
     if n == 3:
-        res = joined("cotton")
-        report.residuals["cotton"] = res
-        if res.passes(tol):
-            out = "conformally-einstein"
-        elif res.decisively_fails(tol):
-            out = "not"
-        else:
-            out = "inconclusive"
+        res = report.residuals["cotton"]
         report.verdicts.append(Verdict(
-            THEOREM_IDS["cotton3"], out,
+            THEOREM_IDS["cotton3"], _three_way(tol, [res]),
             "dimension 3: conformally Einstein iff conformally flat",
             f"max |A| = {res.max:.3e}"))
         return report
 
-    gen = GenericityReport.of([pg for m in ms
-                               for pg in m.genericity.per_point])
-    report.genericity = gen
-    zero = np.concatenate([m.weyl_zero for m in ms])
-    c_max = np.concatenate([m.c_max for m in ms])
-
-    chosen = None
-    for cand in _candidates(policy, n):
-        bad = np.flatnonzero(zero)
-        if bad.size:
-            note = _weyl_note(cand, points[bad[0]], c_max[bad[0]])
-        else:
-            note = next((m.failures[cand] for m in ms
-                         if cand in m.failures), None)
-        if note is None:
-            chosen = cand
-            break
-        if policy != "auto":
-            raise PolicyError(note)
-        report.notes.append(note)
-
     if chosen is None:
-        weyl_norm = float(np.max(c_max))
-        note = "no left-inverse policy applies"
-        if not gen.weakly_generic:
-            note = "not weakly generic"
-        if np.all(zero):
-            cotton_norm = float(np.max(np.concatenate(
-                [m.a_max for m in ms])))
+        if policy != "auto":
+            raise PolicyError(report.notes[0])
+        note = ("no left-inverse policy applies"
+                if report.genericity.weakly_generic else "not weakly generic")
+        if np.all(_joined(ms, "weyl_zero")):
             report.notes.append(
-                f"Weyl tensor vanishes at the sample points (max |C| = "
-                f"{weyl_norm:.3e}); max |A| = {cotton_norm:.3e}")
+                "Weyl tensor vanishes at the sample points (max |C| = "
+                f"{np.max(_joined(ms, 'c_max')):.3e}); max |A| = "
+                f"{np.max(_joined(ms, 'a_max')):.3e}")
         report.verdicts.append(Verdict(
             THEOREM_IDS["E"], "inconclusive", note,
             "; ".join(report.notes[-2:])))
         return report
 
-    report.k_provenance = chosen
-    for name in ms[0].residuals:
-        if all(name in m.residuals for m in ms):
-            report.residuals[name] = joined(name)
     e = report.residuals["E"]
-    report.k_closedness = float(np.max(np.concatenate(
-        [m.closedness for m in ms])))
-
     theorem = THEOREM_IDS["E"] if chosen == "from-L" else THEOREM_IDS["lam2"]
     precond = {"from-L": "weakly generic with ||L|| invertible",
                "from-C": "Lambda2-generic",
                "dim4-C3": "dimension 4 with nonzero cubic Weyl scalar"}[chosen]
-    if e.passes(tol):
-        out = "conformally-einstein"
-    elif e.decisively_fails(tol):
-        out = "not"
-    else:
-        out = "inconclusive"
+    out = _three_way(tol, [e])
     report.verdicts.append(Verdict(theorem, out, precond,
                                    f"max |E| = {e.max:.3e} at scale "
                                    f"{e.max_scale:.3e}"))
 
-    if gen.generic:
+    if report.genericity.generic:
         r1, r2 = report.residuals["F1"], report.residuals["F2"]
-        if r1.passes(tol) and r2.passes(tol):
-            fout = "conformally-einstein"
-        elif r1.decisively_fails(tol) or r2.decisively_fails(tol):
-            fout = "not"
-        else:
-            fout = "inconclusive"
+        fout = _three_way(tol, [r1, r2])
         report.verdicts.append(Verdict(
             THEOREM_IDS["F"], fout, "generic",
             f"max |F1| = {r1.max:.3e}, max |F2| = {r2.max:.3e}"))
@@ -943,17 +944,42 @@ def decide_tensor_verdict(measurements, pack, policy="auto",
                 "the E and F routes disagree beyond tolerance"))
 
     if report.outcome == "conformally-einstein":
-        scale = np.max(np.concatenate([m.scale for m in ms]))
-        if not tol.passes(report.k_closedness, scale):
+        if not closes:
             report.notes.append(
                 f"K fails to close: max |d[a K b]| = {report.k_closedness:.3e}")
         try:
-            report.potential = reconstruct_potential(pack, points, chosen,
-                                                     tol)
+            report.potential = reconstruct_potential(pack, report.points,
+                                                     chosen, tol)
         except (ArithmeticError, np.linalg.LinAlgError) as exc:
             # a singular integration path (PolicyError, DomainError and
             # SingularMetricError are ArithmeticErrors)
             report.notes.append(f"potential reconstruction failed: {exc}")
+    return report
+
+
+def decide_cotton_verdict(measurements, pack, policy="auto",
+                          tolerances=None) -> ObstructionReport:
+    """The deciding half of the Cotton-scale question, on the measurements
+    `decide_tensor_verdict` reads: the metric is conformal to a C-space (one
+    with vanishing Cotton tensor) where the C-space residual A + K.C
+    passes and K is closed, not where it fails decisively.  A failed
+    policy, or dimension 3 (no left inverse), leaves it inconclusive."""
+    tol = (tolerances or DEFAULT_TOLERANCES).validate()
+    report, chosen, closes = _joined_report(measurements, pack.n, policy, tol)
+    if chosen is None:
+        report.verdicts.append(Verdict(
+            THEOREM_IDS["cspace"], "inconclusive", "left inverse unavailable",
+            "; ".join(report.notes) or "dimension 3: the Weyl tensor vanishes "
+            "identically, so no left inverse gives K (max |A| = "
+            f"{report.residuals['cotton'].max:.3e})"))
+        return report
+    res = report.residuals["cspace"]
+    report.verdicts.append(Verdict(
+        THEOREM_IDS["cspace"],
+        _three_way(tol, [res], closes, "cotton-scale-exists"),
+        "weakly generic with a valid left inverse",
+        f"cspace max = {res.max:.3e}, "
+        f"closedness = {report.k_closedness:.3e}"))
     return report
 
 
@@ -965,46 +991,20 @@ def conformal_einstein_tensor_verdict(source, points, policy="auto",
     runs the same halves over chunks of points and keeps per-point
     figures only.  `source` is a metric, a CurvaturePack or
     CurvatureSamples (see `as_samples`)."""
-    tol = (tolerances or DEFAULT_TOLERANCES).validate()
     samples = as_samples(source, points)
-    ms = measure_tensor_verdict(lambda i: samples, 1, policy, tol)
-    return decide_tensor_verdict(ms, samples.pack, policy, tol)
+    ms = measure_tensor_verdict(lambda i: samples, 1, policy, tolerances)
+    return decide_tensor_verdict(ms, samples.pack, policy, tolerances)
 
 
 def cotton_scale_verdict(source, points, policy="from-L",
                          tolerances=None) -> ObstructionReport:
-    """Decides whether the metric is conformal to one with vanishing Cotton
-    tensor: the C-space residual must vanish and K must be closed.
+    """Whether the metric is conformal to a C-space, on one batch of
+    points: `measure_tensor_verdict` on a single chunk, then
+    `decide_cotton_verdict`, so the report keeps every residual tensor.
     `source` is a metric, a CurvaturePack or CurvatureSamples."""
-    tol = (tolerances or DEFAULT_TOLERANCES).validate()
     samples = as_samples(source, points)
-    report = ObstructionReport(n=samples.n, points=list(samples.points),
-                               genericity=classify_genericity(samples,
-                                                              tolerances=tol))
-    try:
-        k = k_field(samples, policy, tol)
-    except PolicyError as exc:
-        report.verdicts.append(Verdict(
-            THEOREM_IDS["lam2"], "inconclusive", "left inverse unavailable",
-            str(exc)))
-        return report
-    report.k_provenance = policy
-    res = cspace_residual(samples, k)
-    report.residuals["cspace"] = res
-    closed = float(np.max(k.closedness()))
-    report.k_closedness = closed
-    report.residuals.update(cotton_rl2_invariant(samples))
-    if res.passes(tol) and tol.passes(closed, np.max(samples.scale())):
-        out = "cotton-scale-exists"
-    elif res.decisively_fails(tol):
-        out = "not"
-    else:
-        out = "inconclusive"
-    report.verdicts.append(Verdict(
-        THEOREM_IDS["lam2"] if policy == "from-C" else THEOREM_IDS["E"],
-        out, "weakly generic with a valid left inverse",
-        f"cspace max = {res.max:.3e}, closedness = {closed:.3e}"))
-    return report
+    ms = measure_tensor_verdict(lambda i: samples, 1, policy, tolerances)
+    return decide_cotton_verdict(ms, samples.pack, policy, tolerances)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import re
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -476,6 +477,56 @@ class TestCottonScale:
                                       points("rt5-quartic", 4))
         assert rep.outcome == "cotton-scale-exists"
 
+    def test_chunked_run_equals_one_chunk(self):
+        pk, pts = pack("rt5-quartic"), points("rt5-quartic", 6)
+        parts = [pts[:2], pts[2:]]
+        ms = OB.measure_tensor_verdict(lambda i: pk.samples(parts[i]), 2,
+                                       "from-L")
+        rep = OB.decide_cotton_verdict(ms, pk, "from-L")
+        one = OB.cotton_scale_verdict(pk, pts)
+        assert rep.points == one.points == pts
+        assert rep.outcome == one.outcome == "cotton-scale-exists"
+        assert rep.verdicts == one.verdicts
+        assert rep.verdicts[0].theorem == OB.THEOREM_IDS["cspace"]
+        assert (rep.k_provenance, rep.k_closedness, rep.notes) == \
+            (one.k_provenance, one.k_closedness, one.notes)
+        assert np.array_equal(rep.residuals["cspace"].per_point,
+                              one.residuals["cspace"].per_point)
+
+    def test_failed_policy_is_inconclusive_with_its_gate_note(self):
+        pts = points("hyperkahler4", 6)
+        rep = OB.cotton_scale_verdict(pack("hyperkahler4"), pts, "from-C")
+        v = rep.verdicts[0]
+        assert (v.theorem, v.outcome, v.precondition) == (
+            "conformal-c-space", "inconclusive", "left inverse unavailable")
+        assert v.detail == \
+            f"policy from-C: ||C|| = 3.756e-50 vanishes at point {pts[0]}"
+        assert rep.notes == [v.detail] and rep.k_provenance is None
+
+    def test_vanishing_weyl_tensor_is_inconclusive(self):
+        pts = points("flat4", 6)
+        rep = OB.cotton_scale_verdict(pack("flat4"), pts)
+        assert rep.outcome == "inconclusive"
+        assert rep.verdicts[0].detail == (
+            "policy from-L: the Weyl tensor vanishes numerically at point "
+            f"{pts[0]} (max |C| = 0.000e+00)")
+
+    def test_perturbed_metric_detail(self):
+        g = perturbed_flat_metric(seed=3)
+        rep = OB.cotton_scale_verdict(CurvaturePack(g),
+                                      sample_points(g.chart, n=4, seed=6))
+        v = rep.verdicts[0]
+        assert (v.theorem, v.outcome) == ("conformal-c-space", "not")
+        assert v.detail == "cspace max = 3.818e+02, closedness = 8.719e+02"
+
+    def test_dimension3_says_why_it_is_inconclusive(self):
+        rep = OB.cotton_scale_verdict(pack("constant-curvature3"),
+                                      points("constant-curvature3", 6))
+        assert rep.outcome == "inconclusive"
+        assert rep.verdicts[0].detail.startswith(
+            "dimension 3: the Weyl tensor vanishes identically, so no left "
+            "inverse gives K (max |A| = ")
+
     def test_rl2_invariant_vanishes_on_c_space(self):
         s = samples("rt5-quartic", 5)
         res = OB.cotton_rl2_invariant(s)
@@ -539,10 +590,13 @@ class TestVerdictInvariance:
         name, ups, (seed, other), _ = case
         g = entry(name).metric
         pts = points(name, 4, seed)
-        rep = OB.conformal_einstein_tensor_verdict(pack(name), pts)
-        reph = OB.conformal_einstein_tensor_verdict(
-            CurvaturePack(conformal_rescale(g, parse(ups))), pts)
+        s = pack(name).samples(pts)
+        sh = CurvaturePack(conformal_rescale(g, parse(ups))).samples(pts)
+        rep = OB.conformal_einstein_tensor_verdict(s, pts)
+        reph = OB.conformal_einstein_tensor_verdict(sh, pts)
         assert reph.outcome == rep.outcome
+        assert OB.cotton_scale_verdict(sh, pts).outcome == \
+            OB.cotton_scale_verdict(s, pts).outcome
         assert _flags(reph) == _flags(rep)
         assert ("E" in reph.residuals) == ("E" in rep.residuals)
         if "E" in rep.residuals:
@@ -616,6 +670,20 @@ class TestPolicyErrors:
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             OB.k_field(samples("rt5-quartic", 2), "from-X")
+
+    @pytest.mark.parametrize("call, accepted", [
+        (OB.k_field, OB.POLICIES),
+        (lambda s, p: OB.conformal_einstein_tensor_verdict(s, s.points, p),
+         OB.POLICIES + ("auto",)),
+        (lambda s, p: OB.dual_candidate(s, p), OB.POLICIES + ("user",))],
+        ids=["k_field", "tensor-verdict", "dual_candidate"])
+    def test_unknown_policy_lists_what_the_caller_accepts(self, call,
+                                                          accepted):
+        s = samples("rt5-quartic", 2)
+        bad = "from-X" if "user" in accepted else "user"
+        with pytest.raises(ValueError, match=re.escape(
+                f"unknown policy {bad!r}; expected one of {accepted}")):
+            call(s, bad)
 
     @pytest.mark.parametrize("name, wording", [
         ("pp-wave4", ("||L|| = ", "||C|| = ", "C^3 = ")),
