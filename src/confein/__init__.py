@@ -27,7 +27,6 @@ from .evaluate import (  # noqa: F401
     DomainError,
     UnboundSymbolError,
     EvalProgram,
-    compile_expr,
     compile_batch,
     evaluate,
 )

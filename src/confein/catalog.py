@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expressions import (
-    Expr,
     ONE,
     ZERO,
     add,

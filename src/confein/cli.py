@@ -142,9 +142,11 @@ def build_parser():
 
 @_reads_input
 def _tolerances(args):
-    return Tolerances(tol_rel=args.tol_rel, tol_abs=args.tol_abs,
-                      rank_tol=args.rank_tol, n_points=args.points,
-                      seed=args.seed).validate()
+    tol = Tolerances(tol_rel=args.tol_rel, tol_abs=args.tol_abs,
+                     rank_tol=args.rank_tol)
+    if args.points < 1:
+        raise InputError("need at least one sample point")
+    return tol
 
 
 @_reads_input
@@ -161,14 +163,14 @@ def _load(args):
     return spec, g, points, digest
 
 
-def _report_skeleton(digest, tol):
+def _report_skeleton(digest, tol, args):
     return {
         "tool": "confein",
         "version": __version__,
         "input_digest": digest,
         "tolerances": {"tol_rel": tol.tol_rel, "tol_abs": tol.tol_abs,
                        "rank_tol": tol.rank_tol, "decisive": tol.decisive,
-                       "points": tol.n_points, "seed": tol.seed},
+                       "points": args.points, "seed": args.seed},
     }
 
 
@@ -235,14 +237,13 @@ def cmd_classify(args):
     def measure_ranks(samples, measured):
         if g.dim >= 4:
             ranks.extend(rank_obstruction(
-                samples, samples.points, tolerances=tol,
-                genericity=measured.genericity).ranks)
+                samples, tol, genericity=measured.genericity).ranks)
 
     measured = measure_tensor_verdict(
         lambda i: pack.samples(points[chunks[i]]), len(chunks),
         args.policy, tol, each=measure_ranks)
     rep = decide_tensor_verdict(measured, pack, args.policy, tol)
-    out = _report_skeleton(digest, tol)
+    out = _report_skeleton(digest, tol, args)
     out["points"] = points
     out["genericity"] = _genericity_json(rep.genericity)
     out["residuals"] = rep.residual_table()
@@ -304,7 +305,7 @@ def cmd_invariants(args):
                               "n >= 4, dim4 needs n = 4)")
     pack = CurvaturePack(g)
     samples = pack.samples(points)
-    out = _report_skeleton(digest, tol)
+    out = _report_skeleton(digest, tol, args)
     out["points"] = points
     res = {}
     policy = "from-L" if args.policy == "auto" else args.policy
@@ -380,8 +381,8 @@ def _covariance_section(pack, samples, points, which, ups, tol):
 def cmd_identities(args):
     tol = _tolerances(args)
     spec, g, points, digest = _load(args)
-    rep = identity_suite(CurvaturePack(g), points, tol)
-    out = _report_skeleton(digest, tol)
+    rep = identity_suite(CurvaturePack(g).samples(points), tol)
+    out = _report_skeleton(digest, tol, args)
     out["points"] = points
     out["identities"] = {
         name: {"max": mx, "scale": sc, "pass": ok}
@@ -394,8 +395,9 @@ def cmd_tractor(args):
     tol = _tolerances(args)
     spec, g, points, digest = _load(args)
     sigma = _parse(args.sigma)
-    rep = parallel_tractor_check(g, sigma, points, tolerances=tol)
-    out = _report_skeleton(digest, tol)
+    rep = parallel_tractor_check(CurvaturePack(g).samples(points), sigma,
+                                 tol)
+    out = _report_skeleton(digest, tol, args)
     out["points"] = points
     out["sigma"] = args.sigma
     out["einstein_scale"] = rep["is_einstein_scale"]

@@ -23,12 +23,11 @@ the Christoffel symbols, Ricci, J and P to 2, Riemann, Weyl and Cotton to
 and A (`CurvatureSamples.jet`), the operands of the K jets in
 `obstructions`; the values and d-prefixed partials of these are views of
 the jets, the other entries (Christoffel symbols, Ricci, scalar, Bach)
-are values only.  `as_samples` turns a metric, a pack or samples into
-samples.  Other jets at the same points come from the same machinery:
-`scalar_jet` compiles one tape of a scalar expression's partials (a
-conformal factor, an Einstein scale), `christoffel_jet` runs the pack's
-metric-jet tape again and reads the order-2 prefix of the jet for g^-1
-and the Christoffel symbols beyond their values.
+are values only.  Other jets at the same points come from the same
+machinery: `scalar_jet` compiles one tape of a scalar expression's
+partials (a conformal factor, an Einstein scale), `christoffel_jet` runs
+the pack's metric-jet tape again and reads the order-2 prefix of the jet
+for g^-1 and the Christoffel symbols beyond their values.
 
 The pack's symbolic TensorFields remain for symbolic calculus (coframe
 components, the symbolic tractor calculus of `tractor`) and as the tests'
@@ -43,6 +42,7 @@ from itertools import permutations
 import numpy as np
 
 from . import taylor
+from .config import DEFAULT_TOLERANCES
 from .evaluate import compile_batch, run_batch
 from .expressions import ZERO, add, diff, mul, neg, rational
 from .geometry import (
@@ -51,7 +51,6 @@ from .geometry import (
     MetricField,
     SingularMetricError,
     TensorField,
-    conformal_rescale,
     covariant_derivative,
     partial_derivative,
     permutation_sign,
@@ -61,11 +60,9 @@ from .geometry import (
 __all__ = [
     "CurvaturePack",
     "CurvatureSamples",
-    "as_samples",
     "identity_suite",
     "identity_residuals",
     "cotton_transform_check",
-    "einstein_residual",
     "trace_free_residual",
     "scalar_jet",
     "christoffel_jet",
@@ -503,18 +500,6 @@ def _ladder(gj, n):
     return jets, out
 
 
-def as_samples(source, points=None):
-    """The CurvatureSamples of `source` at `points`.  `source` is
-    a CurvatureSamples (returned as is; `points` is ignored), a
-    CurvaturePack or a MetricField."""
-    if isinstance(source, CurvatureSamples):
-        return source
-    if points is None:
-        raise ValueError("points are required when passing a metric or pack")
-    pack = source if isinstance(source, CurvaturePack) else CurvaturePack(source)
-    return pack.samples(points)
-
-
 def _contract_slot(arr, gi, slot):
     """arr: (P, n,...); contract tensor slot `slot` with gi: (P, n, n)."""
     arr = np.moveaxis(arr, slot + 1, -1)
@@ -620,26 +605,14 @@ def identity_residuals(s: CurvatureSamples):
     return res
 
 
-def identity_suite(source, points, tolerances=None):
-    """Evaluate the identity residuals of a metric (or pack, or samples; see
-    `as_samples`) at sample points.
-
-    Returns {identity name: (max residual, max scale, passes)}."""
-    from .config import DEFAULT_TOLERANCES
-    tol = tolerances or DEFAULT_TOLERANCES
-    s = as_samples(source, points)
+def identity_suite(s: CurvatureSamples, tolerances=DEFAULT_TOLERANCES):
+    """The identity residuals of the samples s, reduced: {identity name:
+    (max residual, max scale, passes)}."""
     res = identity_residuals(s)
     scale = s.scale()
     return {name: (float(np.max(r)), float(np.max(scale)),
-                   bool(np.all(tol.passes(r, scale))))
+                   bool(np.all(tolerances.passes(r, scale))))
             for name, r in res.items()}
-
-
-def einstein_residual(pack, points):
-    """Max-norm of the trace-free Schouten tensor at the points (zero iff
-    Einstein), along with the residual scale."""
-    s = pack.samples(points)
-    return trace_free_residual(s["P"], s["g"], s["ginv"])
 
 
 def trace_free_residual(P, g, gi):
@@ -653,22 +626,17 @@ def trace_free_residual(P, g, gi):
     return float(np.max(_maxnorm(tf, npts))), float(np.max(scale))
 
 
-def cotton_transform_check(g, upsilon, points, pack=None, hat_pack=None):
-    """Residuals of the conformal transformation rules.
+def cotton_transform_check(s: CurvatureSamples, sh: CurvatureSamples,
+                           upsilon):
+    """Residuals of the conformal transformation rules between the samples
+    s of g and sh of e^{2 upsilon} g at the same points.
 
-    Checks, at the sample points: the Cotton rule
-    A-hat = A + (d upsilon)^k C_k..., the Schouten rule, and invariance of
-    the Weyl tensor with placement C_ab^c_d."""
-    pack = pack or CurvaturePack(g)
-    ghat = conformal_rescale(g, upsilon)
-    hat_pack = hat_pack or CurvaturePack(ghat)
-    s = pack.samples(points)
-    sh = hat_pack.samples(points)
-    P = len(points)
-
+    Checks the Cotton rule A-hat = A + (d upsilon)^k C_k..., the Schouten
+    rule, and invariance of the Weyl tensor with placement C_ab^c_d."""
+    n, P = s.n, len(s.points)
     uj = scalar_jet(s, upsilon, 2)
-    du = uj[:, 1:g.dim + 1]
-    hess = taylor.partials(taylor.partials(uj, g.dim, 1), g.dim, 0)[:, 0]
+    du = uj[:, 1:n + 1]
+    hess = taylor.partials(taylor.partials(uj, n, 1), n, 0)[:, 0]
 
     gi = s["ginv"]
     uup = np.einsum("pab,pb->pa", gi, du)

@@ -10,18 +10,16 @@ dicts."""
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
-from .expressions import ADD, FLT, FUNC, MUL, POW, RAT, SYM, Expr
+from .expressions import ADD, FLT, MUL, POW, RAT, SYM
 
 __all__ = [
     "Bindings",
     "DomainError",
     "UnboundSymbolError",
     "EvalProgram",
-    "compile_expr",
     "compile_batch",
     "run_batch",
     "evaluate",
@@ -262,11 +260,6 @@ def run_batch(prog, points):
         row = np.asarray(prog.run({}), dtype=float).reshape(1, -1)
         return np.repeat(row, len(points), axis=0)
     return np.asarray(prog.run(batch), dtype=float).T
-
-
-def compile_expr(e):
-    """Compile a single expression (spec-level `compile`)."""
-    return compile_batch([e])
 
 
 def evaluate(target, bindings):

@@ -27,13 +27,14 @@ between the two over any leading axes, and `_pair_rows` extends the row
 pairs alone.
 
 The adjugate of the 2-form operator packages as the tensor Ct_ef^ab with
-Ct_ef^ab C_ab^cd = ||C|| delta^[c_[e delta^d]_f], and the operator
-L^a_b = C^acde C_bcde with its adjugate gives the canonical inverses of the
-Weyl tensor used by the obstruction invariants.  Both operators are built
-once per sample batch (`weyl_operators`, `l_operators`).  The obstructions
-never form those left inverses on the verdict path: `obstructions.k_field`
-contracts the Weyl tensor with the Cotton tensor first, applies the
-operator's adjugate to the result and differentiates only the one-form K.
+Ct_ef^ab C_ab^cd = ||C|| delta^[c_[e delta^d]_f] (`_pair_tensor` of the
+adjugate), and the operator L^a_b = C^acde C_bcde with its adjugate gives
+the canonical inverses of the Weyl tensor used by the obstruction
+invariants.  Both operators are built once per sample batch, stacked over
+its points (`weyl_operators`, `l_operators`).  The obstructions never form
+those left inverses on the verdict path: `obstructions.k_field` contracts
+the Weyl tensor with the Cotton tensor first, applies the operator's
+adjugate to the result and differentiates only the one-form K.
 The full left inverses (`obstructions.dual_candidate`) stay as the test
 oracle of K."""
 
@@ -48,12 +49,10 @@ import numpy as np
 
 from . import linalg
 from .config import DEFAULT_TOLERANCES
-from .curvature import CurvaturePack, CurvatureSamples, as_samples
+from .curvature import CurvatureSamples
 from .geometry import permutation_sign
 
 __all__ = [
-    "WeylOperator",
-    "LOperator",
     "PointGenericity",
     "GenericityReport",
     "PolicyError",
@@ -61,10 +60,6 @@ __all__ = [
     "weyl_vanishes",
     "weyl_operators",
     "l_operators",
-    "weyl_operator",
-    "l_operator",
-    "weyl_operator_at",
-    "l_operator_at",
     "classify_genericity",
     "dim4_scalars",
     "weyl_c3",
@@ -117,34 +112,9 @@ def _pair_tensor(m):
     return t
 
 
-@dataclass
-class WeylOperator:
-    """The 2-form endomorphism of the Weyl tensor at one point."""
-
-    matrix: np.ndarray        # (N, N), N = n(n-1)/2
-    det: float                # ||C||
-    adjugate: np.ndarray      # (N, N)
-    adjugate_tensor: np.ndarray  # Ct_ef^ab, shape (n, n, n, n)
-    n: int
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
-
-@dataclass
-class LOperator:
-    """L^a_b = C^acde C_bcde at one point."""
-
-    matrix: np.ndarray    # (n, n)
-    det: float            # ||L||
-    adjugate: np.ndarray  # Lt^a_b
-
-
-def weyl_vanishes(samples, tol=None):
+def weyl_vanishes(samples, tol=DEFAULT_TOLERANCES):
     """Per point: is the Weyl tensor numerically zero, max |C| <= rank_tol
     times the curvature scale (the floor of the rank decisions)?"""
-    tol = tol or DEFAULT_TOLERANCES
     c = samples["C"]
     cmax = np.max(np.abs(c.reshape(c.shape[0], -1)), axis=1)
     return cmax <= tol.rank_tol * samples.scale()
@@ -173,26 +143,6 @@ def l_operators(samples: CurvatureSamples):
     """L^a_b = C^acde C_bcde, ||L|| and the adjugate Lt^a_b, per point."""
     return _operators(samples, ("l-operator",), lambda: np.einsum(
         "pacde,pbcde->pab", samples.raised("C", (1, 1, 1, 1)), samples["C"]))
-
-
-def weyl_operator_at(samples: CurvatureSamples, p: int) -> WeylOperator:
-    m, det, adj = weyl_operators(samples)
-    return WeylOperator(m[p], float(det[p]), adj[p], _pair_tensor(adj[p]),
-                        samples.n)
-
-
-def l_operator_at(samples: CurvatureSamples, p: int) -> LOperator:
-    m, det, adj = l_operators(samples)
-    return LOperator(m[p], float(det[p]), adj[p])
-
-
-def weyl_operator(pack: CurvaturePack, point) -> WeylOperator:
-    """Spec-level convenience: operator at a single point."""
-    return weyl_operator_at(pack.samples([point]), 0)
-
-
-def l_operator(pack: CurvaturePack, point) -> LOperator:
-    return l_operator_at(pack.samples([point]), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +276,11 @@ class GenericityReport:
         return True
 
 
-def classify_genericity(pack_or_samples, points=None, tolerances=None):
+def classify_genericity(s: CurvatureSamples, tolerances=DEFAULT_TOLERANCES):
     """Classify each sample point and aggregate.
 
     The chained flags are enforced logically: generic implies
     Lambda2-generic implies weakly generic."""
-    tol = tolerances or DEFAULT_TOLERANCES
-    s = as_samples(pack_or_samples, points)
     n, npts = s.n, len(s.points)
     C, g, gi = s["C"], s["g"], s["ginv"]
     scale = s.scale()
@@ -343,18 +291,18 @@ def classify_genericity(pack_or_samples, points=None, tolerances=None):
 
     # weak system: C_abcd V^d = 0
     _, wkernels = linalg.rank_nullspace(C.reshape(npts, n ** 3, n),
-                                        tol.rank_tol, scale)
+                                        tolerances.rank_tol, scale)
     skew = np.swapaxes(_pair_matrix(C), -1, -2)  # rows (cd), columns (ab)
     skew_dims = (skew.shape[-1]
-                 - linalg.rank(skew, tol.rank_tol, scale)).tolist()
+                 - linalg.rank(skew, tolerances.rank_tol, scale)).tolist()
     # the appended trace row absorbs the pure-trace direction, so the
     # reported dimensions count genuine trace-free solutions
     sym_dims = _kernel_dims(
         lambda sl: _symmetric_system(np.swapaxes(C[sl], 1, 2), g[sl]),
-        n * n + 1, n, tol.rank_tol, scale)
+        n * n + 1, n, tolerances.rank_tol, scale)
     dual_dims = _kernel_dims(
         lambda sl: _dual_system(C[sl], gi[sl], g[sl], root[sl]),
-        len(_dual_epsilon(n)) + 1, n, tol.rank_tol, scale)
+        len(_dual_epsilon(n)) + 1, n, tolerances.rank_tol, scale)
 
     per = []
     for p in range(npts):

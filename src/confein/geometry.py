@@ -27,7 +27,6 @@ from .expressions import (
     power,
     rational,
     simplify,
-    symbol,
 )
 
 __all__ = [
@@ -84,10 +83,6 @@ class Chart:
     def dim(self):
         return len(self.coords)
 
-    @property
-    def symbols(self):
-        return tuple(symbol(c) for c in self.coords)
-
 
 @dataclass(eq=False)
 class TensorField:
@@ -126,12 +121,6 @@ class TensorField:
         return TensorField(self.chart, self.variance,
                            _elementwise(lambda a, b: add(a, neg(b)),
                                         self.comps, other.comps), self.weight)
-
-    def scaled(self, factor):
-        out = np.empty_like(self.comps)
-        for idx in np.ndindex(*self.comps.shape):
-            out[idx] = mul(factor, self.comps[idx])
-        return TensorField(self.chart, self.variance, out, self.weight)
 
     def _check_compatible(self, other):
         if self.chart is not other.chart and self.chart != other.chart:

@@ -59,7 +59,8 @@ Each `Verdict` names the criterion that decided it (`THEOREM_IDS`):
 * F        'bach-cotton-system': F1 and F2 on generic metrics;
 * cspace   'conformal-c-space': conformal to a C-space (a metric with
   vanishing Cotton tensor) iff the C-space residual of K vanishes and K is
-  closed, for every policy (`decide_cotton_verdict`);
+  closed, for every policy, and where the Weyl tensor vanishes iff A does
+  (`decide_cotton_verdict`);
 * rank     'tractor-rank': the rank of the tractor curvature test
   (`tractor.rank_obstruction`);
 * scale    'einstein-scale': a given scale sigma makes the metric
@@ -82,7 +83,7 @@ import numpy as np
 
 from . import linalg, taylor
 from .config import DEFAULT_TOLERANCES
-from .curvature import CurvaturePack, CurvatureSamples, as_samples
+from .curvature import CurvaturePack, CurvatureSamples
 from .genericity import (
     GenericityReport,
     PolicyError,
@@ -96,7 +97,6 @@ from .genericity import (
     _pair_rows,
     _pair_tensor,
 )
-from .geometry import DOWN, TensorField, evaluate_components, partial_derivative
 
 __all__ = [
     "DualCandidate",
@@ -383,28 +383,28 @@ def _left_inverse(s, policy, tol):
                           n, 1), c3
 
 
-def dual_candidate_jet(samples, policy, tolerances=None):
+def dual_candidate_jet(samples, policy, tolerances=DEFAULT_TOLERANCES):
     """Fully raised Dt^acde with exact first derivatives, a `taylor` jet
     (see _left_inverse for the policies), built once per sample batch.
     Not on the verdict path: `k_field` contracts A first."""
-    tol = tolerances or DEFAULT_TOLERANCES
-    return samples.derived(("dual", policy, tol.rank_tol),
-                           lambda: _left_inverse(samples, policy, tol))[0]
+    return samples.derived(
+        ("dual", policy, tolerances.rank_tol),
+        lambda: _left_inverse(samples, policy, tolerances))[0]
 
 
-def dual_candidate(pack_or_samples, policy="from-L", points=None,
-                   tolerances=None, user_comps=None) -> DualCandidate:
+def dual_candidate(s: CurvatureSamples, policy="from-L",
+                   tolerances=DEFAULT_TOLERANCES,
+                   user_comps=None) -> DualCandidate:
     """Left inverse of the Weyl tensor per sample point: the value of
     dual_candidate_jet and the determinant it divided by.  Policy 'user'
     takes components as given."""
-    s = as_samples(pack_or_samples, points)
     _check_policy(policy, POLICIES + ("user",))
     if policy == "user":
         if user_comps is None:
             raise ValueError("user policy needs user_comps")
         return DualCandidate(np.asarray(user_comps, dtype=float),
                              "user-supplied", np.ones(len(s.points)))
-    dt, det = _left_inverse(s, policy, tolerances or DEFAULT_TOLERANCES)
+    dt, det = _left_inverse(s, policy, tolerances)
     return DualCandidate(dt[:, 0], policy, det[:, 0])
 
 
@@ -430,31 +430,18 @@ class KField:
 
 
 def k_field(samples: CurvatureSamples, policy="from-L",
-            tolerances=None) -> KField:
+            tolerances=DEFAULT_TOLERANCES) -> KField:
     """K_a = Dt_a^{bcd} A_bcd = g_ab Q^b / D for the chosen left-inverse
     policy (`_pair`), A contracted before anything is differentiated.
     Raises PolicyError naming the first point where the policy's
     precondition fails."""
-    tol = tolerances or DEFAULT_TOLERANCES
     def build():
-        _gate(samples, policy, tol)
+        _gate(samples, policy, tolerances)
         d, q = _pair(samples, policy, 1)
         return _lowered(samples, taylor.product(",a->a", _reciprocal(d), q,
                                                 samples.n, 1))
-    k = samples.derived(("k", policy, tol.rank_tol), build)
+    k = samples.derived(("k", policy, tolerances.rank_tol), build)
     return KField(k[:, 0], k[:, 1:], policy)
-
-
-def k_field_from_tensor(k_tensor: TensorField, samples: CurvatureSamples,
-                        provenance="user-supplied") -> KField:
-    """Wrap a symbolic one-form K (e.g. a closed-form gradient) as a KField
-    at the sample points."""
-    if k_tensor.variance != (DOWN,):
-        raise ValueError("K must be a one-form (single down slot)")
-    vals = evaluate_components(k_tensor.comps, samples.bindings)
-    dvals = evaluate_components(partial_derivative(k_tensor),
-                                samples.bindings)
-    return KField(vals, dvals, provenance)
 
 
 @dataclass
@@ -595,7 +582,6 @@ def _policy_e(samples, name, policy, tol, cross_check):
     """E cleared by a policy's pair, the policy gated at `tol`, and (when
     cross_check) its relative deviation from D^2 E."""
     _need_dim4plus(samples)
-    tol = tol or DEFAULT_TOLERANCES
     _gate(samples, policy, tol)
     det, q = _pair(samples, policy, 1)
     res = _cleared_e(samples, name, det, _lowered(samples, q))
@@ -607,14 +593,16 @@ def _policy_e(samples, name, policy, tol, cross_check):
     return res, float(np.max(np.abs(res.values - ref)) / denom)
 
 
-def g_tensor(samples: CurvatureSamples, tol=None, cross_check=True):
+def g_tensor(samples: CurvatureSamples, tol=DEFAULT_TOLERANCES,
+             cross_check=True):
     """The ||L||-cleared natural display of E (weight -8n), its from-L
     policy gated at `tol`; returns (Residual, cross-check relative error vs
     ||L||^2 E)."""
     return _policy_e(samples, "G", "from-L", tol, cross_check)
 
 
-def gbar_tensor(samples: CurvatureSamples, tol=None, cross_check=True):
+def gbar_tensor(samples: CurvatureSamples, tol=DEFAULT_TOLERANCES,
+                cross_check=True):
     """The ||C||-cleared display (weight 2n(1-n)), its from-C policy gated
     at `tol`; cross-checked against (1-n)^2 ||C||^2 E with the Lambda2 left
     inverse."""
@@ -653,7 +641,7 @@ _GL_NODES = 8
 
 
 def reconstruct_potential(pack: CurvaturePack, points, policy="from-L",
-                          tolerances=None):
+                          tolerances=DEFAULT_TOLERANCES):
     """Integrate K along the straight segment from the first point to each
     other point (8-node Gauss-Legendre, one batch of nodes per target).
 
@@ -792,8 +780,8 @@ def _measure_k(s, m, cands, cur, tol, first):
     return cur
 
 
-def measure_tensor_verdict(sample, count, policy="auto", tolerances=None,
-                           each=None):
+def measure_tensor_verdict(sample, count, policy="auto",
+                           tolerances=DEFAULT_TOLERANCES, each=None):
     """The measuring half of the tensor verdict, over `count` chunks of
     points: `sample(i)` gives the CurvatureSamples of chunk i, and
     `each(samples, measurement)` (optional) runs on each chunk the first
@@ -808,18 +796,18 @@ def measure_tensor_verdict(sample, count, policy="auto", tolerances=None,
     fails the policy in use, the earlier chunks are sampled again and
     measured with the next one: so each policy that fails is gated on
     every point up to its first failure, which its note names."""
-    tol = (tolerances or DEFAULT_TOLERANCES).validate()
     out, cands, cur, i = [], (), 0, 0
     while i < count:
         s = sample(i)
         if i == len(out):
-            out.append(_measure_points(s, tol))
+            out.append(_measure_points(s, tolerances))
             if each is not None:
                 each(s, out[i])
             cands = _candidates(policy, s.n)
             if out[i].weyl_zero.any():
                 cur = len(cands)
-        start, cur = cur, _measure_k(s, out[i], cands, cur, tol, i == 0)
+        start, cur = cur, _measure_k(s, out[i], cands, cur, tolerances,
+                                     i == 0)
         del s  # the chunk is freed before the next one is sampled
         if i and start < cur < len(cands):
             i = 0
@@ -882,7 +870,7 @@ def _three_way(tol, residuals, holds=True, yes="conformally-einstein"):
 
 
 def decide_tensor_verdict(measurements, pack, policy="auto",
-                          tolerances=None) -> ObstructionReport:
+                          tolerances=DEFAULT_TOLERANCES) -> ObstructionReport:
     """The deciding half of the tensor verdict, over the measurements of
     every chunk of a batch, in point order (`measure_tensor_verdict`).
 
@@ -895,8 +883,7 @@ def decide_tensor_verdict(measurements, pack, policy="auto",
     that fails is noted, or raised as PolicyError when it was asked for.
     Where the verdict is conformally Einstein, the potential is integrated
     with `pack`."""
-    tol = (tolerances or DEFAULT_TOLERANCES).validate()
-    ms, n = measurements, pack.n
+    tol, ms, n = tolerances, measurements, pack.n
     report, chosen, closes = _joined_report(ms, n, policy, tol)
 
     if n == 3:
@@ -958,51 +945,55 @@ def decide_tensor_verdict(measurements, pack, policy="auto",
 
 
 def decide_cotton_verdict(measurements, pack, policy="auto",
-                          tolerances=None) -> ObstructionReport:
+                          tolerances=DEFAULT_TOLERANCES) -> ObstructionReport:
     """The deciding half of the Cotton-scale question, on the measurements
     `decide_tensor_verdict` reads: the metric is conformal to a C-space (one
     with vanishing Cotton tensor) where the C-space residual A + K.C
-    passes and K is closed, not where it fails decisively.  A failed
-    policy, or dimension 3 (no left inverse), leaves it inconclusive."""
-    tol = (tolerances or DEFAULT_TOLERANCES).validate()
-    report, chosen, closes = _joined_report(measurements, pack.n, policy, tol)
-    if chosen is None:
-        report.verdicts.append(Verdict(
-            THEOREM_IDS["cspace"], "inconclusive", "left inverse unavailable",
-            "; ".join(report.notes) or "dimension 3: the Weyl tensor vanishes "
-            "identically, so no left inverse gives K (max |A| = "
-            f"{report.residuals['cotton'].max:.3e})"))
-        return report
-    res = report.residuals["cspace"]
-    report.verdicts.append(Verdict(
-        THEOREM_IDS["cspace"],
-        _three_way(tol, [res], closes, "cotton-scale-exists"),
-        "weakly generic with a valid left inverse",
-        f"cspace max = {res.max:.3e}, "
-        f"closedness = {report.k_closedness:.3e}"))
+    passes and K is closed, not where it fails decisively.  Where the Weyl
+    tensor vanishes numerically at every point (dimension 3, conformally
+    flat metrics) the equation reads A = 0 and is decided on the Cotton
+    tensor alone; any other failed policy leaves it inconclusive."""
+    ms, tol = measurements, tolerances
+    report, chosen, closes = _joined_report(ms, pack.n, policy, tol)
+    if chosen is None and np.all(_joined(ms, "weyl_zero")):
+        res = Residual("cotton", _joined(ms, "a_max"), _joined(ms, "scale"))
+        verdict = Verdict(
+            THEOREM_IDS["cspace"],
+            _three_way(tol, [res], yes="cotton-scale-exists"),
+            "the Weyl tensor vanishes: the C-space equation reads A = 0",
+            f"max |A| = {res.max:.3e}")
+    elif chosen is None:
+        verdict = Verdict(THEOREM_IDS["cspace"], "inconclusive",
+                          "left inverse unavailable", "; ".join(report.notes))
+    else:
+        res = report.residuals["cspace"]
+        verdict = Verdict(
+            THEOREM_IDS["cspace"],
+            _three_way(tol, [res], closes, "cotton-scale-exists"),
+            "weakly generic with a valid left inverse",
+            f"cspace max = {res.max:.3e}, "
+            f"closedness = {report.k_closedness:.3e}")
+    report.verdicts.append(verdict)
     return report
 
 
-def conformal_einstein_tensor_verdict(source, points, policy="auto",
-                                      tolerances=None) -> ObstructionReport:
+def conformal_einstein_tensor_verdict(
+        samples: CurvatureSamples, policy="auto",
+        tolerances=DEFAULT_TOLERANCES) -> ObstructionReport:
     """Tensor-level decision pipeline on one batch of points: the two
     halves `measure_tensor_verdict` and `decide_tensor_verdict` on a
     single chunk, so the report keeps every residual tensor.  `classify`
     runs the same halves over chunks of points and keeps per-point
-    figures only.  `source` is a metric, a CurvaturePack or
-    CurvatureSamples (see `as_samples`)."""
-    samples = as_samples(source, points)
+    figures only."""
     ms = measure_tensor_verdict(lambda i: samples, 1, policy, tolerances)
     return decide_tensor_verdict(ms, samples.pack, policy, tolerances)
 
 
-def cotton_scale_verdict(source, points, policy="from-L",
-                         tolerances=None) -> ObstructionReport:
+def cotton_scale_verdict(samples: CurvatureSamples, policy="from-L",
+                         tolerances=DEFAULT_TOLERANCES) -> ObstructionReport:
     """Whether the metric is conformal to a C-space, on one batch of
     points: `measure_tensor_verdict` on a single chunk, then
-    `decide_cotton_verdict`, so the report keeps every residual tensor.
-    `source` is a metric, a CurvaturePack or CurvatureSamples."""
-    samples = as_samples(source, points)
+    `decide_cotton_verdict`, so the report keeps every residual tensor."""
     ms = measure_tensor_verdict(lambda i: samples, 1, policy, tolerances)
     return decide_cotton_verdict(ms, samples.pack, policy, tolerances)
 

@@ -16,9 +16,10 @@ X_A = e_0, Y_A = e_{n+1} (down), Z with metric blocks, reproducing the
 standard inner-product table.
 
 The TractorField/TractorTensor operations (connection, change of scale, D,
-`einstein_candidate`, `omega`) are symbolic.  The checks and verdicts at
-the end run on numeric samples of the metric jet: the *_values functions,
-`parallel_tractor_check` and `rank_obstruction`."""
+`einstein_candidate`, `omega`) are symbolic and take the `CurvaturePack`
+of the scale.  The checks and verdicts at the end run on numeric samples
+of the metric jet (`CurvatureSamples`): the *_values functions,
+`annihilation_check`, `parallel_tractor_check` and `rank_obstruction`."""
 
 from __future__ import annotations
 
@@ -31,7 +32,6 @@ from .config import DEFAULT_TOLERANCES
 from .curvature import (
     CurvaturePack,
     CurvatureSamples,
-    as_samples,
     christoffel_jet,
     scalar_jet,
     trace_free_residual,
@@ -200,12 +200,11 @@ def _object_trace(comps, s1, s2):
 # connection
 
 
-def connection_matrices(g, pack=None):
+def connection_matrices(pack: CurvaturePack):
     """Symbolic tractor-connection matrices Theta_a acting on stored up
     tuples: (nabla_a v)_I = d_a v_I + Theta[a, I, J] v_J."""
-    n = g.dim
+    g, n = pack.g, pack.n
     gamma = g.christoffel().comps
-    pack = pack or CurvaturePack(g)
     P = pack.schouten.comps
     gi = g.inverse_comps()
     pmix = sym_einsum("ax,xb->ab", P, gi)  # P_a^b
@@ -222,7 +221,7 @@ def connection_matrices(g, pack=None):
     return th
 
 
-def tractor_connection(t, theta=None):
+def tractor_connection(t):
     """Coupled Levi-Civita tractor derivative; adds a down tensor slot
     leftmost.  Accepts a TractorField or TractorTensor."""
     if isinstance(t, TractorField):
@@ -231,8 +230,7 @@ def tractor_connection(t, theta=None):
     n = g.dim
     coords = g.chart.coords
     gamma = g.christoffel().comps
-    if theta is None:
-        theta = connection_matrices(g)
+    theta = connection_matrices(CurvaturePack(g))
     shape = t.comps.shape
     out = np.empty((n,) + shape, dtype=object)
     for idx in np.ndindex(*shape):
@@ -350,11 +348,10 @@ def change_scale(t, upsilon):
 # the D operator
 
 
-def tractor_d(f, w, g, pack=None):
+def tractor_d(f, w, pack: CurvaturePack):
     """D applied to a weight-w scalar: the down-slot tractor with stored
     tuple (-box f, (n+2w-2) d_a f, (n+2w-2) w f), box f = Laplacian + w J."""
-    pack = pack or CurvaturePack(g)
-    n = g.dim
+    g, n = pack.g, pack.n
     coords = g.chart.coords
     df = np.asarray([diff(f, c) for c in coords], dtype=object)
     gi = g.inverse_comps()
@@ -383,11 +380,11 @@ def tractor_d(f, w, g, pack=None):
     return TractorTensor(g, (TDOWN,), comps, weight=w - 1)
 
 
-def einstein_candidate(g, sigma, pack=None):
+def einstein_candidate(pack: CurvaturePack, sigma):
     """I = (1/n) D sigma as an up tractor; parallel iff sigma^(-2) g is
     Einstein."""
-    d = tractor_d(sigma, 1, g, pack)
-    d = d.map(lambda e: mul(rational(1, g.dim), e))
+    d = tractor_d(sigma, 1, pack)
+    d = d.map(lambda e: mul(rational(1, pack.n), e))
     return raise_tractor_slot(d, 0)
 
 
@@ -531,22 +528,20 @@ def einstein_tractor_values(s: CurvatureSamples, sigma):
     return ivals, grad, hess[:, 0]
 
 
-def parallel_tractor_check(g, sigma, points, pack=None, tolerances=None):
+def parallel_tractor_check(s: CurvatureSamples, sigma,
+                           tolerances=DEFAULT_TOLERANCES):
     """Is sigma an Einstein scale?  Builds I = (1/n) D sigma on the numeric
     metric jet (`einstein_tractor_values`), reports max |nabla I| at the
     points, h(I, I), and as the converse datum the trace-free part of the
     Schouten tensor of the rescaled metric sigma^{-2} g,
     P + sigma^{-1} nabla nabla sigma - (1/2) sigma^{-2} |d sigma|^2 g."""
-    tol = tolerances or DEFAULT_TOLERANCES
-    pack = pack or CurvaturePack(g)
-    n = g.dim
-    s = pack.samples(points)
+    n = s.n
     ivals, grad, hess = einstein_tractor_values(s, sigma)
     sig = ivals[:, 0]
     if np.any(np.abs(sig) < 1e-12):
-        bad = points[int(np.argmin(np.abs(sig)))]
+        bad = s.points[int(np.argmin(np.abs(sig)))]
         raise DomainError("sigma vanishes (conformal singularity)", bad)
-    resid = np.max(np.abs(grad.reshape(len(points), -1)), axis=1)
+    resid = np.max(np.abs(grad.reshape(len(s.points), -1)), axis=1)
     scale = np.maximum(1.0, np.max(np.abs(ivals), axis=1))
 
     mid = ivals[:, 1:n + 1]                     # nabla^a sigma
@@ -559,7 +554,7 @@ def parallel_tractor_check(g, sigma, points, pack=None, tolerances=None):
     tfp, tfp_scale = trace_free_residual(phat, s["g"], s["ginv"])
 
     return {
-        "is_einstein_scale": bool(np.all(tol.passes(resid, scale))),
+        "is_einstein_scale": bool(np.all(tolerances.passes(resid, scale))),
         "parallel_residual": float(np.max(resid)),
         "scale": float(np.max(scale)),
         "h_ii": hii,
@@ -569,11 +564,10 @@ def parallel_tractor_check(g, sigma, points, pack=None, tolerances=None):
     }
 
 
-def annihilation_check(pack_or_samples, tractor, points=None):
+def annihilation_check(s: CurvatureSamples, tractor):
     """Residuals of Omega.I, (nabla Omega).I, (div Omega).I and W.I for a
     candidate tractor, plus the X.I values and the Z-coefficient expansion
     (the C-space combination sigma A + mu.C)."""
-    s = as_samples(pack_or_samples, points)
     n = s.n
     if isinstance(tractor, (TractorField, TractorTensor)):
         tt = tractor.to_tensor() if isinstance(tractor, TractorField) else tractor
@@ -613,14 +607,12 @@ class RankReport:
     notes: list = field(default_factory=list)
 
 
-def rank_rows(source, points=None, tolerances=None):
+def rank_rows(s: CurvatureSamples, tolerances=DEFAULT_TOLERANCES):
     """The measuring half of the rank test: per point, the rank and an
     orthonormal kernel basis of the stacked rows Omega_bc[D, .] (pairs
     b < c) and nabla_a Omega_bc[D, .], as functionals on tractors.  The
     rows are built and ranked a chunk of points at a time.  Returns
     (ranks, kernels), two lists in point order."""
-    tol = (tolerances or DEFAULT_TOLERANCES).validate()
-    s = as_samples(source, points)
     n = s.n
     om = omega_values(s)
     cov = cov_omega_values(s)
@@ -633,7 +625,8 @@ def rank_rows(source, points=None, tolerances=None):
         mat = np.concatenate([om[sl, b, c].reshape(k, -1, n + 2),
                               cov[sl].reshape(k, -1, n + 2)],
                              axis=1)
-        rank, kernel = linalg.rank_nullspace(mat, tol.rank_tol, scale[sl])
+        rank, kernel = linalg.rank_nullspace(mat, tolerances.rank_tol,
+                                             scale[sl])
         ranks += rank.tolist()
         kernels += kernel
     return ranks, kernels
@@ -655,19 +648,16 @@ def rank_verdict(ranks, n, weakly_generic):
     return RankReport(ranks, max_rank, verdict, None, weakly_generic, notes)
 
 
-def rank_obstruction(source, points, tolerances=None, sigma=None,
-                     genericity=None):
+def rank_obstruction(s: CurvatureSamples, tolerances=DEFAULT_TOLERANCES,
+                     sigma=None, genericity=None):
     """Theorem-level rank test on one batch of points: `rank_rows`, then
     `rank_verdict` on its ranks.  The metric is conformally Einstein iff
     the rank is at most n+1 at every point (given weak genericity).  When
     a kernel exists and sigma is supplied, reports the cosine alignment of
-    the kernel with (1/n) D sigma.  `source` is a metric, a CurvaturePack
-    or CurvatureSamples (see `as_samples`).  `classify` runs it once per
-    chunk of points and decides on the joined ranks (`rank_verdict`)."""
-    tol = (tolerances or DEFAULT_TOLERANCES).validate()
-    s = as_samples(source, points)
-    gen = genericity or classify_genericity(s, tolerances=tol)
-    ranks, kernels = rank_rows(s, tolerances=tol)
+    the kernel with (1/n) D sigma.  `classify` runs it once per chunk of
+    points and decides on the joined ranks (`rank_verdict`)."""
+    gen = genericity or classify_genericity(s, tolerances)
+    ranks, kernels = rank_rows(s, tolerances)
     report = rank_verdict(ranks, s.n, gen.weakly_generic)
     if sigma is not None and report.verdict == "conformally-einstein":
         ivals = einstein_tractor_values(s, sigma)[0]

@@ -56,6 +56,17 @@ def maxabs(arr):
     return float(np.max(np.abs(arr)))
 
 
+def k_field_from_tensor(k_tensor, s, provenance="user-supplied"):
+    """A symbolic one-form K (a closed-form gradient) as a KField at the
+    points of the samples s."""
+    from confein.geometry import evaluate_components, partial_derivative
+    from confein.obstructions import KField
+
+    return KField(evaluate_components(k_tensor.comps, s.bindings),
+                  evaluate_components(partial_derivative(k_tensor),
+                                      s.bindings), provenance)
+
+
 def perturbed_flat_metric(seed=3, scale=10):
     """Flat Euclidean 4-metric plus fixed pseudo-random cubic terms: a fully
     generic metric that is not a conformal C-space."""

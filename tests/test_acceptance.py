@@ -14,8 +14,8 @@ from confein import tractor as TR
 from confein.cli import main as cli_main
 from confein.curvature import (
     CurvaturePack,
-    einstein_residual,
     identity_residuals,
+    trace_free_residual,
 )
 from confein.expressions import ONE, diff, parse
 from confein.geometry import (
@@ -25,7 +25,15 @@ from confein.geometry import (
     evaluate_components,
     sample_points,
 )
-from conftest import entry, maxabs, pack, perturbed_flat_metric, points, samples
+from conftest import (
+    entry,
+    k_field_from_tensor,
+    maxabs,
+    pack,
+    perturbed_flat_metric,
+    points,
+    samples,
+)
 
 _RESULTS = []
 
@@ -109,7 +117,8 @@ def test_criterion_04_einstein_family():
     worst = 0.0
     for name in ("schwarzschild4", "schwarzschild-de-sitter4",
                  "schwarzschild5", "schwarzschild-de-sitter5"):
-        res, scale = einstein_residual(pack(name), points(name, 10))
+        s = pack(name).samples(points(name, 10))
+        res, scale = trace_free_residual(s["P"], s["g"], s["ginv"])
         worst = max(worst, res / (1e-8 * scale))
     report(4, "the two-parameter profile family is Einstein for "
               f"(n, lam) in {{4,5}}x{{0,2}} (worst ratio {worst:.2e} < 1)",
@@ -122,15 +131,15 @@ def test_criterion_05_rt5_cspace_but_not_bach():
     pot = e.extras["cspace_potential"]
     comps = np.asarray([diff(pot, c) for c in e.metric.chart.coords],
                        dtype=object)
-    k_closed = OB.k_field_from_tensor(
+    k_closed = k_field_from_tensor(
         TensorField(e.metric.chart, (DOWN,), comps), s)
     r_c = OB.cspace_residual(s, k_closed)
     k_formula = OB.k_field(s, "from-L")
     k_match = maxabs(k_formula.lowered - k_closed.lowered) / max(
         1.0, maxabs(k_closed.lowered))
     r_b = OB.bach_residual(s, k_formula)
-    verdict = OB.conformal_einstein_tensor_verdict(pack("rt5-quartic"),
-                                                   points("rt5-quartic", 10))
+    verdict = OB.conformal_einstein_tensor_verdict(
+        pack("rt5-quartic").samples(points("rt5-quartic", 10)))
     ok = (r_c.max < 1e-8 * r_c.max_scale and k_match < 1e-7
           and r_b.max > 1e-3 * r_b.max_scale and verdict.outcome == "not")
     report(5, f"quartic profile: C-space residual {r_c.max:.2e} < "
@@ -144,9 +153,10 @@ def test_criterion_06_pp_wave_degenerate():
     er = np.zeros(4)
     er[1] = 1.0
     in_kernel = rep.kernel_contains(er, tol=1e-10)
-    verdict = OB.conformal_einstein_tensor_verdict(pack("pp-wave4"),
-                                                   points("pp-wave4", 10))
-    rank = TR.rank_obstruction(pack("pp-wave4"), points("pp-wave4", 10))
+    verdict = OB.conformal_einstein_tensor_verdict(
+        pack("pp-wave4").samples(points("pp-wave4", 10)))
+    rank = TR.rank_obstruction(
+        pack("pp-wave4").samples(points("pp-wave4", 10)))
     ok = (not rep.weakly_generic and in_kernel
           and verdict.outcome == "inconclusive"
           and rank.verdict == "inconclusive")
@@ -181,9 +191,8 @@ def test_criterion_08_parallel_tractor():
     for name in ("flat4", "constant-curvature3", "constant-curvature4",
                  "schwarzschild4", "schwarzschild5",
                  "schwarzschild-de-sitter5", "hyperkahler4"):
-        e = entry(name)
-        rep = TR.parallel_tractor_check(e.metric, ONE, points(name, 6),
-                                        pack(name))
+        rep = TR.parallel_tractor_check(pack(name).samples(points(name, 6)),
+                                        ONE)
         worst_res = max(worst_res, rep["parallel_residual"])
         worst_h = max(worst_h, maxabs(rep["h_ii"] - rep["h_ii_expected"]))
     report(8, f"sigma = 1 is a parallel scale on every Einstein entry "
@@ -195,7 +204,8 @@ def test_criterion_09_rank_obstruction():
     ok = True
     details = []
     for name, n in (("schwarzschild4", 4), ("schwarzschild-de-sitter5", 5)):
-        rep = TR.rank_obstruction(pack(name), points(name, 6), sigma=ONE)
+        rep = TR.rank_obstruction(pack(name).samples(points(name, 6)),
+                                  sigma=ONE)
         good = (rep.verdict == "conformally-einstein"
                 and rep.max_rank <= n + 1
                 and rep.kernel_alignment is not None
@@ -203,7 +213,8 @@ def test_criterion_09_rank_obstruction():
         ok = ok and good
         details.append(f"{name}: rank {rep.max_rank} <= {n + 1}, alignment "
                        f"{rep.kernel_alignment:.12f}")
-    rep = TR.rank_obstruction(pack("rt5-quartic"), points("rt5-quartic", 6))
+    rep = TR.rank_obstruction(
+        pack("rt5-quartic").samples(points("rt5-quartic", 6)))
     ok = ok and rep.max_rank == 7 and rep.verdict == "not"
     details.append(f"rt5-quartic: rank {rep.max_rank} = n+2")
     report(9, "; ".join(details), ok)

@@ -5,11 +5,11 @@ from confein import catalog
 from confein import obstructions as OB
 from confein import tractor as TR
 from confein.config import Tolerances
-from confein.curvature import einstein_residual
+from confein.curvature import trace_free_residual
 from confein.expressions import ONE, diff, is_zero, parse
 from confein.genericity import classify_genericity
 from confein.geometry import evaluate_components
-from conftest import entry, maxabs, pack, points, samples
+from conftest import entry, k_field_from_tensor, maxabs, pack, points, samples
 
 TOL = Tolerances()
 
@@ -56,7 +56,8 @@ class TestExpectedTruths:
         e = entry(name)
         if "einstein" not in e.expected:
             return
-        res, scale = einstein_residual(pack(name), points(name, 6))
+        s = pack(name).samples(points(name, 6))
+        res, scale = trace_free_residual(s["P"], s["g"], s["ginv"])
         if e.expect("einstein"):
             assert res < 1e-8 * scale, name
         else:
@@ -80,8 +81,8 @@ class TestExpectedTruths:
                                       "hyperkahler4"])
     def test_conformally_einstein_flag(self, name):
         e = entry(name)
-        rep = OB.conformal_einstein_tensor_verdict(pack(name),
-                                                   points(name, 6))
+        rep = OB.conformal_einstein_tensor_verdict(
+            pack(name).samples(points(name, 6)))
         want = "conformally-einstein" if e.expect("conformally_einstein") \
             else "not"
         assert rep.outcome == want, name
@@ -90,7 +91,7 @@ class TestExpectedTruths:
                                       "schwarzschild-de-sitter5"])
     def test_cspace_flag(self, name):
         e = entry(name)
-        rep = OB.cotton_scale_verdict(pack(name), points(name, 6))
+        rep = OB.cotton_scale_verdict(pack(name).samples(points(name, 6)))
         if e.expect("cspace"):
             assert rep.verdicts[0].outcome == "cotton-scale-exists", name
 
@@ -123,7 +124,7 @@ class TestExpectedTruths:
             comps = np.asarray([diff(pot, c) for c in e.metric.chart.coords],
                                dtype=object)
             from confein.geometry import DOWN, TensorField
-            kf = OB.k_field_from_tensor(
+            kf = k_field_from_tensor(
                 TensorField(e.metric.chart, (DOWN,), comps), s)
             r = OB.cspace_residual(s, kf)
             assert r.max < 1e-8 * r.max_scale, name
@@ -133,8 +134,8 @@ class TestExpectedTruths:
                      "schwarzschild-de-sitter5", "rt4-quartic",
                      "rt5-quartic", "pp-wave4", "hyperkahler4"):
             pts = points(name, 5)
-            t = OB.conformal_einstein_tensor_verdict(pack(name), pts)
-            r = TR.rank_obstruction(pack(name), pts,
+            t = OB.conformal_einstein_tensor_verdict(pack(name).samples(pts))
+            r = TR.rank_obstruction(pack(name).samples(pts),
                                     genericity=t.genericity)
             decided = {"conformally-einstein", "not"}
             if t.outcome in decided and r.verdict in decided:

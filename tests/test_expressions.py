@@ -10,7 +10,6 @@ from confein.evaluate import (
     DomainError,
     UnboundSymbolError,
     compile_batch,
-    compile_expr,
     evaluate,
     run_batch,
 )
@@ -167,12 +166,12 @@ class TestEval:
 
     def test_compiled_agrees_with_direct(self):
         e = parse("exp(x/4) + sin(y)*cos(x) - y^3/(1+x^2) + sqrt(4*y)")
-        prog = compile_expr(e)
+        prog = compile_batch([e])
         b = {"x": 0.37, "y": 1.21}
         assert prog.run(b) == pytest.approx(evaluate(e, b), rel=1e-12)
 
     def test_compiled_domain_error_names_vector_point(self):
-        prog = compile_expr(parse("m/r"))
+        prog = compile_batch([parse("m/r")])
         with pytest.raises(DomainError) as exc:
             prog.run({"m": np.array([1.0, 1.0]), "r": np.array([2.0, 0.0])})
         assert exc.value.point == {"m": 1.0, "r": 0.0}
@@ -308,7 +307,7 @@ class TestProperties:
         v0 = _eval_safe(e, b)
         if v0 is None:
             return
-        prog = compile_expr(e)
+        prog = compile_batch([e])
         assert prog.run(b) == pytest.approx(v0, rel=1e-12, abs=1e-300)
 
     def test_canonical_ordering_commutes(self):

@@ -124,17 +124,17 @@ def _weyl_stack(n, seed):
 class TestWeylOperator:
     def test_conformally_flat_operator_vanishes(self):
         s = samples("constant-curvature4", 4)
-        w = GN.weyl_operator_at(s, 0)
-        l = GN.l_operator_at(s, 0)
-        assert maxabs(w.matrix) < 1e-12 and w.det == 0.0
-        assert maxabs(l.matrix) < 1e-12 and l.det == 0.0
+        wm, wdet, _ = GN.weyl_operators(s)
+        lm, ldet, _ = GN.l_operators(s)
+        assert maxabs(wm[0]) < 1e-12 and wdet[0] == 0.0
+        assert maxabs(lm[0]) < 1e-12 and ldet[0] == 0.0
 
     def test_adjugate_identity_on_two_form_space(self):
         s = samples("rt5-quartic", 4)
+        m, det, adj = GN.weyl_operators(s)
         for p in range(3):
-            w = GN.weyl_operator_at(s, p)
-            resid = w.adjugate @ w.matrix - w.det * np.eye(w.dim)
-            assert maxabs(resid) <= 1e-8 * max(1.0, abs(w.det))
+            resid = adj[p] @ m[p] - det[p] * np.eye(len(m[p]))
+            assert maxabs(resid) <= 1e-8 * max(1.0, abs(det[p]))
 
     def test_weyl_det_conformal_rescale_exponent(self):
         from confein.curvature import CurvaturePack
@@ -147,16 +147,15 @@ class TestWeylOperator:
         uvals = evaluate_components(ups, s.bindings)[:, ]
         n = 5
         for p in range(3):
-            d0 = GN.weyl_operator_at(s, p).det
-            d1 = GN.weyl_operator_at(sh, p).det
+            d0 = GN.weyl_operators(s)[1][p]
+            d1 = GN.weyl_operators(sh)[1][p]
             w = np.log(d1 / d0) / uvals[p]
             assert abs(w - (-n * (n - 1))) < 1e-6
 
     def test_l_operator_symmetric_when_lowered(self):
         s = samples("rt5-quartic", 3)
         for p in range(3):
-            l = GN.l_operator_at(s, p)
-            low = np.einsum("ab,bc->ac", s["g"][p], l.matrix)
+            low = np.einsum("ab,bc->ac", s["g"][p], GN.l_operators(s)[0][p])
             assert maxabs(low - low.T) < 1e-9 * max(1, maxabs(low))
 
     def test_hyperkahler_l_is_quarter_weyl_norm_identity(self):
@@ -164,10 +163,9 @@ class TestWeylOperator:
         call = s.raised("C", (1, 1, 1, 1))
         c2 = np.einsum("pabcd,pabcd->p", call, s["C"])
         for p in range(4):
-            l = GN.l_operator_at(s, p)
-            assert maxabs(l.matrix - (c2[p] / 4) * np.eye(4)) < 1e-10 * c2[p]
-            assert GN.weyl_operator_at(s, p).det == pytest.approx(0.0,
-                                                                  abs=1e-8)
+            lm = GN.l_operators(s)[0][p]
+            assert maxabs(lm - (c2[p] / 4) * np.eye(4)) < 1e-10 * c2[p]
+            assert GN.weyl_operators(s)[1][p] == pytest.approx(0.0, abs=1e-8)
 
     def test_dimension4_weyl_contraction_identity(self):
         s = samples("rt4-quartic", 4)
@@ -325,12 +323,11 @@ class TestClassification:
         assert GN.weyl_c3(s) is c3
 
     def test_spec_level_point_wrappers(self):
-        p = pack("rt4-quartic")
-        pt = points("rt4-quartic", 1)[0]
-        w = GN.weyl_operator(p, pt)
-        l = GN.l_operator(p, pt)
-        assert w.dim == 6
-        assert l.matrix.shape == (4, 4)
+        s = pack("rt4-quartic").samples(points("rt4-quartic", 1))
+        wm = GN.weyl_operators(s)[0][0]
+        lm = GN.l_operators(s)[0][0]
+        assert wm.shape[0] == 6
+        assert lm.shape == (4, 4)
 
 
 class TestPairLayer:
@@ -391,7 +388,7 @@ class TestPairLayer:
         GN.classify_genericity(s)
         OB.f1(s)
         OB.f2(s)
-        GN.weyl_operator_at(s, 1)
+        GN._pair_tensor(GN.weyl_operators(s)[2][1])
         assert len(calls) == 1  # one stacked call for the whole batch
 
 

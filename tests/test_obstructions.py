@@ -20,7 +20,15 @@ from confein.geometry import (
     sample_points,
 )
 from confein.tractor import rank_obstruction
-from conftest import entry, maxabs, pack, perturbed_flat_metric, points, samples
+from conftest import (
+    entry,
+    k_field_from_tensor,
+    maxabs,
+    pack,
+    perturbed_flat_metric,
+    points,
+    samples,
+)
 
 TOL = Tolerances()
 
@@ -32,7 +40,7 @@ def rozw_k_field(name, s):
     g = e.metric
     comps = np.asarray([diff(pot, c) for c in g.chart.coords], dtype=object)
     k = TensorField(g.chart, (DOWN,), comps)
-    return OB.k_field_from_tensor(k, s, provenance="closed-form")
+    return k_field_from_tensor(k, s, provenance="closed-form")
 
 
 class TestKField:
@@ -125,7 +133,8 @@ class TestFSystem:
         r1, r2 = OB.f1(s), OB.f2(s)
         assert r1.max < 1e-20 and r2.max < 1e-20
         rep = OB.conformal_einstein_tensor_verdict(
-            pack("constant-curvature4"), points("constant-curvature4", 4))
+            pack("constant-curvature4").samples(
+                points("constant-curvature4", 4)))
         assert rep.outcome == "inconclusive"
 
     def test_f2_equals_cleared_bach_residual(self):
@@ -357,14 +366,14 @@ class TestVerdicts:
     def test_schwarzschild_de_sitter_family_is_einstein(self):
         for name in ("schwarzschild4", "schwarzschild5",
                      "schwarzschild-de-sitter4", "schwarzschild-de-sitter5"):
-            rep = OB.conformal_einstein_tensor_verdict(pack(name),
-                                                       points(name, 6))
+            rep = OB.conformal_einstein_tensor_verdict(
+                pack(name).samples(points(name, 6)))
             assert rep.outcome == "conformally-einstein", name
             assert rep.k_closedness < 1e-8
 
     def test_rt_quartic_not_conformally_einstein(self):
-        rep = OB.conformal_einstein_tensor_verdict(pack("rt5-quartic"),
-                                                   points("rt5-quartic", 8))
+        rep = OB.conformal_einstein_tensor_verdict(
+            pack("rt5-quartic").samples(points("rt5-quartic", 8)))
         assert rep.outcome == "not"
         assert rep.residuals["cspace"].passes(TOL)
         assert rep.residuals["bach"].max > 1e-3
@@ -372,7 +381,8 @@ class TestVerdicts:
 
     def test_sphere_inconclusive_with_cotton_note(self):
         rep = OB.conformal_einstein_tensor_verdict(
-            pack("constant-curvature4"), points("constant-curvature4", 4))
+            pack("constant-curvature4").samples(
+                points("constant-curvature4", 4)))
         assert rep.outcome == "inconclusive"
         assert rep.genericity is not None
         assert not rep.genericity.weakly_generic
@@ -380,13 +390,14 @@ class TestVerdicts:
 
     def test_dimension3_flat_verdict(self):
         rep = OB.conformal_einstein_tensor_verdict(
-            pack("constant-curvature3"), points("constant-curvature3", 4))
+            pack("constant-curvature3").samples(
+                points("constant-curvature3", 4)))
         assert rep.outcome == "conformally-einstein"
         assert rep.verdicts[0].theorem == OB.THEOREM_IDS["cotton3"]
 
     def test_pp_wave_inconclusive(self):
-        rep = OB.conformal_einstein_tensor_verdict(pack("pp-wave4"),
-                                                   points("pp-wave4", 5))
+        rep = OB.conformal_einstein_tensor_verdict(
+            pack("pp-wave4").samples(points("pp-wave4", 5)))
         assert rep.outcome == "inconclusive"
 
     def test_potential_reconstruction_recovers_conformal_factor(self):
@@ -397,7 +408,7 @@ class TestVerdicts:
         ghat = conformal_rescale(e0.metric, ups)
         pts = points("schwarzschild-de-sitter5", 5)
         pk = CurvaturePack(ghat)
-        rep = OB.conformal_einstein_tensor_verdict(pk, pts)
+        rep = OB.conformal_einstein_tensor_verdict(pk.samples(pts))
         assert rep.outcome == "conformally-einstein"
         uvals = evaluate_components(ups, pk.samples(pts).bindings)
         want = -(uvals - uvals[0])
@@ -410,7 +421,7 @@ class TestVerdicts:
         ups = parse("(r/3)^6 + x1^3/5 - u*r/7")
         pk = CurvaturePack(conformal_rescale(e0.metric, ups))
         pts = points("schwarzschild4", 5)
-        rep = OB.conformal_einstein_tensor_verdict(pk, pts)
+        rep = OB.conformal_einstein_tensor_verdict(pk.samples(pts))
         assert rep.outcome == "conformally-einstein"
         uvals = evaluate_components(ups, pk.samples(pts).bindings)
         assert maxabs(rep.potential + (uvals - uvals[0])) < 1e-12
@@ -437,7 +448,7 @@ class TestVerdicts:
             raise exc
         monkeypatch.setattr(OB, "reconstruct_potential", fail)
         verdict = lambda: OB.conformal_einstein_tensor_verdict(
-            pack("schwarzschild4"), points("schwarzschild4", 3))
+            pack("schwarzschild4").samples(points("schwarzschild4", 3)))
         if propagates:
             with pytest.raises(TypeError):
                 verdict()
@@ -451,20 +462,20 @@ class TestVerdicts:
 
 class TestCottonScale:
     def test_rt_is_conformal_c_space(self):
-        rep = OB.cotton_scale_verdict(pack("rt5-quartic"),
-                                      points("rt5-quartic", 6))
+        rep = OB.cotton_scale_verdict(
+            pack("rt5-quartic").samples(points("rt5-quartic", 6)))
         assert rep.verdicts[0].outcome == "cotton-scale-exists"
 
     def test_einstein_metrics_are_c_spaces(self):
-        rep = OB.cotton_scale_verdict(pack("schwarzschild4"),
-                                      points("schwarzschild4", 5))
+        rep = OB.cotton_scale_verdict(
+            pack("schwarzschild4").samples(points("schwarzschild4", 5)))
         assert rep.verdicts[0].outcome == "cotton-scale-exists"
 
     def test_perturbed_metric_is_not_a_c_space(self):
         g = perturbed_flat_metric(seed=3)
         pk = CurvaturePack(g)
         pts = sample_points(g.chart, n=4, seed=6)
-        rep = OB.cotton_scale_verdict(pk, pts)
+        rep = OB.cotton_scale_verdict(pk.samples(pts))
         assert rep.verdicts[0].outcome == "not"
         # cross-validate with a second, independent left inverse
         s = pk.samples(pts)
@@ -473,8 +484,8 @@ class TestCottonScale:
         assert r2.max > 1e-3 * r2.max_scale
 
     def test_report_outcome_is_cotton_scale_exists(self):
-        rep = OB.cotton_scale_verdict(pack("rt5-quartic"),
-                                      points("rt5-quartic", 4))
+        rep = OB.cotton_scale_verdict(
+            pack("rt5-quartic").samples(points("rt5-quartic", 4)))
         assert rep.outcome == "cotton-scale-exists"
 
     def test_chunked_run_equals_one_chunk(self):
@@ -483,7 +494,7 @@ class TestCottonScale:
         ms = OB.measure_tensor_verdict(lambda i: pk.samples(parts[i]), 2,
                                        "from-L")
         rep = OB.decide_cotton_verdict(ms, pk, "from-L")
-        one = OB.cotton_scale_verdict(pk, pts)
+        one = OB.cotton_scale_verdict(pk.samples(pts))
         assert rep.points == one.points == pts
         assert rep.outcome == one.outcome == "cotton-scale-exists"
         assert rep.verdicts == one.verdicts
@@ -495,7 +506,8 @@ class TestCottonScale:
 
     def test_failed_policy_is_inconclusive_with_its_gate_note(self):
         pts = points("hyperkahler4", 6)
-        rep = OB.cotton_scale_verdict(pack("hyperkahler4"), pts, "from-C")
+        rep = OB.cotton_scale_verdict(pack("hyperkahler4").samples(pts),
+                                      "from-C")
         v = rep.verdicts[0]
         assert (v.theorem, v.outcome, v.precondition) == (
             "conformal-c-space", "inconclusive", "left inverse unavailable")
@@ -503,29 +515,32 @@ class TestCottonScale:
             f"policy from-C: ||C|| = 3.756e-50 vanishes at point {pts[0]}"
         assert rep.notes == [v.detail] and rep.k_provenance is None
 
-    def test_vanishing_weyl_tensor_is_inconclusive(self):
+    def test_vanishing_weyl_tensor_decides_on_the_cotton_tensor(self):
+        # where C = 0 the C-space equation A + K.C = 0 reads A = 0
         pts = points("flat4", 6)
-        rep = OB.cotton_scale_verdict(pack("flat4"), pts)
-        assert rep.outcome == "inconclusive"
-        assert rep.verdicts[0].detail == (
+        rep = OB.cotton_scale_verdict(pack("flat4").samples(pts))
+        v = rep.verdicts[0]
+        assert (v.theorem, v.outcome) == ("conformal-c-space",
+                                          "cotton-scale-exists")
+        assert v.detail == "max |A| = 0.000e+00"
+        assert rep.notes == [
             "policy from-L: the Weyl tensor vanishes numerically at point "
-            f"{pts[0]} (max |C| = 0.000e+00)")
+            f"{pts[0]} (max |C| = 0.000e+00)"]
 
     def test_perturbed_metric_detail(self):
         g = perturbed_flat_metric(seed=3)
-        rep = OB.cotton_scale_verdict(CurvaturePack(g),
-                                      sample_points(g.chart, n=4, seed=6))
+        rep = OB.cotton_scale_verdict(CurvaturePack(g).samples(
+            sample_points(g.chart, n=4, seed=6)))
         v = rep.verdicts[0]
         assert (v.theorem, v.outcome) == ("conformal-c-space", "not")
         assert v.detail == "cspace max = 3.818e+02, closedness = 8.719e+02"
 
-    def test_dimension3_says_why_it_is_inconclusive(self):
-        rep = OB.cotton_scale_verdict(pack("constant-curvature3"),
-                                      points("constant-curvature3", 6))
-        assert rep.outcome == "inconclusive"
-        assert rep.verdicts[0].detail.startswith(
-            "dimension 3: the Weyl tensor vanishes identically, so no left "
-            "inverse gives K (max |A| = ")
+    def test_dimension3_decides_on_the_cotton_tensor(self):
+        rep = OB.cotton_scale_verdict(
+            pack("constant-curvature3").samples(
+                points("constant-curvature3", 6)))
+        assert rep.outcome == "cotton-scale-exists"
+        assert rep.verdicts[0].detail.startswith("max |A| = ")
 
     def test_rl2_invariant_vanishes_on_c_space(self):
         s = samples("rt5-quartic", 5)
@@ -592,19 +607,19 @@ class TestVerdictInvariance:
         pts = points(name, 4, seed)
         s = pack(name).samples(pts)
         sh = CurvaturePack(conformal_rescale(g, parse(ups))).samples(pts)
-        rep = OB.conformal_einstein_tensor_verdict(s, pts)
-        reph = OB.conformal_einstein_tensor_verdict(sh, pts)
+        rep = OB.conformal_einstein_tensor_verdict(s)
+        reph = OB.conformal_einstein_tensor_verdict(sh)
         assert reph.outcome == rep.outcome
-        assert OB.cotton_scale_verdict(sh, pts).outcome == \
-            OB.cotton_scale_verdict(s, pts).outcome
+        assert OB.cotton_scale_verdict(sh).outcome == \
+            OB.cotton_scale_verdict(s).outcome
         assert _flags(reph) == _flags(rep)
         assert ("E" in reph.residuals) == ("E" in rep.residuals)
         if "E" in rep.residuals:
             e, eh = rep.residuals["E"], reph.residuals["E"]
             assert maxabs(eh.values - e.values) < 1e-7 * max(1.0,
                                                               e.max_scale)
-        repo = OB.conformal_einstein_tensor_verdict(pack(name),
-                                                    points(name, 4, other))
+        repo = OB.conformal_einstein_tensor_verdict(
+            pack(name).samples(points(name, 4, other)))
         assert repo.outcome == rep.outcome
         assert _flags(repo)[0] == _flags(rep)[0]
 
@@ -615,12 +630,12 @@ class TestVerdictInvariance:
         pts = points(name, 4, seed)
         s = pack(name).samples(pts)
         sp = CurvaturePack(_permuted(entry(name).metric, perm)).samples(pts)
-        rep = OB.conformal_einstein_tensor_verdict(s, pts)
-        repp = OB.conformal_einstein_tensor_verdict(sp, pts)
+        rep = OB.conformal_einstein_tensor_verdict(s)
+        repp = OB.conformal_einstein_tensor_verdict(sp)
         assert repp.outcome == rep.outcome
         assert _flags(repp) == _flags(rep)
-        assert rank_obstruction(sp, pts, genericity=repp.genericity).ranks \
-            == rank_obstruction(s, pts, genericity=rep.genericity).ranks
+        assert rank_obstruction(sp, genericity=repp.genericity).ranks \
+            == rank_obstruction(s, genericity=rep.genericity).ranks
         assert ("E" in repp.residuals) == ("E" in rep.residuals)
         if "E" in rep.residuals:
             e, ep = rep.residuals["E"], repp.residuals["E"]
@@ -673,7 +688,7 @@ class TestPolicyErrors:
 
     @pytest.mark.parametrize("call, accepted", [
         (OB.k_field, OB.POLICIES),
-        (lambda s, p: OB.conformal_einstein_tensor_verdict(s, s.points, p),
+        (lambda s, p: OB.conformal_einstein_tensor_verdict(s, p),
          OB.POLICIES + ("auto",)),
         (lambda s, p: OB.dual_candidate(s, p), OB.POLICIES + ("user",))],
         ids=["k_field", "tensor-verdict", "dual_candidate"])
@@ -691,7 +706,7 @@ class TestPolicyErrors:
         ("flat4", ("the Weyl tensor vanishes numerically",) * 3)])
     def test_auto_notes_every_policy_in_order(self, name, wording):
         pts = points(name, 5)
-        rep = OB.conformal_einstein_tensor_verdict(pack(name), pts)
+        rep = OB.conformal_einstein_tensor_verdict(pack(name).samples(pts))
         assert rep.k_provenance is None
         assert rep.outcome == "inconclusive"
         for note, policy, words in zip(rep.notes, OB.POLICIES, wording):

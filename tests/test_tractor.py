@@ -5,7 +5,7 @@ from confein import cli
 from confein import obstructions as OB
 from confein import tractor as TR
 from confein.config import Tolerances
-from confein.curvature import CurvaturePack, einstein_residual
+from confein.curvature import CurvaturePack, trace_free_residual
 from confein.expressions import ONE, ZERO, func, neg, parse
 from confein.geometry import (
     DOWN,
@@ -342,8 +342,7 @@ class TestCurvature:
 
 class TestDOperatorAndParallel:
     def test_constant_scale_einstein_candidate_components(self):
-        g = entry("schwarzschild4").metric
-        cand = TR.einstein_candidate(g, ONE)
+        cand = TR.einstein_candidate(pack("schwarzschild4"), ONE)
         n = 4
         pts = points("schwarzschild4", 3)
         b = binds("schwarzschild4", pts)
@@ -354,8 +353,7 @@ class TestDOperatorAndParallel:
         assert np.allclose(v[:, n + 1], -s["J"] / n, atol=1e-10)
 
     def test_weight0_constant_d_is_zero(self):
-        g = entry("schwarzschild4").metric
-        d = TR.tractor_d(ONE, 0, g)
+        d = TR.tractor_d(ONE, 0, pack("schwarzschild4"))
         pts = points("schwarzschild4", 2)
         v = evaluate_components(d.comps, binds("schwarzschild4", pts))
         assert maxabs(v) < 1e-12
@@ -365,34 +363,31 @@ class TestDOperatorAndParallel:
                                       "schwarzschild-de-sitter5",
                                       "hyperkahler4", "constant-curvature3"])
     def test_einstein_scales_have_parallel_tractor(self, name):
-        g = entry(name).metric
-        rep = TR.parallel_tractor_check(g, ONE, points(name, 6), pack(name))
+        rep = TR.parallel_tractor_check(pack(name).samples(points(name, 6)),
+                                        ONE)
         assert rep["is_einstein_scale"], name
         assert rep["parallel_residual"] < 1e-9 * rep["scale"]
         assert maxabs(rep["h_ii"] - rep["h_ii_expected"]) < 1e-8
 
     def test_non_einstein_scale_detected(self):
-        g = entry("rt4-quartic").metric
-        rep = TR.parallel_tractor_check(g, ONE, points("rt4-quartic", 5),
-                                        pack("rt4-quartic"))
+        rep = TR.parallel_tractor_check(
+            pack("rt4-quartic").samples(points("rt4-quartic", 5)), ONE)
         assert not rep["is_einstein_scale"]
         assert rep["parallel_residual"] > 1e-3
         assert rep["rescaled_trace_free_schouten"] > 1e-3
 
     def test_sphere_scale_inside_flat_class(self):
-        g = entry("flat4").metric
         sigma = parse("1 + (x1^2 + x2^2 + x3^2 + x4^2)/4")
-        rep = TR.parallel_tractor_check(g, sigma, points("flat4", 5),
-                                        pack("flat4"))
+        rep = TR.parallel_tractor_check(
+            pack("flat4").samples(points("flat4", 5)), sigma)
         assert rep["is_einstein_scale"]
         assert rep["parallel_residual"] < 1e-8
         assert rep["rescaled_trace_free_schouten"] < 1e-8
 
     def test_vanishing_sigma_rejected(self):
-        g = entry("flat4").metric
         with pytest.raises(ArithmeticError):
-            TR.parallel_tractor_check(g, parse("x1 - x1"),
-                                      points("flat4", 2), pack("flat4"))
+            TR.parallel_tractor_check(
+                pack("flat4").samples(points("flat4", 2)), parse("x1 - x1"))
 
 
 # non-constant scales with nonzero third partials, positive on the samples
@@ -417,15 +412,16 @@ class TestNumericEinsteinScale:
         b = binds(name, pts)
         s = pack(name).samples(pts)
         ivals, grad, _ = TR.einstein_tractor_values(s, sigma)
-        rep = TR.parallel_tractor_check(g, sigma, pts, pack(name))
+        rep = TR.parallel_tractor_check(pack(name).samples(pts), sigma)
 
-        cand = TR.einstein_candidate(g, sigma, pack(name))
+        cand = TR.einstein_candidate(pack(name), sigma)
         want_i = evaluate_components(cand.comps, b)
         want_grad = evaluate_components(TR.tractor_connection(cand).comps, b)
         want_h = np.einsum("pI,pI->p", want_i, evaluate_components(
             TR.lower_tractor_slot(cand, 0).comps, b))
         ghat = conformal_rescale(g, neg(func("log", sigma)))
-        want_tf, want_scale = einstein_residual(CurvaturePack(ghat), pts)
+        sh = CurvaturePack(ghat).samples(pts)
+        want_tf, want_scale = trace_free_residual(sh["P"], sh["g"], sh["ginv"])
 
         def close(x, y):
             return maxabs(x - y) <= 1e-10 * max(1.0, maxabs(y))
@@ -447,10 +443,10 @@ class TestNumericEinsteinScale:
         hpack = CurvaturePack(ghat)
         pts = points("schwarzschild4", 5)
         sigma = func("exp", ups)
-        rep = TR.parallel_tractor_check(ghat, sigma, pts, hpack)
+        rep = TR.parallel_tractor_check(hpack.samples(pts), sigma)
         assert rep["is_einstein_scale"]
         assert rep["rescaled_trace_free_schouten"] < 1e-9 * rep["rescaled_scale"]
-        rank = TR.rank_obstruction(hpack, pts, sigma=sigma)
+        rank = TR.rank_obstruction(hpack.samples(pts), sigma=sigma)
         assert rank.verdict == "conformally-einstein"
         assert rank.kernel_alignment > 1 - 1e-6
 
@@ -471,7 +467,7 @@ class TestNumericEinsteinScale:
         assert cli.main(["tractor", str(path), "--sigma", "1 + x1/10",
                          "--json", str(tmp_path / "out.json")]) == 1
         fresh = CurvaturePack(entry("schwarzschild4").metric)
-        rep = TR.rank_obstruction(fresh, points("schwarzschild4", 5),
+        rep = TR.rank_obstruction(fresh.samples(points("schwarzschild4", 5)),
                                   sigma=ONE)
         assert rep.kernel_alignment > 1 - 1e-6
 
@@ -479,9 +475,8 @@ class TestNumericEinsteinScale:
 class TestAnnihilation:
     def test_einstein_candidate_annihilates_everything(self):
         for name in ("schwarzschild4", "schwarzschild-de-sitter5"):
-            g = entry(name).metric
             s = samples(name, 4)
-            cand = TR.einstein_candidate(g, ONE, pack(name))
+            cand = TR.einstein_candidate(pack(name), ONE)
             rep = TR.annihilation_check(s, cand)
             for key in ("omega", "cov_omega", "div_omega", "w"):
                 assert rep[key] < 1e-8 * max(1, rep["scale"]), (name, key)
@@ -518,34 +513,35 @@ class TestRankObstruction:
                                         ("schwarzschild-de-sitter5", 5)])
     def test_einstein_fixtures_rank_deficient_with_aligned_kernel(self, name,
                                                                   n):
-        rep = TR.rank_obstruction(pack(name), points(name, 5), sigma=ONE)
+        rep = TR.rank_obstruction(pack(name).samples(points(name, 5)),
+                                  sigma=ONE)
         assert rep.verdict == "conformally-einstein"
         assert rep.max_rank <= n + 1
         assert rep.kernel_alignment is not None
         assert rep.kernel_alignment > 1 - 1e-6
 
     def test_rt_quartic_full_rank(self):
-        rep = TR.rank_obstruction(pack("rt5-quartic"),
-                                  points("rt5-quartic", 5))
+        rep = TR.rank_obstruction(
+            pack("rt5-quartic").samples(points("rt5-quartic", 5)))
         assert rep.verdict == "not"
         assert rep.max_rank == 7  # n + 2
 
     def test_flat_inconclusive(self):
-        rep = TR.rank_obstruction(pack("flat4"), points("flat4", 3))
+        rep = TR.rank_obstruction(pack("flat4").samples(points("flat4", 3)))
         assert rep.verdict == "inconclusive"
         assert rep.max_rank == 0
         assert not rep.weakly_generic
 
     def test_hyperkahler_einstein_by_rank(self):
-        rep = TR.rank_obstruction(pack("hyperkahler4"),
-                                  points("hyperkahler4", 4), sigma=ONE)
+        rep = TR.rank_obstruction(
+            pack("hyperkahler4").samples(points("hyperkahler4", 4)), sigma=ONE)
         assert rep.verdict == "conformally-einstein"
         assert rep.kernel_alignment > 1 - 1e-6
 
     def test_agreement_with_tensor_pipeline(self):
         for name in ("schwarzschild4", "rt5-quartic",
                      "schwarzschild-de-sitter5"):
-            rep_t = OB.conformal_einstein_tensor_verdict(pack(name),
-                                                         points(name, 5))
-            rep_r = TR.rank_obstruction(pack(name), points(name, 5))
+            rep_t = OB.conformal_einstein_tensor_verdict(
+                pack(name).samples(points(name, 5)))
+            rep_r = TR.rank_obstruction(pack(name).samples(points(name, 5)))
             assert rep_t.outcome == rep_r.verdict, name
