@@ -48,6 +48,7 @@ from .obstructions import (
     f2,
     g_tensor,
     gbar_tensor,
+    joined_outcome,
     k_field,
     measure_tensor_verdict,
 )
@@ -158,8 +159,6 @@ def _load(args):
     points = spec.sample(n=args.points, seed=args.seed)
     if g.reference_point is None:
         g.reference_point = points[0]
-    g.assert_nondegenerate(
-        [g.point_bindings(p) for p in points])
     return spec, g, points, digest
 
 
@@ -266,22 +265,11 @@ def cmd_classify(args):
             "outcome": rank.verdict,
             "notes": rank.notes,
         }
-        tens, tr = rep.outcome, rank.verdict
-        decided = {"conformally-einstein", "not"}
-        if tens == "conflict":
-            # the E and F routes disagree (an internal-consistency verdict)
-            out["verdict"] = "conflict"
-        elif tens in decided and tr in decided and tens != tr:
-            out["verdict"] = "conflict"
+        out["verdict"] = joined_outcome((rep.outcome, rank.verdict))
+        if out["verdict"] == "conflict" and rep.outcome != "conflict":
             out["notes"].append(
                 "internal-consistency error: the tensor and tractor-rank "
                 "pipelines disagree")
-        elif tens in decided:
-            out["verdict"] = tens
-        elif tr in decided:
-            out["verdict"] = tr
-        else:
-            out["verdict"] = "inconclusive"
     else:
         out["verdict"] = rep.outcome
     _emit(out, args)

@@ -23,11 +23,16 @@ the Christoffel symbols, Ricci, J and P to 2, Riemann, Weyl and Cotton to
 and A (`CurvatureSamples.jet`), the operands of the K jets in
 `obstructions`; the values and d-prefixed partials of these are views of
 the jets, the other entries (Christoffel symbols, Ricci, scalar, Bach)
-are values only.  Other jets at the same points come from the same
-machinery: `scalar_jet` compiles one tape of a scalar expression's
-partials (a conformal factor, an Einstein scale), `christoffel_jet` runs
-the pack's metric-jet tape again and reads the order-2 prefix of the jet
-for g^-1 and the Christoffel symbols beyond their values.
+are values only.  Degeneracy is checked in one place, `CurvatureSamples`,
+which every command and the potential's quadrature nodes go through: per
+chunk, before any curvature is built, a point where the values of g are
+not finite or degenerate (`geometry._degenerate`, the criterion sampling
+redraws points by) raises SingularMetricError naming the first such
+point.  Other jets at the same points come from the same machinery:
+`scalar_jet` compiles one tape of a scalar expression's partials (a
+conformal factor, an Einstein scale), `christoffel_jet` runs the pack's
+metric-jet tape again and reads the order-2 prefix of the jet for g^-1 and
+the Christoffel symbols beyond their values.
 
 The pack's symbolic TensorFields remain for symbolic calculus (coframe
 components, the symbolic tractor calculus of `tractor`) and as the tests'
@@ -51,6 +56,7 @@ from .geometry import (
     MetricField,
     SingularMetricError,
     TensorField,
+    _degenerate,
     covariant_derivative,
     partial_derivative,
     permutation_sign,
@@ -296,12 +302,11 @@ class CurvatureSamples:
         for lo in range(0, max(n_pts, 1), _CHUNK):
             jet = _metric_jet(run_batch(prog, self.bindings[lo:lo + _CHUNK]),
                               n, 4)
-            try:
-                chunk = _ladder(jet, n)
-            except np.linalg.LinAlgError:
-                p = lo + _first_singular(jet[:, 0])
+            bad = np.flatnonzero(_degenerate(jet[:, 0]))
+            if bad.size:
                 raise SingularMetricError(
-                    f"metric is singular at point {self.points[p]}") from None
+                    f"metric is degenerate at {self.points[lo + bad[0]]}")
+            chunk = _ladder(jet, n)
             for store, part in zip((self._jets, self.values), chunk):
                 for name, v in part.items():
                     if name not in store:
@@ -399,15 +404,6 @@ def _unpack(x, tables):
     out *= sign
     n = round(len(sign) ** 0.25)
     return out.reshape(x.shape[:-2] + (n,) * 4)
-
-
-def _first_singular(mats):
-    for p, m in enumerate(mats):
-        try:
-            np.linalg.inv(m)
-        except np.linalg.LinAlgError:
-            return p
-    return 0
 
 
 def _christoffel(dg, ginv, n, k):

@@ -1,15 +1,14 @@
-"""Numeric evaluation of expressions: direct recursion and compiled tapes.
+"""Numeric evaluation of expressions: compiled tapes, and a direct oracle.
 
 `compile_batch` flattens one or many expressions into a single static
 single-assignment instruction tape.  Expressions are hash-consed, so common
 subexpressions across the whole batch occupy one slot each and are computed
-once.  Tapes evaluate on scalar bindings or on numpy arrays of sample points
-(one array entry per point); `run_batch` runs a tape at a list of binding
-dicts."""
+once.  A tape runs on a batch of points only, one numpy array entry per
+point: `run_batch` runs it at a list of binding dicts (a single point is a
+batch of one).  `evaluate` recurses directly on an expression at one point;
+it is the oracle the tapes are tested against."""
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -78,25 +77,17 @@ class EvalProgram:
         return len(self.instrs)
 
     def run(self, bindings):
-        """Evaluate at one point (scalar bindings) or at a batch of points
-        (bindings to equal-length 1-d arrays).  Returns a float (single
-        expression, scalar bindings) or an ndarray of shape
-        (n_outputs, ...) otherwise."""
+        """Evaluate at a batch of points: `bindings` maps each symbol to a
+        1-d array, one entry per point.  Returns an ndarray of shape
+        (n_outputs, P), P = 1 for a tape without symbols."""
         slots = [None] * self.n_slots
-        vector = any(isinstance(v, np.ndarray) for v in bindings.values())
         for name, slot in self.sym_slots.items():
             if name not in bindings:
                 raise UnboundSymbolError(name)
-            v = bindings[name]
-            slots[slot] = np.asarray(v, dtype=float) if vector else float(v)
-        point_of = None
-        if vector:
-            names = list(self.sym_slots)
+            slots[slot] = np.asarray(bindings[name], dtype=float)
 
-            def point_of(i):
-                return {nm: float(np.asarray(bindings[nm]).flat[i]) for nm in names}
-        else:
-            point_of = lambda _i: {nm: float(bindings[nm]) for nm in self.sym_slots}
+        def point_of(i):
+            return {nm: float(slots[s][i]) for nm, s in self.sym_slots.items()}
 
         for op, dest, a, b in self.instrs:
             if op == _ADD:
@@ -106,7 +97,7 @@ class EvalProgram:
             elif op == _POW_INT:
                 base = slots[a]
                 if b < 0:
-                    bad = _where_zero(base)
+                    bad = _first(base == 0.0)
                     if bad is not None:
                         raise DomainError("division by zero", point_of(bad))
                 slots[dest] = base ** b
@@ -114,31 +105,25 @@ class EvalProgram:
                 slots[dest] = a
             elif op == _POW:
                 base, ex = slots[a], slots[b]
-                bad = _where_neg(base)
+                bad = _first(base < 0.0)
                 if bad is not None:
                     raise DomainError(
                         "fractional power of a negative value", point_of(bad))
-                bad = _where_zero(base) if _any_neg_exponent(ex) else None
+                bad = _first(base == 0.0) if np.any(ex < 0) else None
                 if bad is not None:
                     raise DomainError("division by zero", point_of(bad))
                 slots[dest] = base ** ex
-            elif op == _EXP:
-                slots[dest] = np.exp(slots[a]) if vector else math.exp(slots[a])
-            elif op == _LOG:
+            else:  # exp, log, sin, cos
                 arg = slots[a]
-                bad = _where_nonpos(arg)
-                if bad is not None:
-                    raise DomainError("log of a nonpositive value", point_of(bad))
-                slots[dest] = np.log(arg) if vector else math.log(arg)
-            elif op == _SIN:
-                slots[dest] = np.sin(slots[a]) if vector else math.sin(slots[a])
-            else:
-                slots[dest] = np.cos(slots[a]) if vector else math.cos(slots[a])
+                if op == _LOG:
+                    bad = _first(arg <= 0.0)
+                    if bad is not None:
+                        raise DomainError("log of a nonpositive value",
+                                          point_of(bad))
+                slots[dest] = _UFUNCS[op](arg)
 
-        if not vector:
-            out = [slots[s] for s in self.outputs]
-            return out[0] if len(out) == 1 else np.array(out, dtype=float)
-        n_pts = next(len(v) for v in bindings.values() if isinstance(v, np.ndarray))
+        n_pts = max((np.size(slots[s]) for s in self.sym_slots.values()),
+                    default=1)
         # outputs often share slots (zeros, repeated components): fill each
         # distinct slot once
         distinct, rows = np.unique(self.outputs, return_inverse=True)
@@ -148,31 +133,15 @@ class EvalProgram:
         return res[rows.reshape(-1)]
 
 
-def _where_zero(x):
-    if isinstance(x, np.ndarray):
-        idx = np.nonzero(x == 0.0)[0]
-        return int(idx[0]) if idx.size else None
-    return 0 if x == 0.0 else None
+_FUNC_OPS = {"exp": _EXP, "log": _LOG, "sin": _SIN, "cos": _COS}
+_UFUNCS = {_EXP: np.exp, _LOG: np.log, _SIN: np.sin, _COS: np.cos}
 
 
-def _where_neg(x):
-    if isinstance(x, np.ndarray):
-        idx = np.nonzero(x < 0.0)[0]
-        return int(idx[0]) if idx.size else None
-    return 0 if x < 0.0 else None
-
-
-def _where_nonpos(x):
-    if isinstance(x, np.ndarray):
-        idx = np.nonzero(x <= 0.0)[0]
-        return int(idx[0]) if idx.size else None
-    return 0 if x <= 0.0 else None
-
-
-def _any_neg_exponent(ex):
-    if isinstance(ex, np.ndarray):
-        return bool(np.any(ex < 0))
-    return ex < 0
+def _first(mask):
+    """Index of the first true entry of `mask` (an array, or a 0-d value
+    for a constant slot), or None."""
+    idx = np.flatnonzero(mask)
+    return int(idx[0]) if idx.size else None
 
 
 def compile_batch(exprs):
@@ -233,8 +202,7 @@ def compile_batch(exprs):
         else:  # FUNC
             sa = emit(e.args[0])
             s = new_slot()
-            op = {"exp": _EXP, "log": _LOG, "sin": _SIN, "cos": _COS}[e.data]
-            instrs.append((op, s, sa, 0))
+            instrs.append((_FUNC_OPS[e.data], s, sa, 0))
         slot_of[id(e)] = s
         return s
 
@@ -256,23 +224,16 @@ def run_batch(prog, points):
             batch[name] = np.array([float(pt[name]) for pt in points])
         except KeyError:
             raise UnboundSymbolError(name) from None
-    if not batch:
-        row = np.asarray(prog.run({}), dtype=float).reshape(1, -1)
-        return np.repeat(row, len(points), axis=0)
-    return np.asarray(prog.run(batch), dtype=float).T
+    vals = prog.run(batch).T
+    return vals if batch else np.repeat(vals, len(points), axis=0)
 
 
-def evaluate(target, bindings):
-    """Evaluate an Expr or an EvalProgram at `bindings`.
+def evaluate(e, bindings):
+    """The value of the Expr e at `bindings`, by direct recursion on the
+    expression: the oracle the compiled tapes are tested against.
 
     All free symbols must be bound; raises UnboundSymbolError otherwise and
     DomainError (naming the point) on log/negative-power/zero-division."""
-    if isinstance(target, EvalProgram):
-        return target.run(bindings)
-    return _eval_direct(target, bindings)
-
-
-def _eval_direct(e, bindings):
     k = e.kind
     if k == RAT:
         return float(e.data)
@@ -283,38 +244,31 @@ def _eval_direct(e, bindings):
             raise UnboundSymbolError(e.data)
         return float(bindings[e.data])
     if k == ADD:
-        acc = _eval_direct(e.args[0], bindings)
+        acc = evaluate(e.args[0], bindings)
         for a in e.args[1:]:
-            acc = acc + _eval_direct(a, bindings)
+            acc = acc + evaluate(a, bindings)
         return acc
     if k == MUL:
-        acc = _eval_direct(e.args[0], bindings)
+        acc = evaluate(e.args[0], bindings)
         for a in e.args[1:]:
-            acc = acc * _eval_direct(a, bindings)
+            acc = acc * evaluate(a, bindings)
         return acc
     if k == POW:
-        base = _eval_direct(e.args[0], bindings)
+        base = evaluate(e.args[0], bindings)
         ex = e.args[1]
         if ex.kind == RAT and ex.data.denominator == 1:
             p = int(ex.data.numerator)
             if p < 0 and base == 0.0:
                 raise DomainError("division by zero", bindings)
             return base ** p
-        ev = _eval_direct(ex, bindings)
+        ev = evaluate(ex, bindings)
         if base < 0.0:
             raise DomainError("fractional power of a negative value", bindings)
         if base == 0.0 and ev < 0:
             raise DomainError("division by zero", bindings)
         return base ** ev
     # FUNC
-    a = _eval_direct(e.args[0], bindings)
-    name = e.data
-    if name == "exp":
-        return math.exp(a)
-    if name == "log":
-        if a <= 0.0:
-            raise DomainError("log of a nonpositive value", bindings)
-        return math.log(a)
-    if name == "sin":
-        return math.sin(a)
-    return math.cos(a)
+    a = evaluate(e.args[0], bindings)
+    if e.data == "log" and a <= 0.0:
+        raise DomainError("log of a nonpositive value", bindings)
+    return float(_UFUNCS[_FUNC_OPS[e.data]](a))

@@ -297,12 +297,12 @@ def classify_genericity(s: CurvatureSamples, tolerances=DEFAULT_TOLERANCES):
                  - linalg.rank(skew, tolerances.rank_tol, scale)).tolist()
     # the appended trace row absorbs the pure-trace direction, so the
     # reported dimensions count genuine trace-free solutions
-    sym_dims = _kernel_dims(
-        lambda sl: _symmetric_system(np.swapaxes(C[sl], 1, 2), g[sl]),
-        n * n + 1, n, tolerances.rank_tol, scale)
-    dual_dims = _kernel_dims(
-        lambda sl: _dual_system(C[sl], gi[sl], g[sl], root[sl]),
-        len(_dual_epsilon(n)) + 1, n, tolerances.rank_tol, scale)
+    cols = n * (n + 1) // 2
+    sym_dims = (cols - linalg.rank(
+        _symmetric_system(np.swapaxes(C, 1, 2), g), tolerances.rank_tol,
+        scale)).tolist()
+    dual_dims = (cols - linalg.rank(_dual_system(C, gi, g, root),
+                                    tolerances.rank_tol, scale)).tolist()
 
     per = []
     for p in range(npts):
@@ -317,14 +317,3 @@ def classify_genericity(s: CurvatureSamples, tolerances=DEFAULT_TOLERANCES):
             dual_kernel_dim=dual_dims[p], generic=generic,
             c3=c3[p], c3_star=c3s[p]))
     return GenericityReport.of(per)
-
-
-def _kernel_dims(build, rows, n, tol, scale):
-    """Kernel dimensions of the (rows, n(n+1)/2) systems of every point,
-    built and ranked a chunk of points at a time (`build(slice)` gives the
-    chunk's stack), so a whole batch of them is not held at once."""
-    cols = n * (n + 1) // 2
-    ranks = np.zeros(len(scale), dtype=int)
-    for sl in linalg.chunks(len(scale), rows, cols):
-        ranks[sl] = linalg.rank(build(sl), tol, scale[sl])
-    return (cols - ranks).tolist()

@@ -274,11 +274,6 @@ class MetricField:
         b.update(point)
         return b
 
-    def matrix_at(self, point):
-        b = self.point_bindings(point)
-        vals = evaluate_components(self.comps, [b])[0]
-        return vals
-
     def signature(self, point=None):
         """(p, q) from the eigenvalues at `point`, by default at the
         reference point.  Only the reference point's result is cached; a
@@ -297,26 +292,15 @@ class MetricField:
         return sig
 
     def _signature_at(self, pt):
-        m = self.matrix_at(pt)
-        ev = np.linalg.eigvalsh(0.5 * (m + m.T))
-        scale = np.max(np.abs(ev))
-        if scale == 0 or np.min(np.abs(ev)) < 1e-10 * scale:
+        m = evaluate_components(self.comps, [self.point_bindings(pt)])
+        if _degenerate(m)[0]:
             raise SingularMetricError(f"metric is degenerate at {pt}")
-        p = int(np.sum(ev > 0))
+        p = int(np.sum(np.linalg.eigvalsh(0.5 * (m[0] + m[0].T)) > 0))
         return (p, self.dim - p)
 
     def det_sign(self, point=None):
         p, q = self.signature(point)
         return -1 if q % 2 else 1
-
-    def assert_nondegenerate(self, points, tol=1e-10):
-        points = list(points)
-        m = evaluate_components(self.comps,
-                                [self.point_bindings(pt) for pt in points])
-        bad = np.nonzero(_degenerate(m, tol))[0]
-        if bad.size:
-            raise SingularMetricError(
-                f"metric is degenerate at {points[bad[0]]}")
 
 
 def _complexity(e):
@@ -629,14 +613,19 @@ def _map_simplify(comps):
 # sampling and evaluation
 
 
-def sample_points(chart, params=None, n=10, seed=0, box=None, locus_tol=1e-9,
-                  metric=None):
+# a drawn point this close to a declared singular locus is redrawn
+_LOCUS_TOL = 1e-9
+
+
+def sample_points(chart, params=None, n=10, seed=0, box=None, metric=None):
     """Draw sample points uniformly from the box (default [0.5, 1.5] per
-    coordinate), rejecting any within locus_tol of a declared singular
+    coordinate), rejecting any within _LOCUS_TOL of a declared singular
     locus and, given the metric components `metric`, any where a component
-    is undefined or the metric is degenerate (the `assert_nondegenerate`
-    criterion).  A rejected point is redrawn; the points kept are the first
-    n good ones in the order drawn."""
+    is undefined or the metric is degenerate (`_degenerate`, the criterion
+    `CurvatureSamples` applies).  A rejected point is redrawn; the points
+    kept are the first n good ones in the order drawn.  Points are drawn
+    and checked in batches of as many as are still missing, so no point is
+    drawn past the n-th good one."""
     rng = np.random.default_rng(seed)
     params = dict(params or {})
     loci = list(chart.singular_loci)
@@ -644,36 +633,31 @@ def sample_points(chart, params=None, n=10, seed=0, box=None, locus_tol=1e-9,
     gprog = (compile_batch(list(np.asarray(metric, dtype=object).reshape(-1)))
              if metric is not None else None)
     pts = []
-    checked = 0  # pts[:checked] passed the metric check
     attempts = 0
     while len(pts) < n:
-        attempts += 1
-        if attempts > 1000 * n:
+        k = min(n - len(pts), 1000 * n - attempts)
+        if k == 0:
             raise RuntimeError("sampling keeps hitting singular loci or "
                                "points where the metric is undefined or "
                                "degenerate; tighten the sample box")
-        pt = {}
-        for c in chart.coords:
-            lo, hi = (box or {}).get(c, (0.5, 1.5))
-            pt[c] = float(rng.uniform(lo, hi))
+        attempts += k
+        fresh = [{c: float(rng.uniform(*(box or {}).get(c, (0.5, 1.5))))
+                  for c in chart.coords} for _ in range(k)]
+        binds = [{**params, **pt} for pt in fresh]
+        keep = np.ones(k, dtype=bool)
         if prog is not None:
-            vals = prog.run({**params, **pt})
-            vals = np.atleast_1d(np.asarray(vals, dtype=float))
-            if np.any(np.abs(vals) <= locus_tol):
-                continue
-        pts.append(pt)
-        if len(pts) == n and gprog is not None:
-            fresh = pts[checked:]
-            ok = _regular(gprog, [{**params, **p} for p in fresh],
-                          len(chart.coords))
-            pts[checked:] = [p for p, keep in zip(fresh, ok) if keep]
-            checked = len(pts)
+            keep = ~np.any(np.abs(run_batch(prog, binds)) <= _LOCUS_TOL,
+                           axis=1)
+        if gprog is not None:
+            keep[keep] = _regular(gprog, [b for b, ok in zip(binds, keep)
+                                          if ok], len(chart.coords))
+        pts += [pt for pt, ok in zip(fresh, keep) if ok]
     return pts
 
 
 def _regular(prog, bindings, dim):
-    """Per binding: are the metric components of `prog` all defined and
-    finite there, and the metric nondegenerate?"""
+    """Per binding: are the metric components of `prog` all defined there,
+    and the metric not `_degenerate`?"""
     try:
         m = run_batch(prog, bindings)
     except DomainError:
@@ -684,17 +668,21 @@ def _regular(prog, bindings, dim):
                 m[i] = run_batch(prog, [b])[0]
             except DomainError:
                 pass
-    m = m.reshape(-1, dim, dim)
-    ok = np.all(np.isfinite(m), axis=(1, 2))
-    ok[ok] = ~_degenerate(m[ok])
-    return ok
+    return ~_degenerate(m.reshape(-1, dim, dim))
 
 
-def _degenerate(m, tol=1e-10):
-    """Per matrix of the stack m: is its symmetric part degenerate, its
-    smallest |eigenvalue| <= tol * max(1, largest |eigenvalue|)?"""
-    ev = np.abs(np.linalg.eigvalsh(0.5 * (m + np.swapaxes(m, 1, 2))))
-    return np.min(ev, axis=1) <= tol * np.maximum(1.0, np.max(ev, axis=1))
+def _degenerate(m):
+    """Per matrix of the stack m: is it not finite, or its symmetric part
+    degenerate, its smallest |eigenvalue| <= 1e-10 * max(1, largest
+    |eigenvalue|)?  The one test of a degenerate metric: sampling redraws
+    such points, and `CurvatureSamples` and `MetricField.signature` reject
+    them."""
+    bad = ~np.all(np.isfinite(m), axis=(1, 2))
+    ok = m[~bad]
+    ev = np.abs(np.linalg.eigvalsh(0.5 * (ok + np.swapaxes(ok, 1, 2))))
+    bad[~bad] = np.min(ev, axis=1) <= 1e-10 * np.maximum(1.0,
+                                                         np.max(ev, axis=1))
+    return bad
 
 
 def evaluate_components(comps, points):

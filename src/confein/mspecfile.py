@@ -59,14 +59,13 @@ class MetricSpec:
                            reference_point=ref,
                            sample_box=self.boxes or None, name=name)
 
-    def sample(self, n=10, seed=0, locus_tol=1e-9):
+    def sample(self, n=10, seed=0):
         if self.points:
             return [dict(p) for p in self.points]
         from .geometry import sample_points
         g = self.metric()
         return sample_points(g.chart, params=self.params, n=n, seed=seed,
-                             box=self.boxes or None, locus_tol=locus_tol,
-                             metric=g.comps)
+                             box=self.boxes or None, metric=g.comps)
 
 
 def loads_mspec(text) -> MetricSpec:

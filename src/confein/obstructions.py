@@ -105,6 +105,7 @@ __all__ = [
     "ObstructionReport",
     "Verdict",
     "THEOREM_IDS",
+    "joined_outcome",
     "dual_candidate",
     "dual_candidate_jet",
     "k_field",
@@ -679,6 +680,20 @@ class Verdict:
     detail: str = ""
 
 
+def joined_outcome(outcomes):
+    """The one outcome of several routes' outcomes: "conflict" if any says
+    so, or if one says "conformally-einstein" and another "not"; otherwise
+    the first of "conformally-einstein", "not" and "cotton-scale-exists"
+    that any says, so a decided outcome beats "inconclusive"."""
+    outs = set(outcomes)
+    if "conflict" in outs or {"not", "conformally-einstein"} <= outs:
+        return "conflict"
+    for out in ("conformally-einstein", "not", "cotton-scale-exists"):
+        if out in outs:
+            return out
+    return "inconclusive"
+
+
 @dataclass
 class ObstructionReport:
     n: int
@@ -693,13 +708,7 @@ class ObstructionReport:
 
     @property
     def outcome(self):
-        outs = {v.outcome for v in self.verdicts}
-        if "conflict" in outs or {"not", "conformally-einstein"} <= outs:
-            return "conflict"
-        for out in ("conformally-einstein", "not", "cotton-scale-exists"):
-            if out in outs:
-                return out
-        return "inconclusive"
+        return joined_outcome(v.outcome for v in self.verdicts)
 
     def residual_table(self):
         return {name: {"max": r.max, "scale": r.max_scale}

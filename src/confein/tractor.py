@@ -610,26 +610,17 @@ class RankReport:
 def rank_rows(s: CurvatureSamples, tolerances=DEFAULT_TOLERANCES):
     """The measuring half of the rank test: per point, the rank and an
     orthonormal kernel basis of the stacked rows Omega_bc[D, .] (pairs
-    b < c) and nabla_a Omega_bc[D, .], as functionals on tractors.  The
-    rows are built and ranked a chunk of points at a time.  Returns
-    (ranks, kernels), two lists in point order."""
-    n = s.n
-    om = omega_values(s)
-    cov = cov_omega_values(s)
+    b < c) and nabla_a Omega_bc[D, .], as functionals on tractors (ranked
+    by `linalg.rank_nullspace`, which works on the stack in chunks).
+    Returns (ranks, kernels), two lists in point order."""
+    n, npts = s.n, len(s.points)
     b, c = pair_basis(n)
-    scale = s.scale()
-    ranks = []
-    kernels = []
-    for sl in linalg.chunks(len(s.points), (n + 1) * len(b) * (n + 2), n + 2):
-        k = sl.stop - sl.start
-        mat = np.concatenate([om[sl, b, c].reshape(k, -1, n + 2),
-                              cov[sl].reshape(k, -1, n + 2)],
-                             axis=1)
-        rank, kernel = linalg.rank_nullspace(mat, tolerances.rank_tol,
-                                             scale[sl])
-        ranks += rank.tolist()
-        kernels += kernel
-    return ranks, kernels
+    mat = np.concatenate([omega_values(s)[:, b, c].reshape(npts, -1, n + 2),
+                          cov_omega_values(s).reshape(npts, -1, n + 2)],
+                         axis=1)
+    ranks, kernels = linalg.rank_nullspace(mat, tolerances.rank_tol,
+                                           s.scale())
+    return ranks.tolist(), kernels
 
 
 def rank_verdict(ranks, n, weakly_generic):

@@ -20,8 +20,7 @@ class TestConstruction:
             e = catalog.get_entry(name)
             pts = e.points(3, seed=1)
             assert len(pts) == 3
-            e.metric.assert_nondegenerate(
-                [e.metric.point_bindings(p) for p in pts])
+            pack(name).samples(pts)  # raises where g is degenerate
             assert all(prov for (_, prov) in e.expected.values())
 
     def test_rt_requires_dimension_and_kappa(self):

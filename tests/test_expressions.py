@@ -168,7 +168,8 @@ class TestEval:
         e = parse("exp(x/4) + sin(y)*cos(x) - y^3/(1+x^2) + sqrt(4*y)")
         prog = compile_batch([e])
         b = {"x": 0.37, "y": 1.21}
-        assert prog.run(b) == pytest.approx(evaluate(e, b), rel=1e-12)
+        assert run_batch(prog, [b])[0] == pytest.approx(evaluate(e, b),
+                                                        rel=1e-12)
 
     def test_compiled_domain_error_names_vector_point(self):
         prog = compile_batch([parse("m/r")])
@@ -308,7 +309,8 @@ class TestProperties:
         if v0 is None:
             return
         prog = compile_batch([e])
-        assert prog.run(b) == pytest.approx(v0, rel=1e-12, abs=1e-300)
+        assert run_batch(prog, [b])[0] == pytest.approx(v0, rel=1e-12,
+                                                        abs=1e-300)
 
     def test_canonical_ordering_commutes(self):
         assert parse("a+b") is parse("b+a")

@@ -58,9 +58,8 @@ def _oracle_dual_dims(C, gi, g, root, scale):
 
 def _dual_dims(C, gi, g, root, scale):
     n = g.shape[-1]
-    return GN._kernel_dims(
-        lambda sl: GN._dual_system(C[sl], gi[sl], g[sl], root[sl]),
-        len(GN._dual_epsilon(n)) + 1, n, TOL.rank_tol, scale)
+    ranks = linalg.rank(GN._dual_system(C, gi, g, root), TOL.rank_tol, scale)
+    return (n * (n + 1) // 2 - ranks).tolist()
 
 
 def _kept_rows(n):

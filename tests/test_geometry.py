@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from confein import geometry as G
+from confein.curvature import CurvaturePack
 from confein.expressions import ONE, ZERO, diff, func, is_zero, neg, parse, to_text
 from confein.geometry import DOWN, UP
 from conftest import entry, maxabs, pack, points
@@ -369,6 +370,6 @@ class TestSignature:
     def test_assert_nondegenerate_names_the_first_degenerate_point(self):
         g = self._metric()
         pts = [{"x": v, "y": 0.0, "z": 0.0} for v in (1.0, -2.0, 0.0, 0.0)]
-        g.assert_nondegenerate(pts[:2])
+        CurvaturePack(g).samples(pts[:2])
         with pytest.raises(G.SingularMetricError, match="'x': 0.0"):
-            g.assert_nondegenerate(pts)
+            CurvaturePack(g).samples(pts)

@@ -42,6 +42,18 @@ g[2][2] = 1
 box x = -1.0, 3.0
 """
 
+# diag(x, 1, 1) at three pinned points of one signature, degenerate at x = 0
+DEGENERATE_X = """\
+dim = 3
+coords = x, y, z
+g[0][0] = x
+g[1][1] = 1
+g[2][2] = 1
+point = 1, 0, 0
+point = 2, 0, 0
+point = 0, 0, 0
+"""
+
 
 class TestFormat:
     def test_round_trip(self):
@@ -326,6 +338,39 @@ class TestCli:
         assert data["rank_test"]["outcome"] == "not"
         assert data["verdict"] == "conflict"
         assert code == 2
+
+    def test_rank_route_conflict_adds_the_note(self, tmp_path, rt_file,
+                                               monkeypatch):
+        # rt5-quartic is "not" by the tensor route; a tractor rank test
+        # saying "conformally-einstein" is a disagreement of the pipelines
+        real = cli.rank_verdict
+
+        def einstein(*args, **kwargs):
+            rep = real(*args, **kwargs)
+            rep.verdict = "conformally-einstein"
+            return rep
+
+        monkeypatch.setattr(cli, "rank_verdict", einstein)
+        code, data = run_cli(tmp_path, "classify", str(rt_file))
+        assert data["rank_test"]["outcome"] == "conformally-einstein"
+        assert data["verdict"] == "conflict"
+        assert code == 2
+        assert data["notes"][-1] == (
+            "internal-consistency error: the tensor and tractor-rank "
+            "pipelines disagree")
+
+    @pytest.mark.parametrize("command",
+                             ["classify", "invariants", "identities",
+                              "tractor"])
+    def test_degenerate_pinned_point_exit_three(self, tmp_path, command,
+                                                capsys):
+        # pinned points are never redrawn, so the degenerate one reaches
+        # the sampled check and is named there
+        p = tmp_path / "degenerate.mspec"
+        p.write_text(DEGENERATE_X)
+        assert main([command, str(p)]) == 3
+        assert capsys.readouterr().err == (
+            "error: metric is degenerate at {'x': 0.0, 'y': 0.0, 'z': 0.0}\n")
 
     def test_invariants_covariance_section(self, tmp_path, rt_file):
         code, data = run_cli(tmp_path, "invariants", str(rt_file),

@@ -714,3 +714,21 @@ class TestPolicyErrors:
             assert f"at point {pts[0]}" in note, note
         assert [n.split(":")[0] for n in rep.notes[:3]] == \
             [f"policy {p}" for p in OB.POLICIES]
+
+
+@pytest.mark.parametrize("tensor, rank", [
+    (t, r) for t in ("conformally-einstein", "not", "inconclusive", "conflict")
+    for r in ("conformally-einstein", "not", "inconclusive")])
+def test_joined_outcome_of_the_tensor_and_rank_routes(tensor, rank):
+    # "conflict" wins, "conformally-einstein" with "not" is a conflict, and
+    # otherwise a decided outcome beats "inconclusive"
+    decided = {"conformally-einstein", "not"}
+    if tensor == "conflict" or {tensor, rank} == decided:
+        want = "conflict"
+    elif tensor in decided:
+        want = tensor
+    elif rank in decided:
+        want = rank
+    else:
+        want = "inconclusive"
+    assert OB.joined_outcome((tensor, rank)) == want
