@@ -9,12 +9,15 @@ left-inverse policy); any other exception is an internal error, printed as
 `internal error: ...`.  Reports are deterministic for a fixed --seed: two
 runs produce byte-identical JSON.
 
-`classify` walks its points in chunks (`_point_chunks`, 128 points at
-n = 6): each chunk is sampled, reduced to per-point figures (genericity
-classes, Weyl and Cotton maxima, policy-gate notes, residual maxima and
-scales, the closedness of K, tractor ranks) and freed before the next, and
-the verdicts are decided on the joined figures, so its peak memory stays
-flat in --points.  The other commands work on the whole batch."""
+`classify` walks its points in chunks (`curvature.point_chunks`: 128
+points at n = 6, 320 at n = 5, 1024 at n = 4): each chunk is sampled,
+reduced to per-point figures (genericity classes, Weyl and Cotton maxima,
+policy-gate notes, residual maxima and scales, the closedness of K,
+tractor ranks) and freed before the next, and the verdicts are decided on
+the joined figures.  The potential samples its quadrature nodes by the
+same rule (`obstructions.reconstruct_potential`), so classify's peak
+memory stays flat in --points.  The other commands work on the whole
+batch."""
 
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ import numpy as np
 from . import __version__
 from .catalog import entry_names, get_entry
 from .config import Tolerances
-from .curvature import _CHUNK as _LADDER_CHUNK, CurvaturePack, identity_suite
+from .curvature import CurvaturePack, identity_suite, point_chunks
 from .evaluate import DomainError, UnboundSymbolError
 from .expressions import ExprSyntaxError, parse
 from .genericity import PolicyError, weyl_operators
@@ -56,10 +59,6 @@ from .tractor import parallel_tractor_check, rank_obstruction, rank_verdict
 
 EXIT_YES, EXIT_NO, EXIT_INCONCLUSIVE, EXIT_INPUT = 0, 1, 2, 3
 EXIT_INTERNAL = 4
-
-# the budget of one chunk of classify's points, counted in its largest
-# array, the order-1 jet of a 4-index tensor: (1 + n) n^4 floats per point
-CHUNK_BYTES = 10 * 2 ** 20
 
 _INVARIANT_NAMES = ("F1", "F2", "E", "G", "Gbar", "dim4", "cspace", "bach")
 _DIM4PLUS_NAMES = ("F1", "F2", "G", "Gbar")
@@ -205,17 +204,9 @@ def _emit(report, args):
         print(text)
 
 
-def _point_chunks(count, n):
-    """Slices cutting `count` points into chunks of a multiple of the
-    ladder's chunk, as many whole ladder chunks as fit CHUNK_BYTES at
-    dimension n (at least one)."""
-    per_point = 8 * (1 + n) * n ** 4
-    step = max(1, CHUNK_BYTES // (per_point * _LADDER_CHUNK)) * _LADDER_CHUNK
-    return [slice(s, min(s + step, count)) for s in range(0, count, step)]
-
-
 def cmd_classify(args):
-    """The full decision, one chunk of points at a time (`_point_chunks`).
+    """The full decision, one chunk of points at a time
+    (`curvature.point_chunks`).
 
     Each chunk is sampled once, measured and freed before the next: the
     tensor verdict keeps its genericity classes, the Weyl and Cotton
@@ -230,7 +221,7 @@ def cmd_classify(args):
     tol = _tolerances(args)
     spec, g, points, digest = _load(args)
     pack = CurvaturePack(g)
-    chunks = _point_chunks(len(points), g.dim)
+    chunks = point_chunks(len(points), g.dim)
     ranks = []
 
     def measure_ranks(samples, measured):

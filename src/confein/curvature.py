@@ -15,8 +15,9 @@ use involves at most four derivatives of g (the Bach tensor, and the first
 partials of the Weyl and Cotton tensors), so `CurvaturePack` compiles one
 small tape per metric: the partials of g_ij up to order 4
 (`CurvaturePack.metric_jet_tape`).  `CurvaturePack.samples` runs it at a
-batch of points and builds every ladder entry from that 4-jet by truncated
-Taylor arithmetic (`taylor`), in chunks of points, computing each quantity
+batch of points, 32 points per run, and builds every ladder entry from that
+4-jet by truncated Taylor arithmetic (`taylor`), on 8 points at a time from
+n = 5 on (32 below), so its transients stay small, computing each quantity
 only to the order its consumers need: g to 4, the inverse metric to 3,
 the Christoffel symbols, Ricci, J and P to 2, Riemann, Weyl and Cotton to
 1 and Bach to 0.  The samples keep the order-1 jets of g, g^-1, P, J, C
@@ -32,7 +33,9 @@ point.  Other jets at the same points come from the same machinery:
 `scalar_jet` compiles one tape of a scalar expression's partials (a
 conformal factor, an Einstein scale), `christoffel_jet` runs the pack's
 metric-jet tape again and reads the order-2 prefix of the jet for g^-1 and
-the Christoffel symbols beyond their values.
+the Christoffel symbols beyond their values.  `point_chunks` cuts a longer
+list of points into chunks of whole tape runs that fit a byte budget, the
+chunks `classify` and the potential's quadrature nodes are sampled in.
 
 The pack's symbolic TensorFields remain for symbolic calculus (coframe
 components, the symbolic tractor calculus of `tractor`) and as the tests'
@@ -66,6 +69,7 @@ from .geometry import (
 __all__ = [
     "CurvaturePack",
     "CurvatureSamples",
+    "point_chunks",
     "identity_suite",
     "identity_residuals",
     "cotton_transform_check",
@@ -248,8 +252,23 @@ class CurvaturePack:
             _partials(self.g.comps[i, j], self.chart.coords, 4)))
 
 
-# points per ladder chunk: bounds the transient jets, not the results
+# points per run of the metric-jet tape: the tape pays its per-instruction
+# overhead once per run, so runs of fewer points are slower
 _CHUNK = 32
+
+# the budget of one chunk of points (`point_chunks`), counted in its largest
+# array, the order-1 jet of a 4-index tensor: (1 + n) n^4 floats per point
+CHUNK_BYTES = 10 * 2 ** 20
+
+
+def point_chunks(count, n):
+    """Slices cutting `count` points into chunks of a multiple of the
+    tape's run of points, as many whole runs as fit CHUNK_BYTES at
+    dimension n (at least one): 128 points at n = 6, 320 at n = 5 and 1024
+    at n = 4."""
+    per_point = 8 * (1 + n) * n ** 4
+    step = max(1, CHUNK_BYTES // (per_point * _CHUNK)) * _CHUNK
+    return [slice(s, min(s + step, count)) for s in range(0, count, step)]
 
 
 def _partials(exprs, coords, order):
@@ -297,7 +316,9 @@ class CurvatureSamples:
         self.bindings = [pack.g.point_bindings(pt) for pt in points]
         self._derived = {}
         prog = pack.metric_jet_tape()
-        n_pts = len(self.points)
+        # `_ladder`'s transients grow about as n^5 per point (about 9 MB on
+        # 32 points at n = 5), so from n = 5 on it runs on 8 points at a time
+        n_pts, step = len(self.points), 8 if n >= 5 else _CHUNK
         self._jets, self.values = {}, {}
         for lo in range(0, max(n_pts, 1), _CHUNK):
             jet = _metric_jet(run_batch(prog, self.bindings[lo:lo + _CHUNK]),
@@ -306,12 +327,13 @@ class CurvatureSamples:
             if bad.size:
                 raise SingularMetricError(
                     f"metric is degenerate at {self.points[lo + bad[0]]}")
-            chunk = _ladder(jet, n)
-            for store, part in zip((self._jets, self.values), chunk):
-                for name, v in part.items():
-                    if name not in store:
-                        store[name] = np.empty((n_pts,) + v.shape[1:])
-                    store[name][lo:lo + len(v)] = v
+            for sub in range(0, max(len(jet), 1), step):
+                chunk = _ladder(jet[sub:sub + step], n)
+                for store, part in zip((self._jets, self.values), chunk):
+                    for name, v in part.items():
+                        if name not in store:
+                            store[name] = np.empty((n_pts,) + v.shape[1:])
+                        store[name][lo + sub:lo + sub + len(v)] = v
         for name, j in self._jets.items():
             j.flags.writeable = False
             self.values[name] = j[:, 0]

@@ -109,7 +109,7 @@ class EvalProgram:
                 if bad is not None:
                     raise DomainError(
                         "fractional power of a negative value", point_of(bad))
-                bad = _first(base == 0.0) if np.any(ex < 0) else None
+                bad = _first((base == 0.0) & (ex < 0))
                 if bad is not None:
                     raise DomainError("division by zero", point_of(bad))
                 slots[dest] = base ** ex

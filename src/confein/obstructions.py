@@ -83,7 +83,7 @@ import numpy as np
 
 from . import linalg, taylor
 from .config import DEFAULT_TOLERANCES
-from .curvature import CurvaturePack, CurvatureSamples
+from .curvature import CurvaturePack, CurvatureSamples, point_chunks
 from .genericity import (
     GenericityReport,
     PolicyError,
@@ -644,7 +644,14 @@ _GL_NODES = 8
 def reconstruct_potential(pack: CurvaturePack, points, policy="from-L",
                           tolerances=DEFAULT_TOLERANCES):
     """Integrate K along the straight segment from the first point to each
-    other point (8-node Gauss-Legendre, one batch of nodes per target).
+    other point (8-node Gauss-Legendre): each target's value is w @ (K h)
+    on its own 8 nodes, h the segment.
+
+    The nodes of all targets, in segment order, are sampled in chunks of
+    whole targets cut by classify's rule (`curvature.point_chunks`), one
+    `pack.samples` and one `k_field` per chunk, so memory stays flat in the
+    number of points and a failing policy or metric names the first
+    failing node, the same node a walk target by target meets first.
 
     One segment is enough: the potential is only asked for where the
     verdict is conformally Einstein, and there K is the gradient of the log
@@ -657,13 +664,17 @@ def reconstruct_potential(pack: CurvaturePack, points, policy="from-L",
     coords = pack.chart.coords
     base = points[0]
     a = np.array([base[c] for c in coords], dtype=float)
+    h = np.array([[t[c] for c in coords] for t in points[1:]],
+                 dtype=float).reshape(-1, len(coords)) - a
     values = [0.0]
-    for target in points[1:]:
-        h = np.array([target[c] for c in coords], dtype=float) - a
-        nodes = [{**base, **dict(zip(coords, map(float, a + t * h)))}
-                 for t in fractions]
-        k = k_field(pack.samples(nodes), policy, tolerances)
-        values.append(float(w @ (k.lowered @ h)))
+    # a chunk is a multiple of 32 nodes long, so it holds whole targets
+    for sl in point_chunks(_GL_NODES * len(h), pack.n):
+        segs = h[sl.start // _GL_NODES:sl.stop // _GL_NODES]
+        nodes = [{**base, **dict(zip(coords, map(float, a + t * hk)))}
+                 for hk in segs for t in fractions]
+        k = k_field(pack.samples(nodes), policy, tolerances).lowered
+        values.extend(float(w @ (k[lo:lo + _GL_NODES] @ hk))
+                      for lo, hk in zip(range(0, len(k), _GL_NODES), segs))
     return np.asarray(values)
 
 

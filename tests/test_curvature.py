@@ -57,15 +57,38 @@ class TestMetricJetLadder:
         assert_ladder_matches_symbolic(CurvaturePack(g),
                                        points("rt4-quartic", 10))
 
-    def test_chunks_do_not_change_values(self):
+    # the tape runs on 32 points at a time and, from n = 5 on, the ladder on
+    # 8 of them: a start of 33 or 3 moves every point across both
+    # boundaries
+    @pytest.mark.parametrize("name, start", [
+        ("rt5-quartic", 33), ("rt5-quartic", 3), ("rt6-quartic", 33),
+        ("rt6-quartic", 3)])
+    def test_chunks_do_not_change_values(self, name, start):
         from confein import curvature
-        p = pack("rt5-quartic")
-        pts = points("rt5-quartic", 2 * curvature._CHUNK + 3)
+        p = pack(name)
+        pts = points(name, 2 * curvature._CHUNK + 3)
         whole = p.samples(pts)
-        part = p.samples(pts[curvature._CHUNK + 1:])
-        for name, v in part.values.items():
-            assert maxabs(v - whole[name][curvature._CHUNK + 1:]) <= \
+        part = p.samples(pts[start:])
+        for key, v in part.values.items():
+            assert maxabs(v - whole[key][start:]) <= \
                 1e-13 * max(1.0, maxabs(v))
+
+    @pytest.mark.parametrize("name, sizes", [
+        ("rt4-quartic", [32, 32, 6]),
+        ("rt5-quartic", [8] * 8 + [6]),
+        ("rt6-quartic", [8] * 8 + [6])])
+    def test_ladder_runs_on_eight_points_from_dimension_five(
+            self, monkeypatch, name, sizes):
+        from confein import curvature
+        seen, ladder = [], curvature._ladder
+
+        def counting(jet, n):
+            seen.append(len(jet))
+            return ladder(jet, n)
+
+        monkeypatch.setattr(curvature, "_ladder", counting)
+        pack(name).samples(points(name, 70))
+        assert seen == sizes
 
     def test_no_points_give_empty_entries(self):
         s = pack("rt5-quartic").samples([])

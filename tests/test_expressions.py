@@ -177,6 +177,20 @@ class TestEval:
             prog.run({"m": np.array([1.0, 1.0]), "r": np.array([2.0, 0.0])})
         assert exc.value.point == {"m": 1.0, "r": 0.0}
 
+    def test_variable_power_checks_zero_division_per_point(self):
+        # 0^1 is defined; only the point with base 0 and a negative
+        # exponent divides by zero
+        e = parse("x^y")
+        pts = [{"x": 0.0, "y": 1.0}, {"x": 1.0, "y": -1.0}]
+        got = run_batch(compile_batch([e]), pts)[:, 0]
+        assert got.tolist() == [evaluate(e, b) for b in pts] == [0.0, 1.0]
+        bad = pts + [{"x": 0.0, "y": -1.0}]
+        with pytest.raises(DomainError) as exc:
+            run_batch(compile_batch([e]), bad)
+        assert exc.value.point == {"x": 0.0, "y": -1.0}
+        with pytest.raises(DomainError):
+            evaluate(e, bad[2])
+
     def test_cse_shares_across_batch(self):
         shared = parse("(x + y)^2")
         prog = compile_batch([shared * x, shared * y, shared])

@@ -171,16 +171,16 @@ class TestCli:
         # one metric-jet tape for the verdict, the potential and the rank
         # test
         assert len(compiles) == 1
-        # the verdict's points are evaluated once; the other loads are the
-        # potential's segments, one batch of quadrature nodes per target
+        # the verdict's points are evaluated once; the other load is the
+        # potential's quadrature nodes, 8 per target, in one chunk
         assert sum(pts == data["points"] for pts in loads) == 1
-        assert len(loads) == len(data["points"])
+        assert [len(pts) for pts in loads] == [10, 8 * 9]
         # in chunks of 32 points: still one tape, and each verdict point
         # sampled once, in order, one load per chunk
         p70 = tmp_path / "schw70.mspec"
         assert main(["catalog", "export", "schwarzschild4", "--points",
                      "70", "--out", str(p70)]) == 0
-        monkeypatch.setattr(cli, "CHUNK_BYTES", 1)
+        monkeypatch.setattr(curvature, "CHUNK_BYTES", 1)
         compiles.clear()
         loads.clear()
         code, data = run_cli(tmp_path, "classify", str(p70))
@@ -188,7 +188,8 @@ class TestCli:
         assert len(compiles) == 1
         assert [len(pts) for pts in loads[:3]] == [32, 32, 6]
         assert loads[0] + loads[1] + loads[2] == data["points"]
-        assert [len(pts) for pts in loads[3:]] == [8] * 69
+        # the potential's 69 targets, 8 nodes each, 4 targets per chunk
+        assert [len(pts) for pts in loads[3:]] == [32] * 17 + [8]
         # the Einstein-scale test runs the same metric-jet tape for the
         # Christoffel symbols' jet; its one other tape is sigma's jet
         compiles.clear()
@@ -422,14 +423,15 @@ class TestCli:
 
 
 def _classify_bytes(tmp_path, mspec, chunk_bytes, monkeypatch):
-    """(exit code, report bytes) of classify with cli.CHUNK_BYTES set."""
-    monkeypatch.setattr(cli, "CHUNK_BYTES", chunk_bytes)
+    """(exit code, report bytes) of classify with curvature.CHUNK_BYTES
+    set."""
+    monkeypatch.setattr(curvature, "CHUNK_BYTES", chunk_bytes)
     out = tmp_path / f"report-{chunk_bytes}.json"
     code = main(["classify", str(mspec), "--json", str(out)])
     return code, out.read_bytes()
 
 
-# one ladder chunk (32 points) per classify chunk, and one chunk for all
+# one run of the metric-jet tape (32 points) per chunk, and one chunk for all
 SMALL, WHOLE = 1, 2 ** 50
 
 
@@ -449,18 +451,19 @@ class TestChunkedClassify:
         assert main(["catalog", "export", name, "--points", str(count),
                      "--out", str(p)]) == 0
         whole = _classify_bytes(tmp_path, p, WHOLE, monkeypatch)
-        assert len(cli._point_chunks(count, 6)) == 1
+        assert len(curvature.point_chunks(count, 6)) == 1
         small = _classify_bytes(tmp_path, p, SMALL, monkeypatch)
-        assert len(cli._point_chunks(count, 4)) == -(-count // 32)
+        assert len(curvature.point_chunks(count, 4)) == -(-count // 32)
         assert small == whole
         assert whole[0] == code
 
     def test_chunk_size_is_a_multiple_of_the_ladder_chunk(self):
-        # the default budget gives 96-160 points per chunk at n = 6
-        step = cli._point_chunks(10 ** 4, 6)[0].stop
-        assert 96 <= step <= 160 and step % curvature._CHUNK == 0
+        # the default budget gives 1024, 320 and 128 points per chunk at
+        # n = 4, 5 and 6, whole runs of the metric-jet tape (32 points)
+        steps = [curvature.point_chunks(10 ** 4, n)[0].stop for n in (4, 5, 6)]
+        assert steps == [1024, 320, 128]
         for n in (3, 4, 5, 6):
-            sl = cli._point_chunks(1000, n)
+            sl = curvature.point_chunks(1000, n)
             assert sl[0].start == 0 and sl[-1].stop == 1000
             assert all(a.stop == b.start for a, b in zip(sl, sl[1:]))
             assert all((s.stop - s.start) % curvature._CHUNK == 0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confein import catalog, obstructions as OB, taylor
+from confein import catalog, curvature, obstructions as OB, taylor
 from confein.config import Tolerances
 from confein.curvature import CurvaturePack
 from confein.expressions import ZERO, diff, neg, parse
@@ -436,8 +436,54 @@ class TestVerdicts:
 
         monkeypatch.setattr(pk, "samples", counting)
         pot = OB.reconstruct_potential(pk, points("schwarzschild4", 4))
-        assert sizes == [8, 8, 8]
+        # the nodes of all three targets in one chunk, one ladder call
+        assert sizes == [24]
         assert pot.shape == (4,) and pot[0] == 0.0
+        sizes.clear()
+        pot = OB.reconstruct_potential(pk, points("schwarzschild4", 1))
+        assert sizes == [] and pot.tolist() == [0.0]
+
+    @pytest.mark.parametrize("name", ["schwarzschild4", "schwarzschild5"])
+    def test_chunks_do_not_change_the_potential(self, monkeypatch, name):
+        pk, pts = pack(name), points(name, 10)
+        one = OB.reconstruct_potential(pk, pts)
+        assert len(curvature.point_chunks(8 * 9, pk.n)) == 1
+        # the smallest budget: 32 nodes, 4 targets, per chunk (3 chunks)
+        monkeypatch.setattr(curvature, "CHUNK_BYTES", 1)
+        assert len(curvature.point_chunks(8 * 9, pk.n)) == 3
+        many = OB.reconstruct_potential(pk, pts)
+        assert many.tobytes() == one.tobytes()
+
+    def test_policy_failure_in_a_later_chunk_names_the_first_node(
+            self, monkeypatch):
+        pk, pts = pack("schwarzschild4"), points("schwarzschild4", 10)
+        coords = pk.chart.coords
+        x = np.polynomial.legendre.leggauss(8)[0]
+        a = np.array([pts[0][c] for c in coords])
+
+        def node(target, i):
+            """The i-th quadrature node of the segment to pts[target]."""
+            h = np.array([pts[target][c] for c in coords]) - a
+            return dict(zip(coords, map(float, a + 0.5 * (1.0 + x[i]) * h)))
+
+        # targets 4-7 (pts[5:9]) are the second chunk of 32 nodes; of the
+        # two failing nodes there, the one of the earlier segment is met
+        # first, whatever the chunks
+        bad = [node(7, 1), node(6, 5)]
+        real = OB.weyl_vanishes
+
+        def vanishes(s, tol):
+            return real(s, tol) | np.array([p in bad for p in s.points])
+
+        monkeypatch.setattr(OB, "weyl_vanishes", vanishes)
+        messages = []
+        for budget in (curvature.CHUNK_BYTES, 1):
+            monkeypatch.setattr(curvature, "CHUNK_BYTES", budget)
+            with pytest.raises(PolicyError) as exc:
+                OB.reconstruct_potential(pk, pts)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert f"at point {node(6, 5)} " in messages[0]
 
     @pytest.mark.parametrize("exc, propagates", [
         (TypeError("internal fault"), True),
