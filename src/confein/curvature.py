@@ -20,12 +20,26 @@ batch of points, 32 points per run, and builds every ladder entry from that
 n = 5 on (32 below), so its transients stay small, computing each quantity
 only to the order its consumers need: g to 4, the inverse metric to 3,
 the Christoffel symbols, Ricci, J and P to 2, Riemann, Weyl and Cotton to
-1 and Bach to 0.  The samples keep the order-1 jets of g, g^-1, P, J, C
-and A (`CurvatureSamples.jet`), the operands of the K jets in
+1 and Bach to 0.  Ricci and P, being symmetric, are formed on the pairs
+b <= d only (`_ladder`).  The samples keep the order-1 jets of g, g^-1,
+P, J, C and A (`CurvatureSamples.jet`), the operands of the K jets in
 `obstructions`; the values and d-prefixed partials of these are views of
-the jets, the other entries (Christoffel symbols, Ricci, scalar, Bach)
-are values only.  Degeneracy is checked in one place, `CurvatureSamples`,
-which every command and the potential's quadrature nodes go through: per
+the jets, the other entries (Christoffel symbols, Ricci, scalar, Bach) are
+values only.
+
+The Weyl tensor stays in the pair basis from the ladder to its consumers:
+C is a stack of pair matrices (P, N, N), C[(ab), (cd)] = C_abcd over the
+pairs a < b, c < d, N = n(n-1)/2, and dC is (P, n, N, N) (1,575 floats per
+point at n = 6, against 9,072 for the n^4 components and their partials).
+A slot pair is raised by a matrix product with the inverse metric on
+2-forms (`CurvatureSamples.pair_metric`, `raised`), and a contraction
+across the two pairs reads the row pairs extended to every index pair
+(`_pair_rows`, `pair_trace`).  Only the edges unpack the n^4 components
+(`unpack_pairs`): the identity residuals, the left-inverse oracle of
+`obstructions` and the tests.
+
+Degeneracy is checked in one place, `CurvatureSamples`, which every
+command and the potential's quadrature nodes go through: per
 chunk, before any curvature is built, a point where the values of g are
 not finite or degenerate (`geometry._degenerate`, the criterion sampling
 redraws points by) raises SingularMetricError naming the first such
@@ -78,6 +92,8 @@ __all__ = [
     "christoffel_jet",
     "numeric_cov",
     "antisym_axes",
+    "unpack_pairs",
+    "pair_trace",
 ]
 
 
@@ -256,8 +272,12 @@ class CurvaturePack:
 # overhead once per run, so runs of fewer points are slower
 _CHUNK = 32
 
-# the budget of one chunk of points (`point_chunks`), counted in its largest
-# array, the order-1 jet of a 4-index tensor: (1 + n) n^4 floats per point
+# the budget of one chunk of points (`point_chunks`), counted at (1 + n) n^4
+# floats per point, the order-1 jet of a 4-index tensor in full.  The
+# samples keep the Weyl jet as pair matrices, (1 + n) N^2 floats, so the
+# count is now an upper bound on their largest array; it is kept because it
+# sets the chunk steps (128, 320 and 1024 points), and classify's time does
+# not move with them
 CHUNK_BYTES = 10 * 2 ** 20
 
 
@@ -307,7 +327,10 @@ def christoffel_jet(s):
 class CurvatureSamples:
     """Numeric values (and first coordinate partials) of the ladder at a
     batch of points.  values[name] has shape (P,) + component shape; the
-    partial-derivative axis of d-prefixed entries comes right after P."""
+    partial-derivative axis of d-prefixed entries comes right after P.  The
+    Weyl tensor is kept in the pair basis: values["C"] is (P, N, N) with
+    [(ab), (cd)] = C_abcd over the pairs a < b, c < d (N = n(n-1)/2,
+    `_pair_tables`), values["dC"] is (P, n, N, N)."""
 
     def __init__(self, pack, points):
         self.pack = pack
@@ -345,7 +368,8 @@ class CurvatureSamples:
 
     def jet(self, name):
         """The read-only order-1 `taylor` jet (P, 1 + n) + component shape
-        of g, ginv, P, J, C or A: values at [:, 0], d_z at [:, 1 + z]."""
+        of g, ginv, P, J, C (pair matrices) or A: values at [:, 0], d_z at
+        [:, 1 + z]."""
         return self._jets[name]
 
     # --- derived numeric arrays (cached) ---------------------------------
@@ -354,19 +378,38 @@ class CurvatureSamples:
             self._derived[key] = builder()
         return self._derived[key]
 
-    def raised(self, name, pattern):
-        """Raise the 1-marked slots of values[name] with the inverse metric,
-        e.g. raised('C', (1, 1, 0, 0)) -> C^ab_cd."""
-        key = (name, tuple(pattern))
+    def pair_metric(self):
+        """The order-1 jet (P, 1 + n, N, N) of the inverse metric on
+        2-forms, G^(ab)(cd) = g^ac g^bd - g^ad g^bc over the pairs a < b,
+        c < d: a pair of slots is raised by multiplying its pair matrix
+        with G (see `raised`)."""
         def build():
-            arr = self.values[name]
-            gi = self.values["ginv"]
-            for s, flag in enumerate(pattern):
-                if not flag:
-                    continue
-                arr = _contract_slot(arr, gi, s)
-            return arr
-        return self.derived(key, build)
+            gi = self._jets["ginv"]
+            a, b = _pair_tables(self.n)["anti"]
+            c, d = a.T, b.T
+            return (_jet_mul(gi[..., a, c], gi[..., b, d])
+                    - _jet_mul(gi[..., a, d], gi[..., b, c]))
+        return self.derived(("pair-metric",), build)
+
+    def raised(self, name, pattern):
+        """The pair matrices of values[name] (the Weyl tensor, "C") with the
+        1-marked slot pairs raised by the inverse metric on 2-forms, a
+        matrix product with G (`pair_metric`): raised("C", (1, 1, 0, 0))
+        -> C^ab_cd at [(ab), (cd)].  Both slots of a pair are raised
+        together."""
+        up = tuple(pattern)
+        if len(up) != 4 or up[0] != up[1] or up[2] != up[3]:
+            raise ValueError(f"pattern {pattern!r} does not raise whole "
+                             "slot pairs")
+
+        def build():
+            g2 = self.pair_metric()[:, 0]
+            if up[0] and up[2]:
+                return self.raised(name, (1, 1, 0, 0)) @ g2
+            if up[0]:
+                return g2 @ self.values[name]
+            return self.values[name] @ g2 if up[2] else self.values[name]
+        return self.derived(("raised", name, up), build)
 
     def scale(self):
         """Residual scale max(1, |C|, |A|, |P|) per point."""
@@ -376,6 +419,13 @@ class CurvatureSamples:
                 parts.append(_maxnorm(self.values[nm], len(self.points)))
             return np.max(np.stack(parts), axis=0)
         return self.derived(("scale",), build)
+
+
+def _jet_mul(x, y):
+    """The componentwise product of the order-1 jets x and y."""
+    out = x[:, :1] * y
+    out[:, 1:] += x[:, 1:] * y[:, :1]
+    return out
 
 
 def _metric_jet(vals, n, order):
@@ -400,10 +450,10 @@ def _pair_tables(n):
     two slots: `sym` (n, n) is the pair of (b, d) in either order and
     `weight` is 2 off the diagonal, so a contraction over both slots is a
     weighted sum over pairs.  Antisymmetric pairs a < b
-    (np.triu_indices(n, 1)) pack the Riemann and Weyl tensors as matrices
-    X[(ab), (cd)]: `anti` holds their (a, b) as column vectors, and
-    `unpack` (flat index, sign) rebuilds the n^4 tensor from the flattened
-    matrix, X[idx[ab], idx[cd]] times sign[ab] sign[cd]."""
+    (np.triu_indices(n, 1), `pairs_lt`) pack the Riemann and Weyl tensors
+    as matrices X[(ab), (cd)] = X_abcd: `anti` holds their (a, b) as column
+    vectors, `idx` and `sign` (n, n) the pair of (a, b) in either order and
+    its sign (0 on the diagonal)."""
     i, j = np.triu_indices(n)
     sym = np.empty((n, n), dtype=np.int64)
     sym[i, j] = sym[j, i] = np.arange(len(i))
@@ -413,19 +463,42 @@ def _pair_tables(n):
     sign = np.zeros((n, n))
     sign[a, b], sign[b, a] = 1.0, -1.0
     return {"sym": sym, "weight": np.where(i == j, 1.0, 2.0), "pairs": (i, j),
-            "anti": (a[:, None], b[:, None]),
-            "unpack": ((idx[:, :, None, None] * len(a) + idx).reshape(-1),
-                       np.multiply.outer(sign, sign).reshape(-1))}
+            "pairs_lt": (a, b), "anti": (a[:, None], b[:, None]),
+            "idx": idx, "sign": sign}
 
 
-def _unpack(x, tables):
-    """The n^4 tensor of a packed antisymmetric pair matrix x (..., N, N)."""
-    flat, sign = tables["unpack"]
-    out = np.take(x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],)),
-                  flat, axis=-1)
-    out *= sign
-    n = round(len(sign) ** 0.25)
-    return out.reshape(x.shape[:-2] + (n,) * 4)
+def _pair_dim(count):
+    """n with n(n-1)/2 = count antisymmetric pairs."""
+    return int(round((1 + math.sqrt(1 + 8 * count)) / 2))
+
+
+def _pair_rows(m):
+    """The antisymmetric extension of the row pairs of (..., N, K): the
+    array (..., n, n, K) with [a, b] = m[(ab)] = -[b, a], zero for a = b."""
+    n = _pair_dim(m.shape[-2])
+    a, b = _pair_tables(n)["pairs_lt"]
+    t = np.zeros(m.shape[:-2] + (n, n) + m.shape[-1:])
+    t[..., a, b, :] = m
+    t[..., b, a, :] = -m
+    return t
+
+
+def _pair_cols(m):
+    """The antisymmetric extension of the column pairs of (..., K, N):
+    (..., K, n, n)."""
+    return np.moveaxis(_pair_rows(np.moveaxis(m, -1, -2)), -1, -3)
+
+
+def unpack_pairs(x):
+    """The n^4 tensor X_abcd (..., n, n, n, n) of pair matrices x (..., N,
+    N), X[(ab), (cd)] = X_abcd for a < b, c < d, antisymmetric in both
+    slot pairs.  Only the edges unpack: the identity residuals, the
+    left-inverse oracle and the tests."""
+    tab = _pair_tables(_pair_dim(x.shape[-1]))
+    idx, sign = tab["idx"], tab["sign"]
+    out = x[..., idx[:, :, None, None], idx]
+    out *= sign[:, :, None, None] * sign
+    return out
 
 
 def _christoffel(dg, ginv, n, k):
@@ -445,9 +518,9 @@ def _ladder(gj, n):
     4-jet `gj` of the metric.  Each quantity is computed to the order its
     consumers need: the Christoffel symbols, Ricci, J and P to order r = 2,
     Riemann, Weyl and Cotton to order q = 1 (for their first partials) and
-    Bach to order 0.  g, g^-1, P, J, C and A are returned as order-1 jets;
-    the Christoffel symbols, Ricci, the scalar curvature and Bach as
-    values."""
+    Bach to order 0.  g, g^-1, P, J, C and A are returned as order-1 jets,
+    C as pair matrices (`_pair_tables`); the Christoffel symbols, Ricci,
+    the scalar curvature and Bach as values."""
     T = taylor
     r, q = 2, 1
     tab = _pair_tables(n)
@@ -470,21 +543,31 @@ def _ladder(gj, n):
     lap = T.product("s,st->t", ginvw, T.second_partials(gp, n, r), n, r)
     # g^ce d_c g_ed = sum over pairs c <= e of w g^ce (d_c g_ed + d_e g_cd)/2
     # and t_d, in one product
-    vt = 0.5 * T.product("s,skd->kd", ginvw, np.stack(
-        [dg[..., i, j, :] + dg[..., j, i, :], dg[..., i, j].swapaxes(-1, -2)],
-        axis=-2), n, r + 1)
+    vt = 0.5 * T.product("s,skd->kd", ginvw, _vt_operand(dg, tab), n, r + 1)
     u = T.partials(vt[..., 0, :], n, r) - T.product("bce,ced->bd", dginv,
                                                      dg, n, r)
     t = vt[..., 1, :]
-    ric = (T.product("e,es->s", np.einsum("...cce->...e", dginv), low, n, r)
-           - 0.5 * lap)[..., sym]
-    ric = (ric + 0.5 * (u + np.swapaxes(u, -1, -2)) - T.partials(t, n, r)
-           + T.product("e,ebd->bd", t, gam, n, r)
-           - T.product("cbe,ecd->bd", gam, gam, n, r))
-    ric = 0.5 * (ric + np.swapaxes(ric, -1, -2))
-    scalar = T.product("bd,bd->", ginv, ric, n, r)
+    dt = T.partials(t, n, r)
+    tg = T.product("e,ebd->bd", t, gam, n, r)
+    gg = T.product("cbe,ecd->bd", gam, gam, n, r)
+    # Ric_bd = (x_bd + x_db) / 2, computed on the pairs b <= d only: x is
+    # the same sum in the same order as on the whole n x n, so Ricci stays
+    # bitwise the symmetrised full sum.  The terms of x that are symmetric
+    # in b, d come as products on the pairs; t Gamma and Gamma Gamma stay
+    # whole and are read at (b, d) and (d, b), since a product on fewer
+    # columns can round differently in BLAS
+    x = (T.product("e,es->s", np.einsum("...cce->...e", dginv), low, n, r)
+         - 0.5 * lap) + 0.5 * (u[..., i, j] + u[..., j, i])
+    ric = 0.5 * ((x - dt[..., i, j] + tg[..., i, j] - gg[..., i, j])
+                 + (x - dt[..., j, i] + tg[..., j, i] - gg[..., j, i]))
+    # a product's rounding can depend on its operands' memory layout (BLAS
+    # or not), so the whole Ricci and P are laid out as the products lay
+    # out their results, monomial-major
+    ricf = _monomial_major(ric[..., sym])
+    scalar = T.product("bd,bd->", ginv, ricf, n, r)
     J = scalar / (2 * (n - 1))
-    P = (ric - T.product(",bd->bd", J, gj, n, r)) / (n - 2)
+    Pp = (ric - T.product(",s->s", J, gp, n, r)) / (n - 2)
+    P = _monomial_major(Pp[..., sym])
     # R_abcd = d_a Gamma_c,bd - d_b Gamma_c,ad - Gamma_e,ac Gamma^e_bd
     # + Gamma_e,bc Gamma^e_ad over the pairs a < b, c < d
     a, b = tab["anti"]
@@ -504,18 +587,62 @@ def _ladder(gj, n):
     w = T.product("exb,ec->xbc", gam, P, n, q)
     nabla_p = np.moveaxis(dP - w - np.swapaxes(w, -2, -1), -1, -3)
     A = nabla_p - np.swapaxes(nabla_p, -2, -1)
-    gi = ginv[:, 0]
-    cov_a = numeric_cov(A[:, 0], A[:, 1:], (DOWN,) * 3, gam[:, 0])
-    C = _unpack(C, tab)
-    B = (np.einsum("pcx,pxacb->pab", gi, cov_a)
-         + np.einsum("pdx,pcy,pxy,pdacb->pab", gi, gi, P[:, 0], C[:, 0],
-                     optimize=True))
     m1 = T.size(n, 1)
     jets = {"g": gj[:, :m1], "ginv": ginv[:, :m1], "P": P[:, :m1],
             "J": J[:, :m1], "C": C, "A": A}
-    out = {"gamma": gam[:, 0], "ricci": ric[:, 0], "scalar": scalar[:, 0],
-           "B": B}
+    out = {"gamma": gam[:, 0], "ricci": ricf[:, 0], "scalar": scalar[:, 0],
+           "B": _bach(ginv[:, 0], gam[:, 0], P[:, 0], C[:, 0], A)}
     return jets, out
+
+
+def _monomial_major(x):
+    """x (P, M, ...) as a point-major view of a monomial-major array."""
+    return np.ascontiguousarray(x.swapaxes(0, 1)).swapaxes(0, 1)
+
+
+def _vt_operand(dg, tab):
+    """The operand of the v and t product: [(ce), 0, d] = d_c g_ed + d_e g_cd
+    and [(ce), 1, d] = d_d g_ce over the pairs c <= e, written pair by
+    pair into one array laid out as the product reads it (monomial-major),
+    returned as a point-major view."""
+    npts, m, n = dg.shape[:3]
+    i, j = tab["pairs"]
+    out = np.empty((m, npts, len(i), 2, n))
+    dgm = dg.transpose(1, 0, 2, 3, 4)
+    for s, (c, e) in enumerate(zip(i, j)):
+        np.add(dgm[:, :, c, e], dgm[:, :, e, c], out=out[:, :, s, 0])
+        out[:, :, s, 1] = dgm[:, :, :, c, e]
+    return out.transpose(1, 0, 2, 3, 4)
+
+
+def _bach(gi, gam, P, C, A):
+    """B_ab = nabla^c A_acb + P^dc C_dacb from the values of g^-1, the
+    Christoffel symbols, P and the pair matrices C, and the order-1 jet of
+    A: the divergence is contracted with g^-1 before the Christoffel terms
+    are formed, nabla^c A_acb = g^cx (d_x A_acb - Gamma^e_xa A_ecb
+    - Gamma^e_xc A_aeb - Gamma^e_xb A_ace)."""
+    a0 = A[:, 0]
+    m = np.einsum("pcx,pexa->pcea", gi, gam)         # g^cx Gamma^e_xa
+    div = (np.einsum("pcx,pxacb->pab", gi, A[:, 1:])
+           - np.einsum("pcea,pecb->pab", m, a0)
+           - np.einsum("pe,paeb->pab", np.einsum("pcec->pe", m), a0)
+           - np.einsum("pceb,pace->pab", m, a0))
+    pup = np.einsum("pdx,pxy,pcy->pdc", gi, P, gi)
+    return div + pair_trace(C, pup)
+
+
+def pair_trace(c, s):
+    """sum_dc s^dc C_dacb (P, n, n) of the pair matrices c (P, N, N) of a
+    tensor antisymmetric in both slot pairs and the matrices s (P, n, n):
+    the rows (da) of c extended to every d, a (`_pair_rows`) against the
+    columns (cb) expanded by s^dc."""
+    n = s.shape[-1]
+    r, t = _pair_tables(n)["pairs_lt"]
+    sc = np.zeros(s.shape[:2] + (len(r), n))         # [d, (rt), b]
+    k = np.arange(len(r))
+    sc[:, :, k, t] = s[:, :, r]
+    sc[:, :, k, r] = -s[:, :, t]
+    return np.einsum("pdal,pdlb->pab", _pair_rows(c), sc)
 
 
 def _contract_slot(arr, gi, slot):
@@ -563,13 +690,15 @@ def _maxnorm(arr, n_pts):
 
 def identity_residuals(s: CurvatureSamples):
     """Per-point max-norm residuals of the differential and algebraic
-    identities the ladder must satisfy.  Keys name the identity."""
+    identities the ladder must satisfy.  Keys name the identity.  The Weyl
+    tensor is unpacked from its pair matrices to n^4 components here."""
     n = s.n
     P = len(s.points)
     g, gi = s["g"], s["ginv"]
-    C, A, Ps, B = s["C"], s["A"], s["P"], s["B"]
+    C, A, Ps, B = unpack_pairs(s["C"]), s["A"], s["P"], s["B"]
     gam = s["gamma"]
-    covC = numeric_cov(C, s["dC"], (DOWN,) * 4, gam)  # (P, x, a, b, c, d)
+    covC = numeric_cov(C, unpack_pairs(s["dC"]), (DOWN,) * 4, gam)
+    # covC: (P, x, a, b, c, d)
     covA = numeric_cov(A, s["dA"], (DOWN,) * 3, gam)
     covP = numeric_cov(Ps, s["dP"], (DOWN,) * 2, gam)
     dJ = s["dJ"]                     # (P, x)
@@ -658,9 +787,10 @@ def cotton_transform_check(s: CurvatureSamples, sh: CurvatureSamples,
 
     gi = s["ginv"]
     uup = np.einsum("pab,pb->pa", gi, du)
+    C = unpack_pairs(s["C"])
 
     out = {}
-    rhs = s["A"] + np.einsum("pk,pkabc->pabc", uup, s["C"])
+    rhs = s["A"] + np.einsum("pk,pkabc->pabc", uup, C)
     out["cotton-transform"] = float(np.max(_maxnorm(sh["A"] - rhs, P)))
 
     # Schouten: P-hat = P - nabla_a u_b + u_a u_b - 1/2 |u|^2 g
@@ -670,8 +800,8 @@ def cotton_transform_check(s: CurvatureSamples, sh: CurvatureSamples,
         - 0.5 * np.einsum("p,pab->pab", usq, s["g"])
     out["schouten-transform"] = float(np.max(_maxnorm(sh["P"] - rhsP, P)))
 
-    cmix = s.raised("C", (0, 0, 1, 0))
-    cmix_hat = sh.raised("C", (0, 0, 1, 0))
+    cmix = _contract_slot(C, gi, 2)
+    cmix_hat = _contract_slot(unpack_pairs(sh["C"]), sh["ginv"], 2)
     out["weyl-invariance"] = float(np.max(_maxnorm(cmix_hat - cmix, P)))
 
     scale = s.scale()

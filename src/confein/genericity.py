@@ -20,11 +20,18 @@ the 1297 rows at n = 6, 51 of 126 at n = 5, all of them at n <= 4.  They
 span the same row space, and the dropped rows change no max |entry|, so
 neither the rank cut nor the kernel dimension moves.
 
+Every system is read off the pair matrices the samples keep, C[(ab), (cd)]
+= C_abcd (`CurvatureSamples`), never off the n^4 components: the weak
+system has one row per pair a < b and index c, the skew system is C
+itself, the symmetric system gathers its entries from the pairs, and the
+operators are products with the inverse metric on 2-forms.
+
 Ranked-pair convention: a 4-index array t antisymmetric in both pairs is
 packed over the pairs a < b (in `pair_basis` order) as the matrix
-M[(ab),(cd)] = 2 * t[a,b,c,d]; `_pair_matrix` and `_pair_tensor` convert
-between the two over any leading axes, and `_pair_rows` extends the row
-pairs alone.
+M[(ab),(cd)] = 2 * t[a,b,c,d], twice the samples' pair matrix;
+`_pair_matrix` and `_pair_tensor` convert between the two over any leading
+axes (the oracles use them), and `_pair_rows` and `_pair_cols` extend the
+row or the column pairs alone.
 
 The adjugate of the 2-form operator packages as the tensor Ct_ef^ab with
 Ct_ef^ab C_ab^cd = ||C|| delta^[c_[e delta^d]_f] (`_pair_tensor` of the
@@ -40,7 +47,6 @@ oracle of K."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -49,7 +55,13 @@ import numpy as np
 
 from . import linalg
 from .config import DEFAULT_TOLERANCES
-from .curvature import CurvatureSamples
+from .curvature import (
+    CurvatureSamples,
+    _pair_cols,
+    _pair_dim,
+    _pair_rows,
+    _pair_tables,
+)
 from .geometry import permutation_sign
 
 __all__ = [
@@ -63,6 +75,7 @@ __all__ = [
     "classify_genericity",
     "dim4_scalars",
     "weyl_c3",
+    "weyl_rows",
 ]
 
 
@@ -80,22 +93,6 @@ def _pair_matrix(t):
     antisymmetric in both pairs: shape (..., N, N), N = n(n-1)/2."""
     a, b = pair_basis(t.shape[-1])
     return 2.0 * t[..., a[:, None], b[:, None], a, b]
-
-
-def _pair_dim(count):
-    """n with n(n-1)/2 = count ranked pairs."""
-    return int(round((1 + math.sqrt(1 + 8 * count)) / 2))
-
-
-def _pair_rows(m):
-    """The antisymmetric extension of the row pairs of (..., N, K): the
-    array (..., n, n, K) with [a, b] = m[(ab)] = -[b, a], zero for a = b."""
-    n = _pair_dim(m.shape[-2])
-    a, b = pair_basis(n)
-    t = np.zeros(m.shape[:-2] + (n, n) + m.shape[-1:])
-    t[..., a, b, :] = m
-    t[..., b, a, :] = -m
-    return t
 
 
 def _pair_tensor(m):
@@ -120,6 +117,15 @@ def weyl_vanishes(samples, tol=DEFAULT_TOLERANCES):
     return cmax <= tol.rank_tol * samples.scale()
 
 
+def weyl_rows(samples, pattern=(0, 0, 0, 0)):
+    """The pair matrices of the Weyl tensor, its slot pairs raised by
+    `pattern` (`CurvatureSamples.raised`), with the row pairs extended to
+    every index pair: (P, n, n, N), [a, b, (cd)] = C_abcd for the default
+    pattern (`curvature._pair_rows`).  Built once per batch."""
+    return samples.derived(("weyl-rows", tuple(pattern)), lambda: _pair_rows(
+        samples.raised("C", pattern)))
+
+
 def _operators(samples, key, matrices):
     """(matrices, determinants, adjugates) per point, built once per batch.
     Where the Weyl tensor vanishes numerically the operator is roundoff and
@@ -135,14 +141,21 @@ def _operators(samples, key, matrices):
 
 def weyl_operators(samples: CurvatureSamples):
     """Ranked-pair matrix of C_ab^cd, ||C|| and the adjugate, per point."""
-    return _operators(samples, ("weyl-operator",), lambda: _pair_matrix(
+    return _operators(samples, ("weyl-operator",), lambda: 2.0 * (
         samples.raised("C", (0, 0, 1, 1))))
 
 
 def l_operators(samples: CurvatureSamples):
-    """L^a_b = C^acde C_bcde, ||L|| and the adjugate Lt^a_b, per point."""
-    return _operators(samples, ("l-operator",), lambda: np.einsum(
-        "pacde,pbcde->pab", samples.raised("C", (1, 1, 1, 1)), samples["C"]))
+    """L^a_b = C^acde C_bcde, ||L|| and the adjugate Lt^a_b, per point: a
+    sum over c and the pairs d < e, twice the product of the rows of C^ab^cd
+    and C_abcd, each extended to every first pair (`_pair_rows`)."""
+    def build():
+        n = samples.n
+        up = weyl_rows(samples, (1, 1, 1, 1))
+        low = weyl_rows(samples)
+        return 2.0 * (up.reshape(-1, n, up.shape[-2] * up.shape[-1])
+                      @ np.swapaxes(low.reshape(up.shape[0], n, -1), 1, 2))
+    return _operators(samples, ("l-operator",), build)
 
 
 # ---------------------------------------------------------------------------
@@ -184,42 +197,72 @@ def _symmetric_system(t, g):
     tt = np.moveaxis(t, -1, 2).reshape(count, n, n, -1)   # tt[p, b, d, r]
     cols = tt[:, b, d]
     cols[:, off] += tt[:, d[off], b[off]]
-    trace = np.where(off, 2.0, 1.0) * g[:, b, d]
-    return np.concatenate([np.swapaxes(cols, 1, 2), trace[:, None]], axis=1)
+    return _with_trace_row(np.swapaxes(cols, 1, 2), g)
 
 
-def _dual_system(C, gi, g, root):
+def _with_trace_row(rows, g):
+    """The rows (count, R, n(n+1)/2) of a symmetric system, then the trace
+    row g[p, b, d] (doubled off the diagonal)."""
+    b, d = np.triu_indices(g.shape[-1])
+    trace = np.where(b != d, 2.0, 1.0) * g[:, b, d]
+    return np.concatenate([rows, trace[:, None]], axis=1)
+
+
+def _weyl_symmetric_system(samples):
+    """The symmetric system C_abcd H^bd = 0 read off the pair matrices of
+    C: one row per (a, c), row-major, entries C_abcd + C_adcb over the
+    pairs b <= d (C_abcb on the diagonal), then the trace row."""
+    C, n = samples["C"], samples.n
+    tab = _pair_tables(n)
+    idx, sign = tab["idx"], tab["sign"]
+    b, d = np.triu_indices(n)
+    a, c = np.arange(n)[:, None, None], np.arange(n)[None, :, None]
+
+    def entries(x, y):  # C_axcy at [p, a, c, (xy)]
+        return C[:, idx[a, x], idx[c, y]] * (sign[a, x] * sign[c, y])
+
+    cols = entries(b, d)
+    off = b != d
+    cols[..., off] += entries(d[off], b[off])
+    return _with_trace_row(cols.reshape(len(C), n * n, -1), samples["g"])
+
+
+def _dual_system(cup, g, root):
     """The volume-form dual systems of a stack: the symmetric system of
     Cstar_{b1 S c d} = root eps_{b1 S}^{a1 a2} C_{a1 a2 c d} on the rows
-    (S, c) of `_dual_epsilon`, S increasing, then the trace row."""
+    (S, c) of `_dual_epsilon`, S increasing, then the trace row, from the
+    pair matrices `cup` of C^ab_cd: the sum over a1, a2 is twice a sum over
+    the pairs a1 < a2."""
     count, n = g.shape[:2]
-    cup = np.einsum("pea,pabcd->pebcd", gi, C)
-    cup = np.einsum("pfb,pebcd->pefcd", gi, cup).reshape(count, n * n, -1)
-    cstar = root[:, None, None] * (_dual_epsilon(n) @ cup)
-    return _symmetric_system(cstar.reshape(count, n, -1, n, n), g)
+    a, b = pair_basis(n)
+    eps = _dual_epsilon(n).reshape(-1, n, n)[:, a, b]
+    cstar = (2.0 * root)[:, None, None] * (eps @ cup)
+    return _symmetric_system(_pair_cols(cstar).reshape(count, n, -1, n, n), g)
 
 
-def _cubed(t):
-    """t_ab^cd t_cd^ef t_ef^ab per point."""
-    return np.einsum("pabcd,pcdef,pefab->p", t, t, t)
+def _cubed(m):
+    """t_ab^cd t_cd^ef t_ef^ab per point, from the ranked-pair matrices
+    m = 2 t[(ab), (cd)] of t (`_pair_matrix`): the trace of m^3."""
+    return np.einsum("pij,pjk,pki->p", m, m, m)
 
 
 def weyl_c3(samples: CurvatureSamples):
     """C^3 = C_ab^cd C_cd^ef C_ef^ab per point, built once per batch."""
     return samples.derived(("c3",), lambda: _cubed(
-        samples.raised("C", (0, 0, 1, 1))))
+        weyl_operators(samples)[0]))
 
 
 def dim4_scalars(samples):
     """(C^3, *C^3) per point of a 4-dimensional sample batch, *C the dual
-    of C on its first pair by the volume form sqrt|det g| eps."""
+    of C on its first pair by the volume form sqrt|det g| eps: *C_ab^cd =
+    root eps_ab^ef C_ef^cd, twice a sum over the pairs e < f."""
     root = np.sqrt(np.abs(np.linalg.det(samples["g"])))
-    eps = _levi_civita(4) * root[:, None, None, None, None]
-    cstar = np.einsum("pabef,pefcd->pabcd", eps,
-                      samples.raised("C", (1, 1, 0, 0)))
-    gi = samples["ginv"]
+    a, b = pair_basis(4)
+    eps = _levi_civita(4)[a[:, None], b[:, None], a, b]
+    cstar = (2.0 * root)[:, None, None] * (eps @ samples.raised(
+        "C", (1, 1, 0, 0)))
     return weyl_c3(samples), _cubed(
-        np.einsum("pabcd,pce,pdf->pabef", cstar, gi, gi))
+        2.0 * (cstar @ samples.pair_metric()[:, 0]))
 
 
 @dataclass
@@ -282,27 +325,32 @@ def classify_genericity(s: CurvatureSamples, tolerances=DEFAULT_TOLERANCES):
     The chained flags are enforced logically: generic implies
     Lambda2-generic implies weakly generic."""
     n, npts = s.n, len(s.points)
-    C, g, gi = s["C"], s["g"], s["ginv"]
+    C, g = s["C"], s["g"]
     scale = s.scale()
     dets = weyl_operators(s)[1]
     root = np.sqrt(np.abs(np.linalg.det(g)))
     c3, c3s = ([v.tolist() for v in dim4_scalars(s)] if n == 4
                else [[None] * npts] * 2)
 
-    # weak system: C_abcd V^d = 0
-    _, wkernels = linalg.rank_nullspace(C.reshape(npts, n ** 3, n),
-                                        tolerances.rank_tol, scale)
-    skew = np.swapaxes(_pair_matrix(C), -1, -2)  # rows (cd), columns (ab)
+    # weak system: C_abcd V^d = 0, one row per pair a < b and c; a kernel
+    # basis is computed only where the rank falls short
+    weak = _pair_cols(C).reshape(npts, -1, n)
+    short = np.flatnonzero(linalg.rank(weak, tolerances.rank_tol, scale) < n)
+    wkernels = [np.zeros((n, 0))] * npts
+    for p, k in zip(short, linalg.nullspace(weak[short], tolerances.rank_tol,
+                                            scale[short])):
+        wkernels[p] = k
+    skew = np.swapaxes(2.0 * C, -1, -2)  # rows (cd), columns (ab)
     skew_dims = (skew.shape[-1]
                  - linalg.rank(skew, tolerances.rank_tol, scale)).tolist()
     # the appended trace row absorbs the pure-trace direction, so the
     # reported dimensions count genuine trace-free solutions
     cols = n * (n + 1) // 2
-    sym_dims = (cols - linalg.rank(
-        _symmetric_system(np.swapaxes(C, 1, 2), g), tolerances.rank_tol,
-        scale)).tolist()
-    dual_dims = (cols - linalg.rank(_dual_system(C, gi, g, root),
-                                    tolerances.rank_tol, scale)).tolist()
+    sym_dims = (cols - linalg.rank(_weyl_symmetric_system(s),
+                                   tolerances.rank_tol, scale)).tolist()
+    dual_dims = (cols - linalg.rank(
+        _dual_system(s.raised("C", (1, 1, 0, 0)), g, root),
+        tolerances.rank_tol, scale)).tolist()
 
     per = []
     for p in range(npts):

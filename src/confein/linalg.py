@@ -46,7 +46,10 @@ def _eliminate(a, cut):
     Matrix p stops at the first step whose largest remaining |entry| is
     <= cut[p] or 0.  Returns (u, cols, r, sign): u holds the eliminated
     matrices under their permutations, cols the column permutations, r the
-    numerical ranks and sign the parities of the row and column swaps."""
+    numerical ranks and sign the parities of the row and column swaps.
+    The step's |entries| and rank-1 update go into two buffers allocated
+    once, and the pivot column below the pivot, which the step zeroes, is
+    not updated."""
     u = np.array(a, dtype=float)
     count, m, n = u.shape
     cols = np.tile(np.arange(n), (count, 1))
@@ -54,8 +57,12 @@ def _eliminate(a, cut):
     sign = np.ones(count)
     live = np.arange(count)  # the matrices still being eliminated, and
     w = u                    # their working stack (u itself until one stops)
+    absbuf, upd = np.empty(count * m * n), np.empty(count * m * n)
     for k in range(min(m, n)):
-        sub = np.abs(w[:, k:, k:]).reshape(len(live), (m - k) * (n - k))
+        size = len(live) * (m - k) * (n - k)
+        sub = absbuf[:size].reshape(len(live), m - k, n - k)
+        np.abs(w[:, k:, k:], out=sub)
+        sub = sub.reshape(len(live), (m - k) * (n - k))
         flat = sub.argmax(axis=1)  # ties go to the first in row-major order
         best = sub[np.arange(len(live)), flat]
         stop = (best <= cut[live]) | (best == 0.0)
@@ -75,7 +82,10 @@ def _eliminate(a, cut):
         sign[live[i != k]] *= -1.0
         sign[live[j != k]] *= -1.0
         fac = w[:, k + 1:, k] / w[:, k, k, None]
-        w[:, k + 1:, k:] -= fac[:, :, None] * w[:, k, None, k:]
+        prod = upd[:len(live) * (m - k - 1) * (n - k - 1)].reshape(
+            len(live), m - k - 1, n - k - 1)
+        np.multiply(fac[:, :, None], w[:, k, None, k + 1:], out=prod)
+        w[:, k + 1:, k + 1:] -= prod
         w[:, k + 1:, k] = 0.0
     if w is not u:
         u[live] = w

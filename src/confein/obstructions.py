@@ -83,7 +83,15 @@ import numpy as np
 
 from . import linalg, taylor
 from .config import DEFAULT_TOLERANCES
-from .curvature import CurvaturePack, CurvatureSamples, point_chunks
+from .curvature import (
+    CurvaturePack,
+    CurvatureSamples,
+    pair_trace,
+    point_chunks,
+    unpack_pairs,
+    _pair_cols,
+    _pair_rows,
+)
 from .genericity import (
     GenericityReport,
     PolicyError,
@@ -92,9 +100,9 @@ from .genericity import (
     pair_basis,
     weyl_c3,
     weyl_operators,
+    weyl_rows,
     weyl_vanishes,
     _pair_matrix,
-    _pair_rows,
     _pair_tensor,
 )
 
@@ -170,63 +178,52 @@ def _reciprocal(s, c=1.0):
 
 
 def _w_jet(s):
-    """w_b = C_bcde A^cde."""
+    """w_b = C_bcde A^cde: twice a sum over c and the pairs d < e of the
+    rows of C, extended to every first pair (`_pair_rows`), and A^c(de)."""
     def build():
+        n = s.n
         a, gi = s.jet("A"), s.jet("ginv")
         for spec in ("xde,xc->cde", "cxe,xd->cde", "cdx,xe->cde"):
-            a = taylor.product(spec, a, gi, s.n, 1)
-        return taylor.product("bcde,cde->b", s.jet("C"), a, s.n, 1)
+            a = taylor.product(spec, a, gi, n, 1)
+        i, j = pair_basis(n)
+        return 2.0 * taylor.product("bck,ck->b", _pair_rows(s.jet("C")),
+                                    a[..., i, j], n, 1)
     return s.derived(("w-jet",), build)
+
+
+def _mixed_jet(s):
+    """The order-1 jet of the pair matrices of C_ab^cd: C times the inverse
+    metric on 2-forms (`CurvatureSamples.pair_metric`)."""
+    return s.derived(("weyl-mixed-jet",), lambda: taylor.product(
+        "ij,jk->ik", s.jet("C"), s.pair_metric(), s.n, 1))
 
 
 def _l_jet(s, order):
     """L^a_b = C^acde C_bcde as a jet of `order`: the value of
-    `l_operators`, and the partials of L_ab = C_acde C_bc'd'e' g^cc' g^dd'
-    g^ee' from dC and copies of C raised in place, then the first index
-    raised."""
+    `l_operators`, and the partials of the same sum over c and the pairs
+    d < e from the jets of C^ab^cd = G C_ab^cd and C_abcd, their rows
+    extended to every first pair."""
     if not order:
         return l_operators(s)[0][:, None]
     def build():
-        n, npts = s.n, len(s.points)
-        C, gi, dgi = s["C"], s["ginv"], s.jet("ginv")[:, 1:]
-        cup3 = s.raised("C", (0, 1, 1, 1)).reshape(npts, n, -1)
-        low = C.reshape(npts, n, -1) @ np.swapaxes(cup3, 1, 2)
-        # T_zab = d_z C_acde C_b^cde, once per slot of L
-        t = (s["dC"].reshape(npts, n * n, -1)
-             @ np.swapaxes(cup3, 1, 2)).reshape(npts, n, n, n)
-        # the dg^-1 terms X_(cf)(ab) dg^cf: slot c with C_ac^de C_bfde,
-        # slots d and e with C_a^c_d^e C_bcfe (equal by the pair
-        # antisymmetry)
-        def slot_terms(x, y):
-            """sum_de x_acde y_bfde as a matrix over (cf) x (ab)."""
-            xy = x.reshape(npts, n * n, -1) @ np.swapaxes(
-                y.reshape(npts, n * n, -1), 1, 2)
-            return xy.reshape((npts,) + (n,) * 4).transpose(
-                0, 2, 4, 1, 3).reshape(npts, n * n, n * n)
-        x = (slot_terms(s.raised("C", (0, 0, 1, 1)), C)
-             + 2.0 * slot_terms(
-                 s.raised("C", (0, 1, 0, 1)).transpose(0, 1, 3, 2, 4),
-                 C.transpose(0, 1, 3, 2, 4)))
-        dlow = t + np.swapaxes(t, 2, 3) + (
-            dgi.reshape(npts, n, n * n) @ x).reshape(npts, n, n, n)
-        d = dgi @ low[:, None] + gi[:, None] @ dlow
-        return np.concatenate([l_operators(s)[0][:, None], d], axis=1)
+        n = s.n
+        up = taylor.product("ij,jk->ik", s.pair_metric(), _mixed_jet(s), n, 1)
+        out = 2.0 * taylor.product("ack,bck->ab", _pair_rows(up),
+                                   _pair_rows(s.jet("C")), n, 1)
+        out[:, 0] = l_operators(s)[0]
+        return out
     return s.derived(("l-operator-jet",), build)
 
 
 def _weyl_jet(s, order):
     """Ranked-pair matrix of C_ab^cd as a jet of `order`: the value of
-    `weyl_operators`, the partials raised from dC on the ranked first pairs
-    only."""
+    `weyl_operators`, the partials from the jet of C_ab^cd."""
     if not order:
         return weyl_operators(s)[0][:, None]
     def build():
-        a, b = pair_basis(s.n)
-        cr, gi = s.jet("C")[:, :, a, b], s.jet("ginv")
-        for spec in ("kxd,xc->kcd", "kcx,xd->kcd"):
-            cr = taylor.product(spec, cr, gi, s.n, 1)
-        return np.concatenate([weyl_operators(s)[0][:, None],
-                               2.0 * cr[:, 1:, :, a, b]], axis=1)
+        out = 2.0 * _mixed_jet(s)
+        out[:, 0] = weyl_operators(s)[0]
+        return out
     return s.derived(("weyl-operator-jet",), build)
 
 
@@ -246,8 +243,9 @@ def _pair(s, policy, order):
             # before L: the transients of raising A then do not stack on
             # the raised copies of C that L keeps.
             wup = taylor.product("b,ba->a", _w_jet(s), gi, n, k)
-            wup[:, 0] = np.einsum("pbcde,pcde->pb",
-                                  s.raised("C", (1, 1, 1, 1)), s["A"])
+            wup[:, 0] = 2.0 * np.einsum("pbck,pck->pb",
+                                        weyl_rows(s, (1, 1, 1, 1)),
+                                        s["A"][..., a, b])
             lop = _l_jet(s, k)
             if policy == "trace":
                 return np.trace(lop, axis1=2, axis2=3), -4.0 * wup
@@ -306,7 +304,7 @@ def _gate(samples, policy, tol):
             raise PolicyError("policy dim4-C3 needs dimension 4")
         vals, name = weyl_c3(samples), "C^3"
         cmax = np.max(np.abs(samples.raised("C", (0, 0, 1, 1))),
-                      axis=(1, 2, 3, 4))
+                      axis=(1, 2))
         bad = np.abs(vals) <= tol.rank_tol * np.maximum(cmax, 1e-300) ** 3
     else:
         # numerically invertible (full rank at the pivot tolerance, relative
@@ -335,7 +333,7 @@ class DualCandidate:
 
     def defining_residual(self, samples):
         """Max deviation of Dt^acde C_bcde from -identity, per point."""
-        C = samples["C"]
+        C = unpack_pairs(samples["C"])
         contr = np.einsum("pacde,pbcde->pab", self.comps, C)
         eye = np.eye(C.shape[1])[None]
         return np.max(np.abs(contr + eye).reshape(C.shape[0], -1), axis=1)
@@ -346,12 +344,13 @@ def _left_inverse(s, policy, tol):
     divides by ||L||, 'from-C' by ||C||, 'dim4-C3' (n = 4) by the cubic
     scalar contraction.  Raises PolicyError naming the first point where
     the precondition fails.  This builds the whole rank-4 Dt and its
-    partials from C with all slots raised: the oracle of `k_field`."""
+    partials from C, unpacked to n^4 components, with all slots raised: the
+    oracle of `k_field`."""
     n, gi = s.n, s.jet("ginv")
     _gate(s, policy, tol)
     up01 = ("xbcd,xa->abcd", "axcd,xb->abcd")     # raise slots 0, 1
     up23 = ("abxd,xc->abcd", "abcx,xd->abcd")     # raise slots 2, 3
-    cmix = c01 = s.jet("C")
+    cmix = c01 = c4 = unpack_pairs(s.jet("C"))
     for spec in up23:
         cmix = taylor.product(spec, cmix, gi, n, 1)   # C_ab^cd
     for spec in up01:
@@ -360,7 +359,7 @@ def _left_inverse(s, policy, tol):
     for spec in up23:
         cup = taylor.product(spec, cup, gi, n, 1)     # C^abcd
     if policy == "from-L":
-        m = taylor.product("acde,bcde->ab", cup, s.jet("C"), n, 1)
+        m = taylor.product("acde,bcde->ab", cup, c4, n, 1)
         det, adj = _adjugate_jets(m, *l_operators(s)[1:], n)
         d = taylor.product("ab,bcde->acde", adj, cup, n, 1)
         return taylor.product(",acde->acde", _reciprocal(det, -1.0), d,
@@ -520,7 +519,8 @@ def _cleared_cspace(samples, name, det, qup):
     """D A_abc + Q^d C_dabc from the values of the jets D and Q^a: D times
     the C-space residual of K = Q / D."""
     t1 = det[:, 0, None, None, None] * samples["A"]
-    t2 = np.einsum("pd,pdabc->pabc", qup[:, 0], samples["C"])
+    t2 = _pair_cols(np.einsum("pd,pdak->pak", qup[:, 0],
+                              weyl_rows(samples)))
     return Residual(name, t1 + t2, _scale_of(t1, t2))
 
 
@@ -528,8 +528,9 @@ def _cleared_bach(samples, name, det, qup):
     """D^2 B_ab + (n-4) Q^d Q^c C_dabc from the values of the jets D and
     Q^a: D^2 times the Bach residual of K = Q / D."""
     t1 = (det[:, 0] ** 2)[:, None, None] * samples["B"]
-    t2 = (samples.n - 4) * np.einsum("pd,pc,pdabc->pab", qup[:, 0],
-                                     qup[:, 0], samples["C"])
+    # Q^d Q^c C_dabc = -Q^d Q^c C_dacb
+    t2 = (4 - samples.n) * pair_trace(
+        samples["C"], np.einsum("pd,pc->pdc", qup[:, 0], qup[:, 0]))
     return Residual(name, t1 + t2, _scale_of(t1, t2))
 
 

@@ -35,10 +35,13 @@ from .curvature import (
     christoffel_jet,
     scalar_jet,
     trace_free_residual,
+    _pair_cols,
+    _pair_rows,
+    _pair_tables,
 )
 from .evaluate import DomainError
 from .expressions import ZERO, ONE, Expr, add, diff, func, mul, neg, rational
-from .genericity import _pair_rows, classify_genericity, pair_basis
+from .genericity import classify_genericity, pair_basis
 from .geometry import (
     DOWN,
     UP,
@@ -426,41 +429,53 @@ def theta_values(s: CurvatureSamples):
 
 
 def omega_values(s: CurvatureSamples):
-    """Stored blocks: middle-middle C_abij, X-row/column the Cotton tensor.
-    Built once per batch; the array is read-only."""
+    """Stored blocks of Omega_bc[I, J] on the ranked pairs b < c
+    (`pair_basis` order): (P, N, n+2, n+2), middle-middle C_bcij, X-row and
+    column the Cotton tensor.  Omega is antisymmetric in b, c, so these rows
+    are all of it.  Built once per batch; the array is read-only."""
     def build():
         npts, n = len(s.points), s.n
-        om = np.zeros((npts, n, n, n + 2, n + 2))
-        om[:, :, :, 1:n + 1, 1:n + 1] = s["C"]
-        A = s["A"]
-        om[:, :, :, 0, 1:n + 1] = -np.transpose(A, (0, 2, 3, 1))
-        om[:, :, :, 1:n + 1, 0] = np.transpose(A, (0, 2, 3, 1))
+        b, c = pair_basis(n)
+        om = np.zeros((npts, len(b), n + 2, n + 2))
+        om[:, :, 1:n + 1, 1:n + 1] = _pair_cols(s["C"])
+        A = np.moveaxis(s["A"][..., b, c], 1, -1)      # A_i[bc] at [k, i]
+        om[:, :, 0, 1:n + 1] = -A
+        om[:, :, 1:n + 1, 0] = A
         om.flags.writeable = False
         return om
     return s.derived(("omega",), build)
 
 
+def _omega_rows(s):
+    """Omega_ab[I, J] over every a, b: (P, n, n, n+2, n+2)."""
+    om = omega_values(s)
+    full = _pair_rows(om.reshape(om.shape[:2] + (-1,)))
+    return full.reshape(full.shape[:3] + om.shape[2:])
+
+
 def cov_omega_values(s: CurvatureSamples):
     """nabla_z Omega_bc[I,J] by the coupled connection on the ranked pairs
     b < c (`pair_basis` order): (P, z, N, I, J).  Omega is antisymmetric in
-    b, c, so these rows are all of it."""
+    b, c, so these rows are all of it.  The Christoffel terms read Omega_ec
+    and Omega_be at every e off the ranked rows, with their signs."""
     npts, n = len(s.points), s.n
     b, c = pair_basis(n)
     om = omega_values(s)
+    tab = _pair_tables(n)
+    idx, sign = tab["idx"], tab["sign"][..., None, None]
     out = np.zeros((npts, n, len(b), n + 2, n + 2))
-    out[..., 1:n + 1, 1:n + 1] = s["dC"][:, :, b, c]
+    out[..., 1:n + 1, 1:n + 1] = _pair_cols(s["dC"])
     dA = np.moveaxis(s["dA"][:, :, :, b, c], 2, -1)     # d_z A_i[bc]
     out[..., 0, 1:n + 1] = -dA
     out[..., 1:n + 1, 0] = dA
     gamma = s["gamma"]
-    out -= np.einsum("pezk,pekIJ->pzkIJ", gamma[..., b], om[:, :, c],
-                     optimize=True)
-    out -= np.einsum("pezk,pkeIJ->pzkIJ", gamma[..., c], om[:, b],
-                     optimize=True)
+    out -= np.einsum("pezk,pekIJ->pzkIJ", gamma[..., b],
+                     om[:, idx[:, c]] * sign[:, c], optimize=True)
+    out -= np.einsum("pezk,pkeIJ->pzkIJ", gamma[..., c],
+                     om[:, idx[b]] * sign[b], optimize=True)
     th = theta_values(s)
-    omk = om[:, b, c]
-    out -= np.einsum("pzKI,pkKJ->pzkIJ", th, omk, optimize=True)
-    out -= np.einsum("pzKJ,pkIK->pzkIJ", th, omk, optimize=True)
+    out -= np.einsum("pzKI,pkKJ->pzkIJ", th, om, optimize=True)
+    out -= np.einsum("pzKJ,pkIK->pzkIJ", th, om, optimize=True)
     return out
 
 
@@ -490,7 +505,7 @@ def w_tensor_values(s: CurvatureSamples, cov=None):
     """W[A,B,C,E] = (n-4) ZZ Omega - 2 X_[A Z_B]^b div-Omega, all slots
     down: (P, n+2, n+2, n+2, n+2)."""
     npts, n = len(s.points), s.n
-    om = omega_values(s)
+    om = _omega_rows(s)
     dv = div_omega_values(s, cov)
     w = np.zeros((npts, n + 2, n + 2, n + 2, n + 2))
     w[:, 1:n + 1, 1:n + 1] = (n - 4) * om
@@ -574,7 +589,7 @@ def annihilation_check(s: CurvatureSamples, tractor):
         ivals = tt.values_at(s.points)
     else:
         ivals = np.asarray(tractor, dtype=float)
-    om = omega_values(s)
+    om = _omega_rows(s)
     cov = cov_omega_values(s)
     dv = div_omega_values(s, cov)
     w = w_tensor_values(s, cov)
@@ -607,20 +622,22 @@ class RankReport:
     notes: list = field(default_factory=list)
 
 
-def rank_rows(s: CurvatureSamples, tolerances=DEFAULT_TOLERANCES):
-    """The measuring half of the rank test: per point, the rank and an
-    orthonormal kernel basis of the stacked rows Omega_bc[D, .] (pairs
-    b < c) and nabla_a Omega_bc[D, .], as functionals on tractors (ranked
-    by `linalg.rank_nullspace`, which works on the stack in chunks).
-    Returns (ranks, kernels), two lists in point order."""
+def rank_rows(s: CurvatureSamples, tolerances=DEFAULT_TOLERANCES,
+              kernels=False):
+    """The measuring half of the rank test: per point, the rank of the
+    stacked rows Omega_bc[D, .] (pairs b < c) and nabla_a Omega_bc[D, .],
+    as functionals on tractors (ranked by `linalg.rank`, which works on the
+    stack in chunks).  Returns (ranks, kernels): the ranks as a list in
+    point order, and, only when `kernels` asks for them, an orthonormal
+    kernel basis per point (`linalg.rank_nullspace`), else None."""
     n, npts = s.n, len(s.points)
-    b, c = pair_basis(n)
-    mat = np.concatenate([omega_values(s)[:, b, c].reshape(npts, -1, n + 2),
+    mat = np.concatenate([omega_values(s).reshape(npts, -1, n + 2),
                           cov_omega_values(s).reshape(npts, -1, n + 2)],
                          axis=1)
-    ranks, kernels = linalg.rank_nullspace(mat, tolerances.rank_tol,
-                                           s.scale())
-    return ranks.tolist(), kernels
+    if not kernels:
+        return linalg.rank(mat, tolerances.rank_tol, s.scale()).tolist(), None
+    ranks, basis = linalg.rank_nullspace(mat, tolerances.rank_tol, s.scale())
+    return ranks.tolist(), basis
 
 
 def rank_verdict(ranks, n, weakly_generic):
@@ -645,10 +662,11 @@ def rank_obstruction(s: CurvatureSamples, tolerances=DEFAULT_TOLERANCES,
     `rank_verdict` on its ranks.  The metric is conformally Einstein iff
     the rank is at most n+1 at every point (given weak genericity).  When
     a kernel exists and sigma is supplied, reports the cosine alignment of
-    the kernel with (1/n) D sigma.  `classify` runs it once per chunk of
-    points and decides on the joined ranks (`rank_verdict`)."""
+    the kernel with (1/n) D sigma; without sigma no kernel is computed.
+    `classify` runs it once per chunk of points and decides on the joined
+    ranks (`rank_verdict`)."""
     gen = genericity or classify_genericity(s, tolerances)
-    ranks, kernels = rank_rows(s, tolerances)
+    ranks, kernels = rank_rows(s, tolerances, kernels=sigma is not None)
     report = rank_verdict(ranks, s.n, gen.weakly_generic)
     if sigma is not None and report.verdict == "conformally-einstein":
         ivals = einstein_tractor_values(s, sigma)[0]

@@ -16,6 +16,8 @@ from confein.curvature import (
     CurvaturePack,
     identity_residuals,
     trace_free_residual,
+    unpack_pairs,
+    _contract_slot,
 )
 from confein.expressions import ONE, diff, parse
 from confein.geometry import (
@@ -168,15 +170,16 @@ def test_criterion_06_pp_wave_degenerate():
 def test_criterion_07_hyperkahler():
     s = samples("hyperkahler4", 5)
     ric = maxabs(s["ricci"]) / max(1.0, float(np.max(s.scale())))
-    call = s.raised("C", (1, 1, 1, 1))
-    c2 = np.einsum("pabcd,pabcd->p", call, s["C"])
+    call = unpack_pairs(s.raised("C", (1, 1, 1, 1)))
+    c2 = np.einsum("pabcd,pabcd->p", call, unpack_pairs(s["C"]))
     want = evaluate_components(entry("hyperkahler4").extras["weyl_norm_squared"],
                                s.bindings)
     rel = float(np.max(np.abs(c2 / want - 1)))
     pt = {"x1": 1.0, "y1": 0.5, "x2": 0.0, "y2": 0.0}
     s1 = pack("hyperkahler4").samples([pt])
-    at2 = float(np.einsum("pabcd,pabcd->p", s1.raised("C", (1, 1, 1, 1)),
-                          s1["C"])[0])
+    at2 = float(np.einsum("pabcd,pabcd->p",
+                          unpack_pairs(s1.raised("C", (1, 1, 1, 1))),
+                          unpack_pairs(s1["C"]))[0])
     rep = GN.classify_genericity(s)
     kdims = [pg.skew_kernel_dim for pg in rep.per_point]
     ok = (ric < 1e-8 and rel < 1e-8 and abs(at2 - 3.0) < 1e-8
@@ -232,14 +235,15 @@ def test_criterion_10_covariance_battery():
         uvals = evaluate_components(ups, s5.bindings)
         scale = float(np.max(s5.scale()))
         # exact rules
-        cmix = s5.raised("C", (0, 0, 1, 0))
-        cmixh = sh.raised("C", (0, 0, 1, 0))
+        cmix = _contract_slot(unpack_pairs(s5["C"]), s5["ginv"], 2)
+        cmixh = _contract_slot(unpack_pairs(sh["C"]), sh["ginv"], 2)
         d_weyl = maxabs(cmix - cmixh)
         uup = np.einsum("pab,pb->pa", s5["ginv"], np.stack(
             [evaluate_components(diff(ups, c), s5.bindings)
              for c in e5.metric.chart.coords], axis=1))
         d_cotton = maxabs(sh["A"] - s5["A"]
-                          - np.einsum("pk,pkabc->pabc", uup, s5["C"]))
+                          - np.einsum("pk,pkabc->pabc", uup,
+                                      unpack_pairs(s5["C"])))
         e_g = OB.e_tensor(s5, OB.k_field(s5, "from-L"))
         e_h = OB.e_tensor(sh, OB.k_field(sh, "from-L"))
         d_e = maxabs(e_g.values - e_h.values)
@@ -292,9 +296,10 @@ def test_criterion_11_internal_cross_checks():
     _, cross_g = OB.g_tensor(s5)
     _, cross_gb = OB.gbar_tensor(s5)
     s4 = samples("rt4-quartic", 6)
-    call = s4.raised("C", (1, 1, 1, 1))
-    c2 = np.einsum("pabcd,pabcd->p", call, s4["C"])
-    lhs = 4 * np.einsum("pabcd,pabce->pde", call, s4["C"])
+    call = unpack_pairs(s4.raised("C", (1, 1, 1, 1)))
+    c4 = unpack_pairs(s4["C"])
+    c2 = np.einsum("pabcd,pabcd->p", call, c4)
+    lhs = 4 * np.einsum("pabcd,pabce->pde", call, c4)
     d_4id = maxabs(lhs - c2[:, None, None] * np.eye(4)[None]) / \
         float(np.max(np.abs(c2)))
     ok = d_div < 1e-7 and cross_g < 1e-7 and cross_gb < 1e-7 and d_4id < 1e-9

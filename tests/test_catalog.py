@@ -5,7 +5,7 @@ from confein import catalog
 from confein import obstructions as OB
 from confein import tractor as TR
 from confein.config import Tolerances
-from confein.curvature import trace_free_residual
+from confein.curvature import trace_free_residual, unpack_pairs
 from confein.expressions import ONE, diff, is_zero, parse
 from confein.genericity import classify_genericity
 from confein.geometry import evaluate_components
@@ -97,15 +97,15 @@ class TestExpectedTruths:
     def test_hyperkahler_weyl_norm(self):
         e = entry("hyperkahler4")
         s = samples("hyperkahler4", 5)
-        call = s.raised("C", (1, 1, 1, 1))
-        c2 = np.einsum("pabcd,pabcd->p", call, s["C"])
+        call = unpack_pairs(s.raised("C", (1, 1, 1, 1)))
+        c2 = np.einsum("pabcd,pabcd->p", call, unpack_pairs(s["C"]))
         want = evaluate_components(e.extras["weyl_norm_squared"], s.bindings)
         assert np.allclose(c2, want, rtol=1e-8)
         # at rho = 2 the value is exactly 3
         pt = {"x1": 1.0, "y1": 0.5, "x2": 0.0, "y2": 0.0}
         s1 = pack("hyperkahler4").samples([pt])
-        call1 = s1.raised("C", (1, 1, 1, 1))
-        v = float(np.einsum("pabcd,pabcd->p", call1, s1["C"])[0])
+        call1 = unpack_pairs(s1.raised("C", (1, 1, 1, 1)))
+        v = float(np.einsum("pabcd,pabcd->p", call1, unpack_pairs(s1["C"]))[0])
         assert v == pytest.approx(3.0, rel=1e-10)
 
     def test_pp_wave_einstein_iff_harmonic(self):

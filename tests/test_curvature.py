@@ -10,6 +10,8 @@ from confein.curvature import (
     identity_residuals,
     identity_suite,
     trace_free_residual,
+    unpack_pairs,
+    _contract_slot,
 )
 from confein.expressions import ONE, ZERO, diff, is_zero, parse
 from conftest import entry, maxabs, pack, points, samples
@@ -41,8 +43,9 @@ def assert_ladder_matches_symbolic(p, pts):
     for name, comps in fields.items():
         want = G.evaluate_components(comps, s.bindings)
         scale = max(1.0, maxabs(want))
-        assert s[name].shape == want.shape, name
-        assert maxabs(s[name] - want) <= 1e-10 * scale, name
+        got = unpack_pairs(s[name]) if name in ("C", "dC") else s[name]
+        assert got.shape == want.shape, name
+        assert maxabs(got - want) <= 1e-10 * scale, name
 
 
 class TestMetricJetLadder:
@@ -92,8 +95,9 @@ class TestMetricJetLadder:
 
     def test_no_points_give_empty_entries(self):
         s = pack("rt5-quartic").samples([])
-        assert s["C"].shape == (0,) + (5,) * 4
-        assert s["dC"].shape == (0,) + (5,) * 5
+        assert s["C"].shape == (0, 10, 10)
+        assert s["dC"].shape == (0, 5, 10, 10)
+        assert unpack_pairs(s["C"]).shape == (0,) + (5,) * 4
 
     def test_singular_point_raises_naming_the_point(self):
         ch = G.Chart(("x", "y", "z"))
@@ -307,3 +311,107 @@ class TestCommutator:
             want = np.einsum("pabcd,pd->pabc", rm, vv)
             scale = max(1.0, maxabs(want))
             assert maxabs(comm - want) / scale < 1e-8
+
+
+def _slot_oracle(c4, gi, pattern):
+    """The n^4 Weyl tensor with the 1-marked slots raised one at a time
+    (`_contract_slot`): how every slot pattern was built before the pair
+    basis."""
+    for slot, flag in enumerate(pattern):
+        if flag:
+            c4 = _contract_slot(c4, gi, slot)
+    return c4
+
+
+def _close(got, want):
+    assert got.shape == want.shape
+    assert maxabs(got - want) <= 1e-13 * maxabs(want)
+
+
+class TestPairBasis:
+    """The Weyl tensor kept as pair matrices against the n^4 oracle."""
+
+    @staticmethod
+    def _n4(x, n):
+        """The n^4 unpack of the ladder before the pair basis."""
+        a, b = np.triu_indices(n, 1)
+        idx = np.zeros((n, n), dtype=np.int64)
+        idx[a, b] = idx[b, a] = np.arange(len(a))
+        sign = np.zeros((n, n))
+        sign[a, b], sign[b, a] = 1.0, -1.0
+        flat = (idx[:, :, None, None] * len(a) + idx).reshape(-1)
+        out = np.take(x.reshape(x.shape[:-2] + (-1,)), flat, axis=-1)
+        out *= np.multiply.outer(sign, sign).reshape(-1)
+        return out.reshape(x.shape[:-2] + (n,) * 4)
+
+    @pytest.mark.parametrize("name", ["rt4-quartic", "rt5-quartic",
+                                      "rt6-quartic", "schwarzschild5"])
+    def test_unpack_reproduces_the_n4_tensor_bitwise(self, name):
+        s = samples(name, 6)
+        for key in ("C", "dC"):
+            assert np.array_equal(unpack_pairs(s[key]).view(np.int64),
+                                  self._n4(s[key], s.n).view(np.int64))
+
+    @pytest.mark.parametrize("name", ["rt4-quartic", "rt5-quartic",
+                                      "rt6-quartic"])
+    def test_raised_patterns_match_the_slot_oracle(self, name):
+        # the five slot patterns the consumers raised one slot at a time:
+        # the three pair patterns directly, and C_a^cde and C_a^c_d^e
+        # through L^a_b = C^acde C_bcde and its partials
+        from confein import genericity as GN
+        from confein import obstructions as OB
+        s = samples(name, 6)
+        n, npts, gi = s.n, len(s.points), s["ginv"]
+        C = unpack_pairs(s["C"])
+        a, b = np.triu_indices(n, 1)
+        for pattern in ((0, 0, 1, 1), (1, 1, 0, 0), (1, 1, 1, 1)):
+            _close(s.raised("C", pattern), _slot_oracle(C, gi, pattern)[
+                :, a[:, None], b[:, None], a, b])
+        cup3 = _slot_oracle(C, gi, (0, 1, 1, 1)).reshape(npts, n, -1)
+        low = C.reshape(npts, n, -1) @ np.swapaxes(cup3, 1, 2)
+        _close(GN.l_operators(s)[0], gi @ low)
+        # d L_ab: dC against C_b^cde, and the dg^-1 terms of slot c with
+        # C_ac^de C_bfde and of slots d, e with C_a^c_d^e C_bcfe
+        dgi = s.jet("ginv")[:, 1:]
+        t = (unpack_pairs(s["dC"]).reshape(npts, n * n, -1)
+             @ np.swapaxes(cup3, 1, 2)).reshape(npts, n, n, n)
+
+        def slot_terms(x, y):
+            xy = x.reshape(npts, n * n, -1) @ np.swapaxes(
+                y.reshape(npts, n * n, -1), 1, 2)
+            return xy.reshape((npts,) + (n,) * 4).transpose(
+                0, 2, 4, 1, 3).reshape(npts, n * n, n * n)
+
+        x = (slot_terms(_slot_oracle(C, gi, (0, 0, 1, 1)), C)
+             + 2.0 * slot_terms(
+                 _slot_oracle(C, gi, (0, 1, 0, 1)).transpose(0, 1, 3, 2, 4),
+                 C.transpose(0, 1, 3, 2, 4)))
+        dlow = t + np.swapaxes(t, 2, 3) + (
+            dgi.reshape(npts, n, n * n) @ x).reshape(npts, n, n, n)
+        _close(OB._l_jet(s, 1)[:, 1:],
+               dgi @ low[:, None] + gi[:, None] @ dlow)
+
+    def test_whole_pairs_only(self):
+        with pytest.raises(ValueError, match="whole slot pairs"):
+            samples("rt4-quartic", 2).raised("C", (0, 1, 1, 1))
+
+    def test_classify_builds_no_n4_weyl_array(self, monkeypatch, tmp_path):
+        # classify reads the Weyl tensor as pair matrices only: every
+        # builder of its n^4 components is out of reach
+        from confein import cli
+        from confein import curvature as CV
+        from confein import genericity as GN
+        from confein import obstructions as OB
+        from confein.mspecfile import dumps_mspec, entry_to_mspec
+
+        def boom(*args, **kwargs):
+            raise AssertionError("an n^4 Weyl array was built")
+
+        for mod, name in ((CV, "unpack_pairs"), (CV, "_contract_slot"),
+                          (OB, "unpack_pairs"), (GN, "_pair_tensor"),
+                          (OB, "_pair_tensor")):
+            monkeypatch.setattr(mod, name, boom)
+        path = tmp_path / "rt6-quartic.mspec"
+        path.write_text(dumps_mspec(entry_to_mspec(entry("rt6-quartic"), 20)))
+        assert cli.main(["classify", str(path), "--json",
+                         str(tmp_path / "out.json")]) == 1

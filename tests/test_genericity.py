@@ -5,6 +5,7 @@ from confein import genericity as GN
 from confein import linalg
 from confein import obstructions as OB
 from confein.config import Tolerances
+from confein.curvature import unpack_pairs
 from confein.expressions import parse
 from conftest import entry, maxabs, pack, points, samples
 
@@ -56,9 +57,17 @@ def _oracle_dual_dims(C, gi, g, root, scale):
             for m, f in zip(full, scale)]
 
 
+def _cup_pairs(C, gi):
+    """The pair matrices of C^ab_cd from the n^4 components of C."""
+    a, b = GN.pair_basis(C.shape[-1])
+    cup = np.einsum("pabcd,pae,pbf->pefcd", C, gi, gi)
+    return cup[:, a[:, None], b[:, None], a, b]
+
+
 def _dual_dims(C, gi, g, root, scale):
     n = g.shape[-1]
-    ranks = linalg.rank(GN._dual_system(C, gi, g, root), TOL.rank_tol, scale)
+    ranks = linalg.rank(GN._dual_system(_cup_pairs(C, gi), g, root),
+                        TOL.rank_tol, scale)
     return (n * (n + 1) // 2 - ranks).tolist()
 
 
@@ -84,7 +93,8 @@ def _assert_dropped_rows_repeat(full, keep):
 
 def _batch(s):
     g = s["g"]
-    return s["C"], s["ginv"], g, np.sqrt(np.abs(np.linalg.det(g)))
+    return (unpack_pairs(s["C"]), s["ginv"], g,
+            np.sqrt(np.abs(np.linalg.det(g))))
 
 
 def _kn(h, k):
@@ -159,8 +169,8 @@ class TestWeylOperator:
 
     def test_hyperkahler_l_is_quarter_weyl_norm_identity(self):
         s = samples("hyperkahler4", 4)
-        call = s.raised("C", (1, 1, 1, 1))
-        c2 = np.einsum("pabcd,pabcd->p", call, s["C"])
+        call = unpack_pairs(s.raised("C", (1, 1, 1, 1)))
+        c2 = np.einsum("pabcd,pabcd->p", call, unpack_pairs(s["C"]))
         for p in range(4):
             lm = GN.l_operators(s)[0][p]
             assert maxabs(lm - (c2[p] / 4) * np.eye(4)) < 1e-10 * c2[p]
@@ -168,9 +178,10 @@ class TestWeylOperator:
 
     def test_dimension4_weyl_contraction_identity(self):
         s = samples("rt4-quartic", 4)
-        call = s.raised("C", (1, 1, 1, 1))
-        c2 = np.einsum("pabcd,pabcd->p", call, s["C"])
-        lhs = 4 * np.einsum("pabcd,pabce->pde", call, s["C"])
+        call = unpack_pairs(s.raised("C", (1, 1, 1, 1)))
+        c = unpack_pairs(s["C"])
+        c2 = np.einsum("pabcd,pabcd->p", call, c)
+        lhs = 4 * np.einsum("pabcd,pabce->pde", call, c)
         resid = lhs - c2[:, None, None] * np.eye(4)[None]
         assert maxabs(resid) < 1e-9 * np.max(np.abs(c2))
 
@@ -304,11 +315,11 @@ class TestClassification:
     @pytest.mark.parametrize("name", ["rt4-quartic", "hyperkahler4",
                                       "schwarzschild4"])
     def test_dim4_scalars_match_the_point_loop(self, name):
-        # the per-point build the batch replaced; the arithmetic is
-        # unchanged, so the scalars must be equal
+        # the per-point n^4 build the pair-matrix products replaced, from
+        # the same raised pair matrices: equal to roundoff
         s = samples(name, 5)
-        cmix = s.raised("C", (0, 0, 1, 1))
-        cup2 = s.raised("C", (1, 1, 0, 0))
+        cmix = unpack_pairs(s.raised("C", (0, 0, 1, 1)))
+        cup2 = unpack_pairs(s.raised("C", (1, 1, 0, 0)))
         root = np.sqrt(np.abs(np.linalg.det(s["g"])))
         c3, c3s = GN.dim4_scalars(s)
         for p in range(len(s.points)):
@@ -316,9 +327,10 @@ class TestClassification:
             cstar = np.einsum("abef,efcd->abcd", eps, cup2[p])
             cs = np.einsum("abcd,ce,df->abef", cstar, s["ginv"][p],
                            s["ginv"][p])
-            assert c3[p] == np.einsum("abcd,cdef,efab->", cmix[p], cmix[p],
-                                      cmix[p])
-            assert c3s[p] == np.einsum("abcd,cdef,efab->", cs, cs, cs)
+            want = np.einsum("abcd,cdef,efab->", cmix[p], cmix[p], cmix[p])
+            assert abs(c3[p] - want) <= 1e-13 * max(1.0, abs(want))
+            want = np.einsum("abcd,cdef,efab->", cs, cs, cs)
+            assert abs(c3s[p] - want) <= 1e-13 * max(1.0, abs(want))
         assert GN.weyl_c3(s) is c3
 
     def test_spec_level_point_wrappers(self):
@@ -416,9 +428,12 @@ class TestDualSystem:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_dropped_rows_are_zero_or_signed_copies(self, n):
-        # any C will do: the rows repeat because eps is antisymmetric
+        # any C antisymmetric in both pairs (the tensors the pair matrices
+        # hold) will do: the rows repeat because eps is antisymmetric
         rng = np.random.default_rng(n)
         C = rng.normal(size=(3,) + (n,) * 4)
+        C = C - np.transpose(C, (0, 2, 1, 3, 4))
+        C = C - np.transpose(C, (0, 1, 2, 4, 3))
         a = rng.normal(size=(3, n, n))
         g = np.einsum("pab,pcb->pac", a, a) + n * np.eye(n)
         gi = np.linalg.inv(g)
@@ -428,7 +443,7 @@ class TestDualSystem:
         assert len(keep) == len(GN._dual_epsilon(n)) + 1
         if n <= 4:
             assert keep == list(range(n ** (n - 2) + 1))
-        reduced = GN._dual_system(C, gi, g, root)
+        reduced = GN._dual_system(_cup_pairs(C, gi), g, root)
         for sys_full, sys_red in zip(full, reduced):
             kept = sys_full[keep]
             assert maxabs(sys_red - kept) <= 1e-13 * maxabs(kept)
@@ -438,3 +453,32 @@ class TestDualSystem:
         C, gi, g, root = _batch(samples("rt6-quartic", 10))
         full = _full_dual_systems(C, gi, g, root)
         _assert_dropped_rows_repeat(full, _kept_rows(6))
+
+
+class TestPairBasisSystems:
+    """The systems read off the pair matrices against their n^4 builds."""
+
+    @pytest.mark.parametrize("name", ["rt4-quartic", "rt5-quartic",
+                                      "rt6-quartic", "pp-wave4"])
+    def test_symmetric_system_is_the_n4_build(self, name):
+        # the same entries, gathered with their signs: equal bit for bit
+        s = samples(name, 6)
+        want = GN._symmetric_system(np.swapaxes(unpack_pairs(s["C"]), 1, 2),
+                                    s["g"])
+        assert np.array_equal(GN._weyl_symmetric_system(s), want)
+
+    @pytest.mark.parametrize("name", ["rt5-quartic", "pp-wave4",
+                                      "hyperkahler4"])
+    def test_weak_kernels_span_the_n4_system_kernels(self, name):
+        # the rows a < b of C_abcd V^d hold every row of the n^4 system up to
+        # sign (the others are zero), so the kernels are the same
+        s = samples(name, 6)
+        n = s.n
+        rep = GN.classify_genericity(s)
+        full = unpack_pairs(s["C"]).reshape(len(s.points), n ** 3, n)
+        for pg, k in zip(rep.per_point,
+                         linalg.nullspace(full, TOL.rank_tol, s.scale())):
+            assert pg.weak_kernel.shape == k.shape
+            if k.shape[1]:
+                assert maxabs(pg.weak_kernel @ pg.weak_kernel.T
+                              - k @ k.T) < 1e-10

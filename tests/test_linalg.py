@@ -257,3 +257,23 @@ def test_chunks_cover_the_stack_within_the_budget():
         for sl in parts:
             size = sl.stop - sl.start
             assert size == 1 or 8 * size * m * k <= linalg.CHUNK_BYTES
+
+
+def test_elimination_pins_ties_and_a_mid_stack_stop():
+    # tied pivots (equal |entries| everywhere), and matrices that stop at
+    # steps 1, 2 and 0 while the others go on: the buffers the stacked pass
+    # reuses must leave every matrix as the per-matrix loop leaves it
+    ones = np.ones((4, 4))
+    two = np.array([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0],
+                    [2.0, 0.0, 0.0, -2.0], [0.0, 2.0, -2.0, 0.0]])
+    full = np.array([[2.0, -2.0, 1.0, 0.0], [2.0, 2.0, 0.0, 1.0],
+                     [1.0, 0.0, 2.0, -2.0], [0.0, 1.0, 2.0, 2.0]])
+    a = np.stack([ones, two, full, np.zeros((4, 4)), -full])
+    cut = TOL * np.max(np.abs(a), axis=(1, 2), initial=0.0)
+    u, cols, r, sign = linalg._eliminate(a, cut)
+    assert list(r) == [1, 2, 4, 0, 4]
+    for p, x in enumerate(a):
+        u0, rows0, cols0, r0 = _eliminate(x, TOL)
+        assert np.array_equal(_bits(u[p]), _bits(u0))
+        assert r[p] == r0 and list(cols[p]) == cols0
+        assert sign[p] == _perm_sign(rows0) * _perm_sign(cols0)

@@ -5,7 +5,7 @@ from confein import cli
 from confein import obstructions as OB
 from confein import tractor as TR
 from confein.config import Tolerances
-from confein.curvature import CurvaturePack, trace_free_residual
+from confein.curvature import CurvaturePack, trace_free_residual, unpack_pairs
 from confein.expressions import ONE, ZERO, func, neg, parse
 from confein.geometry import (
     DOWN,
@@ -237,7 +237,7 @@ class TestChangeScale:
         # uvals holds the applied factor (-ups); the object has weight -2
         conv = np.einsum("pIK,pJL,pbKL->pbIJ", m_down, m_down, dvh)
         conv *= np.exp(-2 * uvals)[:, None, None, None]
-        om = TR.omega_values(s)
+        om = TR._omega_rows(s)
         du = evaluate_components(
             np.asarray([parse("0"), parse("1/r"), parse("0"), parse("0")],
                        dtype=object), s.bindings)
@@ -266,7 +266,7 @@ class TestCurvature:
         pts = points(name, 3)
         b = binds(name, pts)
         s = pack(name).samples(pts)
-        om = TR.omega_values(s)
+        om = TR._omega_rows(s)
         hinv = np.zeros((len(pts), n + 2, n + 2))
         hinv[:, 0, n + 1] = 1.0
         hinv[:, n + 1, 0] = 1.0
@@ -303,9 +303,9 @@ class TestCurvature:
         # ranked-pair rows: the rows a < b must be equal bit for bit, and
         # the divergence, which sums the expanded rows, equal to roundoff
         s = samples(name, 8, seed)
-        n, om = s.n, TR.omega_values(s)
+        n, om = s.n, TR._omega_rows(s)
         full = np.zeros((len(s.points), n, n, n, n + 2, n + 2))
-        full[..., 1:n + 1, 1:n + 1] = s["dC"]
+        full[..., 1:n + 1, 1:n + 1] = unpack_pairs(s["dC"])
         full[..., 0, 1:n + 1] = -np.transpose(s["dA"], (0, 1, 3, 4, 2))
         full[..., 1:n + 1, 0] = np.transpose(s["dA"], (0, 1, 3, 4, 2))
         gamma, th = s["gamma"], TR.theta_values(s)
@@ -493,7 +493,7 @@ class TestAnnihilation:
         assert rep["div_omega"] > 1e-3 * rep["scale"]
         # the Z-coefficient of Omega.I is sigma (A + K.C)
         kup = kf.raised(s)
-        csp = s["A"] + np.einsum("pd,pdabc->pabc", kup, s["C"])
+        csp = s["A"] + np.einsum("pd,pdabc->pabc", kup, unpack_pairs(s["C"]))
         want = np.transpose(csp, (0, 2, 3, 1))
         assert maxabs(rep["z_coefficient"] - want) < 1e-9 * rep["scale"]
 
@@ -545,3 +545,39 @@ class TestRankObstruction:
                 pack(name).samples(points(name, 5)))
             rep_r = TR.rank_obstruction(pack(name).samples(points(name, 5)))
             assert rep_t.outcome == rep_r.verdict, name
+
+
+class TestKernelsOnlyWhenAsked:
+    def test_classify_computes_no_kernel(self, monkeypatch, tmp_path):
+        # classify passes no sigma, so the rank test ranks its rows only
+        from confein import linalg
+
+        def boom(*args):
+            raise AssertionError("a tractor kernel was computed")
+
+        path = tmp_path / "schwarzschild4.mspec"
+        path.write_text(dumps_mspec(entry_to_mspec(entry("schwarzschild4"))))
+        monkeypatch.setattr(linalg, "_kernel", boom)
+        assert cli.main(["classify", str(path), "--json",
+                         str(tmp_path / "out.json")]) == 0
+
+    @pytest.mark.parametrize("name", ["schwarzschild4", "hyperkahler4",
+                                      "schwarzschild-de-sitter5"])
+    def test_kernel_alignment_with_sigma_is_unchanged(self, name):
+        # the alignment of the kernels rank_nullspace gives for the stacked
+        # rows, computed here as rank_obstruction did before it asked for
+        # kernels only with a sigma
+        from confein import linalg
+        s = pack(name).samples(points(name, 5))
+        rep = TR.rank_obstruction(s, sigma=ONE)
+        n, npts = s.n, len(s.points)
+        mat = np.concatenate([TR.omega_values(s).reshape(npts, -1, n + 2),
+                              TR.cov_omega_values(s).reshape(npts, -1, n + 2)],
+                             axis=1)
+        ranks, kernels = linalg.rank_nullspace(mat, TOL.rank_tol, s.scale())
+        assert rep.ranks == ranks.tolist()
+        ivals = TR.einstein_tractor_values(s, ONE)[0]
+        cs = [np.linalg.norm(k @ (k.T @ (v / np.linalg.norm(v))))
+              for k, v in zip(kernels, ivals) if k.shape[1]]
+        assert rep.kernel_alignment == float(min(cs))
+        assert TR.rank_obstruction(s).kernel_alignment is None
