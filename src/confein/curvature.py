@@ -29,14 +29,15 @@ values only.
 
 The Weyl tensor stays in the pair basis from the ladder to its consumers:
 C is a stack of pair matrices (P, N, N), C[(ab), (cd)] = C_abcd over the
-pairs a < b, c < d, N = n(n-1)/2, and dC is (P, n, N, N) (1,575 floats per
-point at n = 6, against 9,072 for the n^4 components and their partials).
-A slot pair is raised by a matrix product with the inverse metric on
-2-forms (`CurvatureSamples.pair_metric`, `raised`), and a contraction
-across the two pairs reads the row pairs extended to every index pair
-(`_pair_rows`, `pair_trace`).  Only the edges unpack the n^4 components
-(`unpack_pairs`): the identity residuals, the left-inverse oracle of
-`obstructions` and the tests.
+pairs a < b, c < d (`pair_basis`), N = n(n-1)/2, and dC is (P, n, N, N)
+(1,575 floats per point at n = 6, against 9,072 for the n^4 components
+and their partials).  A slot pair is raised by a matrix product with the
+inverse metric on 2-forms (`CurvatureSamples.pair_metric`, `raised`), a
+contraction across the two pairs reads the row pairs extended to every
+index pair (`_pair_rows`, `pair_trace`), and a contraction over a whole
+pair is PAIR_SUM = 2 times the sum over the pairs.  Only the edges unpack
+the n^4 components (`unpack_pairs`): the identity residuals, the
+left-inverse oracle of `obstructions` and the tests.
 
 Degeneracy is checked in one place, `CurvatureSamples`, which every
 command and the potential's quadrature nodes go through: per
@@ -92,6 +93,9 @@ __all__ = [
     "christoffel_jet",
     "numeric_cov",
     "antisym_axes",
+    "PAIR_SUM",
+    "pair_basis",
+    "pack_pairs",
     "unpack_pairs",
     "pair_trace",
 ]
@@ -442,6 +446,20 @@ def _metric_jet(vals, n, order):
     return jet
 
 
+# A contraction over an antisymmetric index pair, X_..ab Y^..ab, is twice
+# its sum over the pairs a < b, the one entry per pair that a pair matrix
+# holds.  Every such contraction of pair matrices carries this factor, and
+# so do the matrices of the operators on 2-forms on the pairs a < b,
+# W_ab -> X_ab^cd W_cd ("ranked-pair" matrices, `genericity`)
+PAIR_SUM = 2.0
+
+
+def pair_basis(n):
+    """Index arrays (a, b) of the antisymmetric pairs a < b, row-major: the
+    order of the rows and columns of every pair matrix."""
+    return np.triu_indices(n, 1)
+
+
 @lru_cache(maxsize=None)
 def _pair_tables(n):
     """Index tables of the packed index pairs.
@@ -449,22 +467,20 @@ def _pair_tables(n):
     Symmetric pairs b <= d (np.triu_indices(n)) pack a tensor symmetric in
     two slots: `sym` (n, n) is the pair of (b, d) in either order and
     `weight` is 2 off the diagonal, so a contraction over both slots is a
-    weighted sum over pairs.  Antisymmetric pairs a < b
-    (np.triu_indices(n, 1), `pairs_lt`) pack the Riemann and Weyl tensors
-    as matrices X[(ab), (cd)] = X_abcd: `anti` holds their (a, b) as column
-    vectors, `idx` and `sign` (n, n) the pair of (a, b) in either order and
-    its sign (0 on the diagonal)."""
+    weighted sum over pairs.  Antisymmetric pairs a < b (`pair_basis`)
+    pack the Riemann and Weyl tensors as matrices X[(ab), (cd)] = X_abcd:
+    `anti` holds their (a, b) as column vectors, `idx` and `sign` (n, n)
+    the pair of (a, b) in either order and its sign (0 on the diagonal)."""
     i, j = np.triu_indices(n)
     sym = np.empty((n, n), dtype=np.int64)
     sym[i, j] = sym[j, i] = np.arange(len(i))
-    a, b = np.triu_indices(n, 1)
+    a, b = pair_basis(n)
     idx = np.zeros((n, n), dtype=np.int64)
     idx[a, b] = idx[b, a] = np.arange(len(a))
     sign = np.zeros((n, n))
     sign[a, b], sign[b, a] = 1.0, -1.0
     return {"sym": sym, "weight": np.where(i == j, 1.0, 2.0), "pairs": (i, j),
-            "pairs_lt": (a, b), "anti": (a[:, None], b[:, None]),
-            "idx": idx, "sign": sign}
+            "anti": (a[:, None], b[:, None]), "idx": idx, "sign": sign}
 
 
 def _pair_dim(count):
@@ -476,7 +492,7 @@ def _pair_rows(m):
     """The antisymmetric extension of the row pairs of (..., N, K): the
     array (..., n, n, K) with [a, b] = m[(ab)] = -[b, a], zero for a = b."""
     n = _pair_dim(m.shape[-2])
-    a, b = _pair_tables(n)["pairs_lt"]
+    a, b = pair_basis(n)
     t = np.zeros(m.shape[:-2] + (n, n) + m.shape[-1:])
     t[..., a, b, :] = m
     t[..., b, a, :] = -m
@@ -487,6 +503,14 @@ def _pair_cols(m):
     """The antisymmetric extension of the column pairs of (..., K, N):
     (..., K, n, n)."""
     return np.moveaxis(_pair_rows(np.moveaxis(m, -1, -2)), -1, -3)
+
+
+def pack_pairs(t):
+    """The pair matrices (..., N, N) of an array t (..., n, n, n, n)
+    antisymmetric in both slot pairs: [(ab), (cd)] = t_abcd over the pairs
+    a < b, c < d (`pair_basis`).  The inverse of `unpack_pairs`."""
+    a, b = pair_basis(t.shape[-1])
+    return t[..., a[:, None], b[:, None], a, b]
 
 
 def unpack_pairs(x):
@@ -637,7 +661,7 @@ def pair_trace(c, s):
     the rows (da) of c extended to every d, a (`_pair_rows`) against the
     columns (cb) expanded by s^dc."""
     n = s.shape[-1]
-    r, t = _pair_tables(n)["pairs_lt"]
+    r, t = pair_basis(n)
     sc = np.zeros(s.shape[:2] + (len(r), n))         # [d, (rt), b]
     k = np.arange(len(r))
     sc[:, :, k, t] = s[:, :, r]

@@ -23,15 +23,17 @@ neither the rank cut nor the kernel dimension moves.
 Every system is read off the pair matrices the samples keep, C[(ab), (cd)]
 = C_abcd (`CurvatureSamples`), never off the n^4 components: the weak
 system has one row per pair a < b and index c, the skew system is C
-itself, the symmetric system gathers its entries from the pairs, and the
-operators are products with the inverse metric on 2-forms.
+itself, the symmetric system and its dual gather their entries from pair
+matrices with their signs (`_pair_symmetric_system`), and L and the
+cubic scalars are products of pair matrices.  The Weyl operator raises
+the slots of the rows a < b one at a time (`weyl_operators`).
 
-Ranked-pair convention: a 4-index array t antisymmetric in both pairs is
-packed over the pairs a < b (in `pair_basis` order) as the matrix
-M[(ab),(cd)] = 2 * t[a,b,c,d], twice the samples' pair matrix;
-`_pair_matrix` and `_pair_tensor` convert between the two over any leading
-axes (the oracles use them), and `_pair_rows` and `_pair_cols` extend the
-row or the column pairs alone.
+Ranked-pair convention: the matrix of an operator on 2-forms,
+W_ab -> t_ab^cd W_cd, over the pairs a < b (`curvature.pair_basis`) is
+M[(ab),(cd)] = PAIR_SUM * t[a,b,c,d], twice the pair matrix, since the
+operator sums over c, d in both orders (`curvature.PAIR_SUM`);
+`_pair_matrix` and `_pair_tensor` convert between M and the 4-index array
+over any leading axes (the oracles use them).
 
 The adjugate of the 2-form operator packages as the tensor Ct_ef^ab with
 Ct_ef^ab C_ab^cd = ||C|| delta^[c_[e delta^d]_f] (`_pair_tensor` of the
@@ -56,11 +58,15 @@ import numpy as np
 from . import linalg
 from .config import DEFAULT_TOLERANCES
 from .curvature import (
+    PAIR_SUM,
     CurvatureSamples,
+    _contract_slot,
     _pair_cols,
-    _pair_dim,
     _pair_rows,
     _pair_tables,
+    pack_pairs,
+    pair_basis,
+    unpack_pairs,
 )
 from .geometry import permutation_sign
 
@@ -83,30 +89,17 @@ class PolicyError(ArithmeticError):
     """A dual-candidate policy's nonvanishing precondition failed."""
 
 
-def pair_basis(n):
-    """Index arrays (a, b) of the ranked pairs a < b, row-major."""
-    return np.triu_indices(n, 1)
-
-
 def _pair_matrix(t):
-    """Ranked-pair matrix 2 * t[..., a, b, c, d] of an array (..., n, n, n, n)
-    antisymmetric in both pairs: shape (..., N, N), N = n(n-1)/2."""
-    a, b = pair_basis(t.shape[-1])
-    return 2.0 * t[..., a[:, None], b[:, None], a, b]
+    """Ranked-pair matrix PAIR_SUM * t[..., a, b, c, d] of an array
+    (..., n, n, n, n) antisymmetric in both pairs: shape (..., N, N),
+    N = n(n-1)/2."""
+    return PAIR_SUM * pack_pairs(t)
 
 
 def _pair_tensor(m):
-    """Inverse of _pair_matrix: the antisymmetric extension, with the 1/2."""
-    n = _pair_dim(m.shape[-1])
-    a, b = pair_basis(n)
-    a, b, c, d = a[:, None], b[:, None], a, b
-    v = 0.5 * m
-    t = np.zeros(m.shape[:-2] + (n,) * 4)
-    t[..., a, b, c, d] = v
-    t[..., b, a, c, d] = -v
-    t[..., a, b, d, c] = -v
-    t[..., b, a, d, c] = v
-    return t
+    """Inverse of _pair_matrix: the 4-index array of a ranked-pair
+    matrix."""
+    return unpack_pairs(m / PAIR_SUM)
 
 
 def weyl_vanishes(samples, tol=DEFAULT_TOLERANCES):
@@ -140,21 +133,33 @@ def _operators(samples, key, matrices):
 
 
 def weyl_operators(samples: CurvatureSamples):
-    """Ranked-pair matrix of C_ab^cd, ||C|| and the adjugate, per point."""
-    return _operators(samples, ("weyl-operator",), lambda: 2.0 * (
-        samples.raised("C", (0, 0, 1, 1))))
+    """Ranked-pair matrix of C_ab^cd, ||C|| and the adjugate, per point.
+    The matrix raises the slots c and d of the rows a < b of C one at a
+    time (`_contract_slot`), the summation order of the slot contractions
+    of the n^4 tensor, rather than by the inverse metric on 2-forms: where
+    the Weyl tensor is anti-self-dual or null ||C|| is roundoff, and the
+    policy gate prints it (`obstructions._gate`), so its digits follow the
+    summation order."""
+    def matrix():
+        a, b = pair_basis(samples.n)
+        rows = _pair_cols(samples["C"])          # C_ab_cd at [(ab), c, d]
+        for slot in (1, 2):
+            rows = _contract_slot(rows, samples["ginv"], slot)
+        return PAIR_SUM * rows[:, :, a, b]
+    return _operators(samples, ("weyl-operator",), matrix)
 
 
 def l_operators(samples: CurvatureSamples):
     """L^a_b = C^acde C_bcde, ||L|| and the adjugate Lt^a_b, per point: a
-    sum over c and the pairs d < e, twice the product of the rows of C^ab^cd
-    and C_abcd, each extended to every first pair (`_pair_rows`)."""
+    sum over c and the pairs d < e of the rows of C^ab^cd and C_abcd, each
+    extended to every first pair (`_pair_rows`)."""
     def build():
         n = samples.n
         up = weyl_rows(samples, (1, 1, 1, 1))
         low = weyl_rows(samples)
-        return 2.0 * (up.reshape(-1, n, up.shape[-2] * up.shape[-1])
-                      @ np.swapaxes(low.reshape(up.shape[0], n, -1), 1, 2))
+        return PAIR_SUM * (
+            up.reshape(-1, n, up.shape[-2] * up.shape[-1])
+            @ np.swapaxes(low.reshape(up.shape[0], n, -1), 1, 2))
     return _operators(samples, ("l-operator",), build)
 
 
@@ -185,64 +190,69 @@ def _dual_epsilon(n):
     return eps
 
 
-def _symmetric_system(t, g):
+def _symmetric_rows(entries, g):
     """Trace-free symmetric systems of a stack, unknowns H^bd over the pairs
-    b <= d.  Per point p, one row per index r of the middle axes of
-    t[p, b, ..., d] (row-major), with entries t[p, b, r, d] + t[p, d, r, b]
-    (the single term t[p, b, r, b] on the diagonal), then the trace row
-    g[p, b, d] (doubled off the diagonal)."""
-    count, n = g.shape[:2]
-    b, d = np.triu_indices(n)
-    off = b != d
-    tt = np.moveaxis(t, -1, 2).reshape(count, n, n, -1)   # tt[p, b, d, r]
-    cols = tt[:, b, d]
-    cols[:, off] += tt[:, d[off], b[off]]
-    return _with_trace_row(np.swapaxes(cols, 1, 2), g)
-
-
-def _with_trace_row(rows, g):
-    """The rows (count, R, n(n+1)/2) of a symmetric system, then the trace
-    row g[p, b, d] (doubled off the diagonal)."""
+    b <= d: entries(x, y) (count, R, K) holds t[p, x_k, r, y_k] for index
+    arrays x, y of length K, and row r has the entries t_brd + t_drb (the
+    single term t_brb on the diagonal); then the trace row g[p, b, d]
+    (doubled off the diagonal)."""
     b, d = np.triu_indices(g.shape[-1])
-    trace = np.where(b != d, 2.0, 1.0) * g[:, b, d]
-    return np.concatenate([rows, trace[:, None]], axis=1)
+    off = b != d
+    cols = entries(b, d)
+    cols[..., off] += entries(d[off], b[off])
+    trace = np.where(off, 2.0, 1.0) * g[:, b, d]
+    return np.concatenate([cols, trace[:, None]], axis=1)
 
 
-def _weyl_symmetric_system(samples):
-    """The symmetric system C_abcd H^bd = 0 read off the pair matrices of
-    C: one row per (a, c), row-major, entries C_abcd + C_adcb over the
-    pairs b <= d (C_abcb on the diagonal), then the trace row."""
-    C, n = samples["C"], samples.n
+def _symmetric_system(t, g):
+    """The symmetric systems (`_symmetric_rows`) of any stack t[p, b, ...,
+    d], one row per index r of the middle axes (row-major): the general
+    build, which the tests hold the pair readers to."""
+    count, n = g.shape[:2]
+    tt = np.moveaxis(t, -1, 2).reshape(count, n, n, -1)   # tt[p, b, d, r]
+    return _symmetric_rows(lambda x, y: np.swapaxes(tt[:, x, y], 1, 2), g)
+
+
+def _pair_symmetric_system(x, row, row_sign, g):
+    """The symmetric systems (`_symmetric_rows`) of a stack of tensors
+    t_bscd antisymmetric in c, d, read off matrices x (count, R, N) over
+    the column pairs c < d: t_bscd = row_sign[b, s] x[p, row[b, s], (cd)],
+    one row per (s, c), row-major."""
+    count, n = g.shape[:2]
     tab = _pair_tables(n)
     idx, sign = tab["idx"], tab["sign"]
-    b, d = np.triu_indices(n)
-    a, c = np.arange(n)[:, None, None], np.arange(n)[None, :, None]
+    s = np.arange(row.shape[1])[:, None, None]
+    c = np.arange(n)[:, None]
 
-    def entries(x, y):  # C_axcy at [p, a, c, (xy)]
-        return C[:, idx[a, x], idx[c, y]] * (sign[a, x] * sign[c, y])
+    def entries(b, d):  # t_{b s c d} at [p, (s, c), k]
+        return (x[:, row[b, s], idx[c, d]]
+                * (row_sign[b, s] * sign[c, d])).reshape(count, -1, len(b))
+    return _symmetric_rows(entries, g)
 
-    cols = entries(b, d)
-    off = b != d
-    cols[..., off] += entries(d[off], b[off])
-    return _with_trace_row(cols.reshape(len(C), n * n, -1), samples["g"])
+
+def _weyl_symmetric_system(C, g):
+    """The symmetric systems C_abcd H^bd = 0 of the pair matrices C: one row
+    per (a, c), row-major, t_bacd = C_abcd = sign[a, b] C[(ab), (cd)]."""
+    tab = _pair_tables(g.shape[-1])
+    return _pair_symmetric_system(C, tab["idx"], tab["sign"].T, g)
 
 
 def _dual_system(cup, g, root):
     """The volume-form dual systems of a stack: the symmetric system of
     Cstar_{b1 S c d} = root eps_{b1 S}^{a1 a2} C_{a1 a2 c d} on the rows
     (S, c) of `_dual_epsilon`, S increasing, then the trace row, from the
-    pair matrices `cup` of C^ab_cd: the sum over a1, a2 is twice a sum over
-    the pairs a1 < a2."""
+    pair matrices `cup` of C^ab_cd (a sum over the pairs a1 < a2)."""
     count, n = g.shape[:2]
     a, b = pair_basis(n)
     eps = _dual_epsilon(n).reshape(-1, n, n)[:, a, b]
-    cstar = (2.0 * root)[:, None, None] * (eps @ cup)
-    return _symmetric_system(_pair_cols(cstar).reshape(count, n, -1, n, n), g)
+    cstar = (PAIR_SUM * root)[:, None, None] * (eps @ cup)
+    row = np.arange(len(eps)).reshape(n, -1)             # rows (b1, S)
+    return _pair_symmetric_system(cstar, row, np.ones(row.shape), g)
 
 
 def _cubed(m):
-    """t_ab^cd t_cd^ef t_ef^ab per point, from the ranked-pair matrices
-    m = 2 t[(ab), (cd)] of t (`_pair_matrix`): the trace of m^3."""
+    """t_ab^cd t_cd^ef t_ef^ab per point, from the ranked-pair matrices m
+    of t (`_pair_matrix`): the trace of m^3."""
     return np.einsum("pij,pjk,pki->p", m, m, m)
 
 
@@ -255,14 +265,12 @@ def weyl_c3(samples: CurvatureSamples):
 def dim4_scalars(samples):
     """(C^3, *C^3) per point of a 4-dimensional sample batch, *C the dual
     of C on its first pair by the volume form sqrt|det g| eps: *C_ab^cd =
-    root eps_ab^ef C_ef^cd, twice a sum over the pairs e < f."""
+    root eps_ab^ef C_ef^cd, a sum over the pairs e < f."""
     root = np.sqrt(np.abs(np.linalg.det(samples["g"])))
-    a, b = pair_basis(4)
-    eps = _levi_civita(4)[a[:, None], b[:, None], a, b]
-    cstar = (2.0 * root)[:, None, None] * (eps @ samples.raised(
-        "C", (1, 1, 0, 0)))
+    cstar = (PAIR_SUM * root)[:, None, None] * (
+        pack_pairs(_levi_civita(4)) @ samples.raised("C", (1, 1, 0, 0)))
     return weyl_c3(samples), _cubed(
-        2.0 * (cstar @ samples.pair_metric()[:, 0]))
+        PAIR_SUM * (cstar @ samples.pair_metric()[:, 0]))
 
 
 @dataclass
@@ -340,13 +348,13 @@ def classify_genericity(s: CurvatureSamples, tolerances=DEFAULT_TOLERANCES):
     for p, k in zip(short, linalg.nullspace(weak[short], tolerances.rank_tol,
                                             scale[short])):
         wkernels[p] = k
-    skew = np.swapaxes(2.0 * C, -1, -2)  # rows (cd), columns (ab)
+    skew = np.swapaxes(PAIR_SUM * C, -1, -2)  # rows (cd), columns (ab)
     skew_dims = (skew.shape[-1]
                  - linalg.rank(skew, tolerances.rank_tol, scale)).tolist()
     # the appended trace row absorbs the pure-trace direction, so the
     # reported dimensions count genuine trace-free solutions
     cols = n * (n + 1) // 2
-    sym_dims = (cols - linalg.rank(_weyl_symmetric_system(s),
+    sym_dims = (cols - linalg.rank(_weyl_symmetric_system(C, g),
                                    tolerances.rank_tol, scale)).tolist()
     dual_dims = (cols - linalg.rank(
         _dual_system(s.raised("C", (1, 1, 0, 0)), g, root),

@@ -47,28 +47,32 @@ def _eliminate(a, cut):
     <= cut[p] or 0.  Returns (u, cols, r, sign): u holds the eliminated
     matrices under their permutations, cols the column permutations, r the
     numerical ranks and sign the parities of the row and column swaps.
-    The step's |entries| and rank-1 update go into two buffers allocated
-    once, and the pivot column below the pivot, which the step zeroes, is
-    not updated."""
-    u = np.array(a, dtype=float)
-    count, m, n = u.shape
+
+    The stack is worked on transposed, each matrix's columns as rows: the
+    matrices here are tall (up to ~1300 rows of at most 21 columns), so
+    the rank-1 update of each step runs along their long axis.  The step's
+    |entries| and rank-1 update go into two buffers allocated once, and
+    the pivot column below the pivot, which the step zeroes, is not
+    updated."""
+    count, m, n = a.shape
+    t = np.array(np.swapaxes(a, 1, 2), dtype=float, order="C")  # [p, j, i]
     cols = np.tile(np.arange(n), (count, 1))
     r = np.full(count, min(m, n))
     sign = np.ones(count)
     live = np.arange(count)  # the matrices still being eliminated, and
-    w = u                    # their working stack (u itself until one stops)
+    w = t                    # their working stack (t itself until one stops)
     absbuf, upd = np.empty(count * m * n), np.empty(count * m * n)
     for k in range(min(m, n)):
         size = len(live) * (m - k) * (n - k)
         sub = absbuf[:size].reshape(len(live), m - k, n - k)
-        np.abs(w[:, k:, k:], out=sub)
+        np.abs(np.swapaxes(w[:, k:, k:], 1, 2), out=sub)   # row-major
         sub = sub.reshape(len(live), (m - k) * (n - k))
         flat = sub.argmax(axis=1)  # ties go to the first in row-major order
         best = sub[np.arange(len(live)), flat]
         stop = (best <= cut[live]) | (best == 0.0)
         if stop.any():
             r[live[stop]] = k
-            u[live[stop]] = w[stop]
+            t[live[stop]] = w[stop]
             live, w, flat = live[~stop], w[~stop], flat[~stop]
             if not live.size:
                 break
@@ -76,20 +80,20 @@ def _eliminate(a, cut):
         i, j = np.divmod(flat, n - k)
         i += k
         j += k
-        w[at, k], w[at, i] = w[at, i], w[at, k]
-        w[at, :, k], w[at, :, j] = w[at, :, j], w[at, :, k]
+        w[at, :, k], w[at, :, i] = w[at, :, i], w[at, :, k]
+        w[at, k], w[at, j] = w[at, j], w[at, k]
         cols[live, k], cols[live, j] = cols[live, j], cols[live, k]
         sign[live[i != k]] *= -1.0
         sign[live[j != k]] *= -1.0
-        fac = w[:, k + 1:, k] / w[:, k, k, None]
-        prod = upd[:len(live) * (m - k - 1) * (n - k - 1)].reshape(
-            len(live), m - k - 1, n - k - 1)
-        np.multiply(fac[:, :, None], w[:, k, None, k + 1:], out=prod)
+        fac = w[:, k, k + 1:] / w[:, k, k, None]
+        prod = upd[:len(live) * (n - k - 1) * (m - k - 1)].reshape(
+            len(live), n - k - 1, m - k - 1)
+        np.multiply(w[:, k + 1:, k, None], fac[:, None, :], out=prod)
         w[:, k + 1:, k + 1:] -= prod
-        w[:, k + 1:, k] = 0.0
-    if w is not u:
-        u[live] = w
-    return u, cols, r, sign
+        w[:, k, k + 1:] = 0.0
+    if w is not t:
+        t[live] = w
+    return np.ascontiguousarray(np.swapaxes(t, 1, 2)), cols, r, sign
 
 
 def _cuts(a, tol, floor):

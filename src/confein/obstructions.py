@@ -84,8 +84,10 @@ import numpy as np
 from . import linalg, taylor
 from .config import DEFAULT_TOLERANCES
 from .curvature import (
+    PAIR_SUM,
     CurvaturePack,
     CurvatureSamples,
+    pair_basis,
     pair_trace,
     point_chunks,
     unpack_pairs,
@@ -97,7 +99,6 @@ from .genericity import (
     PolicyError,
     classify_genericity,
     l_operators,
-    pair_basis,
     weyl_c3,
     weyl_operators,
     weyl_rows,
@@ -178,16 +179,16 @@ def _reciprocal(s, c=1.0):
 
 
 def _w_jet(s):
-    """w_b = C_bcde A^cde: twice a sum over c and the pairs d < e of the
-    rows of C, extended to every first pair (`_pair_rows`), and A^c(de)."""
+    """w_b = C_bcde A^cde: a sum over c and the pairs d < e of the rows of
+    C, extended to every first pair (`_pair_rows`), and A^c(de)."""
     def build():
         n = s.n
         a, gi = s.jet("A"), s.jet("ginv")
         for spec in ("xde,xc->cde", "cxe,xd->cde", "cdx,xe->cde"):
             a = taylor.product(spec, a, gi, n, 1)
         i, j = pair_basis(n)
-        return 2.0 * taylor.product("bck,ck->b", _pair_rows(s.jet("C")),
-                                    a[..., i, j], n, 1)
+        return PAIR_SUM * taylor.product(
+            "bck,ck->b", _pair_rows(s.jet("C")), a[..., i, j], n, 1)
     return s.derived(("w-jet",), build)
 
 
@@ -208,8 +209,8 @@ def _l_jet(s, order):
     def build():
         n = s.n
         up = taylor.product("ij,jk->ik", s.pair_metric(), _mixed_jet(s), n, 1)
-        out = 2.0 * taylor.product("ack,bck->ab", _pair_rows(up),
-                                   _pair_rows(s.jet("C")), n, 1)
+        out = PAIR_SUM * taylor.product("ack,bck->ab", _pair_rows(up),
+                                        _pair_rows(s.jet("C")), n, 1)
         out[:, 0] = l_operators(s)[0]
         return out
     return s.derived(("l-operator-jet",), build)
@@ -221,7 +222,7 @@ def _weyl_jet(s, order):
     if not order:
         return weyl_operators(s)[0][:, None]
     def build():
-        out = 2.0 * _mixed_jet(s)
+        out = PAIR_SUM * _mixed_jet(s)
         out[:, 0] = weyl_operators(s)[0]
         return out
     return s.derived(("weyl-operator-jet",), build)
@@ -243,9 +244,9 @@ def _pair(s, policy, order):
             # before L: the transients of raising A then do not stack on
             # the raised copies of C that L keeps.
             wup = taylor.product("b,ba->a", _w_jet(s), gi, n, k)
-            wup[:, 0] = 2.0 * np.einsum("pbck,pck->pb",
-                                        weyl_rows(s, (1, 1, 1, 1)),
-                                        s["A"][..., a, b])
+            wup[:, 0] = PAIR_SUM * np.einsum("pbck,pck->pb",
+                                             weyl_rows(s, (1, 1, 1, 1)),
+                                             s["A"][..., a, b])
             lop = _l_jet(s, k)
             if policy == "trace":
                 return np.trace(lop, axis1=2, axis2=3), -4.0 * wup

@@ -33,15 +33,15 @@ from .curvature import (
     CurvaturePack,
     CurvatureSamples,
     christoffel_jet,
+    pair_basis,
     scalar_jet,
     trace_free_residual,
-    _pair_cols,
     _pair_rows,
     _pair_tables,
 )
 from .evaluate import DomainError
 from .expressions import ZERO, ONE, Expr, add, diff, func, mul, neg, rational
-from .genericity import classify_genericity, pair_basis
+from .genericity import classify_genericity
 from .geometry import (
     DOWN,
     UP,
@@ -429,28 +429,35 @@ def theta_values(s: CurvatureSamples):
 
 
 def omega_values(s: CurvatureSamples):
-    """Stored blocks of Omega_bc[I, J] on the ranked pairs b < c
-    (`pair_basis` order): (P, N, n+2, n+2), middle-middle C_bcij, X-row and
-    column the Cotton tensor.  Omega is antisymmetric in b, c, so these rows
+    """Stored blocks Omega_ab[I, J] over every a, b: (P, n, n, n+2, n+2),
+    middle-middle C_abij, X-row and column the Cotton tensor: the rows a < b
+    of `_omega_pairs`, extended by Omega_ab = -Omega_ba.  Built once per
+    batch; the array is read-only."""
+    def build():
+        om = _omega_pairs(s)
+        full = _pair_rows(om.reshape(om.shape[:2] + (-1,)))
+        full = full.reshape(full.shape[:3] + om.shape[2:])
+        full.flags.writeable = False
+        return full
+    return s.derived(("omega",), build)
+
+
+def _omega_pairs(s):
+    """Stored blocks of Omega_bc[I, J] on the pairs b < c (`pair_basis`
+    order): (P, N, n+2, n+2).  Omega is antisymmetric in b, c, so these rows
     are all of it.  Built once per batch; the array is read-only."""
     def build():
         npts, n = len(s.points), s.n
         b, c = pair_basis(n)
         om = np.zeros((npts, len(b), n + 2, n + 2))
-        om[:, :, 1:n + 1, 1:n + 1] = _pair_cols(s["C"])
+        om[..., 1 + b, 1 + c] = s["C"]                  # C_ij[bc], i < j
+        om[..., 1 + c, 1 + b] = -s["C"]
         A = np.moveaxis(s["A"][..., b, c], 1, -1)      # A_i[bc] at [k, i]
         om[:, :, 0, 1:n + 1] = -A
         om[:, :, 1:n + 1, 0] = A
         om.flags.writeable = False
         return om
-    return s.derived(("omega",), build)
-
-
-def _omega_rows(s):
-    """Omega_ab[I, J] over every a, b: (P, n, n, n+2, n+2)."""
-    om = omega_values(s)
-    full = _pair_rows(om.reshape(om.shape[:2] + (-1,)))
-    return full.reshape(full.shape[:3] + om.shape[2:])
+    return s.derived(("omega-pairs",), build)
 
 
 def cov_omega_values(s: CurvatureSamples):
@@ -460,19 +467,22 @@ def cov_omega_values(s: CurvatureSamples):
     and Omega_be at every e off the ranked rows, with their signs."""
     npts, n = len(s.points), s.n
     b, c = pair_basis(n)
-    om = omega_values(s)
+    om = _omega_pairs(s)
     tab = _pair_tables(n)
     idx, sign = tab["idx"], tab["sign"][..., None, None]
     out = np.zeros((npts, n, len(b), n + 2, n + 2))
-    out[..., 1:n + 1, 1:n + 1] = _pair_cols(s["dC"])
+    out[..., 1 + b, 1 + c] = s["dC"]
+    out[..., 1 + c, 1 + b] = -s["dC"]
     dA = np.moveaxis(s["dA"][:, :, :, b, c], 2, -1)     # d_z A_i[bc]
     out[..., 0, 1:n + 1] = -dA
     out[..., 1:n + 1, 0] = dA
     gamma = s["gamma"]
-    out -= np.einsum("pezk,pekIJ->pzkIJ", gamma[..., b],
-                     om[:, idx[:, c]] * sign[:, c], optimize=True)
-    out -= np.einsum("pezk,pkeIJ->pzkIJ", gamma[..., c],
-                     om[:, idx[b]] * sign[b], optimize=True)
+    ec = np.take(om, idx[:, c], axis=1)                 # Omega_ec
+    ec *= sign[:, c]
+    out -= np.einsum("pezk,pekIJ->pzkIJ", gamma[..., b], ec, optimize=True)
+    be = np.take(om, idx[b], axis=1)                    # Omega_be
+    be *= sign[b]
+    out -= np.einsum("pezk,pkeIJ->pzkIJ", gamma[..., c], be, optimize=True)
     th = theta_values(s)
     out -= np.einsum("pzKI,pkKJ->pzkIJ", th, om, optimize=True)
     out -= np.einsum("pzKJ,pkIK->pzkIJ", th, om, optimize=True)
@@ -505,7 +515,7 @@ def w_tensor_values(s: CurvatureSamples, cov=None):
     """W[A,B,C,E] = (n-4) ZZ Omega - 2 X_[A Z_B]^b div-Omega, all slots
     down: (P, n+2, n+2, n+2, n+2)."""
     npts, n = len(s.points), s.n
-    om = _omega_rows(s)
+    om = omega_values(s)
     dv = div_omega_values(s, cov)
     w = np.zeros((npts, n + 2, n + 2, n + 2, n + 2))
     w[:, 1:n + 1, 1:n + 1] = (n - 4) * om
@@ -589,7 +599,7 @@ def annihilation_check(s: CurvatureSamples, tractor):
         ivals = tt.values_at(s.points)
     else:
         ivals = np.asarray(tractor, dtype=float)
-    om = _omega_rows(s)
+    om = omega_values(s)
     cov = cov_omega_values(s)
     dv = div_omega_values(s, cov)
     w = w_tensor_values(s, cov)
@@ -631,7 +641,7 @@ def rank_rows(s: CurvatureSamples, tolerances=DEFAULT_TOLERANCES,
     point order, and, only when `kernels` asks for them, an orthonormal
     kernel basis per point (`linalg.rank_nullspace`), else None."""
     n, npts = s.n, len(s.points)
-    mat = np.concatenate([omega_values(s).reshape(npts, -1, n + 2),
+    mat = np.concatenate([_omega_pairs(s).reshape(npts, -1, n + 2),
                           cov_omega_values(s).reshape(npts, -1, n + 2)],
                          axis=1)
     if not kernels:

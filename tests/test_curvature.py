@@ -407,10 +407,18 @@ class TestPairBasis:
         def boom(*args, **kwargs):
             raise AssertionError("an n^4 Weyl array was built")
 
-        for mod, name in ((CV, "unpack_pairs"), (CV, "_contract_slot"),
+        def contract_slot(arr, gi, slot):
+            # the Weyl operator raises the slots of the rows a < b of C
+            if arr.ndim > 4:
+                boom()
+            return _contract_slot(arr, gi, slot)
+
+        for mod, name in ((CV, "unpack_pairs"), (GN, "unpack_pairs"),
                           (OB, "unpack_pairs"), (GN, "_pair_tensor"),
                           (OB, "_pair_tensor")):
             monkeypatch.setattr(mod, name, boom)
+        monkeypatch.setattr(GN, "_contract_slot", contract_slot)
+        monkeypatch.setattr(CV, "_contract_slot", contract_slot)
         path = tmp_path / "rt6-quartic.mspec"
         path.write_text(dumps_mspec(entry_to_mspec(entry("rt6-quartic"), 20)))
         assert cli.main(["classify", str(path), "--json",

@@ -5,7 +5,7 @@ from confein import genericity as GN
 from confein import linalg
 from confein import obstructions as OB
 from confein.config import Tolerances
-from confein.curvature import unpack_pairs
+from confein.curvature import _pair_cols, pack_pairs, unpack_pairs
 from confein.expressions import parse
 from conftest import entry, maxabs, pack, points, samples
 
@@ -315,8 +315,27 @@ class TestClassification:
     @pytest.mark.parametrize("name", ["rt4-quartic", "hyperkahler4",
                                       "schwarzschild4"])
     def test_dim4_scalars_match_the_point_loop(self, name):
-        # the per-point n^4 build the pair-matrix products replaced, from
-        # the same raised pair matrices: equal to roundoff
+        # the per-point build the batch replaced; the arithmetic is
+        # unchanged, so the scalars must be equal
+        s = samples(name, 5)
+        m = GN.weyl_operators(s)[0]
+        cup = s.raised("C", (1, 1, 0, 0))
+        g2 = s.pair_metric()[:, 0]
+        root = np.sqrt(np.abs(np.linalg.det(s["g"])))
+        eps = pack_pairs(GN._levi_civita(4))
+        c3, c3s = GN.dim4_scalars(s)
+        for p in range(len(s.points)):
+            cstar = (2.0 * root[p]) * (eps @ cup[p])
+            cs = 2.0 * (cstar @ g2[p])
+            assert c3[p] == np.einsum("ij,jk,ki->", m[p], m[p], m[p])
+            assert c3s[p] == np.einsum("ij,jk,ki->", cs, cs, cs)
+        assert GN.weyl_c3(s) is c3
+
+    @pytest.mark.parametrize("name", ["rt4-quartic", "hyperkahler4",
+                                      "schwarzschild4"])
+    def test_dim4_scalars_match_the_n4_contractions(self, name):
+        # the full contractions of the n^4 tensors with their slots raised
+        # one at a time: the same sums in another order, equal to roundoff
         s = samples(name, 5)
         cmix = unpack_pairs(s.raised("C", (0, 0, 1, 1)))
         cup2 = unpack_pairs(s.raised("C", (1, 1, 0, 0)))
@@ -331,7 +350,6 @@ class TestClassification:
             assert abs(c3[p] - want) <= 1e-13 * max(1.0, abs(want))
             want = np.einsum("abcd,cdef,efab->", cs, cs, cs)
             assert abs(c3s[p] - want) <= 1e-13 * max(1.0, abs(want))
-        assert GN.weyl_c3(s) is c3
 
     def test_spec_level_point_wrappers(self):
         s = pack("rt4-quartic").samples(points("rt4-quartic", 1))
@@ -428,12 +446,9 @@ class TestDualSystem:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_dropped_rows_are_zero_or_signed_copies(self, n):
-        # any C antisymmetric in both pairs (the tensors the pair matrices
-        # hold) will do: the rows repeat because eps is antisymmetric
+        # any C will do: the rows repeat because eps is antisymmetric
         rng = np.random.default_rng(n)
         C = rng.normal(size=(3,) + (n,) * 4)
-        C = C - np.transpose(C, (0, 2, 1, 3, 4))
-        C = C - np.transpose(C, (0, 1, 2, 4, 3))
         a = rng.normal(size=(3, n, n))
         g = np.einsum("pab,pcb->pac", a, a) + n * np.eye(n)
         gi = np.linalg.inv(g)
@@ -443,6 +458,12 @@ class TestDualSystem:
         assert len(keep) == len(GN._dual_epsilon(n)) + 1
         if n <= 4:
             assert keep == list(range(n ** (n - 2) + 1))
+        _assert_dropped_rows_repeat(full, keep)
+        # the reduced build reads C as pair matrices, so it is compared on
+        # the part of C antisymmetric in both pairs
+        C = C - np.transpose(C, (0, 2, 1, 3, 4))
+        C = C - np.transpose(C, (0, 1, 2, 4, 3))
+        full = _full_dual_systems(C, gi, g, root)
         reduced = GN._dual_system(_cup_pairs(C, gi), g, root)
         for sys_full, sys_red in zip(full, reduced):
             kept = sys_full[keep]
@@ -460,12 +481,21 @@ class TestPairBasisSystems:
 
     @pytest.mark.parametrize("name", ["rt4-quartic", "rt5-quartic",
                                       "rt6-quartic", "pp-wave4"])
-    def test_symmetric_system_is_the_n4_build(self, name):
+    def test_symmetric_systems_are_the_n4_builds(self, name):
         # the same entries, gathered with their signs: equal bit for bit
         s = samples(name, 6)
-        want = GN._symmetric_system(np.swapaxes(unpack_pairs(s["C"]), 1, 2),
-                                    s["g"])
-        assert np.array_equal(GN._weyl_symmetric_system(s), want)
+        n, npts, g = s.n, len(s.points), s["g"]
+        C = s["C"]
+        want = GN._symmetric_system(np.swapaxes(unpack_pairs(C), 1, 2), g)
+        assert np.array_equal(GN._weyl_symmetric_system(C, g), want)
+        # rows (b, s) of a tensor antisymmetric in its last pair only, as
+        # the dual system reads them
+        x = np.random.default_rng(n).normal(
+            size=(npts, 3 * n, len(GN.pair_basis(n)[0])))
+        row = np.arange(3 * n).reshape(n, 3)
+        want = GN._symmetric_system(_pair_cols(x).reshape(npts, n, 3, n, n), g)
+        assert np.array_equal(
+            GN._pair_symmetric_system(x, row, np.ones(row.shape), g), want)
 
     @pytest.mark.parametrize("name", ["rt5-quartic", "pp-wave4",
                                       "hyperkahler4"])

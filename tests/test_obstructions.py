@@ -557,10 +557,8 @@ class TestCottonScale:
         v = rep.verdicts[0]
         assert (v.theorem, v.outcome, v.precondition) == (
             "conformal-c-space", "inconclusive", "left inverse unavailable")
-        # ||C|| is roundoff here (the Weyl tensor is anti-self-dual), so
-        # the figure is the one of the pair-matrix Weyl operator
         assert v.detail == \
-            f"policy from-C: ||C|| = 1.959e-50 vanishes at point {pts[0]}"
+            f"policy from-C: ||C|| = 3.756e-50 vanishes at point {pts[0]}"
         assert rep.notes == [v.detail] and rep.k_provenance is None
 
     def test_vanishing_weyl_tensor_decides_on_the_cotton_tensor(self):

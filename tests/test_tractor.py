@@ -237,7 +237,7 @@ class TestChangeScale:
         # uvals holds the applied factor (-ups); the object has weight -2
         conv = np.einsum("pIK,pJL,pbKL->pbIJ", m_down, m_down, dvh)
         conv *= np.exp(-2 * uvals)[:, None, None, None]
-        om = TR._omega_rows(s)
+        om = TR.omega_values(s)
         du = evaluate_components(
             np.asarray([parse("0"), parse("1/r"), parse("0"), parse("0")],
                        dtype=object), s.bindings)
@@ -266,7 +266,7 @@ class TestCurvature:
         pts = points(name, 3)
         b = binds(name, pts)
         s = pack(name).samples(pts)
-        om = TR._omega_rows(s)
+        om = TR.omega_values(s)
         hinv = np.zeros((len(pts), n + 2, n + 2))
         hinv[:, 0, n + 1] = 1.0
         hinv[:, n + 1, 0] = 1.0
@@ -303,7 +303,7 @@ class TestCurvature:
         # ranked-pair rows: the rows a < b must be equal bit for bit, and
         # the divergence, which sums the expanded rows, equal to roundoff
         s = samples(name, 8, seed)
-        n, om = s.n, TR._omega_rows(s)
+        n, om = s.n, TR.omega_values(s)
         full = np.zeros((len(s.points), n, n, n, n + 2, n + 2))
         full[..., 1:n + 1, 1:n + 1] = unpack_pairs(s["dC"])
         full[..., 0, 1:n + 1] = -np.transpose(s["dA"], (0, 1, 3, 4, 2))
@@ -571,7 +571,7 @@ class TestKernelsOnlyWhenAsked:
         s = pack(name).samples(points(name, 5))
         rep = TR.rank_obstruction(s, sigma=ONE)
         n, npts = s.n, len(s.points)
-        mat = np.concatenate([TR.omega_values(s).reshape(npts, -1, n + 2),
+        mat = np.concatenate([TR._omega_pairs(s).reshape(npts, -1, n + 2),
                               TR.cov_omega_values(s).reshape(npts, -1, n + 2)],
                              axis=1)
         ranks, kernels = linalg.rank_nullspace(mat, TOL.rank_tol, s.scale())
