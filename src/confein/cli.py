@@ -2,12 +2,13 @@
 
 Exit codes for `classify`: 0 = conformally Einstein, 1 = not, 2 =
 inconclusive (or a verdict conflict, which is a bug signal), 3 = input
-error, 4 = internal error.  An input error is a file, option or expression
-that cannot be read, or a metric or factor that cannot be evaluated at the
-sample points (unbound symbol, domain error, singular metric, failed
-left-inverse policy); any other exception is an internal error, printed as
-`internal error: ...`.  Reports are deterministic for a fixed --seed: two
-runs produce byte-identical JSON.
+error, 4 = internal error.  An input error is a file that cannot be read
+or written (any OSError), an option or expression that cannot be read, or
+a metric or factor that cannot be evaluated at the sample points (unbound
+symbol, domain error, singular metric, failed left-inverse policy); any
+other exception is an internal error, printed as `internal error: ...`.
+Reports are deterministic for a fixed --seed: two runs produce
+byte-identical JSON.
 
 `classify` walks its points in chunks (`curvature.point_chunks`: 128
 points at n = 6, 320 at n = 5, 1024 at n = 4): each chunk is sampled,
@@ -69,9 +70,9 @@ class InputError(Exception):
 
 
 # errors that name a fault of the input wherever they are raised
-_INPUT_ERRORS = (InputError, MetricSpecError, ExprSyntaxError,
-                 FileNotFoundError, SingularMetricError, DomainError,
-                 PolicyError, UnboundSymbolError)
+_INPUT_ERRORS = (InputError, MetricSpecError, ExprSyntaxError, OSError,
+                 SingularMetricError, DomainError, PolicyError,
+                 UnboundSymbolError)
 
 
 def _reads_input(fn):
@@ -86,7 +87,6 @@ def _reads_input(fn):
 
 
 _parse = _reads_input(parse)
-_get_entry = _reads_input(get_entry)
 
 
 def _common_flags(p):
@@ -388,6 +388,7 @@ def cmd_tractor(args):
     return EXIT_YES if rep["is_einstein_scale"] else EXIT_NO
 
 
+@_reads_input
 def cmd_catalog(args):
     if args.action == "list":
         for name in entry_names():
@@ -398,9 +399,8 @@ def cmd_catalog(args):
         return EXIT_INPUT
     if args.points < 1:
         raise InputError("need at least one sample point")
-    entry = _get_entry(args.name)
-    text = dumps_mspec(entry_to_mspec(entry, n_points=args.points,
-                                      seed=args.seed))
+    text = dumps_mspec(entry_to_mspec(get_entry(args.name),
+                                      n_points=args.points, seed=args.seed))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

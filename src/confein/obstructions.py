@@ -394,17 +394,10 @@ def dual_candidate_jet(samples, policy, tolerances=DEFAULT_TOLERANCES):
 
 
 def dual_candidate(s: CurvatureSamples, policy="from-L",
-                   tolerances=DEFAULT_TOLERANCES,
-                   user_comps=None) -> DualCandidate:
+                   tolerances=DEFAULT_TOLERANCES) -> DualCandidate:
     """Left inverse of the Weyl tensor per sample point: the value of
-    dual_candidate_jet and the determinant it divided by.  Policy 'user'
-    takes components as given."""
-    _check_policy(policy, POLICIES + ("user",))
-    if policy == "user":
-        if user_comps is None:
-            raise ValueError("user policy needs user_comps")
-        return DualCandidate(np.asarray(user_comps, dtype=float),
-                             "user-supplied", np.ones(len(s.points)))
+    dual_candidate_jet and the determinant it divided by."""
+    _check_policy(policy)
     dt, det = _left_inverse(s, policy, tolerances)
     return DualCandidate(dt[:, 0], policy, det[:, 0])
 

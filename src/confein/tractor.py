@@ -19,7 +19,9 @@ The TractorField/TractorTensor operations (connection, change of scale, D,
 `einstein_candidate`, `omega`) are symbolic and take the `CurvaturePack`
 of the scale.  The checks and verdicts at the end run on numeric samples
 of the metric jet (`CurvatureSamples`): the *_values functions,
-`annihilation_check`, `parallel_tractor_check` and `rank_obstruction`."""
+`annihilation_check`, `parallel_tractor_check` and `rank_obstruction`,
+which ranks the reduced stack [Omega; d Omega - Omega Theta] (`rank_rows`);
+nabla Omega itself is built by `cov_omega_values` only."""
 
 from __future__ import annotations
 
@@ -187,16 +189,6 @@ def _apply_tractor_matrix(t, slot, mat, want, new):
     slots = list(t.slots)
     slots[slot] = new
     return TractorTensor(t.g, tuple(slots), comps, t.weight)
-
-
-def _object_trace(comps, s1, s2):
-    moved = np.moveaxis(comps, (s1, s2), (-2, -1))
-    shape = moved.shape[:-2]
-    out = np.empty(shape, dtype=object)
-    k = moved.shape[-1]
-    for idx in np.ndindex(*shape):
-        out[idx] = add(*[moved[idx + (i, i)] for i in range(k)])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -460,39 +452,54 @@ def _omega_pairs(s):
     return s.derived(("omega-pairs",), build)
 
 
-def cov_omega_values(s: CurvatureSamples):
-    """nabla_z Omega_bc[I,J] by the coupled connection on the ranked pairs
-    b < c (`pair_basis` order): (P, z, N, I, J).  Omega is antisymmetric in
-    b, c, so these rows are all of it.  The Christoffel terms read Omega_ec
-    and Omega_be at every e off the ranked rows, with their signs."""
+def _d_omega_pairs(s):
+    """d_z Omega_bc[I, J] on the pairs b < c, scattered from dC and dA:
+    (P, n, N, n+2, n+2), a fresh array."""
     npts, n = len(s.points), s.n
     b, c = pair_basis(n)
-    om = _omega_pairs(s)
-    tab = _pair_tables(n)
-    idx, sign = tab["idx"], tab["sign"][..., None, None]
     out = np.zeros((npts, n, len(b), n + 2, n + 2))
     out[..., 1 + b, 1 + c] = s["dC"]
     out[..., 1 + c, 1 + b] = -s["dC"]
     dA = np.moveaxis(s["dA"][:, :, :, b, c], 2, -1)     # d_z A_i[bc]
     out[..., 0, 1:n + 1] = -dA
     out[..., 1:n + 1, 0] = dA
-    gamma = s["gamma"]
-    ec = np.take(om, idx[:, c], axis=1)                 # Omega_ec
-    ec *= sign[:, c]
-    out -= np.einsum("pezk,pekIJ->pzkIJ", gamma[..., b], ec, optimize=True)
-    be = np.take(om, idx[b], axis=1)                    # Omega_be
-    be *= sign[b]
-    out -= np.einsum("pezk,pkeIJ->pzkIJ", gamma[..., c], be, optimize=True)
-    th = theta_values(s)
-    out -= np.einsum("pzKI,pkKJ->pzkIJ", th, om, optimize=True)
-    out -= np.einsum("pzKJ,pkIK->pzkIJ", th, om, optimize=True)
     return out
 
 
-def div_omega_values(s: CurvatureSamples, cov=None):
+def cov_omega_values(s: CurvatureSamples):
+    """nabla_z Omega_bc[I,J] by the coupled connection on the ranked pairs
+    b < c (`pair_basis` order): (P, z, N, I, J).  Omega is antisymmetric in
+    b, c, so these rows are all of it.  The Christoffel terms read Omega_ec
+    and Omega_be at every e off the ranked rows, with their signs.
+
+    The oracle of nabla Omega, for `annihilation_check` and the tests; the
+    rank test ranks the reduced stack of `rank_rows`.  Built once per
+    batch; the array is read-only."""
+    def build():
+        b, c = pair_basis(s.n)
+        om = _omega_pairs(s)
+        tab = _pair_tables(s.n)
+        idx, sign = tab["idx"], tab["sign"][..., None, None]
+        out = _d_omega_pairs(s)
+        gam = s["gamma"]
+        ec = np.take(om, idx[:, c], axis=1)                 # Omega_ec
+        ec *= sign[:, c]
+        out -= np.einsum("pezk,pekIJ->pzkIJ", gam[..., b], ec, optimize=True)
+        be = np.take(om, idx[b], axis=1)                    # Omega_be
+        be *= sign[b]
+        out -= np.einsum("pezk,pkeIJ->pzkIJ", gam[..., c], be, optimize=True)
+        th = theta_values(s)
+        out -= np.einsum("pzKI,pkKJ->pzkIJ", th, om, optimize=True)
+        out -= np.einsum("pzKJ,pkIK->pzkIJ", th, om, optimize=True)
+        out.flags.writeable = False
+        return out
+    return s.derived(("cov-omega",), build)
+
+
+def div_omega_values(s: CurvatureSamples):
     """nabla^a Omega_ab[I,J] from the coupled-connection derivative on the
-    ranked pairs, extended by Omega_ab = -Omega_ba."""
-    cov = cov_omega_values(s) if cov is None else cov
+    ranked pairs (`cov_omega_values`), extended by Omega_ab = -Omega_ba."""
+    cov = cov_omega_values(s)
     full = _pair_rows(cov.reshape(cov.shape[:3] + (-1,)))
     return np.einsum("pza,pzabIJ->pbIJ", s["ginv"],
                      full.reshape(full.shape[:4] + cov.shape[-2:]))
@@ -511,14 +518,13 @@ def div_omega_closed(s: CurvatureSamples):
     return out
 
 
-def w_tensor_values(s: CurvatureSamples, cov=None):
+def w_tensor_values(s: CurvatureSamples):
     """W[A,B,C,E] = (n-4) ZZ Omega - 2 X_[A Z_B]^b div-Omega, all slots
     down: (P, n+2, n+2, n+2, n+2)."""
     npts, n = len(s.points), s.n
-    om = omega_values(s)
-    dv = div_omega_values(s, cov)
+    dv = div_omega_values(s)
     w = np.zeros((npts, n + 2, n + 2, n + 2, n + 2))
-    w[:, 1:n + 1, 1:n + 1] = (n - 4) * om
+    w[:, 1:n + 1, 1:n + 1] = (n - 4) * omega_values(s)
     w[:, 0, 1:n + 1] += -dv
     w[:, 1:n + 1, 0] += dv
     return w
@@ -600,15 +606,12 @@ def annihilation_check(s: CurvatureSamples, tractor):
     else:
         ivals = np.asarray(tractor, dtype=float)
     om = omega_values(s)
-    cov = cov_omega_values(s)
-    dv = div_omega_values(s, cov)
-    w = w_tensor_values(s, cov)
     scale_om = max(float(np.max(np.abs(om))), 1e-300) * \
         max(float(np.max(np.abs(ivals))), 1e-300)
     r_om = np.einsum("pabIJ,pJ->pabI", om, ivals)
-    r_cov = np.einsum("pzkIJ,pJ->pzkI", cov, ivals)
-    r_div = np.einsum("pbIJ,pJ->pbI", dv, ivals)
-    r_w = np.einsum("pABIJ,pJ->pABI", w, ivals)
+    r_cov = np.einsum("pzkIJ,pJ->pzkI", cov_omega_values(s), ivals)
+    r_div = np.einsum("pbIJ,pJ->pbI", div_omega_values(s), ivals)
+    r_w = np.einsum("pABIJ,pJ->pABI", w_tensor_values(s), ivals)
     # Z-coefficient of Omega.I: rows 1..n of the remaining slot
     zcoef = r_om[:, :, :, 1:n + 1]
     return {
@@ -635,15 +638,20 @@ class RankReport:
 def rank_rows(s: CurvatureSamples, tolerances=DEFAULT_TOLERANCES,
               kernels=False):
     """The measuring half of the rank test: per point, the rank of the
-    stacked rows Omega_bc[D, .] (pairs b < c) and nabla_a Omega_bc[D, .],
-    as functionals on tractors (ranked by `linalg.rank`, which works on the
-    stack in chunks).  Returns (ranks, kernels): the ranks as a list in
-    point order, and, only when `kernels` asks for them, an orthonormal
-    kernel basis per point (`linalg.rank_nullspace`), else None."""
+    reduced stack [Omega_bc; d_z Omega_bc - Omega_bc Theta_z] (pairs b < c)
+    as functionals on tractors, ranked by `linalg.rank` in chunks.  A
+    parallel I has Omega_bc I = 0, and as d_z I = -Theta_z I, also
+    (d_z Omega_bc - Omega_bc Theta_z) I = 0.  What nabla_z Omega_bc
+    (`cov_omega_values`) adds, the Christoffel terms and Theta_z Omega_bc,
+    is a combination of Omega rows already stacked, so the rank is that of
+    [Omega; nabla Omega].  Returns (ranks, kernels): the ranks in point
+    order, and only when `kernels` asks for them an orthonormal kernel
+    basis per point (`linalg.rank_nullspace`), else None."""
     n, npts = s.n, len(s.points)
-    mat = np.concatenate([_omega_pairs(s).reshape(npts, -1, n + 2),
-                          cov_omega_values(s).reshape(npts, -1, n + 2)],
-                         axis=1)
+    om = _omega_pairs(s)
+    d = _d_omega_pairs(s)
+    d -= np.einsum("pzKJ,pkIK->pzkIJ", theta_values(s), om, optimize=True)
+    mat = np.concatenate([om[:, None], d], axis=1).reshape(npts, -1, n + 2)
     if not kernels:
         return linalg.rank(mat, tolerances.rank_tol, s.scale()).tolist(), None
     ranks, basis = linalg.rank_nullspace(mat, tolerances.rank_tol, s.scale())
@@ -668,25 +676,21 @@ def rank_verdict(ranks, n, weakly_generic):
 
 def rank_obstruction(s: CurvatureSamples, tolerances=DEFAULT_TOLERANCES,
                      sigma=None, genericity=None):
-    """Theorem-level rank test on one batch of points: `rank_rows`, then
-    `rank_verdict` on its ranks.  The metric is conformally Einstein iff
-    the rank is at most n+1 at every point (given weak genericity).  When
-    a kernel exists and sigma is supplied, reports the cosine alignment of
-    the kernel with (1/n) D sigma; without sigma no kernel is computed.
-    `classify` runs it once per chunk of points and decides on the joined
-    ranks (`rank_verdict`)."""
+    """Theorem-level rank test on one batch of points: `rank_rows` on the
+    reduced stack (not `cov_omega_values`), then `rank_verdict` on its
+    ranks.  The metric is conformally Einstein iff the rank is at most n+1
+    at every point (given weak genericity).  When a kernel exists and
+    sigma is supplied, reports the cosine alignment of the kernel with
+    (1/n) D sigma; without sigma no kernel is computed.  `classify` runs
+    it once per chunk of points and decides on the joined ranks
+    (`rank_verdict`)."""
     gen = genericity or classify_genericity(s, tolerances)
     ranks, kernels = rank_rows(s, tolerances, kernels=sigma is not None)
     report = rank_verdict(ranks, s.n, gen.weakly_generic)
     if sigma is not None and report.verdict == "conformally-einstein":
         ivals = einstein_tractor_values(s, sigma)[0]
-        cs = []
-        for p, kernel in enumerate(kernels):
-            if kernel.shape[1] == 0:
-                continue
-            v = ivals[p] / np.linalg.norm(ivals[p])
-            proj = kernel @ (kernel.T @ v)
-            cs.append(np.linalg.norm(proj))
+        cs = [np.linalg.norm(k @ (k.T @ (v / np.linalg.norm(v))))
+              for k, v in zip(kernels, ivals) if k.shape[1]]
         report.kernel_alignment = float(min(cs)) if cs else None
     return report
 

@@ -218,13 +218,6 @@ class TestDualCandidates:
         kc = np.einsum("pfabc,pabc->pf", c.comps, s["A"])
         assert maxabs(ka - kc) < 1e-7 * max(1, maxabs(ka))
 
-    def test_user_policy_passthrough(self):
-        s = samples("rt5-quartic", 2)
-        base = OB.dual_candidate(s, "from-L")
-        d = OB.dual_candidate(s, "user", user_comps=base.comps)
-        assert d.provenance == "user-supplied"
-        assert np.max(d.defining_residual(s)) < 1e-7
-
     def test_canonical_placement_is_conformally_invariant(self):
         from confein.curvature import CurvaturePack
         from confein.geometry import conformal_rescale

@@ -297,6 +297,21 @@ class TestCli:
         assert main(["invariants", str(schw_file), "--upsilon", "log("]) == 3
         assert main(["catalog", "export", "no-such-entry"]) == 3
 
+    @pytest.mark.parametrize("args", [
+        ["classify", "{dir}"],
+        ["catalog", "export", "flat4", "--out", "{dir}"],
+        ["catalog", "export", "schwarzschild4", "--seed", "-1"]],
+        ids=["classify-a-directory", "export-to-a-directory",
+             "export-negative-seed"])
+    def test_unusable_files_and_seeds_exit_three(self, tmp_path, args,
+                                                 capsys):
+        # an input or output path that cannot be opened, and a seed the
+        # point sampler rejects, are faults of the input
+        argv = [a.format(dir=tmp_path) for a in args]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("which", ["E", "G", "Gbar"])
     def test_invariants_gate_at_the_callers_rank_tol(self, rt_file, which,
                                                       capsys):

@@ -736,7 +736,7 @@ class TestPolicyErrors:
         (OB.k_field, OB.POLICIES),
         (lambda s, p: OB.conformal_einstein_tensor_verdict(s, p),
          OB.POLICIES + ("auto",)),
-        (lambda s, p: OB.dual_candidate(s, p), OB.POLICIES + ("user",))],
+        (lambda s, p: OB.dual_candidate(s, p), OB.POLICIES)],
         ids=["k_field", "tensor-verdict", "dual_candidate"])
     def test_unknown_policy_lists_what_the_caller_accepts(self, call,
                                                           accepted):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from confein import cli
+from confein import cli, linalg
 from confein import obstructions as OB
 from confein import tractor as TR
+from confein.catalog import entry_names
 from confein.config import Tolerances
 from confein.curvature import CurvaturePack, trace_free_residual, unpack_pairs
-from confein.expressions import ONE, ZERO, func, neg, parse
+from confein.expressions import ONE, ZERO, add, diff, func, mul, neg, parse
 from confein.geometry import (
     DOWN,
     MetricField,
@@ -24,6 +26,27 @@ TOL = Tolerances()
 def binds(name, pts):
     g = entry(name).metric
     return [g.point_bindings(p) for p in pts]
+
+
+def rank_stack(s, full):
+    """The rows the rank test ranks: [Omega; d Omega - Omega Theta] as
+    `rank_rows` builds them, or with full=True [Omega; nabla Omega]."""
+    n, npts = s.n, len(s.points)
+    om = TR._omega_pairs(s)
+    if full:
+        d = TR.cov_omega_values(s)
+    else:
+        d = TR._d_omega_pairs(s)
+        d -= np.einsum("pzKJ,pkIK->pzkIJ", TR.theta_values(s), om,
+                       optimize=True)
+    return np.concatenate([om[:, None], d], axis=1).reshape(npts, -1, n + 2)
+
+
+def kernel_alignment(kernels, ivals):
+    """min over the points with a kernel of |projection of I / |I||."""
+    cs = [np.linalg.norm(k @ (k.T @ (v / np.linalg.norm(v))))
+          for k, v in zip(kernels, ivals) if k.shape[1]]
+    return float(min(cs))
 
 
 class TestConnection:
@@ -102,11 +125,8 @@ class TestConnection:
 
         t1, t2 = random_field(), random_field()
         low = TR.lower_tractor_slot(t2, 0)
-        inner = TR._object_trace(
-            np.einsum("i,j->ij", np.ones(1), np.ones(1)) if False else
-            _outer(t1.comps, low.comps), 0, 1)
-        from confein.expressions import diff
-        dinner = np.asarray([diff(inner[()], c) for c in g.chart.coords],
+        inner = add(*[mul(x, y) for x, y in zip(t1.comps, low.comps)])
+        dinner = np.asarray([diff(inner, c) for c in g.chart.coords],
                             dtype=object)
         lhs = evaluate_components(dinner, b)
         g1 = TR.tractor_connection(t1)
@@ -123,15 +143,6 @@ class TestConnection:
         rhs = np.einsum("pzI,pIJ,pJ->pz", d1, hm, v2) + \
             np.einsum("pI,pIJ,pzJ->pz", v1, hm, d2)
         assert maxabs(lhs - rhs) < 1e-9
-
-
-def _outer(a, b):
-    from confein.expressions import mul
-    out = np.empty((len(a), len(b)), dtype=object)
-    for i in range(len(a)):
-        for j in range(len(b)):
-            out[i, j] = mul(a[i], b[j])
-    return out
 
 
 class TestChangeScale:
@@ -567,17 +578,43 @@ class TestKernelsOnlyWhenAsked:
         # the alignment of the kernels rank_nullspace gives for the stacked
         # rows, computed here as rank_obstruction did before it asked for
         # kernels only with a sigma
-        from confein import linalg
         s = pack(name).samples(points(name, 5))
         rep = TR.rank_obstruction(s, sigma=ONE)
-        n, npts = s.n, len(s.points)
-        mat = np.concatenate([TR._omega_pairs(s).reshape(npts, -1, n + 2),
-                              TR.cov_omega_values(s).reshape(npts, -1, n + 2)],
-                             axis=1)
-        ranks, kernels = linalg.rank_nullspace(mat, TOL.rank_tol, s.scale())
+        ranks, kernels = linalg.rank_nullspace(rank_stack(s, full=False),
+                                               TOL.rank_tol, s.scale())
         assert rep.ranks == ranks.tolist()
         ivals = TR.einstein_tractor_values(s, ONE)[0]
-        cs = [np.linalg.norm(k @ (k.T @ (v / np.linalg.norm(v))))
-              for k, v in zip(kernels, ivals) if k.shape[1]]
-        assert rep.kernel_alignment == float(min(cs))
+        assert rep.kernel_alignment == kernel_alignment(kernels, ivals)
         assert TR.rank_obstruction(s).kernel_alignment is None
+
+
+_N4_ENTRIES = [name for name in entry_names()
+               if entry(name).metric.dim >= 4]
+
+
+class TestReducedStack:
+    """The rank test ranks [Omega; d Omega - Omega Theta] (`rank_rows`).
+    The rest of nabla Omega is a combination of Omega rows, so the full
+    stack [Omega; nabla Omega] (`cov_omega_values`) has the same rank and
+    kernel."""
+
+    @given(st.sampled_from(_N4_ENTRIES), st.integers(0, 2 ** 16),
+           st.integers(1, 12))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_reduced_and_full_stacks_have_equal_ranks(self, name, seed,
+                                                      count):
+        s = pack(name).samples(points(name, count, seed))
+        full = linalg.rank(rank_stack(s, full=True), TOL.rank_tol, s.scale())
+        assert TR.rank_rows(s, TOL)[0] == full.tolist()
+
+    @pytest.mark.parametrize("name", ["schwarzschild4", "hyperkahler4",
+                                      "schwarzschild-de-sitter5"])
+    def test_kernel_alignment_matches_the_full_stack(self, name):
+        s = pack(name).samples(points(name, 5))
+        rep = TR.rank_obstruction(s, sigma=ONE)
+        ranks, kernels = linalg.rank_nullspace(rank_stack(s, full=True),
+                                               TOL.rank_tol, s.scale())
+        assert rep.ranks == ranks.tolist()
+        ivals = TR.einstein_tractor_values(s, ONE)[0]
+        assert abs(rep.kernel_alignment
+                   - kernel_alignment(kernels, ivals)) < 1e-12
