@@ -1,9 +1,9 @@
 """Built-in example metrics with known ground truth.
 
-Each entry packages a metric, a safe sampling box, fixed reference points,
-and an expected-truth record whose every field carries a provenance note
-saying *why* the value is what it is.  The acceptance suite replays these
-records through the obstruction and tractor pipelines."""
+Each entry packages a metric, a safe sampling box, and an expected-truth
+record whose every field carries a provenance note saying *why* the value
+is what it is.  The acceptance suite replays these records through the
+obstruction and tractor pipelines."""
 
 from __future__ import annotations
 
@@ -97,11 +97,8 @@ def robinson_trautman(n, kappa, h, signs=None, params=None, name=None,
     box = {"r": (1.5, 3.0), "u": (0.0, 1.0)}
     for x in xs:
         box[x] = (-0.5, 0.5)
-    ref = {"u": 0.3, "r": 2.0}
-    for i, x in enumerate(xs):
-        ref[x] = 0.05 * (i + 1)
-    g = MetricField(chart, comps, params=params, reference_point=ref,
-                    sample_box=box, name=name or f"robinson-trautman{n}")
+    g = MetricField(chart, comps, params=params, sample_box=box,
+                    name=name or f"robinson-trautman{n}")
 
     hp = diff(h, "r")
     hpp = diff(hp, "r")
@@ -209,11 +206,7 @@ def pp_wave(n, h=None, name=None):
     comps[0, 1] = comps[1, 0] = ONE
     for i in range(2, n):
         comps[i, i] = ONE
-    ref = {"u": 0.3, "r": 1.0}
-    for i, x in enumerate(xs):
-        ref[x] = 0.2 + 0.1 * i
-    g = MetricField(chart, comps, reference_point=ref,
-                    name=name or f"pp-wave{n}")
+    g = MetricField(chart, comps, name=name or f"pp-wave{n}")
     lap = simplify(add(*[diff(diff(h, x), x) for x in xs]))
     harmonic = is_zero(lap)
     expected = {
@@ -248,8 +241,6 @@ def hyperkahler_example(name="hyperkahler4"):
                 v = add(v, mul(rational(4), rp))
             comps[i, j] = simplify(v)
     g = MetricField(chart, comps,
-                    reference_point={"x1": 1.0, "y1": 0.5, "x2": 0.0,
-                                     "y2": 0.0},
                     sample_box={"x1": (1.0, 2.0), "y1": (0.0, 1.0),
                                 "x2": (-0.3, 0.3), "y2": (-0.3, 0.3)},
                     name=name)
@@ -278,9 +269,7 @@ def constant_curvature(n, kappa, name=None):
     comps = np.full((n, n), ZERO, dtype=object)
     for i in range(n):
         comps[i, i] = w
-    ref = {x: 0.1 * (i + 1) for i, x in enumerate(xs)}
-    g = MetricField(chart, comps, reference_point=ref,
-                    name=name or f"constant-curvature{n}")
+    g = MetricField(chart, comps, name=name or f"constant-curvature{n}")
     expected = {
         "einstein": (True, "constant sectional curvature"),
         "conformally_einstein": (True, "already Einstein"),
@@ -300,9 +289,7 @@ def flat(n, signature=None, name=None):
     comps = np.full((n, n), ZERO, dtype=object)
     for i, s in enumerate(signs):
         comps[i, i] = rational(s)
-    ref = {x: 0.5 + 0.1 * i for i, x in enumerate(xs)}
-    g = MetricField(chart, comps, reference_point=ref,
-                    name=name or f"flat{n}")
+    g = MetricField(chart, comps, name=name or f"flat{n}")
     expected = {
         "einstein": (True, "zero curvature"),
         "conformally_einstein": (True, "already Einstein"),

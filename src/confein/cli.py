@@ -156,8 +156,6 @@ def _load(args):
         digest = hashlib.sha256(fh.read()).hexdigest()
     g = spec.metric(name=args.file)
     points = spec.sample(n=args.points, seed=args.seed)
-    if g.reference_point is None:
-        g.reference_point = points[0]
     return spec, g, points, digest
 
 

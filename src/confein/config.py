@@ -9,7 +9,12 @@ __all__ = ["Tolerances", "DEFAULT_TOLERANCES"]
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Every numeric decision the pipelines make is governed here.
+    """The tolerances of the pipelines' residual and rank decisions.
+
+    Two cuts are fixed and not set here: a metric is degenerate where its
+    smallest |eigenvalue| is at most 1e-10 times max(1, largest |eigenvalue|)
+    (`geometry._degenerate`), and sigma vanishes where |sigma| < 1e-12
+    (`tractor.parallel_tractor_check`).
 
     A residual r measured against a magnitude `scale` passes when
     r < tol_rel * scale + tol_abs.  `decisive` is the factor a residual must

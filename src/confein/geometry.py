@@ -3,14 +3,12 @@
 All computation happens in a single coordinate chart.  A TensorField is a
 dense object-array of Expr components, one axis per index slot, each slot up
 ('u') or down ('d'), plus an integer conformal-weight tag.  The weight is
-bookkeeping only: raising a slot with the inverse metric adds -2, lowering
-adds +2, and tests verify the tags empirically under conformal rescaling."""
+bookkeeping only, set where a field is built: 2 for the metric and the
+Weyl tensor with its slots down, 0 for the Christoffel symbols."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import permutations
 
 import numpy as np
 
@@ -33,21 +31,14 @@ __all__ = [
     "UP",
     "DOWN",
     "Chart",
-    "Point",
     "TensorField",
     "MetricField",
     "SingularMetricError",
     "sym_einsum",
     "tensor_from",
-    "zeros",
-    "raise_index",
-    "lower_index",
     "christoffel",
     "covariant_derivative",
     "partial_derivative",
-    "epsilon",
-    "antisymmetrize",
-    "symmetrize",
     "conformal_rescale",
     "coframe_components",
     "sample_points",
@@ -57,8 +48,6 @@ __all__ = [
 
 UP = "u"
 DOWN = "d"
-
-Point = dict  # coordinate (and parameter) name -> float
 
 
 class SingularMetricError(ArithmeticError):
@@ -104,43 +93,6 @@ class TensorField:
     @property
     def rank(self):
         return len(self.variance)
-
-    def map(self, fn):
-        out = np.empty_like(self.comps)
-        for idx in np.ndindex(*self.comps.shape):
-            out[idx] = fn(self.comps[idx])
-        return TensorField(self.chart, self.variance, out, self.weight)
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        return TensorField(self.chart, self.variance,
-                           _elementwise(add, self.comps, other.comps), self.weight)
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return TensorField(self.chart, self.variance,
-                           _elementwise(lambda a, b: add(a, neg(b)),
-                                        self.comps, other.comps), self.weight)
-
-    def _check_compatible(self, other):
-        if self.chart is not other.chart and self.chart != other.chart:
-            raise ValueError("tensor fields live on different charts")
-        if self.variance != other.variance:
-            raise ValueError(f"variance mismatch {self.variance} vs {other.variance}")
-        if self.weight != other.weight:
-            raise ValueError(f"weight mismatch {self.weight} vs {other.weight}")
-
-
-def _elementwise(fn, a, b):
-    out = np.empty_like(a)
-    for idx in np.ndindex(*a.shape):
-        out[idx] = fn(a[idx], b[idx])
-    return out
-
-
-def zeros(chart, variance, weight=0):
-    comps = np.full((chart.dim,) * len(variance), ZERO, dtype=object)
-    return TensorField(chart, tuple(variance), comps.copy(), weight)
 
 
 def tensor_from(chart, variance, fn, weight=0):
@@ -224,11 +176,10 @@ def sym_einsum(spec, *arrays):
 
 
 class MetricField:
-    """Symmetric nondegenerate (0,2) tensor field with cached inverse,
-    Christoffel symbols, determinant and signature."""
+    """Symmetric nondegenerate (0,2) tensor field with cached symbolic
+    inverse and Christoffel symbols."""
 
-    def __init__(self, chart, comps, params=None, reference_point=None,
-                 sample_box=None, name=None):
+    def __init__(self, chart, comps, params=None, sample_box=None, name=None):
         comps = np.asarray(comps, dtype=object)
         for i in range(chart.dim):
             for j in range(i):
@@ -238,13 +189,10 @@ class MetricField:
         self.chart = chart
         self.field = TensorField(chart, (DOWN, DOWN), comps, weight=2)
         self.params = dict(params or {})
-        self.reference_point = reference_point
         self.sample_box = sample_box
         self.name = name
         self._inverse = None
-        self._det = None
         self._christoffel = None
-        self._signature = None
 
     @property
     def comps(self):
@@ -259,11 +207,6 @@ class MetricField:
             self._inverse = _symbolic_inverse(self.comps, symmetric=True)
         return self._inverse
 
-    def det_expr(self):
-        if self._det is None:
-            self._det = _symbolic_det(self.comps)
-        return self._det
-
     def christoffel(self):
         if self._christoffel is None:
             self._christoffel = christoffel(self)
@@ -273,34 +216,6 @@ class MetricField:
         b = dict(self.params)
         b.update(point)
         return b
-
-    def signature(self, point=None):
-        """(p, q) from the eigenvalues at `point`, by default at the
-        reference point.  Only the reference point's result is cached; a
-        point given while no reference point is set becomes it."""
-        if point is None:
-            if self._signature is None:
-                if self.reference_point is None:
-                    raise ValueError(
-                        "no reference point available for the signature")
-                self._signature = self._signature_at(self.reference_point)
-            return self._signature
-        sig = self._signature_at(point)
-        if self.reference_point is None:
-            self.reference_point = dict(point)
-            self._signature = sig
-        return sig
-
-    def _signature_at(self, pt):
-        m = evaluate_components(self.comps, [self.point_bindings(pt)])
-        if _degenerate(m)[0]:
-            raise SingularMetricError(f"metric is degenerate at {pt}")
-        p = int(np.sum(np.linalg.eigvalsh(0.5 * (m[0] + m[0].T)) > 0))
-        return (p, self.dim - p)
-
-    def det_sign(self, point=None):
-        p, q = self.signature(point)
-        return -1 if q % 2 else 1
 
 
 def _complexity(e):
@@ -366,64 +281,7 @@ def _symbolic_inverse(comps, symmetric=False):
     return out
 
 
-def _symbolic_det(comps):
-    n = comps.shape[0]
-
-    def rec(rows, cols):
-        if len(rows) == 1:
-            return comps[rows[0], cols[0]]
-        # expand along the sparsest row
-        best_r, best_nz = None, None
-        for ri, r in enumerate(rows):
-            nz = sum(1 for c in cols if comps[r, c] is not ZERO)
-            if best_nz is None or nz < best_nz:
-                best_r, best_nz = ri, nz
-        r = rows[best_r]
-        rest_rows = rows[:best_r] + rows[best_r + 1:]
-        terms = []
-        for ci, c in enumerate(cols):
-            e = comps[r, c]
-            if e is ZERO:
-                continue
-            minor = rec(rest_rows, cols[:ci] + cols[ci + 1:])
-            sgn = -1 if (best_r + ci) % 2 else 1
-            terms.append(mul(rational(sgn), e, minor))
-        return add(*terms) if terms else ZERO
-
-    return simplify(rec(tuple(range(n)), tuple(range(n))))
-
-
-def raise_index(t, slot, g):
-    if t.variance[slot] != DOWN:
-        raise ValueError(f"slot {slot} is already up")
-    spec = _metric_spec(t.rank, slot)
-    comps = sym_einsum(spec, g.inverse_comps(), t.comps)
-    variance = list(t.variance)
-    variance[slot] = UP
-    return TensorField(t.chart, tuple(variance), comps, t.weight - 2)
-
-
-def lower_index(t, slot, g):
-    if t.variance[slot] != UP:
-        raise ValueError(f"slot {slot} is already down")
-    spec = _metric_spec(t.rank, slot)
-    comps = sym_einsum(spec, g.comps, t.comps)
-    variance = list(t.variance)
-    variance[slot] = DOWN
-    return TensorField(t.chart, tuple(variance), comps, t.weight + 2)
-
-
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
-
-
-def _metric_spec(rank, slot):
-    if rank + 2 > len(_LETTERS):
-        raise ValueError("rank too large")
-    idx = list(_LETTERS[2:2 + rank])
-    contracted = idx[slot]
-    idx_out = idx.copy()
-    idx_out[slot] = "A"
-    return f"A{contracted},{''.join(idx)}->{''.join(idx_out)}"
 
 
 def partial_derivative(t):
@@ -508,60 +366,6 @@ def permutation_sign(perm):
     return sign
 
 
-def epsilon(g, orientation=1, point=None):
-    """Volume form: eps_{a1..an} = orientation * sqrt|det g| * sign(perm)."""
-    if orientation not in (1, -1):
-        raise ValueError("orientation must be +1 or -1")
-    n = g.dim
-    s = g.det_sign(point)
-    root = power(mul(rational(s), g.det_expr()), rational(1, 2))
-    comps = np.full((n,) * n, ZERO, dtype=object)
-    for perm in permutations(range(n)):
-        sgn = permutation_sign(perm)
-        comps[perm] = mul(rational(orientation * sgn), root)
-    return TensorField(g.chart, (DOWN,) * n, comps, weight=n)
-
-
-def _project(t, slots, antisymmetric):
-    if len(set(slots)) != len(slots):
-        raise ValueError("slots must be distinct")
-    var0 = t.variance[slots[0]]
-    for s in slots:
-        if t.variance[s] != var0:
-            raise ValueError("cannot mix up and down slots in one projection")
-    k = len(slots)
-    norm = Fraction(1, 1)
-    for i in range(2, k + 1):
-        norm /= i
-    out = np.empty_like(t.comps)
-    shape = t.comps.shape
-    perms = list(permutations(range(k)))
-    for idx in np.ndindex(*shape):
-        terms = []
-        for perm in perms:
-            jdx = list(idx)
-            for pos, p in zip(slots, perm):
-                jdx[pos] = idx[slots[p]]
-            v = t.comps[tuple(jdx)]
-            if v is ZERO:
-                continue
-            if antisymmetric and permutation_sign(perm) < 0:
-                v = neg(v)
-            terms.append(v)
-        out[idx] = mul(rational(norm), add(*terms)) if terms else ZERO
-    return TensorField(t.chart, t.variance, out, t.weight)
-
-
-def antisymmetrize(t, slots):
-    """Antisymmetrizing projection over the given same-variance slots,
-    including the 1/k! normalization (idempotent)."""
-    return _project(t, tuple(slots), True)
-
-
-def symmetrize(t, slots):
-    return _project(t, tuple(slots), False)
-
-
 def conformal_rescale(g, upsilon):
     """New metric e^{2 upsilon} g in the same chart."""
     factor = func("exp", mul(rational(2), upsilon))
@@ -571,7 +375,6 @@ def conformal_rescale(g, upsilon):
         for j in range(n):
             comps[i, j] = mul(factor, g.comps[i, j])
     return MetricField(g.chart, comps, params=g.params,
-                       reference_point=g.reference_point,
                        sample_box=g.sample_box,
                        name=f"{g.name}^rescaled" if g.name else None)
 
@@ -675,8 +478,7 @@ def _degenerate(m):
     """Per matrix of the stack m: is it not finite, or its symmetric part
     degenerate, its smallest |eigenvalue| <= 1e-10 * max(1, largest
     |eigenvalue|)?  The one test of a degenerate metric: sampling redraws
-    such points, and `CurvatureSamples` and `MetricField.signature` reject
-    them."""
+    such points, and `CurvatureSamples` rejects them."""
     bad = ~np.all(np.isfinite(m), axis=(1, 2))
     ok = m[~bad]
     ev = np.abs(np.linalg.eigvalsh(0.5 * (ok + np.swapaxes(ok, 1, 2))))

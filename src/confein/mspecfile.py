@@ -54,9 +54,7 @@ class MetricSpec:
         for (i, j), e in self.components.items():
             comps[i, j] = e
             comps[j, i] = e
-        ref = self.points[0] if self.points else None
         return MetricField(chart, comps, params=self.params,
-                           reference_point=ref,
                            sample_box=self.boxes or None, name=name)
 
     def sample(self, n=10, seed=0):

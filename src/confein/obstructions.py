@@ -94,6 +94,7 @@ from .curvature import (
     _pair_cols,
     _pair_rows,
 )
+from .evaluate import DomainError
 from .genericity import (
     GenericityReport,
     PolicyError,
@@ -106,6 +107,7 @@ from .genericity import (
     _pair_matrix,
     _pair_tensor,
 )
+from .geometry import SingularMetricError
 
 __all__ = [
     "DualCandidate",
@@ -482,9 +484,9 @@ class Residual:
                         np.concatenate([r.scale for r in parts]))
 
 
-def _scale_of(*arrays, floor=1.0):
+def _scale_of(*arrays):
     npts = arrays[0].shape[0]
-    s = np.full(npts, floor)
+    s = np.ones(npts)
     for a in arrays:
         s = np.maximum(s, np.max(np.abs(a.reshape(npts, -1)), axis=1))
     return s
@@ -952,9 +954,9 @@ def decide_tensor_verdict(measurements, pack, policy="auto",
         try:
             report.potential = reconstruct_potential(pack, report.points,
                                                      chosen, tol)
-        except (ArithmeticError, np.linalg.LinAlgError) as exc:
-            # a singular integration path (PolicyError, DomainError and
-            # SingularMetricError are ArithmeticErrors)
+        except (PolicyError, DomainError, SingularMetricError,
+                np.linalg.LinAlgError) as exc:
+            # a singular integration path; any other error is a fault
             report.notes.append(f"potential reconstruction failed: {exc}")
     return report
 
@@ -1017,11 +1019,12 @@ def cotton_scale_verdict(samples: CurvatureSamples, policy="from-L",
 # conformal covariance measurement
 
 
-def covariance_exponent(values, hat_values, upsilon_at, tol_floor=1e-9):
+def covariance_exponent(values, hat_values, upsilon_at):
     """Fitted exponent w with hat_values = e^{w upsilon} values, and its
-    spread across components and points.  Returns (w, spread), and
-    (nan, inf) when a compared component changes sign: no positive factor
-    relates the two fields."""
+    spread across components and points.  A component is compared where
+    it exceeds 1e-9 times its point's largest one and its hat value is
+    nonzero.  Returns (w, spread), and (nan, inf) when a compared component
+    changes sign: no positive factor relates the two fields."""
     v = values.reshape(values.shape[0], -1)
     vh = hat_values.reshape(hat_values.shape[0], -1)
     u = np.asarray(upsilon_at, dtype=float)
@@ -1030,7 +1033,7 @@ def covariance_exponent(values, hat_values, upsilon_at, tol_floor=1e-9):
         if abs(u[p]) < 1e-12:
             continue
         scale = np.max(np.abs(v[p]))
-        mask = (np.abs(v[p]) > tol_floor * scale) & \
+        mask = (np.abs(v[p]) > 1e-9 * scale) & \
                (np.abs(vh[p]) > 0)
         if not np.any(mask):
             continue

@@ -90,5 +90,4 @@ def perturbed_flat_metric(seed=3, scale=10):
             e = parse(" + ".join(terms))
             comps[i, j] = e
             comps[j, i] = e
-    return MetricField(ch, comps, reference_point={n: 1.0 for n in names},
-                       name=f"perturbed-flat(seed={seed})")
+    return MetricField(ch, comps, name=f"perturbed-flat(seed={seed})")

@@ -288,6 +288,18 @@ class TestCli:
         assert main(["classify", str(schw_file)]) == 4
         assert capsys.readouterr().err.startswith("internal error: ValueError")
 
+    def test_fault_in_the_potential_exit_four(self, schw_file, monkeypatch,
+                                              capsys):
+        # only a singular integration path leaves a note; any other
+        # error while integrating K is a fault of the program
+        def fault(*args, **kwargs):
+            raise ZeroDivisionError("a bug")
+
+        monkeypatch.setattr(obstructions, "reconstruct_potential", fault)
+        assert main(["classify", str(schw_file)]) == 4
+        assert capsys.readouterr().err.startswith(
+            "internal error: ZeroDivisionError")
+
     def test_input_errors_outside_the_readers_exit_three(self, tmp_path,
                                                          schw_file):
         # typed errors name the input wherever they are raised
@@ -435,6 +447,38 @@ class TestCli:
                            capture_output=True, text=True)
         assert r.returncode == 0
         assert json.loads(r.stdout)["identities"]
+
+
+# a Riemannian 4-metric whose curvature is small in its own units, at the
+# 6 points that sampling with seed 21 draws
+STATE4 = {(0, 0): "1 + 3*x^2/20", (0, 1): "w*x/20", (0, 3): "-w^2/10",
+          (1, 1): "1 - x^2/20", (1, 2): "-y*z/10", (1, 3): "-w*x/20",
+          (2, 2): "1 - x*z/10", (3, 3): "1"}
+STATE4_POINTS = """\
+point = 1.2811175888174708, 1.1058470295709681, 1.2098011904084252, 0.5890978729222089
+point = 1.1307144158739044, 1.4808107022244528, 0.923405172359756, 0.6124030833473423
+point = 1.4582664453658425, 1.1759821849217067, 0.6971927359449456, 1.1720592565267869
+point = 1.492741627736593, 0.7094854740064952, 1.3538597985125334, 1.19891078522735
+point = 0.7216750275767851, 0.6847717322552612, 1.4541570321805133, 0.8404375276040051
+point = 0.9413944990194535, 1.1560873517444037, 0.9403019037015443, 0.5002645039804519
+"""
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: scales are raw components floored at 1, so the F "
+    "route passes or fails with the units of g"))
+def test_constant_rescaling_keeps_the_verdict(tmp_path):
+    outcomes = []
+    for c in ("1/100", "1/4", "1", "4", "100"):
+        p = tmp_path / "state4.mspec"
+        p.write_text("dim = 4\ncoords = x, y, z, w\n"
+                     + "".join(f"g[{i}][{j}] = {c}*({e})\n"
+                               for (i, j), e in STATE4.items())
+                     + STATE4_POINTS)
+        code, data = run_cli(tmp_path, "classify", str(p))
+        outcomes.append((data["verdict"], code))
+    assert len(set(outcomes)) == 1, outcomes
+    assert outcomes[0][0] != "conflict", outcomes
 
 
 def _classify_bytes(tmp_path, mspec, chunk_bytes, monkeypatch):

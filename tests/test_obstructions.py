@@ -628,7 +628,6 @@ def _permuted(g, perm):
     chart is coordinate perm[a] of g's."""
     ch = Chart(tuple(g.chart.coords[a] for a in perm), g.chart.singular_loci)
     return MetricField(ch, g.comps[np.ix_(perm, perm)], params=g.params,
-                       reference_point=g.reference_point,
                        sample_box=g.sample_box, name=g.name)
 
 
