@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from confein import geometry as G
 from confein.curvature import CurvaturePack
 from confein.expressions import ONE, ZERO, diff, func, is_zero, neg, parse
+from confein.geometry import DOWN, UP
 from conftest import entry, maxabs, pack, points
 
 
@@ -48,6 +50,14 @@ class TestMetricInverse:
             delta = np.einsum("pac,pcb->pab", giv, gv)
             assert maxabs(delta - np.eye(g.dim)[None]) < 1e-10
 
+    def test_asymmetric_metric_rejected(self):
+        ch = G.Chart(("x", "y", "z"))
+        comps = np.diag([ONE, ONE, ONE]).astype(object)
+        comps[comps == 0] = ZERO
+        comps[0, 1], comps[1, 0] = parse("x"), parse("y")
+        with pytest.raises(ValueError, match="not symmetric"):
+            G.MetricField(ch, comps)
+
     def test_degenerate_metric_rejected(self):
         ch = G.Chart(("x", "y", "z"))
         comps = np.diag([ONE, ZERO, ONE]).astype(object)
@@ -55,6 +65,114 @@ class TestMetricInverse:
         g = G.MetricField(ch, comps)
         with pytest.raises(G.SingularMetricError):
             g.inverse_comps()
+
+
+class TestChart:
+    def test_repeated_coordinates_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            G.Chart(("x", "y", "x"))
+
+    def test_dimension_below_three_rejected(self):
+        with pytest.raises(ValueError, match="n >= 3"):
+            G.Chart(("x", "y"))
+
+
+class TestTensorField:
+    def test_tensor_from_calls_fn_at_every_index(self):
+        ch = G.Chart(("x", "y", "z"))
+        t = G.tensor_from(ch, [UP, DOWN],
+                          lambda i, j: parse(f"x^{i} + {j}*y"), weight=1)
+        assert t.variance == (UP, DOWN) and t.rank == 2 and t.weight == 1
+        for i, j in np.ndindex(3, 3):
+            assert is_zero(t.comps[i, j] - parse(f"x^{i} + {j}*y"))
+
+    def test_wrong_component_shape_rejected(self):
+        ch = G.Chart(("x", "y", "z"))
+        with pytest.raises(ValueError, match="component shape"):
+            G.TensorField(ch, (DOWN, DOWN), np.full((3, 4), ZERO, dtype=object))
+
+    def test_weight_tags(self):
+        # metric and its slots-down relatives carry 2, the connection 0, and
+        # the covariant derivative keeps the weight of what it differentiates
+        g = entry("schwarzschild4").metric
+        assert g.field.weight == 2
+        assert g.christoffel().weight == 0
+        assert G.covariant_derivative(g.field, g).weight == 2
+        t = G.tensor_from(g.chart, (UP,), lambda i: parse(f"r^{i}"), weight=-1)
+        assert G.covariant_derivative(t, g).weight == -1
+
+
+class TestSymEinsum:
+    def test_matches_numeric_einsum(self):
+        name = "schwarzschild4"
+        g = entry(name).metric
+        gam = g.christoffel().comps
+        low = G.sym_einsum("ad,dbc->abc", g.comps, gam)
+        b = _binds(name, points(name, 4))
+        want = np.einsum("pad,pdbc->pabc",
+                         G.evaluate_components(g.comps, b),
+                         G.evaluate_components(gam, b))
+        assert maxabs(G.evaluate_components(low, b) - want) < 1e-12
+
+    def test_scalar_output_is_an_expression(self):
+        g = entry("rt5-quartic").metric
+        tr = G.sym_einsum("ab,ab->", g.inverse_comps(), g.comps)
+        assert is_zero(tr - parse("5"))
+
+    def test_zero_factor_gives_zero(self):
+        g = entry("schwarzschild4").metric
+        z = np.full((4, 4), ZERO, dtype=object)
+        out = G.sym_einsum("ab,bc->ac", g.comps, z)
+        assert all(out[idx] is ZERO for idx in np.ndindex(4, 4))
+
+    def test_rank_mismatch_rejected(self):
+        a = np.full((3, 3), ONE, dtype=object)
+        with pytest.raises(ValueError, match="operand ranks"):
+            G.sym_einsum("abc,c->ab", a, a[0])
+
+    def test_dimension_clash_rejected(self):
+        a = np.full((3, 4), ONE, dtype=object)
+        with pytest.raises(ValueError, match="dimension clash"):
+            G.sym_einsum("ab,bc->ac", a, a)
+
+
+class TestPermutationSign:
+    def test_matches_inversion_parity(self):
+        for n in range(1, 6):
+            for perm in itertools.permutations(range(n)):
+                inversions = sum(perm[i] > perm[j]
+                                 for i in range(n) for j in range(i + 1, n))
+                assert G.permutation_sign(perm) == (-1) ** inversions
+
+
+class TestPartialDerivative:
+    def test_new_axis_is_leftmost(self):
+        g = entry("flat4").metric
+        t = G.tensor_from(g.chart, (DOWN,), lambda i: parse(f"x1^{i + 1}*x2"))
+        d = G.partial_derivative(t)
+        assert d.shape == (4, 4)
+        for a, i in np.ndindex(4, 4):
+            assert d[a, i] is diff(t.comps[i], g.chart.coords[a])
+
+
+class TestDegenerate:
+    def test_flags_non_finite_and_relatively_small_eigenvalues(self):
+        m = np.array([np.eye(3),
+                      np.diag([1.0, np.nan, 1.0]),
+                      np.diag([1.0, 0.0, 1.0]),
+                      np.diag([1e6, 1.0, 1.0]),
+                      np.diag([1e12, 1e-3, 1.0]),
+                      np.diag([-1.0, 1.0, 1.0])])
+        assert G._degenerate(m).tolist() == [False, True, True, False, True,
+                                             False]
+
+
+class TestEvaluate:
+    def test_single_expression_gives_one_value_per_point(self):
+        pts = [{"x": 2.0, "y": 3.0}, {"x": -1.0, "y": 0.5}]
+        v = G.evaluate_components(parse("x*y"), pts)
+        assert v.shape == (2,)
+        assert np.allclose(v, [6.0, -0.5], rtol=1e-15)
 
 
 class TestChristoffelAndDerivative:
@@ -157,6 +275,16 @@ class TestConformalRescale:
         pts = points("flat4", 2)
         v = G.evaluate_components(gh.comps, pts)
         assert np.allclose(v, math.e * np.eye(4)[None], rtol=1e-12)
+
+    def test_signature_preserved(self):
+        name = "rt5-quartic"
+        g = entry(name).metric
+        gh = G.conformal_rescale(g, parse("log(r)"))
+        b = _binds(name, points(name, 4))
+        ev = np.linalg.eigvalsh(G.evaluate_components(g.comps, b))
+        evh = np.linalg.eigvalsh(G.evaluate_components(gh.comps, b))
+        assert np.array_equal(np.sign(ev), np.sign(evh))
+        assert not np.any(ev == 0)
 
     def test_stereographic_factor_gives_constant_curvature_metric(self):
         flat = entry("flat4").metric
