@@ -25,7 +25,13 @@ b <= d only (`_ladder`).  The samples keep the order-1 jets of g, g^-1,
 P, J, C and A (`CurvatureSamples.jet`), the operands of the K jets in
 `obstructions`; the values and d-prefixed partials of these are views of
 the jets, the other entries (Christoffel symbols, Ricci, scalar, Bach) are
-values only.
+values only.  A consumer of values alone, the potential's quadrature
+nodes, asks for samples of order 0: the same ladder on the order-3 prefix
+of the same metric jet, every quantity one order lower, so the inverse
+metric goes to 2, the Christoffel symbols, Ricci, J and P to 1, and
+Riemann, Weyl and Cotton are values, with no partials and no Bach tensor.
+Truncated Taylor arithmetic computes each coefficient from those of lower
+degree only, so these values are bitwise those of order 1.
 
 The Weyl tensor stays in the pair basis from the ladder to its consumers:
 C is a stack of pair matrices (P, N, N), C[(ab), (cd)] = C_abcd over the
@@ -257,10 +263,10 @@ class CurvaturePack:
         return self._get("bach", build)
 
     # --- numeric sampling -------------------------------------------------
-    def samples(self, points):
-        """The ladder's values, and the first partials the invariants
-        need, at the given points (`CurvatureSamples`)."""
-        return CurvatureSamples(self, points)
+    def samples(self, points, order=1):
+        """The ladder's values, and (order 1) the first partials the
+        invariants need, at the given points (`CurvatureSamples`)."""
+        return CurvatureSamples(self, points, order)
 
     def metric_jet_tape(self):
         """Tape of the partials d^alpha g_ij, i <= j, |alpha| <= 4
@@ -334,11 +340,19 @@ class CurvatureSamples:
     partial-derivative axis of d-prefixed entries comes right after P.  The
     Weyl tensor is kept in the pair basis: values["C"] is (P, N, N) with
     [(ab), (cd)] = C_abcd over the pairs a < b, c < d (N = n(n-1)/2,
-    `_pair_tables`), values["dC"] is (P, n, N, N)."""
+    `_pair_tables`), values["dC"] is (P, n, N, N).
 
-    def __init__(self, pack, points):
+    `order` 0 samples the values only, from the order-3 prefix of the
+    metric jet: g, g^-1, the Christoffel symbols, Ricci, the scalar, P, J,
+    C and A, bitwise those of order 1, with no partials and no Bach tensor
+    (reading one raises KeyError) and jets of order 0."""
+
+    def __init__(self, pack, points, order=1):
+        if order not in (0, 1):
+            raise ValueError(f"samples of order {order}: expected 0 or 1")
         self.pack = pack
         self.n = n = pack.n
+        self.order = order
         self.points = [dict(p) for p in points]
         self.bindings = [pack.g.point_bindings(pt) for pt in points]
         self._derived = {}
@@ -349,7 +363,7 @@ class CurvatureSamples:
         self._jets, self.values = {}, {}
         for lo in range(0, max(n_pts, 1), _CHUNK):
             jet = _metric_jet(run_batch(prog, self.bindings[lo:lo + _CHUNK]),
-                              n, 4)
+                              n, order + 3)
             bad = np.flatnonzero(_degenerate(jet[:, 0]))
             if bad.size:
                 raise SingularMetricError(
@@ -364,16 +378,16 @@ class CurvatureSamples:
         for name, j in self._jets.items():
             j.flags.writeable = False
             self.values[name] = j[:, 0]
-            if name != "ginv":
+            if order and name != "ginv":
                 self.values["d" + name] = j[:, 1:]
 
     def __getitem__(self, name):
         return self.values[name]
 
     def jet(self, name):
-        """The read-only order-1 `taylor` jet (P, 1 + n) + component shape
-        of g, ginv, P, J, C (pair matrices) or A: values at [:, 0], d_z at
-        [:, 1 + z]."""
+        """The read-only `taylor` jet of the samples' order, (P, 1 + n) +
+        component shape at order 1, of g, ginv, P, J, C (pair matrices) or
+        A: values at [:, 0], d_z at [:, 1 + z]."""
         return self._jets[name]
 
     # --- derived numeric arrays (cached) ---------------------------------
@@ -538,15 +552,17 @@ def _christoffel(dg, ginv, n, k):
 
 
 def _ladder(gj, n):
-    """(order-1 jets, values) of the ladder at a chunk of points from the
-    4-jet `gj` of the metric.  Each quantity is computed to the order its
-    consumers need: the Christoffel symbols, Ricci, J and P to order r = 2,
-    Riemann, Weyl and Cotton to order q = 1 (for their first partials) and
-    Bach to order 0.  g, g^-1, P, J, C and A are returned as order-1 jets,
-    C as pair matrices (`_pair_tables`); the Christoffel symbols, Ricci,
-    the scalar curvature and Bach as values."""
+    """(jets of order q, values) of the ladder at a chunk of points from the
+    jet `gj` of the metric, of order q + 3: q = 1 from the 4-jet, q = 0
+    (values only) from its order-3 prefix.  Each quantity is computed to
+    the order its consumers need: the Christoffel symbols, Ricci, J and P
+    to order r = q + 1, Riemann, Weyl and Cotton to order q and, from the
+    4-jet, Bach to order 0.  g, g^-1, P, J, C and A are returned as jets of
+    order q, C as pair matrices (`_pair_tables`); the Christoffel symbols,
+    Ricci, the scalar curvature and Bach as values."""
     T = taylor
-    r, q = 2, 1
+    q = T.order(n, gj.shape[1]) - 3
+    r = q + 1
     tab = _pair_tables(n)
     i, j = tab["pairs"]
     sym = tab["sym"]
@@ -611,11 +627,12 @@ def _ladder(gj, n):
     w = T.product("exb,ec->xbc", gam, P, n, q)
     nabla_p = np.moveaxis(dP - w - np.swapaxes(w, -2, -1), -1, -3)
     A = nabla_p - np.swapaxes(nabla_p, -2, -1)
-    m1 = T.size(n, 1)
-    jets = {"g": gj[:, :m1], "ginv": ginv[:, :m1], "P": P[:, :m1],
-            "J": J[:, :m1], "C": C, "A": A}
-    out = {"gamma": gam[:, 0], "ricci": ricf[:, 0], "scalar": scalar[:, 0],
-           "B": _bach(ginv[:, 0], gam[:, 0], P[:, 0], C[:, 0], A)}
+    mq = T.size(n, q)
+    jets = {"g": gj[:, :mq], "ginv": ginv[:, :mq], "P": P[:, :mq],
+            "J": J[:, :mq], "C": C, "A": A}
+    out = {"gamma": gam[:, 0], "ricci": ricf[:, 0], "scalar": scalar[:, 0]}
+    if q:
+        out["B"] = _bach(ginv[:, 0], gam[:, 0], P[:, 0], C[:, 0], A)
     return jets, out
 
 

@@ -31,7 +31,11 @@ are defined at singular operators too; the partials of the from-L and
 from-C pairs need the operator inverted, so they are built only once the
 policy's preconditions hold (`_gate`).  `_pair` carries Q^a, as [C] and
 [B] below read it: `k_field` is the gate and K_a = g_ab Q^b / D, and the
-cleared E lowers Q first.
+cleared E lowers Q first.  A pair is built to the order its consumer
+reads: order 1 for K and the cleared E, which differentiate it, order 0
+for the cleared C-space and Bach displays and for the potential, whose
+quadrature reads K's values alone and samples its nodes values only
+(`reconstruct_potential`), so that no order-1 operand is built there.
 
 Every invariant clears D out of one of three conditions:
 
@@ -242,13 +246,18 @@ def _pair(s, policy, order):
         if policy in ("from-L", "trace"):
             # w^b takes its value as C^bcde A_cde from the raised C of
             # `l_operators`: raising A instead rounds differently where
-            # g^-1 is large.  Its partials come from the w_b jet.  w comes
-            # before L: the transients of raising A then do not stack on
-            # the raised copies of C that L keeps.
-            wup = taylor.product("b,ba->a", _w_jet(s), gi, n, k)
-            wup[:, 0] = PAIR_SUM * np.einsum("pbck,pck->pb",
-                                             weyl_rows(s, (1, 1, 1, 1)),
-                                             s["A"][..., a, b])
+            # g^-1 is large.  Its partials come from the w_b jet, which
+            # order 0 does not build.  w comes before L: the transients of
+            # raising A then do not stack on the raised copies of C that L
+            # keeps.
+            w0 = PAIR_SUM * np.einsum("pbck,pck->pb",
+                                      weyl_rows(s, (1, 1, 1, 1)),
+                                      s["A"][..., a, b])
+            if k:
+                wup = taylor.product("b,ba->a", _w_jet(s), gi, n, k)
+                wup[:, 0] = w0
+            else:
+                wup = w0[:, None]
             lop = _l_jet(s, k)
             if policy == "trace":
                 return np.trace(lop, axis1=2, axis2=3), -4.0 * wup
@@ -272,8 +281,16 @@ def _pair(s, policy, order):
 
 
 def _lowered(s, q):
-    """The order-1 jet g_ab q^b."""
-    return taylor.product("ab,b->a", s.jet("g"), q, s.n, 1)
+    """The jet g_ab q^b, of q's order."""
+    return taylor.product("ab,b->a", s.jet("g"), q, s.n,
+                          taylor.order(s.n, q.shape[1]))
+
+
+def _k_jet(s, policy, tol, order):
+    """The jet of `order` of K_a = g_ab Q^b / D, its policy gated at tol."""
+    _gate(s, policy, tol)
+    d, q = _pair(s, policy, order)
+    return _lowered(s, taylor.product(",a->a", _reciprocal(d), q, s.n, order))
 
 
 def _check_policy(policy, accepted=POLICIES):
@@ -431,12 +448,8 @@ def k_field(samples: CurvatureSamples, policy="from-L",
     policy (`_pair`), A contracted before anything is differentiated.
     Raises PolicyError naming the first point where the policy's
     precondition fails."""
-    def build():
-        _gate(samples, policy, tolerances)
-        d, q = _pair(samples, policy, 1)
-        return _lowered(samples, taylor.product(",a->a", _reciprocal(d), q,
-                                                samples.n, 1))
-    k = samples.derived(("k", policy, tolerances.rank_tol), build)
+    k = samples.derived(("k", policy, tolerances.rank_tol),
+                        lambda: _k_jet(samples, policy, tolerances, 1))
     return KField(k[:, 0], k[:, 1:], policy)
 
 
@@ -646,9 +659,13 @@ def reconstruct_potential(pack: CurvaturePack, points, policy="from-L",
 
     The nodes of all targets, in segment order, are sampled in chunks of
     whole targets cut by classify's rule (`curvature.point_chunks`), one
-    `pack.samples` and one `k_field` per chunk, so memory stays flat in the
-    number of points and a failing policy or metric names the first
-    failing node, the same node a walk target by target meets first.
+    `pack.samples` per chunk, so memory stays flat in the number of points
+    and a failing policy or metric names the first failing node, the same
+    node a walk target by target meets first.  The integral reads the
+    values of K only, so the nodes are sampled values only (order 0) and
+    K_a = g_ab Q^b / D is formed from the values of the policy's pair
+    (`_pair`), gated as `k_field` gates it: bitwise the values of
+    `k_field` on samples of order 1, without the ladder's partials.
 
     One segment is enough: the potential is only asked for where the
     verdict is conformally Einstein, and there K is the gradient of the log
@@ -669,7 +686,7 @@ def reconstruct_potential(pack: CurvaturePack, points, policy="from-L",
         segs = h[sl.start // _GL_NODES:sl.stop // _GL_NODES]
         nodes = [{**base, **dict(zip(coords, map(float, a + t * hk)))}
                  for hk in segs for t in fractions]
-        k = k_field(pack.samples(nodes), policy, tolerances).lowered
+        k = _k_jet(pack.samples(nodes, order=0), policy, tolerances, 0)[:, 0]
         values.extend(float(w @ (k[lo:lo + _GL_NODES] @ hk))
                       for lo, hk in zip(range(0, len(k), _GL_NODES), segs))
     return np.asarray(values)

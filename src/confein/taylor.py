@@ -16,9 +16,9 @@ one per degree of the first factor's monomials; the index tables are built
 with numpy and cached per (n, k).
 
 This is the one forward-mode algebra of the package: the curvature ladder
-runs it to order 4, and at order 1 (values plus first partials,
-f[:, 1 + i] = d_i f) it carries the one-form K of `obstructions` and its
-partials, with the sampled g, g^-1, P, J, C and A as operands."""
+runs it to order 4 (3 for values only), and at order 1 (values plus first
+partials, f[:, 1 + i] = d_i f) it carries the one-form K of `obstructions`
+and its partials, with the sampled g, g^-1, P, J, C and A as operands."""
 
 from __future__ import annotations
 
@@ -28,13 +28,24 @@ from math import comb, prod
 
 import numpy as np
 
-__all__ = ["size", "monomials", "factorials", "parents", "partials",
-           "second_partials", "product", "inverse"]
+__all__ = ["size", "order", "monomials", "factorials", "parents",
+           "partials", "second_partials", "product", "inverse"]
 
 
 def size(n, k):
     """Number of monomials of degree <= k in n variables."""
     return comb(n + k, k)
+
+
+def order(n, m):
+    """The order k of a jet of n coordinates with m = size(n, k)
+    monomials."""
+    k = 0
+    while size(n, k) < m:
+        k += 1
+    if size(n, k) != m:
+        raise ValueError(f"{m} is no number of monomials in {n} variables")
+    return k
 
 
 def _frozen(a):

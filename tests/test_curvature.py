@@ -76,12 +76,13 @@ class TestMetricJetLadder:
             assert maxabs(v - whole[key][start:]) <= \
                 1e-13 * max(1.0, maxabs(v))
 
+    @pytest.mark.parametrize("order", [0, 1])
     @pytest.mark.parametrize("name, sizes", [
         ("rt4-quartic", [32, 32, 6]),
         ("rt5-quartic", [8] * 8 + [6]),
         ("rt6-quartic", [8] * 8 + [6])])
     def test_ladder_runs_on_eight_points_from_dimension_five(
-            self, monkeypatch, name, sizes):
+            self, monkeypatch, name, sizes, order):
         from confein import curvature
         seen, ladder = [], curvature._ladder
 
@@ -90,7 +91,7 @@ class TestMetricJetLadder:
             return ladder(jet, n)
 
         monkeypatch.setattr(curvature, "_ladder", counting)
-        pack(name).samples(points(name, 70))
+        pack(name).samples(points(name, 70), order)
         assert seen == sizes
 
     def test_no_points_give_empty_entries(self):
@@ -108,6 +109,48 @@ class TestMetricJetLadder:
                {"x": 0.0, "y": 0.25, "z": 0.5}]
         with pytest.raises(G.SingularMetricError, match="'y': 0.25"):
             p.samples(pts)
+
+
+VALUES = ("g", "ginv", "gamma", "ricci", "scalar", "P", "J", "C", "A")
+
+
+class TestValuesOnly:
+    """Samples of order 0: the ladder on the order-3 prefix of the metric
+    jet, values only."""
+
+    # 10 points: from n = 5 on, a ladder chunk of 8 and one of 2
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", catalog.entry_names())
+    def test_values_are_those_of_the_full_ladder(self, name, seed):
+        got = pack(name).samples(points(name, 10, seed), order=0)
+        full = samples(name, 10, seed)
+        assert got.order == 0 and set(got.values) == set(VALUES)
+        for key in VALUES:
+            assert got[key].shape == full[key].shape, key
+            assert got[key].tobytes() == full[key].tobytes(), key
+        for key in ("g", "ginv", "P", "J", "C", "A"):
+            assert got.jet(key).shape == (10, 1) + full[key].shape[1:], key
+
+    def test_partials_and_bach_raise(self):
+        from confein import obstructions as OB, taylor
+        name = "schwarzschild5"
+        s = pack(name).samples(points(name, 10), order=0)
+        for key in ("dg", "dP", "dJ", "dC", "dA", "B"):
+            with pytest.raises(KeyError):
+                s[key]
+        # an order-1 jet cannot be read from the jets of order 0
+        with pytest.raises(ValueError, match="order 1"):
+            taylor.product("ab,bc->ac", s.jet("g"), s.jet("ginv"), s.n, 1)
+        # so neither can K's partials, under a policy whose gate passes
+        for policy in ("from-L", "from-C"):
+            assert OB.k_field(samples(name), policy).d_lowered.shape == \
+                (10, 5, 5)
+            with pytest.raises(ValueError, match="order 1"):
+                OB.k_field(s, policy)
+
+    def test_no_other_order(self):
+        with pytest.raises(ValueError, match="expected 0 or 1"):
+            pack("schwarzschild4").samples(points("schwarzschild4", 2), 2)
 
 
 class TestLadderOnClosedForms:

@@ -1,6 +1,8 @@
 import json
+import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -149,7 +151,7 @@ class TestCli:
         p = tmp_path / "schw.mspec"
         assert main(["catalog", "export", "schwarzschild4", "--out",
                      str(p)]) == 0
-        compiles, loads = [], []
+        compiles, loads, orders = [], [], []
         compile_batch = curvature.compile_batch
         init = curvature.CurvatureSamples.__init__
 
@@ -157,9 +159,10 @@ class TestCli:
             compiles.append(len(exprs))
             return compile_batch(exprs)
 
-        def counting_init(self, pack, pts):
+        def counting_init(self, pack, pts, order=1):
             loads.append([dict(q) for q in pts])
-            init(self, pack, pts)
+            orders.append(order)
+            init(self, pack, pts, order)
 
         monkeypatch.setattr(curvature, "compile_batch", counting_compile)
         monkeypatch.setattr(curvature.CurvatureSamples, "__init__",
@@ -175,6 +178,8 @@ class TestCli:
         # potential's quadrature nodes, 8 per target, in one chunk
         assert sum(pts == data["points"] for pts in loads) == 1
         assert [len(pts) for pts in loads] == [10, 8 * 9]
+        # the nodes are sampled values only
+        assert orders == [1, 0]
         # in chunks of 32 points: still one tape, and each verdict point
         # sampled once, in order, one load per chunk
         p70 = tmp_path / "schw70.mspec"
@@ -475,6 +480,31 @@ def test_constant_rescaling_keeps_the_verdict(tmp_path):
                      + "".join(f"g[{i}][{j}] = {c}*({e})\n"
                                for (i, j), e in STATE4.items())
                      + STATE4_POINTS)
+        code, data = run_cli(tmp_path, "classify", str(p))
+        outcomes.append((data["verdict"], code))
+    assert len(set(outcomes)) == 1, outcomes
+    assert outcomes[0][0] != "conflict", outcomes
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: scales and floors are raw components, so the verdict "
+    "moves with the units of the coordinates"))
+def test_linear_coordinate_change_keeps_the_verdict(tmp_path):
+    # x = lam x' on every coordinate: g'(x') = lam^2 g(lam x'), and the
+    # pinned points are divided by lam (today: conflict, inconclusive, not)
+    outcomes = []
+    for lam in ("1", "1/100", "100"):
+        def scaled(e):
+            return re.sub("[xyzw]", lambda m: f"(({lam})*{m.group()})", e)
+        points = "".join(
+            "point = " + ", ".join(repr(float(Fraction(v) / Fraction(lam)))
+                                   for v in line.split(" = ")[1].split(", "))
+            + "\n" for line in STATE4_POINTS.splitlines())
+        p = tmp_path / "state4.mspec"
+        p.write_text("dim = 4\ncoords = x, y, z, w\n"
+                     + "".join(f"g[{i}][{j}] = ({lam})^2*({scaled(e)})\n"
+                               for (i, j), e in STATE4.items())
+                     + points)
         code, data = run_cli(tmp_path, "classify", str(p))
         outcomes.append((data["verdict"], code))
     assert len(set(outcomes)) == 1, outcomes

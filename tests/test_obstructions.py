@@ -33,6 +33,25 @@ from conftest import (
 TOL = Tolerances()
 
 
+def _order_one_potential(pk, pts, policy, tol):
+    """`reconstruct_potential`'s quadrature, with K the values of
+    `k_field` on the nodes sampled with their first partials (order 1)."""
+    x, w = np.polynomial.legendre.leggauss(8)
+    fractions, w = 0.5 * (1.0 + x), 0.5 * w
+    coords = pk.chart.coords
+    a = np.array([pts[0][c] for c in coords])
+    h = np.array([[t[c] for c in coords] for t in pts[1:]]) - a
+    values = [0.0]
+    for sl in curvature.point_chunks(8 * len(h), pk.n):
+        segs = h[sl.start // 8:sl.stop // 8]
+        nodes = [{**pts[0], **dict(zip(coords, map(float, a + t * hk)))}
+                 for hk in segs for t in fractions]
+        k = OB.k_field(pk.samples(nodes), policy, tol).lowered
+        values.extend(float(w @ (k[lo:lo + 8] @ hk))
+                      for lo, hk in zip(range(0, len(k), 8), segs))
+    return np.asarray(values)
+
+
 def rozw_k_field(name, s):
     """The closed-form C-space gradient of the family, wrapped as a KField."""
     e = entry(name)
@@ -442,6 +461,33 @@ class TestVerdicts:
         sizes.clear()
         pot = OB.reconstruct_potential(pk, points("schwarzschild4", 1))
         assert sizes == [] and pot.tolist() == [0.0]
+
+    @pytest.mark.parametrize("name", [
+        "schwarzschild4", "schwarzschild5", "schwarzschild-de-sitter5",
+        "schwarzschild-de-sitter5 rescaled", "hyperkahler4"])
+    def test_potential_is_the_order_one_route(self, name):
+        # the values-only nodes give bitwise the potential of K from
+        # `k_field` on samples of order 1, through the same quadrature, and
+        # the same note where a policy's gate fails at a node
+        base = name.split()[0]
+        pk, pts = pack(base), points(base, 10)
+        if name.endswith(" rescaled"):
+            pk = CurvaturePack(conformal_rescale(entry(base).metric,
+                                                 parse("log(r)")))
+
+        def outcome(route, policy):
+            try:
+                return route(pk, pts, policy, TOL).tobytes()
+            except PolicyError as exc:
+                return str(exc)
+
+        passed = []
+        for policy in OB.POLICIES:
+            got = outcome(OB.reconstruct_potential, policy)
+            assert got == outcome(_order_one_potential, policy), policy
+            if isinstance(got, bytes):
+                passed.append(policy)
+        assert "from-L" in passed
 
     @pytest.mark.parametrize("name", ["schwarzschild4", "schwarzschild5"])
     def test_chunks_do_not_change_the_potential(self, monkeypatch, name):

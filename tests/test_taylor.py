@@ -73,3 +73,11 @@ def test_parents_rebuild_every_monomial():
     parent, var = T.parents(4, 4)
     rebuilt = exps[parent[1:]] + np.eye(4, dtype=int)[var[1:]]
     assert np.array_equal(rebuilt, exps[1:])
+
+
+def test_order_is_read_from_the_number_of_monomials():
+    for n in range(3, 7):
+        for k in range(5):
+            assert T.order(n, T.size(n, k)) == k
+    with pytest.raises(ValueError, match="no number of monomials"):
+        T.order(4, 6)
