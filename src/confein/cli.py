@@ -10,8 +10,8 @@ other exception is an internal error, printed as `internal error: ...`.
 Reports are deterministic for a fixed --seed: two runs produce
 byte-identical JSON.
 
-`classify` walks its points in chunks (`curvature.point_chunks`: 128
-points at n = 6, 320 at n = 5, 1024 at n = 4): each chunk is sampled,
+`classify` walks its points in chunks (`curvature.point_chunks`: 64
+points at n = 6, 160 at n = 5, 512 at n = 4): each chunk is sampled,
 reduced to per-point figures (genericity classes, Weyl and Cotton maxima,
 policy-gate notes, residual maxima and scales, the closedness of K,
 tractor ranks) and freed before the next, and the verdicts are decided on
@@ -101,7 +101,10 @@ def _common_flags(p):
                    help="write the JSON report to PATH instead of stdout")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: building it costs
+    about twenty times what parsing one command line does."""
     ap = argparse.ArgumentParser(
         prog="confein",
         description="decide whether a coordinate metric is locally "

@@ -285,16 +285,20 @@ _CHUNK = 32
 # the budget of one chunk of points (`point_chunks`), counted at (1 + n) n^4
 # floats per point, the order-1 jet of a 4-index tensor in full.  The
 # samples keep the Weyl jet as pair matrices, (1 + n) N^2 floats, so the
-# count is now an upper bound on their largest array; it is kept because it
-# sets the chunk steps (128, 320 and 1024 points), and classify's time does
-# not move with them
-CHUNK_BYTES = 10 * 2 ** 20
+# count is an upper bound on their largest array; it sets the chunk steps
+# (64 points at n = 6, 160 at n = 5, 512 at n = 4).  A chunk's transients
+# set classify's peak memory, and every chunk pays the eliminations' fixed
+# cost per call.  Classifying rt6-quartic at 500 points (n = 6), 128-point
+# chunks peak at 22.4 MiB traced and 64.5 MiB RSS, 64-point ones at 13.2
+# and 55.1 MiB in the same time, and 32-point ones at 10.5 and 51.4 MiB
+# but about 7% slower
+CHUNK_BYTES = 5 * 2 ** 20
 
 
 def point_chunks(count, n):
     """Slices cutting `count` points into chunks of a multiple of the
     tape's run of points, as many whole runs as fit CHUNK_BYTES at
-    dimension n (at least one): 128 points at n = 6, 320 at n = 5 and 1024
+    dimension n (at least one): 64 points at n = 6, 160 at n = 5 and 512
     at n = 4."""
     per_point = 8 * (1 + n) * n ** 4
     step = max(1, CHUNK_BYTES // (per_point * _CHUNK)) * _CHUNK

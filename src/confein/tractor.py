@@ -452,15 +452,18 @@ def _omega_pairs(s):
     return s.derived(("omega-pairs",), build)
 
 
-def _d_omega_pairs(s):
-    """d_z Omega_bc[I, J] on the pairs b < c, scattered from dC and dA:
-    (P, n, N, n+2, n+2), a fresh array."""
-    npts, n = len(s.points), s.n
+def _d_omega_pairs(s, sl=slice(None), out=None):
+    """d_z Omega_bc[I, J] on the pairs b < c at the points `sl`, scattered
+    from dC and dA: (P, n, N, n+2, n+2), written into `out` (zero off the
+    scattered entries) or into a fresh array."""
+    n = s.n
     b, c = pair_basis(n)
-    out = np.zeros((npts, n, len(b), n + 2, n + 2))
-    out[..., 1 + b, 1 + c] = s["dC"]
-    out[..., 1 + c, 1 + b] = -s["dC"]
-    dA = np.moveaxis(s["dA"][:, :, :, b, c], 2, -1)     # d_z A_i[bc]
+    dC = s["dC"][sl]
+    if out is None:
+        out = np.zeros((len(dC), n, len(b), n + 2, n + 2))
+    out[..., 1 + b, 1 + c] = dC
+    out[..., 1 + c, 1 + b] = -dC
+    dA = np.moveaxis(s["dA"][sl][:, :, :, b, c], 2, -1)  # d_z A_i[bc]
     out[..., 0, 1:n + 1] = -dA
     out[..., 1:n + 1, 0] = dA
     return out
@@ -646,16 +649,30 @@ def rank_rows(s: CurvatureSamples, tolerances=DEFAULT_TOLERANCES,
     is a combination of Omega rows already stacked, so the rank is that of
     [Omega; nabla Omega].  Returns (ranks, kernels): the ranks in point
     order, and only when `kernels` asks for them an orthonormal kernel
-    basis per point (`linalg.rank_nullspace`), else None."""
+    basis per point (`linalg.rank_nullspace`), else None.
+
+    The stack is built one elimination chunk (`linalg.chunks`) at a time:
+    Omega and d Omega - Omega Theta are written into that chunk's
+    (p, 1 + n, N, n+2, n+2) array, ranked and dropped before the next, so
+    the whole batch's stack is never held."""
     n, npts = s.n, len(s.points)
-    om = _omega_pairs(s)
-    d = _d_omega_pairs(s)
-    d -= np.einsum("pzKJ,pkIK->pzkIJ", theta_values(s), om, optimize=True)
-    mat = np.concatenate([om[:, None], d], axis=1).reshape(npts, -1, n + 2)
-    if not kernels:
-        return linalg.rank(mat, tolerances.rank_tol, s.scale()).tolist(), None
-    ranks, basis = linalg.rank_nullspace(mat, tolerances.rank_tol, s.scale())
-    return ranks.tolist(), basis
+    om, th = _omega_pairs(s), theta_values(s)
+    floor = s.scale()
+    rows = (1 + n) * om.shape[1] * (n + 2)
+    ranks, basis = [], [] if kernels else None
+    for sl in linalg.chunks(npts, rows, n + 2):
+        stack = np.zeros((sl.stop - sl.start, 1 + n) + om.shape[1:])
+        stack[:, 0] = om[sl]
+        d = _d_omega_pairs(s, sl, stack[:, 1:])
+        d -= np.einsum("pzKJ,pkIK->pzkIJ", th[sl], om[sl], optimize=True)
+        mat = stack.reshape(len(stack), rows, n + 2)
+        if kernels:
+            r, k = linalg.rank_nullspace(mat, tolerances.rank_tol, floor[sl])
+            basis += k
+        else:
+            r = linalg.rank(mat, tolerances.rank_tol, floor[sl])
+        ranks += r.tolist()
+    return ranks, basis
 
 
 def rank_verdict(ranks, n, weakly_generic):

@@ -547,10 +547,10 @@ class TestChunkedClassify:
         assert whole[0] == code
 
     def test_chunk_size_is_a_multiple_of_the_ladder_chunk(self):
-        # the default budget gives 1024, 320 and 128 points per chunk at
+        # the default budget gives 512, 160 and 64 points per chunk at
         # n = 4, 5 and 6, whole runs of the metric-jet tape (32 points)
         steps = [curvature.point_chunks(10 ** 4, n)[0].stop for n in (4, 5, 6)]
-        assert steps == [1024, 320, 128]
+        assert steps == [512, 160, 64]
         for n in (3, 4, 5, 6):
             sl = curvature.point_chunks(1000, n)
             assert sl[0].start == 0 and sl[-1].stop == 1000
@@ -618,7 +618,8 @@ class TestChunkedClassify:
 
     def test_memory_is_flat_in_the_points(self, tmp_path):
         # the tracemalloc peak of classify grows by far less than the
-        # fourfold batch
+        # fourfold batch, and stays under what 64-point chunks need (about
+        # 13 MiB; 128-point chunks peak at about 23 MiB)
         import tracemalloc
 
         peaks = []
@@ -635,3 +636,4 @@ class TestChunkedClassify:
                 tracemalloc.stop()
             assert code == 1
         assert peaks[1] < 1.5 * peaks[0], peaks
+        assert max(peaks) < 16 * 2 ** 20, peaks

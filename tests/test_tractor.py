@@ -588,6 +588,29 @@ class TestKernelsOnlyWhenAsked:
         assert TR.rank_obstruction(s).kernel_alignment is None
 
 
+class TestStreamedStack:
+    """`rank_rows` builds its stack one elimination chunk at a time; it
+    ranks as the stack built in one piece (`rank_stack`) does."""
+
+    @pytest.mark.parametrize("budget", [linalg.CHUNK_BYTES, 1])
+    @pytest.mark.parametrize("name", ["rt6-quartic", "rt5-quartic",
+                                      "schwarzschild4", "hyperkahler4"])
+    def test_ranks_and_kernels_match_the_one_piece_stack(
+            self, monkeypatch, name, budget):
+        s = pack(name).samples(points(name, 20))
+        ranks, kernels = linalg.rank_nullspace(rank_stack(s, full=False),
+                                               TOL.rank_tol, s.scale())
+        assert (linalg.rank(rank_stack(s, full=False), TOL.rank_tol,
+                            s.scale()) == ranks).all()
+        # the default budget holds 9 rt6-quartic stacks (840 x 8), so 20
+        # points take 3 chunks there; a budget of 1 gives one per chunk
+        monkeypatch.setattr(linalg, "CHUNK_BYTES", budget)
+        assert TR.rank_rows(s, TOL) == (ranks.tolist(), None)
+        got, basis = TR.rank_rows(s, TOL, kernels=True)
+        assert got == ranks.tolist() and len(basis) == len(kernels)
+        assert all(np.array_equal(a, b) for a, b in zip(basis, kernels))
+
+
 _N4_ENTRIES = [name for name in entry_names()
                if entry(name).metric.dim >= 4]
 
