@@ -288,10 +288,12 @@ _CHUNK = 32
 # count is an upper bound on their largest array; it sets the chunk steps
 # (64 points at n = 6, 160 at n = 5, 512 at n = 4).  A chunk's transients
 # set classify's peak memory, and every chunk pays the eliminations' fixed
-# cost per call.  Classifying rt6-quartic at 500 points (n = 6), 128-point
-# chunks peak at 22.4 MiB traced and 64.5 MiB RSS, 64-point ones at 13.2
-# and 55.1 MiB in the same time, and 32-point ones at 10.5 and 51.4 MiB
-# but about 7% slower
+# cost per call.  Within a chunk the stages hold one slice of its points at
+# a time: the samples one tape run's jet and one ladder step's outputs,
+# the K jets and the genericity systems one `linalg.chunks` slice.
+# Classifying rt6-quartic at 500 points (n = 6) in 64-point chunks, the
+# traced peak is 10.6 MiB while the samples are built, 8.4 MiB in the
+# genericity classes, 8.5 MiB in K and 8.1 MiB in the tractor rank
 CHUNK_BYTES = 5 * 2 ** 20
 
 
@@ -349,7 +351,19 @@ class CurvatureSamples:
     `order` 0 samples the values only, from the order-3 prefix of the
     metric jet: g, g^-1, the Christoffel symbols, Ricci, the scalar, P, J,
     C and A, bitwise those of order 1, with no partials and no Bach tensor
-    (reading one raises KeyError) and jets of order 0."""
+    (reading one raises KeyError) and jets of order 0.
+
+    The tape runs on 32 points at a time (`_run`) and the ladder on one
+    step of the run's metric jet at a time (`_step`): each step's ladder
+    outputs are released before the next step is computed, and each
+    run's tape output and jet before the next run, so that only the
+    stored values and jets grow with the points.  The jet is formed per
+    run, not per step: a step's jet is a quarter of the run's at n >= 5,
+    but without a run-sized array freed after each run glibc's malloc
+    keeps a lower trim threshold, hands the ladder's transients back to
+    the system after every step and faults them in again (three times the
+    page faults of classifying rt6-quartic at 500 points, and about 4% of
+    its time)."""
 
     def __init__(self, pack, points, order=1):
         if order not in (0, 1):
@@ -360,30 +374,41 @@ class CurvatureSamples:
         self.points = [dict(p) for p in points]
         self.bindings = [pack.g.point_bindings(pt) for pt in points]
         self._derived = {}
-        prog = pack.metric_jet_tape()
-        # `_ladder`'s transients grow about as n^5 per point (about 9 MB on
-        # 32 points at n = 5), so from n = 5 on it runs on 8 points at a time
-        n_pts, step = len(self.points), 8 if n >= 5 else _CHUNK
         self._jets, self.values = {}, {}
-        for lo in range(0, max(n_pts, 1), _CHUNK):
-            jet = _metric_jet(run_batch(prog, self.bindings[lo:lo + _CHUNK]),
-                              n, order + 3)
-            bad = np.flatnonzero(_degenerate(jet[:, 0]))
-            if bad.size:
-                raise SingularMetricError(
-                    f"metric is degenerate at {self.points[lo + bad[0]]}")
-            for sub in range(0, max(len(jet), 1), step):
-                chunk = _ladder(jet[sub:sub + step], n)
-                for store, part in zip((self._jets, self.values), chunk):
-                    for name, v in part.items():
-                        if name not in store:
-                            store[name] = np.empty((n_pts,) + v.shape[1:])
-                        store[name][lo + sub:lo + sub + len(v)] = v
+        for lo in range(0, max(len(self.points), 1), _CHUNK):
+            self._run(lo, order)
         for name, j in self._jets.items():
             j.flags.writeable = False
             self.values[name] = j[:, 0]
             if order and name != "ginv":
                 self.values["d" + name] = j[:, 1:]
+
+    def _run(self, lo, order):
+        """Run the metric-jet tape on the points lo:lo + 32, check their
+        metric for degeneracy and store their ladder.  `_ladder`'s
+        transients grow about as n^5 per point (about 9 MB on 32 points at
+        n = 5), so from n = 5 on it runs on 8 points at a time.  The run's
+        tape output and jet live until this returns."""
+        jet = _metric_jet(run_batch(self.pack.metric_jet_tape(),
+                                    self.bindings[lo:lo + _CHUNK]),
+                          self.n, order + 3)
+        bad = np.flatnonzero(_degenerate(jet[:, 0]))
+        if bad.size:
+            raise SingularMetricError(
+                f"metric is degenerate at {self.points[lo + bad[0]]}")
+        step = 8 if self.n >= 5 else _CHUNK
+        for sub in range(0, max(len(jet), 1), step):
+            self._step(jet[sub:sub + step], lo + sub)
+
+    def _step(self, jet, lo):
+        """Store the ladder of one step of the metric jet at the points
+        lo:.  The step's ladder outputs live until this returns."""
+        for store, part in zip((self._jets, self.values),
+                               _ladder(jet, self.n)):
+            for name, v in part.items():
+                if name not in store:
+                    store[name] = np.empty((len(self.points),) + v.shape[1:])
+                store[name][lo:lo + len(v)] = v
 
     def __getitem__(self, name):
         return self.values[name]

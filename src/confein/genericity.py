@@ -327,11 +327,25 @@ class GenericityReport:
         return True
 
 
+def _kernel_dims(system, npts, rows, cols, tolerances, scale):
+    """Per point, cols - the rank of the (rows, cols) systems system(sl),
+    each built and ranked one `linalg.chunks` chunk of points at a time,
+    so that only one chunk's systems and their copies are alive."""
+    dims = []
+    for sl in linalg.chunks(npts, rows, cols):
+        dims += (cols - linalg.rank(system(sl), tolerances.rank_tol,
+                                    scale[sl])).tolist()
+    return dims
+
+
 def classify_genericity(s: CurvatureSamples, tolerances=DEFAULT_TOLERANCES):
     """Classify each sample point and aggregate.
 
     The chained flags are enforced logically: generic implies
-    Lambda2-generic implies weakly generic."""
+    Lambda2-generic implies weakly generic.  The symmetric and dual
+    systems are built one elimination chunk (`linalg.chunks`) at a time
+    and ranked as they are built (`_kernel_dims`), so the whole batch's
+    systems are never held."""
     n, npts = s.n, len(s.points)
     C, g = s["C"], s["g"]
     scale = s.scale()
@@ -354,11 +368,12 @@ def classify_genericity(s: CurvatureSamples, tolerances=DEFAULT_TOLERANCES):
     # the appended trace row absorbs the pure-trace direction, so the
     # reported dimensions count genuine trace-free solutions
     cols = n * (n + 1) // 2
-    sym_dims = (cols - linalg.rank(_weyl_symmetric_system(C, g),
-                                   tolerances.rank_tol, scale)).tolist()
-    dual_dims = (cols - linalg.rank(
-        _dual_system(s.raised("C", (1, 1, 0, 0)), g, root),
-        tolerances.rank_tol, scale)).tolist()
+    sym_dims = _kernel_dims(lambda sl: _weyl_symmetric_system(C[sl], g[sl]),
+                            npts, n * n + 1, cols, tolerances, scale)
+    cup = s.raised("C", (1, 1, 0, 0))
+    dual_dims = _kernel_dims(lambda sl: _dual_system(cup[sl], g[sl], root[sl]),
+                             npts, len(_dual_epsilon(n)) + 1, cols,
+                             tolerances, scale)
 
     per = []
     for p in range(npts):

@@ -184,18 +184,36 @@ def _reciprocal(s, c=1.0):
                            (-c) * s[:, 1:] * (inv ** 2)[:, None]], axis=1)
 
 
+def _sliced_jet(s, shape, part, monomial_major):
+    """The order-1 jet (P, 1 + n) + shape of the samples s, written one
+    slice of points at a time: part(sl) for each `linalg.chunks` slice of
+    the Weyl jet's rows extended to every first pair ((1 + n) n^2 rows of
+    N per point, `_pair_rows`), so that only one slice's extensions and
+    product copies are alive.  The jet is laid out monomial-major or
+    point-major, as `taylor.product` lays out the jet built in one piece,
+    so that its consumers read the same layout."""
+    n, npts = s.n, len(s.points)
+    out = (np.moveaxis(np.empty((1 + n, npts) + shape), 0, 1)
+           if monomial_major else np.empty((npts, 1 + n) + shape))
+    for sl in linalg.chunks(npts, (1 + n) * n * n, s.jet("C").shape[-1]):
+        out[sl] = part(sl)
+    return out
+
+
 def _w_jet(s):
     """w_b = C_bcde A^cde: a sum over c and the pairs d < e of the rows of
-    C, extended to every first pair (`_pair_rows`), and A^c(de)."""
-    def build():
-        n = s.n
-        a, gi = s.jet("A"), s.jet("ginv")
+    C, extended to every first pair (`_pair_rows`), and A^c(de), built one
+    slice of points at a time (`_sliced_jet`)."""
+    n = s.n
+    i, j = pair_basis(n)
+
+    def part(sl):
+        a, gi = s.jet("A")[sl], s.jet("ginv")[sl]
         for spec in ("xde,xc->cde", "cxe,xd->cde", "cdx,xe->cde"):
             a = taylor.product(spec, a, gi, n, 1)
-        i, j = pair_basis(n)
         return PAIR_SUM * taylor.product(
-            "bck,ck->b", _pair_rows(s.jet("C")), a[..., i, j], n, 1)
-    return s.derived(("w-jet",), build)
+            "bck,ck->b", _pair_rows(s.jet("C")[sl]), a[..., i, j], n, 1)
+    return s.derived(("w-jet",), lambda: _sliced_jet(s, (n,), part, True))
 
 
 def _mixed_jet(s):
@@ -209,14 +227,20 @@ def _l_jet(s, order):
     """L^a_b = C^acde C_bcde as a jet of `order`: the value of
     `l_operators`, and the partials of the same sum over c and the pairs
     d < e from the jets of C^ab^cd = G C_ab^cd and C_abcd, their rows
-    extended to every first pair."""
+    extended to every first pair, built one slice of points at a time
+    (`_sliced_jet`)."""
     if not order:
         return l_operators(s)[0][:, None]
+    n = s.n
+
+    def part(sl):
+        up = taylor.product("ij,jk->ik", s.pair_metric()[sl],
+                            _mixed_jet(s)[sl], n, 1)
+        return PAIR_SUM * taylor.product("ack,bck->ab", _pair_rows(up),
+                                         _pair_rows(s.jet("C")[sl]), n, 1)
+
     def build():
-        n = s.n
-        up = taylor.product("ij,jk->ik", s.pair_metric(), _mixed_jet(s), n, 1)
-        out = PAIR_SUM * taylor.product("ack,bck->ab", _pair_rows(up),
-                                        _pair_rows(s.jet("C")), n, 1)
+        out = _sliced_jet(s, (n, n), part, False)
         out[:, 0] = l_operators(s)[0]
         return out
     return s.derived(("l-operator-jet",), build)

@@ -469,6 +469,61 @@ class TestDualSystem:
         _assert_dropped_rows_repeat(full, _kept_rows(6))
 
 
+class TestStreamedSystems:
+    """`classify_genericity` builds and ranks the symmetric and dual
+    systems one elimination chunk at a time; the chunks it ranks are
+    bitwise the rows of the systems built in one piece, with their floors,
+    and the kernel dimensions are theirs."""
+
+    @staticmethod
+    def _ranked(monkeypatch, s):
+        """classify_genericity(s), and the (systems, floors) of each
+        linalg.rank call after the weak and skew systems'."""
+        seen, rank = [], linalg.rank
+
+        def recording(a, tol, floor):
+            seen.append((a, floor))
+            return rank(a, tol, floor)
+
+        monkeypatch.setattr(linalg, "rank", recording)
+        return GN.classify_genericity(s), seen[2:]
+
+    @pytest.mark.parametrize("budget", [linalg.CHUNK_BYTES, 1])
+    @pytest.mark.parametrize("name", ["rt6-quartic", "rt5-quartic",
+                                      "schwarzschild4", "hyperkahler4"])
+    def test_kernel_dims_match_the_one_piece_systems(self, monkeypatch,
+                                                     name, budget):
+        s = samples(name, 41)
+        n, g = s.n, s["g"]
+        root = np.sqrt(np.abs(np.linalg.det(g)))
+        sym = GN._weyl_symmetric_system(s["C"], g)
+        dual = GN._dual_system(s.raised("C", (1, 1, 0, 0)), g, root)
+        cols = n * (n + 1) // 2
+        want = [(cols - linalg.rank(m, TOL.rank_tol, s.scale())).tolist()
+                for m in (sym, dual)]
+        # the default budget takes 25 rt6-quartic dual systems (121 x 21)
+        # to a chunk, so 41 points take 2 chunks; a budget of 1 gives one
+        # point each
+        monkeypatch.setattr(linalg, "CHUNK_BYTES", budget)
+        rep, seen = self._ranked(monkeypatch, s)
+        assert [pg.sym_kernel_dim for pg in rep.per_point] == want[0]
+        assert [pg.dual_kernel_dim for pg in rep.per_point] == want[1]
+        chunks = [len(linalg.chunks(41, *m.shape[1:])) for m in (sym, dual)]
+        assert len(seen) == sum(chunks)
+        for m, part in zip((sym, dual), (seen[:chunks[0]],
+                                         seen[chunks[0]:])):
+            assert np.array_equal(np.concatenate([a for a, _ in part]), m)
+            assert np.array_equal(np.concatenate([f for _, f in part]),
+                                  s.scale())
+
+    def test_chunks_are_sized_by_the_systems(self, monkeypatch):
+        # 41 rt6-quartic points: the 37-row symmetric systems fit one
+        # chunk, the 121-row dual systems take two (25 + 16)
+        seen = self._ranked(monkeypatch, samples("rt6-quartic", 41))[1]
+        assert [a.shape for a, _ in seen] == [
+            (41, 37, 21), (25, 121, 21), (16, 121, 21)]
+
+
 class TestPairBasisSystems:
     """The systems read off the pair matrices against their n^4 builds."""
 

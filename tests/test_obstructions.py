@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confein import catalog, curvature, obstructions as OB, taylor
+from confein import catalog, curvature, linalg, obstructions as OB, taylor
 from confein.config import Tolerances
 from confein.curvature import CurvaturePack
 from confein.expressions import ZERO, diff, neg, parse
@@ -755,6 +755,67 @@ class TestKOracle:
         assert maxabs(k.d_lowered - d) < 1e-10 * max(1, maxabs(d))
         closed = OB.KField(val, d, policy).closedness()
         assert maxabs(k.closedness() - closed) < 1e-10 * max(1, maxabs(d))
+
+
+def _whole_w_jet(s):
+    """w_b = C_bcde A^cde built on the whole batch in one piece: the
+    oracle of the sliced `_w_jet`."""
+    n = s.n
+    a, gi = s.jet("A"), s.jet("ginv")
+    for spec in ("xde,xc->cde", "cxe,xd->cde", "cdx,xe->cde"):
+        a = taylor.product(spec, a, gi, n, 1)
+    i, j = curvature.pair_basis(n)
+    return curvature.PAIR_SUM * taylor.product(
+        "bck,ck->b", curvature._pair_rows(s.jet("C")), a[..., i, j], n, 1)
+
+
+def _whole_l_jet(s):
+    """L^a_b = C^acde C_bcde built on the whole batch in one piece: the
+    oracle of the sliced `_l_jet`."""
+    n = s.n
+    up = taylor.product("ij,jk->ik", s.pair_metric(), OB._mixed_jet(s), n, 1)
+    out = curvature.PAIR_SUM * taylor.product(
+        "ack,bck->ab", curvature._pair_rows(up),
+        curvature._pair_rows(s.jet("C")), n, 1)
+    out[:, 0] = l_operators(s)[0]
+    return out
+
+
+def _layout(a):
+    """The strides of the axes of a longer than 1."""
+    return [st for st, size in zip(a.strides, a.shape) if size > 1]
+
+
+class TestSlicedKJets:
+    """`_w_jet` and `_l_jet` are written one point slice at a time; they
+    keep every bit, and the memory layout, of the jets built in one
+    piece."""
+
+    @pytest.mark.parametrize("budget", [linalg.CHUNK_BYTES, 1])
+    @pytest.mark.parametrize("count", [1, 41])
+    @pytest.mark.parametrize("name", ["rt6-quartic", "rt5-quartic",
+                                      "schwarzschild4", "hyperkahler4"])
+    def test_jets_match_the_one_piece_products(self, monkeypatch, name,
+                                               count, budget):
+        # fresh samples: the jets are cached on them.  The default budget
+        # takes 17 rt6-quartic points to a slice, so 41 points take 3
+        # slices, the last one short; a budget of 1 gives one point each
+        s = pack(name).samples(points(name, count))
+        monkeypatch.setattr(linalg, "CHUNK_BYTES", budget)
+        for got, want in ((OB._w_jet(s), _whole_w_jet(s)),
+                          (OB._l_jet(s, 1), _whole_l_jet(s))):
+            assert np.array_equal(got, want)
+            # the same memory order (a 1-long axis has no stride to keep)
+            assert _layout(got) == _layout(want)
+
+    @pytest.mark.parametrize("budget", [linalg.CHUNK_BYTES, 1])
+    def test_k_field_keeps_every_bit(self, monkeypatch, budget):
+        whole = OB.k_field(samples("rt6-quartic", 41), "from-L")
+        monkeypatch.setattr(linalg, "CHUNK_BYTES", budget)
+        s = pack("rt6-quartic").samples(points("rt6-quartic", 41))
+        sliced = OB.k_field(s, "from-L")
+        assert np.array_equal(sliced.lowered, whole.lowered)
+        assert np.array_equal(sliced.d_lowered, whole.d_lowered)
 
 
 class TestPolicyErrors:
