@@ -17,7 +17,6 @@ from .expressions import (  # noqa: F401
     to_text,
     diff,
     simplify,
-    expand,
     symbol,
     rational,
     floating,

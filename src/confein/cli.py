@@ -3,10 +3,12 @@
 Exit codes for `classify`: 0 = conformally Einstein, 1 = not, 2 =
 inconclusive (or a verdict conflict, which is a bug signal), 3 = input
 error, 4 = internal error.  An input error is a file that cannot be read
-or written (any OSError), an option or expression that cannot be read, or
+or written (any OSError), an option or expression that cannot be read, a
+metric that cannot be sampled (no drawn point of its box is regular), or
 a metric or factor that cannot be evaluated at the sample points (unbound
-symbol, domain error, singular metric, failed left-inverse policy); any
-other exception is an internal error, printed as `internal error: ...`.
+symbol, domain error or overflow, singular metric, failed left-inverse
+policy); any other exception is an internal error, printed as
+`internal error: ...`.
 Reports are deterministic for a fixed --seed: two runs produce
 byte-identical JSON.
 

@@ -354,10 +354,12 @@ class CurvatureSamples:
     (reading one raises KeyError) and jets of order 0.
 
     The tape runs on 32 points at a time (`_run`) and the ladder on one
-    step of the run's metric jet at a time (`_step`): each step's ladder
-    outputs are released before the next step is computed, and each
-    run's tape output and jet before the next run, so that only the
-    stored values and jets grow with the points.  The jet is formed per
+    step of the run's metric jet at a time (`_step`; a step of one point
+    runs doubled, `_ladder`, so that a point's figures do not depend on
+    the size of its step): each step's ladder outputs are released
+    before the next step is computed, and each run's tape output and jet
+    before the next run, so that only the stored values and jets grow
+    with the points.  The jet is formed per
     run, not per step: a step's jet is a quarter of the run's at n >= 5,
     but without a run-sized array freed after each run glibc's malloc
     keeps a lower trim threshold, hands the ladder's transients back to
@@ -588,7 +590,14 @@ def _ladder(gj, n):
     to order r = q + 1, Riemann, Weyl and Cotton to order q and, from the
     4-jet, Bach to order 0.  g, g^-1, P, J, C and A are returned as jets of
     order q, C as pair matrices (`_pair_tables`); the Christoffel symbols,
-    Ricci, the scalar curvature and Bach as values."""
+    Ricci, the scalar curvature and Bach as values.
+
+    A chunk of one point runs as two copies of it, and keeps the first:
+    the products round by the layout of their operands, which numpy lays
+    out otherwise for one point than for a batch."""
+    if len(gj) == 1:
+        return tuple({k: v[:1] for k, v in part.items()}
+                     for part in _ladder(gj[[0, 0]], n))
     T = taylor
     q = T.order(n, gj.shape[1]) - 3
     r = q + 1

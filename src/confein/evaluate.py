@@ -38,8 +38,8 @@ class UnboundSymbolError(KeyError):
 
 class DomainError(ArithmeticError):
     """Raised when evaluation hits log of a nonpositive value, a fractional
-    power of a negative value, or division by zero; carries the offending
-    sample point."""
+    power of a negative value, division by zero or (in a tape) a value too
+    large for a float; carries the offending sample point."""
 
     def __init__(self, message, point=None):
         self.point = dict(point) if point else None
@@ -217,14 +217,24 @@ def compile_batch(exprs):
 def run_batch(prog, points):
     """Run `prog` at each binding dict in `points`: an array of shape
     (len(points), n_outputs).  A tape without symbols is broadcast across
-    the points; a symbol missing from a point raises UnboundSymbolError."""
+    the points; a symbol missing from a point raises UnboundSymbolError,
+    and a value that overflows raises DomainError at the first such
+    point."""
     batch = {}
     for name in prog.sym_slots:
         try:
             batch[name] = np.array([float(pt[name]) for pt in points])
         except KeyError:
             raise UnboundSymbolError(name) from None
-    vals = prog.run(batch).T
+    try:
+        with np.errstate(over="raise"):
+            vals = prog.run(batch).T
+    except FloatingPointError:
+        # run alone, the first point that overflows raises, naming itself
+        for pt in points if len(points) > 1 else ():
+            run_batch(prog, [pt])
+        raise DomainError("overflow: a value too large for a float",
+                          {k: float(v[0]) for k, v in batch.items()}) from None
     return vals if batch else np.repeat(vals, len(points), axis=0)
 
 

@@ -38,7 +38,6 @@ __all__ = [
     "to_text",
     "diff",
     "simplify",
-    "expand",
     "is_zero",
 ]
 
@@ -560,20 +559,9 @@ class _ExpandOverflow(Exception):
     pass
 
 
-def expand(e):
-    """Rewrite e as a single quotient with multiplied-out numerator and
-    denominator (no polynomial GCD cancellation).  Detects structural zeros
-    that plain collection misses; falls back to e when the multiplied-out
-    form would be unreasonably large."""
-    try:
-        num, den = _num_den(e)
-    except _ExpandOverflow:
-        return e
-    return div(num, den)
-
-
 def is_zero(e):
-    """True when expand() proves e is identically zero."""
+    """True when e multiplied out as a single quotient (`_num_den`, no
+    polynomial GCD cancellation) has a zero numerator."""
     if e is ZERO:
         return True
     try:

@@ -44,8 +44,8 @@ its points (`weyl_operators`, `l_operators`).  The obstructions never form
 those left inverses on the verdict path: `obstructions.k_field` contracts
 the Weyl tensor with the Cotton tensor first, applies the operator's
 adjugate to the result and differentiates only the one-form K.
-The full left inverses (`obstructions.dual_candidate`) stay as the test
-oracle of K."""
+The full left inverses (`obstructions.dual_candidate_jet`) stay as the
+test oracle of K."""
 
 from __future__ import annotations
 
@@ -311,20 +311,6 @@ class GenericityReport:
                    lambda2_generic=all(f[1] for f in flags),
                    generic=all(f[2] for f in flags),
                    all_agree=len(set(flags)) == 1)
-
-    def kernel_contains(self, vector, tol=1e-10):
-        """True when `vector` lies in the weak-genericity kernel at every
-        point (residual of the projection below tol)."""
-        v = np.asarray(vector, dtype=float)
-        v = v / np.linalg.norm(v)
-        for pg in self.per_point:
-            k = pg.weak_kernel
-            if k.size == 0:
-                return False
-            resid = v - k @ (k.T @ v)
-            if np.linalg.norm(resid) > tol:
-                return False
-        return True
 
 
 def _kernel_dims(system, npts, rows, cols, tolerances, scale):

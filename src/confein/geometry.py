@@ -35,7 +35,6 @@ __all__ = [
     "MetricField",
     "SingularMetricError",
     "sym_einsum",
-    "tensor_from",
     "christoffel",
     "covariant_derivative",
     "partial_derivative",
@@ -93,15 +92,6 @@ class TensorField:
     @property
     def rank(self):
         return len(self.variance)
-
-
-def tensor_from(chart, variance, fn, weight=0):
-    """Build components by calling fn(*indices) -> Expr."""
-    n = chart.dim
-    comps = np.empty((n,) * len(variance), dtype=object)
-    for idx in np.ndindex(*comps.shape):
-        comps[idx] = fn(*idx)
-    return TensorField(chart, tuple(variance), comps, weight)
 
 
 # ---------------------------------------------------------------------------
@@ -428,24 +418,30 @@ def sample_points(chart, params=None, n=10, seed=0, box=None, metric=None):
     `CurvatureSamples` applies).  A rejected point is redrawn; the points
     kept are the first n good ones in the order drawn.  Points are drawn
     and checked in batches of as many as are still missing, so no point is
-    drawn past the n-th good one."""
+    drawn past the n-th good one.  Raises SingularMetricError, naming the
+    box, when 1000 n draws do not give n good points."""
     rng = np.random.default_rng(seed)
     params = dict(params or {})
     loci = list(chart.singular_loci)
     prog = compile_batch(loci) if loci else None
     gprog = (compile_batch(list(np.asarray(metric, dtype=object).reshape(-1)))
              if metric is not None else None)
+    box = {c: (box or {}).get(c, (0.5, 1.5)) for c in chart.coords}
     pts = []
     attempts = 0
     while len(pts) < n:
         k = min(n - len(pts), 1000 * n - attempts)
         if k == 0:
-            raise RuntimeError("sampling keeps hitting singular loci or "
-                               "points where the metric is undefined or "
-                               "degenerate; tighten the sample box")
+            raise SingularMetricError(
+                f"cannot sample {n} points: {len(pts)} of {attempts} drawn "
+                "from the box "
+                + ", ".join(f"{c} in [{lo:g}, {hi:g}]"
+                            for c, (lo, hi) in box.items())
+                + " miss the singular loci and have a defined, finite, "
+                "nondegenerate metric")
         attempts += k
-        fresh = [{c: float(rng.uniform(*(box or {}).get(c, (0.5, 1.5))))
-                  for c in chart.coords} for _ in range(k)]
+        fresh = [{c: float(rng.uniform(*box[c])) for c in chart.coords}
+                 for _ in range(k)]
         binds = [{**params, **pt} for pt in fresh]
         keep = np.ones(k, dtype=bool)
         if prog is not None:
@@ -481,7 +477,8 @@ def _degenerate(m):
     such points, and `CurvatureSamples` rejects them."""
     bad = ~np.all(np.isfinite(m), axis=(1, 2))
     ok = m[~bad]
-    ev = np.abs(np.linalg.eigvalsh(0.5 * (ok + np.swapaxes(ok, 1, 2))))
+    # halved before the sum, which then cannot overflow
+    ev = np.abs(np.linalg.eigvalsh(0.5 * ok + 0.5 * np.swapaxes(ok, 1, 2)))
     bad[~bad] = np.min(ev, axis=1) <= 1e-10 * np.maximum(1.0,
                                                          np.max(ev, axis=1))
     return bad

@@ -114,14 +114,12 @@ from .genericity import (
 from .geometry import SingularMetricError
 
 __all__ = [
-    "DualCandidate",
     "KField",
     "Residual",
     "ObstructionReport",
     "Verdict",
     "THEOREM_IDS",
     "joined_outcome",
-    "dual_candidate",
     "dual_candidate_jet",
     "k_field",
     "cspace_residual",
@@ -366,23 +364,6 @@ def _gate(samples, policy, tol):
                           f"at point {pts[p]}")
 
 
-@dataclass
-class DualCandidate:
-    """Per-point left inverses Dt of the Weyl tensor in the canonical
-    placement (up, up, down, up): Dt^ac_d^e C_bc^d_e = -delta^a_b."""
-
-    comps: np.ndarray  # (P, n, n, n, n), fully raised Dt^acde
-    provenance: str
-    dets: np.ndarray   # the determinant each policy divided by, per point
-
-    def defining_residual(self, samples):
-        """Max deviation of Dt^acde C_bcde from -identity, per point."""
-        C = unpack_pairs(samples["C"])
-        contr = np.einsum("pacde,pbcde->pab", self.comps, C)
-        eye = np.eye(C.shape[1])[None]
-        return np.max(np.abs(contr + eye).reshape(C.shape[0], -1), axis=1)
-
-
 def _left_inverse(s, policy, tol):
     """(Dt jet, the determinant jet it divides by) for one policy: 'from-L'
     divides by ||L||, 'from-C' by ||C||, 'dim4-C3' (n = 4) by the cubic
@@ -430,19 +411,11 @@ def _left_inverse(s, policy, tol):
 def dual_candidate_jet(samples, policy, tolerances=DEFAULT_TOLERANCES):
     """Fully raised Dt^acde with exact first derivatives, a `taylor` jet
     (see _left_inverse for the policies), built once per sample batch.
-    Not on the verdict path: `k_field` contracts A first."""
+    The test oracle of K, off the verdict path: `k_field` contracts A
+    first."""
     return samples.derived(
         ("dual", policy, tolerances.rank_tol),
         lambda: _left_inverse(samples, policy, tolerances))[0]
-
-
-def dual_candidate(s: CurvatureSamples, policy="from-L",
-                   tolerances=DEFAULT_TOLERANCES) -> DualCandidate:
-    """Left inverse of the Weyl tensor per sample point: the value of
-    dual_candidate_jet and the determinant it divided by."""
-    _check_policy(policy)
-    dt, det = _left_inverse(s, policy, tolerances)
-    return DualCandidate(dt[:, 0], policy, det[:, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,6 @@ __all__ = [
     "rank_rows",
     "rank_verdict",
     "RankReport",
-    "change_scale_matrix_values",
 ]
 
 TUP = "U"
@@ -711,32 +710,3 @@ def rank_obstruction(s: CurvatureSamples, tolerances=DEFAULT_TOLERANCES,
         report.kernel_alignment = float(min(cs)) if cs else None
     return report
 
-
-def change_scale_matrix_values(s: CurvatureSamples, upsilon):
-    """Numeric (M_up, M_down) at the sample points for a symbolic factor."""
-    n = s.n
-    uj = scalar_jet(s, upsilon, 1)
-    u, du = uj[:, 0], uj[:, 1:]            # (P,), (P, n)
-    g, gi = s["g"], s["ginv"]
-    duu = np.einsum("pab,pb->pa", gi, du)
-    usq = np.einsum("pa,pa->p", du, duu)
-    npts = len(s.points)
-    ep, em = np.exp(u), np.exp(-u)
-    m_up = np.zeros((npts, n + 2, n + 2))
-    m_up[:, 0, 0] = ep
-    for a in range(n):
-        m_up[:, 1 + a, 0] = em * duu[:, a]
-        m_up[:, 1 + a, 1 + a] = em
-        m_up[:, n + 1, 1 + a] = -em * du[:, a]
-    m_up[:, n + 1, 0] = -0.5 * em * usq
-    m_up[:, n + 1, n + 1] = em
-    hhat = np.zeros((npts, n + 2, n + 2))
-    hhat[:, 0, n + 1] = 1.0
-    hhat[:, n + 1, 0] = 1.0
-    hhat[:, 1:n + 1, 1:n + 1] = np.exp(2 * u)[:, None, None] * g
-    hinv = np.zeros((npts, n + 2, n + 2))
-    hinv[:, 0, n + 1] = 1.0
-    hinv[:, n + 1, 0] = 1.0
-    hinv[:, 1:n + 1, 1:n + 1] = gi
-    m_down = np.einsum("pIK,pKL,pLJ->pIJ", hhat, m_up, hinv)
-    return m_up, m_down, u

@@ -56,6 +56,19 @@ def maxabs(arr):
     return float(np.max(np.abs(arr)))
 
 
+def kernel_contains(report, vector, tol=1e-10):
+    """True when `vector` lies in the weak-genericity kernel of the
+    GenericityReport at every point (residual of the projection below
+    tol)."""
+    v = np.asarray(vector, dtype=float)
+    v = v / np.linalg.norm(v)
+    for pg in report.per_point:
+        k = pg.weak_kernel
+        if k.size == 0 or np.linalg.norm(v - k @ (k.T @ v)) > tol:
+            return False
+    return True
+
+
 def k_field_from_tensor(k_tensor, s, provenance="user-supplied"):
     """A symbolic one-form K (a closed-form gradient) as a KField at the
     points of the samples s."""

@@ -29,6 +29,7 @@ from confein.geometry import (
 )
 from conftest import (
     entry,
+    kernel_contains,
     k_field_from_tensor,
     maxabs,
     pack,
@@ -154,7 +155,7 @@ def test_criterion_06_pp_wave_degenerate():
     rep = GN.classify_genericity(samples("pp-wave4", 10))
     er = np.zeros(4)
     er[1] = 1.0
-    in_kernel = rep.kernel_contains(er, tol=1e-10)
+    in_kernel = kernel_contains(rep, er, tol=1e-10)
     verdict = OB.conformal_einstein_tensor_verdict(
         pack("pp-wave4").samples(points("pp-wave4", 10)))
     rank = TR.rank_obstruction(

@@ -18,7 +18,6 @@ from confein.expressions import (
     add,
     diff,
     div,
-    expand,
     func,
     is_zero,
     mul,
@@ -136,12 +135,6 @@ class TestSimplify:
         e2 = parse("1/(1+x) - 1/(1+x)^2 - x/(1+x)^2")
         assert is_zero(e2)
         assert not is_zero(parse("x + y"))
-
-    def test_expand_preserves_value(self):
-        e = parse("(x + 2*y)^3/(x - y) + x^2")
-        b = {"x": 1.7, "y": 0.3}
-        assert evaluate(expand(e), b) == pytest.approx(evaluate(e, b),
-                                                       rel=1e-12)
 
 
 class TestEval:

@@ -427,6 +427,61 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: metric is degenerate at {want}\n")
 
+    # undefined on the whole box, overflowing, and degenerate by the
+    # relative eigenvalue cut at either end of the float range: with drawn
+    # points, sampling finds no regular point and names the box it searched
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("diag", [
+        ("sqrt(x - 100)", "1", "1", "1"),
+        ("exp(1000*x)", "1", "1", "1"),
+        ("1e200", "1", "1", "1 + x*y"),
+        ("1e-200", "1e-200", "1e-200", "1e-200*(1 + x*y)")],
+        ids=["undefined", "overflow", "large", "small"])
+    def test_unsampleable_metric_exit_three(self, tmp_path, capsys, diag):
+        lines = ["dim = 4", "coords = x, y, z, w"]
+        lines += [f"g[{i}][{i}] = {e}" for i, e in enumerate(diag)]
+        p = tmp_path / "unsampleable.mspec"
+        p.write_text("\n".join(lines) + "\n")
+        assert main(["classify", str(p), "--points", "4"]) == 3
+        assert capsys.readouterr().err == (
+            "error: cannot sample 4 points: 0 of 4000 drawn from the box "
+            "x in [0.5, 1.5], y in [0.5, 1.5], z in [0.5, 1.5], "
+            "w in [0.5, 1.5] miss the singular loci and have a defined, "
+            "finite, nondegenerate metric\n")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_at_a_pinned_point_exit_three(self, tmp_path, capsys):
+        # exp(1000 x) overflows at x = 1 but not at x = 0.5: the tape names
+        # the first point where a value is too large for a float, by the
+        # symbols it reads
+        p = tmp_path / "overflow.mspec"
+        p.write_text("dim = 3\ncoords = x, y, z\ng[0][0] = exp(1000*x)\n"
+                     "g[1][1] = 1\ng[2][2] = 1\npoint = 0.5, 0, 0\n"
+                     "point = 1, 0, 0\npoint = 2, 0, 0\n")
+        assert main(["classify", str(p)]) == 3
+        assert capsys.readouterr().err == (
+            "error: overflow: a value too large for a float at point "
+            "{'x': 1.0}\n")
+
+    # FOUND: a metric in large units overflows inside classify, an
+    # internal error (exit 4): at 1e200 the volume form sqrt|det g| of the
+    # dual system (n = 5), at 1e30 the reciprocal of D = ||L|| in the K
+    # jet (n = 4): the units of ROADMAP item 2
+    @pytest.mark.xfail(strict=True, reason="FOUND: overflow in large units")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("text", [
+        "dim = 5\ncoords = x, y, z, w, u\n"
+        + "".join(f"g[{i}][{i}] = 1e200\n" for i in range(5))
+        + "point = -1.5, -1.5, -1.5, -1.5, -1.5\n",
+        "dim = 4\ncoords = x, y, z, w\ng[0][0] = 1e30*(1 + exp(y)/4)\n"
+        "g[1][1] = 1e30*(1 + x*z/4)\ng[2][2] = 1e30\ng[3][3] = 1e30\n"
+        "g[0][2] = 1e30*sqrt(1 + x*y)/8\n"], ids=["det-g", "reciprocal-D"])
+    def test_large_units_end_in_a_verdict_or_an_input_error(
+            self, tmp_path, text):
+        p = tmp_path / "units.mspec"
+        p.write_text(text)
+        assert main(["classify", str(p), "--points", "3"]) != 4
+
     def test_invariants_covariance_section(self, tmp_path, rt_file):
         code, data = run_cli(tmp_path, "invariants", str(rt_file),
                              "--which", "G", "--upsilon", "log(r)")

@@ -241,13 +241,16 @@ class TestChangeScale:
         ups = parse("log(r)")
         pts = points("rt4-quartic", 4)
         s = pack("rt4-quartic").samples(pts)
-        sh = CurvaturePack(conformal_rescale(e.metric, ups)).samples(pts)
+        ghat = conformal_rescale(e.metric, ups)
+        sh = CurvaturePack(ghat).samples(pts)
         dv = TR.div_omega_values(s)
         dvh = TR.div_omega_values(sh)
-        m_up, m_down, uvals = TR.change_scale_matrix_values(sh, neg(ups))
-        # uvals holds the applied factor (-ups); the object has weight -2
+        m_down = evaluate_components(
+            TR.change_scale_matrices(ghat, neg(ups))[1], sh.bindings)
+        # the applied factor is -ups; the object has weight -2
         conv = np.einsum("pIK,pJL,pbKL->pbIJ", m_down, m_down, dvh)
-        conv *= np.exp(-2 * uvals)[:, None, None, None]
+        conv *= np.exp(2 * evaluate_components(ups, s.bindings))[
+            :, None, None, None]
         om = TR.omega_values(s)
         du = evaluate_components(
             np.asarray([parse("0"), parse("1/r"), parse("0"), parse("0")],
