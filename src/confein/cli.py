@@ -41,7 +41,7 @@ from .evaluate import DomainError, UnboundSymbolError
 from .expressions import ExprSyntaxError, parse
 from .genericity import PolicyError, weyl_operators
 from .geometry import SingularMetricError
-from .mspecfile import MetricSpecError, dumps_mspec, entry_to_mspec, load_mspec
+from .mspecfile import MetricSpecError, dumps_mspec, entry_to_mspec, loads_mspec
 from .obstructions import (
     THEOREM_IDS,
     covariance_exponent,
@@ -156,9 +156,11 @@ def _tolerances(args):
 
 @_reads_input
 def _load(args):
-    spec = load_mspec(args.file)
+    # one read: the digest names the very bytes that were parsed
     with open(args.file, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+        data = fh.read()
+    spec = loads_mspec(data.decode("utf-8"))
+    digest = hashlib.sha256(data).hexdigest()
     g = spec.metric(name=args.file)
     points = spec.sample(n=args.points, seed=args.seed)
     return spec, g, points, digest

@@ -310,13 +310,15 @@ def point_chunks(count, n):
 def _partials(exprs, coords, order):
     """d^alpha e for each expression e and |alpha| <= order
     (expression-major, monomials in `taylor.monomials` order), each partial
-    taken from its parent monomial's."""
+    taken from its parent monomial's: the very nodes `diff` gives, with
+    every partial of a ZERO parent ZERO without a call."""
     parent, var = taylor.parents(len(coords), order)
     out = []
     for e in exprs:
         der = [e]
         for m in range(1, len(parent)):
-            der.append(diff(der[parent[m]], coords[var[m]]))
+            d = der[parent[m]]
+            der.append(ZERO if d is ZERO else diff(d, coords[var[m]]))
         out.extend(der)
     return out
 

@@ -6,6 +6,12 @@ sums and products flatten and collect under a fixed total ordering), so
 structurally equal expressions are the *same object* and `==`/`is`/dict keys
 all agree.
 
+An integral rational constant holds a Python int and any other one a
+reduced Fraction, so constants hash, compare and accumulate as ints
+wherever they can.  A sum or product is looked up by its kind and children
+before its sort key (nested tuples of its children's keys) is built: the
+key is built only for a node that is new.
+
 Node kinds: rational constant, float constant, symbol, n-ary sum, n-ary
 product, power, one-argument function (exp, log, sin, cos).  Negation is a
 product with coefficient -1, a quotient is a product with a negative-exponent
@@ -62,7 +68,9 @@ class Expr:
     __slots__ = ("kind", "data", "args", "key")
 
     kind: int
-    data: object  # Fraction | float | str (symbol or function name) | None
+    # int (integral rational) | Fraction (any other rational) | float |
+    # str (symbol or function name) | None (sum, product, power)
+    data: object
     args: tuple
 
     def __repr__(self):
@@ -112,19 +120,36 @@ def _intern(kind, data, args, key):
     k = (kind, data, args)
     node = _table.get(k)
     if node is None:
-        node = object.__new__(Expr)
-        node.kind = kind
-        node.data = data
-        node.args = args
-        node.key = key
-        _table[k] = node
+        node = _new(k, key)
+    return node
+
+
+def _intern_nary(kind, args):
+    """The ADD or MUL node over the sorted `args`; its key is built only
+    when the node is new."""
+    k = (kind, None, args)
+    node = _table.get(k)
+    if node is None:
+        node = _new(k, (kind, tuple(a.key for a in args)))
+    return node
+
+
+def _new(k, key):
+    node = object.__new__(Expr)
+    node.kind, node.data, node.args = k
+    node.key = key
+    _table[k] = node
     return node
 
 
 def rational(p, q=1):
-    """Exact rational constant, stored reduced with positive denominator."""
-    v = Fraction(p, q) if not isinstance(p, Fraction) or q != 1 else p
-    return _intern(RAT, v, (), (RAT, v))
+    """Exact rational constant: an int when integral, otherwise a reduced
+    Fraction with positive denominator."""
+    if q != 1 or not isinstance(p, (int, Fraction)):
+        p = Fraction(p, q)
+    if type(p) is not int and p.denominator == 1:
+        p = int(p)  # an integral Fraction, or a bool
+    return _intern(RAT, p, (), (RAT, p))
 
 
 def floating(v):
@@ -149,21 +174,12 @@ def _is_const(e):
 
 
 def _make_const(v):
-    if isinstance(v, Fraction):
-        return rational(v)
-    return floating(v)
-
-
-def _const_add(a, b):
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a + b
-    return float(a) + float(b)
-
-
-def _const_mul(a, b):
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a * b
-    return float(a) * float(b)
+    # v is what constant arithmetic yields: an int or a Fraction when both
+    # operands are rational, else a float, rounded as the operation on
+    # float(a) and float(b)
+    if type(v) is float:
+        return floating(v)
+    return rational(v)
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +189,10 @@ def _const_mul(a, b):
 def add(*terms):
     """Canonical n-ary sum: flattens, folds constants exactly, collects like
     terms, drops zeros, sorts children."""
-    const_rat = Fraction(0)
+    const_rat = 0
     const_flt = 0.0
     has_flt = False
-    coeffs = {}  # term Expr (no leading constant) -> Fraction|float
+    coeffs = {}  # term Expr (no leading constant) -> int|Fraction|float
     stack = list(terms)
     stack.reverse()
     while stack:
@@ -197,19 +213,18 @@ def add(*terms):
         if k == MUL and _is_const(t.args[0]):
             c = t.args[0].data
             rest = t.args[1:]
-            base = rest[0] if len(rest) == 1 else _intern(
-                MUL, None, rest, (MUL, tuple(a.key for a in rest)))
+            base = rest[0] if len(rest) == 1 else _intern_nary(MUL, rest)
         else:
-            c = Fraction(1)
+            c = 1
             base = t
         old = coeffs.get(base)
-        coeffs[base] = c if old is None else _const_add(old, c)
+        coeffs[base] = c if old is None else old + c
 
     out = []
     for base, c in coeffs.items():
         if c == 0:
             continue
-        if c == 1 and isinstance(c, (Fraction, float)):
+        if c == 1:
             out.append(base)
             continue
         out.append(_mul_const_term(_make_const(c), base))
@@ -225,7 +240,7 @@ def add(*terms):
     if len(out) == 1:
         return out[0]
     out.sort(key=_key)
-    return _intern(ADD, None, tuple(out), (ADD, tuple(a.key for a in out)))
+    return _intern_nary(ADD, tuple(out))
 
 
 def _key(e):
@@ -243,16 +258,16 @@ def _mul_const_term(c, base):
             return mul(c, base)
         args = (c,) + base.args
     elif _is_const(base):
-        return _make_const(_const_mul(c.data, base.data))
+        return _make_const(c.data * base.data)
     else:
         args = (c, base)
-    return _intern(MUL, None, args, (MUL, tuple(a.key for a in args)))
+    return _intern_nary(MUL, args)
 
 
 def mul(*factors):
     """Canonical n-ary product: flattens, folds constants, merges powers of a
     shared base, sorts children.  A zero factor collapses the product."""
-    coeff_rat = Fraction(1)
+    coeff_rat = 1
     coeff_flt = 1.0
     has_flt = False
     powers = {}  # base Expr -> list of exponent Exprs
@@ -291,8 +306,12 @@ def mul(*factors):
     out = []
     for base in order:
         es = powers[base]
-        e = es[0] if len(es) == 1 else add(*es)
-        p = power(base, e)
+        if len(es) > 1:
+            p = power(base, add(*es))
+        elif es[0] is not ONE:
+            p = power(base, es[0])
+        else:
+            p = base
         if p.kind == RAT:
             coeff_rat *= p.data
         elif p.kind == FLT:
@@ -330,7 +349,7 @@ def mul(*factors):
         out.insert(0, cnode)
     if len(out) == 1:
         return out[0]
-    return _intern(MUL, None, tuple(out), (MUL, tuple(a.key for a in out)))
+    return _intern_nary(MUL, tuple(out))
 
 
 def power(base, expo):
@@ -353,7 +372,9 @@ def power(base, expo):
             if ek == RAT and ed > 0:
                 return ZERO
         elif ek == RAT and ed.denominator == 1:
-            return rational(base.data ** ed.numerator)
+            # an int base to a negative power folds through Fraction
+            b = base.data if ed > 0 else Fraction(base.data)
+            return rational(b ** ed)
         elif ek == FLT or (ek == RAT and base.data > 0):
             # fold rational^rational only when exact (perfect power) to keep
             # constants exact; otherwise leave symbolic
@@ -843,7 +864,7 @@ def _signed(t):
         return repr(-t.data), True
     if t.kind == MUL and _is_const(t.args[0]):
         c = t.args[0].data
-        if (isinstance(c, Fraction) and c < 0) or (isinstance(c, float) and c < 0):
+        if c < 0:
             s, _ = _render(mul(_make_const(-c), *t.args[1:]))
             return s, True
     s, _ = _render(t)

@@ -25,7 +25,7 @@ import numpy as np
 from .expressions import Expr, ZERO, ExprSyntaxError, is_zero, parse, sub, to_text
 from .geometry import Chart, MetricField
 
-__all__ = ["MetricSpec", "MetricSpecError", "load_mspec", "loads_mspec",
+__all__ = ["MetricSpec", "MetricSpecError", "loads_mspec",
            "dumps_mspec", "entry_to_mspec"]
 
 
@@ -150,11 +150,6 @@ def loads_mspec(text) -> MetricSpec:
         raise MetricSpecError("no metric components given")
     return MetricSpec(dim, coords, params, components, tuple(singular),
                       boxes, points, conformal)
-
-
-def load_mspec(path) -> MetricSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_mspec(fh.read())
 
 
 def dumps_mspec(spec: MetricSpec) -> str:

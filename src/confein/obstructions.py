@@ -644,8 +644,18 @@ def cotton_rl2_invariant(samples: CurvatureSamples):
 # potential reconstruction
 
 
-# Gauss-Legendre nodes per potential segment (exact for degree <= 15)
-_GL_NODES = 8
+# the 8-node Gauss-Legendre rule on [-1, 1] (exact for degree <= 15),
+# written out bit for bit as np.polynomial.legendre.leggauss(8) gives it,
+# so that the potential does not import np.polynomial
+_GL_X = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+    -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+    0.7966664774136267, 0.9602898564975362])
+_GL_W = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+    0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+    0.22238103445337443, 0.10122853629037706])
+_GL_NODES = len(_GL_X)
 
 
 def reconstruct_potential(pack: CurvaturePack, points, policy="from-L",
@@ -670,8 +680,7 @@ def reconstruct_potential(pack: CurvaturePack, points, policy="from-L",
     on the path.  The closedness of K, not this integral, gates the
     verdict."""
     # the rule mapped onto [0, 1]: node fractions along the segment, weights
-    x, w = np.polynomial.legendre.leggauss(_GL_NODES)
-    fractions, w = 0.5 * (1.0 + x), 0.5 * w
+    fractions, w = 0.5 * (1.0 + _GL_X), 0.5 * _GL_W
     coords = pack.chart.coords
     base = points[0]
     a = np.array([base[c] for c in coords], dtype=float)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from confein import catalog
+from confein import catalog, taylor
 from confein import geometry as G
 from confein.config import Tolerances
 from confein.curvature import (
@@ -14,7 +14,14 @@ from confein.curvature import (
     _contract_slot,
 )
 from confein.expressions import ONE, ZERO, diff, is_zero, parse
-from conftest import entry, maxabs, pack, points, samples
+from conftest import (
+    entry,
+    maxabs,
+    pack,
+    perturbed_flat_metric,
+    points,
+    samples,
+)
 
 TOL = Tolerances()
 
@@ -589,3 +596,27 @@ class TestPairBasis:
         path.write_text(dumps_mspec(entry_to_mspec(entry("rt6-quartic"), 20)))
         assert cli.main(["classify", str(path), "--json",
                          str(tmp_path / "out.json")]) == 1
+
+
+@pytest.mark.parametrize("name", catalog.entry_names() + ["dense4"])
+def test_partials_are_the_nodes_of_a_plain_diff_loop(name):
+    # every d^alpha g_ij of the metric-jet tape is the very node (`is`)
+    # that differentiating g_ij along alpha's exponents, one variable after
+    # another, gives: skipping the partials of a ZERO parent changes none
+    from confein import curvature as CV
+
+    g = perturbed_flat_metric() if name == "dense4" else entry(name).metric
+    coords = g.chart.coords
+    i, j = np.triu_indices(len(coords))
+    exprs = list(g.comps[i, j])
+    got = CV._partials(exprs, coords, 4)
+    want = []
+    for e in exprs:
+        for alpha in taylor.monomials(len(coords), 4):
+            d = e
+            for v, times in enumerate(alpha):
+                for _ in range(times):
+                    d = diff(d, coords[v])
+            want.append(d)
+    assert len(got) == len(want)
+    assert all(a is b for a, b in zip(got, want))

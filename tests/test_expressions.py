@@ -15,9 +15,11 @@ from confein.evaluate import (
 )
 from confein.expressions import (
     ExprSyntaxError,
+    ONE,
     add,
     diff,
     div,
+    floating,
     func,
     is_zero,
     mul,
@@ -109,6 +111,51 @@ class TestDiff:
         assert diff(func("cos", x), "x") is neg(func("sin", x))
         assert diff(sqrt(x), "x") is mul(rational(1, 2),
                                          power(x, rational(-1, 2)))
+
+
+class TestConstants:
+    def test_integral_constants_are_ints(self):
+        two = rational(Fraction(6, 3))
+        assert two is rational(2) and two is parse("4/2")
+        assert type(two.data) is int and two.data == 2
+        one = rational(True)
+        assert one is rational(1) and one is ONE
+        assert type(one.data) is int and one.data == 1
+        assert type(parse("-7").data) is int
+
+    def test_non_integral_constants_stay_fractions(self):
+        for e in (rational(1, 2), rational(Fraction(-6, 4)), parse("2/6")):
+            assert type(e.data) is Fraction and e.data.denominator > 1
+        assert rational(-6, 4) is rational(Fraction(-3, 2))
+
+    def test_integral_fraction_arithmetic_interns_to_the_int_node(self):
+        half = rational(1, 2)
+        for e, value in ((add(half, half), 1),
+                         (add(half, rational(3, 2)), 2),
+                         (mul(rational(2, 3), rational(3, 2)), 1),
+                         (mul(rational(4, 3), rational(3, 2)), 2),
+                         (power(half, rational(-2)), 4),
+                         (power(rational(4), rational(1, 2)), 2)):
+            assert e is rational(value) and type(e.data) is int
+        assert mul(rational(1, 3), add(x, x, x)) is x
+        assert power(rational(9, 4), rational(3, 2)) is rational(27, 8)
+        # like terms whose coefficients add to an integer
+        assert add(mul(half, x), mul(half, x)) is x
+        assert add(mul(half, x), mul(rational(3, 2), x)) is mul(rational(2), x)
+
+    def test_int_to_a_negative_power_folds_through_fraction(self):
+        assert power(rational(2), rational(-1)) is rational(1, 2)
+        assert power(rational(-2), rational(-3)) is rational(-1, 8)
+        assert type(power(rational(2), rational(-1)).data) is Fraction
+
+    def test_mixed_constants_round_as_floats(self):
+        # a float coefficient met by an int or a Fraction one is rounded
+        # as float(a) + float(b) and float(a) * float(b)
+        assert add(mul(rational(1, 3), x), mul(floating(0.5), x)) is \
+            mul(floating(float(Fraction(1, 3)) + 0.5), x)
+        assert mul(rational(1, 3), floating(0.5)) is \
+            floating(float(Fraction(1, 3)) * 0.5)
+        assert add(rational(2), floating(0.25)) is floating(2.25)
 
 
 class TestSimplify:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -236,6 +237,32 @@ class TestCli:
         assert code in (0, 1, 2)
         assert len(data["points"]) == 10
         assert all(pt["x"] > 0 for pt in data["points"])
+
+    def test_classify_reads_the_input_once(self, tmp_path, schw_file,
+                                           monkeypatch):
+        # the digest hashes the very bytes that were parsed: the file is
+        # opened once, and CRLF line ends are hashed as they are on disk
+        p = tmp_path / "crlf.mspec"
+        p.write_bytes(schw_file.read_bytes().replace(b"\n", b"\r\n"))
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            if str(file) == str(p):
+                opened.append(args)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        code, data = run_cli(tmp_path, "classify", str(p), "--seed", "7")
+        monkeypatch.undo()
+        assert opened == [("rb",)]
+        assert data["input_digest"] == hashlib.sha256(
+            p.read_bytes()).hexdigest()
+        _, plain = run_cli(tmp_path, "classify", str(schw_file), "--seed",
+                           "7")
+        assert code == 0
+        plain["input_digest"] = data["input_digest"]
+        assert data == plain
 
     def test_input_error_exit_three(self, tmp_path):
         p = tmp_path / "bad.mspec"

@@ -33,6 +33,12 @@ from conftest import (
 TOL = Tolerances()
 
 
+def test_gauss_legendre_rule_is_leggauss_bit_for_bit():
+    x, w = np.polynomial.legendre.leggauss(8)
+    assert OB._GL_X.tobytes() == x.tobytes()
+    assert OB._GL_W.tobytes() == w.tobytes()
+
+
 def _order_one_potential(pk, pts, policy, tol):
     """`reconstruct_potential`'s quadrature, with K the values of
     `k_field` on the nodes sampled with their first partials (order 1)."""
