@@ -76,20 +76,15 @@ def _eliminate(a, cut):
             live, w, flat = live[~stop], w[~stop], flat[~stop]
             if not live.size:
                 break
+        at = np.arange(len(live))
         i, j = np.divmod(flat, n - k)
-        # swap, flip and permute only the matrices whose pivot moved
-        at = np.flatnonzero(i)
-        if at.size:
-            i = i[at] + k
-            w[at, :, k], w[at, :, i] = w[at, :, i], w[at, :, k]
-            sign[live[at]] *= -1.0
-        at = np.flatnonzero(j)
-        if at.size:
-            j = j[at] + k
-            w[at, k], w[at, j] = w[at, j], w[at, k]
-            moved = live[at]
-            cols[moved, k], cols[moved, j] = cols[moved, j], cols[moved, k]
-            sign[moved] *= -1.0
+        i += k
+        j += k
+        w[at, :, k], w[at, :, i] = w[at, :, i], w[at, :, k]
+        w[at, k], w[at, j] = w[at, j], w[at, k]
+        cols[live, k], cols[live, j] = cols[live, j], cols[live, k]
+        sign[live[i != k]] *= -1.0
+        sign[live[j != k]] *= -1.0
         fac = w[:, k, k + 1:] / w[:, k, k, None]
         prod = upd[:len(live) * (n - k - 1) * (m - k - 1)].reshape(
             len(live), n - k - 1, m - k - 1)
