@@ -22,7 +22,6 @@ from .expressions import (  # noqa: F401
     floating,
 )
 from .evaluate import (  # noqa: F401
-    Bindings,
     DomainError,
     UnboundSymbolError,
     EvalProgram,

@@ -19,8 +19,12 @@ policy-gate notes, residual maxima and scales, the closedness of K,
 tractor ranks) and freed before the next, and the verdicts are decided on
 the joined figures.  The potential samples its quadrature nodes by the
 same rule (`obstructions.reconstruct_potential`), so classify's peak
-memory stays flat in --points.  The other commands work on the whole
-batch."""
+memory stays flat in --points.  `identities` samples the same chunks one
+at a time and keeps each one's per-point residuals and scales
+(`curvature.identity_suite`).  `invariants` and `tractor` work on the
+whole batch: the G/Gbar cross-check divides by a maximum over all points,
+the covariance fit takes its mean and spread over all points, and the
+vanishing-sigma error names the point of smallest |sigma| among all."""
 
 from __future__ import annotations
 
@@ -365,7 +369,7 @@ def _covariance_section(pack, samples, points, which, ups, tol):
 def cmd_identities(args):
     tol = _tolerances(args)
     spec, g, points, digest = _load(args)
-    rep = identity_suite(CurvaturePack(g).samples(points), tol)
+    rep = identity_suite(CurvaturePack(g), points, tol)
     out = _report_skeleton(digest, tol, args)
     out["points"] = points
     out["identities"] = {

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 __all__ = ["Tolerances", "DEFAULT_TOLERANCES"]
 
@@ -17,16 +18,17 @@ class Tolerances:
     (`tractor.parallel_tractor_check`).
 
     A residual r measured against a magnitude `scale` passes when
-    r < tol_rel * scale + tol_abs.  `decisive` is the factor a residual must
-    exceed (times scale) before a negative verdict is issued; anything in
-    between is reported as inconclusive.  `rank_tol` is the pivot cutoff for
-    rank and kernel extraction, relative to the largest matrix entry.
-    Tolerances are checked when they are made, so every instance is valid."""
+    r < tol_rel * scale + tol_abs.  `decisive`, a constant of the class and
+    not a field, is the factor a residual must exceed (times scale) before
+    a negative verdict is issued; anything in between is reported as
+    inconclusive.  `rank_tol` is the pivot cutoff for rank and kernel
+    extraction, relative to the largest matrix entry.  Tolerances are
+    checked when they are made, so every instance is valid."""
 
     tol_rel: float = 1e-8
     tol_abs: float = 1e-12
     rank_tol: float = 1e-8
-    decisive: float = 1e-3
+    decisive: ClassVar[float] = 1e-3
 
     def __post_init__(self):
         if self.tol_rel <= 0 or self.tol_abs < 0 or self.rank_tol <= 0:

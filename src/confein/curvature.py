@@ -56,7 +56,8 @@ conformal factor, an Einstein scale), `christoffel_jet` runs the pack's
 metric-jet tape again and reads the order-2 prefix of the jet for g^-1 and
 the Christoffel symbols beyond their values.  `point_chunks` cuts a longer
 list of points into chunks of whole tape runs that fit a byte budget, the
-chunks `classify` and the potential's quadrature nodes are sampled in.
+chunks `classify`, `identities` and the potential's quadrature nodes are
+sampled in.
 
 The pack's symbolic TensorFields remain for symbolic calculus (coframe
 components, the symbolic tractor calculus of `tractor`) and as the tests'
@@ -833,11 +834,21 @@ def identity_residuals(s: CurvatureSamples):
     return res
 
 
-def identity_suite(s: CurvatureSamples, tolerances=DEFAULT_TOLERANCES):
-    """The identity residuals of the samples s, reduced: {identity name:
-    (max residual, max scale, passes)}."""
-    res = identity_residuals(s)
-    scale = s.scale()
+def identity_suite(pack: CurvaturePack, points,
+                   tolerances=DEFAULT_TOLERANCES):
+    """The identity residuals of the metric of `pack` at the points,
+    reduced: {identity name: (max residual, max scale, passes)}.  The
+    points are sampled one `point_chunks` chunk at a time, each chunk's
+    per-point residuals and scales kept and its samples freed before the
+    next, so memory stays flat in the number of points."""
+    res, scale = {}, []
+    for sl in point_chunks(len(points), pack.n):
+        s = pack.samples(points[sl])
+        for name, r in identity_residuals(s).items():
+            res.setdefault(name, []).append(r)
+        scale.append(s.scale())
+    scale = np.concatenate(scale)
+    res = {name: np.concatenate(rs) for name, rs in res.items()}
     return {name: (float(np.max(r)), float(np.max(scale)),
                    bool(np.all(tolerances.passes(r, scale))))
             for name, r in res.items()}

@@ -15,7 +15,6 @@ import numpy as np
 from .expressions import ADD, FLT, MUL, POW, RAT, SYM
 
 __all__ = [
-    "Bindings",
     "DomainError",
     "UnboundSymbolError",
     "EvalProgram",
@@ -23,9 +22,6 @@ __all__ = [
     "run_batch",
     "evaluate",
 ]
-
-Bindings = dict
-
 
 class UnboundSymbolError(KeyError):
     def __init__(self, name):
@@ -50,7 +46,6 @@ class DomainError(ArithmeticError):
 
 # opcodes
 _LOAD_CONST = 0
-_LOAD_SYM = 1
 _ADD = 2
 _MUL = 3
 _POW_INT = 4

@@ -4,7 +4,13 @@ All computation happens in a single coordinate chart.  A TensorField is a
 dense object-array of Expr components, one axis per index slot, each slot up
 ('u') or down ('d'), plus an integer conformal-weight tag.  The weight is
 bookkeeping only, set where a field is built: 2 for the metric and the
-Weyl tensor with its slots down, 0 for the Christoffel symbols."""
+Weyl tensor with its slots down, 0 for the Christoffel symbols.
+
+`connection_derivative` is the one connection loop of the package: d_a T
+plus a signed coefficient table per slot kind.  `partial_derivative` is
+that loop with no table, `covariant_derivative` with the Levi-Civita
+tables, and `tractor.tractor_connection` adds the tractor connection's
+tables for the tractor slots."""
 
 from __future__ import annotations
 
@@ -36,6 +42,7 @@ __all__ = [
     "SingularMetricError",
     "sym_einsum",
     "christoffel",
+    "connection_derivative",
     "covariant_derivative",
     "partial_derivative",
     "conformal_rescale",
@@ -274,18 +281,6 @@ def _symbolic_inverse(comps, symmetric=False):
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-def partial_derivative(t):
-    """Plain coordinate derivative; adds a leftmost (non-tensorial) axis."""
-    n = t.chart.dim
-    coords = t.chart.coords
-    out = np.empty((n,) + t.comps.shape, dtype=object)
-    for idx in np.ndindex(*t.comps.shape):
-        e = t.comps[idx]
-        for a in range(n):
-            out[(a,) + idx] = diff(e, coords[a])
-    return out
-
-
 def christoffel(g):
     """Levi-Civita connection coefficients, up-down-down, symmetric in the
     two lower slots."""
@@ -311,32 +306,52 @@ def christoffel(g):
     return TensorField(g.chart, (UP, DOWN, DOWN), comps, weight=0)
 
 
-def covariant_derivative(t, g):
-    """Levi-Civita covariant derivative; the new down slot is leftmost."""
-    gamma = g.christoffel().comps
-    n = t.chart.dim
-    dT = partial_derivative(t)
-    out = np.empty_like(dT)
-    for idx in np.ndindex(*t.comps.shape):
+def connection_derivative(comps, kinds, coefficients, coords):
+    """d_a T plus the connection terms of each slot, the one connection
+    loop of the package; adds a leftmost axis a.
+
+    `coefficients` maps a slot kind to (sign, table): a slot s of that
+    kind adds sign * table[a, i, e] T[..., e, ...] to the component with
+    index i in slot s, summed over e.  A slot whose kind has no table adds
+    nothing, and ZERO components and coefficients are skipped."""
+    n = len(coords)
+    slots = [(s, rational(coefficients[k][0]), coefficients[k][1])
+             for s, k in enumerate(kinds) if k in coefficients]
+    out = np.empty((n,) + comps.shape, dtype=object)
+    for idx in np.ndindex(*comps.shape):
+        x = comps[idx]
         for a in range(n):
-            terms = [dT[(a,) + idx]]
-            for s, var in enumerate(t.variance):
-                i_s = idx[s]
-                for e in range(n):
-                    jdx = idx[:s] + (e,) + idx[s + 1:]
-                    v = t.comps[jdx]
+            terms = []
+            for s, sign, table in slots:
+                for e in range(comps.shape[s]):
+                    v = comps[idx[:s] + (e,) + idx[s + 1:]]
                     if v is ZERO:
                         continue
-                    if var == UP:
-                        gam = gamma[i_s, a, e]
-                        sign = 1
-                    else:
-                        gam = gamma[e, a, i_s]
-                        sign = -1
-                    if gam is ZERO:
-                        continue
-                    terms.append(mul(rational(sign), gam, v))
-            out[(a,) + idx] = add(*terms)
+                    c = table[a, idx[s], e]
+                    if c is not ZERO:
+                        terms.append(mul(sign, c, v))
+            d = diff(x, coords[a])
+            out[(a,) + idx] = add(d, *terms) if terms else d
+    return out
+
+
+def partial_derivative(t):
+    """Plain coordinate derivative; adds a leftmost (non-tensorial) axis."""
+    return connection_derivative(t.comps, (), {}, t.chart.coords)
+
+
+def _levi_civita(g):
+    """The Levi-Civita tables of `connection_derivative`: an up slot adds
+    Gamma^i_ae T^e, a down slot subtracts Gamma^e_ai T_e."""
+    gamma = g.christoffel().comps
+    return {UP: (1, gamma.transpose(1, 0, 2)),
+            DOWN: (-1, gamma.transpose(1, 2, 0))}
+
+
+def covariant_derivative(t, g):
+    """Levi-Civita covariant derivative; the new down slot is leftmost."""
+    out = connection_derivative(t.comps, t.variance,
+                                _levi_civita(g), t.chart.coords)
     return TensorField(t.chart, (DOWN,) + tuple(t.variance), out, t.weight)
 
 

@@ -17,11 +17,16 @@ standard inner-product table.
 
 The TractorField/TractorTensor operations (connection, change of scale, D,
 `einstein_candidate`, `omega`) are symbolic and take the `CurvaturePack`
-of the scale.  The checks and verdicts at the end run on numeric samples
-of the metric jet (`CurvatureSamples`): the *_values functions,
-`annihilation_check`, `parallel_tractor_check` and `rank_obstruction`,
-which ranks the reduced stack [Omega; d Omega - Omega Theta] (`rank_rows`);
-nabla Omega itself is built by `cov_omega_values` only."""
+of the scale.  The connection is `geometry.connection_derivative`, the
+one connection loop of the package, with the Levi-Civita tables for the
+tensor slots and Theta for the tractor slots; D takes its Laplacian from
+`geometry.covariant_derivative`; a matrix acts on a tractor slot, to
+lower, raise or change scale, through `_slot_matrix`.  The checks and
+verdicts at the end run on numeric samples of the metric jet
+(`CurvatureSamples`): the *_values functions, `annihilation_check`,
+`parallel_tractor_check` and `rank_obstruction`, which ranks the reduced
+stack [Omega; d Omega - Omega Theta] (`rank_rows`); nabla Omega itself is
+built by `cov_omega_values` only."""
 
 from __future__ import annotations
 
@@ -49,7 +54,10 @@ from .geometry import (
     UP,
     MetricField,
     TensorField,
+    _levi_civita,
     conformal_rescale,
+    connection_derivative,
+    covariant_derivative,
     evaluate_components,
     sym_einsum,
 )
@@ -60,7 +68,6 @@ __all__ = [
     "TractorField",
     "TractorTensor",
     "tractor_metric_matrix",
-    "tractor_metric_inverse",
     "connection_matrices",
     "tractor_connection",
     "change_scale",
@@ -86,7 +93,6 @@ TUP = "U"
 TDOWN = "D"
 
 _TENSOR_SLOTS = (UP, DOWN)
-_TRACTOR_SLOTS = (TUP, TDOWN)
 
 
 @dataclass(eq=False)
@@ -147,23 +153,15 @@ class TractorTensor:
                                    [self.g.point_bindings(p) for p in points])
 
 
-def tractor_metric_matrix(g):
-    """The invariant metric on stored tuples: lowering matrix
-    [[0,0,1],[0,g_ab,0],[1,0,0]]."""
+def tractor_metric_matrix(g, inverse=False):
+    """The invariant metric on stored tuples, the lowering matrix
+    [[0,0,1],[0,g_ab,0],[1,0,0]], or with `inverse` the raising matrix,
+    g^ab in the middle block."""
     n = g.dim
     h = np.full((n + 2, n + 2), ZERO, dtype=object)
     h[0, n + 1] = ONE
     h[n + 1, 0] = ONE
-    h[1:n + 1, 1:n + 1] = g.comps
-    return h
-
-
-def tractor_metric_inverse(g):
-    n = g.dim
-    h = np.full((n + 2, n + 2), ZERO, dtype=object)
-    h[0, n + 1] = ONE
-    h[n + 1, 0] = ONE
-    h[1:n + 1, 1:n + 1] = g.inverse_comps()
+    h[1:n + 1, 1:n + 1] = g.inverse_comps() if inverse else g.comps
     return h
 
 
@@ -172,22 +170,28 @@ def lower_tractor_slot(t: TractorTensor, slot):
 
 
 def raise_tractor_slot(t: TractorTensor, slot):
-    return _apply_tractor_matrix(t, slot, tractor_metric_inverse(t.g), TDOWN, TUP)
+    return _apply_tractor_matrix(t, slot, tractor_metric_matrix(t.g, True),
+                                 TDOWN, TUP)
 
 
 def _apply_tractor_matrix(t, slot, mat, want, new):
     if t.slots[slot] != want:
         raise ValueError(f"slot {slot} is {t.slots[slot]}, expected {want}")
-    comps = np.moveaxis(t.comps, slot, -1)
-    shape = comps.shape
-    flat = comps.reshape(-1, shape[-1])
+    slots = list(t.slots)
+    slots[slot] = new
+    return TractorTensor(t.g, tuple(slots), _slot_matrix(t.comps, slot, mat),
+                         t.weight)
+
+
+def _slot_matrix(comps, slot, mat):
+    """comps with the matrix `mat` applied to the axis `slot`:
+    out[..., I, ...] = mat[I, J] comps[..., J, ...]."""
+    moved = np.moveaxis(comps, slot, -1)
+    flat = moved.reshape(-1, moved.shape[-1])
     out = np.empty_like(flat)
     for i in range(flat.shape[0]):
         out[i] = sym_einsum("IJ,J->I", mat, flat[i])
-    comps = np.moveaxis(out.reshape(shape), -1, slot)
-    slots = list(t.slots)
-    slots[slot] = new
-    return TractorTensor(t.g, tuple(slots), comps, t.weight)
+    return np.moveaxis(out.reshape(moved.shape), -1, slot)
 
 
 # ---------------------------------------------------------------------------
@@ -217,50 +221,16 @@ def connection_matrices(pack: CurvaturePack):
 
 def tractor_connection(t):
     """Coupled Levi-Civita tractor derivative; adds a down tensor slot
-    leftmost.  Accepts a TractorField or TractorTensor."""
+    leftmost.  Accepts a TractorField or TractorTensor.  Tensor slots take
+    the Levi-Civita tables, an up tractor slot adds Theta[a, I, J] T^J and
+    a down one subtracts Theta[a, J, I] T_J (`connection_derivative`)."""
     if isinstance(t, TractorField):
         t = t.to_tensor()
     g = t.g
-    n = g.dim
-    coords = g.chart.coords
-    gamma = g.christoffel().comps
     theta = connection_matrices(CurvaturePack(g))
-    shape = t.comps.shape
-    out = np.empty((n,) + shape, dtype=object)
-    for idx in np.ndindex(*shape):
-        e = t.comps[idx]
-        for a in range(n):
-            out[(a,) + idx] = diff(e, coords[a])
-    # slot corrections
-    for s, kind in enumerate(t.slots):
-        dim = n if kind in _TENSOR_SLOTS else n + 2
-        moved = np.moveaxis(t.comps, s, -1)  # (..., dim)
-        corr = np.empty((n,) + moved.shape, dtype=object)
-        for idx in np.ndindex(*moved.shape[:-1]):
-            for a in range(n):
-                for i in range(dim):
-                    terms = []
-                    for e in range(dim):
-                        v = moved[idx + (e,)]
-                        if v is ZERO:
-                            continue
-                        if kind == UP:
-                            coef = gamma[i, a, e]
-                        elif kind == DOWN:
-                            coef = neg(gamma[e, a, i])
-                        elif kind == TUP:
-                            coef = theta[a, i, e]
-                        else:
-                            coef = neg(theta[a, e, i])
-                        if coef is ZERO:
-                            continue
-                        terms.append(mul(coef, v))
-                    corr[(a,) + idx + (i,)] = add(*terms) if terms else ZERO
-        # fold the correction back into out
-        corr = np.moveaxis(corr, -1, s + 1)
-        for idx in np.ndindex(*out.shape):
-            if corr[idx] is not ZERO:
-                out[idx] = add(out[idx], corr[idx])
+    tables = {**_levi_civita(g), TUP: (1, theta),
+              TDOWN: (-1, theta.transpose(0, 2, 1))}
+    out = connection_derivative(t.comps, t.slots, tables, g.chart.coords)
     return TractorTensor(g, (DOWN,) + tuple(t.slots), out, t.weight)
 
 
@@ -268,15 +238,18 @@ def tractor_connection(t):
 # change of scale
 
 
+def _scale_gradient(g, upsilon):
+    """(d_a upsilon, g^ab d_b upsilon, |d upsilon|^2), symbolic."""
+    du = np.asarray([diff(upsilon, c) for c in g.chart.coords], dtype=object)
+    duu = sym_einsum("ab,b->a", g.inverse_comps(), du)
+    return du, duu, sym_einsum("a,a->", du, duu)
+
+
 def change_scale_matrices(g, upsilon):
     """(M_up, M_down): symbolic matrices mapping stored tuples in the scale
     g to stored tuples in e^{2 upsilon} g."""
     n = g.dim
-    coords = g.chart.coords
-    du = np.asarray([diff(upsilon, c) for c in coords], dtype=object)
-    gi = g.inverse_comps()
-    duu = sym_einsum("ab,b->a", gi, du)
-    usq = sym_einsum("a,a->", du, duu)
+    du, duu, usq = _scale_gradient(g, upsilon)
     ep = func("exp", upsilon)
     em = func("exp", neg(upsilon))
     m_up = np.full((n + 2, n + 2), ZERO, dtype=object)
@@ -288,52 +261,34 @@ def change_scale_matrices(g, upsilon):
     m_up[n + 1, 0] = mul(rational(-1, 2), em, usq)
     m_up[n + 1, n + 1] = em
     # down version: conjugate by the lowering matrices of the two scales
-    ghat = conformal_rescale(g, upsilon)
-    hhat = tractor_metric_matrix(ghat)
-    hinv = tractor_metric_inverse(g)
-    m_down = sym_einsum("IK,KL,LJ->IJ", hhat, m_up, hinv)
+    hhat = tractor_metric_matrix(conformal_rescale(g, upsilon))
+    m_down = sym_einsum("IK,KL,LJ->IJ", hhat, m_up,
+                        tractor_metric_matrix(g, True))
     return m_up, m_down
 
 
 def change_scale(t, upsilon):
     """Components of t in the rescaled scale e^{2 upsilon} g, including the
     density factor e^{w upsilon} of the object's weight."""
+    ghat = conformal_rescale(t.g, upsilon)
     if isinstance(t, TractorField):
-        alpha = mul(func("exp", upsilon), t.alpha)
-        du = np.asarray([diff(upsilon, c) for c in t.g.chart.coords],
-                        dtype=object)
-        n = t.g.dim
-        mu = np.empty(n, dtype=object)
-        for a in range(n):
-            mu[a] = mul(func("exp", upsilon),
-                        add(t.mu.comps[a], mul(du[a], t.alpha)))
-        gi = t.g.inverse_comps()
-        duu = sym_einsum("ab,b->a", gi, du)
-        usq = sym_einsum("a,a->", du, duu)
+        du, duu, usq = _scale_gradient(t.g, upsilon)
+        ep = func("exp", upsilon)
+        mu = np.asarray([mul(ep, add(m, mul(d, t.alpha)))
+                         for m, d in zip(t.mu.comps, du)], dtype=object)
         tau = mul(func("exp", neg(upsilon)),
                   add(t.tau, neg(sym_einsum("a,a->", duu, t.mu.comps)),
                       mul(rational(-1, 2), usq, t.alpha)))
-        ghat = conformal_rescale(t.g, upsilon)
-        return TractorField(ghat, alpha,
+        return TractorField(ghat, mul(ep, t.alpha),
                             TensorField(t.g.chart, (DOWN,), mu, weight=1), tau)
     m_up, m_down = change_scale_matrices(t.g, upsilon)
-    ghat = conformal_rescale(t.g, upsilon)
     comps = t.comps
     for s, kind in enumerate(t.slots):
-        if kind in _TENSOR_SLOTS:
-            continue
-        mat = m_up if kind == TUP else m_down
-        moved = np.moveaxis(comps, s, -1)
-        shape = moved.shape
-        flat = moved.reshape(-1, shape[-1])
-        out = np.empty_like(flat)
-        for i in range(flat.shape[0]):
-            out[i] = sym_einsum("IJ,J->I", mat, flat[i])
-        comps = np.moveaxis(out.reshape(shape), -1, s)
+        if kind not in _TENSOR_SLOTS:
+            comps = _slot_matrix(comps, s, m_up if kind == TUP else m_down)
     if t.weight:
         f = func("exp", mul(rational(t.weight), upsilon))
-        flat = comps.reshape(-1)
-        comps = np.asarray([mul(f, e) for e in flat],
+        comps = np.asarray([mul(f, e) for e in comps.reshape(-1)],
                            dtype=object).reshape(comps.shape)
     return TractorTensor(ghat, t.slots, comps, t.weight)
 
@@ -344,32 +299,18 @@ def change_scale(t, upsilon):
 
 def tractor_d(f, w, pack: CurvaturePack):
     """D applied to a weight-w scalar: the down-slot tractor with stored
-    tuple (-box f, (n+2w-2) d_a f, (n+2w-2) w f), box f = Laplacian + w J."""
+    tuple (-box f, (n+2w-2) d_a f, (n+2w-2) w f), box f = Laplacian + w J,
+    the Laplacian g^ab contracted with the Hessian nabla_a d_b f."""
     g, n = pack.g, pack.n
-    coords = g.chart.coords
-    df = np.asarray([diff(f, c) for c in coords], dtype=object)
-    gi = g.inverse_comps()
-    gamma = g.christoffel().comps
-    ddf = np.empty((n, n), dtype=object)
-    for a in range(n):
-        for b in range(n):
-            ddf[a, b] = diff(df[a], coords[b])
-    lap_terms = []
-    for a in range(n):
-        for b in range(n):
-            if gi[a, b] is ZERO:
-                continue
-            corr = add(*[mul(neg(gamma[c, a, b]), df[c]) for c in range(n)
-                         if gamma[c, a, b] is not ZERO and df[c] is not ZERO]) \
-                if n else ZERO
-            lap_terms.append(mul(gi[a, b], add(ddf[a, b], corr)))
-    lap = add(*lap_terms) if lap_terms else ZERO
+    df = TensorField(g.chart, (DOWN,), np.asarray(
+        [diff(f, c) for c in g.chart.coords], dtype=object))
+    lap = sym_einsum("ab,ab->", g.inverse_comps(),
+                     covariant_derivative(df, g).comps)
     box = add(lap, mul(rational(w), pack.schouten_trace, f))
     c = n + 2 * w - 2
     comps = np.empty(n + 2, dtype=object)
     comps[0] = neg(box)
-    for a in range(n):
-        comps[1 + a] = mul(rational(c), df[a])
+    comps[1:n + 1] = [mul(rational(c), d) for d in df.comps]
     comps[n + 1] = mul(rational(c * w), f)
     return TractorTensor(g, (TDOWN,), comps, weight=w - 1)
 

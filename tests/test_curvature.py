@@ -363,12 +363,12 @@ class TestIdentitySuite:
                                       "schwarzschild4", "rt5-quartic",
                                       "pp-wave4", "hyperkahler4"])
     def test_all_identities_pass(self, name):
-        rep = identity_suite(pack(name).samples(points(name, 10)))
+        rep = identity_suite(pack(name), points(name, 10))
         assert all(ok for (_, _, ok) in rep.values()), {
             k: v for k, v in rep.items() if not v[2]}
 
     def test_flat_residuals_exactly_zero(self):
-        rep = identity_suite(pack("flat4").samples(points("flat4", 5)))
+        rep = identity_suite(pack("flat4"), points("flat4", 5))
         for name, (mx, _, _) in rep.items():
             assert mx == 0.0, name
 

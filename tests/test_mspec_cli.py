@@ -12,6 +12,7 @@ from confein import cli, curvature, obstructions
 from confein.obstructions import Verdict
 from confein.catalog import get_entry
 from confein.cli import main
+from confein.config import Tolerances
 from confein.mspecfile import (
     MetricSpecError,
     dumps_mspec,
@@ -272,6 +273,16 @@ class TestCli:
 
     def test_bad_tolerance_exit_three(self, tmp_path, schw_file):
         assert main(["classify", str(schw_file), "--tol-rel", "-1"]) == 3
+
+    def test_decisive_is_a_constant_of_the_tolerances(self, tmp_path,
+                                                       schw_file):
+        # a class-level constant, not a field: it cannot be set, and every
+        # report states it
+        with pytest.raises(TypeError):
+            Tolerances(decisive=0.5)
+        assert Tolerances(tol_rel=1e-6).decisive == 1e-3
+        _, data = run_cli(tmp_path, "identities", str(schw_file))
+        assert data["tolerances"]["decisive"] == 0.001
 
     def test_invariants_command(self, tmp_path, rt_file):
         code, data = run_cli(tmp_path, "invariants", str(rt_file),
@@ -743,3 +754,26 @@ class TestChunkedClassify:
             assert code == 1
         assert peaks[1] < 1.5 * peaks[0], peaks
         assert max(peaks) < 11 * 2 ** 20, peaks
+
+    def test_identities_memory_is_flat_in_the_points(self, tmp_path):
+        # identities samples one 64-point chunk at a time and keeps the
+        # per-point residuals only: its tracemalloc peak is about 20.3 MiB
+        # at both counts (61 and 243 MiB when the whole batch was sampled
+        # at once)
+        import tracemalloc
+
+        peaks = []
+        for count in (200, 800):
+            p = tmp_path / f"rt6-{count}.mspec"
+            assert main(["catalog", "export", "rt6-quartic", "--points",
+                         str(count), "--out", str(p)]) == 0
+            tracemalloc.start()
+            try:
+                code = main(["identities", str(p), "--json",
+                             str(tmp_path / "out.json")])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert peaks[1] < 1.5 * peaks[0], peaks
+        assert max(peaks) < 24 * 2 ** 20, peaks

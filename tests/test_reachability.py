@@ -1,16 +1,19 @@
-"""Every function, class and method of `src/confein` is reached from a
-command, or `ROLES` names it as a test oracle or a product.
+"""Every function, class, method and module-level name of `src/confein` is
+reached from a command, or `ROLES` names it as a test oracle or a product.
 
 The pass reads `src/confein/*.py` with `ast`.  Its defs are the module-level
-functions and classes and the methods of those classes; a nested function
-belongs to the def around it.  Its roots are `cli.main`, the top-level
-statements of every module other than its defs (an import names no def),
-and the entries of `ROLES`.  A reached def reaches every def named by a
-`Name` id or an `Attribute` attr in its body, its decorators, defaults and
-annotations; a reached class also reaches its bases and class-level
-statements, and the dunder methods Python calls itself.  An operator
-reaches the dunders it calls (`+` reaches `__add__`, `__radd__` and
-`__iadd__`).
+functions and classes, the methods of those classes, and the names a
+module-level assignment binds (`X = ...`, `A, B = ...`, `X: T = ...`),
+dunders such as `__all__` excepted; a nested function belongs to the def
+around it.  Its roots are `cli.main`, the other top-level statements of
+every module (an import names no def), and the entries of `ROLES`.  A
+reached def reaches every def named by a `Name` id or an `Attribute` attr
+in its body, its decorators, defaults and annotations; a reached class
+also reaches its bases and class-level statements, and the dunder methods
+Python calls itself; a reached assignment reaches what its value reads,
+so a module-level name is reached only when reached code reads it.  An
+operator reaches the dunders it calls (`+` reaches `__add__`, `__radd__`
+and `__iadd__`).
 
 The limit: names are resolved by name only, never by type or module, so
 the pass over-approximates.  A method is reached when any reached code
@@ -117,6 +120,23 @@ def _names(nodes):
     return out
 
 
+def _bound(stmt):
+    """The names a module-level assignment of plain names binds, dunders
+    excepted; empty for any other statement."""
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+        targets = [stmt.target]
+    else:
+        return []
+    names = [n for t in targets
+             for n in (t.elts if isinstance(t, ast.Tuple) else [t])]
+    if not all(isinstance(n, ast.Name) for n in names):
+        return []
+    return [n.id for n in names
+            if not (n.id.startswith("__") and n.id.endswith("__"))]
+
+
 @functools.cache
 def _program():
     """(defs, names the module top levels read): defs maps
@@ -125,7 +145,8 @@ def _program():
     defs, top = {}, set()
 
     def add(qual, node, reads, source):
-        lines = source[node.lineno - 1 - len(node.decorator_list):
+        lines = source[node.lineno - 1
+                       - len(getattr(node, "decorator_list", ())):
                        node.end_lineno]
         defs[qual] = (reads, sum(1 for ln in lines if ln.strip()
                                  and not ln.strip().startswith("#")))
@@ -148,6 +169,9 @@ def _program():
                 for m in methods:
                     add(f"{mod}.{stmt.name}.{m.name}", m, _names([m]),
                         source)
+            elif _bound(stmt):
+                for name in _bound(stmt):
+                    add(f"{mod}.{name}", stmt, _names([stmt.value]), source)
             else:
                 top |= _names([stmt])
     return defs, frozenset(top)

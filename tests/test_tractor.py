@@ -11,6 +11,7 @@ from confein.curvature import CurvaturePack, trace_free_residual, unpack_pairs
 from confein.expressions import ONE, ZERO, add, diff, func, mul, neg, parse
 from confein.geometry import (
     DOWN,
+    UP,
     MetricField,
     TensorField,
     conformal_rescale,
@@ -109,6 +110,29 @@ class TestConnection:
         want = evaluate_components(partial_derivative(t.to_tensor()), b) + \
             np.einsum("pzIJ,pJ->pzI", th, tt)
         assert maxabs(vals - want) < 1e-9
+
+    @pytest.mark.parametrize("name", ["rt4-quartic", "schwarzschild4"])
+    def test_connection_on_a_tensor_and_a_tractor_slot(self, name):
+        # slots (UP, TUP): nabla_a T^iI = d_a T^iI + Gamma^i_ae T^eI
+        # + Theta[a, I, J] T^iJ, against the sampled Gamma and Theta
+        g = entry(name).metric
+        n, c = g.dim, g.chart.coords
+        comps = np.asarray([[parse(f"({i + 1}*{c[i]} + {j})*{c[j % n]}")
+                             for j in range(n + 2)] for i in range(n)],
+                           dtype=object)
+        comps[0, n + 1] = comps[n - 1, 0] = ZERO
+        t = TR.TractorTensor(g, (UP, TR.TUP), comps)
+        grad = TR.tractor_connection(t)
+        assert grad.slots == (DOWN, UP, TR.TUP)
+        pts = points(name, 3)
+        b = binds(name, pts)
+        s = pack(name).samples(pts)
+        tt = evaluate_components(comps, b)
+        want = evaluate_components(partial_derivative(t), b) \
+            + np.einsum("piae,peI->paiI", s["gamma"], tt) \
+            + np.einsum("paIJ,piJ->paiI", TR.theta_values(s), tt)
+        assert maxabs(evaluate_components(grad.comps, b) - want) < \
+            1e-10 * max(1, maxabs(want))
 
     def test_inner_product_leibniz(self):
         # d <T1, T2> = <nabla T1, T2> + <T1, nabla T2> numerically
