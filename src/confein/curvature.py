@@ -72,7 +72,7 @@ from itertools import permutations
 import numpy as np
 
 from . import taylor
-from .config import DEFAULT_TOLERANCES
+from .config import DEFAULT_TOLERANCES, max_norm, scale_of
 from .evaluate import compile_batch, run_batch
 from .expressions import ZERO, add, diff, mul, neg, rational
 from .geometry import (
@@ -464,13 +464,11 @@ class CurvatureSamples:
         return self.derived(("raised", name, up), build)
 
     def scale(self):
-        """Residual scale max(1, |C|, |A|, |P|) per point."""
-        def build():
-            parts = [np.ones(len(self.points))]
-            for nm in ("C", "A", "P"):
-                parts.append(_maxnorm(self.values[nm], len(self.points)))
-            return np.max(np.stack(parts), axis=0)
-        return self.derived(("scale",), build)
+        """The residual scale per point: `config.scale_of` of C (weight 2),
+        A and P (weight 0)."""
+        v = self.values
+        return self.derived(("scale",), lambda: scale_of(
+            (v["C"], 2), (v["A"], 0), (v["P"], 0)))
 
 
 def _jet_mul(x, y):
@@ -766,16 +764,11 @@ def antisym_axes(arr, axes):
     return out / math.factorial(k)
 
 
-def _maxnorm(arr, n_pts):
-    return np.max(np.abs(arr.reshape(n_pts, -1)), axis=1)
-
-
 def identity_residuals(s: CurvatureSamples):
     """Per-point max-norm residuals of the differential and algebraic
     identities the ladder must satisfy.  Keys name the identity.  The Weyl
     tensor is unpacked from its pair matrices to n^4 components here."""
     n = s.n
-    P = len(s.points)
     g, gi = s["g"], s["ginv"]
     C, A, Ps, B = unpack_pairs(s["C"]), s["A"], s["P"], s["B"]
     gam = s["gamma"]
@@ -789,48 +782,48 @@ def identity_residuals(s: CurvatureSamples):
 
     # div C = (n-3) A
     divC = np.einsum("pdx,pxdabc->pabc", gi, covC)
-    res["weyl-divergence"] = _maxnorm((n - 3) * A - divC, P)
+    res["weyl-divergence"] = max_norm((n - 3) * A - divC)
 
     # div P = dJ
     divP = np.einsum("pax,pxab->pb", gi, covP)
-    res["schouten-divergence"] = _maxnorm(divP - dJ, P)
+    res["schouten-divergence"] = max_norm(divP - dJ)
 
     # div A = 0
     divA = np.einsum("pax,pxabc->pbc", gi, covA)
-    res["cotton-divergence"] = _maxnorm(divA, P)
+    res["cotton-divergence"] = max_norm(divA)
 
     # skew_xyz [ nabla_x A_byz - P_x^c C_yzbc ] = 0
     Pup = np.einsum("pxa,pac->pxc", Ps, gi)
     lhs = np.moveaxis(covA, 2, 4)            # (P, x, y, z, b) from (P,x,b,y,z)
     rhs = np.einsum("pxc,pyzbc->pxyzb", Pup, C)
-    res["cotton-curl"] = _maxnorm(antisym_axes(lhs - rhs, (1, 2, 3)), P)
+    res["cotton-curl"] = max_norm(antisym_axes(lhs - rhs, (1, 2, 3)))
 
     # skew_xyz [ nabla_x C_yzcd - (g_cx A_dyz - g_dx A_cyz) ] = 0
     t = covC - np.einsum("pcx,pdyz->pxyzcd", g, A) \
              + np.einsum("pdx,pcyz->pxyzcd", g, A)
-    res["second-bianchi"] = _maxnorm(antisym_axes(t, (1, 2, 3)), P)
+    res["second-bianchi"] = max_norm(antisym_axes(t, (1, 2, 3)))
 
     # Weyl symmetries
-    res["weyl-pair-symmetry"] = _maxnorm(C - np.transpose(C, (0, 3, 4, 1, 2)), P)
-    res["weyl-antisymmetry"] = _maxnorm(C + np.transpose(C, (0, 2, 1, 3, 4)), P)
-    res["weyl-cyclic"] = _maxnorm(antisym_axes(C, (1, 2, 3)), P)
+    res["weyl-pair-symmetry"] = max_norm(C - np.transpose(C, (0, 3, 4, 1, 2)))
+    res["weyl-antisymmetry"] = max_norm(C + np.transpose(C, (0, 2, 1, 3, 4)))
+    res["weyl-cyclic"] = max_norm(antisym_axes(C, (1, 2, 3)))
 
     # traces
     res["weyl-trace"] = np.max(np.stack([
-        _maxnorm(np.einsum("pac,pabcd->pbd", gi, C), P),
-        _maxnorm(np.einsum("pab,pabcd->pcd", gi, C), P),
-        _maxnorm(np.einsum("pad,pabcd->pbc", gi, C), P),
+        max_norm(np.einsum("pac,pabcd->pbd", gi, C)),
+        max_norm(np.einsum("pab,pabcd->pcd", gi, C)),
+        max_norm(np.einsum("pad,pabcd->pbc", gi, C)),
     ]), axis=0)
     res["cotton-trace"] = np.max(np.stack([
-        _maxnorm(np.einsum("pab,pabc->pc", gi, A), P),
-        _maxnorm(np.einsum("pac,pabc->pb", gi, A), P),
+        max_norm(np.einsum("pab,pabc->pc", gi, A)),
+        max_norm(np.einsum("pac,pabc->pb", gi, A)),
     ]), axis=0)
-    res["bach-symmetry"] = _maxnorm(B - np.transpose(B, (0, 2, 1)), P)
-    res["bach-trace"] = _maxnorm(np.einsum("pab,pab->p", gi, B), P)
+    res["bach-symmetry"] = max_norm(B - np.transpose(B, (0, 2, 1)))
+    res["bach-trace"] = max_norm(np.einsum("pab,pab->p", gi, B))
 
     # metricity
     covG = numeric_cov(g, s["dg"], (DOWN, DOWN), gam)
-    res["metricity"] = _maxnorm(covG, P)
+    res["metricity"] = max_norm(covG)
     return res
 
 
@@ -857,12 +850,11 @@ def identity_suite(pack: CurvaturePack, points,
 def trace_free_residual(P, g, gi):
     """Max-norm of the trace-free part of the symmetric tensors P (P, n, n)
     with respect to the metrics g (inverses gi), along with the scale
-    max(1, |P|)."""
-    npts, n = P.shape[:2]
+    `config.scale_of` of P (weight 0)."""
+    n = P.shape[1]
     tf = P - np.einsum("pab,p->pab", g,
                        np.einsum("pab,pab->p", gi, P) / n)
-    scale = np.maximum(1.0, np.max(np.abs(P.reshape(npts, -1)), axis=1))
-    return float(np.max(_maxnorm(tf, npts))), float(np.max(scale))
+    return float(np.max(max_norm(tf))), float(np.max(scale_of((P, 0))))
 
 
 def cotton_transform_check(s: CurvatureSamples, sh: CurvatureSamples,
@@ -872,7 +864,7 @@ def cotton_transform_check(s: CurvatureSamples, sh: CurvatureSamples,
 
     Checks the Cotton rule A-hat = A + (d upsilon)^k C_k..., the Schouten
     rule, and invariance of the Weyl tensor with placement C_ab^c_d."""
-    n, P = s.n, len(s.points)
+    n = s.n
     uj = scalar_jet(s, upsilon, 2)
     du = uj[:, 1:n + 1]
     hess = taylor.partials(taylor.partials(uj, n, 1), n, 0)[:, 0]
@@ -883,18 +875,18 @@ def cotton_transform_check(s: CurvatureSamples, sh: CurvatureSamples,
 
     out = {}
     rhs = s["A"] + np.einsum("pk,pkabc->pabc", uup, C)
-    out["cotton-transform"] = float(np.max(_maxnorm(sh["A"] - rhs, P)))
+    out["cotton-transform"] = float(np.max(max_norm(sh["A"] - rhs)))
 
     # Schouten: P-hat = P - nabla_a u_b + u_a u_b - 1/2 |u|^2 g
     covu = hess - np.einsum("peab,pe->pab", s["gamma"], du)
     usq = np.einsum("pa,pa->p", uup, du)
     rhsP = s["P"] - covu + np.einsum("pa,pb->pab", du, du) \
         - 0.5 * np.einsum("p,pab->pab", usq, s["g"])
-    out["schouten-transform"] = float(np.max(_maxnorm(sh["P"] - rhsP, P)))
+    out["schouten-transform"] = float(np.max(max_norm(sh["P"] - rhsP)))
 
     cmix = _contract_slot(C, gi, 2)
     cmix_hat = _contract_slot(unpack_pairs(sh["C"]), sh["ginv"], 2)
-    out["weyl-invariance"] = float(np.max(_maxnorm(cmix_hat - cmix, P)))
+    out["weyl-invariance"] = float(np.max(max_norm(cmix_hat - cmix)))
 
     scale = s.scale()
     out["scale"] = float(np.max(scale))

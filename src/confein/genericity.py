@@ -56,7 +56,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from . import linalg
-from .config import DEFAULT_TOLERANCES
+from .config import DEFAULT_TOLERANCES, max_norm
 from .curvature import (
     PAIR_SUM,
     CurvatureSamples,
@@ -105,9 +105,7 @@ def _pair_tensor(m):
 def weyl_vanishes(samples, tol=DEFAULT_TOLERANCES):
     """Per point: is the Weyl tensor numerically zero, max |C| <= rank_tol
     times the curvature scale (the floor of the rank decisions)?"""
-    c = samples["C"]
-    cmax = np.max(np.abs(c.reshape(c.shape[0], -1)), axis=1)
-    return cmax <= tol.rank_tol * samples.scale()
+    return max_norm(samples["C"]) <= tol.rank_tol * samples.scale()
 
 
 def weyl_rows(samples, pattern=(0, 0, 0, 0)):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import scale_of
 from .evaluate import DomainError, compile_batch, run_batch
 from .expressions import (
     ZERO,
@@ -487,15 +488,14 @@ def _regular(prog, bindings, dim):
 
 def _degenerate(m):
     """Per matrix of the stack m: is it not finite, or its symmetric part
-    degenerate, its smallest |eigenvalue| <= 1e-10 * max(1, largest
-    |eigenvalue|)?  The one test of a degenerate metric: sampling redraws
-    such points, and `CurvatureSamples` rejects them."""
+    degenerate, its smallest |eigenvalue| <= 1e-10 times the `scale_of`
+    of its |eigenvalues| (weight 2)?  The one test of a degenerate metric:
+    sampling redraws such points, and `CurvatureSamples` rejects them."""
     bad = ~np.all(np.isfinite(m), axis=(1, 2))
     ok = m[~bad]
     # halved before the sum, which then cannot overflow
     ev = np.abs(np.linalg.eigvalsh(0.5 * ok + 0.5 * np.swapaxes(ok, 1, 2)))
-    bad[~bad] = np.min(ev, axis=1) <= 1e-10 * np.maximum(1.0,
-                                                         np.max(ev, axis=1))
+    bad[~bad] = np.min(ev, axis=1) <= 1e-10 * scale_of((ev, 2))
     return bad
 
 

@@ -86,7 +86,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, taylor
-from .config import DEFAULT_TOLERANCES
+from .config import DEFAULT_TOLERANCES, max_norm, scale_of
 from .curvature import (
     PAIR_SUM,
     CurvaturePack,
@@ -345,8 +345,7 @@ def _gate(samples, policy, tol):
         if samples.n != 4:
             raise PolicyError("policy dim4-C3 needs dimension 4")
         vals, name = weyl_c3(samples), "C^3"
-        cmax = np.max(np.abs(samples.raised("C", (0, 0, 1, 1))),
-                      axis=(1, 2))
+        cmax = max_norm(samples.raised("C", (0, 0, 1, 1)))
         bad = np.abs(vals) <= tol.rank_tol * np.maximum(cmax, 1e-300) ** 3
     else:
         # numerically invertible (full rank at the pivot tolerance, relative
@@ -433,7 +432,7 @@ class KField:
     def closedness(self):
         """Per-point max |d_[a K_b]| (vanishes iff K is locally a gradient)."""
         skew = 0.5 * (self.d_lowered - np.transpose(self.d_lowered, (0, 2, 1)))
-        return np.max(np.abs(skew), axis=(1, 2))
+        return max_norm(skew)
 
     def raised(self, samples):
         return np.einsum("pab,pb->pa", samples["ginv"], self.lowered)
@@ -461,8 +460,7 @@ class Residual:
 
     @property
     def per_point(self):
-        flat = self.values.reshape(self.values.shape[0], -1)
-        return np.max(np.abs(flat), axis=1)
+        return max_norm(self.values)
 
     @property
     def max(self):
@@ -494,14 +492,6 @@ class Residual:
                         np.concatenate([r.scale for r in parts]))
 
 
-def _scale_of(*arrays):
-    npts = arrays[0].shape[0]
-    s = np.ones(npts)
-    for a in arrays:
-        s = np.maximum(s, np.max(np.abs(a.reshape(npts, -1)), axis=1))
-    return s
-
-
 def _need_dim4plus(samples):
     if samples.n == 3:
         raise ValueError("this invariant needs dimension n >= 4")
@@ -521,54 +511,58 @@ def _one(k):
     return d
 
 
-def _cleared_cspace(samples, name, det, qup):
+def _cleared_cspace(samples, name, weight, det, qup):
     """D A_abc + Q^d C_dabc from the values of the jets D and Q^a: D times
-    the C-space residual of K = Q / D."""
+    the C-space residual of K = Q / D, its terms of conformal weight
+    `weight`."""
     t1 = det[:, 0, None, None, None] * samples["A"]
     t2 = _pair_cols(np.einsum("pd,pdak->pak", qup[:, 0],
                               weyl_rows(samples)))
-    return Residual(name, t1 + t2, _scale_of(t1, t2))
+    return Residual(name, t1 + t2, scale_of((t1, weight), (t2, weight)))
 
 
-def _cleared_bach(samples, name, det, qup):
+def _cleared_bach(samples, name, weight, det, qup):
     """D^2 B_ab + (n-4) Q^d Q^c C_dabc from the values of the jets D and
-    Q^a: D^2 times the Bach residual of K = Q / D."""
+    Q^a: D^2 times the Bach residual of K = Q / D, its terms of conformal
+    weight `weight`."""
     t1 = (det[:, 0] ** 2)[:, None, None] * samples["B"]
     # Q^d Q^c C_dabc = -Q^d Q^c C_dacb
     t2 = (4 - samples.n) * pair_trace(
         samples["C"], np.einsum("pd,pc->pdc", qup[:, 0], qup[:, 0]))
-    return Residual(name, t1 + t2, _scale_of(t1, t2))
+    return Residual(name, t1 + t2, scale_of((t1, weight), (t2, weight)))
 
 
-def _cleared_e(samples, name, det, q):
+def _cleared_e(samples, name, weight, det, q):
     """Trace-free[D^2 P - D nabla Q + dD (x) Q + Q (x) Q] from the order-1
-    jets of D and Q_a: D^2 E for K = Q / D, without dividing by D."""
+    jets of D and Q_a: D^2 E for K = Q / D, without dividing by D, its
+    terms of conformal weight `weight`."""
     covq = q[:, 1:] - np.einsum("pcab,pc->pab", samples["gamma"], q[:, 0])
     t1 = (det[:, 0] ** 2)[:, None, None] * samples["P"]
     t2 = -det[:, 0, None, None] * covq
     t3 = np.einsum("pa,pb->pab", det[:, 1:], q[:, 0])
     t4 = np.einsum("pa,pb->pab", q[:, 0], q[:, 0])
     return Residual(name, _trace_free(t1 + t2 + t3 + t4, samples),
-                    _scale_of(t1, t2, t3, t4))
+                    scale_of(*((t, weight) for t in (t1, t2, t3, t4))))
 
 
 def cspace_residual(samples: CurvatureSamples, k: KField) -> Residual:
     """A_abc + K^d C_dabc (condition [C])."""
-    return _cleared_cspace(samples, "cspace", _one(k),
+    return _cleared_cspace(samples, "cspace", 0, _one(k),
                            k.raised(samples)[:, None])
 
 
 def bach_residual(samples: CurvatureSamples, k: KField) -> Residual:
     """B_ab + (n-4) K^d K^c C_dabc (condition [B]); equals the Bach tensor
     alone in n = 4."""
-    return _cleared_bach(samples, "bach", _one(k), k.raised(samples)[:, None])
+    return _cleared_bach(samples, "bach", -2, _one(k),
+                         k.raised(samples)[:, None])
 
 
 def e_tensor(samples: CurvatureSamples, k: KField) -> Residual:
     """Trace-free[ P_ab - nabla_a K_b + K_a K_b ] with K_b = Dt_bcde A^cde.
 
     Conformally invariant (weight 0) when Dt is canonical."""
-    return _cleared_e(samples, "E", _one(k), np.concatenate(
+    return _cleared_e(samples, "E", 0, _one(k), np.concatenate(
         [k.lowered[:, None], k.d_lowered], axis=1))
 
 
@@ -576,23 +570,26 @@ def f1(samples: CurvatureSamples) -> Residual:
     """(1-n)||C|| A_abc + 2 C_dabc Ct^defg A_efg  (n >= 4): [C] cleared by
     the from-C pair."""
     _need_dim4plus(samples)
-    return _cleared_cspace(samples, "F1", *_pair(samples, "from-C", 0))
+    return _cleared_cspace(samples, "F1", -samples.n * (samples.n - 1),
+                           *_pair(samples, "from-C", 0))
 
 
 def f2(samples: CurvatureSamples) -> Residual:
     """(n-1)^2 ||C||^2 B_ab + 4(n-4) Ct^defg C_dabc Ct^chkl A_efg A_hkl
     (n >= 4): [B] cleared by the from-C pair."""
     _need_dim4plus(samples)
-    return _cleared_bach(samples, "F2", *_pair(samples, "from-C", 0))
+    n = samples.n
+    return _cleared_bach(samples, "F2", -2 * n * (n - 1) - 2,
+                         *_pair(samples, "from-C", 0))
 
 
-def _policy_e(samples, name, policy, tol, cross_check):
-    """E cleared by a policy's pair, the policy gated at `tol`, and (when
-    cross_check) its relative deviation from D^2 E."""
+def _policy_e(samples, name, weight, policy, tol, cross_check):
+    """E cleared by a policy's pair (weight `weight`), the policy gated at
+    `tol`, and (when cross_check) its relative deviation from D^2 E."""
     _need_dim4plus(samples)
     _gate(samples, policy, tol)
     det, q = _pair(samples, policy, 1)
-    res = _cleared_e(samples, name, det, _lowered(samples, q))
+    res = _cleared_e(samples, name, weight, det, _lowered(samples, q))
     if not cross_check:
         return res, None
     e = e_tensor(samples, k_field(samples, policy, tol))
@@ -606,7 +603,8 @@ def g_tensor(samples: CurvatureSamples, tol=DEFAULT_TOLERANCES,
     """The ||L||-cleared natural display of E (weight -8n), its from-L
     policy gated at `tol`; returns (Residual, cross-check relative error vs
     ||L||^2 E)."""
-    return _policy_e(samples, "G", "from-L", tol, cross_check)
+    return _policy_e(samples, "G", -8 * samples.n, "from-L", tol,
+                     cross_check)
 
 
 def gbar_tensor(samples: CurvatureSamples, tol=DEFAULT_TOLERANCES,
@@ -614,7 +612,8 @@ def gbar_tensor(samples: CurvatureSamples, tol=DEFAULT_TOLERANCES,
     """The ||C||-cleared display (weight 2n(1-n)), its from-C policy gated
     at `tol`; cross-checked against (1-n)^2 ||C||^2 E with the Lambda2 left
     inverse."""
-    return _policy_e(samples, "Gbar", "from-C", tol, cross_check)
+    return _policy_e(samples, "Gbar", 2 * samples.n * (1 - samples.n),
+                     "from-C", tol, cross_check)
 
 
 def dim4_invariant(samples: CurvatureSamples) -> Residual:
@@ -624,7 +623,7 @@ def dim4_invariant(samples: CurvatureSamples) -> Residual:
     if samples.n != 4:
         raise ValueError("dim4_invariant needs dimension 4")
     det, q = _pair(samples, "trace", 1)
-    return _cleared_e(samples, "dim4", det, _lowered(samples, q))
+    return _cleared_e(samples, "dim4", -8, det, _lowered(samples, q))
 
 
 def cotton_rl2_invariant(samples: CurvatureSamples):
@@ -633,9 +632,10 @@ def cotton_rl2_invariant(samples: CurvatureSamples):
     pair, plus (in n = 4) the simpler |C|^2 A_abc - 4 C^defg A_efg C_dabc,
     cleared by the trace pair."""
     out = {"rl2-cotton": _cleared_cspace(samples, "rl2-cotton",
+                                         -4 * samples.n,
                                          *_pair(samples, "from-L", 0))}
     if samples.n == 4:
-        out["dim4-cotton"] = _cleared_cspace(samples, "dim4-cotton",
+        out["dim4-cotton"] = _cleared_cspace(samples, "dim4-cotton", -4,
                                              *_pair(samples, "trace", 0))
     return out
 
@@ -778,12 +778,10 @@ def _candidates(policy, n):
 
 def _measure_points(s, tol):
     """The policy-free half of a chunk's measurement."""
-    npts = len(s.points)
     m = TensorMeasurement(
         points=list(s.points), scale=s.scale(),
-        weyl_zero=weyl_vanishes(s, tol),
-        c_max=np.max(np.abs(s["C"].reshape(npts, -1)), axis=1),
-        a_max=np.max(np.abs(s["A"].reshape(npts, -1)), axis=1))
+        weyl_zero=weyl_vanishes(s, tol), c_max=max_norm(s["C"]),
+        a_max=max_norm(s["A"]))
     if s.n == 3:
         m.residuals["cotton"] = Residual("cotton", s["A"], s.scale())
     else:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, taylor
-from .config import DEFAULT_TOLERANCES
+from .config import DEFAULT_TOLERANCES, max_norm, scale_of
 from .curvature import (
     CurvaturePack,
     CurvatureSamples,
@@ -515,8 +515,9 @@ def parallel_tractor_check(s: CurvatureSamples, sigma,
     if np.any(np.abs(sig) < 1e-12):
         bad = s.points[int(np.argmin(np.abs(sig)))]
         raise DomainError("sigma vanishes (conformal singularity)", bad)
-    resid = np.max(np.abs(grad.reshape(len(s.points), -1)), axis=1)
-    scale = np.maximum(1.0, np.max(np.abs(ivals), axis=1))
+    resid = max_norm(grad)
+    # the top slot sigma has weight 0, nabla sigma and the bottom slot -2
+    scale = scale_of((ivals[:, :1], 0), (ivals[:, 1:], -2))
 
     mid = ivals[:, 1:n + 1]                     # nabla^a sigma
     dsq = np.einsum("pab,pa,pb->p", s["g"], mid, mid)

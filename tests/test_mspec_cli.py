@@ -118,6 +118,7 @@ class TestFormat:
 
 def run_cli(tmp_path, *argv):
     out = tmp_path / "report.json"
+    out.unlink(missing_ok=True)  # a run that writes no report reads None
     code = main(list(argv) + ["--json", str(out)])
     data = json.loads(out.read_text()) if out.exists() else None
     return code, data
@@ -624,6 +625,48 @@ def test_linear_coordinate_change_keeps_the_verdict(tmp_path):
         outcomes.append((data["verdict"], code))
     assert len(set(outcomes)) == 1, outcomes
     assert outcomes[0][0] != "conflict", outcomes
+
+
+# the polynomial 6-metric of ROADMAP State in the unit U; its tractor rank
+# is 8 = n + 2 at every unit from 1e-6 to 1e6
+STATE6 = {(0, 0): "1 + y^2/4", (1, 1): "1 + x*z/4", (0, 2): "(1 + x*y)/8",
+          (2, 2): "1", (3, 3): "1", (4, 4): "1", (5, 5): "1"}
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: the rank floor is raw components floored at 1, so "
+    "large units drop the tractor rank and turn 'not' into an exit 0"))
+def test_units_keep_the_verdict_of_a_polynomial_6_metric(tmp_path):
+    # at 3 points of seed 0 today: "not" (exit 1, ranks 8) at U = 1,
+    # "conflict" (exit 2, ranks 7) at 1e8, and "conformally-einstein"
+    # (exit 0, ranks 7) at 1e12, where _reciprocal overflows, so exit 4
+    # under -W error::RuntimeWarning
+    outcomes = []
+    for unit in ("1", "1e8", "1e12"):
+        p = tmp_path / "state6.mspec"
+        p.write_text("dim = 6\ncoords = x, y, z, u, v, w\n"
+                     + "".join(f"g[{i}][{j}] = {unit}*({e})\n"
+                               for (i, j), e in STATE6.items()))
+        code, data = run_cli(tmp_path, "classify", str(p), "--points", "3",
+                             "--seed", "0")
+        outcomes.append((data and data["verdict"], code))
+    assert len(set(outcomes)) == 1, outcomes
+    assert outcomes[0][0] != "conflict" and outcomes[0][1] != 0, outcomes
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: at rank_tol 1e-20 the F route passes a roundoff F1 "
+    "through tol_abs and the dim4-C3 E route says 'not'"))
+def test_conformally_flat_metric_never_conflicts(tmp_path):
+    # constant-curvature4 is "inconclusive" at the default rank_tol; at
+    # 1e-20 it is "conflict" (exit 2) today: the lambda2 route says "not",
+    # bach-cotton-system "conformally-einstein" and the rank test "not"
+    p = tmp_path / "sphere.mspec"
+    main(["catalog", "export", "constant-curvature4", "--out", str(p)])
+    for rank_tol in ("1e-8", "1e-20"):
+        _, data = run_cli(tmp_path, "classify", str(p), "--rank-tol",
+                          rank_tol)
+        assert data["verdict"] != "conflict", (rank_tol, data["verdict"])
 
 
 def _classify_bytes(tmp_path, mspec, chunk_bytes, monkeypatch):
