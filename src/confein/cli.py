@@ -12,19 +12,19 @@ policy); any other exception is an internal error, printed as
 Reports are deterministic for a fixed --seed: two runs produce
 byte-identical JSON.
 
-`classify` walks its points in chunks (`curvature.point_chunks`: 64
-points at n = 6, 160 at n = 5, 512 at n = 4): each chunk is sampled,
-reduced to per-point figures (genericity classes, Weyl and Cotton maxima,
-policy-gate notes, residual maxima and scales, the closedness of K,
-tractor ranks) and freed before the next, and the verdicts are decided on
-the joined figures.  The potential samples its quadrature nodes by the
-same rule (`obstructions.reconstruct_potential`), so classify's peak
-memory stays flat in --points.  `identities` samples the same chunks one
-at a time and keeps each one's per-point residuals and scales
-(`curvature.identity_suite`).  `invariants` and `tractor` work on the
-whole batch: the G/Gbar cross-check divides by a maximum over all points,
-the covariance fit takes its mean and spread over all points, and the
-vanishing-sigma error names the point of smallest |sigma| among all."""
+Every command that samples walks its points in chunks
+(`CurvaturePack.chunks`: 64 points at n = 6, 160 at n = 5, 512 at n = 4):
+each chunk is sampled, reduced to per-point figures and freed before the
+next, and the report is made on the joined figures, so peak memory stays
+flat in --points.  `classify` keeps genericity classes, Weyl and Cotton
+maxima, policy-gate notes, residual maxima and scales, the closedness of
+K and tractor ranks, and its potential samples the quadrature nodes by
+the same rule (`obstructions.reconstruct_potential`); `identities` keeps
+residuals and scales (`curvature.identity_suite`); `invariants` the
+maxima and scales of each invariant and cross-check, the closedness of K
+and the values its covariance fit reads; `tractor` the maxima of its
+residuals and scales.  An error raised while sampling or measuring names
+the first failing point of the first chunk that fails."""
 
 from __future__ import annotations
 
@@ -40,14 +40,16 @@ import numpy as np
 from . import __version__
 from .catalog import entry_names, get_entry
 from .config import Tolerances
-from .curvature import CurvaturePack, identity_suite, point_chunks
+from .curvature import CurvaturePack, identity_suite
 from .evaluate import DomainError, UnboundSymbolError
 from .expressions import ExprSyntaxError, parse
 from .genericity import PolicyError, weyl_operators
-from .geometry import SingularMetricError
+from .geometry import (SingularMetricError, conformal_rescale,
+                       evaluate_components)
 from .mspecfile import MetricSpecError, dumps_mspec, entry_to_mspec, loads_mspec
 from .obstructions import (
     THEOREM_IDS,
+    Residual,
     covariance_exponent,
     bach_residual,
     cspace_residual,
@@ -67,8 +69,21 @@ from .tractor import parallel_tractor_check, rank_obstruction, rank_verdict
 EXIT_YES, EXIT_NO, EXIT_INCONCLUSIVE, EXIT_INPUT = 0, 1, 2, 3
 EXIT_INTERNAL = 4
 
-_INVARIANT_NAMES = ("F1", "F2", "E", "G", "Gbar", "dim4", "cspace", "bach")
+# each invariant's builder on (samples, K, tolerances): (its Residual, the
+# cross-check Residual of G and Gbar, else None), for the report and, on g
+# and the rescaled metric, for the covariance fit of _FITTED
+_BUILDERS = {
+    "F1": lambda s, k, tol: (f1(s), None),
+    "F2": lambda s, k, tol: (f2(s), None),
+    "E": lambda s, k, tol: (e_tensor(s, k), None),
+    "G": lambda s, k, tol: g_tensor(s, tol),
+    "Gbar": lambda s, k, tol: gbar_tensor(s, tol),
+    "dim4": lambda s, k, tol: (dim4_invariant(s), None),
+    "cspace": lambda s, k, tol: (cspace_residual(s, k), None),
+    "bach": lambda s, k, tol: (bach_residual(s, k), None),
+}
 _DIM4PLUS_NAMES = ("F1", "F2", "G", "Gbar")
+_FITTED = ("F1", "G", "Gbar", "dim4")
 
 
 class InputError(Exception):
@@ -125,7 +140,7 @@ def build_parser():
                                           "invariants")
     p.add_argument("file")
     p.add_argument("--which", default="E,cspace,bach",
-                   help="comma list from: " + ",".join(_INVARIANT_NAMES))
+                   help="comma list from: " + ",".join(_BUILDERS))
     p.add_argument("--upsilon", default=None,
                    help="conformal factor for a covariance run (overrides "
                         "the file's `conformal` entry)")
@@ -215,7 +230,7 @@ def _emit(report, args):
 
 def cmd_classify(args):
     """The full decision, one chunk of points at a time
-    (`curvature.point_chunks`).
+    (`CurvaturePack.chunks`).
 
     Each chunk is sampled once, measured and freed before the next: the
     tensor verdict keeps its genericity classes, the Weyl and Cotton
@@ -230,7 +245,6 @@ def cmd_classify(args):
     tol = _tolerances(args)
     spec, g, points, digest = _load(args)
     pack = CurvaturePack(g)
-    chunks = point_chunks(len(points), g.dim)
     ranks = []
 
     def measure_ranks(samples, measured):
@@ -238,9 +252,8 @@ def cmd_classify(args):
             ranks.extend(rank_obstruction(
                 samples, tol, genericity=measured.genericity).ranks)
 
-    measured = measure_tensor_verdict(
-        lambda i: pack.samples(points[chunks[i]]), len(chunks),
-        args.policy, tol, each=measure_ranks)
+    measured = measure_tensor_verdict(pack.chunks(points), args.policy, tol,
+                                      each=measure_ranks)
     rep = decide_tensor_verdict(measured, pack, args.policy, tol)
     out = _report_skeleton(digest, tol, args)
     out["points"] = points
@@ -278,92 +291,87 @@ def cmd_classify(args):
 
 
 def cmd_invariants(args):
+    """The named invariants and, given a factor upsilon, their covariance
+    fit, one chunk at a time.  A chunk keeps each invariant's and
+    cross-check's per-point maxima and scales, the closedness of K and, for
+    the fit, upsilon and the _FITTED values on g and e^{2 upsilon} g."""
     tol = _tolerances(args)
     spec, g, points, digest = _load(args)
-    which = [w.strip() for w in args.which.split(",") if w.strip()]
-    bad = [w for w in which if w not in _INVARIANT_NAMES]
+    which = list(dict.fromkeys(w.strip() for w in args.which.split(",")
+                               if w.strip()))
+    if not which:
+        raise InputError("--which names no invariant; expected some of "
+                         f"{', '.join(_BUILDERS)}")
+    bad = [w for w in which if w not in _BUILDERS]
     if bad:
         raise MetricSpecError(f"unknown invariant name(s): {', '.join(bad)}; "
-                              f"expected {', '.join(_INVARIANT_NAMES)}")
+                              f"expected {', '.join(_BUILDERS)}")
     bad = [w for w in which if w in _DIM4PLUS_NAMES] if g.dim < 4 else []
     bad += ["dim4"] if "dim4" in which and g.dim != 4 else []
     if bad:
         raise MetricSpecError(f"invariant(s) {', '.join(bad)} not defined in "
                               f"dimension {g.dim} (F1, F2, G and Gbar need "
                               "n >= 4, dim4 needs n = 4)")
-    pack = CurvaturePack(g)
-    samples = pack.samples(points)
+    ups = _parse(args.upsilon) if args.upsilon else spec.conformal
+    hpack = None if ups is None else CurvaturePack(conformal_rescale(g, ups))
+    policy = "from-L" if args.policy == "auto" else args.policy
+    needs_k = bool({"cspace", "bach", "E"} & set(which))
+    figures, closed, fits, uvals, errors = {}, [], {}, [], {}
+
+    def measure(s):
+        # one chunk, freed when this returns
+        k = k_field(s, policy, tol) if needs_k else None
+        if k is not None:
+            closed.append(k.closedness())
+        values = {}
+        for name in which:
+            r, cross = _BUILDERS[name](s, k, tol)
+            figures.setdefault(name, []).append(r.reduced())
+            if cross is not None:
+                figures.setdefault(f"{name}_cross_check_rel", []).append(
+                    cross.reduced())
+            if hpack is not None and name in _FITTED:
+                values[name] = r.values
+        if hpack is None:
+            return
+        hs = hpack.samples(s.points)
+        uvals.append(evaluate_components(ups, s.bindings))
+        for name in (w for w in which if w in _FITTED and w not in errors):
+            try:
+                hat = _BUILDERS[name](hs, None, tol)[0].values
+            except (PolicyError, ValueError) as exc:
+                errors[name] = str(exc)
+            else:
+                fits.setdefault(name, []).append((values[name], hat))
+        fits.setdefault("weyl_operator_det", []).append(
+            (weyl_operators(s)[1][:, None], weyl_operators(hs)[1][:, None]))
+
+    for sample in CurvaturePack(g).chunks(points):
+        measure(sample())
+
     out = _report_skeleton(digest, tol, args)
     out["points"] = points
-    res = {}
-    policy = "from-L" if args.policy == "auto" else args.policy
-    k = None
-    if {"cspace", "bach", "E"} & set(which):
-        k = k_field(samples, policy, tol)
+    if needs_k:
         out["k_provenance"] = policy
-        out["k_closedness"] = float(np.max(k.closedness()))
-    for name in which:
-        if name == "cspace":
-            r = cspace_residual(samples, k)
-        elif name == "bach":
-            r = bach_residual(samples, k)
-        elif name == "E":
-            r = e_tensor(samples, k)
-        elif name == "F1":
-            r = f1(samples)
-        elif name == "F2":
-            r = f2(samples)
-        elif name == "G":
-            r, cross = g_tensor(samples, tol)
-            res["G_cross_check_rel"] = cross
-        elif name == "Gbar":
-            r, cross = gbar_tensor(samples, tol)
-            res["Gbar_cross_check_rel"] = cross
-        else:
-            r = dim4_invariant(samples)
-        res[name] = {"max": r.max, "scale": r.max_scale}
+        out["k_closedness"] = float(np.max(np.concatenate(closed)))
+    res = {}
+    for name, parts in figures.items():
+        r = Residual.joined(parts)
+        res[name] = ({"max": r.max, "scale": r.max_scale} if name in _BUILDERS
+                     else r.max / max(r.max_scale, 1e-300))
     out["invariants"] = res
-
-    ups = None
-    if args.upsilon:
-        ups = _parse(args.upsilon)
-    elif spec.conformal is not None:
-        ups = spec.conformal
-    if ups is not None:
-        out["covariance"] = _covariance_section(pack, samples, points, which,
-                                                ups, tol)
+    if hpack is not None:
+        sec = {name: {"error": msg} for name, msg in errors.items()}
+        for name, pairs in fits.items():
+            if name not in errors:
+                w, spread = covariance_exponent(
+                    *(np.concatenate(v) for v in zip(*pairs)),
+                    np.concatenate(uvals))
+                sec[name] = {"fitted_exponent": w, "spread": spread}
+        sec["weyl_operator_det"]["expected"] = float(-g.dim * (g.dim - 1))
+        out["covariance"] = sec
     _emit(out, args)
     return EXIT_YES
-
-
-def _covariance_section(pack, samples, points, which, ups, tol):
-    from .geometry import conformal_rescale, evaluate_components
-    ghat = conformal_rescale(pack.g, ups)
-    hpack = CurvaturePack(ghat)
-    hsamples = hpack.samples(points)
-    uvals = evaluate_components(ups, samples.bindings)
-    sec = {}
-    builders = {
-        "F1": lambda s: f1(s).values,
-        "G": lambda s: g_tensor(s, tol, cross_check=False)[0].values,
-        "Gbar": lambda s: gbar_tensor(s, tol, cross_check=False)[0].values,
-        "dim4": lambda s: dim4_invariant(s).values,
-    }
-    for name in which:
-        if name not in builders:
-            continue
-        try:
-            w, spread = covariance_exponent(builders[name](samples),
-                                            builders[name](hsamples), uvals)
-            sec[name] = {"fitted_exponent": w, "spread": spread}
-        except (PolicyError, ValueError) as exc:
-            sec[name] = {"error": str(exc)}
-    dets, detsh = weyl_operators(samples)[1], weyl_operators(hsamples)[1]
-    w, spread = covariance_exponent(dets[:, None], detsh[:, None], uvals)
-    n = samples.n
-    sec["weyl_operator_det"] = {"fitted_exponent": w, "spread": spread,
-                                "expected": float(-n * (n - 1))}
-    return sec
 
 
 def cmd_identities(args):
@@ -383,18 +391,17 @@ def cmd_tractor(args):
     tol = _tolerances(args)
     spec, g, points, digest = _load(args)
     sigma = _parse(args.sigma)
-    rep = parallel_tractor_check(CurvaturePack(g).samples(points), sigma,
-                                 tol)
+    reps = [parallel_tractor_check(sample(), sigma, tol)
+            for sample in CurvaturePack(g).chunks(points)]
     out = _report_skeleton(digest, tol, args)
     out["points"] = points
     out["sigma"] = args.sigma
-    out["einstein_scale"] = rep["is_einstein_scale"]
+    out["einstein_scale"] = all(r["is_einstein_scale"] for r in reps)
     out["theorem"] = THEOREM_IDS["scale"]
-    out["parallel_residual"] = rep["parallel_residual"]
-    out["scale"] = rep["scale"]
-    out["rescaled_trace_free_schouten"] = rep["rescaled_trace_free_schouten"]
+    for key in ("parallel_residual", "scale", "rescaled_trace_free_schouten"):
+        out[key] = float(np.max([r[key] for r in reps]))
     _emit(out, args)
-    return EXIT_YES if rep["is_einstein_scale"] else EXIT_NO
+    return EXIT_YES if out["einstein_scale"] else EXIT_NO
 
 
 @_reads_input

@@ -55,9 +55,11 @@ point.  Other jets at the same points come from the same machinery:
 conformal factor, an Einstein scale), `christoffel_jet` runs the pack's
 metric-jet tape again and reads the order-2 prefix of the jet for g^-1 and
 the Christoffel symbols beyond their values.  `point_chunks` cuts a longer
-list of points into chunks of whole tape runs that fit a byte budget, the
-chunks `classify`, `identities` and the potential's quadrature nodes are
-sampled in.
+list of points into chunks of whole tape runs that fit a byte budget, and
+`CurvaturePack.chunks` gives one sampler per chunk: the walk of every
+command, each chunk sampled, reduced to per-point figures and freed
+before the next.  The potential's quadrature nodes are cut by the same
+rule (`obstructions.reconstruct_potential`).
 
 The pack's symbolic TensorFields remain for symbolic calculus (coframe
 components, the symbolic tractor calculus of `tractor`) and as the tests'
@@ -268,6 +270,13 @@ class CurvaturePack:
         """The ladder's values, and (order 1) the first partials the
         invariants need, at the given points (`CurvatureSamples`)."""
         return CurvatureSamples(self, points, order)
+
+    def chunks(self, points):
+        """One zero-argument sampler per `point_chunks` chunk of the
+        points, each giving the chunk's `samples`: the one walk of every
+        command, which holds one chunk's samples at a time."""
+        return [lambda sl=sl: self.samples(points[sl])
+                for sl in point_chunks(len(points), self.n)]
 
     def metric_jet_tape(self):
         """Tape of the partials d^alpha g_ij, i <= j, |alpha| <= 4
@@ -831,12 +840,12 @@ def identity_suite(pack: CurvaturePack, points,
                    tolerances=DEFAULT_TOLERANCES):
     """The identity residuals of the metric of `pack` at the points,
     reduced: {identity name: (max residual, max scale, passes)}.  The
-    points are sampled one `point_chunks` chunk at a time, each chunk's
-    per-point residuals and scales kept and its samples freed before the
-    next, so memory stays flat in the number of points."""
+    points are sampled one chunk at a time (`CurvaturePack.chunks`), each
+    chunk's per-point residuals and scales kept and its samples freed
+    before the next, so memory stays flat in the number of points."""
     res, scale = {}, []
-    for sl in point_chunks(len(points), pack.n):
-        s = pack.samples(points[sl])
+    for sample in pack.chunks(points):
+        s = sample()
         for name, r in identity_residuals(s).items():
             res.setdefault(name, []).append(r)
         scale.append(s.scale())

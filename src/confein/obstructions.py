@@ -71,12 +71,12 @@ Each `Verdict` names the criterion that decided it (`THEOREM_IDS`):
   Einstein (`tractor.parallel_tractor_check`).
 
 Every decision reads per-point figures only, so each is made in two
-halves: `measure_tensor_verdict` reduces each chunk of points to
-`TensorMeasurement`s, and `decide_tensor_verdict` (conformally Einstein?)
-or `decide_cotton_verdict` (conformal to a C-space?) decides on them,
-joined in point order by one shared head.  `conformal_einstein_tensor_verdict`
-and `cotton_scale_verdict` run both halves on one chunk; the CLI's
-`classify` runs the first pair over chunks of its points.
+halves: `measure_tensor_verdict` reduces the chunks of a list of
+samplers (`CurvaturePack.chunks`) to `TensorMeasurement`s, and
+`decide_tensor_verdict` (conformally Einstein?) or `decide_cotton_verdict`
+(conformal to a C-space?) decides on them, joined in point order by one
+shared head.  `conformal_einstein_tensor_verdict` and
+`cotton_scale_verdict` run both halves on the one sampler of given samples.
 """
 
 from __future__ import annotations
@@ -585,7 +585,8 @@ def f2(samples: CurvatureSamples) -> Residual:
 
 def _policy_e(samples, name, weight, policy, tol, cross_check):
     """E cleared by a policy's pair (weight `weight`), the policy gated at
-    `tol`, and (when cross_check) its relative deviation from D^2 E."""
+    `tol`, and (when cross_check) its deviation from D^2 E, a Residual
+    against max |D^2 E| per point (relative error max / max_scale)."""
     _need_dim4plus(samples)
     _gate(samples, policy, tol)
     det, q = _pair(samples, policy, 1)
@@ -594,15 +595,14 @@ def _policy_e(samples, name, weight, policy, tol, cross_check):
         return res, None
     e = e_tensor(samples, k_field(samples, policy, tol))
     ref = (det[:, 0] ** 2)[:, None, None] * e.values
-    denom = max(np.max(np.abs(ref)), 1e-300)
-    return res, float(np.max(np.abs(res.values - ref)) / denom)
+    return res, Residual(name, res.values - ref, max_norm(ref))
 
 
 def g_tensor(samples: CurvatureSamples, tol=DEFAULT_TOLERANCES,
              cross_check=True):
     """The ||L||-cleared natural display of E (weight -8n), its from-L
-    policy gated at `tol`; returns (Residual, cross-check relative error vs
-    ||L||^2 E)."""
+    policy gated at `tol`; returns (Residual, its cross-check against
+    ||L||^2 E, `_policy_e`)."""
     return _policy_e(samples, "G", -8 * samples.n, "from-L", tol,
                      cross_check)
 
@@ -668,7 +668,9 @@ def reconstruct_potential(pack: CurvaturePack, points, policy="from-L",
     whole targets cut by classify's rule (`curvature.point_chunks`), one
     `pack.samples` per chunk, so memory stays flat in the number of points
     and a failing policy or metric names the first failing node, the same
-    node a walk target by target meets first.  The integral reads the
+    node a walk target by target meets first.  Each chunk builds its own
+    nodes, where `CurvaturePack.chunks` would need all 8 (P - 1) node
+    dicts up front (6.5 MiB at 2000 points, n = 6).  The integral reads the
     values of K only, so the nodes are sampled values only (order 0) and
     K_a = g_ab Q^b / D is formed from the values of the policy's pair
     (`_pair`), gated as `k_field` gates it: bitwise the values of
@@ -818,15 +820,15 @@ def _measure_k(s, m, cands, cur, tol, first):
     return cur
 
 
-def measure_tensor_verdict(sample, count, policy="auto",
+def measure_tensor_verdict(chunks, policy="auto",
                            tolerances=DEFAULT_TOLERANCES, each=None):
-    """The measuring half of the tensor verdict, over `count` chunks of
-    points: `sample(i)` gives the CurvatureSamples of chunk i, and
-    `each(samples, measurement)` (optional) runs on each chunk the first
-    time it is sampled, once its genericity is measured.  Returns one
-    TensorMeasurement per chunk, its residuals cut to per-point maxima
-    when there is more than one chunk, so that no chunk's tensors outlive
-    it.
+    """The measuring half of the tensor verdict, over samplers of chunks
+    of points (`CurvaturePack.chunks`): `chunks[i]()` gives the
+    CurvatureSamples of chunk i, and `each(samples, measurement)`
+    (optional) runs on each chunk the first time it is sampled, once its
+    genericity is measured.  Returns one TensorMeasurement per chunk, its
+    residuals cut to per-point maxima when there is more than one chunk,
+    so that no chunk's tensors outlive it.
 
     K is built with the first candidate policy that every chunk seen so
     far has passed.  A chunk with a numerically vanishing Weyl tensor
@@ -835,8 +837,8 @@ def measure_tensor_verdict(sample, count, policy="auto",
     measured with the next one: so each policy that fails is gated on
     every point up to its first failure, which its note names."""
     out, cands, cur, i = [], (), 0, 0
-    while i < count:
-        s = sample(i)
+    while i < len(chunks):
+        s = chunks[i]()
         if i == len(out):
             out.append(_measure_points(s, tolerances))
             if each is not None:
@@ -850,7 +852,7 @@ def measure_tensor_verdict(sample, count, policy="auto",
         if i and start < cur < len(cands):
             i = 0
             continue
-        if count > 1:
+        if len(chunks) > 1:
             out[i].reduce()
         i += 1
     return out
@@ -1023,7 +1025,7 @@ def conformal_einstein_tensor_verdict(
     single chunk, so the report keeps every residual tensor.  `classify`
     runs the same halves over chunks of points and keeps per-point
     figures only."""
-    ms = measure_tensor_verdict(lambda i: samples, 1, policy, tolerances)
+    ms = measure_tensor_verdict([lambda: samples], policy, tolerances)
     return decide_tensor_verdict(ms, samples.pack, policy, tolerances)
 
 
@@ -1032,7 +1034,7 @@ def cotton_scale_verdict(samples: CurvatureSamples, policy="from-L",
     """Whether the metric is conformal to a C-space, on one batch of
     points: `measure_tensor_verdict` on a single chunk, then
     `decide_cotton_verdict`, so the report keeps every residual tensor."""
-    ms = measure_tensor_verdict(lambda i: samples, 1, policy, tolerances)
+    ms = measure_tensor_verdict([lambda: samples], policy, tolerances)
     return decide_cotton_verdict(ms, samples.pack, policy, tolerances)
 
 

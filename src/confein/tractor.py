@@ -512,9 +512,10 @@ def parallel_tractor_check(s: CurvatureSamples, sigma,
     n = s.n
     ivals, grad, hess = einstein_tractor_values(s, sigma)
     sig = ivals[:, 0]
-    if np.any(np.abs(sig) < 1e-12):
-        bad = s.points[int(np.argmin(np.abs(sig)))]
-        raise DomainError("sigma vanishes (conformal singularity)", bad)
+    bad = np.flatnonzero(np.abs(sig) < 1e-12)
+    if bad.size:
+        raise DomainError("sigma vanishes (conformal singularity)",
+                          s.points[bad[0]])
     resid = max_norm(grad)
     # the top slot sigma has weight 0, nabla sigma and the bottom slot -2
     scale = scale_of((ivals[:, :1], 0), (ivals[:, 1:], -2))

@@ -294,8 +294,8 @@ def test_criterion_11_internal_cross_checks():
     dv = TR.div_omega_values(s5)
     dvc = TR.div_omega_closed(s5)
     d_div = maxabs(dv - dvc) / max(1.0, maxabs(dvc))
-    _, cross_g = OB.g_tensor(s5)
-    _, cross_gb = OB.gbar_tensor(s5)
+    cross_g, cross_gb = (r.max / r.max_scale for _, r in (
+        OB.g_tensor(s5), OB.gbar_tensor(s5)))
     s4 = samples("rt4-quartic", 6)
     call = unpack_pairs(s4.raised("C", (1, 1, 1, 1)))
     c4 = unpack_pairs(s4["C"])

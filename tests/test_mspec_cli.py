@@ -13,6 +13,7 @@ from confein.obstructions import Verdict
 from confein.catalog import get_entry
 from confein.cli import main
 from confein.config import Tolerances
+from confein.genericity import weyl_operators
 from confein.mspecfile import (
     MetricSpecError,
     dumps_mspec,
@@ -298,6 +299,18 @@ class TestCli:
     def test_invariants_unknown_name_rejected(self, tmp_path, rt_file):
         assert main(["invariants", str(rt_file), "--which", "bogus"]) == 3
 
+    @pytest.mark.parametrize("which", [",", "", " , "])
+    def test_invariants_empty_which_rejected(self, tmp_path, rt_file,
+                                             capsys, which):
+        # a --which that names no invariant is an input error, not an
+        # empty report
+        code, data = run_cli(tmp_path, "invariants", str(rt_file),
+                             "--which", which)
+        assert (code, data) == (3, None)
+        err = capsys.readouterr().err
+        assert err.startswith("error: --which names no invariant")
+        assert err.count("\n") == 1
+
     def test_invariants_outside_their_dimension_rejected(self, tmp_path,
                                                          rt_file, capsys):
         p = tmp_path / "cc3.mspec"
@@ -535,6 +548,20 @@ class TestCli:
         assert code == 0
         assert all(v["pass"] for v in data["identities"].values())
 
+    def test_sigma_error_names_the_first_vanishing_point(self, tmp_path,
+                                                         capsys):
+        # sigma = x - 1 is below 1e-12 at the second and third pinned
+        # points; the error names the second, the first in point order,
+        # not the third, where |sigma| is smallest
+        p = tmp_path / "flat3.mspec"
+        p.write_text("dim = 3\ncoords = x, y, z\ng[0][0] = 1\ng[1][1] = 1\n"
+                     "g[2][2] = 1\npoint = 0.5, 0, 0\n"
+                     "point = 1.0000000000001, 0, 0\npoint = 1, 0, 0\n")
+        assert main(["tractor", str(p), "--sigma", "x - 1"]) == 3
+        assert capsys.readouterr().err == (
+            "error: sigma vanishes (conformal singularity) at point "
+            "{'x': 1.0000000000001, 'y': 0.0, 'z': 0.0}\n")
+
     def test_tractor_command(self, tmp_path, schw_file, rt_file):
         code, data = run_cli(tmp_path, "tractor", str(schw_file),
                              "--sigma", "1")
@@ -667,6 +694,21 @@ def test_conformally_flat_metric_never_conflicts(tmp_path):
         _, data = run_cli(tmp_path, "classify", str(p), "--rank-tol",
                           rank_tol)
         assert data["verdict"] != "conflict", (rank_tol, data["verdict"])
+
+
+INVARIANTS_6 = "E,cspace,bach,F1,F2,G,Gbar"
+
+
+def _same_floats(got, want):
+    """got has the keys of want, and every float of want to the bit (repr),
+    NaN for NaN."""
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want)
+        for key in want:
+            _same_floats(got[key], want[key])
+    else:
+        assert repr(got) == repr(want) and (got == want or got != got), (
+            got, want)
 
 
 def _classify_bytes(tmp_path, mspec, chunk_bytes, monkeypatch):
@@ -820,3 +862,139 @@ class TestChunkedClassify:
             assert code == 0
         assert peaks[1] < 1.5 * peaks[0], peaks
         assert max(peaks) < 24 * 2 ** 20, peaks
+
+    @staticmethod
+    def _traced_peaks(tmp_path, argv, code):
+        """tracemalloc peaks of a command on rt6-quartic at 200 and 800
+        points, each run exiting with `code`."""
+        import tracemalloc
+
+        peaks = []
+        for count in (200, 800):
+            p = tmp_path / f"rt6-{count}.mspec"
+            assert main(["catalog", "export", "rt6-quartic", "--points",
+                         str(count), "--out", str(p)]) == 0
+            tracemalloc.start()
+            try:
+                got = main([argv[0], str(p), *argv[1:], "--json",
+                            str(tmp_path / "out.json")])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert got == code
+        return peaks
+
+    def test_invariants_memory_is_flat_in_the_points(self, tmp_path):
+        # invariants samples one 64-point chunk at a time and keeps
+        # per-point figures only: about 10.3 and 10.8 MiB (29.9 and 117.4
+        # MiB when the whole batch was sampled at once)
+        peaks = self._traced_peaks(
+            tmp_path, ["invariants", "--which", INVARIANTS_6], 0)
+        assert peaks[1] < 1.5 * peaks[0], peaks
+        assert max(peaks) < 12 * 2 ** 20, peaks
+
+    def test_tractor_memory_is_flat_in_the_points(self, tmp_path):
+        # tractor checks one 64-point chunk at a time: about 9.6 and 10.2
+        # MiB (16.6 and 64.3 MiB when the whole batch was sampled at once)
+        peaks = self._traced_peaks(
+            tmp_path, ["tractor", "--sigma", "1 + x1/10"], 1)
+        assert peaks[1] < 1.5 * peaks[0], peaks
+        assert max(peaks) < 12 * 2 ** 20, peaks
+
+    def test_chunked_invariants_and_tractor_equal_a_whole_batch_oracle(
+            self, tmp_path):
+        # 129 points of rt6-quartic are three chunks (64, 64 and 1): every
+        # figure of invariants and tractor, joined over the chunks, is the
+        # one computed here on one whole-batch CurvatureSamples, to the bit
+        from confein.expressions import parse
+        from confein.geometry import conformal_rescale, evaluate_components
+        from confein.tractor import parallel_tractor_check
+
+        p = tmp_path / "rt6-129.mspec"
+        assert main(["catalog", "export", "rt6-quartic", "--points", "129",
+                     "--out", str(p)]) == 0
+        assert [sl.stop - sl.start
+                for sl in curvature.point_chunks(129, 6)] == [64, 64, 1]
+        spec = loads_mspec(p.read_text())
+        pts, tol, ob = spec.sample(), Tolerances(), obstructions
+        pack = curvature.CurvaturePack(spec.metric())
+        s = pack.samples(pts)
+        k = ob.k_field(s, "from-L", tol)
+        ups = parse("x1/4")
+        hs = curvature.CurvaturePack(conformal_rescale(pack.g, ups)).samples(
+            pts)
+        uvals = evaluate_components(ups, s.bindings)
+        displays = {
+            "cspace": lambda s: ob.cspace_residual(s, k),
+            "bach": lambda s: ob.bach_residual(s, k),
+            "E": lambda s: ob.e_tensor(s, k),
+            "F1": ob.f1, "F2": ob.f2,
+            "G": lambda s: ob.g_tensor(s, tol)[0],
+            "Gbar": lambda s: ob.gbar_tensor(s, tol)[0],
+        }
+        inv = {name: {"max": float(np.max(np.abs(f(s).values))),
+                      "scale": float(np.max(f(s).scale))}
+               for name, f in displays.items()}
+        for name, f in (("G", ob.g_tensor), ("Gbar", ob.gbar_tensor)):
+            cross = f(s, tol)[1]
+            inv[f"{name}_cross_check_rel"] = float(
+                np.max(np.abs(cross.values))
+                / max(np.max(cross.scale), 1e-300))
+        cov = {}
+        for name in ("F1", "G", "Gbar"):
+            w, spread = ob.covariance_exponent(
+                displays[name](s).values, displays[name](hs).values, uvals)
+            cov[name] = {"fitted_exponent": w, "spread": spread}
+        w, spread = ob.covariance_exponent(
+            weyl_operators(s)[1][:, None], weyl_operators(hs)[1][:, None],
+            uvals)
+        cov["weyl_operator_det"] = {"expected": -30.0,
+                                    "fitted_exponent": w, "spread": spread}
+        want = {"invariants": inv, "covariance": cov,
+                "k_closedness": float(np.max(k.closedness()))}
+        code, data = run_cli(tmp_path, "invariants", str(p), "--which",
+                             INVARIANTS_6, "--upsilon", "x1/4")
+        assert code == 0
+        _same_floats({key: data[key] for key in want}, want)
+
+        rep = parallel_tractor_check(s, parse("1 + x1/10"), tol)
+        want = {"einstein_scale": rep["is_einstein_scale"],
+                **{key: rep[key] for key in (
+                    "parallel_residual", "scale",
+                    "rescaled_trace_free_schouten")}}
+        # the maxima are the same with the points reversed, where the
+        # first chunk holds the other end of the batch
+        lines = p.read_text().splitlines(keepends=True)
+        pinned = [line for line in lines if line.startswith("point =")]
+        rev = tmp_path / "rt6-129-reversed.mspec"
+        rev.write_text("".join(line for line in lines
+                               if line not in pinned) + "".join(pinned[::-1]))
+        for path in (p, rev):
+            code, data = run_cli(tmp_path, "tractor", str(path), "--sigma",
+                                 "1 + x1/10")
+            assert code == 1
+            _same_floats({key: data[key] for key in want}, want)
+
+    def test_invariants_gate_names_the_first_failing_chunk(
+            self, tmp_path, monkeypatch, capsys):
+        # rt4-quartic at 100 points, the operator ||L|| made zero at point
+        # 5 and the Weyl tensor at point 80: in chunks of 32 points the
+        # gate fails in the first chunk, on ||L||; in one chunk it checks
+        # the Weyl tensor at every point first.  classify notes the Weyl
+        # tensor either way (test_policy_fallback_across_chunks)
+        p = tmp_path / "rt4.mspec"
+        assert main(["catalog", "export", "rt4-quartic", "--points", "100",
+                     "--out", str(p)]) == 0
+        pts = get_entry("rt4-quartic").points(n=100, seed=0)
+        self._zero_at(monkeypatch, "l_operators", pts, [5])
+        self._zero_at(monkeypatch, "weyl_vanishes", pts, [80])
+        errs = []
+        for chunk_bytes in (SMALL, WHOLE):
+            monkeypatch.setattr(curvature, "CHUNK_BYTES", chunk_bytes)
+            assert main(["invariants", str(p), "--which", "E"]) == 3
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == ("error: policy from-L: ||L|| = 0.000e+00 "
+                           f"vanishes at point {pts[5]}\n")
+        assert errs[1].startswith(
+            "error: policy from-L: the Weyl tensor vanishes numerically at "
+            f"point {pts[80]}")
