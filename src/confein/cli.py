@@ -344,7 +344,7 @@ def cmd_invariants(args):
             else:
                 fits.setdefault(name, []).append((values[name], hat))
         fits.setdefault("weyl_operator_det", []).append(
-            (weyl_operators(s)[1][:, None], weyl_operators(hs)[1][:, None]))
+            (weyl_operators(s).dets[:, None], weyl_operators(hs).dets[:, None]))
 
     for sample in CurvaturePack(g).chunks(points):
         measure(sample())

@@ -13,25 +13,27 @@ closed-form example metrics:
 Numeric values come from the metric alone.  Every quantity the invariants
 use involves at most four derivatives of g (the Bach tensor, and the first
 partials of the Weyl and Cotton tensors), so `CurvaturePack` compiles one
-small tape per metric: the partials of g_ij up to order 4
-(`CurvaturePack.metric_jet_tape`).  `CurvaturePack.samples` runs it at a
-batch of points, 32 points per run, and builds every ladder entry from that
-4-jet by truncated Taylor arithmetic (`taylor`), on 8 points at a time from
-n = 5 on (32 below), so its transients stay small, computing each quantity
-only to the order its consumers need: g to 4, the inverse metric to 3,
-the Christoffel symbols, Ricci, J and P to 2, Riemann, Weyl and Cotton to
-1 and Bach to 0.  Ricci and P, being symmetric, are formed on the pairs
-b <= d only (`_ladder`).  The samples keep the order-1 jets of g, g^-1,
-P, J, C and A (`CurvatureSamples.jet`), the operands of the K jets in
-`obstructions`; the values and d-prefixed partials of these are views of
-the jets, the other entries (Christoffel symbols, Ricci, scalar, Bach) are
-values only.  A consumer of values alone, the potential's quadrature
-nodes, asks for samples of order 0: the same ladder on the order-3 prefix
-of the same metric jet, every quantity one order lower, so the inverse
-metric goes to 2, the Christoffel symbols, Ricci, J and P to 1, and
-Riemann, Weyl and Cotton are values, with no partials and no Bach tensor.
-Truncated Taylor arithmetic computes each coefficient from those of lower
-degree only, so these values are bitwise those of order 1.
+small tape per metric: the partials of g_ij up to order 4, monomial-major,
+so that the partials up to any lower order are the outputs of a prefix of
+the tape (`CurvaturePack.metric_jet_tape`).  `CurvaturePack.samples` runs
+it at a batch of points, 32 points per run, and builds every ladder entry
+from that 4-jet by truncated Taylor arithmetic (`taylor`), on 8 points at
+a time from n = 5 on (32 below), so its transients stay small, computing
+each quantity only to the order its consumers need: g to 4, the inverse
+metric to 3, the Christoffel symbols, Ricci, J and P to 2, Riemann, Weyl
+and Cotton to 1 and Bach to 0.  Ricci and P, being symmetric, are formed
+on the pairs b <= d only (`_ladder`).  The samples keep the order-1 jets
+of g, g^-1, P, J, C and A (`CurvatureSamples.jet`), the operands of the K
+jets in `obstructions`; the values and d-prefixed partials of these are
+views of the jets, the other entries (Christoffel symbols, Ricci, scalar,
+Bach) are values only.  A consumer of values alone, the potential's
+quadrature nodes, asks for samples of order 0: the same ladder on the
+order-3 prefix of the same metric jet, which the tape's order-3 prefix
+computes, every quantity one order lower, so the inverse metric goes to 2,
+the Christoffel symbols, Ricci, J and P to 1, and Riemann, Weyl and Cotton
+are values, with no partials and no Bach tensor.  Truncated Taylor
+arithmetic computes each coefficient from those of lower degree only, so
+these values are bitwise those of order 1.
 
 The Weyl tensor stays in the pair basis from the ladder to its consumers:
 C is a stack of pair matrices (P, N, N), C[(ab), (cd)] = C_abcd over the
@@ -52,9 +54,9 @@ not finite or degenerate (`geometry._degenerate`, the criterion sampling
 redraws points by) raises SingularMetricError naming the first such
 point.  Other jets at the same points come from the same machinery:
 `scalar_jet` compiles one tape of a scalar expression's partials (a
-conformal factor, an Einstein scale), `christoffel_jet` runs the pack's
-metric-jet tape again and reads the order-2 prefix of the jet for g^-1 and
-the Christoffel symbols beyond their values.  `point_chunks` cuts a longer
+conformal factor, an Einstein scale), `christoffel_jet` runs the order-2
+prefix of the pack's metric-jet tape again for g^-1 and the Christoffel
+symbols beyond their values.  `point_chunks` cuts a longer
 list of points into chunks of whole tape runs that fit a byte budget, and
 `CurvaturePack.chunks` gives one sampler per chunk: the walk of every
 command, each chunk sampled, reduced to per-point figures and freed
@@ -278,14 +280,20 @@ class CurvaturePack:
         return [lambda sl=sl: self.samples(points[sl])
                 for sl in point_chunks(len(points), self.n)]
 
-    def metric_jet_tape(self):
-        """Tape of the partials d^alpha g_ij, i <= j, |alpha| <= 4
-        (component-major, monomials in `taylor.monomials` order), compiled
-        once per pack: the one tape every numeric quantity of the ladder
-        comes from."""
+    def metric_jet_tape(self, order=4):
+        """Tape of the partials d^alpha g_ij, i <= j, |alpha| <= order,
+        monomial-major: for each monomial, in `taylor.monomials` order,
+        every component.  One tape of order 4 is compiled per pack, the one
+        tape every numeric quantity of the ladder comes from; a lower order
+        is its prefix (`EvalProgram.prefix`), the instructions that the
+        partials of that order read, with the bits of the whole tape."""
         i, j = np.triu_indices(self.n)
-        return self._get("metric-jet", lambda: compile_batch(
-            _partials(self.g.comps[i, j], self.chart.coords, 4)))
+        full = self._get("metric-jet", lambda: compile_batch(_by_monomial(
+            _partials(self.g.comps[i, j], self.chart.coords, 4), len(i))))
+        if order == 4:
+            return full
+        return self._get(("metric-jet", order), lambda: full.prefix(
+            len(i) * taylor.size(self.n, order)))
 
 
 # points per run of the metric-jet tape: the tape pays its per-instruction
@@ -333,6 +341,14 @@ def _partials(exprs, coords, order):
     return out
 
 
+def _by_monomial(partials, count):
+    """The expression-major partials of `count` expressions
+    (`_partials`), reordered monomial-major: every expression's partial
+    of each monomial in turn."""
+    per = len(partials) // count
+    return [partials[e * per + m] for m in range(per) for e in range(count)]
+
+
 def scalar_jet(s, f, order):
     """Taylor jet (P, M) of order `order` of the scalar expression f at the
     points of the samples s (see `taylor`): f[:, 0] holds the values and
@@ -346,7 +362,7 @@ def christoffel_jet(s):
     Gamma^c_bd (P, M, n, n, n) to order 1 at the points of s, from the
     order-2 prefix of the pack's metric jet."""
     n = s.n
-    gj = _metric_jet(run_batch(s.pack.metric_jet_tape(), s.bindings), n, 2)
+    gj = _metric_jet(run_batch(s.pack.metric_jet_tape(2), s.bindings), n, 2)
     ginv = taylor.inverse(gj, n, 1)
     _, gamp = _christoffel(taylor.partials(gj, n, 1), ginv, n, 1)
     return ginv, gamp[..., _pair_tables(n)["sym"]]
@@ -361,9 +377,11 @@ class CurvatureSamples:
     `_pair_tables`), values["dC"] is (P, n, N, N).
 
     `order` 0 samples the values only, from the order-3 prefix of the
-    metric jet: g, g^-1, the Christoffel symbols, Ricci, the scalar, P, J,
-    C and A, bitwise those of order 1, with no partials and no Bach tensor
-    (reading one raises KeyError) and jets of order 0.
+    metric jet, which the order-3 prefix of the monomial-major tape
+    computes (`CurvaturePack.metric_jet_tape`): g, g^-1, the Christoffel
+    symbols, Ricci, the scalar, P, J, C and A, bitwise those of order 1,
+    with no partials and no Bach tensor (reading one raises KeyError) and
+    jets of order 0.
 
     The tape runs on 32 points at a time (`_run`) and the ladder on one
     step of the run's metric jet at a time (`_step`; a step of one point
@@ -398,12 +416,13 @@ class CurvatureSamples:
                 self.values["d" + name] = j[:, 1:]
 
     def _run(self, lo, order):
-        """Run the metric-jet tape on the points lo:lo + 32, check their
-        metric for degeneracy and store their ladder.  `_ladder`'s
+        """Run the metric-jet tape (its order-3 prefix at order 0) on the
+        points lo:lo + 32, check their metric for degeneracy and store
+        their ladder.  `_ladder`'s
         transients grow about as n^5 per point (about 9 MB on 32 points at
         n = 5), so from n = 5 on it runs on 8 points at a time.  The run's
         tape output and jet live until this returns."""
-        jet = _metric_jet(run_batch(self.pack.metric_jet_tape(),
+        jet = _metric_jet(run_batch(self.pack.metric_jet_tape(order + 3),
                                     self.bindings[lo:lo + _CHUNK]),
                           self.n, order + 3)
         bad = np.flatnonzero(_degenerate(jet[:, 0]))
@@ -488,13 +507,14 @@ def _jet_mul(x, y):
 
 
 def _metric_jet(vals, n, order):
-    """Jet (P, M, n, n) of g of order `order` <= 4 from the metric-jet
-    tape's partials: the prefix of the 4-jet, as monomials are graded."""
+    """Jet (P, M, n, n) of g of order `order` <= 4 from the monomial-major
+    partials of the metric-jet tape or of a prefix of it at least that
+    long: the prefix of the 4-jet, as monomials are graded."""
     n_pts = vals.shape[0]
     i, j = np.triu_indices(n)
     m = taylor.size(n, order)
-    coef = (vals.reshape(n_pts, len(i), vals.shape[1] // len(i))[:, :, :m]
-            / taylor.factorials(n, order)).transpose(0, 2, 1)
+    coef = (vals.reshape(n_pts, vals.shape[1] // len(i), len(i))[:, :m]
+            / taylor.factorials(n, order)[:, None])
     jet = np.empty((n_pts, m, n, n))
     jet[:, :, i, j] = coef
     jet[:, :, j, i] = coef

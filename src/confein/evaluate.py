@@ -3,10 +3,12 @@
 `compile_batch` flattens one or many expressions into a single static
 single-assignment instruction tape.  Expressions are hash-consed, so common
 subexpressions across the whole batch occupy one slot each and are computed
-once.  A tape runs on a batch of points only, one numpy array entry per
-point: `run_batch` runs it at a list of binding dicts (a single point is a
-batch of one).  `evaluate` recurses directly on an expression at one point;
-it is the oracle the tapes are tested against."""
+once.  The tape is emitted in the order of its outputs, so the tape of its
+first k outputs is a prefix of it (`EvalProgram.prefix`).  A tape runs on
+a batch of points only, one numpy array entry per point: `run_batch` runs
+it at a list of binding dicts (a single point is a batch of one).
+`evaluate` recurses directly on an expression at one point; it is the
+oracle the tapes are tested against."""
 
 from __future__ import annotations
 
@@ -60,7 +62,8 @@ class EvalProgram:
     """Flat instruction tape over value slots.
 
     instrs: list of (opcode, dest, a, b); `outputs` maps batch order to the
-    slot holding each compiled expression."""
+    slot holding each compiled expression.  The first k outputs have a
+    tape of their own, a prefix of this one (`prefix`)."""
 
     def __init__(self, instrs, n_slots, outputs, sym_slots):
         self.instrs = instrs
@@ -70,6 +73,19 @@ class EvalProgram:
 
     def __len__(self):
         return len(self.instrs)
+
+    def prefix(self, k):
+        """The tape of the first k outputs alone.  `compile_batch` emits
+        the tape output by output, and the last instruction an output
+        emits writes its slot, so the instructions the first k outputs
+        read end with the last one that writes one of their slots.  The
+        prefix runs over the same slots, so each of its outputs has the
+        bits it has in a run of the whole tape."""
+        heads = set(self.outputs[:k])
+        stop = max((i + 1 for i, ins in enumerate(self.instrs)
+                    if ins[1] in heads), default=0)
+        return EvalProgram(self.instrs[:stop], self.n_slots, self.outputs[:k],
+                           self.sym_slots)
 
     def run(self, bindings):
         """Evaluate at a batch of points: `bindings` maps each symbol to a

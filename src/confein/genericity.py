@@ -39,18 +39,20 @@ The adjugate of the 2-form operator packages as the tensor Ct_ef^ab with
 Ct_ef^ab C_ab^cd = ||C|| delta^[c_[e delta^d]_f] (`_pair_tensor` of the
 adjugate), and the operator L^a_b = C^acde C_bcde with its adjugate gives
 the canonical inverses of the Weyl tensor used by the obstruction
-invariants.  Both operators are built once per sample batch, stacked over
-its points (`weyl_operators`, `l_operators`).  The obstructions never form
-those left inverses on the verdict path: `obstructions.k_field` contracts
-the Weyl tensor with the Cotton tensor first, applies the operator's
-adjugate to the result and differentiates only the one-form K.
-The full left inverses (`obstructions.dual_candidate_jet`) stay as the
-test oracle of K."""
+invariants.  Both operators' matrices and determinants are built once per
+sample batch, stacked over its points (`weyl_operators`, `l_operators`);
+an operator's adjugate is built on its first read, so a batch builds only
+the adjugate of the policy K is built with (`Operators`).  The
+obstructions never form those left inverses on the verdict path:
+`obstructions.k_field` contracts the Weyl tensor with the Cotton tensor
+first, applies the operator's adjugate to the result and differentiates
+only the one-form K.  The full left inverses
+(`obstructions.dual_candidate_jet`) stay as the test oracle of K."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
@@ -74,6 +76,7 @@ __all__ = [
     "PointGenericity",
     "GenericityReport",
     "PolicyError",
+    "Operators",
     "pair_basis",
     "weyl_vanishes",
     "weyl_operators",
@@ -117,27 +120,53 @@ def weyl_rows(samples, pattern=(0, 0, 0, 0)):
         samples.raised("C", pattern)))
 
 
+class Operators:
+    """An operator on 2-forms or on vectors at every point of a sample
+    batch: its matrices (P, k, k), its determinants, 0 where the Weyl
+    tensor vanishes numerically (there the operator is roundoff), the
+    pivots of their elimination (`linalg.det`), from which the policy gate
+    reads the rank, and its adjugates, built on their first read and kept
+    with the operator.  Read as a sequence it is (matrices, dets,
+    adjugates), which builds the adjugates."""
+
+    def __init__(self, matrices, dets, pivots, adjugates):
+        self.matrices, self.dets, self.pivots = matrices, dets, pivots
+        self._adjugates = adjugates   # zero-argument builder
+
+    @cached_property
+    def adjugates(self):
+        return self._adjugates()
+
+    def __iter__(self):
+        yield self.matrices
+        yield self.dets
+        yield self.adjugates
+
+    def __getitem__(self, i):
+        return tuple(self)[i]
+
+
 def _operators(samples, key, matrices):
-    """(matrices, determinants, adjugates) per point, built once per batch.
-    Where the Weyl tensor vanishes numerically the operator is roundoff and
-    its determinant is 0."""
+    """The `Operators` of a batch, their matrices and determinants built
+    once per batch.  The adjugates read the determinants as the
+    elimination gives them, before the Weyl tensor's cut zeroes them."""
     def build():
         m = matrices()
-        dets = linalg.det(m)
-        adj = linalg.adjugate(m, dets)
+        raw, pivots = linalg.det(m, return_pivots=True)
+        dets = raw.copy()
         dets[weyl_vanishes(samples)] = 0.0
-        return m, dets, adj
+        return Operators(m, dets, pivots, lambda: linalg.adjugate(m, raw))
     return samples.derived(key, build)
 
 
 def weyl_operators(samples: CurvatureSamples):
-    """Ranked-pair matrix of C_ab^cd, ||C|| and the adjugate, per point.
-    The matrix raises the slots c and d of the rows a < b of C one at a
-    time (`_contract_slot`), the summation order of the slot contractions
-    of the n^4 tensor, rather than by the inverse metric on 2-forms: where
-    the Weyl tensor is anti-self-dual or null ||C|| is roundoff, and the
-    policy gate prints it (`obstructions._gate`), so its digits follow the
-    summation order."""
+    """Ranked-pair matrix of C_ab^cd, ||C|| and the adjugate, per point
+    (`Operators`).  The matrix raises the slots c and d of the rows a < b
+    of C one at a time (`_contract_slot`), the summation order of the slot
+    contractions of the n^4 tensor, rather than by the inverse metric on
+    2-forms: where the Weyl tensor is anti-self-dual or null ||C|| is
+    roundoff, and the policy gate prints it (`obstructions._gate`), so its
+    digits follow the summation order."""
     def matrix():
         a, b = pair_basis(samples.n)
         rows = _pair_cols(samples["C"])          # C_ab_cd at [(ab), c, d]
@@ -148,9 +177,9 @@ def weyl_operators(samples: CurvatureSamples):
 
 
 def l_operators(samples: CurvatureSamples):
-    """L^a_b = C^acde C_bcde, ||L|| and the adjugate Lt^a_b, per point: a
-    sum over c and the pairs d < e of the rows of C^ab^cd and C_abcd, each
-    extended to every first pair (`_pair_rows`)."""
+    """L^a_b = C^acde C_bcde, ||L|| and the adjugate Lt^a_b, per point
+    (`Operators`): a sum over c and the pairs d < e of the rows of C^ab^cd
+    and C_abcd, each extended to every first pair (`_pair_rows`)."""
     def build():
         n = samples.n
         up = weyl_rows(samples, (1, 1, 1, 1))
@@ -257,7 +286,7 @@ def _cubed(m):
 def weyl_c3(samples: CurvatureSamples):
     """C^3 = C_ab^cd C_cd^ef C_ef^ab per point, built once per batch."""
     return samples.derived(("c3",), lambda: _cubed(
-        weyl_operators(samples)[0]))
+        weyl_operators(samples).matrices))
 
 
 def dim4_scalars(samples):
@@ -333,7 +362,7 @@ def classify_genericity(s: CurvatureSamples, tolerances=DEFAULT_TOLERANCES):
     n, npts = s.n, len(s.points)
     C, g = s["C"], s["g"]
     scale = s.scale()
-    dets = weyl_operators(s)[1]
+    dets = weyl_operators(s).dets
     root = np.sqrt(np.abs(np.linalg.det(g)))
     c3, c3s = ([v.tolist() for v in dim4_scalars(s)] if n == 4
                else [[None] * npts] * 2)

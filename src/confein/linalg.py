@@ -10,9 +10,17 @@ with.
 Rank and null spaces come from Gaussian elimination with full pivoting so
 the pivot sequence itself is the diagnostic: a column is dependent exactly
 when no remaining entry exceeds the matrix's cut, `tol * max|entry|`,
-raised to `tol * floor` by an optional per-matrix floor.  Adjugates are
-defined for singular matrices too (cofactor fallback), since
-`adj(M) @ M = det(M) I` is used as an identity, not as an inverse.
+raised to `tol * floor` by an optional per-matrix floor.  A rank alone
+comes from a rank-only elimination (`rank`), which does the same steps
+without the bookkeeping of column permutations and signs or the
+write-back of the factors.  The elimination records the largest |entry|
+it pivots on at each step: a determinant's elimination, which runs
+without a cut, returns these pivots on request, and `pivot_rank` reads
+the rank at any cut off them, the first step whose pivot is within the
+cut, so a matrix whose determinant is taken is not eliminated again for
+its rank.  Adjugates are defined for singular matrices too (cofactor
+fallback), since `adj(M) @ M = det(M) I` is used as an identity, not as
+an inverse.
 
 Stacks are worked on in chunks of at most CHUNK_BYTES per copy (`chunks`):
 the elimination holds a few copies of what it works on, and the budget
@@ -22,8 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["rank_nullspace", "rank", "nullspace", "adjugate", "det",
-           "chunks", "CHUNK_BYTES"]
+__all__ = ["rank_nullspace", "rank", "pivot_rank", "nullspace", "adjugate",
+           "det", "chunks", "CHUNK_BYTES"]
 
 CHUNK_BYTES = 512 * 1024
 
@@ -40,13 +48,18 @@ def _stack(a):
     return a[None] if a.ndim == 2 else a
 
 
-def _eliminate(a, cut):
+def _eliminate(a, cut, pivots=None, factors=True):
     """Full-pivot forward elimination of every matrix of the stack `a`.
 
     Matrix p stops at the first step whose largest remaining |entry| is
     <= cut[p] or 0.  Returns (u, cols, r, sign): u holds the eliminated
     matrices under their permutations, cols the column permutations, r the
     numerical ranks and sign the parities of the row and column swaps.
+    Without `factors` only r is kept, (None, None, r, None): the column
+    permutations, the signs and the write-back of the factors into u are
+    skipped, and every step does the same arithmetic.  `pivots`, a zeroed
+    (count, min(m, n)) array when given, receives the largest remaining
+    |entry| of each step a matrix runs, its stopping step included.
 
     The stack is worked on transposed, each matrix's columns as rows: the
     matrices here are tall (up to ~1300 rows of at most 21 columns), so
@@ -56,9 +69,10 @@ def _eliminate(a, cut):
     updated."""
     count, m, n = a.shape
     t = np.array(np.swapaxes(a, 1, 2), dtype=float, order="C")  # [p, j, i]
-    cols = np.tile(np.arange(n), (count, 1))
     r = np.full(count, min(m, n))
-    sign = np.ones(count)
+    if factors:
+        cols = np.tile(np.arange(n), (count, 1))
+        sign = np.ones(count)
     live = np.arange(count)  # the matrices still being eliminated, and
     w = t                    # their working stack (t itself until one stops)
     absbuf, upd = np.empty(count * m * n), np.empty(count * m * n)
@@ -69,10 +83,13 @@ def _eliminate(a, cut):
         sub = sub.reshape(len(live), (m - k) * (n - k))
         flat = sub.argmax(axis=1)  # ties go to the first in row-major order
         best = sub[np.arange(len(live)), flat]
+        if pivots is not None:
+            pivots[live, k] = best
         stop = (best <= cut[live]) | (best == 0.0)
         if stop.any():
             r[live[stop]] = k
-            t[live[stop]] = w[stop]
+            if factors:
+                t[live[stop]] = w[stop]
             live, w, flat = live[~stop], w[~stop], flat[~stop]
             if not live.size:
                 break
@@ -82,38 +99,51 @@ def _eliminate(a, cut):
         j += k
         w[at, :, k], w[at, :, i] = w[at, :, i], w[at, :, k]
         w[at, k], w[at, j] = w[at, j], w[at, k]
-        cols[live, k], cols[live, j] = cols[live, j], cols[live, k]
-        sign[live[i != k]] *= -1.0
-        sign[live[j != k]] *= -1.0
+        if factors:
+            cols[live, k], cols[live, j] = cols[live, j], cols[live, k]
+            sign[live[i != k]] *= -1.0
+            sign[live[j != k]] *= -1.0
         fac = w[:, k, k + 1:] / w[:, k, k, None]
         prod = upd[:len(live) * (n - k - 1) * (m - k - 1)].reshape(
             len(live), n - k - 1, m - k - 1)
         np.multiply(w[:, k + 1:, k, None], fac[:, None, :], out=prod)
         w[:, k + 1:, k + 1:] -= prod
-        w[:, k, k + 1:] = 0.0
+        if factors:
+            w[:, k, k + 1:] = 0.0
+    if not factors:
+        return None, None, r, None
     if w is not t:
         t[live] = w
     return np.ascontiguousarray(np.swapaxes(t, 1, 2)), cols, r, sign
 
 
-def _cuts(a, tol, floor):
-    """Per-matrix cut max(tol, tol * floor / top) * top, top = max|entry|;
-    inf where top <= tol * floor, so that such a matrix, pure roundoff
-    relative to its floor, stops at once with rank 0."""
-    top = np.max(np.abs(a), axis=(1, 2), initial=0.0)
+def _cut(top, tol, floor):
+    """Per-matrix cut max(tol, tol * floor / top) * top of the largest
+    |entries| `top`; inf where top <= tol * floor, so that such a matrix,
+    pure roundoff relative to its floor, stops at once with rank 0."""
     cut = np.full(len(top), np.inf)
     live = ~(top <= tol * floor)
     cut[live] = np.maximum(tol, tol * floor[live] / top[live]) * top[live]
     return cut
 
 
-def _ranked(a, tol, floor):
-    """Per chunk of the stack `a`: (slice, u, cols, ranks, cuts)."""
+def _cuts(a, tol, floor):
+    """The cuts (`_cut`) of the stack `a`, top = max|entry| per matrix."""
+    return _cut(np.max(np.abs(a), axis=(1, 2), initial=0.0), tol, floor)
+
+
+def _floors(floor, count):
+    return np.broadcast_to(np.asarray(floor, dtype=float), (count,))
+
+
+def _ranked(a, tol, floor, factors=True):
+    """Per chunk of the stack `a`: (slice, u, cols, ranks, cuts), u and
+    cols None without `factors` (`_eliminate`)."""
     count, m, n = a.shape
-    floor = np.broadcast_to(np.asarray(floor, dtype=float), (count,))
+    floor = _floors(floor, count)
     for sl in chunks(count, m, n):
         cut = _cuts(a[sl], tol, floor[sl])
-        u, cols, r, _ = _eliminate(a[sl], cut)
+        u, cols, r, _ = _eliminate(a[sl], cut, factors=factors)
         yield sl, u, cols, r, cut
 
 
@@ -154,30 +184,51 @@ def rank_nullspace(a, tol=1e-8, floor=0.0):
 
 
 def rank(a, tol=1e-8, floor=0.0):
-    """Numerical ranks of the stack `a` (see rank_nullspace)."""
+    """Numerical ranks of the stack `a` (see rank_nullspace), by the
+    rank-only elimination."""
     a = _stack(a)
     ranks = np.zeros(len(a), dtype=int)
-    for sl, _u, _cols, r, _cut in _ranked(a, tol, floor):
+    for sl, _u, _cols, r, _cut in _ranked(a, tol, floor, factors=False):
         ranks[sl] = r
     return ranks
+
+
+def pivot_rank(pivots, tol=1e-8, floor=0.0):
+    """The ranks `rank(a, tol, floor)`, read off the pivots of the
+    cut-free elimination of the stack a (`det(a, return_pivots=True)`):
+    the first step whose pivot is <= the cut or exactly 0.  Up to that
+    step an elimination with the cut runs the very steps of the cut-free
+    one, so the ranks are the same by construction; the first pivot is
+    max|entry|, the top of the cut."""
+    count, steps = pivots.shape
+    top = pivots[:, 0] if steps else np.zeros(count)
+    cut = _cut(top, tol, _floors(floor, count))
+    stop = (pivots <= cut[:, None]) | (pivots == 0.0)
+    return np.where(stop.any(axis=1), stop.argmax(axis=1), steps)
 
 
 def nullspace(a, tol=1e-8, floor=0.0):
     return rank_nullspace(a, tol, floor)[1]
 
 
-def det(a):
+def det(a, *, return_pivots=False):
     """Determinants of the stack `a`, by the same elimination (the sign
-    tracked per swap); 0 for a matrix of deficient rank."""
+    tracked per swap); 0 for a matrix of deficient rank.  With
+    `return_pivots`, (determinants, pivots): the largest |entry| of each
+    step of the elimination, 0 from the step it stops at on, the record
+    `pivot_rank` reads the ranks at any cut off."""
     a = _stack(a)
     count, n, _ = a.shape
     out = np.zeros(count)
+    pivots = np.zeros((count, n)) if return_pivots else None
     for sl in chunks(count, n, n):
-        u, _cols, r, sign = _eliminate(a[sl], np.zeros(sl.stop - sl.start))
+        u, _cols, r, sign = _eliminate(
+            a[sl], np.zeros(sl.stop - sl.start),
+            None if pivots is None else pivots[sl])
         full = r == n
         out[sl][full] = sign[full] * np.prod(
             np.diagonal(u[full], axis1=1, axis2=2), axis=1)
-    return out
+    return (out, pivots) if return_pivots else out
 
 
 def adjugate(a, d=None):

@@ -162,10 +162,12 @@ POLICIES = ("from-L", "from-C", "dim4-C3")
 # the first index of the g^-1 jet.
 
 
-def _adjugate_jets(m, dets, adj, n):
+def _adjugate_jets(m, ops, n):
     """(det, adjugate) jets of the matrix jet m, of m's order.  The values
-    are `dets` and `adj` (from `linalg`, defined at singular matrices too);
-    d det = tr(adj dM), and d adj = d(det m^-1) needs m invertible."""
+    are the determinants and adjugates of the `Operators` ops (from
+    `linalg`, defined at singular matrices too); d det = tr(adj dM), and
+    d adj = d(det m^-1) needs m invertible."""
+    dets, adj = ops.dets, ops.adjugates
     if m.shape[1] == 1:
         return dets[:, None], adj[:, None]
     det = np.concatenate(
@@ -228,7 +230,7 @@ def _l_jet(s, order):
     extended to every first pair, built one slice of points at a time
     (`_sliced_jet`)."""
     if not order:
-        return l_operators(s)[0][:, None]
+        return l_operators(s).matrices[:, None]
     n = s.n
 
     def part(sl):
@@ -239,7 +241,7 @@ def _l_jet(s, order):
 
     def build():
         out = _sliced_jet(s, (n, n), part, False)
-        out[:, 0] = l_operators(s)[0]
+        out[:, 0] = l_operators(s).matrices
         return out
     return s.derived(("l-operator-jet",), build)
 
@@ -248,10 +250,10 @@ def _weyl_jet(s, order):
     """Ranked-pair matrix of C_ab^cd as a jet of `order`: the value of
     `weyl_operators`, the partials from the jet of C_ab^cd."""
     if not order:
-        return weyl_operators(s)[0][:, None]
+        return weyl_operators(s).matrices[:, None]
     def build():
         out = PAIR_SUM * _mixed_jet(s)
-        out[:, 0] = weyl_operators(s)[0]
+        out[:, 0] = weyl_operators(s).matrices
         return out
     return s.derived(("weyl-operator-jet",), build)
 
@@ -283,11 +285,11 @@ def _pair(s, policy, order):
             lop = _l_jet(s, k)
             if policy == "trace":
                 return np.trace(lop, axis1=2, axis2=3), -4.0 * wup
-            det, adj = _adjugate_jets(lop, *l_operators(s)[1:], n)
+            det, adj = _adjugate_jets(lop, l_operators(s), n)
             return det, -taylor.product("ab,b->a", adj, wup, n, k)
         m = _weyl_jet(s, k)
         if policy == "from-C":
-            det, adj = _adjugate_jets(m, *weyl_operators(s)[1:], n)
+            det, adj = _adjugate_jets(m, weyl_operators(s), n)
             a1 = taylor.product("xbc,xa->abc", s.jet("A"), gi, n, k)[..., a, b]
             v = taylor.product("bck,ck->b", _pair_rows(adj), a1, n, k)
             return (1 - n) * det, 2.0 * taylor.product("b,ba->a", v, gi, n, k)
@@ -351,11 +353,14 @@ def _gate(samples, policy, tol):
         # numerically invertible (full rank at the pivot tolerance, relative
         # to the largest entry) with a nonzero determinant: `genericity`
         # zeroes the determinant where the Weyl tensor vanishes at the
-        # default tolerance, which a finer rank_tol lets pass
-        mats, vals = (l_operators(samples) if policy == "from-L"
-                      else weyl_operators(samples))[:2]
+        # default tolerance, which a finer rank_tol lets pass.  The rank is
+        # read off the pivots of the determinant's own elimination
+        ops = (l_operators(samples) if policy == "from-L"
+               else weyl_operators(samples))
         name = "||L||" if policy == "from-L" else "||C||"
-        bad = (linalg.rank(mats, tol.rank_tol) < mats.shape[1]) | (vals == 0)
+        vals, pivots = ops.dets, ops.pivots
+        bad = ((linalg.pivot_rank(pivots, tol.rank_tol) < pivots.shape[1])
+               | (vals == 0))
     bad = np.flatnonzero(bad)
     if bad.size:
         p = int(bad[0])
@@ -384,14 +389,14 @@ def _left_inverse(s, policy, tol):
         cup = taylor.product(spec, cup, gi, n, 1)     # C^abcd
     if policy == "from-L":
         m = taylor.product("acde,bcde->ab", cup, c4, n, 1)
-        det, adj = _adjugate_jets(m, *l_operators(s)[1:], n)
+        det, adj = _adjugate_jets(m, l_operators(s), n)
         d = taylor.product("ab,bcde->acde", adj, cup, n, 1)
         return taylor.product(",acde->acde", _reciprocal(det, -1.0), d,
                               n, 1), det
     if policy == "from-C":
-        m = np.concatenate([weyl_operators(s)[0][:, None],
+        m = np.concatenate([weyl_operators(s).matrices[:, None],
                             _pair_matrix(cmix[:, 1:])], axis=1)
-        det, adj = _adjugate_jets(m, *weyl_operators(s)[1:], n)
+        det, adj = _adjugate_jets(m, weyl_operators(s), n)
         ct = _pair_tensor(adj)   # Ct_xy^de
         for spec in up01:
             ct = taylor.product(spec, ct, gi, n, 1)

@@ -262,6 +262,22 @@ class TestValuesOnly:
         for key in ("g", "ginv", "P", "J", "C", "A"):
             assert got.jet(key).shape == (10, 1) + full[key].shape[1:], key
 
+    @pytest.mark.parametrize("name", catalog.entry_names())
+    def test_tape_prefix_has_the_bits_of_the_whole_tape(self, name):
+        # the metric-jet tape is monomial-major, so the order-3 partials
+        # are its first S size(n, 3) outputs (S components g_ij, i <= j),
+        # and its order-3 prefix computes them with the whole tape's bits
+        from confein.evaluate import run_batch
+        p = pack(name)
+        bindings = [p.g.point_bindings(pt) for pt in points(name, 10)]
+        full, prefix = p.metric_jet_tape(), p.metric_jet_tape(3)
+        count = p.n * (p.n + 1) // 2 * taylor.size(p.n, 3)
+        assert len(prefix.outputs) == count and len(prefix) <= len(full)
+        got = run_batch(prefix, bindings)
+        want = run_batch(full, bindings)[:, :count]
+        assert got.shape == want.shape == (10, count)
+        assert got.tobytes() == want.tobytes()
+
     def test_partials_and_bach_raise(self):
         from confein import obstructions as OB, taylor
         name = "schwarzschild5"

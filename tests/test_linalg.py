@@ -4,6 +4,7 @@ determinants and adjugates must agree bit for bit, kernels span for span."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confein import linalg
 
@@ -277,3 +278,60 @@ def test_elimination_pins_ties_and_a_mid_stack_stop():
         assert np.array_equal(_bits(u[p]), _bits(u0))
         assert r[p] == r0 and list(cols[p]) == cols0
         assert sign[p] == _perm_sign(rows0) * _perm_sign(cols0)
+
+
+# --- the elimination paths under drawn stacks ----------------------------------
+
+SHAPES = [(40, 8), (6, 6), (15, 15)]
+# tolerances at which a pivot can equal the cut exactly (1, 1/2, 1/4 on
+# integer entries), and typical small ones
+TOLS = st.one_of(st.sampled_from([1.0, 0.5, 0.25, 1e-3, 1e-8]),
+                 st.floats(1e-12, 1.0))
+FLOORS = st.one_of(st.sampled_from([0.0, 1.0, 2.0, 4.0]),
+                   st.floats(0.0, 10.0))
+
+
+@st.composite
+def drawn_stacks(draw):
+    """(stack, tol, floors): up to 4 matrices of one shape, each of small
+    integers (ties and exact rank deficiency), all zero, integers of a
+    lower rank, or Gaussian."""
+    m, k = draw(st.sampled_from(SHAPES))
+    count = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mats = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["ints", "zero", "low-rank", "gauss"]),
+            min_size=count, max_size=count)):
+        if kind == "ints":
+            mats.append(rng.integers(-2, 3, size=(m, k)).astype(float))
+        elif kind == "zero":
+            mats.append(np.zeros((m, k)))
+        elif kind == "low-rank":
+            r = int(rng.integers(0, min(m, k)))
+            mats.append((rng.integers(-1, 2, size=(m, r))
+                         @ rng.integers(-1, 2, size=(r, k))).astype(float))
+        else:
+            mats.append(rng.normal(size=(m, k)))
+    floors = np.array(draw(st.lists(FLOORS, min_size=count,
+                                    max_size=count)))
+    return np.stack(mats), draw(TOLS), floors
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(drawn_stacks())
+def test_rank_paths_agree_and_det_keeps_its_bits(drawn):
+    a, tol, floor = drawn
+    count, m, k = a.shape
+    ranks = linalg.rank(a, tol, floor)
+    # the rank-only elimination against the full-factor one
+    assert np.array_equal(ranks, linalg.rank_nullspace(a, tol, floor)[0])
+    # the rank read off the pivots of one cut-free elimination
+    pivots = np.zeros((count, min(m, k)))
+    linalg._eliminate(a, np.zeros(count), pivots)
+    assert np.array_equal(linalg.pivot_rank(pivots, tol, floor), ranks)
+    if m == k:
+        d, det_pivots = linalg.det(a, return_pivots=True)
+        assert np.array_equal(_bits(det_pivots), _bits(pivots))
+        assert np.array_equal(_bits(d), _bits(linalg.det(a)))
+        assert np.array_equal(_bits(d), _bits([_det(x) for x in a]))

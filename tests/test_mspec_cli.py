@@ -13,7 +13,7 @@ from confein.obstructions import Verdict
 from confein.catalog import get_entry
 from confein.cli import main
 from confein.config import Tolerances
-from confein.genericity import weyl_operators
+from confein.genericity import Operators, weyl_operators
 from confein.mspecfile import (
     MetricSpecError,
     dumps_mspec,
@@ -150,6 +150,32 @@ class TestCli:
         assert data["rank_test"]["theorem"] == "tractor-rank"
         assert data["genericity"]["weakly_generic"] is True
         assert data["version"]
+
+    @pytest.mark.parametrize("policy, size", [("auto", 4), ("from-C", 6)])
+    def test_classify_builds_only_the_adjugate_it_reads(self, tmp_path,
+                                                       monkeypatch, policy,
+                                                       size):
+        # schwarzschild4 (n = 4: L is 4 x 4, the Weyl operator 6 x 6) is
+        # conformally Einstein, and K reads the adjugate of the one policy
+        # it is built with: auto builds it from L, so L's adjugate is
+        # built once for the verdict's chunk and once for the potential's
+        # nodes, and the Weyl operator's never; from-C the other way round
+        from confein import linalg
+        p = tmp_path / "schw.mspec"
+        assert main(["catalog", "export", "schwarzschild4", "--out",
+                     str(p)]) == 0
+        sizes = []
+        adjugate = linalg.adjugate
+
+        def counting_adjugate(a, d=None):
+            sizes.append(np.shape(a)[-1])
+            return adjugate(a, d)
+
+        monkeypatch.setattr(linalg, "adjugate", counting_adjugate)
+        argv = [] if policy == "auto" else ["--policy", policy]
+        code, data = run_cli(tmp_path, "classify", str(p), *argv)
+        assert code == 0 and len(data["potential"]) == 10
+        assert sizes == [size, size]
 
     def test_classify_compiles_the_ladder_once(self, tmp_path, monkeypatch):
         p = tmp_path / "schw.mspec"
@@ -773,10 +799,10 @@ class TestChunkedClassify:
             out = real(s, *args)
             if name == "weyl_vanishes":
                 return out | hits(s)
-            m, dets, adj = out
-            dets = dets.copy()
+            dets = out.dets.copy()
             dets[hits(s)] = 0.0
-            return m, dets, adj
+            return Operators(out.matrices, dets, out.pivots,
+                             lambda: out.adjugates)
         monkeypatch.setattr(obstructions, name, patched)
 
     @pytest.mark.parametrize("case", ["late-from-L", "weyl-after-operator"])
