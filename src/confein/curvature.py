@@ -16,8 +16,9 @@ partials of the Weyl and Cotton tensors), so `CurvaturePack` compiles one
 small tape per metric: the partials of g_ij up to order 4, monomial-major,
 so that the partials up to any lower order are the outputs of a prefix of
 the tape (`CurvaturePack.metric_jet_tape`).  `CurvaturePack.samples` runs
-it at a batch of points, 32 points per run, and builds every ladder entry
-from that 4-jet by truncated Taylor arithmetic (`taylor`), on 8 points at
+it at a batch of points, 32 points per run, gathers each run's 4-jet
+straight from the run's slots (`_metric_jet`), and builds every ladder
+entry from it by truncated Taylor arithmetic (`taylor`), on 8 points at
 a time from n = 5 on (32 below), so its transients stay small, computing
 each quantity only to the order its consumers need: g to 4, the inverse
 metric to 3, the Christoffel symbols, Ricci, J and P to 2, Riemann, Weyl
@@ -362,7 +363,7 @@ def christoffel_jet(s):
     Gamma^c_bd (P, M, n, n, n) to order 1 at the points of s, from the
     order-2 prefix of the pack's metric jet."""
     n = s.n
-    gj = _metric_jet(run_batch(s.pack.metric_jet_tape(2), s.bindings), n, 2)
+    gj = _metric_jet(s.pack, s.bindings, 2)
     ginv = taylor.inverse(gj, n, 1)
     _, gamp = _christoffel(taylor.partials(gj, n, 1), ginv, n, 1)
     return ginv, gamp[..., _pair_tables(n)["sym"]]
@@ -387,15 +388,17 @@ class CurvatureSamples:
     step of the run's metric jet at a time (`_step`; a step of one point
     runs doubled, `_ladder`, so that a point's figures do not depend on
     the size of its step): each step's ladder outputs are released
-    before the next step is computed, and each run's tape output and jet
+    before the next step is computed, and each run's slot matrix and jet
     before the next run, so that only the stored values and jets grow
-    with the points.  The jet is formed per
-    run, not per step: a step's jet is a quarter of the run's at n >= 5,
-    but without a run-sized array freed after each run glibc's malloc
-    keeps a lower trim threshold, hands the ladder's transients back to
-    the system after every step and faults them in again (three times the
-    page faults of classifying rt6-quartic at 500 points, and about 4% of
-    its time)."""
+    with the points.  A run hands its jet to the ladder in one pass: the
+    jet is gathered from the run's slot matrix straight into the layout
+    the ladder reads (`_metric_jet`).  The jet is formed per run, not per
+    step: a step's jet is a quarter of the run's at n >= 5, but without
+    a run-sized array freed after each run glibc's malloc keeps a lower
+    trim threshold, hands the ladder's transients back to the system
+    after every step and faults them in again (three times the page
+    faults of classifying rt6-quartic at 500 points, and about 4% of its
+    time)."""
 
     def __init__(self, pack, points, order=1):
         if order not in (0, 1):
@@ -421,10 +424,8 @@ class CurvatureSamples:
         their ladder.  `_ladder`'s
         transients grow about as n^5 per point (about 9 MB on 32 points at
         n = 5), so from n = 5 on it runs on 8 points at a time.  The run's
-        tape output and jet live until this returns."""
-        jet = _metric_jet(run_batch(self.pack.metric_jet_tape(order + 3),
-                                    self.bindings[lo:lo + _CHUNK]),
-                          self.n, order + 3)
+        jet lives until this returns."""
+        jet = _metric_jet(self.pack, self.bindings[lo:lo + _CHUNK], order + 3)
         bad = np.flatnonzero(_degenerate(jet[:, 0]))
         if bad.size:
             raise SingularMetricError(
@@ -506,19 +507,36 @@ def _jet_mul(x, y):
     return out
 
 
-def _metric_jet(vals, n, order):
-    """Jet (P, M, n, n) of g of order `order` <= 4 from the monomial-major
-    partials of the metric-jet tape or of a prefix of it at least that
-    long: the prefix of the 4-jet, as monomials are graded."""
-    n_pts = vals.shape[0]
-    i, j = np.triu_indices(n)
-    m = taylor.size(n, order)
-    coef = (vals.reshape(n_pts, vals.shape[1] // len(i), len(i))[:, :m]
-            / taylor.factorials(n, order)[:, None])
-    jet = np.empty((n_pts, m, n, n))
-    jet[:, :, i, j] = coef
-    jet[:, :, j, i] = coef
-    return jet
+def _metric_jet(pack, bindings, order):
+    """Jet (P, M, n, n) of g of order `order` <= 4 at the bindings, from
+    one run of the order-`order` prefix of the pack's metric-jet tape:
+    each distinct (slot, monomial) of the jet is read off the run's slot
+    matrix and divided by the monomial's factorial once, then gathered
+    into the C-contiguous layout the ladder reads (`_jet_slots`)."""
+    slots, fact, where = _jet_slots(pack, order)
+    coef = run_batch(pack.metric_jet_tape(order), bindings, slots)
+    coef /= fact
+    return np.take(coef.T, where, axis=1)
+
+
+def _jet_slots(pack, order):
+    """(slots, factorials, where) of the metric jet of order `order`: the
+    slot and monomial factorial (as a column) of each distinct (slot,
+    monomial) of the jet, and for each entry [m, a, b] of the jet the index
+    of its pair in them.  d^alpha g_ab for the m-th monomial alpha is the
+    tape's output of monomial m and the pair of (a, b), in either order;
+    many entries share a slot and a monomial (zeros, repeated partials)."""
+    def build():
+        n = pack.n
+        sym = _pair_tables(n)["sym"]
+        m = taylor.size(n, order)
+        table = pack.metric_jet_tape().outputs.reshape(
+            -1, sym.max() + 1)[:m, sym]
+        pairs, where = np.unique(table * m + np.arange(m)[:, None, None],
+                                 return_inverse=True)
+        fact = taylor.factorials(n, order)[pairs % m]
+        return pairs // m, fact[:, None], where.reshape(table.shape)
+    return pack._get(("metric-jet-slots", order), build)
 
 
 # A contraction over an antisymmetric index pair, X_..ab Y^..ab, is twice

@@ -595,18 +595,31 @@ def rank_rows(s: CurvatureSamples, tolerances=DEFAULT_TOLERANCES,
 
     The stack is built one elimination chunk (`linalg.chunks`) at a time:
     Omega and d Omega - Omega Theta are written into that chunk's
-    (p, 1 + n, N, n+2, n+2) array, ranked and dropped before the next, so
-    the whole batch's stack is never held."""
+    (p, 1 + n, N, n+1, n+2) array, ranked and dropped before the next, so
+    the whole batch's stack is never held.  Each matrix has (1 + n) N (n+1)
+    rows: row I = n+1 of Omega_bc, and so of d Omega_bc - Omega_bc Theta,
+    is zero in every (z, pair) block, and the stack is built without it.
+    The elimination (`linalg._eliminate`, full pivoting, ties to the first
+    row) is the one of the full stack, by construction.  A zero row never
+    pivots, its entries stay zero and it does not change the cut.  The
+    first zero row of the full stack sits at position n+1, the target of a
+    row swap only at the last of the n+2 steps, and every other one below
+    position n+1, under every target.  So up to that last step the nonzero
+    rows keep their relative order, and every pivot and tie is the same;
+    the last step picks the same pivot, and no step follows it.  A kernel
+    reads only the rows above the rank, the same rows in either stack."""
     n, npts = s.n, len(s.points)
     om, th = _omega_pairs(s), theta_values(s)
     floor = s.scale()
-    rows = (1 + n) * om.shape[1] * (n + 2)
+    rows = (1 + n) * om.shape[1] * (n + 1)
     ranks, basis = [], [] if kernels else None
     for sl in linalg.chunks(npts, rows, n + 2):
-        stack = np.zeros((sl.stop - sl.start, 1 + n) + om.shape[1:])
-        stack[:, 0] = om[sl]
+        stack = np.zeros((sl.stop - sl.start, 1 + n, om.shape[1], n + 1,
+                          n + 2))
+        top = om[sl, :, :n + 1]
+        stack[:, 0] = top
         d = _d_omega_pairs(s, sl, stack[:, 1:])
-        d -= np.einsum("pzKJ,pkIK->pzkIJ", th[sl], om[sl], optimize=True)
+        d -= np.einsum("pzKJ,pkIK->pzkIJ", th[sl], top, optimize=True)
         mat = stack.reshape(len(stack), rows, n + 2)
         if kernels:
             r, k = linalg.rank_nullspace(mat, tolerances.rank_tol, floor[sl])

@@ -122,15 +122,12 @@ def whole_run_ladder(p, pts, order):
     """The samples' (jets, values) as the whole tape run's metric jet
     sliced per ladder step: the oracle of the per-step jets."""
     from confein import curvature as CV
-    from confein.evaluate import run_batch
     n = p.n
     bindings = [p.g.point_bindings(pt) for pt in pts]
     step = 8 if n >= 5 else CV._CHUNK
     jets, values = {}, {}
     for lo in range(0, len(pts), CV._CHUNK):
-        jet = CV._metric_jet(run_batch(p.metric_jet_tape(),
-                                       bindings[lo:lo + CV._CHUNK]),
-                             n, order + 3)
+        jet = CV._metric_jet(p, bindings[lo:lo + CV._CHUNK], order + 3)
         for sub in range(0, len(jet), step):
             for store, part in zip((jets, values),
                                    CV._ladder(jet[sub:sub + step], n)):
@@ -205,11 +202,9 @@ class TestLadderSlices:
     @staticmethod
     def _differs(name, sizes):
         from confein import curvature as CV
-        from confein.evaluate import run_batch
         p = pack(name)
         s = samples(name)
-        jet = CV._metric_jet(run_batch(p.metric_jet_tape(), s.bindings),
-                             p.n, 4)
+        jet = CV._metric_jet(p, s.bindings, 4)
         whole, lo, bad = CV._ladder(jet, p.n), 0, set()
         for size in sizes:
             for w, part in zip(whole, CV._ladder(jet[lo:lo + size], p.n)):

@@ -638,6 +638,51 @@ class TestStreamedStack:
         assert all(np.array_equal(a, b) for a, b in zip(basis, kernels))
 
 
+@st.composite
+def _stacks_with_zero_rows(draw):
+    """A stack (p, (1 + n) N (n+2), n+2) of small integers, many tied, of
+    full or deficient rank, with row I = n+1 of every (z, pair) block zero
+    as in the tractor stack, and its rows without those."""
+    n = draw(st.integers(2, 6))
+    blocks, width = (1 + n) * n * (n - 1) // 2, n + 2
+    count = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    rank = draw(st.integers(0, width))
+    a = rng.integers(-2, 3, (count, blocks * width, width)).astype(float)
+    if rank < width:
+        a = a[..., :rank] @ rng.integers(-1, 2, (count, rank, width))
+    a *= draw(st.sampled_from([1.0, 1e-9, 3.0]))
+    a = a.reshape(count, blocks, width, width)
+    a[:, :, n + 1] = 0.0
+    return (a.reshape(count, -1, width),
+            np.ascontiguousarray(a[:, :, :n + 1]).reshape(count, -1, width))
+
+
+class TestStackWithoutZeroRows:
+    """`rank_rows` leaves out row I = n+1 of each block, zero in every
+    block: the elimination is the full stack's, every pivot and tie."""
+
+    @given(_stacks_with_zero_rows(), st.sampled_from([1e-8, 0.25, 0.0]),
+           st.sampled_from([0.0, 1.0, 1e3]))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_ranks_pivots_and_kernels_equal_with_and_without(
+            self, stacks, tol, floor):
+        full, reduced = stacks
+        got = []
+        for a in (full, reduced):
+            floors = np.full(len(a), floor)
+            pivots = np.zeros((len(a), a.shape[2]))
+            r = linalg._eliminate(a, linalg._cuts(a, tol, floors), pivots,
+                                  factors=False)[2]
+            got.append((r, pivots, linalg.rank(a, tol, floor),
+                        linalg.rank_nullspace(a, tol, floor)))
+        (r, piv, rk, (rn, ker)), (r2, piv2, rk2, (rn2, ker2)) = got
+        assert np.array_equal(r, r2) and np.array_equal(rk, rk2)
+        assert np.array_equal(rn, rn2) and np.array_equal(r, rk)
+        assert piv.tobytes() == piv2.tobytes()
+        assert all(k.tobytes() == k2.tobytes() for k, k2 in zip(ker, ker2))
+
+
 _N4_ENTRIES = [name for name in entry_names()
                if entry(name).metric.dim >= 4]
 
