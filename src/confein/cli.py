@@ -40,12 +40,11 @@ import numpy as np
 from . import __version__
 from .catalog import entry_names, get_entry
 from .config import Tolerances
-from .curvature import CurvaturePack, identity_suite
+from .curvature import CurvaturePack, identity_suite, scalar_jet
 from .evaluate import DomainError, UnboundSymbolError
 from .expressions import ExprSyntaxError, parse
 from .genericity import PolicyError, weyl_operators
-from .geometry import (SingularMetricError, conformal_rescale,
-                       evaluate_components)
+from .geometry import SingularMetricError, conformal_rescale
 from .mspecfile import MetricSpecError, dumps_mspec, entry_to_mspec, loads_mspec
 from .obstructions import (
     THEOREM_IDS,
@@ -55,6 +54,7 @@ from .obstructions import (
     cspace_residual,
     decide_tensor_verdict,
     dim4_invariant,
+    e_cross_check,
     e_tensor,
     f1,
     f2,
@@ -69,18 +69,18 @@ from .tractor import parallel_tractor_check, rank_obstruction, rank_verdict
 EXIT_YES, EXIT_NO, EXIT_INCONCLUSIVE, EXIT_INPUT = 0, 1, 2, 3
 EXIT_INTERNAL = 4
 
-# each invariant's builder on (samples, K, tolerances): (its Residual, the
-# cross-check Residual of G and Gbar, else None), for the report and, on g
-# and the rescaled metric, for the covariance fit of _FITTED
+# each invariant's builder on (samples, K, tolerances): its Residual, for
+# the report and, on g and the rescaled metric, for the covariance fit of
+# _FITTED; the report cross-checks G and Gbar on g (`e_cross_check`)
 _BUILDERS = {
-    "F1": lambda s, k, tol: (f1(s), None),
-    "F2": lambda s, k, tol: (f2(s), None),
-    "E": lambda s, k, tol: (e_tensor(s, k), None),
+    "F1": lambda s, k, tol: f1(s),
+    "F2": lambda s, k, tol: f2(s),
+    "E": lambda s, k, tol: e_tensor(s, k),
     "G": lambda s, k, tol: g_tensor(s, tol),
     "Gbar": lambda s, k, tol: gbar_tensor(s, tol),
-    "dim4": lambda s, k, tol: (dim4_invariant(s), None),
-    "cspace": lambda s, k, tol: (cspace_residual(s, k), None),
-    "bach": lambda s, k, tol: (bach_residual(s, k), None),
+    "dim4": lambda s, k, tol: dim4_invariant(s),
+    "cspace": lambda s, k, tol: cspace_residual(s, k),
+    "bach": lambda s, k, tol: bach_residual(s, k),
 }
 _DIM4PLUS_NAMES = ("F1", "F2", "G", "Gbar")
 _FITTED = ("F1", "G", "Gbar", "dim4")
@@ -325,20 +325,20 @@ def cmd_invariants(args):
             closed.append(k.closedness())
         values = {}
         for name in which:
-            r, cross = _BUILDERS[name](s, k, tol)
+            r = _BUILDERS[name](s, k, tol)
             figures.setdefault(name, []).append(r.reduced())
-            if cross is not None:
+            if name in ("G", "Gbar"):
                 figures.setdefault(f"{name}_cross_check_rel", []).append(
-                    cross.reduced())
+                    e_cross_check(s, r, tol).reduced())
             if hpack is not None and name in _FITTED:
                 values[name] = r.values
         if hpack is None:
             return
         hs = hpack.samples(s.points)
-        uvals.append(evaluate_components(ups, s.bindings))
+        uvals.append(scalar_jet(s, ups, 0)[:, 0])
         for name in (w for w in which if w in _FITTED and w not in errors):
             try:
-                hat = _BUILDERS[name](hs, None, tol)[0].values
+                hat = _BUILDERS[name](hs, None, tol).values
             except (PolicyError, ValueError) as exc:
                 errors[name] = str(exc)
             else:

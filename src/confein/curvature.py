@@ -54,10 +54,10 @@ chunk, before any curvature is built, a point where the values of g are
 not finite or degenerate (`geometry._degenerate`, the criterion sampling
 redraws points by) raises SingularMetricError naming the first such
 point.  Other jets at the same points come from the same machinery:
-`scalar_jet` compiles one tape of a scalar expression's partials (a
-conformal factor, an Einstein scale), `christoffel_jet` runs the order-2
-prefix of the pack's metric-jet tape again for g^-1 and the Christoffel
-symbols beyond their values.  `point_chunks` cuts a longer
+`scalar_jet` runs the tape of a scalar expression's partials (a conformal
+factor, an Einstein scale) that every chunk shares, `christoffel_jet` the
+order-2 prefix of the pack's metric-jet tape again for g^-1 and the
+Christoffel symbols beyond their values.  `point_chunks` cuts a longer
 list of points into chunks of whole tape runs that fit a byte budget, and
 `CurvaturePack.chunks` gives one sampler per chunk: the walk of every
 command, each chunk sampled, reduced to per-point figures and freed
@@ -352,9 +352,10 @@ def _by_monomial(partials, count):
 
 def scalar_jet(s, f, order):
     """Taylor jet (P, M) of order `order` of the scalar expression f at the
-    points of the samples s (see `taylor`): f[:, 0] holds the values and
-    f[:, 1:n + 1] the first partials."""
-    prog = compile_batch(_partials([f], s.pack.chart.coords, order))
+    points of the samples s (see `taylor`), from a tape compiled once per
+    pack, f and order: the values at [:, 0], first partials at [:, 1:n + 1]."""
+    prog = s.pack._get(("scalar-jet", f, order), lambda: compile_batch(
+        _partials([f], s.pack.chart.coords, order)))
     return run_batch(prog, s.bindings) / taylor.factorials(s.n, order)
 
 
@@ -894,14 +895,18 @@ def identity_suite(pack: CurvaturePack, points,
             for name, r in res.items()}
 
 
+def _trace_free(t, g, gi):
+    """The trace-free part of t (P, n, n) in the metrics g (inverses gi)."""
+    tr = np.einsum("pab,pab->p", gi, t)
+    return t - g * (tr / t.shape[-1])[:, None, None]
+
+
 def trace_free_residual(P, g, gi):
     """Max-norm of the trace-free part of the symmetric tensors P (P, n, n)
     with respect to the metrics g (inverses gi), along with the scale
     `config.scale_of` of P (weight 0)."""
-    n = P.shape[1]
-    tf = P - np.einsum("pab,p->pab", g,
-                       np.einsum("pab,pab->p", gi, P) / n)
-    return float(np.max(max_norm(tf))), float(np.max(scale_of((P, 0))))
+    return (float(np.max(max_norm(_trace_free(P, g, gi)))),
+            float(np.max(scale_of((P, 0)))))
 
 
 def cotton_transform_check(s: CurvatureSamples, sh: CurvatureSamples,

@@ -375,9 +375,11 @@ def power(base, expo):
             # an int base to a negative power folds through Fraction
             b = base.data if ed > 0 else Fraction(base.data)
             return rational(b ** ed)
-        elif ek == FLT or (ek == RAT and base.data > 0):
+        elif ek <= FLT and (base.data > 0 or ek == FLT and ed.is_integer()):
             # fold rational^rational only when exact (perfect power) to keep
-            # constants exact; otherwise leave symbolic
+            # constants exact, rational^float only when real (a negative
+            # base to a fractional power stays a POW, whose evaluation
+            # raises a domain error); otherwise leave symbolic
             if ek == FLT:
                 try:
                     return floating(float(base.data) ** ed)

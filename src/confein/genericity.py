@@ -6,9 +6,11 @@ tensor:
 
 * weakly generic: V |-> C_abcd V^d is injective,
 * Lambda2-generic: the operator 2-forms -> 2-forms, W_ab |-> C_ab^cd W_cd,
-  has nonzero determinant ||C|| (numerically: full rank),
-* generic: the skew system C_abcd F^ab = 0, the trace-free symmetric system
-  C_abcd H^bd = 0 and its volume-form dual all have only the zero solution.
+  has nonzero determinant ||C||: numerically full rank, read off the
+  operator's own pivots (`lambda2_ranks`, the from-C gate's rank too);
+  there is no skew system, its kernel dimension is N minus that rank,
+* generic: Lambda2-generic, and the trace-free symmetric system
+  C_abcd H^bd = 0 and its volume-form dual have only the zero solution.
 
 The dual system Cstar_{b1 b2..b_{n-2} c d} H^{b1 d} = 0, with Cstar the
 volume-form dual of C on its first pair, has one row per (b2..b_{n-2}, c).
@@ -22,11 +24,11 @@ neither the rank cut nor the kernel dimension moves.
 
 Every system is read off the pair matrices the samples keep, C[(ab), (cd)]
 = C_abcd (`CurvatureSamples`), never off the n^4 components: the weak
-system has one row per pair a < b and index c, the skew system is C
-itself, the symmetric system and its dual gather their entries from pair
-matrices with their signs (`_pair_symmetric_system`), and L and the
-cubic scalars are products of pair matrices.  The Weyl operator raises
-the slots of the rows a < b one at a time (`weyl_operators`).
+system has one row per pair a < b and index c, the symmetric system and
+its dual gather their entries from pair matrices with their signs
+(`_pair_symmetric_system`), and L and the cubic scalars are products of
+pair matrices.  The Weyl operator raises the slots of the rows a < b one
+at a time (`weyl_operators`).
 
 Ranked-pair convention: the matrix of an operator on 2-forms,
 W_ab -> t_ab^cd W_cd, over the pairs a < b (`curvature.pair_basis`) is
@@ -80,6 +82,7 @@ __all__ = [
     "pair_basis",
     "weyl_vanishes",
     "weyl_operators",
+    "lambda2_ranks",
     "l_operators",
     "classify_genericity",
     "dim4_scalars",
@@ -124,10 +127,8 @@ class Operators:
     """An operator on 2-forms or on vectors at every point of a sample
     batch: its matrices (P, k, k), its determinants, 0 where the Weyl
     tensor vanishes numerically (there the operator is roundoff), the
-    pivots of their elimination (`linalg.det`), from which the policy gate
-    reads the rank, and its adjugates, built on their first read and kept
-    with the operator.  Read as a sequence it is (matrices, dets,
-    adjugates), which builds the adjugates."""
+    pivots of their elimination (`linalg.det`), from which its rank is
+    read, and its adjugates, built on their first read."""
 
     def __init__(self, matrices, dets, pivots, adjugates):
         self.matrices, self.dets, self.pivots = matrices, dets, pivots
@@ -136,14 +137,6 @@ class Operators:
     @cached_property
     def adjugates(self):
         return self._adjugates()
-
-    def __iter__(self):
-        yield self.matrices
-        yield self.dets
-        yield self.adjugates
-
-    def __getitem__(self, i):
-        return tuple(self)[i]
 
 
 def _operators(samples, key, matrices):
@@ -174,6 +167,13 @@ def weyl_operators(samples: CurvatureSamples):
             rows = _contract_slot(rows, samples["ginv"], slot)
         return PAIR_SUM * rows[:, :, a, b]
     return _operators(samples, ("weyl-operator",), matrix)
+
+
+def lambda2_ranks(samples, tol=DEFAULT_TOLERANCES):
+    """Per point, the 2-form operator's rank at tol.rank_tol off its pivots
+    (`linalg.pivot_rank`), 0 where the Weyl tensor vanishes numerically."""
+    return np.where(weyl_vanishes(samples, tol), 0, linalg.pivot_rank(
+        weyl_operators(samples).pivots, tol.rank_tol))
 
 
 def l_operators(samples: CurvatureSamples):
@@ -289,12 +289,17 @@ def weyl_c3(samples: CurvatureSamples):
         weyl_operators(samples).matrices))
 
 
+def _volume_root(samples):
+    """sqrt|det g| per point, built once per batch."""
+    return samples.derived(("volume-root",), lambda: np.sqrt(np.abs(
+        np.linalg.det(samples["g"]))))
+
+
 def dim4_scalars(samples):
     """(C^3, *C^3) per point of a 4-dimensional sample batch, *C the dual
     of C on its first pair by the volume form sqrt|det g| eps: *C_ab^cd =
     root eps_ab^ef C_ef^cd, a sum over the pairs e < f."""
-    root = np.sqrt(np.abs(np.linalg.det(samples["g"])))
-    cstar = (PAIR_SUM * root)[:, None, None] * (
+    cstar = (PAIR_SUM * _volume_root(samples))[:, None, None] * (
         pack_pairs(_levi_civita(4)) @ samples.raised("C", (1, 1, 0, 0)))
     return weyl_c3(samples), _cubed(
         PAIR_SUM * (cstar @ samples.pair_metric()[:, 0]))
@@ -363,7 +368,6 @@ def classify_genericity(s: CurvatureSamples, tolerances=DEFAULT_TOLERANCES):
     C, g = s["C"], s["g"]
     scale = s.scale()
     dets = weyl_operators(s).dets
-    root = np.sqrt(np.abs(np.linalg.det(g)))
     c3, c3s = ([v.tolist() for v in dim4_scalars(s)] if n == 4
                else [[None] * npts] * 2)
 
@@ -375,16 +379,15 @@ def classify_genericity(s: CurvatureSamples, tolerances=DEFAULT_TOLERANCES):
     for p, k in zip(short, linalg.nullspace(weak[short], tolerances.rank_tol,
                                             scale[short])):
         wkernels[p] = k
-    skew = np.swapaxes(PAIR_SUM * C, -1, -2)  # rows (cd), columns (ab)
-    skew_dims = (skew.shape[-1]
-                 - linalg.rank(skew, tolerances.rank_tol, scale)).tolist()
+    skew_dims = (C.shape[-1] - lambda2_ranks(s, tolerances)).tolist()
     # the appended trace row absorbs the pure-trace direction, so the
     # reported dimensions count genuine trace-free solutions
     cols = n * (n + 1) // 2
     sym_dims = _kernel_dims(lambda sl: _weyl_symmetric_system(C[sl], g[sl]),
                             npts, n * n + 1, cols, tolerances, scale)
     cup = s.raised("C", (1, 1, 0, 0))
-    dual_dims = _kernel_dims(lambda sl: _dual_system(cup[sl], g[sl], root[sl]),
+    dual_dims = _kernel_dims(lambda sl: _dual_system(cup[sl], g[sl],
+                                                     _volume_root(s)[sl]),
                              npts, len(_dual_epsilon(n)) + 1, cols,
                              tolerances, scale)
 

@@ -49,8 +49,8 @@ Every invariant clears D out of one of three conditions:
 
 each D, D^2 or D^2 times the residual of K = Q / D.  F1 and F2 are the
 n-dimensional Kozameh-Newman-Tod system; G and Gbar are cross-checked
-against D^2 E.  The full left inverse Dt (`dual_candidate_jet`) stays as
-the test oracle of K, off the verdict path.
+against D^2 E (`e_cross_check`).  The full left inverse Dt
+(`dual_candidate_jet`) stays as the test oracle of K, off the verdict path.
 
 Each `Verdict` names the criterion that decided it (`THEOREM_IDS`):
 
@@ -97,6 +97,7 @@ from .curvature import (
     unpack_pairs,
     _pair_cols,
     _pair_rows,
+    _trace_free,
 )
 from .evaluate import DomainError
 from .genericity import (
@@ -104,6 +105,7 @@ from .genericity import (
     PolicyError,
     classify_genericity,
     l_operators,
+    lambda2_ranks,
     weyl_c3,
     weyl_operators,
     weyl_rows,
@@ -129,6 +131,7 @@ __all__ = [
     "e_tensor",
     "g_tensor",
     "gbar_tensor",
+    "e_cross_check",
     "dim4_invariant",
     "cotton_rl2_invariant",
     "TensorMeasurement",
@@ -333,9 +336,9 @@ def _weyl_note(policy, point, cmax):
 def _gate(samples, policy, tol):
     """A policy's preconditions: a numerically nonzero Weyl tensor (every
     policy divides by a Weyl-built determinant), then an invertible L^a_b
-    ('from-L', ||L||) or 2-form operator ('from-C', ||C||), or dimension 4
-    and a nonzero cubic scalar ('dim4-C3', C^3).  Raises PolicyError
-    naming the first point where one fails."""
+    ('from-L', ||L||) or 2-form operator ('from-C', ||C||, its rank the
+    Lambda2 class's), or dimension 4 and a nonzero cubic scalar ('dim4-C3',
+    C^3).  Raises PolicyError naming the first point where one fails."""
     _check_policy(policy)
     pts = samples.points
     bad = np.flatnonzero(weyl_vanishes(samples, tol))
@@ -350,17 +353,19 @@ def _gate(samples, policy, tol):
         cmax = max_norm(samples.raised("C", (0, 0, 1, 1)))
         bad = np.abs(vals) <= tol.rank_tol * np.maximum(cmax, 1e-300) ** 3
     else:
-        # numerically invertible (full rank at the pivot tolerance, relative
-        # to the largest entry) with a nonzero determinant: `genericity`
-        # zeroes the determinant where the Weyl tensor vanishes at the
-        # default tolerance, which a finer rank_tol lets pass.  The rank is
-        # read off the pivots of the determinant's own elimination
-        ops = (l_operators(samples) if policy == "from-L"
-               else weyl_operators(samples))
-        name = "||L||" if policy == "from-L" else "||C||"
-        vals, pivots = ops.dets, ops.pivots
-        bad = ((linalg.pivot_rank(pivots, tol.rank_tol) < pivots.shape[1])
-               | (vals == 0))
+        # numerically invertible: full rank at the pivot tolerance, read off
+        # the pivots of the determinant's own elimination (from-C reads
+        # `genericity.lambda2_ranks`), and a nonzero determinant:
+        # `genericity` zeroes it where the Weyl tensor vanishes at the
+        # default tolerance, which a finer rank_tol lets pass
+        if policy == "from-L":
+            ops, name = l_operators(samples), "||L||"
+            ranks = linalg.pivot_rank(ops.pivots, tol.rank_tol)
+        else:
+            ops, name = weyl_operators(samples), "||C||"
+            ranks = lambda2_ranks(samples, tol)
+        vals = ops.dets
+        bad = (ranks < ops.pivots.shape[1]) | (vals == 0)
     bad = np.flatnonzero(bad)
     if bad.size:
         p = int(bad[0])
@@ -430,9 +435,11 @@ def dual_candidate_jet(samples, policy, tolerances=DEFAULT_TOLERANCES):
 class KField:
     """The unique candidate gradient direction K of the C-space equation."""
 
-    lowered: np.ndarray        # (P, n) K_a
-    d_lowered: np.ndarray      # (P, n, n) exact partials d_z K_a
+    jet: np.ndarray            # (P, 1 + n, n) K_a and its partials d_z K_a
     provenance: str
+
+    lowered = property(lambda self: self.jet[:, 0])        # (P, n) K_a
+    d_lowered = property(lambda self: self.jet[:, 1:])     # (P, n, n) d_z K_a
 
     def closedness(self):
         """Per-point max |d_[a K_b]| (vanishes iff K is locally a gradient)."""
@@ -449,9 +456,9 @@ def k_field(samples: CurvatureSamples, policy="from-L",
     policy (`_pair`), A contracted before anything is differentiated.
     Raises PolicyError naming the first point where the policy's
     precondition fails."""
-    k = samples.derived(("k", policy, tolerances.rank_tol),
-                        lambda: _k_jet(samples, policy, tolerances, 1))
-    return KField(k[:, 0], k[:, 1:], policy)
+    return KField(samples.derived(
+        ("k", policy, tolerances.rank_tol),
+        lambda: _k_jet(samples, policy, tolerances, 1)), policy)
 
 
 @dataclass
@@ -502,18 +509,9 @@ def _need_dim4plus(samples):
         raise ValueError("this invariant needs dimension n >= 4")
 
 
-def _trace_free(t, samples):
-    g, gi = samples["g"], samples["ginv"]
-    n = samples.n
-    tr = np.einsum("pab,pab->p", gi, t)
-    return t - g * (tr / n)[:, None, None]
-
-
 def _one(k):
     """The order-1 jet of the constant D = 1 at the points of K."""
-    d = np.zeros((len(k.lowered), 1 + k.lowered.shape[1]))
-    d[:, 0] = 1.0
-    return d
+    return np.repeat(np.eye(1, k.jet.shape[1]), len(k.jet), axis=0)
 
 
 def _cleared_cspace(samples, name, weight, det, qup):
@@ -546,7 +544,8 @@ def _cleared_e(samples, name, weight, det, q):
     t2 = -det[:, 0, None, None] * covq
     t3 = np.einsum("pa,pb->pab", det[:, 1:], q[:, 0])
     t4 = np.einsum("pa,pb->pab", q[:, 0], q[:, 0])
-    return Residual(name, _trace_free(t1 + t2 + t3 + t4, samples),
+    return Residual(name, _trace_free(t1 + t2 + t3 + t4, samples["g"],
+                                      samples["ginv"]),
                     scale_of(*((t, weight) for t in (t1, t2, t3, t4))))
 
 
@@ -567,8 +566,7 @@ def e_tensor(samples: CurvatureSamples, k: KField) -> Residual:
     """Trace-free[ P_ab - nabla_a K_b + K_a K_b ] with K_b = Dt_bcde A^cde.
 
     Conformally invariant (weight 0) when Dt is canonical."""
-    return _cleared_e(samples, "E", 0, _one(k), np.concatenate(
-        [k.lowered[:, None], k.d_lowered], axis=1))
+    return _cleared_e(samples, "E", 0, _one(k), k.jet)
 
 
 def f1(samples: CurvatureSamples) -> Residual:
@@ -588,37 +586,35 @@ def f2(samples: CurvatureSamples) -> Residual:
                          *_pair(samples, "from-C", 0))
 
 
-def _policy_e(samples, name, weight, policy, tol, cross_check):
-    """E cleared by a policy's pair (weight `weight`), the policy gated at
-    `tol`, and (when cross_check) its deviation from D^2 E, a Residual
-    against max |D^2 E| per point (relative error max / max_scale)."""
+def _policy_e(samples, name, weight, policy, tol):
+    """E cleared by a policy's pair (weight `weight`), gated at `tol`."""
     _need_dim4plus(samples)
     _gate(samples, policy, tol)
     det, q = _pair(samples, policy, 1)
-    res = _cleared_e(samples, name, weight, det, _lowered(samples, q))
-    if not cross_check:
-        return res, None
+    return _cleared_e(samples, name, weight, det, _lowered(samples, q))
+
+
+def g_tensor(samples: CurvatureSamples, tol=DEFAULT_TOLERANCES):
+    """The ||L||-cleared natural display of E (weight -8n), its from-L
+    policy gated at `tol`."""
+    return _policy_e(samples, "G", -8 * samples.n, "from-L", tol)
+
+
+def gbar_tensor(samples: CurvatureSamples, tol=DEFAULT_TOLERANCES):
+    """The ||C||-cleared display (weight 2n(1-n)), its from-C policy gated
+    at `tol`."""
+    return _policy_e(samples, "Gbar", 2 * samples.n * (1 - samples.n),
+                     "from-C", tol)
+
+
+def e_cross_check(samples, display, tol=DEFAULT_TOLERANCES):
+    """The display G or Gbar less D^2 E, D and K of its policy gated at
+    `tol`, against max |D^2 E| per point (relative error max / max_scale)."""
+    policy = {"G": "from-L", "Gbar": "from-C"}[display.name]
+    det = _pair(samples, policy, 1)[0]
     e = e_tensor(samples, k_field(samples, policy, tol))
     ref = (det[:, 0] ** 2)[:, None, None] * e.values
-    return res, Residual(name, res.values - ref, max_norm(ref))
-
-
-def g_tensor(samples: CurvatureSamples, tol=DEFAULT_TOLERANCES,
-             cross_check=True):
-    """The ||L||-cleared natural display of E (weight -8n), its from-L
-    policy gated at `tol`; returns (Residual, its cross-check against
-    ||L||^2 E, `_policy_e`)."""
-    return _policy_e(samples, "G", -8 * samples.n, "from-L", tol,
-                     cross_check)
-
-
-def gbar_tensor(samples: CurvatureSamples, tol=DEFAULT_TOLERANCES,
-                cross_check=True):
-    """The ||C||-cleared display (weight 2n(1-n)), its from-C policy gated
-    at `tol`; cross-checked against (1-n)^2 ||C||^2 E with the Lambda2 left
-    inverse."""
-    return _policy_e(samples, "Gbar", 2 * samples.n * (1 - samples.n),
-                     "from-C", tol, cross_check)
+    return Residual(display.name, display.values - ref, max_norm(ref))
 
 
 def dim4_invariant(samples: CurvatureSamples) -> Residual:

@@ -75,9 +75,10 @@ def k_field_from_tensor(k_tensor, s, provenance="user-supplied"):
     from confein.geometry import evaluate_components, partial_derivative
     from confein.obstructions import KField
 
-    return KField(evaluate_components(k_tensor.comps, s.bindings),
-                  evaluate_components(partial_derivative(k_tensor),
-                                      s.bindings), provenance)
+    return KField(np.concatenate(
+        [evaluate_components(k_tensor.comps, s.bindings)[:, None],
+         evaluate_components(partial_derivative(k_tensor), s.bindings)],
+        axis=1), provenance)
 
 
 def perturbed_flat_metric(seed=3, scale=10):

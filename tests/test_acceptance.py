@@ -253,13 +253,11 @@ def test_criterion_10_covariance_battery():
         # proportional invariants: exponents with tiny spread
         n = 5
         wG, sG = OB.covariance_exponent(
-            OB.g_tensor(s5, cross_check=False)[0].values,
-            OB.g_tensor(sh, cross_check=False)[0].values, uvals)
+            OB.g_tensor(s5).values, OB.g_tensor(sh).values, uvals)
         wGb, sGb = OB.covariance_exponent(
-            OB.gbar_tensor(s5, cross_check=False)[0].values,
-            OB.gbar_tensor(sh, cross_check=False)[0].values, uvals)
-        dets = GN.weyl_operators(s5)[1]
-        detsh = GN.weyl_operators(sh)[1]
+            OB.gbar_tensor(s5).values, OB.gbar_tensor(sh).values, uvals)
+        dets = GN.weyl_operators(s5).dets
+        detsh = GN.weyl_operators(sh).dets
         wC, sC = OB.covariance_exponent(dets[:, None], detsh[:, None], uvals)
         ok = ok and sG < 1e-6 and sGb < 1e-6 and sC < 1e-6 \
             and abs(wC - (-n * (n - 1))) < 1e-6
@@ -294,8 +292,9 @@ def test_criterion_11_internal_cross_checks():
     dv = TR.div_omega_values(s5)
     dvc = TR.div_omega_closed(s5)
     d_div = maxabs(dv - dvc) / max(1.0, maxabs(dvc))
-    cross_g, cross_gb = (r.max / r.max_scale for _, r in (
-        OB.g_tensor(s5), OB.gbar_tensor(s5)))
+    cross_g, cross_gb = (r.max / r.max_scale for r in (
+        OB.e_cross_check(s5, OB.g_tensor(s5)),
+        OB.e_cross_check(s5, OB.gbar_tensor(s5))))
     s4 = samples("rt4-quartic", 6)
     call = unpack_pairs(s4.raised("C", (1, 1, 1, 1)))
     c4 = unpack_pairs(s4["C"])

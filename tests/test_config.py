@@ -111,8 +111,8 @@ def _displays(g, pts, calls):
             out[f"{name} {policy}"] = out.pop(name)
     run("F1", lambda: OB.f1(s))
     run("F2", lambda: OB.f2(s))
-    run("G", lambda: OB.g_tensor(s, cross_check=False))
-    run("Gbar", lambda: OB.gbar_tensor(s, cross_check=False))
+    run("G", lambda: OB.g_tensor(s))
+    run("Gbar", lambda: OB.gbar_tensor(s))
     run("cotton", lambda: OB.cotton_rl2_invariant(s))
     if s.n == 4:
         run("dim4", lambda: OB.dim4_invariant(s))

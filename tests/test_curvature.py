@@ -553,7 +553,7 @@ class TestPairBasis:
                 :, a[:, None], b[:, None], a, b])
         cup3 = _slot_oracle(C, gi, (0, 1, 1, 1)).reshape(npts, n, -1)
         low = C.reshape(npts, n, -1) @ np.swapaxes(cup3, 1, 2)
-        _close(GN.l_operators(s)[0], gi @ low)
+        _close(GN.l_operators(s).matrices, gi @ low)
         # d L_ab: dC against C_b^cde, and the dg^-1 terms of slot c with
         # C_ac^de C_bfde and of slots d, e with C_a^c_d^e C_bcfe
         dgi = s.jet("ginv")[:, 1:]

@@ -5,8 +5,10 @@ from confein import genericity as GN
 from confein import linalg
 from confein import obstructions as OB
 from confein.config import Tolerances
-from confein.curvature import _pair_cols, pack_pairs, unpack_pairs
-from confein.expressions import parse
+from confein.curvature import (CurvaturePack, _pair_cols, pack_pairs,
+                               unpack_pairs)
+from confein.expressions import floating, mul, parse
+from confein.geometry import MetricField
 from conftest import entry, kernel_contains, maxabs, pack, points, samples
 
 TOL = Tolerances()
@@ -133,14 +135,15 @@ def _weyl_stack(n, seed):
 class TestWeylOperator:
     def test_conformally_flat_operator_vanishes(self):
         s = samples("constant-curvature4", 4)
-        wm, wdet, _ = GN.weyl_operators(s)
-        lm, ldet, _ = GN.l_operators(s)
+        wm, wdet = GN.weyl_operators(s).matrices, GN.weyl_operators(s).dets
+        lm, ldet = GN.l_operators(s).matrices, GN.l_operators(s).dets
         assert maxabs(wm[0]) < 1e-12 and wdet[0] == 0.0
         assert maxabs(lm[0]) < 1e-12 and ldet[0] == 0.0
 
     def test_adjugate_identity_on_two_form_space(self):
         s = samples("rt5-quartic", 4)
-        m, det, adj = GN.weyl_operators(s)
+        ops = GN.weyl_operators(s)
+        m, det, adj = ops.matrices, ops.dets, ops.adjugates
         for p in range(3):
             resid = adj[p] @ m[p] - det[p] * np.eye(len(m[p]))
             assert maxabs(resid) <= 1e-8 * max(1.0, abs(det[p]))
@@ -156,15 +159,16 @@ class TestWeylOperator:
         uvals = evaluate_components(ups, s.bindings)[:, ]
         n = 5
         for p in range(3):
-            d0 = GN.weyl_operators(s)[1][p]
-            d1 = GN.weyl_operators(sh)[1][p]
+            d0 = GN.weyl_operators(s).dets[p]
+            d1 = GN.weyl_operators(sh).dets[p]
             w = np.log(d1 / d0) / uvals[p]
             assert abs(w - (-n * (n - 1))) < 1e-6
 
     def test_l_operator_symmetric_when_lowered(self):
         s = samples("rt5-quartic", 3)
         for p in range(3):
-            low = np.einsum("ab,bc->ac", s["g"][p], GN.l_operators(s)[0][p])
+            low = np.einsum("ab,bc->ac", s["g"][p],
+                            GN.l_operators(s).matrices[p])
             assert maxabs(low - low.T) < 1e-9 * max(1, maxabs(low))
 
     def test_hyperkahler_l_is_quarter_weyl_norm_identity(self):
@@ -172,9 +176,9 @@ class TestWeylOperator:
         call = unpack_pairs(s.raised("C", (1, 1, 1, 1)))
         c2 = np.einsum("pabcd,pabcd->p", call, unpack_pairs(s["C"]))
         for p in range(4):
-            lm = GN.l_operators(s)[0][p]
+            lm = GN.l_operators(s).matrices[p]
             assert maxabs(lm - (c2[p] / 4) * np.eye(4)) < 1e-10 * c2[p]
-            assert GN.weyl_operators(s)[1][p] == pytest.approx(0.0, abs=1e-8)
+            assert GN.weyl_operators(s).dets[p] == pytest.approx(0.0, abs=1e-8)
 
     def test_dimension4_weyl_contraction_identity(self):
         s = samples("rt4-quartic", 4)
@@ -319,7 +323,7 @@ class TestClassification:
         # the per-point build the batch replaced; the arithmetic is
         # unchanged, so the scalars must be equal
         s = samples(name, 5)
-        m = GN.weyl_operators(s)[0]
+        m = GN.weyl_operators(s).matrices
         cup = s.raised("C", (1, 1, 0, 0))
         g2 = s.pair_metric()[:, 0]
         root = np.sqrt(np.abs(np.linalg.det(s["g"])))
@@ -354,8 +358,8 @@ class TestClassification:
 
     def test_spec_level_point_wrappers(self):
         s = pack("rt4-quartic").samples(points("rt4-quartic", 1))
-        wm = GN.weyl_operators(s)[0][0]
-        lm = GN.l_operators(s)[0][0]
+        wm = GN.weyl_operators(s).matrices[0]
+        lm = GN.l_operators(s).matrices[0]
         assert wm.shape[0] == 6
         assert lm.shape == (4, 4)
 
@@ -418,7 +422,7 @@ class TestPairLayer:
         GN.classify_genericity(s)
         OB.f1(s)
         OB.f2(s)
-        GN._pair_tensor(GN.weyl_operators(s)[2][1])
+        GN._pair_tensor(GN.weyl_operators(s).adjugates[1])
         assert len(calls) == 1  # one stacked call for the whole batch
 
 
@@ -477,6 +481,26 @@ class TestDualSystem:
         _assert_dropped_rows_repeat(full, _kept_rows(6))
 
 
+def test_lambda2_class_is_the_from_c_gate_in_small_units():
+    # rt4-quartic with g -> 1e-6 g is Lambda2-generic at every point, as
+    # the catalog records, and the from-C gate passes: the class and the
+    # gate read one rank, the 2-form operator's (`lambda2_ranks`)
+    e = entry("rt4-quartic")
+    assert e.expected["lambda2_generic"][0]
+    g = e.metric
+    comps = np.empty(g.comps.shape, dtype=object)
+    for idx in np.ndindex(*comps.shape):
+        comps[idx] = mul(floating(1e-6), g.comps[idx])
+    small = MetricField(g.chart, comps, params=g.params,
+                        sample_box=g.sample_box)
+    s = CurvaturePack(small).samples(points("rt4-quartic", 6, 0))
+    rep = GN.classify_genericity(s, TOL)
+    assert [pg.skew_kernel_dim for pg in rep.per_point] == [0] * 6
+    assert rep.lambda2_generic
+    assert list(GN.lambda2_ranks(s, TOL)) == [6] * 6
+    OB.k_field(s, "from-C", TOL)
+
+
 class TestStreamedSystems:
     """`classify_genericity` builds and ranks the symmetric and dual
     systems one elimination chunk at a time; the chunks it ranks are
@@ -486,7 +510,9 @@ class TestStreamedSystems:
     @staticmethod
     def _ranked(monkeypatch, s):
         """classify_genericity(s), and the (systems, floors) of each
-        linalg.rank call after the weak and skew systems'."""
+        linalg.rank call after the weak system's, the one rank call
+        before the symmetric systems (the Lambda2 rank is read off the
+        2-form operator's pivots, `lambda2_ranks`)."""
         seen, rank = [], linalg.rank
 
         def recording(a, tol, floor):
@@ -494,7 +520,7 @@ class TestStreamedSystems:
             return rank(a, tol, floor)
 
         monkeypatch.setattr(linalg, "rank", recording)
-        return GN.classify_genericity(s), seen[2:]
+        return GN.classify_genericity(s), seen[1:]
 
     @pytest.mark.parametrize("budget", [linalg.CHUNK_BYTES, 1])
     @pytest.mark.parametrize("name", ["rt6-quartic", "rt5-quartic",

@@ -8,11 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from confein import cli, curvature, obstructions
+from confein import cli, curvature, geometry, obstructions
 from confein.obstructions import Verdict
 from confein.catalog import get_entry
 from confein.cli import main
 from confein.config import Tolerances
+from confein.expressions import parse
 from confein.genericity import Operators, weyl_operators
 from confein.mspecfile import (
     MetricSpecError,
@@ -176,6 +177,27 @@ class TestCli:
         code, data = run_cli(tmp_path, "classify", str(p), *argv)
         assert code == 0 and len(data["potential"]) == 10
         assert sizes == [size, size]
+
+    def test_scalar_tapes_compile_once_per_command(self, tmp_path,
+                                                   monkeypatch):
+        # 129 points of rt6-quartic walk 3 chunks; sigma's and upsilon's
+        # tapes are compiled once for all of them
+        p = tmp_path / "rt6.mspec"
+        assert main(["catalog", "export", "rt6-quartic", "--points", "129",
+                     "--out", str(p)]) == 0
+        assert len(curvature.point_chunks(129, 6)) == 3
+        heads = []
+        for module in (curvature, geometry):
+            def counting(exprs, compile_batch=module.compile_batch):
+                heads.append(exprs[0])
+                return compile_batch(exprs)
+            monkeypatch.setattr(module, "compile_batch", counting)
+        assert main(["tractor", str(p), "--sigma", "1 + x1/10"]) == 1
+        assert heads.count(parse("1 + x1/10")) == 1
+        heads.clear()
+        assert main(["invariants", str(p), "--which", "E", "--upsilon",
+                     "x1/4"]) == 0
+        assert heads.count(parse("x1/4")) == 1
 
     def test_classify_compiles_the_ladder_once(self, tmp_path, monkeypatch):
         p = tmp_path / "schw.mspec"
@@ -391,6 +413,18 @@ class TestCli:
         assert main(["tractor", str(schw_file), "--sigma", "1 +"]) == 3
         assert main(["invariants", str(schw_file), "--upsilon", "log("]) == 3
         assert main(["catalog", "export", "no-such-entry"]) == 3
+
+    def test_complex_constant_is_an_input_error(self, tmp_path, capsys):
+        # (-1)^0.75 is complex, so it is not folded: it stays a power,
+        # whose domain check in the tape names the pinned point
+        p = tmp_path / "complex.mspec"
+        p.write_text("dim = 3\ncoords = x, y, z\ng[0][0] = 2 + (-1)^(0.75)*x"
+                     "\ng[1][1] = 1\ng[2][2] = 1\npoint = 1, 0, 0\n")
+        for command in ("classify", "invariants", "identities", "tractor"):
+            assert main([command, str(p)]) == 3
+            assert capsys.readouterr().err == (
+                "error: fractional power of a negative value at point "
+                "{'x': 1.0}\n")
 
     @pytest.mark.parametrize("args", [
         ["classify", "{dir}"],
@@ -932,7 +966,6 @@ class TestChunkedClassify:
         # 129 points of rt6-quartic are three chunks (64, 64 and 1): every
         # figure of invariants and tractor, joined over the chunks, is the
         # one computed here on one whole-batch CurvatureSamples, to the bit
-        from confein.expressions import parse
         from confein.geometry import conformal_rescale, evaluate_components
         from confein.tractor import parallel_tractor_check
 
@@ -955,14 +988,14 @@ class TestChunkedClassify:
             "bach": lambda s: ob.bach_residual(s, k),
             "E": lambda s: ob.e_tensor(s, k),
             "F1": ob.f1, "F2": ob.f2,
-            "G": lambda s: ob.g_tensor(s, tol)[0],
-            "Gbar": lambda s: ob.gbar_tensor(s, tol)[0],
+            "G": lambda s: ob.g_tensor(s, tol),
+            "Gbar": lambda s: ob.gbar_tensor(s, tol),
         }
         inv = {name: {"max": float(np.max(np.abs(f(s).values))),
                       "scale": float(np.max(f(s).scale))}
                for name, f in displays.items()}
         for name, f in (("G", ob.g_tensor), ("Gbar", ob.gbar_tensor)):
-            cross = f(s, tol)[1]
+            cross = ob.e_cross_check(s, f(s, tol), tol)
             inv[f"{name}_cross_check_rel"] = float(
                 np.max(np.abs(cross.values))
                 / max(np.max(cross.scale), 1e-300))
@@ -972,7 +1005,7 @@ class TestChunkedClassify:
                 displays[name](s).values, displays[name](hs).values, uvals)
             cov[name] = {"fitted_exponent": w, "spread": spread}
         w, spread = ob.covariance_exponent(
-            weyl_operators(s)[1][:, None], weyl_operators(hs)[1][:, None],
+            weyl_operators(s).dets[:, None], weyl_operators(hs).dets[:, None],
             uvals)
         cov["weyl_operator_det"] = {"expected": -30.0,
                                     "fitted_exponent": w, "spread": spread}
