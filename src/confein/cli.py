@@ -49,6 +49,7 @@ from .mspecfile import MetricSpecError, dumps_mspec, entry_to_mspec, loads_mspec
 from .obstructions import (
     THEOREM_IDS,
     Residual,
+    _candidates,
     covariance_exponent,
     bach_residual,
     cspace_residual,
@@ -122,22 +123,12 @@ def _common_flags(p):
                    help="write the JSON report to PATH instead of stdout")
 
 
-@functools.cache
-def build_parser():
-    """The argument parser, built once per process: building it costs
-    about twenty times what parsing one command line does."""
-    ap = argparse.ArgumentParser(
-        prog="confein",
-        description="decide whether a coordinate metric is locally "
-                    "conformally Einstein")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="full conformally-Einstein decision")
+def _file_flags(p):
     p.add_argument("file")
     _common_flags(p)
 
-    p = sub.add_parser("invariants", help="evaluate named obstruction "
-                                          "invariants")
+
+def _invariants_flags(p):
     p.add_argument("file")
     p.add_argument("--which", default="E,cspace,bach",
                    help="comma list from: " + ",".join(_BUILDERS))
@@ -146,22 +137,19 @@ def build_parser():
                         "the file's `conformal` entry)")
     _common_flags(p)
 
-    p = sub.add_parser("identities", help="curvature identity residual table")
-    p.add_argument("file")
-    _common_flags(p)
 
-    p = sub.add_parser("tractor", help="parallel-tractor scale test")
+def _tractor_flags(p):
     p.add_argument("file")
     p.add_argument("--sigma", default="1")
     _common_flags(p)
 
-    p = sub.add_parser("catalog", help="list or export built-in metrics")
+
+def _catalog_flags(p):
     p.add_argument("action", choices=("list", "export"))
     p.add_argument("name", nargs="?")
     p.add_argument("--out", default=None)
     p.add_argument("--points", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    return ap
 
 
 @_reads_input
@@ -294,7 +282,12 @@ def cmd_invariants(args):
     """The named invariants and, given a factor upsilon, their covariance
     fit, one chunk at a time.  A chunk keeps each invariant's and
     cross-check's per-point maxima and scales, the closedness of K and, for
-    the fit, upsilon and the _FITTED values on g and e^{2 upsilon} g."""
+    the fit, upsilon and the _FITTED values on g and e^{2 upsilon} g.
+
+    K is built as `classify` builds it (`measure_tensor_verdict`): with
+    the first candidate policy that every chunk passes.  When a later chunk
+    fails the policy in use, the earlier chunks are measured again with the
+    next one.  When every candidate fails, the first failure is raised."""
     tol = _tolerances(args)
     spec, g, points, digest = _load(args)
     which = list(dict.fromkeys(w.strip() for w in args.which.split(",")
@@ -314,13 +307,15 @@ def cmd_invariants(args):
                               "n >= 4, dim4 needs n = 4)")
     ups = _parse(args.upsilon) if args.upsilon else spec.conformal
     hpack = None if ups is None else CurvaturePack(conformal_rescale(g, ups))
-    policy = "from-L" if args.policy == "auto" else args.policy
     needs_k = bool({"cspace", "bach", "E"} & set(which))
+    # no policy applies in dimension 3, where the Weyl tensor vanishes:
+    # the one asked for, or from-L, names that failure
+    cands = _candidates(args.policy, g.dim) or (
+        "from-L" if args.policy == "auto" else args.policy,)
     figures, closed, fits, uvals, errors = {}, [], {}, [], {}
 
-    def measure(s):
-        # one chunk, freed when this returns
-        k = k_field(s, policy, tol) if needs_k else None
+    def measure(s, k):
+        # one chunk's figures, with K built on it (None if none is needed)
         if k is not None:
             closed.append(k.closedness())
         values = {}
@@ -346,13 +341,31 @@ def cmd_invariants(args):
         fits.setdefault("weyl_operator_det", []).append(
             (weyl_operators(s).dets[:, None], weyl_operators(hs).dets[:, None]))
 
-    for sample in CurvaturePack(g).chunks(points):
-        measure(sample())
+    chunks, cur, failure, i = CurvaturePack(g).chunks(points), 0, None, 0
+    while i < len(chunks):
+        s, k = chunks[i](), None
+        while needs_k and k is None:
+            try:
+                k = k_field(s, cands[cur], tol)
+            except PolicyError as exc:
+                failure, cur = failure or exc, cur + 1
+                if cur == len(cands):
+                    raise failure from None
+                if i:  # a later chunk: the earlier ones are measured again
+                    break
+        if needs_k and k is None:
+            for acc in (figures, closed, fits, uvals, errors):
+                acc.clear()
+            i = 0
+        else:
+            measure(s, k)
+            i += 1
+        del s, k  # the chunk is freed before the next one is sampled
 
     out = _report_skeleton(digest, tol, args)
     out["points"] = points
     if needs_k:
-        out["k_provenance"] = policy
+        out["k_provenance"] = cands[cur]
         out["k_closedness"] = float(np.max(np.concatenate(closed)))
     res = {}
     for name, parts in figures.items():
@@ -425,13 +438,51 @@ def cmd_catalog(args):
     return EXIT_YES
 
 
+# each command's help line, the function that adds its arguments and its
+# handler
+_COMMANDS = {
+    "classify": ("full conformally-Einstein decision", _file_flags,
+                 cmd_classify),
+    "invariants": ("evaluate named obstruction invariants", _invariants_flags,
+                   cmd_invariants),
+    "identities": ("curvature identity residual table", _file_flags,
+                   cmd_identities),
+    "tractor": ("parallel-tractor scale test", _tractor_flags, cmd_tractor),
+    "catalog": ("list or export built-in metrics", _catalog_flags,
+                cmd_catalog),
+}
+
+
+@functools.cache
+def build_parser(command=None):
+    """The argument parser of `command`, or of every command when it is
+    None, built once per process.
+
+    `main` builds only the parser of the command that argv names, since
+    building a parser costs more than parsing a command line with it.
+    That parser lists every command in its usage line (the subparsers'
+    metavar), so its errors read as the full parser's.  The full parser,
+    with no metavar, reads every other argv (no argument, -h, an unknown
+    command, an option before the command), so its help and its "invalid
+    choice" and "required" errors name every command."""
+    ap = argparse.ArgumentParser(
+        prog="confein",
+        description="decide whether a coordinate metric is locally "
+                    "conformally Einstein")
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_line, add_flags, _) in _COMMANDS.items():
+        if command in (None, name):
+            add_flags(sub.add_parser(name, help=help_line))
+    return ap
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    handlers = {"classify": cmd_classify, "invariants": cmd_invariants,
-                "identities": cmd_identities, "tractor": cmd_tractor,
-                "catalog": cmd_catalog}
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

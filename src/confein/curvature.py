@@ -288,7 +288,7 @@ class CurvaturePack:
         tape every numeric quantity of the ladder comes from; a lower order
         is its prefix (`EvalProgram.prefix`), the instructions that the
         partials of that order read, with the bits of the whole tape."""
-        i, j = np.triu_indices(self.n)
+        i, j = _pair_tables(self.n)["pairs"]
         full = self._get("metric-jet", lambda: compile_batch(_by_monomial(
             _partials(self.g.comps[i, j], self.chart.coords, 4), len(i))))
         if order == 4:
@@ -548,10 +548,20 @@ def _jet_slots(pack, order):
 PAIR_SUM = 2.0
 
 
+@lru_cache(maxsize=None)
 def pair_basis(n):
     """Index arrays (a, b) of the antisymmetric pairs a < b, row-major: the
-    order of the rows and columns of every pair matrix."""
-    return np.triu_indices(n, 1)
+    order of the rows and columns of every pair matrix.  Built once per n
+    and read-only, as are the tables of `_pair_tables`."""
+    return _read_only(*np.triu_indices(n, 1))
+
+
+def _read_only(*arrays):
+    """The arrays, made read-only: a table cached per n is shared by every
+    caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 @lru_cache(maxsize=None)
@@ -565,7 +575,7 @@ def _pair_tables(n):
     pack the Riemann and Weyl tensors as matrices X[(ab), (cd)] = X_abcd:
     `anti` holds their (a, b) as column vectors, `idx` and `sign` (n, n)
     the pair of (a, b) in either order and its sign (0 on the diagonal)."""
-    i, j = np.triu_indices(n)
+    i, j = _read_only(*np.triu_indices(n))
     sym = np.empty((n, n), dtype=np.int64)
     sym[i, j] = sym[j, i] = np.arange(len(i))
     a, b = pair_basis(n)
@@ -573,7 +583,9 @@ def _pair_tables(n):
     idx[a, b] = idx[b, a] = np.arange(len(a))
     sign = np.zeros((n, n))
     sign[a, b], sign[b, a] = 1.0, -1.0
-    return {"sym": sym, "weight": np.where(i == j, 1.0, 2.0), "pairs": (i, j),
+    weight = np.where(i == j, 1.0, 2.0)
+    _read_only(sym, idx, sign, weight)
+    return {"sym": sym, "weight": weight, "pairs": (i, j),
             "anti": (a[:, None], b[:, None]), "idx": idx, "sign": sign}
 
 

@@ -223,7 +223,7 @@ def _symmetric_rows(entries, g):
     arrays x, y of length K, and row r has the entries t_brd + t_drb (the
     single term t_brb on the diagonal); then the trace row g[p, b, d]
     (doubled off the diagonal)."""
-    b, d = np.triu_indices(g.shape[-1])
+    b, d = _pair_tables(g.shape[-1])["pairs"]
     off = b != d
     cols = entries(b, d)
     cols[..., off] += entries(d[off], b[off])

@@ -387,10 +387,18 @@ class TestPairLayer:
         assert np.array_equal(GN._pair_matrix(batch)[1], 2 * want)
         assert np.array_equal(GN._pair_tensor(GN._pair_matrix(batch)), batch)
 
-    @pytest.mark.parametrize("n", [3, 4, 6])
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_pair_rows_extend_the_row_pairs(self, n):
-        t = self._two_pair_tensor(n, n)
+        # the index tables are built once per n, and read-only
         a, b = GN.pair_basis(n)
+        assert all(x is y for x, y in zip(GN.pair_basis(n), (a, b)))
+        for got, want in zip((a, b), np.triu_indices(n, 1)):
+            assert np.array_equal(got, want)
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 1
+        for got, want in zip(GN._pair_tables(n)["pairs"], np.triu_indices(n)):
+            assert np.array_equal(got, want) and not got.flags.writeable
+        t = self._two_pair_tensor(n, n)
         # t antisymmetric in its first pair, with the second pair ranked
         want = 2.0 * t[..., a, b]
         batch = np.stack([GN._pair_matrix(t), 3 * GN._pair_matrix(t)])

@@ -649,6 +649,46 @@ class TestCli:
         out = capsys.readouterr().out
         assert "schwarzschild4" in out and "hyperkahler4" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["classify", "{file}", "--points", "2"],
+        ["invariants", "{file}", "--points", "2", "--which", "E,F1"],
+        ["identities", "{file}", "--points", "2"],
+        ["tractor", "{file}", "--points", "2", "--sigma", "1 + r/10"],
+        ["catalog", "list"],
+        ["catalog", "export", "flat4", "--points", "1"],
+        ["-h"], ["classify", "-h"], ["invariants", "-h"], ["identities", "-h"],
+        ["tractor", "-h"], ["catalog", "-h"],
+        [], ["nope"], ["classify", "{file}", "--bogus"], ["classify"],
+        ["catalog", "bogus"], ["--policy", "nope"],
+        ["classify", "{file}", "--policy", "nope"],
+        ["--points", "2", "classify", "{file}"],
+    ], ids=lambda argv: " ".join(argv) or "no-argument")
+    def test_one_command_parser_matches_the_full_parser(self, schw_file,
+                                                        argv, monkeypatch,
+                                                        capsys):
+        # main builds only the parser of the command argv names; stdout,
+        # stderr and the exit code are those of the parser of every command
+        argv = [a.format(file=schw_file) for a in argv]
+        built = []
+        one_command = cli.build_parser
+
+        def run():
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            return code, out, err
+
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: (
+            built.append(command) or one_command(command)))
+        got = run()
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda command=None: one_command(None))
+        assert got == run()
+        assert built == [argv[0] if argv and argv[0] in cli._COMMANDS
+                         else None]
+
     def test_console_entry_point(self, schw_file):
         r = subprocess.run([sys.executable, "-m", "confein.cli", "identities",
                             str(schw_file), "--points", "3"],
@@ -1057,3 +1097,30 @@ class TestChunkedClassify:
         assert errs[1].startswith(
             "error: policy from-L: the Weyl tensor vanishes numerically at "
             f"point {pts[80]}")
+
+    def test_invariants_falls_back_to_the_next_policy(self, tmp_path,
+                                                      monkeypatch):
+        # rt4-quartic at 100 points, the operator ||L|| made zero at point
+        # 70, in the third of four chunks of 32 points: from-L fails there,
+        # so the first two chunks are measured again with from-C, which
+        # every chunk passes.  invariants builds K with from-C, as classify
+        # does, and reports what --policy from-C reports, in four chunks
+        # or in one
+        p = tmp_path / "rt4.mspec"
+        assert main(["catalog", "export", "rt4-quartic", "--points", "100",
+                     "--out", str(p)]) == 0
+        pts = get_entry("rt4-quartic").points(n=100, seed=0)
+        self._zero_at(monkeypatch, "l_operators", pts, [70])
+        reports = []
+        for chunk_bytes, policy in ((SMALL, "auto"), (WHOLE, "auto"),
+                                    (SMALL, "from-C")):
+            monkeypatch.setattr(curvature, "CHUNK_BYTES", chunk_bytes)
+            code, data = run_cli(tmp_path, "invariants", str(p), "--which",
+                                 "E,cspace,bach", "--policy", policy)
+            assert code == 0
+            reports.append(data)
+        assert reports[0]["k_provenance"] == "from-C"
+        assert reports[0] == reports[1] == reports[2]
+        code, data = run_cli(tmp_path, "classify", str(p))
+        assert data["k_provenance"] == "from-C"
+        assert data["notes"][0].startswith("policy from-L: ||L|| = 0.000e+00")
