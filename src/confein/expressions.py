@@ -8,9 +8,18 @@ all agree.
 
 An integral rational constant holds a Python int and any other one a
 reduced Fraction, so constants hash, compare and accumulate as ints
-wherever they can.  A sum or product is looked up by its kind and children
-before its sort key (nested tuples of its children's keys) is built: the
-key is built only for a node that is new.
+wherever they can.  A rational node is found by its integers: by its int,
+or by the (numerator, denominator) of its Fraction, never by hashing the
+Fraction.  A sum or product is looked up by its kind and children before
+its sort key (nested tuples of its children's keys) is built: the key is
+built only for a node that is new.
+
+The parser canonicalizes a sum once, with one `add` over all its terms,
+so no partial sum is built or interned.  Where `add` would read a float
+(a float constant or leading coefficient, in a term or in a term's
+parenthesized sum) it keeps the left fold, one `add` per operator, since
+floats round at each step: the fold reads 0.5*x + 0.5*x + x/3 as 4*x/3,
+one `add` as 1.3333333333333333*x.
 
 Node kinds: rational constant, float constant, symbol, n-ary sum, n-ary
 product, power, one-argument function (exp, log, sin, cos).  Negation is a
@@ -58,6 +67,10 @@ ADD = 6
 FUNCTION_NAMES = ("exp", "log", "sin", "cos")
 
 _table: dict = {}
+# each rational node of _table, keyed by its int or by the (numerator,
+# denominator) of its Fraction: a tuple of ints hashes in a tenth of the
+# time of a Fraction
+_rationals: dict = {}
 
 
 class Expr:
@@ -147,9 +160,16 @@ def rational(p, q=1):
     Fraction with positive denominator."""
     if q != 1 or not isinstance(p, (int, Fraction)):
         p = Fraction(p, q)
-    if type(p) is not int and p.denominator == 1:
-        p = int(p)  # an integral Fraction, or a bool
-    return _intern(RAT, p, (), (RAT, p))
+    if type(p) is int:
+        k = p
+    elif p.denominator == 1:
+        p = k = int(p)  # an integral Fraction, or a bool
+    else:
+        k = (p.numerator, p.denominator)
+    node = _rationals.get(k)
+    if node is None:
+        node = _rationals[k] = _intern(RAT, p, (), (RAT, p))
+    return node
 
 
 def floating(v):
@@ -668,6 +688,15 @@ class ExprSyntaxError(ValueError):
         self.offset = offset
 
 
+def _reads_float(t):
+    """Whether add() reads a float in t: t, or a term of the sum t, is a
+    float constant or has a float leading coefficient."""
+    for u in t.args if t.kind == ADD else (t,):
+        if u.kind == FLT or u.kind == MUL and u.args[0].kind == FLT:
+            return True
+    return False
+
+
 class _Parser:
     def __init__(self, text):
         self.text = text
@@ -686,17 +715,28 @@ class _Parser:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def expr(self):
-        t = self.term()
+        # One add() over all terms, a subtracted term as -1*term, unless add
+        # would read a float: float constants and coefficients round at each
+        # step of the left fold, so such a sum keeps the fold's nodes.
+        terms = [self.term()]
         while True:
             c = self.peek()
             if c == "+":
                 self.pos += 1
-                t = add(t, self.term())
+                terms.append(self.term())
             elif c == "-":
                 self.pos += 1
-                t = sub(t, self.term())
+                terms.append(mul(MINUS_ONE, self.term()))
             else:
-                return t
+                break
+        if len(terms) == 1:
+            return terms[0]
+        if not any(map(_reads_float, terms)):
+            return add(*terms)
+        t = terms[0]
+        for u in terms[1:]:
+            t = add(t, u)
+        return t
 
     def term(self):
         # One mul() over all factors: folding left would distribute a partial
@@ -802,7 +842,12 @@ def parse(text):
 
     Grammar: numbers (integer, decimal, integer/integer), identifiers,
     + - * / ^ (right-associative ^ binding tightest, unary minus looser
-    than ^), parentheses, and f(e) for f in {exp, log, sqrt, sin, cos}."""
+    than ^), parentheses, and f(e) for f in {exp, log, sqrt, sin, cos}.
+
+    A sum is canonicalized once, by one `add` over its terms (a subtracted
+    term as -1 times it); a sum in which `add` would read a float keeps
+    the left fold, and so gives the node that adding one term at a time
+    gives.  Each product of factors is one `mul`."""
     p = _Parser(text)
     e = p.expr()
     p.skip_ws()

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from confein import catalog
 from confein.curvature import CurvaturePack
+
+# Larger draws for a property test that leaves its draw to the profile: a
+# CI step selects it with --hypothesis-profile=large-draws
+settings.register_profile("large-draws", max_examples=2000)
 
 _packs = {}
 _samples = {}
