@@ -104,7 +104,10 @@ def _reads_input(fn):
         try:
             return fn(*args, **kwargs)
         except (ValueError, KeyError) as exc:
-            raise InputError(str(exc)) from exc
+            # a KeyError's str is the repr of its message; a subclass
+            # (UnboundSymbolError) keeps its own str
+            msg = exc.args[0] if type(exc) is KeyError and exc.args else exc
+            raise InputError(str(msg)) from exc
     return wrapper
 
 

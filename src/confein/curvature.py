@@ -16,10 +16,13 @@ partials of the Weyl and Cotton tensors), so `CurvaturePack` compiles one
 small tape per metric: the partials of g_ij up to order 4, monomial-major,
 so that the partials up to any lower order are the outputs of a prefix of
 the tape (`CurvaturePack.metric_jet_tape`).  `CurvaturePack.samples` runs
-it at a batch of points, 32 points per run, gathers each run's 4-jet
-straight from the run's slots (`_metric_jet`), and builds every ladder
-entry from it by truncated Taylor arithmetic (`taylor`), on 8 points at
-a time from n = 5 on (32 below), so its transients stay small, computing
+it at a batch of points in runs, gathers each run's 4-jet straight from
+the run's slots (`_metric_jet`), and builds every ladder entry from it by
+truncated Taylor arithmetic (`taylor`) in steps of the run's points.  Runs
+and steps are sized by the bytes a point needs, read from n and the
+order: as many points as fit the bytes of the n = 6, order-1 batches, 32
+points a run and 8 a step (`_batch_sizes`), so their transients stay
+small and the runs and steps few.  The ladder computes
 each quantity only to the order its consumers need: g to 4, the inverse
 metric to 3, the Christoffel symbols, Ricci, J and P to 2, Riemann, Weyl
 and Cotton to 1 and Bach to 0.  Ricci and P, being symmetric, are formed
@@ -58,7 +61,8 @@ point.  Other jets at the same points come from the same machinery:
 factor, an Einstein scale) that every chunk shares, `christoffel_jet` the
 order-2 prefix of the pack's metric-jet tape again for g^-1 and the
 Christoffel symbols beyond their values.  `point_chunks` cuts a longer
-list of points into chunks of whole tape runs that fit a byte budget, and
+list of points into chunks of a multiple of 32 points that fit a byte
+budget, and
 `CurvaturePack.chunks` gives one sampler per chunk: the walk of every
 command, each chunk sampled, reduced to per-point figures and freed
 before the next.  The potential's quadrature nodes are cut by the same
@@ -297,9 +301,16 @@ class CurvaturePack:
             len(i) * taylor.size(self.n, order)))
 
 
-# points per run of the metric-jet tape: the tape pays its per-instruction
-# overhead once per run, so runs of fewer points are slower
+# The sampler's batches at n = 6, order 1: a run of the metric-jet tape of
+# _CHUNK points and a ladder step of _STEP points.  A run pays the tape's
+# per-instruction overhead once and a step the ladder's per-call overhead,
+# so fewer, larger batches are faster, while their transients must stay
+# small.  These are the byte budgets of every (n, order): its run and step
+# take as many points as fit these batches' bytes, counted per point by
+# the jets that a run and a step hold (`_batch_sizes`).  _CHUNK is also
+# the unit of `point_chunks`
 _CHUNK = 32
+_STEP = 8
 
 # the budget of one chunk of points (`point_chunks`), counted at (1 + n) n^4
 # floats per point, the order-1 jet of a 4-index tensor in full.  The
@@ -316,11 +327,35 @@ _CHUNK = 32
 CHUNK_BYTES = 5 * 2 ** 20
 
 
+def _jet_bytes(n, order):
+    """Bytes per point of a jet (M, n, n) of order `order` of the
+    metric."""
+    return 8 * n * n * taylor.size(n, order)
+
+
+@lru_cache(maxsize=None)
+def _batch_sizes(n, order):
+    """(run, step): the points per run of the metric-jet tape and per
+    ladder step of `CurvatureSamples` of `order` at dimension n, as many as
+    fit the bytes of the n = 6, order-1 batches (_CHUNK and _STEP points),
+    which keep their sizes.  A run holds the metric jet it gathers, of
+    order `order` + 3, so it is weighed by that jet's bytes.  A step's
+    ladder transients are 17 to 26 times the bytes of the jet of g^-1 it
+    forms, of order `order` + 2, the most at n = 6, order 1 (4.8 MiB on 8
+    points), so a step is weighed by that jet's bytes and no step's
+    transients outgrow that one's.  A run is a whole number of steps, so
+    that no run but the last ends in a short step: (run, step) is (68, 17)
+    at n = 5 and (215, 43) at n = 4 at order 1, (72, 24), (138, 46) and
+    (400, 100) at n = 6, 5 and 4 at order 0."""
+    step = max(1, _STEP * _jet_bytes(6, 3) // _jet_bytes(n, order + 2))
+    runs = _CHUNK * _jet_bytes(6, 4) // (_jet_bytes(n, order + 3) * step)
+    return max(1, runs) * step, step
+
+
 def point_chunks(count, n):
-    """Slices cutting `count` points into chunks of a multiple of the
-    tape's run of points, as many whole runs as fit CHUNK_BYTES at
-    dimension n (at least one): 64 points at n = 6, 160 at n = 5 and 512
-    at n = 4."""
+    """Slices cutting `count` points into chunks of a multiple of _CHUNK
+    points, as many as fit CHUNK_BYTES at dimension n (at least one): 64
+    points at n = 6, 160 at n = 5 and 512 at n = 4."""
     per_point = 8 * (1 + n) * n ** 4
     step = max(1, CHUNK_BYTES // (per_point * _CHUNK)) * _CHUNK
     return [slice(s, min(s + step, count)) for s in range(0, count, step)]
@@ -385,21 +420,23 @@ class CurvatureSamples:
     with no partials and no Bach tensor (reading one raises KeyError) and
     jets of order 0.
 
-    The tape runs on 32 points at a time (`_run`) and the ladder on one
-    step of the run's metric jet at a time (`_step`; a step of one point
-    runs doubled, `_ladder`, so that a point's figures do not depend on
-    the size of its step): each step's ladder outputs are released
-    before the next step is computed, and each run's slot matrix and jet
-    before the next run, so that only the stored values and jets grow
-    with the points.  A run hands its jet to the ladder in one pass: the
-    jet is gathered from the run's slot matrix straight into the layout
-    the ladder reads (`_metric_jet`).  The jet is formed per run, not per
-    step: a step's jet is a quarter of the run's at n >= 5, but without
-    a run-sized array freed after each run glibc's malloc keeps a lower
-    trim threshold, hands the ladder's transients back to the system
-    after every step and faults them in again (three times the page
-    faults of classifying rt6-quartic at 500 points, and about 4% of its
-    time)."""
+    The tape runs on one run of points at a time (`_run`) and the ladder
+    on one step of the run's metric jet at a time (`_step`), each sized
+    by the bytes a point needs at the samples' n and order against those
+    of the n = 6, order-1 batches, 32 points a run and 8 a step
+    (`_batch_sizes`).  A step of one point runs doubled (`_ladder`), so a
+    point's figures do not depend on the size of its run or step.  Each
+    step's ladder outputs are released before the next step is computed,
+    and each run's slot matrix and jet before the next run, so that only
+    the stored values and jets grow with the points.  A run hands its jet
+    to the ladder in one pass: the jet is gathered from the run's slot
+    matrix straight into the layout the ladder reads (`_metric_jet`).
+    The jet is formed per run, not per step: a step's jet is a third to a
+    fifth of the run's, but without a run-sized array freed after each
+    run glibc's malloc keeps a lower trim threshold, hands the ladder's
+    transients back to the system after every step and faults them in
+    again (three times the page faults of classifying rt6-quartic at 500
+    points, and about 4% of its time)."""
 
     def __init__(self, pack, points, order=1):
         if order not in (0, 1):
@@ -411,27 +448,29 @@ class CurvatureSamples:
         self.bindings = [pack.g.point_bindings(pt) for pt in points]
         self._derived = {}
         self._jets, self.values = {}, {}
-        for lo in range(0, max(len(self.points), 1), _CHUNK):
-            self._run(lo, order)
+        run, step = _batch_sizes(n, order)
+        for lo in range(0, max(len(self.points), 1), run):
+            self._run(lo, run, step)
         for name, j in self._jets.items():
             j.flags.writeable = False
             self.values[name] = j[:, 0]
             if order and name != "ginv":
                 self.values["d" + name] = j[:, 1:]
 
-    def _run(self, lo, order):
+    def _run(self, lo, run, step):
         """Run the metric-jet tape (its order-3 prefix at order 0) on the
-        points lo:lo + 32, check their metric for degeneracy and store
-        their ladder.  `_ladder`'s
-        transients grow about as n^5 per point (about 9 MB on 32 points at
-        n = 5), so from n = 5 on it runs on 8 points at a time.  The run's
-        jet lives until this returns."""
-        jet = _metric_jet(self.pack, self.bindings[lo:lo + _CHUNK], order + 3)
+        `run` points lo:lo + run, check their metric for degeneracy and
+        store their ladder, `step` points at a time.  The run and the step
+        are sized by bytes (`_batch_sizes`): the run by the metric jet it
+        gathers, the step by `_ladder`'s transients, which grow about as
+        n^5 per point (about 4.8 MiB on 8 points at n = 6, order 1).  The
+        run's jet lives until this returns."""
+        jet = _metric_jet(self.pack, self.bindings[lo:lo + run],
+                          self.order + 3)
         bad = np.flatnonzero(_degenerate(jet[:, 0]))
         if bad.size:
             raise SingularMetricError(
                 f"metric is degenerate at {self.points[lo + bad[0]]}")
-        step = 8 if self.n >= 5 else _CHUNK
         for sub in range(0, max(len(jet), 1), step):
             self._step(jet[sub:sub + step], lo + sub)
 

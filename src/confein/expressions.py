@@ -403,16 +403,18 @@ def power(base, expo):
             if ek == FLT:
                 try:
                     return floating(float(base.data) ** ed)
-                except (OverflowError, ValueError):
+                except (OverflowError, ValueError, ZeroDivisionError):
                     pass
             else:
                 r = _exact_rat_pow(base.data, ed)
                 if r is not None:
                     return rational(r)
     elif bk == FLT and base.data >= 0 and ek <= FLT:
+        # 0.0 to a negative power stays a POW, whose evaluation raises
+        # a domain error, as 0 to a negative power does
         try:
             return floating(base.data ** float(ed))
-        except (OverflowError, ValueError):
+        except (OverflowError, ValueError, ZeroDivisionError):
             pass
     is_int = ek == RAT and ed.denominator == 1
     if is_int:

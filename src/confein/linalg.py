@@ -1,4 +1,4 @@
-"""Dense linear algebra on stacks of small matrices (up to ~1300 rows here).
+"""Dense linear algebra on stacks of small matrices (up to 735 rows here).
 
 The module is stack-first: every public function takes a stack (P, m, k)
 of matrices and returns one result per matrix; a 2-D argument is a stack
@@ -62,11 +62,12 @@ def _eliminate(a, cut, pivots=None, factors=True):
     |entry| of each step a matrix runs, its stopping step included.
 
     The stack is worked on transposed, each matrix's columns as rows: the
-    matrices here are tall (up to ~1300 rows of at most 21 columns), so
-    the rank-1 update of each step runs along their long axis.  The step's
-    |entries| and rank-1 update go into two buffers allocated once, and
-    the pivot column below the pivot, which the step zeroes, is not
-    updated."""
+    matrices here are tall (the largest classify eliminates is the tractor
+    stack at n = 6, 735 rows of 8 columns, then the dual system's 121 rows
+    of 21 columns), so the rank-1 update of each step runs along their
+    long axis.  The step's |entries| and rank-1 update go into two buffers
+    allocated once, and the pivot column below the pivot, which the step
+    zeroes, is not updated."""
     count, m, n = a.shape
     t = np.array(np.swapaxes(a, 1, 2), dtype=float, order="C")  # [p, j, i]
     r = np.full(count, min(m, n))

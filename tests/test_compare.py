@@ -44,18 +44,20 @@ def test_one_run_is_its_own_quartiles():
     assert compare.quartiles([2.5]) == [2.5, 2.5, 2.5]
 
 
-def _write_runs(root, runs):
-    """A tree of classify runs as --decisions keeps them: per input its
-    .mspec, .exit, .stdout, .stderr and, unless None, .json."""
+def _write_runs(root, runs, command="classify"):
+    """A tree of runs of one command as --decisions keeps them: per input
+    its .mspec and its NAME.COMMAND.exit, .stdout, .stderr and, unless
+    None, .json."""
     for name, (code, stdout, stderr, report) in runs.items():
-        stem = root / name
+        stem = root / f"{name}.{command}"
         stem.parent.mkdir(parents=True, exist_ok=True)
-        stem.with_suffix(".mspec").write_text("dim = 3\n")
-        stem.with_suffix(".exit").write_text(f"{code}\n")
-        stem.with_suffix(".stdout").write_text(stdout)
-        stem.with_suffix(".stderr").write_text(stderr)
+        (root / f"{name}.mspec").write_text("dim = 3\n")
+        for part, text in (("exit", f"{code}\n"), ("stdout", stdout),
+                           ("stderr", stderr)):
+            stem.with_name(f"{stem.name}.{part}").write_text(text)
         if report is not None:
-            stem.with_suffix(".json").write_text(json.dumps(report, indent=2))
+            stem.with_name(f"{stem.name}.json").write_text(
+                json.dumps(report, indent=2))
 
 
 REPORT = {"verdict": "not", "k_provenance": "from-L",
@@ -128,12 +130,72 @@ def test_decision_listing_of_two_report_trees(tmp_path):
     d = by_input["points-seed0/d"]
     assert d["differ"] == ["exit", "stderr", "json"]
     assert "changed" not in d
+    assert {row["command"] for row in listing} == {"classify"}
     text = compare.format_listing(listing)
-    assert text[0] == "catalog-seed0/b: exit, json differ (exit 1 -> 0)"
+    assert text[0] == ("catalog-seed0/b classify: exit, json differ "
+                       "(exit 1 -> 0)")
     assert "  verdict: 'not' -> 'conformally-einstein'" in text
     assert ("  genericity.per_point[1].c3: -3.0 -> -3.5 (abs 0.5, rel "
             "0.167)") in text
     assert compare.decision_diffs(parent, parent) == []
+
+
+def test_each_command_of_an_input_is_its_own_run(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    same = (0, "", "", REPORT)
+    for command in compare.COMMANDS:
+        _write_runs(parent, {"catalog-seed0/a": same, "catalog-seed0/b": same},
+                    command)
+        _write_runs(change, {"catalog-seed0/a": same, "catalog-seed0/b": same},
+                    command)
+    # invariants moves a float of b, tractor crashes on a
+    _write_runs(change, {"catalog-seed0/b": (0, "", "", _moved(
+        REPORT, **{"residuals/E/max": 2e-3}))}, "invariants")
+    _write_runs(change, {"catalog-seed0/a": (4, "", "boom\n", None)},
+                "tractor")
+    (change / "catalog-seed0" / "a.tractor.json").unlink()
+    listing = compare.decision_diffs(parent, change)
+    assert [(row["input"], row["command"], row["differ"])
+            for row in listing] == [
+        ("catalog-seed0/a", "tractor", ["exit", "stderr", "json"]),
+        ("catalog-seed0/b", "invariants", ["json"])]
+    assert [m["path"] for m in listing[1]["moved"]] == ["residuals.E.max"]
+    assert compare.format_listing(listing)[0] == (
+        "catalog-seed0/a tractor: exit, stderr, json differ (exit 0 -> 4)")
+
+
+def test_every_command_runs_on_every_input(tmp_path, monkeypatch):
+    calls = []
+
+    class Done:
+        returncode, stdout, stderr = 1, b"out", b""
+
+    def fake_run(argv, cwd, env, stdin, capture_output):
+        calls.append((Path(cwd).name, argv[3:]))
+        return Done()
+
+    monkeypatch.setattr(compare.subprocess, "run", fake_run)
+    for name, n in (("three", 3), ("four", 4), ("five", 5)):
+        (tmp_path / "w").mkdir(exist_ok=True)
+        (tmp_path / "w" / f"{name}.mspec").write_text(
+            f"# {name}\ndim = {n}\ncoords = x\n")
+    compare.run_tree(tmp_path, tmp_path / "w", log=io.StringIO())
+    every = {3: "E,cspace,bach", 4: "E,cspace,bach,F1,F2,G,Gbar,dim4",
+             5: "E,cspace,bach,F1,F2,G,Gbar"}
+    want = []
+    for name, n in (("five", 5), ("four", 4), ("three", 3)):
+        want += [
+            ("w", ["classify", f"{name}.mspec", "--json",
+                   f"{name}.classify.json"]),
+            ("w", ["invariants", f"{name}.mspec", "--which", every[n],
+                   "--json", f"{name}.invariants.json"]),
+            ("w", ["identities", f"{name}.mspec", "--json",
+                   f"{name}.identities.json"]),
+            ("w", ["tractor", f"{name}.mspec", "--sigma", "1", "--json",
+                   f"{name}.tractor.json"])]
+    assert calls == want
+    assert (tmp_path / "w" / "four.tractor.exit").read_text() == "1\n"
+    assert (tmp_path / "w" / "four.tractor.stdout").read_bytes() == b"out"
 
 
 def test_a_key_on_one_side_is_a_changed_field():

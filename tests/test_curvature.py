@@ -67,39 +67,96 @@ class TestMetricJetLadder:
         assert_ladder_matches_symbolic(CurvaturePack(g),
                                        points("rt4-quartic", 10))
 
-    # the tape runs on 32 points at a time and, from n = 5 on, the ladder on
-    # 8 of them: a start of 33 or 3 moves every point across both
-    # boundaries
-    @pytest.mark.parametrize("name, start", [
-        ("rt5-quartic", 33), ("rt5-quartic", 3), ("rt6-quartic", 33),
-        ("rt6-quartic", 3)])
-    def test_chunks_do_not_change_values(self, name, start):
+    # the tape runs on one run of points at a time and the ladder on one
+    # step of it (`_batch_sizes`): at n = 5, order 1, 68 and 17 points, at
+    # n = 6 32 and 8; a start of one run and one point, or of 3, moves
+    # every point across both boundaries
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("name, whole_run", [
+        ("rt5-quartic", True), ("rt5-quartic", False), ("rt6-quartic", True),
+        ("rt6-quartic", False)])
+    def test_chunks_do_not_change_values(self, name, whole_run, order):
         from confein import curvature
         p = pack(name)
-        pts = points(name, 2 * curvature._CHUNK + 3)
-        whole = p.samples(pts)
-        part = p.samples(pts[start:])
+        run, step = curvature._batch_sizes(p.n, order)
+        start = run + 1 if whole_run else 3
+        pts = points(name, 2 * run + 3)
+        whole = p.samples(pts, order)
+        part = p.samples(pts[start:], order)
         for key, v in part.values.items():
             assert maxabs(v - whole[key][start:]) <= \
                 1e-13 * max(1.0, maxabs(v))
 
-    @pytest.mark.parametrize("order", [0, 1])
-    @pytest.mark.parametrize("name, sizes", [
-        ("rt4-quartic", [32, 32, 6]),
-        ("rt5-quartic", [8] * 8 + [6]),
-        ("rt6-quartic", [8] * 8 + [6])])
-    def test_ladder_runs_on_eight_points_from_dimension_five(
-            self, monkeypatch, name, sizes, order):
+    def test_batches_are_sized_by_bytes(self):
         from confein import curvature
-        seen, ladder = [], curvature._ladder
+        # the n = 6, order-1 batches are the budgets, and keep their sizes
+        assert curvature._batch_sizes(6, 1) == (32, 8)
+        sizes = {(n, order): curvature._batch_sizes(n, order)
+                 for n in (3, 4, 5, 6) for order in (0, 1)}
+        assert sizes == {
+            (3, 0): (1340, 268), (3, 1): (670, 134),
+            (4, 0): (400, 100), (4, 1): (215, 43),
+            (5, 0): (138, 46), (5, 1): (68, 17),
+            (6, 0): (72, 24), (6, 1): (32, 8)}
+        for (n, order), (run, step) in sizes.items():
+            # whole steps to a run, and no run's jet larger than n = 6's
+            assert run % step == 0
+            assert run * curvature._jet_bytes(n, order + 3) <= \
+                32 * curvature._jet_bytes(6, 4)
 
-        def counting(jet, n):
-            seen.append(len(jet))
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("name", ["constant-curvature3", "rt4-quartic",
+                                      "rt5-quartic", "rt6-quartic"])
+    def test_runs_and_steps_follow_the_rule(self, monkeypatch, name, order):
+        from confein import curvature
+        runs, steps = [], []
+        metric_jet, ladder = curvature._metric_jet, curvature._ladder
+
+        def counting_runs(p, bindings, k):
+            runs.append(len(bindings))
+            return metric_jet(p, bindings, k)
+
+        def counting_steps(jet, n):
+            steps.append(len(jet))
             return ladder(jet, n)
 
-        monkeypatch.setattr(curvature, "_ladder", counting)
-        pack(name).samples(points(name, 70), order)
-        assert seen == sizes
+        monkeypatch.setattr(curvature, "_metric_jet", counting_runs)
+        monkeypatch.setattr(curvature, "_ladder", counting_steps)
+        p = pack(name)
+        run, step = curvature._batch_sizes(p.n, order)
+        p.samples(points(name, run + step + 3), order)
+        assert runs == [run, step + 3]
+        assert steps == [step] * (run // step) + [step, 3]
+
+    def test_no_step_outgrows_the_dimension_six_step(self):
+        # the ladder's transients of one step, traced: 4.8 MiB at n = 6,
+        # order 1 on 8 points, the budget, which every other (n, order)
+        # step stays under (n = 5, order 1 the nearest, at about 0.94 of
+        # it); steps sized by the metric jet alone would give n = 4,
+        # order 1 54 points and about 5.4 MiB
+        import tracemalloc
+        from confein import curvature
+
+        def transient(name, order):
+            p = pack(name)
+            _, step = curvature._batch_sizes(p.n, order)
+            jet = curvature._metric_jet(p, [p.g.point_bindings(q) for q in
+                                            points(name, step)], order + 3)
+            curvature._ladder(jet[:2], p.n)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                curvature._ladder(jet, p.n)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        budget = transient("rt6-quartic", 1)
+        assert 4 * 2 ** 20 < budget < 6 * 2 ** 20, budget
+        for name in ("constant-curvature3", "rt4-quartic", "rt5-quartic",
+                     "rt6-quartic"):
+            for order in (0, 1):
+                assert transient(name, order) <= budget, (name, order)
 
     def test_no_points_give_empty_entries(self):
         s = pack("rt5-quartic").samples([])
@@ -124,10 +181,10 @@ def whole_run_ladder(p, pts, order):
     from confein import curvature as CV
     n = p.n
     bindings = [p.g.point_bindings(pt) for pt in pts]
-    step = 8 if n >= 5 else CV._CHUNK
+    run, step = CV._batch_sizes(n, order)
     jets, values = {}, {}
-    for lo in range(0, len(pts), CV._CHUNK):
-        jet = CV._metric_jet(p, bindings[lo:lo + CV._CHUNK], order + 3)
+    for lo in range(0, len(pts), run):
+        jet = CV._metric_jet(p, bindings[lo:lo + run], order + 3)
         for sub in range(0, len(jet), step):
             for store, part in zip((jets, values),
                                    CV._ladder(jet[sub:sub + step], n)):
@@ -159,8 +216,10 @@ class TestStreamedSamples:
     the next; every value and jet is bitwise the one of the whole tape
     run's jet sliced per step."""
 
+    # 140 points cross a run at n = 5 (68 and 138 points at orders 1 and
+    # 0), 220 at n = 4 (215 points at order 1)
     @pytest.mark.parametrize("order", [0, 1])
-    @pytest.mark.parametrize("count", [1, 9, 33, 41, 65])
+    @pytest.mark.parametrize("count", [1, 9, 33, 41, 65, 140, 220])
     @pytest.mark.parametrize("name", ["rt6-quartic", "rt5-quartic",
                                       "schwarzschild4", "hyperkahler4"])
     def test_per_step_jets_keep_every_bit(self, name, count, order):
@@ -177,14 +236,17 @@ class TestStreamedSamples:
         for key, want in values.items():
             assert np.array_equal(s[key], want), key
 
-    # the tape runs on 32 points and, at n = 5, the ladder on 8 of them:
-    # index 9 is in the second ladder step of the first run, index 33 at
-    # n = 4 in the second run
+    # at n = 5 the tape runs on 68 points and the ladder on 17 of them,
+    # at n = 4 on 215 and 43: index 20 is in the second ladder step of the
+    # first run, index 70 at n = 5 and 216 at n = 4 in the second run
     @pytest.mark.parametrize("n, bad, named", [
-        (5, {9}, 9), (5, {3, 9}, 3), (5, {9, 12}, 9),
-        (4, {33}, 33), (4, {5, 33}, 5), (4, {33, 40}, 33)])
+        (5, {20}, 20), (5, {3, 20}, 3), (5, {20, 23}, 20), (5, {70}, 70),
+        (5, {20, 70}, 20), (4, {50}, 50), (4, {5, 50}, 5), (4, {216}, 216),
+        (4, {216, 220}, 216)])
     def test_the_first_degenerate_point_is_named(self, n, bad, named):
-        pts = degenerate_points(n, 41, bad)
+        from confein import curvature
+        assert curvature._batch_sizes(n, 1) == {5: (68, 17), 4: (215, 43)}[n]
+        pts = degenerate_points(n, 230, bad)
         with pytest.raises(G.SingularMetricError) as exc:
             degenerate_pack(n).samples(pts)
         assert str(exc.value) == f"metric is degenerate at {pts[named]}"

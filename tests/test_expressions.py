@@ -19,6 +19,7 @@ from confein.expressions import (
     ExprSyntaxError,
     MINUS_ONE,
     ONE,
+    POW,
     RAT,
     add,
     diff,
@@ -152,6 +153,23 @@ class TestConstants:
         assert power(rational(2), rational(-1)) is rational(1, 2)
         assert power(rational(-2), rational(-3)) is rational(-1, 8)
         assert type(power(rational(2), rational(-1)).data) is Fraction
+
+    def test_a_zero_float_to_a_negative_power_stays_a_power(self):
+        # 0.0^-1 has no float value, so it is not folded: it stays a
+        # power, whose evaluation raises a domain error, as 0^-1 does; so
+        # does a rational base whose float underflows to 0.0, to a float
+        # power (to an int power it folds exactly)
+        tiny = rational(Fraction(1, 10 ** 400))
+        for base, expo in [(floating(0.0), -1), (floating(0.0), -2),
+                           (floating(0.0), floating(-1.0)),
+                           (floating(0.0), floating(-0.5)),
+                           (tiny, floating(-1.0)), (tiny, floating(-0.5))]:
+            e = power(base, expo)
+            assert e.kind == POW and e.args[0] is base, (base, expo)
+        assert power(tiny, -1) is rational(10 ** 400)
+        assert power(rational(0), -1).kind == POW
+        with pytest.raises(DomainError, match="division by zero"):
+            evaluate(power(floating(0.0), -1), {})
 
     def test_mixed_constants_round_as_floats(self):
         # a float coefficient met by an int or a Fraction one is rounded

@@ -10,9 +10,10 @@ import pytest
 
 from confein import cli, curvature, geometry, obstructions
 from confein.obstructions import Verdict
-from confein.catalog import get_entry
+from confein.catalog import entry_names, get_entry
 from confein.cli import main
 from confein.config import Tolerances
+from confein.evaluate import UnboundSymbolError
 from confein.expressions import parse
 from confein.genericity import Operators, weyl_operators
 from confein.mspecfile import (
@@ -425,6 +426,47 @@ class TestCli:
             assert capsys.readouterr().err == (
                 "error: fractional power of a negative value at point "
                 "{'x': 1.0}\n")
+
+    @pytest.mark.parametrize("base", ["0.0", "0"])
+    def test_zero_to_a_negative_power_is_an_input_error(self, tmp_path,
+                                                        capsys, base):
+        # 0.0^-1, like 0^-1, is not folded: it stays a power, whose
+        # evaluation in the tape names the pinned point
+        p = tmp_path / "zero.mspec"
+        p.write_text(f"dim = 3\ncoords = x, y, z\ng[0][0] = 1 + {base}^-1*x"
+                     "\ng[1][1] = 1\ng[2][2] = 1\npoint = 1, 0, 0\n")
+        for command in ("classify", "invariants", "identities", "tractor"):
+            assert main([command, str(p)]) == 3
+            err = capsys.readouterr().err
+            assert err == "error: division by zero at point {'x': 1.0}\n"
+        # drawn points: none can be sampled, an input error too
+        p.write_text(f"dim = 3\ncoords = x, y, z\ng[0][0] = 1 + {base}^-1*x"
+                     "\ng[1][1] = 1\ng[2][2] = 1\n")
+        assert main(["classify", str(p)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot sample 10 points: ")
+        assert "Traceback" not in err
+
+    def test_unknown_catalog_entry_prints_its_message(self, capsys):
+        # the KeyError's message itself, not its repr in quotes
+        assert main(["catalog", "export", "nope"]) == 3
+        assert capsys.readouterr().err == (
+            "error: unknown catalog entry 'nope'; available: "
+            + ", ".join(entry_names()) + "\n")
+
+    def test_input_errors_keep_their_own_message(self):
+        def raising(exc):
+            raise exc
+
+        read = cli._reads_input(raising)
+        for exc, message in [
+                (KeyError("no entry 'x'"), "no entry 'x'"),
+                (KeyError(), ""),
+                (ValueError("bad value"), "bad value"),
+                (UnboundSymbolError("q"), "symbol 'q' is not bound")]:
+            with pytest.raises(cli.InputError) as info:
+                read(exc)
+            assert str(info.value) == message, exc
 
     @pytest.mark.parametrize("args", [
         ["classify", "{dir}"],
@@ -848,7 +890,8 @@ class TestChunkedClassify:
 
     def test_chunk_size_is_a_multiple_of_the_ladder_chunk(self):
         # the default budget gives 512, 160 and 64 points per chunk at
-        # n = 4, 5 and 6, whole runs of the metric-jet tape (32 points)
+        # n = 4, 5 and 6, multiples of 32 points (whole runs of the
+        # metric-jet tape at n = 6, order 1)
         steps = [curvature.point_chunks(10 ** 4, n)[0].stop for n in (4, 5, 6)]
         assert steps == [512, 160, 64]
         for n in (3, 4, 5, 6):

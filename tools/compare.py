@@ -33,14 +33,16 @@ passes alone.
 bench/workloads.py writes each workload's inputs at each seed into a
 directory of its own, <side>/<W>-seed<S>/ (`catalog` and `points` both
 write rt6-quartic.mspec), and each --input FILE is copied into
-<side>/inputs/.  Every input is then classified by `python -m confein.cli
-classify NAME.mspec --json NAME.json`, run from the input's directory
-with that side's sources.  Every input whose input bytes, report bytes,
-stdout, stderr or exit code differ is listed with its changed decision
-fields (every leaf of the report that is not a float and differs, or is
-on one side only) and each moved float, with its absolute move and its
-move relative to max(1, |parent value|).  The exit code is 1 when any
-input differs, else 0.
+<side>/inputs/.  Every command that samples the metric is then run on
+every input, `python -m confein.cli COMMAND NAME.mspec ARGS --json
+NAME.COMMAND.json` from the input's directory with that side's sources
+(`COMMANDS`): classify, invariants with every invariant of the input's
+dimension, identities, and tractor with sigma = 1.  Every run whose
+input bytes, report bytes, stdout, stderr or exit code differ is listed
+with its changed decision fields (every leaf of the report that is not a
+float and differs, or is on one side only) and each moved float, with
+its absolute move and its move relative to max(1, |parent value|).  The
+exit code is 1 when any run differs, else 0.
 
 With --out the result is merged into PATH's JSON object, beside the
 workloads it already holds and into the entry of the same workload and
@@ -69,8 +71,37 @@ from pathlib import Path
 SIDES = ("parent", "change")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 HOST_VARS = THREAD_VARS + ("PYTHONDONTWRITEBYTECODE",)
-# the parts of a classify run that must have the same bytes on both sides
+# the parts of a command's run that must have the same bytes on both
+# sides: its input, and its own outputs
 RUN_PARTS = ("mspec", "exit", "stdout", "stderr", "json")
+
+
+def invariants_of(n):
+    """`--which` of every invariant defined in dimension n: F1, F2, G and
+    Gbar need n >= 4, dim4 needs n = 4."""
+    names = ["E", "cspace", "bach"]
+    names += ["F1", "F2", "G", "Gbar"] if n >= 4 else []
+    names += ["dim4"] if n == 4 else []
+    return ",".join(names)
+
+
+def dimension_of(mspec):
+    """The `dim = N` of an .mspec file."""
+    for line in mspec.read_text(encoding="utf-8").splitlines():
+        key, _, value = line.partition("=")
+        if key.strip() == "dim":
+            return int(value)
+    raise ValueError(f"{mspec} names no dimension")
+
+
+# each command that samples the metric, and its arguments after the input
+# file given the input's dimension n
+COMMANDS = {
+    "classify": lambda n: [],
+    "invariants": lambda n: ["--which", invariants_of(n)],
+    "identities": lambda n: [],
+    "tractor": lambda n: ["--sigma", "1"],
+}
 
 
 def run_bench(root, workload, seed, seconds, trace=0):
@@ -207,21 +238,25 @@ def write_side_inputs(root, workloads, seeds, inputs, dest):
             shutil.copyfile(path, dest / "inputs" / path.name)
 
 
-def classify_tree(root, dest, log=sys.stderr):
-    """Classify every input under `dest` with `root`'s sources, keeping its
-    report, stdout, stderr and exit code beside it."""
+def run_tree(root, dest, log=sys.stderr):
+    """Run every command of `COMMANDS` on every input under `dest` with
+    `root`'s sources, keeping each run's report, stdout, stderr and exit
+    code beside the input, as NAME.COMMAND.{json,stdout,stderr,exit}."""
     for mspec in sorted(dest.rglob("*.mspec")):
-        stem = mspec.with_suffix("")
-        proc = subprocess.run(
-            [sys.executable, "-m", "confein.cli", "classify", mspec.name,
-             "--json", stem.name + ".json"],
-            cwd=mspec.parent, env=side_env(root, "src"),
-            stdin=subprocess.DEVNULL, capture_output=True)
-        stem.with_suffix(".stdout").write_bytes(proc.stdout)
-        stem.with_suffix(".stderr").write_bytes(proc.stderr)
-        stem.with_suffix(".exit").write_text(f"{proc.returncode}\n")
-        print(f"{mspec.relative_to(dest.parent)}: exit {proc.returncode}",
-              file=log, flush=True)
+        n = dimension_of(mspec)
+        for command, args in COMMANDS.items():
+            stem = mspec.with_name(f"{mspec.stem}.{command}")
+            proc = subprocess.run(
+                [sys.executable, "-m", "confein.cli", command, mspec.name,
+                 *args(n), "--json", stem.name + ".json"],
+                cwd=mspec.parent, env=side_env(root, "src"),
+                stdin=subprocess.DEVNULL, capture_output=True)
+            stem.with_name(stem.name + ".stdout").write_bytes(proc.stdout)
+            stem.with_name(stem.name + ".stderr").write_bytes(proc.stderr)
+            stem.with_name(stem.name + ".exit").write_text(
+                f"{proc.returncode}\n")
+            print(f"{stem.relative_to(dest.parent)}: exit "
+                  f"{proc.returncode}", file=log, flush=True)
 
 
 def leaves(x, path=""):
@@ -264,22 +299,25 @@ def report_changes(parent, change):
 
 
 def decision_diffs(parent_tree, change_tree):
-    """Every run of the two trees whose parts differ, in input order."""
+    """Every run of the two trees whose parts differ, in input and then
+    command order."""
     trees = {"parent": parent_tree, "change": change_tree}
-    names = sorted({p.relative_to(t).with_suffix("")
-                    for t in trees.values() for p in t.rglob("*.exit")})
+    runs = sorted({p.relative_to(t).as_posix()[:-len(".exit")]
+                   for t in trees.values() for p in t.rglob("*.exit")})
     listing = []
-    for name in names:
-        parts = {side: {part: (t / name).with_suffix(f".{part}")
-                        for part in RUN_PARTS} for side, t in trees.items()}
-        data = {side: {part: p.read_bytes() if p.exists() else None
-                       for part, p in ps.items()}
-                for side, ps in parts.items()}
+    for run in runs:
+        name, command = run.rsplit(".", 1)
+        paths = {part: f"{run}.{part}" for part in RUN_PARTS}
+        paths["mspec"] = f"{name}.mspec"
+        data = {side: {part: (t / path).read_bytes()
+                       if (t / path).exists() else None
+                       for part, path in paths.items()}
+                for side, t in trees.items()}
         differ = [part for part in RUN_PARTS
                   if data["parent"][part] != data["change"][part]]
         if not differ:
             continue
-        row = {"input": name.as_posix(), "differ": differ,
+        row = {"input": name, "command": command, "differ": differ,
                "exit": {side: d["exit"] and int(d["exit"])
                         for side, d in data.items()}}
         reports = [data[side]["json"] for side in SIDES]
@@ -295,7 +333,8 @@ def format_listing(listing):
     lines = []
     for row in listing:
         exits = row["exit"]
-        lines.append(f"{row['input']}: {', '.join(row['differ'])} differ "
+        lines.append(f"{row['input']} {row['command']}: "
+                     f"{', '.join(row['differ'])} differ "
                      f"(exit {exits['parent']} -> {exits['change']})")
         for c in row.get("changed", ()):
             lines.append(f"  {c['path']}: {c['parent']!r} -> "
@@ -308,13 +347,13 @@ def format_listing(listing):
 
 
 def decisions(parent, change, workloads, seeds, inputs, log=sys.stderr):
-    """The listing of every input whose classify run differs."""
+    """The number of runs, and the listing of every run that differs."""
     roots = {"parent": parent, "change": change}
     work = Path(tempfile.mkdtemp(prefix="compare-decisions-"))
     try:
         for side, root in roots.items():
             write_side_inputs(root, workloads, seeds, inputs, work / side)
-            classify_tree(root, work / side, log)
+            run_tree(root, work / side, log)
         runs = sum(1 for _ in (work / "parent").rglob("*.exit"))
         return runs, decision_diffs(work / "parent", work / "change")
     finally:
@@ -336,10 +375,11 @@ def main(argv=None):
     ap.add_argument("--seconds", type=float, default=20.0,
                     help="bench/run.py --seconds of each run (default 20)")
     ap.add_argument("--decisions", action="store_true",
-                    help="compare classify's outputs instead of timing")
+                    help="compare the outputs of every command that "
+                    "samples instead of timing")
     ap.add_argument("--input", type=Path, action="append", default=[],
                     help="with --decisions, one more .mspec file to "
-                    "classify, repeatable")
+                    "run, repeatable")
     ap.add_argument("--out", type=Path, default=None)
     args = ap.parse_args(argv)
     parent, change = args.parent.resolve(), args.change.resolve()
@@ -351,7 +391,7 @@ def main(argv=None):
             [p.resolve() for p in args.input])
         for line in format_listing(listing):
             print(line)
-        print(f"{len(listing)} of {runs} inputs differ")
+        print(f"{len(listing)} of {runs} runs differ")
         if args.out is not None:
             args.out.write_text(json.dumps(
                 {"runs": runs, "differ": listing}, indent=1) + "\n")
