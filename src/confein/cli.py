@@ -23,8 +23,10 @@ the same rule (`obstructions.reconstruct_potential`); `identities` keeps
 residuals and scales (`curvature.identity_suite`); `invariants` the
 maxima and scales of each invariant and cross-check, the closedness of K
 and the values its covariance fit reads; `tractor` the maxima of its
-residuals and scales.  An error raised while sampling or measuring names
-the first failing point of the first chunk that fails."""
+residuals and scales.  `classify` and `invariants` build K on the chunks
+by one walk (`obstructions.policy_walk`).  An error raised while sampling
+or measuring names the first failing point of the first chunk that
+fails."""
 
 from __future__ import annotations
 
@@ -47,43 +49,27 @@ from .genericity import PolicyError, weyl_operators
 from .geometry import SingularMetricError, conformal_rescale
 from .mspecfile import MetricSpecError, dumps_mspec, entry_to_mspec, loads_mspec
 from .obstructions import (
+    INVARIANTS,
     THEOREM_IDS,
     Residual,
     _candidates,
     covariance_exponent,
-    bach_residual,
-    cspace_residual,
     decide_tensor_verdict,
-    dim4_invariant,
+    dimension_rules,
     e_cross_check,
-    e_tensor,
-    f1,
-    f2,
-    g_tensor,
-    gbar_tensor,
     joined_outcome,
-    k_field,
     measure_tensor_verdict,
+    policy_walk,
 )
-from .tractor import parallel_tractor_check, rank_obstruction, rank_verdict
+# rank_obstruction is not called here; the benchmark's tests check that
+# its tracer patches this binding too
+from .tractor import (  # noqa: F401
+    parallel_tractor_check, rank_obstruction, rank_rows, rank_verdict)
 
 EXIT_YES, EXIT_NO, EXIT_INCONCLUSIVE, EXIT_INPUT = 0, 1, 2, 3
 EXIT_INTERNAL = 4
 
-# each invariant's builder on (samples, K, tolerances): its Residual, for
-# the report and, on g and the rescaled metric, for the covariance fit of
-# _FITTED; the report cross-checks G and Gbar on g (`e_cross_check`)
-_BUILDERS = {
-    "F1": lambda s, k, tol: f1(s),
-    "F2": lambda s, k, tol: f2(s),
-    "E": lambda s, k, tol: e_tensor(s, k),
-    "G": lambda s, k, tol: g_tensor(s, tol),
-    "Gbar": lambda s, k, tol: gbar_tensor(s, tol),
-    "dim4": lambda s, k, tol: dim4_invariant(s),
-    "cspace": lambda s, k, tol: cspace_residual(s, k),
-    "bach": lambda s, k, tol: bach_residual(s, k),
-}
-_DIM4PLUS_NAMES = ("F1", "F2", "G", "Gbar")
+# the invariants whose covariance fit `invariants --upsilon` reports
 _FITTED = ("F1", "G", "Gbar", "dim4")
 
 
@@ -134,7 +120,7 @@ def _file_flags(p):
 def _invariants_flags(p):
     p.add_argument("file")
     p.add_argument("--which", default="E,cspace,bach",
-                   help="comma list from: " + ",".join(_BUILDERS))
+                   help="comma list from: " + ",".join(INVARIANTS))
     p.add_argument("--upsilon", default=None,
                    help="conformal factor for a covariance run (overrides "
                         "the file's `conformal` entry)")
@@ -220,19 +206,11 @@ def _emit(report, args):
 
 
 def cmd_classify(args):
-    """The full decision, one chunk of points at a time
-    (`CurvaturePack.chunks`).
-
-    Each chunk is sampled once, measured and freed before the next: the
-    tensor verdict keeps its genericity classes, the Weyl and Cotton
-    maxima, the policy gates' notes, the per-point maxima and scales of
-    the cspace, bach, E (F1, F2, dim4) residuals and the closedness of K
-    (`measure_tensor_verdict`); the rank test keeps the ranks
-    (`rank_obstruction` on the chunk).  The verdicts are decided on the
-    joined figures (`decide_tensor_verdict`, `rank_verdict`), so peak
-    memory does not grow with the number of points.  A policy that a
-    later chunk fails sends the earlier chunks back to be sampled and
-    measured with the next one."""
+    """The full decision, one chunk of points at a time: the tensor
+    verdict's per-point figures (`measure_tensor_verdict`, on
+    `obstructions.policy_walk`) and the tractor ranks (`rank_rows`, on each
+    chunk's first visit), decided on the joined figures
+    (`decide_tensor_verdict`, `rank_verdict`)."""
     tol = _tolerances(args)
     spec, g, points, digest = _load(args)
     pack = CurvaturePack(g)
@@ -240,8 +218,7 @@ def cmd_classify(args):
 
     def measure_ranks(samples, measured):
         if g.dim >= 4:
-            ranks.extend(rank_obstruction(
-                samples, tol, genericity=measured.genericity).ranks)
+            ranks.extend(rank_rows(samples, tol)[0])
 
     measured = measure_tensor_verdict(pack.chunks(points), args.policy, tol,
                                       each=measure_ranks)
@@ -282,108 +259,92 @@ def cmd_classify(args):
 
 
 def cmd_invariants(args):
-    """The named invariants and, given a factor upsilon, their covariance
-    fit, one chunk at a time.  A chunk keeps each invariant's and
-    cross-check's per-point maxima and scales, the closedness of K and, for
-    the fit, upsilon and the _FITTED values on g and e^{2 upsilon} g.
-
-    K is built as `classify` builds it (`measure_tensor_verdict`): with
-    the first candidate policy that every chunk passes.  When a later chunk
-    fails the policy in use, the earlier chunks are measured again with the
-    next one.  When every candidate fails, the first failure is raised."""
+    """The named invariants (`obstructions.INVARIANTS`) and, given a factor
+    upsilon, their covariance fit, one chunk at a time.  A chunk keeps
+    each invariant's and cross-check's per-point maxima and scales, the
+    closedness of K and, for the fit, upsilon and the _FITTED values on g
+    and e^{2 upsilon} g.  K is built by classify's walk
+    (`obstructions.policy_walk`); when every candidate fails, the first
+    one's note is raised."""
     tol = _tolerances(args)
     spec, g, points, digest = _load(args)
     which = list(dict.fromkeys(w.strip() for w in args.which.split(",")
                                if w.strip()))
     if not which:
         raise InputError("--which names no invariant; expected some of "
-                         f"{', '.join(_BUILDERS)}")
-    bad = [w for w in which if w not in _BUILDERS]
+                         f"{', '.join(INVARIANTS)}")
+    bad = [w for w in which if w not in INVARIANTS]
     if bad:
         raise MetricSpecError(f"unknown invariant name(s): {', '.join(bad)}; "
-                              f"expected {', '.join(_BUILDERS)}")
-    bad = [w for w in which if w in _DIM4PLUS_NAMES] if g.dim < 4 else []
-    bad += ["dim4"] if "dim4" in which and g.dim != 4 else []
+                              f"expected {', '.join(INVARIANTS)}")
+    rules = [inv.dims for inv in INVARIANTS.values()]
+    bad = sorted((w for w in which if not INVARIANTS[w].defined(g.dim)),
+                 key=lambda w: rules.index(INVARIANTS[w].dims))
     if bad:
         raise MetricSpecError(f"invariant(s) {', '.join(bad)} not defined in "
-                              f"dimension {g.dim} (F1, F2, G and Gbar need "
-                              "n >= 4, dim4 needs n = 4)")
+                              f"dimension {g.dim} ({dimension_rules()})")
     ups = _parse(args.upsilon) if args.upsilon else spec.conformal
     hpack = None if ups is None else CurvaturePack(conformal_rescale(g, ups))
-    needs_k = bool({"cspace", "bach", "E"} & set(which))
+    needs_k = any(INVARIANTS[w].reads_k for w in which)
     # no policy applies in dimension 3, where the Weyl tensor vanishes:
     # the one asked for, or from-L, names that failure
-    cands = _candidates(args.policy, g.dim) or (
+    cands = (_candidates(args.policy, g.dim) or (
         "from-L" if args.policy == "auto" else args.policy,)
-    figures, closed, fits, uvals, errors = {}, [], {}, [], {}
+             if needs_k else ())
+    parts = {}  # chunk -> (figures, closedness of K, fits, upsilon, errors)
 
-    def measure(s, k):
-        # one chunk's figures, with K built on it (None if none is needed)
-        if k is not None:
-            closed.append(k.closedness())
-        values = {}
+    def measure(i, s, k):
+        figures, fits, errors, values = {}, {}, {}, {}
+        closed = None if k is None else k.closedness()
         for name in which:
-            r = _BUILDERS[name](s, k, tol)
-            figures.setdefault(name, []).append(r.reduced())
+            r = INVARIANTS[name].build(s, k, tol)
+            figures[name] = r.reduced()
             if name in ("G", "Gbar"):
-                figures.setdefault(f"{name}_cross_check_rel", []).append(
-                    e_cross_check(s, r, tol).reduced())
+                figures[f"{name}_cross_check_rel"] = e_cross_check(
+                    s, r, tol).reduced()
             if hpack is not None and name in _FITTED:
                 values[name] = r.values
-        if hpack is None:
-            return
-        hs = hpack.samples(s.points)
-        uvals.append(scalar_jet(s, ups, 0)[:, 0])
-        for name in (w for w in which if w in _FITTED and w not in errors):
-            try:
-                hat = _BUILDERS[name](hs, None, tol).values
-            except (PolicyError, ValueError) as exc:
-                errors[name] = str(exc)
-            else:
-                fits.setdefault(name, []).append((values[name], hat))
-        fits.setdefault("weyl_operator_det", []).append(
-            (weyl_operators(s).dets[:, None], weyl_operators(hs).dets[:, None]))
+        uvals = None
+        if hpack is not None:
+            hs = hpack.samples(s.points)
+            uvals = scalar_jet(s, ups, 0)[:, 0]
+            failed = {name for j in range(i) for name in parts[j][4]}
+            for name in (w for w in values if w not in failed):
+                try:
+                    hat = INVARIANTS[name].build(hs, None, tol).values
+                except (PolicyError, ValueError) as exc:
+                    errors[name] = str(exc)
+                else:
+                    fits[name] = (values[name], hat)
+            fits["weyl_operator_det"] = (weyl_operators(s).dets[:, None],
+                                         weyl_operators(hs).dets[:, None])
+        parts[i] = (figures, closed, fits, uvals, errors)
 
-    chunks, cur, failure, i = CurvaturePack(g).chunks(points), 0, None, 0
-    while i < len(chunks):
-        s, k = chunks[i](), None
-        while needs_k and k is None:
-            try:
-                k = k_field(s, cands[cur], tol)
-            except PolicyError as exc:
-                failure, cur = failure or exc, cur + 1
-                if cur == len(cands):
-                    raise failure from None
-                if i:  # a later chunk: the earlier ones are measured again
-                    break
-        if needs_k and k is None:
-            for acc in (figures, closed, fits, uvals, errors):
-                acc.clear()
-            i = 0
-        else:
-            measure(s, k)
-            i += 1
-        del s, k  # the chunk is freed before the next one is sampled
-
+    notes = policy_walk(CurvaturePack(g).chunks(points), lambda n: cands,
+                        tol, measure, strict=True)
+    figures, closed, fits, uvals, errors = zip(
+        *(parts[i] for i in range(len(parts))))
     out = _report_skeleton(digest, tol, args)
     out["points"] = points
     if needs_k:
-        out["k_provenance"] = cands[cur]
+        out["k_provenance"] = next(c for c in cands if c not in notes)
         out["k_closedness"] = float(np.max(np.concatenate(closed)))
     res = {}
-    for name, parts in figures.items():
-        r = Residual.joined(parts)
-        res[name] = ({"max": r.max, "scale": r.max_scale} if name in _BUILDERS
+    for name in figures[0]:
+        r = Residual.joined([f[name] for f in figures])
+        res[name] = ({"max": r.max, "scale": r.max_scale}
+                     if name in INVARIANTS
                      else r.max / max(r.max_scale, 1e-300))
     out["invariants"] = res
     if hpack is not None:
+        # a fit fails on one chunk at most: no later chunk tries it
+        errors = {name: msg for e in errors for name, msg in e.items()}
         sec = {name: {"error": msg} for name, msg in errors.items()}
-        for name, pairs in fits.items():
-            if name not in errors:
-                w, spread = covariance_exponent(
-                    *(np.concatenate(v) for v in zip(*pairs)),
-                    np.concatenate(uvals))
-                sec[name] = {"fitted_exponent": w, "spread": spread}
+        for name in (w for w in fits[0] if w not in errors):
+            w, spread = covariance_exponent(
+                *(np.concatenate([f[name][j] for f in fits]) for j in (0, 1)),
+                np.concatenate(uvals))
+            sec[name] = {"fitted_exponent": w, "spread": spread}
         sec["weyl_operator_det"]["expected"] = float(-g.dim * (g.dim - 1))
         out["covariance"] = sec
     _emit(out, args)

@@ -77,11 +77,15 @@ samplers (`CurvaturePack.chunks`) to `TensorMeasurement`s, and
 (conformal to a C-space?) decides on them, joined in point order by one
 shared head.  `conformal_einstein_tensor_verdict` and
 `cotton_scale_verdict` run both halves on the one sampler of given samples.
+The measuring half, like the `invariants` command, builds K by the one
+walk `policy_walk`; `INVARIANTS` holds how every invariant is built and
+the dimensions it is defined in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -134,6 +138,9 @@ __all__ = [
     "e_cross_check",
     "dim4_invariant",
     "cotton_rl2_invariant",
+    "INVARIANTS",
+    "dimension_rules",
+    "policy_walk",
     "TensorMeasurement",
     "conformal_einstein_tensor_verdict",
     "measure_tensor_verdict",
@@ -504,9 +511,9 @@ class Residual:
                         np.concatenate([r.scale for r in parts]))
 
 
-def _need_dim4plus(samples):
-    if samples.n == 3:
-        raise ValueError("this invariant needs dimension n >= 4")
+def _need(samples, name):
+    if not INVARIANTS[name].defined(samples.n):
+        raise ValueError(f"{name} needs {INVARIANTS[name].dims}")
 
 
 def _one(k):
@@ -572,7 +579,7 @@ def e_tensor(samples: CurvatureSamples, k: KField) -> Residual:
 def f1(samples: CurvatureSamples) -> Residual:
     """(1-n)||C|| A_abc + 2 C_dabc Ct^defg A_efg  (n >= 4): [C] cleared by
     the from-C pair."""
-    _need_dim4plus(samples)
+    _need(samples, "F1")
     return _cleared_cspace(samples, "F1", -samples.n * (samples.n - 1),
                            *_pair(samples, "from-C", 0))
 
@@ -580,7 +587,7 @@ def f1(samples: CurvatureSamples) -> Residual:
 def f2(samples: CurvatureSamples) -> Residual:
     """(n-1)^2 ||C||^2 B_ab + 4(n-4) Ct^defg C_dabc Ct^chkl A_efg A_hkl
     (n >= 4): [B] cleared by the from-C pair."""
-    _need_dim4plus(samples)
+    _need(samples, "F2")
     n = samples.n
     return _cleared_bach(samples, "F2", -2 * n * (n - 1) - 2,
                          *_pair(samples, "from-C", 0))
@@ -588,7 +595,7 @@ def f2(samples: CurvatureSamples) -> Residual:
 
 def _policy_e(samples, name, weight, policy, tol):
     """E cleared by a policy's pair (weight `weight`), gated at `tol`."""
-    _need_dim4plus(samples)
+    _need(samples, name)
     _gate(samples, policy, tol)
     det, q = _pair(samples, policy, 1)
     return _cleared_e(samples, name, weight, det, _lowered(samples, q))
@@ -621,10 +628,53 @@ def dim4_invariant(samples: CurvatureSamples) -> Residual:
     """Trace-free[(|C|^2)^2 P + 4|C|^2 nabla(C.A) - 4(C.A) nabla|C|^2
     + 16 (C.A)(x)(C.A)], the weight -8 obstruction in dimension 4: E
     cleared by the trace pair."""
-    if samples.n != 4:
-        raise ValueError("dim4_invariant needs dimension 4")
+    _need(samples, "dim4")
     det, q = _pair(samples, "trace", 1)
     return _cleared_e(samples, "dim4", -8, det, _lowered(samples, q))
+
+
+class Invariant(NamedTuple):
+    """A row of `INVARIANTS`."""
+
+    build: Callable              # (samples, K, tolerances) -> Residual
+    dims: str | None = None      # "n >= 4" or "n = 4"; None: every n
+    reads_k: bool = False
+    # where the tensor verdict measures it: on each chunk K is built on
+    # ("K"), on those whose points are all generic too ("generic", the F
+    # system), or nowhere (None: G and Gbar, gated by their own policies)
+    measured: str | None = "K"
+
+    def defined(self, n):
+        _, op, low = (self.dims or "n >= 3").split()
+        return n == int(low) if op == "=" else n >= int(low)
+
+
+# every invariant the `invariants` command reports, in its listing order
+INVARIANTS = {
+    "F1": Invariant(lambda s, k, tol: f1(s), "n >= 4", measured="generic"),
+    "F2": Invariant(lambda s, k, tol: f2(s), "n >= 4", measured="generic"),
+    "E": Invariant(lambda s, k, tol: e_tensor(s, k), reads_k=True),
+    "G": Invariant(lambda s, k, tol: g_tensor(s, tol), "n >= 4",
+                   measured=None),
+    "Gbar": Invariant(lambda s, k, tol: gbar_tensor(s, tol), "n >= 4",
+                      measured=None),
+    "dim4": Invariant(lambda s, k, tol: dim4_invariant(s), "n = 4"),
+    "cspace": Invariant(lambda s, k, tol: cspace_residual(s, k),
+                        reads_k=True),
+    "bach": Invariant(lambda s, k, tol: bach_residual(s, k), reads_k=True),
+}
+
+
+def dimension_rules():
+    """The dimension rules of `INVARIANTS` in words: "F1, F2, G and Gbar
+    need n >= 4, dim4 needs n = 4"."""
+    names = {}
+    for name, inv in INVARIANTS.items():
+        if inv.dims is not None:
+            names.setdefault(inv.dims, []).append(name)
+    return ", ".join(f"{', '.join(ns[:-1])} and {ns[-1]} need {dims}"
+                     if len(ns) > 1 else f"{ns[0]} needs {dims}"
+                     for dims, ns in names.items())
 
 
 def cotton_rl2_invariant(samples: CurvatureSamples):
@@ -760,7 +810,7 @@ class TensorMeasurement:
     c_max: np.ndarray          # max |C| per point
     a_max: np.ndarray          # max |A| per point
     genericity: GenericityReport | None = None    # n >= 4
-    failures: dict = field(default_factory=dict)  # policy -> its gate's note
+    failures: dict = field(default_factory=dict)  # the walk's notes, chunk 0
     residuals: dict = field(default_factory=dict)  # name -> Residual
     closedness: np.ndarray | None = None           # max |d[a K b]| per point
 
@@ -779,83 +829,84 @@ def _candidates(policy, n):
     return ("from-L", "from-C") + (("dim4-C3",) if n == 4 else ())
 
 
-def _measure_points(s, tol):
-    """The policy-free half of a chunk's measurement."""
-    m = TensorMeasurement(
-        points=list(s.points), scale=s.scale(),
-        weyl_zero=weyl_vanishes(s, tol), c_max=max_norm(s["C"]),
-        a_max=max_norm(s["A"]))
-    if s.n == 3:
-        m.residuals["cotton"] = Residual("cotton", s["A"], s.scale())
-    else:
-        m.genericity = classify_genericity(s, tolerances=tol)
-    return m
+def policy_walk(chunks, candidates, tol, measure, first=None, strict=False):
+    """The one K policy of `classify` and `invariants`: walk the samplers
+    `chunks` (`CurvaturePack.chunks`) and build K on each chunk with the
+    first of `candidates(n)` that every chunk so far passed.  `first(s)`
+    runs on a chunk's first visit, before K is built, and `measure(i, s,
+    k)` on chunk i with its K (None where no candidate is left); a chunk is
+    freed before the next is sampled.
 
-
-def _measure_k(s, m, cands, cur, tol, first):
-    """The half of a chunk's measurement that reads K, built with the
-    policy cands[cur]: the cspace, bach and E residuals, the closedness of
-    K, F1 and F2 where every point of the chunk is generic, and dim4 in
-    dimension 4.  A policy whose gate fails is noted in m.failures; the
-    first chunk goes on to the next one, any other chunk stops.  Returns
-    the index of the policy K was built with (len(cands) if none)."""
-    while cur < len(cands):
-        try:
-            k = k_field(s, cands[cur], tol)
-        except PolicyError as exc:
-            m.failures.setdefault(cands[cur], str(exc))
-            cur += 1
-            if first:
-                continue
-            break
-        m.residuals["cspace"] = cspace_residual(s, k)
-        m.residuals["bach"] = bach_residual(s, k)
-        m.residuals["E"] = e_tensor(s, k)
-        m.closedness = k.closedness()
-        if m.genericity.generic:
-            m.residuals["F1"] = f1(s)
-            m.residuals["F2"] = f2(s)
-        if s.n == 4:
-            m.residuals["dim4"] = dim4_invariant(s)
-        break
-    return cur
+    A candidate that chunk 0 fails gives way to the next on chunk 0; one
+    that a later chunk fails sends the walk back to chunk 0 with the next.
+    Where the Weyl tensor vanishes numerically every policy fails, so K is
+    built no further.  Returns each failed candidate's note, made at its
+    first failure; with `strict`, the first candidate's note is raised as
+    PolicyError once no candidate is left."""
+    notes, cands, cur, i, seen = {}, None, 0, 0, 0
+    while i < len(chunks):
+        s, k, start = chunks[i](), None, cur
+        if i == seen:
+            seen += 1
+            if first is not None:
+                first(s)
+        cands = candidates(s.n) if cands is None else cands
+        while cur < len(cands):
+            try:
+                k = k_field(s, cands[cur], tol)
+                break
+            except PolicyError as exc:
+                notes[cands[cur]] = str(exc)
+                cur = len(cands) if weyl_vanishes(s, tol).any() else cur + 1
+                if i:
+                    break
+        if strict and cands and cur == len(cands):
+            raise PolicyError(notes[cands[0]])
+        back = i and start < cur < len(cands)
+        if not back:
+            measure(i, s, k)
+        del s, k  # the chunk is freed before the next one is sampled
+        i = 0 if back else i + 1
+    return notes
 
 
 def measure_tensor_verdict(chunks, policy="auto",
                            tolerances=DEFAULT_TOLERANCES, each=None):
-    """The measuring half of the tensor verdict, over samplers of chunks
-    of points (`CurvaturePack.chunks`): `chunks[i]()` gives the
-    CurvatureSamples of chunk i, and `each(samples, measurement)`
-    (optional) runs on each chunk the first time it is sampled, once its
-    genericity is measured.  Returns one TensorMeasurement per chunk, its
-    residuals cut to per-point maxima when there is more than one chunk,
-    so that no chunk's tensors outlive it.
+    """The measuring half of the tensor verdict, on `policy_walk` over
+    samplers of chunks of points: one TensorMeasurement per chunk, its
+    residuals (the `INVARIANTS` the verdict measures) cut to per-point
+    maxima when there is more than one chunk, so that no chunk's tensors
+    outlive it.  `each(samples, measurement)` (optional) runs on each
+    chunk's first visit, once its genericity is measured."""
+    tol, out = tolerances, []
 
-    K is built with the first candidate policy that every chunk seen so
-    far has passed.  A chunk with a numerically vanishing Weyl tensor
-    fails every policy, so K is built no further.  When a later chunk
-    fails the policy in use, the earlier chunks are sampled again and
-    measured with the next one: so each policy that fails is gated on
-    every point up to its first failure, which its note names."""
-    out, cands, cur, i = [], (), 0, 0
-    while i < len(chunks):
-        s = chunks[i]()
-        if i == len(out):
-            out.append(_measure_points(s, tolerances))
-            if each is not None:
-                each(s, out[i])
-            cands = _candidates(policy, s.n)
-            if out[i].weyl_zero.any():
-                cur = len(cands)
-        start, cur = cur, _measure_k(s, out[i], cands, cur, tolerances,
-                                     i == 0)
-        del s  # the chunk is freed before the next one is sampled
-        if i and start < cur < len(cands):
-            i = 0
-            continue
+    def first(s):
+        m = TensorMeasurement(
+            points=list(s.points), scale=s.scale(),
+            weyl_zero=weyl_vanishes(s, tol), c_max=max_norm(s["C"]),
+            a_max=max_norm(s["A"]))
+        if s.n == 3:
+            m.residuals["cotton"] = Residual("cotton", s["A"], s.scale())
+        else:
+            m.genericity = classify_genericity(s, tolerances=tol)
+        out.append(m)
+        if each is not None:
+            each(s, m)
+
+    def measure(i, s, k):
+        m = out[i]
+        if k is not None:
+            m.closedness = k.closedness()
+            for name, inv in INVARIANTS.items():
+                if inv.defined(s.n) and (inv.measured == "K" or (
+                        inv.measured == "generic" and m.genericity.generic)):
+                    m.residuals[name] = inv.build(s, k, tol)
         if len(chunks) > 1:
-            out[i].reduce()
-        i += 1
+            m.reduce()
+
+    notes = policy_walk(chunks, lambda n: _candidates(policy, n), tol,
+                        measure, first)
+    out[0].failures = notes
     return out
 
 
@@ -881,8 +932,7 @@ def _joined_report(ms, n, policy, tol):
                 note = _weyl_note(cand, report.points[bad[0]],
                                   _joined(ms, "c_max")[bad[0]])
             else:
-                note = next((m.failures[cand] for m in ms
-                             if cand in m.failures), None)
+                note = ms[0].failures.get(cand)
             if note is None:
                 chosen = cand
                 break
@@ -1021,11 +1071,9 @@ def decide_cotton_verdict(measurements, pack, policy="auto",
 def conformal_einstein_tensor_verdict(
         samples: CurvatureSamples, policy="auto",
         tolerances=DEFAULT_TOLERANCES) -> ObstructionReport:
-    """Tensor-level decision pipeline on one batch of points: the two
-    halves `measure_tensor_verdict` and `decide_tensor_verdict` on a
-    single chunk, so the report keeps every residual tensor.  `classify`
-    runs the same halves over chunks of points and keeps per-point
-    figures only."""
+    """Tensor-level decision pipeline on one batch of points: both halves
+    on a single chunk, so the report keeps every residual tensor, where
+    `classify` runs them over chunks and keeps per-point figures only."""
     ms = measure_tensor_verdict([lambda: samples], policy, tolerances)
     return decide_tensor_verdict(ms, samples.pack, policy, tolerances)
 
@@ -1033,8 +1081,7 @@ def conformal_einstein_tensor_verdict(
 def cotton_scale_verdict(samples: CurvatureSamples, policy="from-L",
                          tolerances=DEFAULT_TOLERANCES) -> ObstructionReport:
     """Whether the metric is conformal to a C-space, on one batch of
-    points: `measure_tensor_verdict` on a single chunk, then
-    `decide_cotton_verdict`, so the report keeps every residual tensor."""
+    points: both halves on a single chunk, keeping every residual tensor."""
     ms = measure_tensor_verdict([lambda: samples], policy, tolerances)
     return decide_cotton_verdict(ms, samples.pack, policy, tolerances)
 

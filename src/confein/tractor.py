@@ -654,8 +654,8 @@ def rank_obstruction(s: CurvatureSamples, tolerances=DEFAULT_TOLERANCES,
     at every point (given weak genericity).  When a kernel exists and
     sigma is supplied, reports the cosine alignment of the kernel with
     (1/n) D sigma; without sigma no kernel is computed.  `classify` runs
-    it once per chunk of points and decides on the joined ranks
-    (`rank_verdict`)."""
+    its halves apart: `rank_rows` once per chunk of points, `rank_verdict`
+    on the joined ranks."""
     gen = genericity or classify_genericity(s, tolerances)
     ranks, kernels = rank_rows(s, tolerances, kernels=sigma is not None)
     report = rank_verdict(ranks, s.n, gen.weakly_generic)

@@ -1,5 +1,6 @@
 """tools/compare.py: the summary of alternating benchmark pairs, of
-traced passes, and the listing of differing classify runs."""
+traced passes, the inputs and runs of --decisions, and the listing of
+differing runs."""
 
 import importlib.util
 import io
@@ -189,6 +190,9 @@ def test_every_command_runs_on_every_input(tmp_path, monkeypatch):
                    f"{name}.classify.json"]),
             ("w", ["invariants", f"{name}.mspec", "--which", every[n],
                    "--json", f"{name}.invariants.json"]),
+            ("w", ["invariants", f"{name}.mspec", "--which", every[n],
+                   "--upsilon", "x/4", "--json",
+                   f"{name}.invariants-upsilon.json"]),
             ("w", ["identities", f"{name}.mspec", "--json",
                    f"{name}.identities.json"]),
             ("w", ["tractor", f"{name}.mspec", "--sigma", "1", "--json",
@@ -196,6 +200,31 @@ def test_every_command_runs_on_every_input(tmp_path, monkeypatch):
     assert calls == want
     assert (tmp_path / "w" / "four.tractor.exit").read_text() == "1\n"
     assert (tmp_path / "w" / "four.tractor.stdout").read_bytes() == b"out"
+
+
+def test_each_side_writes_its_workloads_and_the_many_point_inputs(
+        tmp_path, monkeypatch):
+    # the many-point list is exported by the side's own catalog, at each
+    # seed, under many-seed<S>/NAME-COUNT.mspec; small counts keep it fast
+    monkeypatch.setattr(compare, "MANY_POINTS",
+                        (("rt4-quartic", 3), ("rt6-quartic", 2)))
+    root = _PATH.parents[1]
+    compare.write_side_inputs(root, ["dense4"], [0, 1], [], tmp_path)
+    got = sorted(p.relative_to(tmp_path).as_posix()
+                 for p in tmp_path.rglob("*.mspec"))
+    assert got == ["dense4-seed0/dense4.mspec", "dense4-seed1/dense4.mspec",
+                   "many-seed0/rt4-quartic-3.mspec",
+                   "many-seed0/rt6-quartic-2.mspec",
+                   "many-seed1/rt4-quartic-3.mspec",
+                   "many-seed1/rt6-quartic-2.mspec"]
+    rt4 = tmp_path / "many-seed1" / "rt4-quartic-3.mspec"
+    assert compare.header_of(rt4) == (4, "u")
+    points = [line for line in rt4.read_text().splitlines()
+              if line.startswith("point =")]
+    assert len(points) == 3
+    assert points != [line for line in (
+        tmp_path / "many-seed0" / "rt4-quartic-3.mspec").read_text(
+        ).splitlines() if line.startswith("point =")]
 
 
 def test_a_key_on_one_side_is_a_changed_field():

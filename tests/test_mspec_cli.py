@@ -1167,3 +1167,51 @@ class TestChunkedClassify:
         code, data = run_cli(tmp_path, "classify", str(p))
         assert data["k_provenance"] == "from-C"
         assert data["notes"][0].startswith("policy from-L: ||L|| = 0.000e+00")
+
+    @pytest.mark.parametrize("case", ["late-from-L", "weyl-after-operator"])
+    def test_invariants_walk_the_policy_fallback_across_chunks(
+            self, tmp_path, monkeypatch, capsys, case):
+        # the two cases of test_policy_fallback_across_chunks, through
+        # invariants: the walk goes back to chunk 0 twice in late-from-L
+        # and builds K with dim4-C3, as classify does, with the same
+        # figures in four chunks or in one; in weyl-after-operator no
+        # candidate is left, and the error names the first failure of
+        # from-L, which depends on the chunks
+        # (test_invariants_gate_names_the_first_failing_chunk)
+        p = tmp_path / "rt4.mspec"
+        assert main(["catalog", "export", "rt4-quartic", "--points", "100",
+                     "--out", str(p)]) == 0
+        pts = get_entry("rt4-quartic").points(n=100, seed=0)
+        if case == "late-from-L":
+            self._zero_at(monkeypatch, "l_operators", pts, [70, 90])
+            self._zero_at(monkeypatch, "weyl_operators", pts, [10, 75])
+        else:
+            self._zero_at(monkeypatch, "l_operators", pts, [5])
+            self._zero_at(monkeypatch, "weyl_vanishes", pts, [80])
+        runs = []
+        for chunk_bytes in (SMALL, WHOLE):
+            monkeypatch.setattr(curvature, "CHUNK_BYTES", chunk_bytes)
+            out = tmp_path / f"invariants-{chunk_bytes}.json"
+            code = main(["invariants", str(p), "--which", "E,cspace,bach",
+                         "--json", str(out)])
+            runs.append((code, out.read_bytes() if out.exists() else None,
+                         capsys.readouterr()))
+        (small, small_report, small_io), (whole, whole_report, whole_io) = runs
+        assert small == whole and small_io.out == whole_io.out == ""
+        assert small_report == whole_report
+        if case == "late-from-L":
+            assert small == 0 and small_io.err == whole_io.err == ""
+            data = json.loads(small_report)
+            assert data["k_provenance"] == "dim4-C3"
+            code, ref = run_cli(tmp_path, "classify", str(p))
+            assert ref["k_provenance"] == "dim4-C3"
+            assert data["invariants"] == {
+                name: ref["residuals"][name] for name in ("E", "cspace",
+                                                          "bach")}
+        else:
+            assert small == 3 and small_report is None
+            assert small_io.err == ("error: policy from-L: ||L|| = 0.000e+00 "
+                                    f"vanishes at point {pts[5]}\n")
+            assert whole_io.err.startswith(
+                "error: policy from-L: the Weyl tensor vanishes numerically "
+                f"at point {pts[80]}")

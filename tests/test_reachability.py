@@ -89,6 +89,10 @@ ROLES = {
     "obstructions.decide_cotton_verdict":
         "product: the paper's Cotton-scale theorem, decided on chunked "
         "measurements",
+    "tractor.rank_obstruction":
+        "product: the paper's tractor-rank theorem on one batch of points, "
+        "with the kernel's alignment to (1/n) D sigma; `classify` runs its "
+        "halves `rank_rows` and `rank_verdict` over chunks",
     "obstructions.cotton_rl2_invariant":
         "product: the paper's Riemannian-signature replacement of F1 "
         "(rl2-cotton, and dim4-cotton at n = 4)",

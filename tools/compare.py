@@ -32,12 +32,16 @@ passes alone.
 --decisions runs no benchmark.  Per side, each checkout's own
 bench/workloads.py writes each workload's inputs at each seed into a
 directory of its own, <side>/<W>-seed<S>/ (`catalog` and `points` both
-write rt6-quartic.mspec), and each --input FILE is copied into
-<side>/inputs/.  Every command that samples the metric is then run on
-every input, `python -m confein.cli COMMAND NAME.mspec ARGS --json
-NAME.COMMAND.json` from the input's directory with that side's sources
-(`COMMANDS`): classify, invariants with every invariant of the input's
-dimension, identities, and tractor with sigma = 1.  Every run whose
+write rt6-quartic.mspec), its own catalog exports the standing list of
+many-point inputs (`MANY_POINTS`, whose points span chunk boundaries at
+n = 4, 5 and 6) at each seed into <side>/many-seed<S>/NAME-COUNT.mspec,
+and each --input FILE is copied into <side>/inputs/.  Every command that
+samples the metric is then run on every input, `python -m confein.cli
+COMMAND NAME.mspec ARGS --json NAME.RUN.json` from the input's directory
+with that side's sources (`COMMANDS`, keyed by RUN): classify, invariants
+with every invariant of the input's dimension, the same with --upsilon
+<first coordinate>/4 (its covariance fit), identities, and tractor with
+sigma = 1.  Every run whose
 input bytes, report bytes, stdout, stderr or exit code differ is listed
 with its changed decision fields (every leaf of the report that is not a
 float and differs, or is on one side only) and each moved float, with
@@ -85,23 +89,33 @@ def invariants_of(n):
     return ",".join(names)
 
 
-def dimension_of(mspec):
-    """The `dim = N` of an .mspec file."""
+def header_of(mspec):
+    """(N, X) of an .mspec file's `dim = N` and `coords = X, ...` lines."""
+    fields = {}
     for line in mspec.read_text(encoding="utf-8").splitlines():
         key, _, value = line.partition("=")
-        if key.strip() == "dim":
-            return int(value)
-    raise ValueError(f"{mspec} names no dimension")
+        fields.setdefault(key.strip(), value.strip())
+    if "dim" not in fields or "coords" not in fields:
+        raise ValueError(f"{mspec} names no dimension or no coordinates")
+    return int(fields["dim"]), fields["coords"].split(",")[0].strip()
 
 
-# each command that samples the metric, and its arguments after the input
-# file given the input's dimension n
+# each run of a command that samples the metric: the command and its
+# arguments after the input file, given the input's dimension n and first
+# coordinate x
 COMMANDS = {
-    "classify": lambda n: [],
-    "invariants": lambda n: ["--which", invariants_of(n)],
-    "identities": lambda n: [],
-    "tractor": lambda n: ["--sigma", "1"],
+    "classify": lambda n, x: ["classify"],
+    "invariants": lambda n, x: ["invariants", "--which", invariants_of(n)],
+    "invariants-upsilon": lambda n, x: [
+        "invariants", "--which", invariants_of(n), "--upsilon", f"{x}/4"],
+    "identities": lambda n, x: ["identities"],
+    "tractor": lambda n, x: ["tractor", "--sigma", "1"],
 }
+# the standing many-point inputs of --decisions: catalog entries whose
+# points span chunk boundaries (512, 160 and 64 points a chunk at n = 4, 5
+# and 6), and a potential over three chunks
+MANY_POINTS = (("rt4-quartic", 1100), ("rt5-quartic", 400),
+               ("rt6-quartic", 200), ("hyperkahler4", 1100))
 
 
 def run_bench(root, workload, seed, seconds, trace=0):
@@ -218,18 +232,30 @@ def side_env(root, *dirs):
 def write_side_inputs(root, workloads, seeds, inputs, dest):
     """Write each workload's inputs at each seed into dest/<W>-seed<S>/
     with `root`'s own bench/workloads.py (every workload it names when
-    `workloads` is empty), and copy the extra `inputs` into dest/inputs/."""
+    `workloads` is empty), export `MANY_POINTS` at each seed into
+    dest/many-seed<S>/ with `root`'s own catalog, and copy the extra
+    `inputs` into dest/inputs/."""
     script = (
         "import os, sys, workloads\n"
-        "dest, seeds, names = sys.argv[1], sys.argv[2].split(','), "
-        "sys.argv[3:]\n"
+        "from confein.cli import main\n"
+        "dest, seeds, many, names = sys.argv[1], sys.argv[2].split(','), "
+        "sys.argv[3], sys.argv[4:]\n"
         "for w in names or workloads.WORKLOADS:\n"
         "    for s in seeds:\n"
         "        d = os.path.join(dest, f'{w}-seed{s}')\n"
         "        os.makedirs(d)\n"
-        "        workloads.write_inputs(w, int(s), d)\n")
+        "        workloads.write_inputs(w, int(s), d)\n"
+        "for s in seeds:\n"
+        "    d = os.path.join(dest, f'many-seed{s}')\n"
+        "    os.makedirs(d)\n"
+        "    for item in many.split(','):\n"
+        "        name, count = item.split(':')\n"
+        "        path = os.path.join(d, f'{name}-{count}.mspec')\n"
+        "        assert main(['catalog', 'export', name, '--points', count,\n"
+        "                     '--seed', s, '--out', path]) == 0\n")
+    many = ",".join(f"{name}:{count}" for name, count in MANY_POINTS)
     subprocess.run([sys.executable, "-c", script, str(dest),
-                    ",".join(map(str, seeds)), *workloads], cwd=root,
+                    ",".join(map(str, seeds)), many, *workloads], cwd=root,
                    env=side_env(root, "src", "bench"),
                    stdin=subprocess.DEVNULL, check=True)
     if inputs:
@@ -239,16 +265,17 @@ def write_side_inputs(root, workloads, seeds, inputs, dest):
 
 
 def run_tree(root, dest, log=sys.stderr):
-    """Run every command of `COMMANDS` on every input under `dest` with
+    """Run every run of `COMMANDS` on every input under `dest` with
     `root`'s sources, keeping each run's report, stdout, stderr and exit
-    code beside the input, as NAME.COMMAND.{json,stdout,stderr,exit}."""
+    code beside the input, as NAME.RUN.{json,stdout,stderr,exit}."""
     for mspec in sorted(dest.rglob("*.mspec")):
-        n = dimension_of(mspec)
-        for command, args in COMMANDS.items():
-            stem = mspec.with_name(f"{mspec.stem}.{command}")
+        n, x = header_of(mspec)
+        for run, args in COMMANDS.items():
+            command, *rest = args(n, x)
+            stem = mspec.with_name(f"{mspec.stem}.{run}")
             proc = subprocess.run(
                 [sys.executable, "-m", "confein.cli", command, mspec.name,
-                 *args(n), "--json", stem.name + ".json"],
+                 *rest, "--json", stem.name + ".json"],
                 cwd=mspec.parent, env=side_env(root, "src"),
                 stdin=subprocess.DEVNULL, capture_output=True)
             stem.with_name(stem.name + ".stdout").write_bytes(proc.stdout)
