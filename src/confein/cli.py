@@ -24,9 +24,9 @@ residuals and scales (`curvature.identity_suite`); `invariants` the
 maxima and scales of each invariant and cross-check, the closedness of K
 and the values its covariance fit reads; `tractor` the maxima of its
 residuals and scales.  `classify` and `invariants` build K on the chunks
-by one walk (`obstructions.policy_walk`).  An error raised while sampling
-or measuring names the first failing point of the first chunk that
-fails."""
+by one walk (`obstructions.policy_walk`); only they take --policy and
+--rank-tol.  An error raised while sampling or measuring names the first
+failing point of the first chunk that fails."""
 
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import __version__
 from .catalog import entry_names, get_entry
-from .config import Tolerances
+from .config import DEFAULT_TOLERANCES, Tolerances
 from .curvature import CurvaturePack, identity_suite, scalar_jet
 from .evaluate import DomainError, UnboundSymbolError
 from .expressions import ExprSyntaxError, parse
@@ -50,9 +50,9 @@ from .geometry import SingularMetricError, conformal_rescale
 from .mspecfile import MetricSpecError, dumps_mspec, entry_to_mspec, loads_mspec
 from .obstructions import (
     INVARIANTS,
+    POLICIES,
     THEOREM_IDS,
     Residual,
-    _candidates,
     covariance_exponent,
     decide_tensor_verdict,
     dimension_rules,
@@ -68,9 +68,6 @@ from .tractor import (  # noqa: F401
 
 EXIT_YES, EXIT_NO, EXIT_INCONCLUSIVE, EXIT_INPUT = 0, 1, 2, 3
 EXIT_INTERNAL = 4
-
-# the invariants whose covariance fit `invariants --upsilon` reports
-_FITTED = ("F1", "G", "Gbar", "dim4")
 
 
 class InputError(Exception):
@@ -100,37 +97,45 @@ def _reads_input(fn):
 _parse = _reads_input(parse)
 
 
-def _common_flags(p):
-    p.add_argument("--tol-rel", type=float, default=1e-8)
-    p.add_argument("--tol-abs", type=float, default=1e-12)
-    p.add_argument("--rank-tol", type=float, default=1e-8)
+# the flags of a command that samples; `decides` adds --rank-tol and
+# --policy, which only the commands that choose K's policy and decide ranks
+# read
+def _common_flags(p, decides):
+    tol = DEFAULT_TOLERANCES
+    p.add_argument("--tol-rel", type=float, default=tol.tol_rel)
+    p.add_argument("--tol-abs", type=float, default=tol.tol_abs)
+    if decides:
+        p.add_argument("--rank-tol", type=float, default=tol.rank_tol)
     p.add_argument("--points", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--policy", choices=("from-L", "from-C", "dim4-C3", "auto"),
-                   default="auto")
+    if decides:
+        p.add_argument("--policy", choices=POLICIES + ("auto",),
+                       default="auto")
     p.add_argument("--json", dest="json_out", metavar="PATH",
                    help="write the JSON report to PATH instead of stdout")
 
 
-def _file_flags(p):
+def _file_flags(p, decides=True):
     p.add_argument("file")
-    _common_flags(p)
+    _common_flags(p, decides)
 
 
 def _invariants_flags(p):
     p.add_argument("file")
-    p.add_argument("--which", default="E,cspace,bach",
+    # by default, every invariant defined in every dimension
+    p.add_argument("--which", default=",".join(
+        w for w, inv in INVARIANTS.items() if inv.dims is None),
                    help="comma list from: " + ",".join(INVARIANTS))
     p.add_argument("--upsilon", default=None,
                    help="conformal factor for a covariance run (overrides "
                         "the file's `conformal` entry)")
-    _common_flags(p)
+    _common_flags(p, decides=True)
 
 
 def _tractor_flags(p):
     p.add_argument("file")
     p.add_argument("--sigma", default="1")
-    _common_flags(p)
+    _common_flags(p, decides=False)
 
 
 def _catalog_flags(p):
@@ -143,8 +148,9 @@ def _catalog_flags(p):
 
 @_reads_input
 def _tolerances(args):
-    tol = Tolerances(tol_rel=args.tol_rel, tol_abs=args.tol_abs,
-                     rank_tol=args.rank_tol)
+    # identities and tractor take no --rank-tol and report the default
+    tol = Tolerances(args.tol_rel, args.tol_abs, getattr(
+        args, "rank_tol", DEFAULT_TOLERANCES.rank_tol))
     if args.points < 1:
         raise InputError("need at least one sample point")
     return tol
@@ -262,10 +268,10 @@ def cmd_invariants(args):
     """The named invariants (`obstructions.INVARIANTS`) and, given a factor
     upsilon, their covariance fit, one chunk at a time.  A chunk keeps
     each invariant's and cross-check's per-point maxima and scales, the
-    closedness of K and, for the fit, upsilon and the _FITTED values on g
-    and e^{2 upsilon} g.  K is built by classify's walk
-    (`obstructions.policy_walk`); when every candidate fails, the first
-    one's note is raised."""
+    closedness of K and, for the fit, upsilon and the values on g and
+    e^{2 upsilon} g of each invariant that does not read K.  K is built by
+    classify's walk (`obstructions.policy_walk`); when every candidate
+    fails, the first one's note is raised."""
     tol = _tolerances(args)
     spec, g, points, digest = _load(args)
     which = list(dict.fromkeys(w.strip() for w in args.which.split(",")
@@ -286,11 +292,6 @@ def cmd_invariants(args):
     ups = _parse(args.upsilon) if args.upsilon else spec.conformal
     hpack = None if ups is None else CurvaturePack(conformal_rescale(g, ups))
     needs_k = any(INVARIANTS[w].reads_k for w in which)
-    # no policy applies in dimension 3, where the Weyl tensor vanishes:
-    # the one asked for, or from-L, names that failure
-    cands = (_candidates(args.policy, g.dim) or (
-        "from-L" if args.policy == "auto" else args.policy,)
-             if needs_k else ())
     parts = {}  # chunk -> (figures, closedness of K, fits, upsilon, errors)
 
     def measure(i, s, k):
@@ -299,10 +300,10 @@ def cmd_invariants(args):
         for name in which:
             r = INVARIANTS[name].build(s, k, tol)
             figures[name] = r.reduced()
-            if name in ("G", "Gbar"):
+            if INVARIANTS[name].policy is not None:
                 figures[f"{name}_cross_check_rel"] = e_cross_check(
                     s, r, tol).reduced()
-            if hpack is not None and name in _FITTED:
+            if hpack is not None and not INVARIANTS[name].reads_k:
                 values[name] = r.values
         uvals = None
         if hpack is not None:
@@ -320,14 +321,15 @@ def cmd_invariants(args):
                                          weyl_operators(hs).dets[:, None])
         parts[i] = (figures, closed, fits, uvals, errors)
 
-    notes = policy_walk(CurvaturePack(g).chunks(points), lambda n: cands,
-                        tol, measure, strict=True)
+    policy, _ = policy_walk(CurvaturePack(g).chunks(points),
+                            args.policy if needs_k else None, tol, measure,
+                            strict=True)
     figures, closed, fits, uvals, errors = zip(
         *(parts[i] for i in range(len(parts))))
     out = _report_skeleton(digest, tol, args)
     out["points"] = points
     if needs_k:
-        out["k_provenance"] = next(c for c in cands if c not in notes)
+        out["k_provenance"] = policy
         out["k_closedness"] = float(np.max(np.concatenate(closed)))
     res = {}
     for name in figures[0]:
@@ -409,7 +411,8 @@ _COMMANDS = {
                  cmd_classify),
     "invariants": ("evaluate named obstruction invariants", _invariants_flags,
                    cmd_invariants),
-    "identities": ("curvature identity residual table", _file_flags,
+    "identities": ("curvature identity residual table",
+                   functools.partial(_file_flags, decides=False),
                    cmd_identities),
     "tractor": ("parallel-tractor scale test", _tractor_flags, cmd_tractor),
     "catalog": ("list or export built-in metrics", _catalog_flags,

@@ -593,9 +593,10 @@ def f2(samples: CurvatureSamples) -> Residual:
                          *_pair(samples, "from-C", 0))
 
 
-def _policy_e(samples, name, weight, policy, tol):
-    """E cleared by a policy's pair (weight `weight`), gated at `tol`."""
+def _policy_e(samples, name, weight, tol):
+    """E cleared by its row's policy's pair (weight `weight`), gated."""
     _need(samples, name)
+    policy = INVARIANTS[name].policy
     _gate(samples, policy, tol)
     det, q = _pair(samples, policy, 1)
     return _cleared_e(samples, name, weight, det, _lowered(samples, q))
@@ -604,20 +605,19 @@ def _policy_e(samples, name, weight, policy, tol):
 def g_tensor(samples: CurvatureSamples, tol=DEFAULT_TOLERANCES):
     """The ||L||-cleared natural display of E (weight -8n), its from-L
     policy gated at `tol`."""
-    return _policy_e(samples, "G", -8 * samples.n, "from-L", tol)
+    return _policy_e(samples, "G", -8 * samples.n, tol)
 
 
 def gbar_tensor(samples: CurvatureSamples, tol=DEFAULT_TOLERANCES):
     """The ||C||-cleared display (weight 2n(1-n)), its from-C policy gated
     at `tol`."""
-    return _policy_e(samples, "Gbar", 2 * samples.n * (1 - samples.n),
-                     "from-C", tol)
+    return _policy_e(samples, "Gbar", 2 * samples.n * (1 - samples.n), tol)
 
 
 def e_cross_check(samples, display, tol=DEFAULT_TOLERANCES):
-    """The display G or Gbar less D^2 E, D and K of its policy gated at
-    `tol`, against max |D^2 E| per point (relative error max / max_scale)."""
-    policy = {"G": "from-L", "Gbar": "from-C"}[display.name]
+    """The display G or Gbar less D^2 E, D and K of its row's policy gated
+    at `tol`, against max |D^2 E| per point (relative error max/scale)."""
+    policy = INVARIANTS[display.name].policy
     det = _pair(samples, policy, 1)[0]
     e = e_tensor(samples, k_field(samples, policy, tol))
     ref = (det[:, 0] ** 2)[:, None, None] * e.values
@@ -634,7 +634,8 @@ def dim4_invariant(samples: CurvatureSamples) -> Residual:
 
 
 class Invariant(NamedTuple):
-    """A row of `INVARIANTS`."""
+    """A row of `INVARIANTS`.  `policy` is the left-inverse policy that
+    gates and clears it (G, Gbar) and builds K for `e_cross_check`."""
 
     build: Callable              # (samples, K, tolerances) -> Residual
     dims: str | None = None      # "n >= 4" or "n = 4"; None: every n
@@ -643,6 +644,7 @@ class Invariant(NamedTuple):
     # ("K"), on those whose points are all generic too ("generic", the F
     # system), or nowhere (None: G and Gbar, gated by their own policies)
     measured: str | None = "K"
+    policy: str | None = None
 
     def defined(self, n):
         _, op, low = (self.dims or "n >= 3").split()
@@ -655,9 +657,9 @@ INVARIANTS = {
     "F2": Invariant(lambda s, k, tol: f2(s), "n >= 4", measured="generic"),
     "E": Invariant(lambda s, k, tol: e_tensor(s, k), reads_k=True),
     "G": Invariant(lambda s, k, tol: g_tensor(s, tol), "n >= 4",
-                   measured=None),
+                   measured=None, policy="from-L"),
     "Gbar": Invariant(lambda s, k, tol: gbar_tensor(s, tol), "n >= 4",
-                      measured=None),
+                      measured=None, policy="from-C"),
     "dim4": Invariant(lambda s, k, tol: dim4_invariant(s), "n = 4"),
     "cspace": Invariant(lambda s, k, tol: cspace_residual(s, k),
                         reads_k=True),
@@ -810,7 +812,7 @@ class TensorMeasurement:
     c_max: np.ndarray          # max |C| per point
     a_max: np.ndarray          # max |A| per point
     genericity: GenericityReport | None = None    # n >= 4
-    failures: dict = field(default_factory=dict)  # the walk's notes, chunk 0
+    walk: tuple | None = None  # chunk 0: `policy_walk`'s policy and notes
     residuals: dict = field(default_factory=dict)  # name -> Residual
     closedness: np.ndarray | None = None           # max |d[a K b]| per point
 
@@ -819,30 +821,33 @@ class TensorMeasurement:
                           for name, r in self.residuals.items()}
 
 
-def _candidates(policy, n):
-    """The left-inverse policies to try, in order."""
+def _candidates(policy, n, strict=False):
+    """The left-inverse policies to try, in order: none in dimension 3,
+    where the Weyl tensor vanishes, but with `strict` the one asked for,
+    or from-L, so that its failure is noted."""
     _check_policy(policy, POLICIES + ("auto",))
-    if n == 3:
+    if n == 3 and not strict:
         return ()
     if policy != "auto":
         return (policy,)
-    return ("from-L", "from-C") + (("dim4-C3",) if n == 4 else ())
+    return POLICIES[:1] if n == 3 else POLICIES if n == 4 else POLICIES[:2]
 
 
-def policy_walk(chunks, candidates, tol, measure, first=None, strict=False):
+def policy_walk(chunks, policy, tol, measure, first=None, strict=False):
     """The one K policy of `classify` and `invariants`: walk the samplers
     `chunks` (`CurvaturePack.chunks`) and build K on each chunk with the
-    first of `candidates(n)` that every chunk so far passed.  `first(s)`
-    runs on a chunk's first visit, before K is built, and `measure(i, s,
-    k)` on chunk i with its K (None where no candidate is left); a chunk is
-    freed before the next is sampled.
+    first of `_candidates(policy, n, strict)` (none for policy None) that
+    every chunk so far passed.  `first(s)` runs on a chunk's first visit,
+    before K is built, and `measure(i, s, k)` on chunk i with its K (None
+    where no candidate is left); a chunk is freed before the next one.
 
     A candidate that chunk 0 fails gives way to the next on chunk 0; one
     that a later chunk fails sends the walk back to chunk 0 with the next.
     Where the Weyl tensor vanishes numerically every policy fails, so K is
-    built no further.  Returns each failed candidate's note, made at its
-    first failure; with `strict`, the first candidate's note is raised as
-    PolicyError once no candidate is left."""
+    built no further.  Returns the policy K was built with (None if none
+    was left) and each failed candidate's note, made at its first failure;
+    with `strict`, the first candidate's note is raised as PolicyError
+    once no candidate is left."""
     notes, cands, cur, i, seen = {}, None, 0, 0, 0
     while i < len(chunks):
         s, k, start = chunks[i](), None, cur
@@ -850,7 +855,8 @@ def policy_walk(chunks, candidates, tol, measure, first=None, strict=False):
             seen += 1
             if first is not None:
                 first(s)
-        cands = candidates(s.n) if cands is None else cands
+        if cands is None:
+            cands = () if policy is None else _candidates(policy, s.n, strict)
         while cur < len(cands):
             try:
                 k = k_field(s, cands[cur], tol)
@@ -867,7 +873,7 @@ def policy_walk(chunks, candidates, tol, measure, first=None, strict=False):
             measure(i, s, k)
         del s, k  # the chunk is freed before the next one is sampled
         i = 0 if back else i + 1
-    return notes
+    return (cands[cur] if cur < len(cands) else None), notes
 
 
 def measure_tensor_verdict(chunks, policy="auto",
@@ -904,9 +910,7 @@ def measure_tensor_verdict(chunks, policy="auto",
         if len(chunks) > 1:
             m.reduce()
 
-    notes = policy_walk(chunks, lambda n: _candidates(policy, n), tol,
-                        measure, first)
-    out[0].failures = notes
+    out[0].walk = policy_walk(chunks, policy, tol, measure, first)
     return out
 
 
@@ -916,27 +920,21 @@ def _joined(ms, name):
 
 
 def _joined_report(ms, n, policy, tol):
-    """The deciders' head: the report over the joined measurements and the
-    first candidate policy every chunk passed, each failed one before it
-    noted at the batch's first point where C vanishes, else where its
-    operator fails.  Returns (report, that policy or None, K closes)."""
+    """The deciders' head: the report over the joined measurements, with
+    the walk's policy and notes, or where C vanishes (failing every policy)
+    each candidate's note at the batch's first such point.  Returns
+    (report, that policy or None, K closes)."""
     report = ObstructionReport(n=n, points=[p for m in ms for p in m.points],
                                genericity=None)
-    chosen = None
+    chosen, failures = ms[0].walk
     if n > 3:
         report.genericity = GenericityReport.of(
             [pg for m in ms for pg in m.genericity.per_point])
         bad = np.flatnonzero(_joined(ms, "weyl_zero"))
-        for cand in _candidates(policy, n):
-            if bad.size:
-                note = _weyl_note(cand, report.points[bad[0]],
-                                  _joined(ms, "c_max")[bad[0]])
-            else:
-                note = ms[0].failures.get(cand)
-            if note is None:
-                chosen = cand
-                break
-            report.notes.append(note)
+        report.notes = list(failures.values()) if not bad.size else [
+            _weyl_note(cand, report.points[bad[0]],
+                       _joined(ms, "c_max")[bad[0]])
+            for cand in _candidates(policy, n)]
         if chosen is None:
             return report, None, False
         report.k_provenance = chosen

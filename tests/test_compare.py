@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -166,12 +167,19 @@ def test_each_command_of_an_input_is_its_own_run(tmp_path):
 
 
 def test_every_command_runs_on_every_input(tmp_path, monkeypatch):
-    calls = []
+    calls, queries = [], []
+    every = {3: "E,cspace,bach", 4: "E,cspace,bach,F1,F2,G,Gbar,dim4",
+             5: "E,cspace,bach,F1,F2,G,Gbar"}
 
     class Done:
         returncode, stdout, stderr = 1, b"out", b""
 
     def fake_run(argv, cwd, env, stdin, capture_output):
+        if argv[1] == "-c":
+            # the side's invariants of dimension argv[3]
+            queries.append((Path(cwd).name, int(argv[3])))
+            return SimpleNamespace(returncode=0, stderr=b"",
+                                   stdout=every[int(argv[3])].encode())
         calls.append((Path(cwd).name, argv[3:]))
         return Done()
 
@@ -181,8 +189,8 @@ def test_every_command_runs_on_every_input(tmp_path, monkeypatch):
         (tmp_path / "w" / f"{name}.mspec").write_text(
             f"# {name}\ndim = {n}\ncoords = x\n")
     compare.run_tree(tmp_path, tmp_path / "w", log=io.StringIO())
-    every = {3: "E,cspace,bach", 4: "E,cspace,bach,F1,F2,G,Gbar,dim4",
-             5: "E,cspace,bach,F1,F2,G,Gbar"}
+    # the invariants of each dimension are asked of the side's root
+    assert queries == [(tmp_path.name, n) for n in (5, 4, 3)]
     want = []
     for name, n in (("five", 5), ("four", 4), ("three", 3)):
         want += [
@@ -225,6 +233,79 @@ def test_each_side_writes_its_workloads_and_the_many_point_inputs(
     assert points != [line for line in (
         tmp_path / "many-seed0" / "rt4-quartic-3.mspec").read_text(
         ).splitlines() if line.startswith("point =")]
+
+
+def _side_with_table(root, rows):
+    """A checkout whose `obstructions.INVARIANTS` has a row per name of
+    `rows`, defined from the dimension it maps to on, and whose CLI prints
+    its arguments."""
+    pkg = root / "src" / "confein"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "obstructions.py").write_text(
+        "class Row:\n"
+        "    def __init__(self, low):\n"
+        "        self.low = low\n"
+        "    def defined(self, n):\n"
+        "        return n >= self.low\n"
+        f"INVARIANTS = {{name: Row(low) for name, low in {rows!r}.items()}}\n")
+    (pkg / "cli.py").write_text("import sys\nprint(*sys.argv[1:])\n")
+
+
+def test_each_side_runs_the_invariants_of_its_own_table(tmp_path):
+    # the change's table has one row more than the parent's, defined from
+    # n = 5 on: only its runs at n = 5 name it
+    rows = {"E": 3, "F1": 4}
+    _side_with_table(tmp_path / "parent", rows)
+    _side_with_table(tmp_path / "change", {**rows, "new": 5})
+    trees = {side: tmp_path / "work" / side for side in compare.SIDES}
+    for side, tree in trees.items():
+        tree.mkdir(parents=True)
+        for name, n in (("a", 4), ("b", 5), ("c", 5)):
+            (tree / f"{name}.mspec").write_text(
+                f"dim = {n}\ncoords = x, y\n")
+        compare.run_tree(tmp_path / side, tree, log=io.StringIO())
+    for run in ("invariants", "invariants-upsilon"):
+        which = {(side, name): (tree / f"{name}.{run}.stdout").read_text()
+                 .split()[3] for side, tree in trees.items()
+                 for name in "abc"}
+        assert which == {
+            ("parent", "a"): "E,F1", ("parent", "b"): "E,F1",
+            ("parent", "c"): "E,F1", ("change", "a"): "E,F1",
+            ("change", "b"): "E,F1,new", ("change", "c"): "E,F1,new"}
+    listing = compare.decision_diffs(trees["parent"], trees["change"])
+    assert [(row["input"], row["command"], row["differ"])
+            for row in listing] == [
+        ("b", "invariants", ["stdout"]),
+        ("b", "invariants-upsilon", ["stdout"]),
+        ("c", "invariants", ["stdout"]),
+        ("c", "invariants-upsilon", ["stdout"])]
+
+
+def test_a_moved_maximum_is_scaled_by_its_sibling_scale():
+    parent = {"residuals": {"cspace": {"max": 1e-12, "scale": 4e3},
+                            "E": {"max": 1e-9}},
+              "invariants": {"F1": {"max": 2.0, "scale": 0.0}},
+              "k_closedness": 0.5}
+    change = _moved(parent, **{"residuals/cspace/max": 3e-12,
+                               "residuals/E/max": 2e-9,
+                               "invariants/F1/max": 2.5,
+                               "k_closedness": 0.25})
+    changed, moved = compare.report_changes(parent, change)
+    assert changed == []
+    moved = {m["path"]: m for m in moved}
+    assert moved["residuals.cspace.max"]["scaled"] == pytest.approx(5e-16)
+    # no sibling scale, a zero one, or no maximum: no scaled move
+    for path in ("residuals.E.max", "invariants.F1.max", "k_closedness"):
+        assert "scaled" not in moved[path]
+    text = compare.format_listing([{
+        "input": "i", "command": "classify", "differ": ["json"],
+        "exit": {"parent": 0, "change": 0},
+        "moved": [moved["residuals.cspace.max"], moved["k_closedness"]]}])
+    assert text[1:] == [
+        "  residuals.cspace.max: 1e-12 -> 3e-12 (abs 2e-12, rel 2e-12, "
+        "scaled 5e-16)",
+        "  k_closedness: 0.5 -> 0.25 (abs 0.25, rel 0.25)"]
 
 
 def test_a_key_on_one_side_is_a_changed_field():

@@ -731,6 +731,63 @@ class TestCli:
         assert built == [argv[0] if argv and argv[0] in cli._COMMANDS
                          else None]
 
+    @pytest.mark.parametrize("option", [
+        ["--policy", "auto"], ["--rank-tol", "1e-6"], ["--rank-tol", "0"]],
+        ids=" ".join)
+    @pytest.mark.parametrize("argv", [["identities"],
+                                      ["tractor", "--sigma", "1"]],
+                             ids=lambda argv: argv[0])
+    def test_identities_and_tractor_take_no_policy_or_rank_tol(
+            self, tmp_path, schw_file, capsys, argv, option):
+        # neither command chooses K's policy or decides a rank: either
+        # option is an unrecognized argument (exit 2, with the usage line
+        # of every unrecognized argument), and the report's rank_tol is
+        # the default
+        command, *rest = argv
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(schw_file), *rest, *option])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "usage: confein [-h] {classify,invariants,identities,tractor,"
+            "catalog} ...",
+            f"confein: error: unrecognized arguments: {' '.join(option)}"]
+        with pytest.raises(SystemExit):
+            main([command, "-h"])
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert usage.startswith(f"usage: confein {command} [-h]")
+        assert "--policy" not in usage and "--rank-tol" not in usage
+        code, data = run_cli(tmp_path, command, str(schw_file), *rest,
+                             "--points", "2")
+        assert code in (0, 1)
+        assert data["tolerances"]["rank_tol"] == 1e-08
+
+    @pytest.mark.parametrize("argv", [["classify"],
+                                      ["invariants", "--which", "E"]],
+                             ids=lambda argv: argv[0])
+    def test_classify_and_invariants_take_policy_and_rank_tol(
+            self, tmp_path, schw_file, argv):
+        command, *rest = argv
+        code, data = run_cli(tmp_path, command, str(schw_file), *rest,
+                             "--points", "2", "--policy", "from-L",
+                             "--rank-tol", "1e-6")
+        assert code == 0
+        assert data["tolerances"]["rank_tol"] == 1e-06
+        assert data["k_provenance"] == "from-L"
+
+    @pytest.mark.parametrize("name, n", [("rt5-quartic", 5),
+                                         ("rt6-quartic", 6)])
+    def test_invariants_fit_f2_at_its_weight(self, tmp_path, name, n):
+        # F2 reads no K, so --upsilon fits it as it fits F1, G and Gbar:
+        # its conformal weight is -2n(n-1)-2
+        p = tmp_path / f"{name}.mspec"
+        assert main(["catalog", "export", name, "--out", str(p)]) == 0
+        code, data = run_cli(tmp_path, "invariants", str(p), "--which", "F2",
+                             "--upsilon", "u/4")
+        assert code == 0
+        assert data["covariance"]["F2"]["fitted_exponent"] == pytest.approx(
+            -2 * n * (n - 1) - 2, abs=1e-6)
+
     def test_console_entry_point(self, schw_file):
         r = subprocess.run([sys.executable, "-m", "confein.cli", "identities",
                             str(schw_file), "--points", "3"],
@@ -1083,7 +1140,7 @@ class TestChunkedClassify:
                 np.max(np.abs(cross.values))
                 / max(np.max(cross.scale), 1e-300))
         cov = {}
-        for name in ("F1", "G", "Gbar"):
+        for name in ("F1", "F2", "G", "Gbar"):
             w, spread = ob.covariance_exponent(
                 displays[name](s).values, displays[name](hs).values, uvals)
             cov[name] = {"fitted_exponent": w, "spread": spread}

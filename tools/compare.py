@@ -39,14 +39,16 @@ and each --input FILE is copied into <side>/inputs/.  Every command that
 samples the metric is then run on every input, `python -m confein.cli
 COMMAND NAME.mspec ARGS --json NAME.RUN.json` from the input's directory
 with that side's sources (`COMMANDS`, keyed by RUN): classify, invariants
-with every invariant of the input's dimension, the same with --upsilon
-<first coordinate>/4 (its covariance fit), identities, and tractor with
-sigma = 1.  Every run whose
+with every invariant that the side's own `obstructions.INVARIANTS`
+defines in the input's dimension (`invariants_of`), the same with
+--upsilon <first coordinate>/4 (its covariance fit), identities, and
+tractor with sigma = 1.  Every run whose
 input bytes, report bytes, stdout, stderr or exit code differ is listed
 with its changed decision fields (every leaf of the report that is not a
 float and differs, or is on one side only) and each moved float, with
-its absolute move and its move relative to max(1, |parent value|).  The
-exit code is 1 when any run differs, else 0.
+its absolute move, its move relative to max(1, |parent value|) and, for
+a `....max` whose sibling `....scale` is in the parent report, its move
+against that scale.  The exit code is 1 when any run differs, else 0.
 
 With --out the result is merged into PATH's JSON object, beside the
 workloads it already holds and into the entry of the same workload and
@@ -80,15 +82,6 @@ HOST_VARS = THREAD_VARS + ("PYTHONDONTWRITEBYTECODE",)
 RUN_PARTS = ("mspec", "exit", "stdout", "stderr", "json")
 
 
-def invariants_of(n):
-    """`--which` of every invariant defined in dimension n: F1, F2, G and
-    Gbar need n >= 4, dim4 needs n = 4."""
-    names = ["E", "cspace", "bach"]
-    names += ["F1", "F2", "G", "Gbar"] if n >= 4 else []
-    names += ["dim4"] if n == 4 else []
-    return ",".join(names)
-
-
 def header_of(mspec):
     """(N, X) of an .mspec file's `dim = N` and `coords = X, ...` lines."""
     fields = {}
@@ -101,15 +94,15 @@ def header_of(mspec):
 
 
 # each run of a command that samples the metric: the command and its
-# arguments after the input file, given the input's dimension n and first
-# coordinate x
+# arguments after the input file, given every invariant of the input's
+# dimension (`invariants_of`) and its first coordinate x
 COMMANDS = {
-    "classify": lambda n, x: ["classify"],
-    "invariants": lambda n, x: ["invariants", "--which", invariants_of(n)],
-    "invariants-upsilon": lambda n, x: [
-        "invariants", "--which", invariants_of(n), "--upsilon", f"{x}/4"],
-    "identities": lambda n, x: ["identities"],
-    "tractor": lambda n, x: ["tractor", "--sigma", "1"],
+    "classify": lambda which, x: ["classify"],
+    "invariants": lambda which, x: ["invariants", "--which", which],
+    "invariants-upsilon": lambda which, x: [
+        "invariants", "--which", which, "--upsilon", f"{x}/4"],
+    "identities": lambda which, x: ["identities"],
+    "tractor": lambda which, x: ["tractor", "--sigma", "1"],
 }
 # the standing many-point inputs of --decisions: catalog entries whose
 # points span chunk boundaries (512, 160 and 64 points a chunk at n = 4, 5
@@ -264,14 +257,35 @@ def write_side_inputs(root, workloads, seeds, inputs, dest):
             shutil.copyfile(path, dest / "inputs" / path.name)
 
 
+def invariants_of(root, n):
+    """`--which` of every invariant that `root`'s own
+    `obstructions.INVARIANTS` defines in dimension n, in its order."""
+    script = ("import sys\n"
+              "from confein.obstructions import INVARIANTS\n"
+              "print(','.join(name for name, inv in INVARIANTS.items()\n"
+              "               if inv.defined(int(sys.argv[1]))))\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(n)], cwd=root,
+                          env=side_env(root, "src"),
+                          stdin=subprocess.DEVNULL, capture_output=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"the invariants of dimension {n} in {root}: "
+                           f"exit {proc.returncode}:\n"
+                           f"{proc.stderr.decode()[-2000:]}")
+    return proc.stdout.decode().strip()
+
+
 def run_tree(root, dest, log=sys.stderr):
     """Run every run of `COMMANDS` on every input under `dest` with
     `root`'s sources, keeping each run's report, stdout, stderr and exit
-    code beside the input, as NAME.RUN.{json,stdout,stderr,exit}."""
+    code beside the input, as NAME.RUN.{json,stdout,stderr,exit}.  The
+    invariants of each dimension are asked of `root` once."""
+    which = {}  # dimension -> invariants_of(root, dimension)
     for mspec in sorted(dest.rglob("*.mspec")):
         n, x = header_of(mspec)
+        if n not in which:
+            which[n] = invariants_of(root, n)
         for run, args in COMMANDS.items():
-            command, *rest = args(n, x)
+            command, *rest = args(which[n], x)
             stem = mspec.with_name(f"{mspec.stem}.{run}")
             proc = subprocess.run(
                 [sys.executable, "-m", "confein.cli", command, mspec.name,
@@ -306,7 +320,8 @@ def report_changes(parent, change):
     """(changed, moved) between two reports: every differing leaf that is
     not a float, or that one side lacks, as {path, parent, change}; every
     float that moved, as {path, parent, change, abs, rel}, rel against
-    max(1, |parent|)."""
+    max(1, |parent|), and with `scaled`, abs against the parent's sibling
+    `....scale`, for a `....max` whose parent report holds a nonzero one."""
     a, b = dict(leaves(parent)), dict(leaves(change))
     changed, moved = [], []
     for path in [*a, *(p for p in b if p not in a)]:
@@ -319,6 +334,10 @@ def report_changes(parent, change):
                 and (isinstance(v, float) or isinstance(w, float))):
             row["abs"] = abs(w - v)
             row["rel"] = row["abs"] / max(1.0, abs(v))
+            scale = (a.get(path[:-len("max")] + "scale")
+                     if path.endswith(".max") else None)
+            if _is_number(scale) and scale != 0:
+                row["scaled"] = row["abs"] / abs(scale)
             moved.append(row)
         else:
             changed.append(row)
@@ -367,9 +386,11 @@ def format_listing(listing):
             lines.append(f"  {c['path']}: {c['parent']!r} -> "
                          f"{c['change']!r}")
         for m in row.get("moved", ()):
+            scaled = (f", scaled {m['scaled']:.3g}" if "scaled" in m
+                      else "")
             lines.append(f"  {m['path']}: {m['parent']!r} -> "
                          f"{m['change']!r} (abs {m['abs']:.3g}, rel "
-                         f"{m['rel']:.3g})")
+                         f"{m['rel']:.3g}{scaled})")
     return lines
 
 
